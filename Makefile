@@ -8,9 +8,9 @@ GO ?= go
 ## snapshot bench-json rewrites. Bump BENCH_CURRENT (and, when a baseline is
 ## re-frozen, BENCH_BASELINE) here instead of editing the recipes.
 BENCH_BASELINE ?= BENCH_5.json
-BENCH_CURRENT ?= BENCH_7.json
+BENCH_CURRENT ?= BENCH_13.json
 
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff lint vuln experiments examples fuzz-smoke ci
+.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module lint vuln experiments examples fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ bench-long:
 ## sweep it collapses (see DESIGN.md §12).
 bench-ff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSteadyState|BenchmarkLongHorizon' -benchmem -benchtime 1x .
+
+## bench-module: vet and test the host-speed benchmark's own module (bench/,
+## see bench/README.md). Being a separate module, it is outside the root
+## `go test ./...`; its tests check the first cell of each workload against
+## the committed golden digests.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## lint: vet, gofmt, and the sgprs-lint determinism suite (DESIGN.md §14) —
 ## the same blocking gate CI runs.
@@ -107,4 +114,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: lint build race examples fuzz-smoke bench bench-gate
+ci: lint build race bench-module examples fuzz-smoke bench bench-gate

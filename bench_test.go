@@ -388,7 +388,7 @@ func ffEligible(cfg sgprs.RunConfig) sgprs.RunConfig {
 // and allocations collapse to roughly one cycle's worth however long the
 // horizon (the 600 s case is the stress point — simulating it in full costs
 // ~100× the 6 s acceptance grids). The allocs/simsec metric feeds the CI
-// benchmark-delta report via BENCH_7.json.
+// benchmark-delta report via BENCH_13.json.
 func BenchmarkLongHorizon(b *testing.B) {
 	for _, sec := range []float64{2, 60, 600} {
 		sec := sec

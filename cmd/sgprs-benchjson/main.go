@@ -157,7 +157,8 @@ func checkGate(base, cur *File, gate *regexp.Regexp, maxRegressPct float64) []st
 //	BenchmarkName-8   3   75296901 ns/op   11691829 B/op   285225 allocs/op   740.9 sat_fps
 //
 // where the -8 GOMAXPROCS suffix, the memory columns, and custom metric
-// columns are all optional.
+// columns are all optional. See stripProcsSuffix for when the suffix is
+// removed; two lines left with the same name are an error.
 func parse(sc *bufio.Scanner) (*File, error) {
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	file := &File{}
@@ -178,11 +179,6 @@ func parse(sc *bufio.Scanner) (*File, error) {
 			continue
 		}
 		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
 		iters, err1 := strconv.ParseInt(fields[1], 10, 64)
 		ns, err2 := strconv.ParseFloat(fields[2], 64)
 		if err1 != nil || err2 != nil {
@@ -210,7 +206,49 @@ func parse(sc *bufio.Scanner) (*File, error) {
 		}
 		file.Benchmarks = append(file.Benchmarks, b)
 	}
-	return file, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	stripProcsSuffix(file.Benchmarks)
+	seen := map[string]bool{}
+	for _, b := range file.Benchmarks {
+		if seen[b.Name] {
+			return nil, fmt.Errorf("duplicate benchmark name %q", b.Name)
+		}
+		seen[b.Name] = true
+	}
+	return file, nil
+}
+
+// stripProcsSuffix removes the GOMAXPROCS suffix `go test` appends to every
+// benchmark name when GOMAXPROCS > 1. A name's own trailing `-<int>` (a sub-
+// benchmark like "stages-12") looks the same, so the suffix is stripped only
+// when every line of the run carries the same one; at GOMAXPROCS=1 there is
+// none, and the names are kept whole.
+func stripProcsSuffix(bs []Benchmark) {
+	suffix := ""
+	for i, b := range bs {
+		s := procsSuffix(b.Name)
+		if s == "" || (i > 0 && s != suffix) {
+			return
+		}
+		suffix = s
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
+}
+
+// procsSuffix returns name's trailing "-<int>", or "" when it has none.
+func procsSuffix(name string) string {
+	i := strings.LastIndex(name, "-")
+	if i <= 0 {
+		return ""
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return ""
+	}
+	return name[i:]
 }
 
 // report prints a benchstat-style delta table covering both ns/op and

@@ -157,15 +157,14 @@ type Scheduler struct {
 	// skipped at activation time instead of completing hopelessly late.
 	ewmaPipeMS float64
 
-	// kernelPool recycles gpu.Kernel structs across stage launches, and
 	// stateOf maps a kernel's context (by device ID, which is dense and
-	// assigned in creation order) back to its ctxState; together with the
-	// shared doneFn callback, a stage launch allocates no kernel and no
-	// closure, and a stage completion is a slice index, not a map probe.
-	kernelPool []*gpu.Kernel
-	stateOf    []*ctxState
-	doneFn     func(k *gpu.Kernel, now des.Time)
-	retryFn    func(now des.Time, arg any)
+	// assigned in creation order) back to its ctxState; together with
+	// kernels borrowed from the device's free list and the shared doneFn
+	// callback, a stage launch allocates no kernel and no closure, and a
+	// stage completion is a slice index, not a map probe.
+	stateOf []*ctxState
+	doneFn  func(k *gpu.Kernel, now des.Time)
+	retryFn func(now des.Time, arg any)
 	// tokenPool recycles the retry tokens backed-off retries travel in. A
 	// token pins the stage pointer together with its job's generation so a
 	// retry that outlives a device-loss drain (EvictAll discarded the job;
@@ -436,14 +435,14 @@ func (s *Scheduler) dispatch(c *ctxState, now des.Time) {
 
 // launch submits one stage kernel. Stage executions carry no fixed
 // reconfiguration cost: the context pool is pre-created (seamless switch).
-// Kernels come from the scheduler's free list and carry the shared
+// Kernels come from the device's free list and carry the shared
 // completion callback, so a launch performs no kernel or closure allocation;
 // the per-stage label string is only built when an observer will read it.
 func (s *Scheduler) launch(c *ctxState, stream *gpu.Stream, st *rt.StageJob, now des.Time) {
 	st.MarkStarted(now)
 	c.inFlight++
 	task := st.Job.Task
-	k := s.getKernel()
+	k := s.dev.NewKernel()
 	if s.dev.HasObserver() {
 		k.Label = st.Label()
 	} else {
@@ -455,26 +454,14 @@ func (s *Scheduler) launch(c *ctxState, stream *gpu.Stream, st *rt.StageJob, now
 	stream.Submit(k)
 }
 
-// getKernel pops a kernel from the free list or allocates one.
-func (s *Scheduler) getKernel() *gpu.Kernel {
-	if n := len(s.kernelPool); n > 0 {
-		k := s.kernelPool[n-1]
-		s.kernelPool[n-1] = nil
-		s.kernelPool = s.kernelPool[:n-1]
-		return k
-	}
-	return &gpu.Kernel{}
-}
-
 // kernelDone is the shared completion callback: it unpacks the stage, hands
-// the kernel back to the free list (the device guarantees it no longer
-// touches it), and retires the stage. Recycling before onStageDone lets the
-// dispatches it triggers reuse the kernel immediately.
+// the kernel back to the device's free list (the device guarantees it no
+// longer touches it), and retires the stage. Recycling before onStageDone
+// lets the dispatches it triggers reuse the kernel immediately.
 func (s *Scheduler) kernelDone(k *gpu.Kernel, now des.Time) {
 	st := k.Arg.(*rt.StageJob)
 	c := s.stateOf[k.Stream().Context().ID()]
-	k.Reset()
-	s.kernelPool = append(s.kernelPool, k)
+	s.dev.FreeKernel(k)
 	s.onStageDone(c, st, now)
 }
 
@@ -539,8 +526,7 @@ func (s *Scheduler) onStageDone(c *ctxState, st *rt.StageJob, now des.Time) {
 func (s *Scheduler) RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action sched.RecoveryAction, backoff des.Time, now des.Time) {
 	st := k.Arg.(*rt.StageJob)
 	c := s.stateOf[stream.Context().ID()]
-	k.Reset()
-	s.kernelPool = append(s.kernelPool, k)
+	s.dev.FreeKernel(k)
 	c.inFlight--
 	c.pendingWCET -= st.Job.Task.StageWCET(st.Index)
 	if c.pendingWCET < 0 {
@@ -612,22 +598,19 @@ func (s *Scheduler) retryFire(now des.Time, arg any) {
 // or cancelled, every queue drained, and every live frame discarded. Streams
 // are flushed before their running kernel is evicted so the abort-side pump
 // finds nothing to relaunch. Launch-window kernels (dispatched, not started)
-// are cancelled and deliberately leaked: the detached gpu.launch event still
-// references them, so pooling would let a later stage race the stale start.
+// are cancelled but not freed: the detached gpu.launch event still references
+// them, so reusing one within the run would let a later stage race the stale
+// start; the device's next Reset reclaims them.
 // On return the scheduler is quiescent and can accept releases again after a
 // device restart.
 func (s *Scheduler) EvictAll(now des.Time) {
 	for _, c := range s.ctxs {
 		for _, stream := range c.ctx.Streams() {
-			stream.Flush(func(k *gpu.Kernel) {
-				k.Reset()
-				s.kernelPool = append(s.kernelPool, k)
-			})
+			stream.Flush(s.dev.FreeKernel)
 			if k := stream.Running(); k != nil {
 				if k.Running() {
 					s.dev.Abort(k, now)
-					k.Reset()
-					s.kernelPool = append(s.kernelPool, k)
+					s.dev.FreeKernel(k)
 				} else {
 					s.dev.CancelLaunch(k)
 				}

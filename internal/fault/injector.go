@@ -42,6 +42,10 @@ type Injector struct {
 	defRetries int
 	backoff    des.Time
 
+	// freeFaults recycles the structs armed transient faults travel in:
+	// fireTransient copies the fields out and returns the struct here.
+	freeFaults []*pendingFault
+
 	stats Stats
 }
 
@@ -192,16 +196,20 @@ func (in *Injector) KernelLaunched(k *gpu.Kernel, now des.Time) {
 func (in *Injector) armFault(k *gpu.Kernel, frac float64) {
 	est := k.IsolatedLatencyMS(in.dev.Model(), float64(k.Stream().Context().SMs()))
 	delay := des.Time(frac * est * float64(des.Millisecond))
-	in.eng.AfterArg(delay, "fault.transient", fireTransient, &pendingFault{
-		in:  in,
-		k:   k,
-		seq: k.LaunchSeq(),
-	})
+	var pf *pendingFault
+	if n := len(in.freeFaults); n > 0 {
+		pf = in.freeFaults[n-1]
+		in.freeFaults = in.freeFaults[:n-1]
+	} else {
+		pf = &pendingFault{}
+	}
+	*pf = pendingFault{in: in, k: k, seq: k.LaunchSeq()}
+	in.eng.AfterArg(delay, "fault.transient", fireTransient, pf)
 }
 
 // pendingFault carries a scheduled transient fault to its firing instant.
-// The launch sequence number detects staleness: kernels recycle through
-// scheduler free lists, so the pointer alone cannot prove the armed launch is
+// The launch sequence number detects staleness: kernels recycle through the
+// device free list, so the pointer alone cannot prove the armed launch is
 // still the running one.
 type pendingFault struct {
 	in  *Injector
@@ -214,11 +222,12 @@ type pendingFault struct {
 // relaunched) before the fault instant — dissolve silently.
 func fireTransient(now des.Time, arg any) {
 	pf := arg.(*pendingFault)
-	k := pf.k
-	if !k.Running() || k.LaunchSeq() != pf.seq {
+	in, k, seq := pf.in, pf.k, pf.seq
+	pf.k = nil
+	in.freeFaults = append(in.freeFaults, pf)
+	if !k.Running() || k.LaunchSeq() != seq {
 		return
 	}
-	in := pf.in
 	in.stats.TransientFaults++
 	job := jobOf(k)
 	task := job.Task

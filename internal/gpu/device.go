@@ -177,6 +177,14 @@ type Device struct {
 	recWork      []float64
 	recBusy      []float64
 	recCompleted uint64
+
+	// kernels is every kernel NewKernel ever allocated and freeKernels
+	// the ones available for reuse. The device owns them all: schedulers
+	// borrow with NewKernel and return with FreeKernel, and Reset reclaims
+	// the ones a run left behind (still running, queued, or cancelled in
+	// their launch window).
+	kernels     []*Kernel
+	freeKernels []*Kernel
 }
 
 // deviceRNG derives the device's stochastic stream from its seed; NewDevice
@@ -208,8 +216,11 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 // growing. Contexts are discarded (schedulers recreate their pool on
 // Attach), the stochastic stream is re-derived from the new seed, and all
 // accounting restarts; a run on a reset device is bit-identical to one on a
-// fresh device. The caller must Reset the driving engine in the same breath:
-// finish events of still-running kernels live in its queue.
+// fresh device. Every kernel NewKernel handed out is zeroed and returned to
+// the free list, whatever state the previous run left it in. The caller must
+// Reset the driving engine first: finish and launch events of the kernels it
+// reclaims live in the engine's queue, and the engine reset is what drops
+// them.
 func (d *Device) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -238,7 +249,42 @@ func (d *Device) Reset(cfg Config) error {
 	d.recWork = d.recWork[:0]
 	d.recBusy = d.recBusy[:0]
 	d.recCompleted = 0
+	d.freeKernels = d.freeKernels[:0]
+	for _, k := range d.kernels {
+		*k = Kernel{pooled: true}
+		d.freeKernels = append(d.freeKernels, k)
+	}
 	return nil
+}
+
+// NewKernel returns a zeroed kernel from the device's free list, allocating
+// one only when the list is empty. The caller fills it, submits it, and hands
+// it back with FreeKernel once the device no longer holds it (in OnDone, or
+// after Abort or Stream.Flush); a kernel it never hands back is reclaimed by
+// the next Reset.
+func (d *Device) NewKernel() *Kernel {
+	if n := len(d.freeKernels); n > 0 {
+		k := d.freeKernels[n-1]
+		d.freeKernels = d.freeKernels[:n-1]
+		k.pooled = false
+		return k
+	}
+	k := &Kernel{}
+	d.kernels = append(d.kernels, k)
+	return k
+}
+
+// FreeKernel zeroes k and returns it to the free list. Freeing a kernel that
+// is still running, or freeing one twice, is a programming error and panics.
+func (d *Device) FreeKernel(k *Kernel) {
+	if k.pooled {
+		panic(fmt.Sprintf("gpu: kernel %q freed twice", k.Label))
+	}
+	if k.started || k.finishEv != nil {
+		panic(fmt.Sprintf("gpu: free of running kernel %q", k.Label))
+	}
+	*k = Kernel{pooled: true}
+	d.freeKernels = append(d.freeKernels, k)
 }
 
 // Observer receives kernel lifecycle callbacks, e.g. for execution tracing.
@@ -263,7 +309,7 @@ func (d *Device) SetObserver(o Observer) { d.observer = o }
 //     (Kernel.InflateWork) flows into the very first rate assignment,
 //     the waterfill, and the aggregate ceiling;
 //   - KernelRetired fires after a completion's bookkeeping and recompute,
-//     before OnDone (which may Reset and reuse the kernel).
+//     before OnDone (which may free and reuse the kernel).
 //
 // A Hook is deliberately a separate interface from Observer: HasObserver
 // gates diagnostic label formatting, and installing a fault hook must not

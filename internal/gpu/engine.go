@@ -570,7 +570,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 	if k.OnComplete != nil {
 		k.OnComplete(now)
 	}
-	// The fault hook must see the kernel before OnDone can Reset it.
+	// The fault hook must see the kernel before OnDone can free it.
 	if d.hook != nil {
 		d.hook.KernelRetired(k, now)
 	}
@@ -592,7 +592,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 // explicitly through the scheduler. On return the kernel is detached
 // (Stream() == nil) with its partial remainders intact, so a recovery policy
 // may Submit it again (a fresh run from scratch: Submit re-derives the
-// remainders) or Reset it for the free list. Aborting a kernel that is not
+// remainders) or hand it to FreeKernel. Aborting a kernel that is not
 // running is a programming error and panics.
 func (d *Device) Abort(k *Kernel, now des.Time) {
 	if !k.started {
@@ -637,10 +637,12 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 // detached gpu.launch event already in flight. The event cannot be retracted
 // (monotone events are engine-owned), so cancellation detaches the kernel
 // instead: the stream slot is freed and the pending kernelStart finds a nil
-// stream and returns. The caller must treat the kernel as leaked — the
-// in-flight event still references it, so recycling it through a free list
-// would let a later Submit race the stale start. Cancelling a kernel that is
-// already running (use Abort) or not dispatched is a programming error.
+// stream and returns. The caller must not FreeKernel it: the in-flight event
+// still references it, so reusing it within the run would let a later Submit
+// race the stale start. It stays out of circulation until the next Reset,
+// which runs after the engine reset has dropped that event and reclaims it
+// with every other kernel. Cancelling a kernel that is already running (use
+// Abort) or not dispatched is a programming error.
 func (d *Device) CancelLaunch(k *Kernel) {
 	if k.started {
 		panic(fmt.Sprintf("gpu: cancel of running kernel %q (use Abort)", k.Label))

@@ -33,7 +33,7 @@ type Kernel struct {
 	// receiving the kernel itself. Together with Arg it lets schedulers
 	// share one callback across every kernel instead of allocating a
 	// closure per launch. It is the last time the device touches the
-	// kernel: the callback may Reset and reuse it immediately.
+	// kernel: the callback may free and reuse it immediately.
 	OnDone func(k *Kernel, now des.Time)
 	// Arg is an opaque scheduler payload carried to OnDone.
 	Arg any
@@ -52,10 +52,13 @@ type Kernel struct {
 	// launchSeq is the device-wide launch sequence number assigned each
 	// time the kernel starts executing. Fault-injection events captured
 	// against one launch compare it (together with Running) at fire time:
-	// kernels recycle through scheduler free lists, so a retained pointer
+	// kernels recycle through the device free list, so a retained pointer
 	// alone cannot tell "still the launch I armed against" from "a later
 	// launch reusing the same struct".
 	launchSeq uint64
+	// pooled marks a kernel sitting in its device's free list; freeing it
+	// again before the next NewKernel is a use-after-free bug.
+	pooled bool
 
 	// Closed-form aggregate-gain coefficients, precomputed on first use.
 	// The composed gain is a weighted harmonic mean over saturating
@@ -143,15 +146,6 @@ func (k *Kernel) totalWork() float64 {
 		w += s.Work
 	}
 	return w
-}
-
-// Reset clears the kernel for reuse from a free list. Resetting a submitted
-// kernel that has not completed is a programming error and panics.
-func (k *Kernel) Reset() {
-	if k.started || k.finishEv != nil {
-		panic(fmt.Sprintf("gpu: reset of running kernel %q", k.Label))
-	}
-	*k = Kernel{}
 }
 
 // Running reports whether the kernel is currently executing.
@@ -260,9 +254,9 @@ func (k *Kernel) Stream() *Stream { return k.stream }
 
 // Flush detaches every queued (not yet dispatched) kernel from the stream in
 // submission order, handing each to fn with its stream pointer already
-// cleared — the caller owns it again and may Reset and pool it. The running
-// or launch-window kernel, if any, is untouched: evict it with Device.Abort
-// or Device.CancelLaunch. This is the device-loss drain path.
+// cleared — the caller owns it again and may free it. The running or
+// launch-window kernel, if any, is untouched: evict it with Device.Abort or
+// Device.CancelLaunch. This is the device-loss drain path.
 func (s *Stream) Flush(fn func(*Kernel)) {
 	for i := s.head; i < len(s.queue); i++ {
 		k := s.queue[i]

@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"sgprs/internal/des"
+	"sgprs/internal/speedup"
 )
 
 // TestDeviceResetReplaysFreshDevice: a contended, jittered workload run on a
@@ -73,4 +75,82 @@ func TestDeviceResetRejectsBadConfig(t *testing.T) {
 	if err := dev.Reset(bad); err == nil {
 		t.Error("invalid config accepted by Reset")
 	}
+}
+
+// TestDeviceResetReclaimsKernels: Reset hands back, zeroed, every kernel a
+// run left behind — one still running, one queued behind it, and one
+// cancelled in its launch window — together with the ones already freed.
+func TestDeviceResetReclaimsKernels(t *testing.T) {
+	cfg := quietConfig()
+	eng, dev := newTestDevice(t, cfg)
+	ctx, err := dev.CreateContext("c0", 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := ctx.AddStream("s0", HighPriority)
+	s2 := ctx.AddStream("s1", LowPriority)
+	fill := func(label string) *Kernel {
+		k := dev.NewKernel()
+		k.Label = label
+		k.Shares = []speedup.WorkShare{{Class: speedup.Conv, Work: 50}}
+		k.OnComplete = func(des.Time) {}
+		return k
+	}
+
+	freed := fill("freed")
+	dev.FreeKernel(freed)
+	running, queued := fill("running"), fill("queued")
+	s1.Submit(running)
+	s1.Submit(queued)
+	eng.RunUntil(des.FromMillis(1))
+	if !running.Running() || queued.Stream() != s1 {
+		t.Fatal("setup: want one kernel running and one queued behind it")
+	}
+	cancelled := fill("cancelled")
+	s2.Submit(cancelled)
+	dev.CancelLaunch(cancelled)
+
+	eng.Reset()
+	if err := dev.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := map[*Kernel]string{freed: "freed", running: "running", queued: "queued", cancelled: "cancelled"}
+	for i, n := 0, len(want); i < n; i++ {
+		k := dev.NewKernel()
+		name, ok := want[k]
+		if !ok {
+			t.Fatalf("NewKernel %d allocated instead of reusing a reclaimed kernel", i)
+		}
+		if !reflect.DeepEqual(*k, Kernel{}) {
+			t.Errorf("reclaimed %s kernel not zeroed: %+v", name, *k)
+		}
+		delete(want, k)
+	}
+}
+
+// TestKernelFreeListAllocsNothing: once warm, a NewKernel/FreeKernel cycle
+// allocates nothing.
+func TestKernelFreeListAllocsNothing(t *testing.T) {
+	_, dev := newTestDevice(t, quietConfig())
+	if n := testing.AllocsPerRun(100, func() {
+		k := dev.NewKernel()
+		k.Label = "k"
+		dev.FreeKernel(k)
+	}); n != 0 {
+		t.Errorf("NewKernel/FreeKernel cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestFreeKernelTwicePanics: freeing a kernel twice before the next
+// NewKernel is the use-after-free the free list must surface.
+func TestFreeKernelTwicePanics(t *testing.T) {
+	_, dev := newTestDevice(t, quietConfig())
+	k := dev.NewKernel()
+	dev.FreeKernel(k)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second FreeKernel did not panic")
+		}
+	}()
+	dev.FreeKernel(k)
 }

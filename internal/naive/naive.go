@@ -80,13 +80,12 @@ type Scheduler struct {
 	// it — so the per-release map-and-slice rebuild is gone.
 	baseShares map[int][]speedup.WorkShare
 
-	// kernelPool recycles gpu.Kernel structs across releases, exactly as
-	// the SGPRS scheduler does for stage launches: with the job carried in
-	// Arg and the shared begin/done callbacks, a release allocates no
-	// kernel and no closures.
-	kernelPool []*gpu.Kernel
-	beginFn    func(k *gpu.Kernel, now des.Time)
-	doneFn     func(k *gpu.Kernel, now des.Time)
+	// Kernels are borrowed from the device's free list, exactly as the
+	// SGPRS scheduler does for stage launches: with the job carried in Arg
+	// and the shared begin/done callbacks, a release allocates no kernel
+	// and no closures.
+	beginFn func(k *gpu.Kernel, now des.Time)
+	doneFn  func(k *gpu.Kernel, now des.Time)
 
 	reconfigs uint64
 }
@@ -169,7 +168,7 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 		}
 		shares = scaled
 	}
-	k := s.getKernel()
+	k := s.dev.NewKernel()
 	if s.dev.HasObserver() {
 		k.Label = job.Label()
 	} else {
@@ -181,17 +180,6 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 	k.OnBegin = s.beginFn
 	k.OnDone = s.doneFn
 	p.stream.Submit(k)
-}
-
-// getKernel pops a kernel from the free list or allocates one.
-func (s *Scheduler) getKernel() *gpu.Kernel {
-	if n := len(s.kernelPool); n > 0 {
-		k := s.kernelPool[n-1]
-		s.kernelPool[n-1] = nil
-		s.kernelPool = s.kernelPool[:n-1]
-		return k
-	}
-	return &gpu.Kernel{}
 }
 
 // RecoverKernel implements sched.FaultHandler: the fault injector has
@@ -216,16 +204,14 @@ func (s *Scheduler) RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action sche
 				// job — and the JobPool may have recycled the struct into
 				// a different frame — while this retry was backed off.
 				if job.Discarded || job.Gen != gen {
-					k.Reset()
-					s.kernelPool = append(s.kernelPool, k)
+					s.dev.FreeKernel(k)
 					return
 				}
 				stream.Submit(k)
 			})
 		}
 	case sched.ActionSkipJob, sched.ActionKillChain:
-		k.Reset()
-		s.kernelPool = append(s.kernelPool, k)
+		s.dev.FreeKernel(k)
 		job.Discard(now)
 	}
 }
@@ -234,14 +220,14 @@ func (s *Scheduler) RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action sche
 // lost (fleet failover, DESIGN.md §15). Each partition's FIFO is flushed
 // first — so the abort-side pump finds nothing to relaunch — then the running
 // or launch-window kernel is evicted; every live job is discarded. A
-// launch-window kernel is cancelled and deliberately leaked (the detached
-// gpu.launch event still references it; see gpu.Device.CancelLaunch).
+// launch-window kernel is cancelled but not freed: the detached gpu.launch
+// event still references it, so it stays out of circulation until the
+// device's next Reset reclaims it (see gpu.Device.CancelLaunch).
 func (s *Scheduler) EvictAll(now des.Time) {
 	for _, p := range s.parts {
 		p.stream.Flush(func(k *gpu.Kernel) {
 			job := k.Arg.(*rt.Job)
-			k.Reset()
-			s.kernelPool = append(s.kernelPool, k)
+			s.dev.FreeKernel(k)
 			if !job.Discarded {
 				job.Discard(now)
 			}
@@ -250,8 +236,7 @@ func (s *Scheduler) EvictAll(now des.Time) {
 			job := k.Arg.(*rt.Job)
 			if k.Running() {
 				s.dev.Abort(k, now)
-				k.Reset()
-				s.kernelPool = append(s.kernelPool, k)
+				s.dev.FreeKernel(k)
 			} else {
 				s.dev.CancelLaunch(k)
 			}
@@ -273,14 +258,13 @@ func (s *Scheduler) kernelBegin(k *gpu.Kernel, now des.Time) {
 }
 
 // kernelDone is the shared completion callback: it unpacks the job, hands
-// the kernel back to the free list (the device guarantees it no longer
-// touches it), and retires every stage — the final MarkFinished completes
-// the job and notifies its watcher, exactly when the OnComplete closure
-// used to.
+// the kernel back to the device's free list (the device guarantees it no
+// longer touches it), and retires every stage — the final MarkFinished
+// completes the job and notifies its watcher, exactly when the OnComplete
+// closure used to.
 func (s *Scheduler) kernelDone(k *gpu.Kernel, now des.Time) {
 	job := k.Arg.(*rt.Job)
-	k.Reset()
-	s.kernelPool = append(s.kernelPool, k)
+	s.dev.FreeKernel(k)
 	for _, st := range job.Stages {
 		st.MarkFinished(now)
 	}

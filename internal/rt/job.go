@@ -113,14 +113,24 @@ func (t *Task) NewJob(index int, release des.Time) *Job {
 
 // initJob (re)initialises j as instance index of the task, reusing j's Stages
 // slice and StageJob structs when their capacity allows — the JobPool's reuse
-// path. Every field of the job and of each stage is written, so a recycled
-// job is indistinguishable from a freshly allocated one.
+// path. When it does not, the stages are allocated as one slab behind one
+// pointer slice: two allocations whatever the stage count. Every field of the
+// job and of each stage is written, so a recycled job is indistinguishable
+// from a freshly allocated one.
 func (t *Task) initJob(j *Job, index int, release des.Time) {
 	if !t.Profiled() {
 		panic(fmt.Sprintf("rt: NewJob on unprofiled task %s", t))
 	}
-	old := j.Stages[:cap(j.Stages)]
-	gen := j.Gen + 1
+	n := len(t.Stages)
+	stages := j.Stages[:cap(j.Stages)]
+	if len(stages) < n {
+		slab := make([]StageJob, n)
+		stages = make([]*StageJob, n)
+		for s := range stages {
+			stages[s] = &slab[s]
+		}
+	}
+	stages = stages[:n]
 	*j = Job{
 		Task:        t,
 		Index:       index,
@@ -129,25 +139,18 @@ func (t *Task) initJob(j *Job, index int, release des.Time) {
 		WorkScale:   1,
 		MetricsSlot: -1,
 		BacklogSlot: -1,
-		Stages:      old[:0],
-		Gen:         gen,
+		Stages:      stages,
+		Gen:         j.Gen + 1,
 	}
 	var cum des.Time
-	for s := range t.Stages {
+	for s, sj := range stages {
 		cum += t.virtualDls[s]
-		var sj *StageJob
-		if s < len(old) && old[s] != nil {
-			sj = old[s]
-		} else {
-			sj = &StageJob{}
-		}
 		*sj = StageJob{
 			Job:      j,
 			Index:    s,
 			Deadline: release.Add(cum),
 			Level:    t.StageLevel(s),
 		}
-		j.Stages = append(j.Stages, sj)
 	}
 }
 

@@ -19,8 +19,14 @@ import (
 // not be touched once a later Get may have reused it (the generator's next
 // release event). Putting a job twice panics — that is the use-after-recycle
 // bug this type exists to surface.
+//
+// The pool also owns every job it ever allocated, so jobs still in flight
+// when a run ends — never completed, never discarded, never Put — are not
+// lost: Reclaim returns all of them to the free list at the start of the
+// next run (DESIGN.md §8).
 type JobPool struct {
 	free []*Job
+	all  []*Job
 }
 
 // Get returns a job initialised as instance index of the task released at the
@@ -34,6 +40,7 @@ func (p *JobPool) Get(t *Task, index int, release des.Time) *Job {
 		p.free = p.free[:n-1]
 	} else {
 		j = &Job{}
+		p.all = append(p.all, j)
 	}
 	t.initJob(j, index, release)
 	return j
@@ -51,6 +58,21 @@ func (p *JobPool) Put(j *Job) {
 	}
 	j.pooled = true
 	p.free = append(p.free, j)
+}
+
+// Reclaim returns every job the pool ever handed out to the free list, in
+// allocation order, whether or not it was Put. It is only safe once nothing
+// can reach the jobs any more: the session calls it at the start of a run,
+// after des.Engine.Reset dropped every event that still pointed at one and
+// before the run's first release. A reclaimed job keeps its Gen, and the
+// next Get increments it, so a reference captured before the reclaim stays
+// detectably stale; putting such a job again panics as a double recycle.
+func (p *JobPool) Reclaim() {
+	p.free = p.free[:0]
+	for _, j := range p.all {
+		j.pooled = true
+		p.free = append(p.free, j)
+	}
 }
 
 // Len reports the free-list size (diagnostics/tests).

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"reflect"
 	"testing"
 
 	"sgprs/internal/des"
@@ -25,37 +26,14 @@ func TestPoolReuseMatchesFreshJob(t *testing.T) {
 	var p JobPool
 
 	old := p.Get(task, 0, des.FromMillis(10))
-	// Dirty every mutable field the online phase touches.
-	old.WorkScale = 1.7
-	old.MetricsSlot = 42
-	for _, st := range old.Stages {
-		st.MarkReady(des.FromMillis(11))
-		st.MarkStarted(des.FromMillis(12))
-		st.Level = LevelMedium
-	}
-	old.Stages[len(old.Stages)-1].MarkFinished(des.FromMillis(20))
+	dirty(old)
 	p.Put(old)
 
 	got := p.Get(task, 7, des.FromMillis(50))
 	if got != old {
 		t.Fatal("pool did not hand back the recycled job struct")
 	}
-	want := task.NewJob(7, des.FromMillis(50))
-	if got.Task != want.Task || got.Index != want.Index || got.Release != want.Release ||
-		got.Deadline != want.Deadline || got.WorkScale != want.WorkScale ||
-		got.Done || got.FinishedAt != 0 || got.MetricsSlot != -1 || got.Watcher != nil {
-		t.Fatalf("recycled job not reinitialised: %+v", got)
-	}
-	if len(got.Stages) != len(want.Stages) {
-		t.Fatalf("recycled job has %d stages, want %d", len(got.Stages), len(want.Stages))
-	}
-	for s := range got.Stages {
-		g, w := got.Stages[s], want.Stages[s]
-		if g.Job != got || g.Index != w.Index || g.Deadline != w.Deadline || g.Level != w.Level ||
-			g.Ready || g.Started || g.Finished || g.ReadyAt != 0 || g.StartedAt != 0 || g.FinishedAt != 0 {
-			t.Fatalf("recycled stage %d not reinitialised: %+v", s, g)
-		}
-	}
+	assertLikeFresh(t, got, task.NewJob(7, des.FromMillis(50)))
 }
 
 // TestPoolDoubleRecyclePanics: putting a job twice before reuse is the
@@ -162,4 +140,138 @@ func TestDiscardNotifiesWatcherOnce(t *testing.T) {
 		}
 	}()
 	done.Discard(des.FromMillis(3))
+}
+
+// stagedTask builds a profiled task with n stages for the stage-count tests.
+func stagedTask(t *testing.T, id, n int) *Task {
+	t.Helper()
+	task := testTask(t, n)
+	task.ID = id
+	wcets := make([]des.Time, n)
+	for s := range wcets {
+		wcets[s] = des.FromMillis(1 + 0.5*float64(s))
+	}
+	if err := task.SetWCETs(wcets); err != nil {
+		t.Fatal(err)
+	}
+	return task
+}
+
+// dirty writes every mutable field the online phase touches, the way a job
+// abandoned mid-flight at a run's horizon would be left.
+func dirty(j *Job) {
+	j.WorkScale = 1.7
+	j.MetricsSlot = 42
+	j.BacklogSlot = 7
+	j.Retries = 2
+	j.Discarded, j.DiscardedAt = true, j.Release+4
+	j.Watcher = &countingWatcher{}
+	for _, st := range j.Stages {
+		st.MarkReady(j.Release + 1)
+		st.MarkStarted(j.Release + 2)
+		st.Level = LevelMedium
+		st.MarkFinished(j.Release + 3) // the last one completes the job
+	}
+}
+
+// assertLikeFresh fails unless got equals want, a freshly allocated job of
+// the same instance, in every field but Gen, including every stage.
+func assertLikeFresh(t *testing.T, got, want *Job) {
+	t.Helper()
+	g, w := *got, *want
+	g.Stages, w.Stages, g.Gen, w.Gen = nil, nil, 0, 0
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("recycled job not reinitialised:\n got %+v\nwant %+v", g, w)
+	}
+	if len(got.Stages) != len(want.Stages) {
+		t.Fatalf("recycled job has %d stages, want %d", len(got.Stages), len(want.Stages))
+	}
+	for s := range got.Stages {
+		gs, ws := *got.Stages[s], *want.Stages[s]
+		if gs.Job != got || ws.Job != want {
+			t.Fatalf("stage %d points at the wrong job", s)
+		}
+		gs.Job, ws.Job = nil, nil
+		if gs != ws {
+			t.Fatalf("recycled stage %d not reinitialised:\n got %+v\nwant %+v", s, gs, ws)
+		}
+	}
+}
+
+// TestPoolReclaimReturnsUnputJobs: jobs a run left in flight — never Put —
+// come back out of the pool after Reclaim, alongside the ones that were Put,
+// and every reincarnation carries a higher generation than the last.
+func TestPoolReclaimReturnsUnputJobs(t *testing.T) {
+	task := profiledTask(t, 0)
+	var p JobPool
+	gens := map[*Job]uint64{}
+	var first *Job
+	for i := 0; i < 4; i++ {
+		j := p.Get(task, i, des.FromMillis(float64(10*i)))
+		dirty(j)
+		gens[j] = j.Gen
+		if i == 0 {
+			first = j
+		}
+	}
+	p.Put(first)
+	if p.Len() != 1 {
+		t.Fatalf("pool holds %d jobs before reclaim, want 1", p.Len())
+	}
+
+	p.Reclaim()
+	n := len(gens)
+	if p.Len() != n {
+		t.Fatalf("pool holds %d jobs after reclaim, want %d", p.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		j := p.Get(task, 100+i, des.FromMillis(500))
+		old, ok := gens[j]
+		if !ok {
+			t.Fatalf("Get %d allocated instead of reusing a reclaimed job", i)
+		}
+		if j.Gen <= old {
+			t.Fatalf("generation went from %d to %d across the reclaim", old, j.Gen)
+		}
+		delete(gens, j)
+		assertLikeFresh(t, j, task.NewJob(100+i, des.FromMillis(500)))
+	}
+	if p.Len() != 0 {
+		t.Fatalf("pool holds %d jobs after draining, want 0", p.Len())
+	}
+}
+
+// TestPoolPutAfterReclaimPanics: a reference that outlived the reclaim —
+// an in-flight job the previous run still held — is stale, and putting it
+// is a double recycle.
+func TestPoolPutAfterReclaimPanics(t *testing.T) {
+	task := profiledTask(t, 0)
+	var p JobPool
+	j := p.Get(task, 0, 0)
+	p.Reclaim()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of a reclaimed job did not panic")
+		}
+	}()
+	p.Put(j)
+}
+
+// TestPoolStageCountChange: a recycled job taken by a task with more stages
+// (the slab regrows) or fewer (the slab is reused in part) is rewritten in
+// every job and stage field.
+func TestPoolStageCountChange(t *testing.T) {
+	var p JobPool
+	j := p.Get(stagedTask(t, 0, 3), 0, des.FromMillis(5))
+	for i, n := range []int{6, 2, 3, 12, 1} {
+		dirty(j)
+		p.Put(j)
+		task := stagedTask(t, i+1, n)
+		release := des.FromMillis(float64(40 * (i + 1)))
+		got := p.Get(task, i+1, release)
+		if got != j {
+			t.Fatal("pool did not hand back the recycled job struct")
+		}
+		assertLikeFresh(t, got, task.NewJob(i+1, release))
+	}
 }

@@ -101,7 +101,11 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 	}
 	model := defaultModel()
 
+	// The engine reset drops every pending event, the last references to
+	// the previous run's in-flight jobs and kernels; only then may the
+	// pool and the devices reclaim them (DESIGN.md §8).
 	s.eng.Reset()
+	s.pool.Reclaim()
 	if s.dev == nil {
 		dev, err := gpu.NewDevice(s.eng, model, cfg.GPU)
 		if err != nil {

@@ -6,7 +6,9 @@ import (
 
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
+	"sgprs/internal/rt"
 	"sgprs/internal/speedup"
+	"sgprs/internal/workload"
 )
 
 // TestStreamingMatchesBatchScenarios is the streaming-metrics acceptance
@@ -95,11 +97,25 @@ func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64)
 	return run
 }
 
+// overloadConfig is naive under open-loop Poisson arrivals at twice each
+// task's natural rate: the partition FIFOs grow without bound, so thousands
+// of jobs and kernels are still in flight when the horizon cuts the run.
+func overloadConfig() RunConfig {
+	return RunConfig{
+		Kind: KindNaive, Name: "overload", ContextSMs: []int{23, 23, 23}, NumTasks: 24,
+		Arrival: workload.Poisson{Rate: 60}, SLOMS: 1000.0 / 30.0, HorizonSec: 3, Seed: 3,
+	}
+}
+
 // TestSessionReuseBitIdentical pins the session-reuse invariant: a single
 // Session carrying a mixed sequence of configurations — different schedulers,
 // pool shapes, task counts, seeds — must return, run for run, exactly what a
 // fresh RunWith returns for the same configuration. This is what lets the
 // runner hand each worker one long-lived session.
+//
+// The tail of the sequence stresses the run-start reclaim: an overload run
+// leaves thousands of jobs and kernels in flight, which the SGPRS, faulted,
+// and fleet runs after it then reuse.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	cfgs := []RunConfig{
 		{Kind: KindSGPRS, Name: "a", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1},
@@ -107,6 +123,10 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		{Kind: KindSGPRS, Name: "c", ContextSMs: []int{23, 23, 23}, NumTasks: 26, HorizonSec: 2, Seed: 9},
 		{Kind: KindSGPRS, Name: "a", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1}, // repeat of the first
 		{Kind: KindSGPRS, Name: "d", ContextSMs: []int{51, 51}, NumTasks: 16, HorizonSec: 3, WarmUpSec: 0.5, Seed: 2},
+		overloadConfig(),
+		{Kind: KindSGPRS, Name: "e", ContextSMs: []int{34, 34}, NumTasks: 20, HorizonSec: 2, Seed: 4},
+		faultedConfig("f", "retry"),
+		fleetConfig("g", rt.FailoverMigrate),
 	}
 	cache := memo.New()
 	sess := NewSession(cache)
@@ -156,4 +176,36 @@ func TestSessionMemoryStaysBounded(t *testing.T) {
 	if after := sess.pool.Len(); after > before+50 {
 		t.Errorf("job pool grew %d → %d with horizon; retention is not O(active)", before, after)
 	}
+}
+
+// TestSessionReclaimAllocs pins the run-start reclaim: once a session has run
+// the overload configuration, running it again allocates none of the jobs,
+// stage slabs, or kernels it left in flight. The bound is the whole run's
+// remaining allocation count — scheduler, generator, arrival processes, and
+// the like, about 430 at the time of writing — plus headroom. Re-allocating
+// the in-flight population alone would cost two allocations per job and one
+// per kernel: with the 2,000-plus kernels the test requires in flight, at
+// least 6,000.
+func TestSessionReclaimAllocs(t *testing.T) {
+	cfg := overloadConfig()
+	sess := NewSession(memo.New())
+	if _, err := sess.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var inFlight int
+	sess.dev.ForEachKernelArg(func(any) { inFlight++ })
+	const bound = 600
+	if inFlight < 2000 {
+		t.Fatalf("only %d kernels in flight at the horizon; the pin needs thousands", inFlight)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := sess.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("second overload run on one session allocates %v times, want ≤ %d (%d kernels were in flight)",
+			allocs, bound, inFlight)
+	}
+	t.Logf("%v allocs per rerun, %d kernels in flight", allocs, inFlight)
 }
