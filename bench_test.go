@@ -12,6 +12,7 @@
 package sgprs_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -34,15 +35,21 @@ var benchCounts = []int{8, 16, 23, 25, 28, 30}
 
 const benchHorizon = 3 // simulated seconds per sweep point
 
-// sweepVariant runs one scheduler variant over benchCounts and reports the
-// figure metrics.
+// sweepVariant runs one scheduler variant over benchCounts — a one-variant
+// experiment — and reports the figure metrics.
 func sweepVariant(b *testing.B, scenario int, v sgprs.RunConfig, reportDMR bool) {
 	b.Helper()
+	spec := &sgprs.Experiment{
+		Name:     v.Name,
+		Variants: []sgprs.RunConfig{v},
+		Axes:     []sgprs.ExperimentAxis{sgprs.TasksAxis(benchCounts...)},
+	}
 	for i := 0; i < b.N; i++ {
-		series, err := sgprs.SweepSeries(v, benchCounts)
+		rs, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		series := rs.Series()[v.Name]
 		if reportDMR {
 			b.ReportMetric(series[len(series)-1].Summary.DMR, "dmr@30tasks")
 			b.ReportMetric(series[2].Summary.DMR, "dmr@23tasks")
@@ -261,47 +268,46 @@ func BenchmarkAblationLateDrop(b *testing.B) {
 // scenario (the 4-variant × task-count grid behind Figures 3a/3b) across the
 // execution strategies. Outputs are bit-identical across every case (the
 // runner's determinism tests and the sim cache-equality tests pin this);
-// only wall-clock differs:
+// only wall-clock differs. The three offline cases run on one worker:
 //
 //   - uncached-offline: the reference path — every run rebuilds the
 //     calibrated graph and profiles each task from scratch.
 //   - cold-offline: a fresh offline cache per iteration, so each distinct
 //     shape is profiled once per scenario (intra-run and intra-sweep reuse).
 //   - warm-offline: the steady-state path (shared cache, all hits) — what
-//     sim.RunScenario and the CLIs see after their first run.
+//     RunExperiment and the CLIs see after their first run.
 //   - parallel-jobsN: warm cache through the experiment runner; on a
 //     multi-core host wall-clock approaches 1/min(workers, cores, 12 jobs),
 //     on a single core it matches sequential to within pool overhead.
 func BenchmarkScenarioRegeneration(b *testing.B) {
-	counts := []int{8, 16, 24}
-	const horizon = 2
+	spec, err := sgprs.ScenarioExperiment(1, []int{8, 16, 24}, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	regenerate := func(b *testing.B, opt sgprs.SweepOptions) {
+		if _, err := sgprs.RunExperiment(context.Background(), spec, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("uncached-offline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, nil); err != nil {
-				b.Fatal(err)
-			}
+			regenerate(b, sgprs.SweepOptions{Jobs: 1, NoOfflineCache: true})
 		}
 	})
 	b.Run("cold-offline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, memo.New()); err != nil {
-				b.Fatal(err)
-			}
+			regenerate(b, sgprs.SweepOptions{Jobs: 1, Cache: memo.New()})
 		}
 	})
 	b.Run("warm-offline", func(b *testing.B) {
 		b.ReportAllocs()
-		cache := memo.New()
-		if _, err := sim.RunScenarioWith(1, counts, horizon, 1, cache); err != nil {
-			b.Fatal(err) // populate outside the timed loop
-		}
+		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
+		regenerate(b, warm) // populate outside the timed loop
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, cache); err != nil {
-				b.Fatal(err)
-			}
+			regenerate(b, warm)
 		}
 	})
 	workers := []int{1, 2, 4}
@@ -313,9 +319,7 @@ func BenchmarkScenarioRegeneration(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel-jobs%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sgprs.RunScenarioWith(1, counts, horizon, 1, sgprs.SweepOptions{Jobs: w}); err != nil {
-					b.Fatal(err)
-				}
+				regenerate(b, sgprs.SweepOptions{Jobs: w})
 			}
 		})
 	}

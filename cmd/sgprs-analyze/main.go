@@ -17,21 +17,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 
 	"sgprs/internal/analysis"
+	"sgprs/internal/config"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/exp"
-	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
 	"sgprs/internal/memo"
 	"sgprs/internal/profile"
@@ -68,7 +67,7 @@ func main() {
 		}
 		return
 	}
-	pool, err := parsePool(*contexts)
+	pool, err := config.ParsePool(*contexts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,15 +127,14 @@ func main() {
 		}
 		return
 	}
-	fc, err := parseFaults(*faults)
+	fc, err := config.ParseFaults(*faults)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nverification sweep (4 s simulated per point):")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	counts := []int{pivot - 2, pivot, pivot + 2}
-	series, runErr := runner.SweepSeries(ctx, sim.RunConfig{
+	rs, runErr := exp.Run(ctx, exp.Series(sim.RunConfig{
 		Kind:       sim.KindSGPRS,
 		Name:       "sgprs",
 		ContextSMs: pool,
@@ -145,13 +143,16 @@ func main() {
 		Stages:     *stages,
 		HorizonSec: 4,
 		Faults:     fc,
-	}, counts, runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	}, verifyCounts(pivot)), runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	if rs == nil {
+		log.Fatal(runErr)
+	}
 	// A failed point is reported with its coordinates; finished points
 	// still print.
 	if runErr != nil {
 		log.Print(runErr)
 	}
-	for _, p := range series {
+	for _, p := range rs.Series()["sgprs"] {
 		fmt.Printf("  %2d tasks: %6.1f fps, %d misses",
 			p.Tasks, p.Summary.TotalFPS, p.Summary.Missed)
 		if ff := p.FastForward; ff.CyclesSkipped > 0 {
@@ -205,41 +206,17 @@ func fromExperiment(name string, n *int, fps *float64, stages *int) ([]int, erro
 	return nil, fmt.Errorf("experiment %q has no SGPRS variant with a context pool", name)
 }
 
-// parseFaults translates the -faults flag — inline JSON (recognised by its
-// leading '{') or a file path — into a validated fault configuration; empty
-// means none.
-func parseFaults(arg string) (*fault.Config, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, fmt.Errorf("faults config: %w", err)
-		}
-		data = b
-	}
-	var fc fault.Config
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return nil, fmt.Errorf("faults config: %w", err)
-	}
-	if err := fc.Validate(); err != nil {
-		return nil, err
-	}
-	return &fc, nil
-}
-
-func parsePool(s string) ([]int, error) {
+// verifyCounts is the verification sweep's task axis: the predicted pivot
+// and two tasks either side, keeping only counts of at least 1 (a run needs
+// a task) with no repeats.
+func verifyCounts(pivot int) []int {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
+	for _, n := range []int{pivot - 2, pivot, pivot + 2} {
+		if n >= 1 && !slices.Contains(out, n) {
+			out = append(out, n)
 		}
-		out = append(out, v)
 	}
-	return out, nil
+	return out
 }
 
 func minOf(xs []int) int {

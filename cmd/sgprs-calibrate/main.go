@@ -24,8 +24,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 
+	"sgprs/internal/exp"
 	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/runner"
@@ -44,6 +46,10 @@ func main() {
 	noCache := flag.Bool("no-offline-cache", false, "disable offline-phase memoization")
 	flag.Parse()
 
+	counts, err := calibrationCounts(*targetPivot)
+	if err != nil {
+		log.Fatal(err)
+	}
 	np, err := sim.ScenarioContexts(*scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +67,6 @@ func main() {
 		score float64
 	}
 	best := point{score: 1e18}
-	counts := []int{*targetPivot - 2, *targetPivot - 1, *targetPivot, *targetPivot + 1, *targetPivot + 2, *targetPivot + 4}
 
 	// One flat grid: every (cap, count) pair is an independent run.
 	var caps []float64
@@ -85,12 +90,16 @@ func main() {
 	// row shares the same profiled task shape.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	grid, order, gridErr := runner.SweepGrid(ctx, bases, counts, runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	rs, gridErr := exp.Run(ctx, exp.Grid(bases, counts), runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	if rs == nil {
+		log.Fatal(gridErr)
+	}
 	if gridErr != nil {
 		log.Print(gridErr)
 	}
+	grid := rs.Series()
 	for i, cap := range caps {
-		series := grid[order[i]]
+		series := grid[rs.Order[i]]
 		if len(series) != len(counts) { // some points failed
 			fmt.Printf("%8.1f %10s %8s %8s\n", cap, "-", "-", "-")
 			continue
@@ -121,6 +130,22 @@ func main() {
 	if gridErr != nil {
 		os.Exit(1)
 	}
+}
+
+// calibrationCounts is the task axis around the target pivot: two below to
+// four above, keeping only counts of at least 1 (a run needs a task) with
+// no repeats.
+func calibrationCounts(targetPivot int) ([]int, error) {
+	if targetPivot < 1 {
+		return nil, fmt.Errorf("-target-pivot %d must be at least 1", targetPivot)
+	}
+	var out []int
+	for _, d := range []int{-2, -1, 0, 1, 2, 4} {
+		if n := targetPivot + d; n >= 1 && !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out, nil
 }
 
 func abs(x float64) float64 {

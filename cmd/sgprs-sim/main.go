@@ -11,9 +11,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
-	"strings"
 
+	"sgprs/internal/config"
 	"sgprs/internal/sim"
 )
 
@@ -39,7 +38,7 @@ func main() {
 	default:
 		log.Fatalf("unknown scheduler %q", *schedName)
 	}
-	pool, err := parsePool(*contexts)
+	pool, err := config.ParsePool(*contexts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,16 +72,4 @@ func main() {
 	fmt.Printf("device util      %.1f%%\n", res.DeviceUtilization*100)
 	fmt.Printf("energy           %.1f J (avg %.1f W, %.2f fps/W)\n",
 		res.EnergyJoules, res.AvgPowerW, res.FPSPerWatt)
-}
-
-func parsePool(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

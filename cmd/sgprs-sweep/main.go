@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -57,7 +56,6 @@ import (
 	"sgprs/internal/cluster"
 	"sgprs/internal/config"
 	"sgprs/internal/exp"
-	"sgprs/internal/fault"
 	"sgprs/internal/memo"
 	"sgprs/internal/report"
 	"sgprs/internal/rt"
@@ -282,22 +280,8 @@ func applyTraffic(spec *exp.Spec, arrival, tracePath, rates string, sloMS, perio
 // declared. Each variant gets its own deep copy — experiment axes mutate
 // per-cell clones and must never reach a shared block.
 func applyFaults(spec *exp.Spec, arg string) error {
-	if arg == "" {
-		return nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return fmt.Errorf("faults config: %w", err)
-		}
-		data = b
-	}
-	var fc fault.Config
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return fmt.Errorf("faults config: %w", err)
-	}
-	if err := fc.Validate(); err != nil {
+	fc, err := config.ParseFaults(arg)
+	if err != nil || fc == nil {
 		return err
 	}
 	for i := range spec.Variants {

@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
+	"sgprs/internal/config"
 	"sgprs/internal/sim"
 	"sgprs/internal/trace"
 )
@@ -38,7 +38,7 @@ func main() {
 	default:
 		log.Fatalf("unknown scheduler %q", *schedName)
 	}
-	pool, err := parsePool(*contexts)
+	pool, err := config.ParsePool(*contexts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,16 +72,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d kernel spans to %s (run: %s)\n", len(rec.Spans()), *out, res.Summary)
-}
-
-func parsePool(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

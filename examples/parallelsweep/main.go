@@ -1,5 +1,5 @@
-// Parallelsweep: regenerate a paper scenario through the parallel
-// experiment runner, with a progress callback, and double-check that the
+// Parallelsweep: regenerate a paper scenario as an experiment on the
+// parallel runner, with a progress callback, and double-check that the
 // result is bit-identical to a single-worker run (it always is — worker
 // count only changes wall-clock; see DESIGN.md §5-§6).
 //
@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -16,9 +17,12 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	counts := []int{4, 8, 12, 16}
+	spec, err := sgprs.ScenarioExperiment(1, []int{4, 8, 12, 16}, 3, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	par, err := sgprs.RunScenarioWith(1, counts, 3, 1, sgprs.SweepOptions{
+	par, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{
 		Progress: func(done, total int, r sgprs.SweepJobResult) {
 			fmt.Printf("  [%2d/%d] %-10s n=%d\n", done, total, r.Job.Variant, r.Job.Tasks)
 		},
@@ -27,15 +31,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	one, err := sgprs.RunScenarioWith(1, counts, 3, 1, sgprs.SweepOptions{Jobs: 1})
+	one, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{Jobs: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bit-identical to 1 worker: %v\n\n", reflect.DeepEqual(par, one))
+	fmt.Printf("bit-identical to 1 worker: %v\n\n", reflect.DeepEqual(par.Results, one.Results))
 
+	series := par.Series()
 	for _, name := range par.Order {
-		series := par.Series[name]
 		fmt.Printf("%-10s  pivot %2d tasks, saturation %5.0f fps\n",
-			name, sgprs.PivotPoint(series), sgprs.SaturationFPS(series))
+			name, sgprs.PivotPoint(series[name]), sgprs.SaturationFPS(series[name]))
 	}
 }

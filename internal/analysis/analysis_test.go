@@ -9,6 +9,7 @@ import (
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
+	"sgprs/internal/memo"
 	"sgprs/internal/profile"
 	"sgprs/internal/rt"
 	"sgprs/internal/sim"
@@ -117,25 +118,26 @@ func TestPredictionsMatchSimulation(t *testing.T) {
 	predPivot := PredictPivot(l, dev)
 	predFPS := PredictSaturationFPS(l, dev)
 
-	series, err := sim.SweepSeries(sim.RunConfig{
-		Kind:       sim.KindSGPRS,
-		Name:       "sgprs",
-		ContextSMs: []int{34, 34},
-		NumTasks:   1,
-		HorizonSec: 4,
-		Seed:       1,
-	}, []int{predPivot - 1, predPivot, predPivot + 2, predPivot + 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := sim.NewSession(memo.Default())
 	measuredPivot := 0
 	var maxFPS float64
-	for _, p := range series {
-		if p.Summary.Missed == 0 {
-			measuredPivot = p.Tasks
+	for _, n := range []int{predPivot - 1, predPivot, predPivot + 2, predPivot + 5} {
+		res, err := sess.Run(sim.RunConfig{
+			Kind:       sim.KindSGPRS,
+			Name:       "sgprs",
+			ContextSMs: []int{34, 34},
+			NumTasks:   n,
+			HorizonSec: 4,
+			Seed:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Summary.TotalFPS > maxFPS {
-			maxFPS = p.Summary.TotalFPS
+		if res.Summary.Missed == 0 {
+			measuredPivot = n
+		}
+		if res.Summary.TotalFPS > maxFPS {
+			maxFPS = res.Summary.TotalFPS
 		}
 	}
 	if diff := measuredPivot - predPivot; diff < -2 || diff > 2 {

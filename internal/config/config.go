@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"sgprs/internal/cluster"
 	"sgprs/internal/exp"
@@ -319,4 +321,43 @@ func (e *Experiment) Save(path string) error {
 		return fmt.Errorf("config: %w", err)
 	}
 	return nil
+}
+
+// ParsePool parses a comma-separated context pool flag ("34,34") into
+// per-context SM counts, each at least 1.
+func ParsePool(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("invalid SM allocation %q", part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ParseFaults reads a -faults flag — inline JSON (recognised by its leading
+// '{') or a file path — into a validated fault configuration; empty means
+// none.
+func ParseFaults(arg string) (*fault.Config, error) {
+	if arg == "" {
+		return nil, nil
+	}
+	data := []byte(arg)
+	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
+		b, err := os.ReadFile(arg)
+		if err != nil {
+			return nil, fmt.Errorf("faults config: %w", err)
+		}
+		data = b
+	}
+	var fc fault.Config
+	if err := json.Unmarshal(data, &fc); err != nil {
+		return nil, fmt.Errorf("faults config: %w", err)
+	}
+	if err := fc.Validate(); err != nil {
+		return nil, err
+	}
+	return &fc, nil
 }

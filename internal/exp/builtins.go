@@ -13,9 +13,7 @@ import (
 
 // Scenario builds the spec for one paper scenario (1 or 2): the naive
 // baseline plus SGPRS at over-subscription 1.0/1.5/2.0, swept over the task
-// counts. Compiling it yields exactly the job list the legacy drivers
-// built by hand (the equivalence tests pin this), so the facade's
-// RunScenario is a wrapper over this spec.
+// counts. The facade exposes it as ScenarioExperiment.
 func Scenario(scenario int, taskCounts []int, horizonSec float64, seed uint64) (*Spec, error) {
 	np, err := sim.ScenarioContexts(scenario)
 	if err != nil {

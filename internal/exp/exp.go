@@ -8,13 +8,13 @@
 // scenarios and the built-in studies so new experiments are registry entries
 // instead of new code paths.
 //
-// Determinism is inherited from the runner: a compiled job's seed is fixed
-// at compile time (SeedFixed keeps each variant's configured seed, matching
-// the sequential drivers bit-for-bit; SeedDerived decorrelates per grid
-// cell via runner.DeriveSeed), so results are bit-identical across worker
-// counts. The legacy facade entry points (RunScenario, SweepSeries,
-// SweepGrid) are thin wrappers over Specs; equivalence tests pin their
-// output to the sequential reference drivers in package sim.
+// A Spec is the only way this repository runs more than one cell: the CLIs,
+// the examples, and the facade's RunExperiment all compile one and hand it
+// to Run. Determinism is inherited from the runner: a compiled job's seed is
+// fixed at compile time (SeedFixed keeps each variant's configured seed;
+// SeedDerived decorrelates per grid cell via runner.DeriveSeed), so results
+// are bit-identical across worker counts. Committed golden digests
+// (testdata/golden.txt) pin the results of a representative grid.
 package exp
 
 import (
@@ -355,7 +355,7 @@ type SeedPolicy int
 
 const (
 	// SeedFixed keeps each variant's configured seed on every grid cell —
-	// the sequential drivers' behavior, and the default.
+	// the default.
 	SeedFixed SeedPolicy = iota
 	// SeedDerived gives every grid cell a distinct seed mixed from the
 	// variant's base seed and the cell's (label, task count) via

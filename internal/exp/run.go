@@ -26,9 +26,9 @@ type ResultSet struct {
 // Run compiles and executes a spec on the runner's worker pool. Results
 // stream through opt.Progress as jobs finish; a cancelled ctx stops
 // dispatching new jobs, drains in-flight ones, and attributes the skipped
-// jobs' errors to the context. Like the sweep drivers, Run returns the
-// completed results alongside any aggregate error (runner.Errors), never
-// instead of them; only a compile error yields a nil ResultSet.
+// jobs' errors to the context. Run returns the completed results alongside
+// any aggregate error (runner.Errors), never instead of them; only a compile
+// error yields a nil ResultSet.
 func Run(ctx context.Context, spec *Spec, opt runner.Options) (*ResultSet, error) {
 	c, err := spec.Compile()
 	if err != nil {
@@ -63,8 +63,7 @@ func (r *ResultSet) Series() map[string][]metrics.Point {
 	return series
 }
 
-// Series builds the spec a SweepSeries call describes: one variant swept
-// across the task counts.
+// Series builds a one-variant spec: base swept across the task counts.
 func Series(base sim.RunConfig, taskCounts []int) *Spec {
 	return &Spec{
 		Name:     "series",
@@ -73,8 +72,8 @@ func Series(base sim.RunConfig, taskCounts []int) *Spec {
 	}
 }
 
-// Grid builds the spec a SweepGrid call describes: several variants swept
-// over the same task counts as one flat fan-out.
+// Grid builds a spec sweeping several variants over the same task counts as
+// one flat fan-out.
 func Grid(bases []sim.RunConfig, taskCounts []int) *Spec {
 	return &Spec{
 		Name:     "grid",

@@ -38,7 +38,7 @@ func fleetBase(name string) sim.RunConfig {
 // results at 1, 2, and 4 workers, and the failover path actually fired (the
 // equality is not vacuous).
 func TestFleetWorkerInvariance(t *testing.T) {
-	jobs := SweepJobs(fleetBase("fleet"), []int{6, 12, 18}, Options{})
+	jobs := sweepJobs(fleetBase("fleet"), []int{6, 12, 18})
 	ref := Run(context.Background(), jobs, Options{Jobs: 1})
 	for _, r := range ref {
 		if r.Err != nil {
@@ -62,12 +62,12 @@ func TestFleetWorkerInvariance(t *testing.T) {
 // results untouched — the single-device points still match a pool that never
 // saw a fleet job.
 func TestFleetMixedPool(t *testing.T) {
-	single := SweepJobs(testBase("sgprs"), testCounts, Options{})
+	single := sweepJobs(testBase("sgprs"), testCounts)
 	ref := Run(context.Background(), single, Options{Jobs: 1})
 
 	mixed := []Job{
 		single[0],
-		SweepJobs(fleetBase("fleet"), []int{8}, Options{})[0],
+		sweepJobs(fleetBase("fleet"), []int{8})[0],
 		single[1],
 	}
 	got := Run(context.Background(), mixed, Options{Jobs: 1})

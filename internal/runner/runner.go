@@ -4,12 +4,12 @@
 //
 // Every figure-regenerating sweep in this repository is a grid of mutually
 // independent sim.Run calls (variant × task count), so the fan-out is
-// embarrassingly parallel. Determinism is preserved by construction: each
-// job's seed is a pure function of its identity (base seed, variant, task
-// count) fixed at expansion time, never of worker scheduling, so results
-// are bit-identical across worker counts — runner output with any Jobs
-// setting equals the sequential drivers in package sim, which remain the
-// reference implementation (see DESIGN.md §5-§6).
+// embarrassingly parallel. The job lists come from exp.Spec.Compile, which
+// fixes each job's seed at expansion time as a pure function of its identity
+// (base seed, variant, task count), never of worker scheduling. Results are
+// therefore bit-identical across worker counts: output with any Jobs setting
+// equals a one-worker run, and the golden digests in internal/exp pin both
+// (see DESIGN.md §5-§6).
 //
 // A failed job never cancels or discards its siblings: Run always returns
 // one JobResult per Job, and Err collects the failures — with their sweep
@@ -119,14 +119,6 @@ type Options struct {
 	// Progress, when non-nil, is invoked after every job is finalized —
 	// the streaming per-job result callback.
 	Progress Progress
-	// DecorrelateSeeds gives every expanded job a distinct seed derived
-	// from (base seed, variant, task count) via DeriveSeed. The default
-	// (false) keeps the base seed on every job, matching the sequential
-	// drivers in package sim bit-for-bit. Only affects the expansion
-	// helpers (SweepSeries, RunScenario, ...), not explicit Job lists;
-	// the spec-backed facade wrappers translate it to exp.SeedDerived,
-	// which stamps the same seeds.
-	DecorrelateSeeds bool
 	// Cache is the offline-phase cache shared by the pool's workers; nil
 	// means the process-wide memo.Default(). The cache's per-key
 	// singleflight ensures each distinct (graph, task shape) is profiled

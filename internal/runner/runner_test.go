@@ -27,40 +27,81 @@ func testBase(name string) sim.RunConfig {
 	}
 }
 
+// sweepJobs expands one base configuration over the task counts into a job
+// list, every job keeping the base seed — the shape exp.Spec.Compile emits
+// for a one-variant task sweep.
+func sweepJobs(base sim.RunConfig, taskCounts []int) []Job {
+	jobs := make([]Job, 0, len(taskCounts))
+	for _, n := range taskCounts {
+		jobs = append(jobs, Job{Variant: base.Name, Tasks: n, Config: withTasks(base, n)})
+	}
+	return jobs
+}
+
+// runSequential is the reference the pool is compared against: every job
+// in order on one session, with no pool at all.
+func runSequential(t *testing.T, jobs []Job) []sim.Result {
+	t.Helper()
+	sess := sim.NewSession(nil)
+	out := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := sess.Run(j.Config)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", j.Variant, j.Tasks, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// resultsOf strips the pool's bookkeeping, failing on any job error.
+func resultsOf(t *testing.T, results []JobResult) []sim.Result {
+	t.Helper()
+	if err := Err(results); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]sim.Result, len(results))
+	for i, r := range results {
+		out[i] = r.Result
+	}
+	return out
+}
+
 // TestScenarioMatchesSequential proves the tentpole determinism claim: for
-// both paper scenarios, parallel RunScenario output is bit-identical to the
-// sequential reference driver in package sim, regardless of worker count.
+// both paper scenarios, the pool's output is bit-identical to running the
+// same jobs in order on one uncached session, regardless of worker count.
 func TestScenarioMatchesSequential(t *testing.T) {
 	for _, scenario := range []int{1, 2} {
-		seq, err := sim.RunScenario(scenario, testCounts, testHorizon, 1)
+		np, err := sim.ScenarioContexts(scenario)
 		if err != nil {
-			t.Fatalf("scenario %d sequential: %v", scenario, err)
+			t.Fatal(err)
 		}
-		for _, jobs := range []int{0, 1, 3, 8} {
-			par, err := RunScenario(context.Background(), scenario, testCounts, testHorizon, 1, Options{Jobs: jobs})
-			if err != nil {
-				t.Fatalf("scenario %d jobs=%d: %v", scenario, jobs, err)
-			}
+		var jobs []Job
+		for _, v := range sim.ScenarioVariants() {
+			jobs = append(jobs, sweepJobs(sim.RunConfig{
+				Kind:       v.Kind,
+				Name:       v.Name,
+				ContextSMs: sim.ContextPool(np, v.OS, 68),
+				HorizonSec: testHorizon,
+				Seed:       1,
+			}, testCounts)...)
+		}
+		seq := runSequential(t, jobs)
+		for _, workers := range []int{0, 1, 3, 8} {
+			par := resultsOf(t, Run(context.Background(), jobs, Options{Jobs: workers}))
 			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("scenario %d jobs=%d: parallel output differs from sequential", scenario, jobs)
+				t.Errorf("scenario %d jobs=%d: parallel output differs from sequential", scenario, workers)
 			}
 		}
 	}
 }
 
-// TestSweepSeriesMatchesSequential pins the single-series driver to the
+// TestSweepSeriesMatchesSequential pins a one-variant sweep to the
 // sequential reference as well.
 func TestSweepSeriesMatchesSequential(t *testing.T) {
-	base := testBase("sgprs")
-	seq, err := sim.SweepSeries(base, testCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepSeries(context.Background(), base, testCounts, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
+	jobs := sweepJobs(testBase("sgprs"), testCounts)
+	seq := runSequential(t, jobs)
+	if par := resultsOf(t, Run(context.Background(), jobs, Options{Jobs: 4})); !reflect.DeepEqual(seq, par) {
 		t.Error("parallel series differs from sequential")
 	}
 }
@@ -68,7 +109,7 @@ func TestSweepSeriesMatchesSequential(t *testing.T) {
 // TestWorkerCountInvariance: one worker and many workers yield identical
 // full results (not just summaries).
 func TestWorkerCountInvariance(t *testing.T) {
-	jobs := SweepJobs(testBase("sgprs"), []int{1, 2, 3, 4}, Options{})
+	jobs := sweepJobs(testBase("sgprs"), []int{1, 2, 3, 4})
 	one := Run(context.Background(), jobs, Options{Jobs: 1})
 	many := Run(context.Background(), jobs, Options{Jobs: 8})
 	if !reflect.DeepEqual(one, many) {
@@ -121,24 +162,27 @@ func TestFailureAttribution(t *testing.T) {
 	}
 }
 
-// TestSweepSeriesKeepsFinishedPoints: the parallel sweep returns completed
-// points alongside the error instead of discarding them.
+// TestSweepSeriesKeepsFinishedPoints: a sweep with a failing point returns
+// the completed points alongside the error instead of discarding them.
 func TestSweepSeriesKeepsFinishedPoints(t *testing.T) {
-	base := testBase("sgprs")
-	counts := []int{2, 0, 4} // 0 tasks fails Normalize
-	series, err := SweepSeries(context.Background(), base, counts, Options{Jobs: 2})
-	if err == nil {
+	jobs := sweepJobs(testBase("sgprs"), []int{2, 0, 4}) // 0 tasks fails Normalize
+	results := Run(context.Background(), jobs, Options{Jobs: 2})
+	if Err(results) == nil {
 		t.Fatal("want error for n=0 point")
 	}
-	if len(series) != 2 || series[0].Tasks != 2 || series[1].Tasks != 4 {
-		t.Fatalf("series = %+v, want completed points n=2 and n=4", series)
+	if results[0].Err != nil || results[2].Err != nil || results[1].Err == nil {
+		t.Fatalf("errors = %v / %v / %v, want only the n=0 point failed",
+			results[0].Err, results[1].Err, results[2].Err)
+	}
+	if results[0].Result.Tasks != 2 || results[2].Result.Tasks != 4 {
+		t.Fatalf("completed points = n=%d, n=%d; want n=2 and n=4", results[0].Result.Tasks, results[2].Result.Tasks)
 	}
 }
 
 // TestProgress: the callback is serialized, called once per job, with a
 // monotonic done count ending at total.
 func TestProgress(t *testing.T) {
-	jobs := SweepJobs(testBase("sgprs"), []int{1, 2, 3}, Options{})
+	jobs := sweepJobs(testBase("sgprs"), []int{1, 2, 3})
 	var calls int
 	last := 0
 	seen := map[int]bool{}
@@ -175,64 +219,45 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestDecorrelateSeeds: expansion stamps DeriveSeed per job; the default
-// keeps the base seed (the sequential contract).
+// TestDecorrelateSeeds: a job list whose seeds are stamped with DeriveSeed
+// stays worker-invariant, and the per-job seeds reach the runs — on a
+// seed-sensitive workload the results differ from the fixed-seed list.
 func TestDecorrelateSeeds(t *testing.T) {
 	base := testBase("sgprs")
-	plain := SweepJobs(base, testCounts, Options{})
-	for _, j := range plain {
-		if j.Config.Seed != base.Seed {
-			t.Errorf("default expansion changed seed: %d", j.Config.Seed)
-		}
-	}
-	dec := SweepJobs(base, testCounts, Options{DecorrelateSeeds: true})
-	for i, j := range dec {
-		want := DeriveSeed(base.Seed, "sgprs", testCounts[i])
-		if j.Config.Seed != want {
-			t.Errorf("decorrelated seed[%d] = %d, want %d", i, j.Config.Seed, want)
-		}
+	base.WorkVariation = 0.3 // seed-sensitive workload
+	fixed := sweepJobs(base, testCounts)
+	dec := sweepJobs(base, testCounts)
+	for i := range dec {
+		dec[i].Config.Seed = DeriveSeed(base.Seed, "sgprs", testCounts[i])
 	}
 	if dec[0].Config.Seed == dec[1].Config.Seed {
 		t.Error("decorrelated seeds collide across task counts")
 	}
+	one := resultsOf(t, Run(context.Background(), dec, Options{Jobs: 1}))
+	if many := resultsOf(t, Run(context.Background(), dec, Options{Jobs: 4})); !reflect.DeepEqual(one, many) {
+		t.Error("decorrelated results differ between 1 and 4 workers")
+	}
+	if reflect.DeepEqual(one, resultsOf(t, Run(context.Background(), fixed, Options{}))) {
+		t.Error("derived seeds had no effect on a seed-sensitive workload")
+	}
 }
 
-// TestSweepGrid: a flat multi-variant fan-out groups results back into
-// per-variant series in submission order.
+// TestSweepGrid: a flat multi-variant job list comes back in submission
+// order, and identical variants produce identical results.
 func TestSweepGrid(t *testing.T) {
-	bases := []sim.RunConfig{testBase("a"), testBase("b")}
-	series, order, err := SweepGrid(context.Background(), bases, testCounts, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "b"}) {
-		t.Errorf("order = %v", order)
-	}
-	for _, name := range order {
-		if len(series[name]) != len(testCounts) {
-			t.Errorf("series %q has %d points, want %d", name, len(series[name]), len(testCounts))
+	jobs := append(sweepJobs(testBase("a"), testCounts), sweepJobs(testBase("b"), testCounts)...)
+	results := Run(context.Background(), jobs, Options{Jobs: 4})
+	res := resultsOf(t, results)
+	for i, r := range results {
+		if r.Index != i || r.Job.Variant != jobs[i].Variant || r.Job.Tasks != jobs[i].Tasks {
+			t.Errorf("result %d = %s n=%d (index %d), want %s n=%d", i, r.Job.Variant, r.Job.Tasks, r.Index, jobs[i].Variant, jobs[i].Tasks)
 		}
 	}
-	if !reflect.DeepEqual(series["a"], series["b"]) {
-		t.Error("identical bases produced different series")
-	}
-}
-
-// TestSweepGridEmptyCounts: an empty sweep axis yields empty series per
-// variant, not a panic (regression: order was only populated per non-empty
-// job block while the fold indexed it per base).
-func TestSweepGridEmptyCounts(t *testing.T) {
-	bases := []sim.RunConfig{testBase("a"), {Kind: sim.KindNaive}}
-	series, order, err := SweepGrid(context.Background(), bases, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "naive"}) {
-		t.Errorf("order = %v", order)
-	}
-	for _, name := range order {
-		if got, ok := series[name]; !ok || len(got) != 0 {
-			t.Errorf("series[%q] = %v, want present and empty", name, got)
+	for i := range testCounts {
+		a, b := res[i], res[len(testCounts)+i]
+		a.Name, b.Name = "", ""
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("n=%d: identical bases produced different results", testCounts[i])
 		}
 	}
 }
@@ -259,7 +284,7 @@ func withTasks(cfg sim.RunConfig, n int) sim.RunConfig {
 func TestCancellationSingleWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	jobs := SweepJobs(testBase("sgprs"), []int{2, 3, 4, 5}, Options{})
+	jobs := sweepJobs(testBase("sgprs"), []int{2, 3, 4, 5})
 	var streamed int
 	results := Run(ctx, jobs, Options{Jobs: 1, Progress: func(done, total int, r JobResult) {
 		streamed++
@@ -299,7 +324,7 @@ func TestCancellationSingleWorker(t *testing.T) {
 func TestCancellationPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := SweepJobs(testBase("sgprs"), testCounts, Options{})
+	jobs := sweepJobs(testBase("sgprs"), testCounts)
 	results := Run(ctx, jobs, Options{Jobs: 2})
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
@@ -319,29 +344,17 @@ func TestCancelledSweepKeepsPoints(t *testing.T) {
 			cancel()
 		}
 	}}
-	series, err := SweepSeries(ctx, testBase("sgprs"), []int{2, 3, 4, 5}, opt)
-	if len(series) != 2 || series[0].Tasks != 2 || series[1].Tasks != 3 {
-		t.Fatalf("series = %+v, want the two completed points", series)
+	results := Run(ctx, sweepJobs(testBase("sgprs"), []int{2, 3, 4, 5}), opt)
+	var completed []int
+	for _, r := range results {
+		if r.Err == nil {
+			completed = append(completed, r.Result.Tasks)
+		}
 	}
-	if !errors.Is(err, context.Canceled) {
+	if !reflect.DeepEqual(completed, []int{2, 3}) {
+		t.Fatalf("completed points = %v, want n=2 and n=3", completed)
+	}
+	if err := Err(results); !errors.Is(err, context.Canceled) {
 		t.Errorf("sweep error = %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepGridDuplicateNames: two bases resolving to the same variant name
-// are rejected instead of silently merging into one map key.
-func TestSweepGridDuplicateNames(t *testing.T) {
-	bases := []sim.RunConfig{testBase("dup"), testBase("dup")}
-	series, order, err := SweepGrid(context.Background(), bases, testCounts, Options{})
-	if err == nil || !strings.Contains(err.Error(), "duplicate variant name") {
-		t.Fatalf("err = %v, want duplicate variant name error", err)
-	}
-	if series != nil || order != nil {
-		t.Errorf("duplicate grid still returned series %v order %v", series, order)
-	}
-	// Unnamed configs of the same kind collide on the kind name too.
-	anon := []sim.RunConfig{{Kind: sim.KindSGPRS}, {Kind: sim.KindSGPRS}}
-	if _, _, err := SweepGrid(context.Background(), anon, testCounts, Options{}); err == nil {
-		t.Error("unnamed same-kind bases were not rejected")
 	}
 }

@@ -9,12 +9,11 @@ import (
 	"sgprs/internal/workload"
 )
 
-// TestNilArrivalBitIdenticalScenarios is the arrival-layer acceptance test:
-// an explicit Periodic{} arrival process must reproduce the legacy nil-
-// arrival release path byte for byte across both paper scenario grids —
-// every variant, every task count, every float bit. The process draws from
-// the same forked RNG stream the legacy path used, so any divergence in
-// draw order or instant arithmetic shows up here.
+// TestNilArrivalBitIdenticalScenarios: a nil Arrival means Periodic{}, so
+// the two must agree byte for byte across both paper scenario grids — every
+// variant, every task count, every float bit. Periodic{Rate: 1} is the same
+// process spelled differently and must agree too. The golden digests in
+// internal/exp pin the absolute results.
 func TestNilArrivalBitIdenticalScenarios(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
@@ -38,14 +37,16 @@ func TestNilArrivalBitIdenticalScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d nil arrival: %v", scenario, v.Name, n, err)
 				}
-				cfg.Arrival = workload.Periodic{}
-				got, err := RunWith(cfg, cache)
-				if err != nil {
-					t.Fatalf("scenario %d %s n=%d periodic arrival: %v", scenario, v.Name, n, err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("scenario %d %s n=%d: Periodic{} differs from nil arrival\nwant %+v\ngot  %+v",
-						scenario, v.Name, n, want.Summary, got.Summary)
+				for _, a := range []workload.Arrival{workload.Periodic{}, workload.Periodic{Rate: 1}} {
+					cfg.Arrival = a
+					got, err := RunWith(cfg, cache)
+					if err != nil {
+						t.Fatalf("scenario %d %s n=%d %+v arrival: %v", scenario, v.Name, n, a, err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("scenario %d %s n=%d: %+v differs from nil arrival\nwant %+v\ngot  %+v",
+							scenario, v.Name, n, a, want.Summary, got.Summary)
+					}
 				}
 			}
 		}
@@ -54,8 +55,9 @@ func TestNilArrivalBitIdenticalScenarios(t *testing.T) {
 
 // TestNilArrivalBitIdenticalJittered covers the stochastic corners: release
 // jitter and work variation interleave draws on the same per-task RNG
-// stream, so the Periodic process must draw jitter at exactly the legacy
-// point in the stream — including the final beyond-horizon attempt.
+// stream, so the nil default must start the periodic process on exactly the
+// stream an explicit Periodic{} gets. The golden digests' nil-arrival cells
+// pin the interleaving itself, including the final beyond-horizon draw.
 func TestNilArrivalBitIdenticalJittered(t *testing.T) {
 	cfgs := []RunConfig{
 		{Kind: KindSGPRS, Name: "jittered", ContextSMs: []int{34, 34}, NumTasks: 12,

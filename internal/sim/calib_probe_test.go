@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"sgprs/internal/memo"
 )
 
 // TestCalibrationProbe is a diagnostic, not an assertion: it prints the
@@ -14,14 +16,11 @@ func TestCalibrationProbe(t *testing.T) {
 	}
 	counts := []int{4, 8, 12, 14, 16, 18, 20, 22, 23, 24, 25, 26, 28, 30}
 	for _, scenario := range []int{1, 2} {
-		run, err := RunScenario(scenario, counts, 5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := scenarioSeries(t, scenario, counts, 5, memo.Default())
 		fmt.Printf("== scenario %d ==\n", scenario)
-		for _, name := range run.Order {
-			fmt.Printf("%-12s", name)
-			for _, p := range run.Series[name] {
+		for _, v := range ScenarioVariants() {
+			fmt.Printf("%-12s", v.Name)
+			for _, p := range run[v.Name] {
 				fmt.Printf(" %2d:%5.0f/%.2f", p.Tasks, p.Summary.TotalFPS, p.Summary.DMR)
 			}
 			fmt.Println()

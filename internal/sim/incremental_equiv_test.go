@@ -40,17 +40,10 @@ func TestIncrementalEngineBitIdenticalScenarios(t *testing.T) {
 				Seed:       1,
 				NumTasks:   1,
 			}
-			incremental, err := SweepSeriesWith(base, counts, nil)
-			if err != nil {
-				t.Fatalf("scenario %d %s incremental: %v", scenario, v.Name, err)
-			}
+			incremental := sweep(t, NewSession(nil), base, counts)
 			ref := base
 			ref.GPU = referenceGPU(base.Seed)
-			reference, err := SweepSeriesWith(ref, counts, nil)
-			if err != nil {
-				t.Fatalf("scenario %d %s reference: %v", scenario, v.Name, err)
-			}
-			if !reflect.DeepEqual(incremental, reference) {
+			if reference := sweep(t, NewSession(nil), ref, counts); !reflect.DeepEqual(incremental, reference) {
 				t.Errorf("scenario %d %s: incremental engine output differs from full-recompute reference", scenario, v.Name)
 			}
 		}

@@ -11,29 +11,18 @@ import (
 // fully cached scenario regeneration (fresh cache populated during the run,
 // then a second pass served entirely from hits) must be byte-for-byte equal
 // to the uncached reference path, for both paper scenarios. All comparisons
-// are reflect.DeepEqual over the full ScenarioRun, so every float bit of
+// are reflect.DeepEqual over every variant's series, so every float bit of
 // every metric participates.
 func TestCachedScenarioBitIdentical(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		uncached, err := RunScenarioWith(scenario, counts, horizon, 1, nil)
-		if err != nil {
-			t.Fatalf("scenario %d uncached: %v", scenario, err)
-		}
+		uncached := scenarioSeries(t, scenario, counts, horizon, nil)
 		cache := memo.New()
-		cold, err := RunScenarioWith(scenario, counts, horizon, 1, cache)
-		if err != nil {
-			t.Fatalf("scenario %d cold cache: %v", scenario, err)
-		}
-		if !reflect.DeepEqual(uncached, cold) {
+		if cold := scenarioSeries(t, scenario, counts, horizon, cache); !reflect.DeepEqual(uncached, cold) {
 			t.Errorf("scenario %d: cold-cache output differs from uncached", scenario)
 		}
-		warm, err := RunScenarioWith(scenario, counts, horizon, 1, cache)
-		if err != nil {
-			t.Fatalf("scenario %d warm cache: %v", scenario, err)
-		}
-		if !reflect.DeepEqual(uncached, warm) {
+		if warm := scenarioSeries(t, scenario, counts, horizon, cache); !reflect.DeepEqual(uncached, warm) {
 			t.Errorf("scenario %d: warm-cache output differs from uncached", scenario)
 		}
 		st := cache.Stats()

@@ -1,6 +1,8 @@
 // Package sim wires workload, schedulers, GPU model, and metrics into
-// runnable experiments, and provides the scenario/sweep drivers that
-// regenerate the paper's figures.
+// runnable experiments: one RunConfig in, one Result out. Sweeps over many
+// configurations are exp.Spec grids executed by internal/runner; this
+// package supplies the paper scenarios' building blocks (ScenarioVariants,
+// ScenarioContexts, ContextPool).
 package sim
 
 import (
@@ -69,10 +71,9 @@ type RunConfig struct {
 	// (WCET-overrun injection); see workload.TaskSpec.
 	WorkVariation float64
 	// Arrival selects the release process driving every task (open-loop
-	// traffic and trace replay; see workload.Arrival). Nil keeps the
-	// closed-loop periodic releases of the paper, plus ReleaseJitterMS —
-	// pinned bit-identical to the pre-arrival code path by the sim
-	// arrival-equivalence tests.
+	// traffic and trace replay; see workload.Arrival). Nil means
+	// workload.Periodic{}: the paper's closed-loop periodic releases, plus
+	// ReleaseJitterMS.
 	Arrival workload.Arrival
 	// SLOMS is a response-time service-level objective, milliseconds;
 	// when positive, Summary.SLOHitRate reports the fraction of released
@@ -507,80 +508,4 @@ func ScenarioContexts(scenario int) (int, error) {
 	default:
 		return 0, fmt.Errorf("sim: unknown scenario %d", scenario)
 	}
-}
-
-// SweepSeries runs one variant across the task counts and returns the
-// figure series. The offline phase is served from the default cache.
-func SweepSeries(base RunConfig, taskCounts []int) ([]metrics.Point, error) {
-	return SweepSeriesWith(base, taskCounts, memo.Default())
-}
-
-// SweepSeriesWith is SweepSeries with an explicit offline-phase cache (nil
-// disables memoization). The whole sweep shares one Session, so engine,
-// device, job pool, and task structures are reused across points.
-func SweepSeriesWith(base RunConfig, taskCounts []int, cache *memo.Cache) ([]metrics.Point, error) {
-	return sweepSeriesOn(NewSession(cache), base, taskCounts)
-}
-
-// sweepSeriesOn runs one variant's sweep on an existing session.
-func sweepSeriesOn(sess *Session, base RunConfig, taskCounts []int) ([]metrics.Point, error) {
-	series := make([]metrics.Point, 0, len(taskCounts))
-	for _, n := range taskCounts {
-		cfg := base
-		cfg.NumTasks = n
-		res, err := sess.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: sweep %s n=%d: %w", base.Name, n, err)
-		}
-		series = append(series, metrics.Point{Tasks: n, Summary: res.Summary, FastForward: res.FastForward})
-	}
-	return series, nil
-}
-
-// ScenarioRun is a full figure-3 or figure-4 dataset: every variant swept
-// over the task counts.
-type ScenarioRun struct {
-	Scenario   int
-	TaskCounts []int
-	Series     map[string][]metrics.Point // variant name → series
-	Order      []string                   // display order
-}
-
-// RunScenario regenerates one paper scenario (Figures 3 or 4). The offline
-// phase is served from the default cache.
-func RunScenario(scenario int, taskCounts []int, horizonSec float64, seed uint64) (*ScenarioRun, error) {
-	return RunScenarioWith(scenario, taskCounts, horizonSec, seed, memo.Default())
-}
-
-// RunScenarioWith is RunScenario with an explicit offline-phase cache (nil
-// disables memoization). One Session carries the entire variant × task-count
-// grid.
-func RunScenarioWith(scenario int, taskCounts []int, horizonSec float64, seed uint64, cache *memo.Cache) (*ScenarioRun, error) {
-	np, err := ScenarioContexts(scenario)
-	if err != nil {
-		return nil, err
-	}
-	out := &ScenarioRun{
-		Scenario:   scenario,
-		TaskCounts: taskCounts,
-		Series:     map[string][]metrics.Point{},
-	}
-	sess := NewSession(cache)
-	for _, v := range ScenarioVariants() {
-		base := RunConfig{
-			Kind:       v.Kind,
-			Name:       v.Name,
-			ContextSMs: ContextPool(np, v.OS, speedup.DeviceSMs),
-			HorizonSec: horizonSec,
-			Seed:       seed,
-			NumTasks:   1, // overwritten by the sweep
-		}
-		series, err := sweepSeriesOn(sess, base, taskCounts)
-		if err != nil {
-			return nil, err
-		}
-		out.Series[v.Name] = series
-		out.Order = append(out.Order, v.Name)
-	}
-	return out, nil
 }

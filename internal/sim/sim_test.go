@@ -5,9 +5,50 @@ import (
 	"reflect"
 	"testing"
 
+	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/speedup"
 )
+
+// sweep runs base across the task counts on one session and folds the
+// results into a figure series — the in-package stand-in for a one-variant
+// exp.Series spec.
+func sweep(t *testing.T, sess *Session, base RunConfig, counts []int) []metrics.Point {
+	t.Helper()
+	series := make([]metrics.Point, 0, len(counts))
+	for _, n := range counts {
+		cfg := base
+		cfg.NumTasks = n
+		res, err := sess.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", base.Name, n, err)
+		}
+		series = append(series, metrics.Point{Tasks: n, Summary: res.Summary, FastForward: res.FastForward})
+	}
+	return series
+}
+
+// scenarioSeries regenerates a paper scenario on one session: each variant's
+// series over the task counts, keyed by variant name.
+func scenarioSeries(t *testing.T, scenario int, counts []int, horizonSec float64, cache *memo.Cache) map[string][]metrics.Point {
+	t.Helper()
+	np, err := ScenarioContexts(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(cache)
+	out := map[string][]metrics.Point{}
+	for _, v := range ScenarioVariants() {
+		out[v.Name] = sweep(t, sess, RunConfig{
+			Kind:       v.Kind,
+			Name:       v.Name,
+			ContextSMs: ContextPool(np, v.OS, speedup.DeviceSMs),
+			HorizonSec: horizonSec,
+			Seed:       1,
+		}, counts)
+	}
+	return out
+}
 
 func TestContextPool(t *testing.T) {
 	cases := []struct {
@@ -192,10 +233,7 @@ func TestSweepSeries(t *testing.T) {
 		NumTasks:   1,
 		HorizonSec: 2,
 	}
-	series, err := SweepSeries(base, []int{2, 4, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := sweep(t, NewSession(memo.Default()), base, []int{2, 4, 6})
 	if len(series) != 3 {
 		t.Fatalf("series = %d points", len(series))
 	}
@@ -209,14 +247,11 @@ func TestSweepSeries(t *testing.T) {
 }
 
 func TestRunScenarioSmall(t *testing.T) {
-	run, err := RunScenario(1, []int{2, 4}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Scenario != 1 || len(run.Order) != 4 {
+	run := scenarioSeries(t, 1, []int{2, 4}, 2, memo.Default())
+	if len(run) != 4 {
 		t.Fatalf("scenario run = %+v", run)
 	}
-	for name, series := range run.Series {
+	for name, series := range run {
 		if len(series) != 2 {
 			t.Errorf("%s series = %d points", name, len(series))
 		}
@@ -225,7 +260,7 @@ func TestRunScenarioSmall(t *testing.T) {
 			t.Errorf("%s pivot = %d, want 4", name, metrics.PivotPoint(series))
 		}
 	}
-	if _, err := RunScenario(9, []int{1}, 1, 1); err == nil {
+	if _, err := ScenarioContexts(9); err == nil {
 		t.Error("bad scenario accepted")
 	}
 }
@@ -248,12 +283,9 @@ func TestHeadlineClaim(t *testing.T) {
 		t.Skip("multi-point sweep")
 	}
 	counts := []int{8, 16, 20, 24, 28}
-	run, err := RunScenario(1, counts, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := run.Series["naive"]
-	sgprs := run.Series["sgprs-2.0x"]
+	run := scenarioSeries(t, 1, counts, 4, memo.Default())
+	naive := run["naive"]
+	sgprs := run["sgprs-2.0x"]
 	if pn, ps := metrics.PivotPoint(naive), metrics.PivotPoint(sgprs); pn >= ps {
 		t.Errorf("naive pivot %d should precede SGPRS pivot %d", pn, ps)
 	}

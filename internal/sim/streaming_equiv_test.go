@@ -25,11 +25,7 @@ func TestStreamingMatchesBatchScenarios(t *testing.T) {
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
 		want := batchScenario(t, scenario, counts, horizon)
-		got, err := RunScenarioWith(scenario, counts, horizon, 1, memo.New())
-		if err != nil {
-			t.Fatalf("scenario %d streaming: %v", scenario, err)
-		}
-		if !reflect.DeepEqual(want, got) {
+		if got := scenarioSeries(t, scenario, counts, horizon, memo.New()); !reflect.DeepEqual(want, got) {
 			t.Errorf("scenario %d: streaming output differs from batch reference", scenario)
 		}
 	}
@@ -65,14 +61,14 @@ func TestStreamingMatchesBatchJittered(t *testing.T) {
 }
 
 // batchScenario regenerates a scenario through runBatch — the reference
-// retain-and-Evaluate path.
-func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64) *ScenarioRun {
+// retain-and-Evaluate path — in scenarioSeries' shape.
+func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64) map[string][]metrics.Point {
 	t.Helper()
 	np, err := ScenarioContexts(scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &ScenarioRun{Scenario: scenario, TaskCounts: counts, Series: map[string][]metrics.Point{}}
+	run := map[string][]metrics.Point{}
 	cache := memo.New()
 	for _, v := range ScenarioVariants() {
 		var series []metrics.Point
@@ -91,8 +87,7 @@ func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64)
 			}
 			series = append(series, metrics.Point{Tasks: n, Summary: res.Summary})
 		}
-		run.Series[v.Name] = series
-		run.Order = append(run.Order, v.Name)
+		run[v.Name] = series
 	}
 	return run
 }

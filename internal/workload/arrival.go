@@ -60,10 +60,9 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // (arrivals per second) — the anchor processes use when Rate is zero.
 func natRate(period des.Time) float64 { return 1 / period.Seconds() }
 
-// Periodic is the closed-loop model as an explicit Arrival: releases every
-// period (plus the task's uniform jitter, drawn exactly like the legacy
-// generator path, so Periodic{} is bit-identical to Arrival == nil — the
-// retained-reference equivalence the sim tests pin). Rate, when set,
+// Periodic is the paper's closed-loop model and the generator's default
+// (Arrival == nil means Periodic{}): releases every period, plus the task's
+// uniform release jitter. Rate, when set,
 // multiplies the release rate: jobs arrive every Period/Rate while
 // deadlines stay derived from Period, making Rate > 1 open-loop periodic
 // overload.
@@ -110,10 +109,10 @@ func (p Periodic) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
 	return &periodicProcess{period: period, offset: t.Offset, jitter: t.Jitter, rng: rng}
 }
 
-// periodicProcess replicates the legacy release loop term for term: the
-// k-th instant is Offset + Period·k, and the jitter draw happens on every
-// Next — including the final beyond-horizon one — so the RNG stream
-// interleaves with the generator's work-variation draws exactly as before.
+// periodicProcess emits the k-th instant at Offset + Period·k plus a jitter
+// draw. The draw happens on every Next — including the final beyond-horizon
+// one — and interleaves on the task's RNG stream with the generator's
+// work-variation draws; the golden digests pin that order.
 type periodicProcess struct {
 	period, offset, jitter des.Time
 	rng                    *des.RNG

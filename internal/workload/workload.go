@@ -165,7 +165,7 @@ type Generator struct {
 	sink    JobSink
 	pool    *rt.JobPool
 	arrival Arrival
-	chains  []*releaseChain
+	chains  []releaseChain
 }
 
 // NewGenerator wires a generator to the engine and scheduler. The seed feeds
@@ -189,11 +189,10 @@ func (g *Generator) SetSink(s JobSink) { g.sink = s }
 // Start.
 func (g *Generator) UsePool(p *rt.JobPool) { g.pool = p }
 
-// SetArrival replaces the default periodic release model with an arrival
-// process (nil restores the default). Each task gets its own process,
-// started with the task's RNG stream — the same stream work variation
-// draws from, which is what lets Periodic{} reproduce the default path
-// bit for bit. Must be called before Start.
+// SetArrival sets the arrival process every task releases under (nil means
+// Periodic{}). Each task gets its own process, started with the task's RNG
+// stream — the same stream work variation draws from. Must be called before
+// Start.
 func (g *Generator) SetArrival(a Arrival) { g.arrival = a }
 
 // Jobs lists every job released so far, in release order, as a fresh slice
@@ -231,44 +230,47 @@ func (g *Generator) JobDiscarded(j *rt.Job, now des.Time) {
 
 // Start schedules all releases of the task set up to the horizon. Releases
 // exactly at the horizon are excluded (their deadline would extend past the
-// measured window). With no arrival process attached, tasks release
-// periodically: tasks with ReleaseJitter release sporadically (a uniform
-// delay in [0, jitter) on top of the periodic instant). With SetArrival,
-// each task's process emits the release instants instead. Either way,
-// tasks with WorkVariation stamp each job with a truncated-normal work
-// scale.
+// measured window). Each task's arrival process emits its release instants;
+// without SetArrival that is Periodic{}, under which tasks with
+// ReleaseJitter release sporadically (a uniform delay in [0, jitter) on top
+// of the periodic instant). Tasks with WorkVariation stamp each job with a
+// truncated-normal work scale.
 func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
-	for _, t := range tasks {
-		// One release is in flight per task at any instant (the next is
-		// scheduled from the current one's callback), so a single mutable
-		// chain struct serves the task's whole release sequence; the events
-		// themselves are detached and recycle through the engine's pool. The
-		// chain is also the unit the fast-forward layer warps and
-		// fingerprints (see SteadyPeriod, Warp, and DESIGN.md §12).
-		c := &releaseChain{
+	arrival := g.arrival
+	if arrival == nil {
+		arrival = Periodic{}
+	}
+	// One release is in flight per task at any instant (the next is
+	// scheduled from the current one's callback), so a single mutable chain
+	// struct serves the task's whole release sequence; the events themselves
+	// are detached and recycle through the engine's pool. The chains share
+	// one slab, so pending events may hold pointers into it. The chain is
+	// also the unit the fast-forward layer warps and fingerprints (see
+	// SteadyPeriod, Warp, and DESIGN.md §12).
+	g.chains = make([]releaseChain, len(tasks))
+	for i, t := range tasks {
+		c := &g.chains[i]
+		*c = releaseChain{
 			g:       g,
 			t:       t,
 			rng:     g.rng.Fork(uint64(t.ID) + 1),
 			label:   "release:" + t.Name,
 			horizon: horizon,
 		}
-		if g.arrival != nil {
-			c.proc = g.arrival.Start(ArrivalTask{
-				Index:  t.ID,
-				Count:  len(tasks),
-				Period: t.Period,
-				Offset: t.Offset,
-				Jitter: t.ReleaseJitter,
-			}, c.rng)
-		}
-		g.chains = append(g.chains, c)
+		c.proc = arrival.Start(ArrivalTask{
+			Index:  t.ID,
+			Count:  len(tasks),
+			Period: t.Period,
+			Offset: t.Offset,
+			Jitter: t.ReleaseJitter,
+		}, c.rng)
 		c.scheduleNext()
 	}
 }
 
-// releaseChain is the mutable state of one task's release sequence: the next
-// frame index, the previous emission (the monotonicity clamp for arrival
-// processes), and the process itself when one is attached.
+// releaseChain is the mutable state of one task's release sequence: the
+// arrival process, the next frame index, and the previous emission (the
+// monotonicity clamp).
 type releaseChain struct {
 	g       *Generator
 	t       *rt.Task
@@ -318,30 +320,17 @@ func fireChain(now des.Time, arg any) {
 }
 
 func (c *releaseChain) scheduleNext() {
-	var at des.Time
-	if c.proc != nil {
-		next, ok := c.proc.Next()
-		if !ok {
-			return
-		}
-		// Processes promise non-decreasing instants; clamp instead of
-		// letting a marginally early emission (a rounding artifact) trip
-		// the engine's no-past-events panic.
-		if next < c.last {
-			next = c.last
-		}
-		at, c.last = next, next
-	} else {
-		at = c.t.Offset.Add(des.Time(int64(c.t.Period) * int64(c.idx)))
-		if c.t.ReleaseJitter > 0 {
-			at = at.Add(des.Time(c.rng.Float64() * float64(c.t.ReleaseJitter)))
-		}
-		// last is the monotonicity clamp of the process path and is never
-		// read here, but tracking it keeps the chain's state a pure
-		// function of phase either way — the fast-forward fingerprint
-		// encodes it relative to the boundary.
-		c.last = at
+	at, ok := c.proc.Next()
+	if !ok {
+		return
 	}
+	// Processes promise non-decreasing instants; clamp instead of letting a
+	// marginally early emission (a rounding artifact) trip the engine's
+	// no-past-events panic.
+	if at < c.last {
+		at = c.last
+	}
+	c.last = at
 	if at >= c.horizon {
 		return
 	}
@@ -350,30 +339,27 @@ func (c *releaseChain) scheduleNext() {
 
 // SteadyPeriod reports whether every release chain is deterministic and
 // periodic with one shared spacing — the workload half of fast-forward
-// eligibility: zero release jitter, zero work variation, and either the
-// legacy periodic path or a Periodic arrival process with no jitter. Any
-// stochastic process (Poisson, bursty, MMPP, diurnal) or finite trace makes
-// the run ineligible, as does a mix of spacings. Must be called after Start.
+// eligibility: zero release jitter, zero work variation, and a Periodic
+// arrival process. Any stochastic process (Poisson, bursty, MMPP, diurnal)
+// or finite trace makes the run ineligible, as does a mix of spacings. Must
+// be called after Start.
 func (g *Generator) SteadyPeriod() (des.Time, bool) {
 	if len(g.chains) == 0 {
 		return 0, false
 	}
 	var period des.Time
-	for _, c := range g.chains {
+	for i := range g.chains {
+		c := &g.chains[i]
 		if c.t.ReleaseJitter != 0 || c.t.WorkVariation != 0 {
 			return 0, false
 		}
-		p := c.t.Period
-		if c.proc != nil {
-			pp, ok := c.proc.(*periodicProcess)
-			if !ok || pp.jitter != 0 {
-				return 0, false
-			}
-			p = pp.period
+		pp, ok := c.proc.(*periodicProcess)
+		if !ok {
+			return 0, false
 		}
 		if period == 0 {
-			period = p
-		} else if p != period {
+			period = pp.period
+		} else if pp.period != period {
 			return 0, false
 		}
 	}
@@ -388,12 +374,11 @@ func (g *Generator) SteadyPeriod() (des.Time, bool) {
 // SteadyPeriod accepted; their RNG streams are never consumed, so no draws
 // need replaying.
 func (g *Generator) Warp(delta des.Time, frames int) {
-	for _, c := range g.chains {
+	for i := range g.chains {
+		c := &g.chains[i]
 		c.idx += frames
 		c.last += delta
-		if pp, ok := c.proc.(*periodicProcess); ok {
-			pp.idx += frames
-		}
+		c.proc.(*periodicProcess).idx += frames
 	}
 }
 
@@ -404,8 +389,8 @@ func (g *Generator) Warp(delta des.Time, frames int) {
 // length); the last emission is the monotonicity clamp, dynamic state the
 // fingerprint encodes relative to the boundary.
 func (g *Generator) ForEachChain(f func(taskID, nextIdx int, last des.Time)) {
-	for _, c := range g.chains {
-		f(c.t.ID, c.idx, c.last)
+	for i := range g.chains {
+		f(g.chains[i].t.ID, g.chains[i].idx, g.chains[i].last)
 	}
 }
 

@@ -14,8 +14,8 @@
 //   - a ResNet18 operator graph (plus VGG11/TinyCNN/MLP) with a MAC-driven
 //     cost model and a WCET-balanced stage partitioner;
 //   - workload generation, metrics (total FPS, deadline miss rate, pivot
-//     point), execution tracing, and sweep drivers that regenerate every
-//     figure of the paper's evaluation.
+//     point), execution tracing, and declarative experiments that
+//     regenerate every figure of the paper's evaluation.
 //
 // This package is a facade: it re-exports the pieces a downstream user needs
 // to run experiments. The implementation lives under internal/; DESIGN.md
@@ -27,13 +27,13 @@
 // frame rate, release jitter, work variation, horizon), and a process-wide
 // registry ships the paper's scenarios plus built-in studies — list them
 // with Experiments(), run one with RunExperiment (context cancellation and
-// streaming per-job results included). The legacy RunScenario/SweepSeries/
-// SweepGrid calls are thin wrappers over specs, bit-identical to their
-// original output.
+// streaming per-job results included). A scenario regeneration is
+// RunExperiment over ScenarioExperiment; a one-variant sweep is an
+// Experiment with that variant and a TasksAxis.
 //
-// Sweeps and scenario regenerations fan their independent runs out across a
-// deterministic worker pool (internal/runner): results are bit-identical to
-// a sequential execution for any worker count. See SweepOptions.
+// RunExperiment fans the independent runs out across a deterministic worker
+// pool (internal/runner): results are bit-identical to a single-worker
+// execution for any worker count. See SweepOptions.
 //
 // Metrics stream as the simulation runs and finished jobs are recycled, so a
 // run's live memory is proportional to in-flight work, not horizon length —
@@ -126,8 +126,9 @@ func ParseFailoverPolicy(s string) (FailoverPolicy, error) { return rt.ParseFail
 type FleetStats = metrics.FleetStats
 
 // SweepOptions configures the parallel experiment runner: worker count
-// (default one per CPU), progress callbacks, and per-job seed decorrelation.
-// The zero value is ready to use. Worker count never affects results.
+// (default one per CPU), progress callbacks, and the offline cache. The zero
+// value is ready to use. Worker count never affects results; per-cell seed
+// decorrelation is the Experiment's SeedPolicy.
 type SweepOptions = runner.Options
 
 // SweepJob is one unit of runner work: a run plus its sweep coordinates.
@@ -149,8 +150,8 @@ type SweepProgress = runner.Progress
 // OfflineCache memoizes the simulation's offline phase — the calibrated
 // reference graph and the per-shape WCET profile tables — across runs and
 // across the runner's workers. Cache hits are bit-identical to recomputing
-// (the memo package documents the argument; tests pin it). Run and the sweep
-// drivers use the process-wide default cache; pass an explicit cache through
+// (the memo package documents the argument; tests pin it). Run and
+// RunExperiment use the process-wide default cache; pass an explicit cache through
 // SweepOptions.Cache to scope reuse, or set SweepOptions.NoOfflineCache to
 // measure the uncached path.
 type OfflineCache = memo.Cache
@@ -161,8 +162,8 @@ type OfflineStats = memo.Stats
 // NewOfflineCache returns an empty offline-phase cache.
 func NewOfflineCache() *OfflineCache { return memo.New() }
 
-// DefaultOfflineCache returns the process-wide cache used by Run and the
-// sweep drivers; DefaultOfflineCache().Stats() reports its traffic.
+// DefaultOfflineCache returns the process-wide cache used by Run and
+// RunExperiment; DefaultOfflineCache().Stats() reports its traffic.
 func DefaultOfflineCache() *OfflineCache { return memo.Default() }
 
 // Session executes simulation runs over reused infrastructure — engine,
@@ -170,7 +171,7 @@ func DefaultOfflineCache() *OfflineCache { return memo.Default() }
 // parameter search, a long measurement campaign) pays setup once instead of
 // per run, and live memory stays O(in-flight jobs) whatever the horizon.
 // Results are bit-identical to fresh Run calls. A Session is
-// single-threaded; the sweep drivers give each pool worker its own.
+// single-threaded; the runner gives each pool worker its own.
 type Session = sim.Session
 
 // NewSession returns a run session backed by the process-wide offline cache.
@@ -250,7 +251,7 @@ func AxisKinds() []AxisKind { return exp.Kinds() }
 type ExperimentResults = exp.ResultSet
 
 // ExperimentSeedPolicy selects how compiled jobs get their seeds:
-// SeedFixed (the default, matching the sequential drivers) or SeedDerived
+// SeedFixed (the default: every cell keeps its variant's seed) or SeedDerived
 // (per-cell decorrelation via DeriveSeed).
 type ExperimentSeedPolicy = exp.SeedPolicy
 
@@ -358,8 +359,9 @@ func LookupExperiment(name string) (*Experiment, bool) { return exp.Lookup(name)
 // must be named, must compile, and must not collide with a registered name.
 func RegisterExperiment(s *Experiment) error { return exp.Register(s) }
 
-// ScenarioExperiment builds the spec describing one paper scenario — the
-// same spec RunScenario wraps.
+// ScenarioExperiment builds the spec describing one paper scenario (1 or 2):
+// the naive baseline plus SGPRS at over-subscription 1.0/1.5/2.0 over the
+// task counts. Run it with RunExperiment.
 func ScenarioExperiment(scenario int, taskCounts []int, horizonSec float64, seed uint64) (*Experiment, error) {
 	return exp.Scenario(scenario, taskCounts, horizonSec, seed)
 }
@@ -373,104 +375,6 @@ func ScenarioExperiment(scenario int, taskCounts []int, horizonSec float64, seed
 // error yields a nil result set.
 func RunExperiment(ctx context.Context, spec *Experiment, opt SweepOptions) (*ExperimentResults, error) {
 	return exp.Run(ctx, spec, opt)
-}
-
-// seedPolicy translates the legacy DecorrelateSeeds option into the spec's
-// seed policy. The wrappers' expanded labels equal the bare variant names,
-// so SeedDerived stamps exactly the DeriveSeed(base, name, n) seeds the
-// pre-spec expansion did.
-func seedPolicy(opt SweepOptions) ExperimentSeedPolicy {
-	if opt.DecorrelateSeeds {
-		return SeedDerived
-	}
-	return SeedFixed
-}
-
-// SweepSeries sweeps one configuration across task counts — one figure
-// series — fanning the runs out across all CPUs. When individual runs fail,
-// the completed points are returned alongside a JobErrors value; an invalid
-// configuration fails the whole sweep up front (spec compilation validates
-// every point before dispatch). It is a thin wrapper over a one-variant
-// Experiment spec; output is bit-identical to the pre-spec implementation
-// (equivalence tests pin it).
-func SweepSeries(base RunConfig, taskCounts []int) ([]Point, error) {
-	return SweepSeriesWith(base, taskCounts, SweepOptions{})
-}
-
-// SweepSeriesWith is SweepSeries with explicit runner options.
-func SweepSeriesWith(base RunConfig, taskCounts []int, opt SweepOptions) ([]Point, error) {
-	if len(taskCounts) == 0 {
-		return []Point{}, nil
-	}
-	spec := exp.Series(base, taskCounts)
-	spec.SeedPolicy = seedPolicy(opt)
-	rs, err := exp.Run(context.Background(), spec, opt)
-	if rs == nil {
-		return nil, err
-	}
-	// One variant: every completed result is one point, already in job
-	// (= task-count) order.
-	series := make([]Point, 0, len(rs.Results))
-	for _, r := range rs.Results {
-		if r.Err == nil {
-			series = append(series, Point{Tasks: r.Job.Tasks, Summary: r.Result.Summary})
-		}
-	}
-	return series, err
-}
-
-// SweepGrid sweeps several configurations over the same task counts as one
-// flat fan-out, returning per-variant series keyed by name plus the
-// submission order. Configurations resolving to duplicate variant names
-// are rejected (they would merge into one map key), as is any invalid
-// sweep point (spec compilation validates the grid before dispatch); runs
-// failing at execution time keep their finished siblings. Like the other
-// legacy drivers it wraps an Experiment spec.
-func SweepGrid(bases []RunConfig, taskCounts []int, opt SweepOptions) (map[string][]Point, []string, error) {
-	if len(bases) == 0 {
-		return map[string][]Point{}, nil, nil
-	}
-	if len(taskCounts) == 0 {
-		// Degenerate sweep: preserve the legacy shape (every variant
-		// present with an empty series) without compiling an empty
-		// task axis.
-		return runner.SweepGrid(context.Background(), bases, nil, opt)
-	}
-	spec := exp.Grid(bases, taskCounts)
-	spec.SeedPolicy = seedPolicy(opt)
-	rs, err := exp.Run(context.Background(), spec, opt)
-	if rs == nil {
-		return nil, nil, err
-	}
-	return rs.Series(), rs.Order, err
-}
-
-// RunScenario regenerates a full paper scenario (1 or 2): the naive baseline
-// plus SGPRS at over-subscription 1.0/1.5/2.0 over the task counts, in
-// parallel across all CPUs. It wraps the registry's scenario spec; output
-// is bit-identical to the sequential reference driver (sim.RunScenario)
-// for any worker count (equivalence tests pin it at 1, 2, and 4 workers).
-func RunScenario(scenario int, taskCounts []int, horizonSec float64, seed uint64) (*sim.ScenarioRun, error) {
-	return RunScenarioWith(scenario, taskCounts, horizonSec, seed, SweepOptions{})
-}
-
-// RunScenarioWith is RunScenario with explicit runner options.
-func RunScenarioWith(scenario int, taskCounts []int, horizonSec float64, seed uint64, opt SweepOptions) (*sim.ScenarioRun, error) {
-	spec, err := exp.Scenario(scenario, taskCounts, horizonSec, seed)
-	if err != nil {
-		return nil, err
-	}
-	spec.SeedPolicy = seedPolicy(opt)
-	rs, runErr := exp.Run(context.Background(), spec, opt)
-	if rs == nil {
-		return nil, runErr
-	}
-	return &sim.ScenarioRun{
-		Scenario:   scenario,
-		TaskCounts: taskCounts,
-		Series:     rs.Series(),
-		Order:      rs.Order,
-	}, runErr
 }
 
 // ContextPool computes the per-context SM allocation for np contexts at

@@ -3,11 +3,10 @@ package sgprs_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sgprs"
-	"sgprs/internal/runner"
-	"sgprs/internal/sim"
 )
 
 // TestFacadeQuickstart exercises the public API end to end, exactly as the
@@ -55,17 +54,24 @@ func TestFacadeSession(t *testing.T) {
 	}
 }
 
+// TestFacadeSweepAndPivot: a one-variant experiment over a task axis is
+// the facade's series sweep; its series feed the pivot and saturation
+// helpers.
 func TestFacadeSweepAndPivot(t *testing.T) {
-	series, err := sgprs.SweepSeries(sgprs.RunConfig{
-		Kind:       sgprs.KindSGPRS,
-		Name:       "sgprs",
-		ContextSMs: sgprs.ContextPool(2, 1.5, 68),
-		NumTasks:   1,
-		HorizonSec: 2,
-	}, []int{2, 4})
+	rs, err := sgprs.RunExperiment(context.Background(), &sgprs.Experiment{
+		Variants: []sgprs.RunConfig{{
+			Kind:       sgprs.KindSGPRS,
+			Name:       "sgprs",
+			ContextSMs: sgprs.ContextPool(2, 1.5, 68),
+			NumTasks:   1,
+			HorizonSec: 2,
+		}},
+		Axes: []sgprs.ExperimentAxis{sgprs.TasksAxis(2, 4)},
+	}, sgprs.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := rs.Series()["sgprs"]
 	if got := sgprs.PivotPoint(series); got != 4 {
 		t.Errorf("pivot = %d, want 4", got)
 	}
@@ -113,32 +119,48 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestFacadeLegacyWrappersBitIdentical is the pinned acceptance test at the
-// facade: the spec-driven RunScenario wrapper regenerates scenarios 1 and 2
-// bit-identically to the sequential reference driver at worker counts 1, 2,
-// and 4.
-func TestFacadeLegacyWrappersBitIdentical(t *testing.T) {
+// TestFacadeScenarioBitIdentical is the pinned acceptance test at the
+// facade: RunExperiment over ScenarioExperiment regenerates scenarios 1 and
+// 2 bit-identically to running the same cells in order on one uncached
+// Session, at worker counts 1, 2, and 4.
+func TestFacadeScenarioBitIdentical(t *testing.T) {
 	counts := []int{2, 4}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		ref, err := sim.RunScenario(scenario, counts, horizon, 1)
+		spec, err := sgprs.ScenarioExperiment(scenario, counts, horizon, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess := sgprs.NewSessionWith(nil)
+		var ref []sgprs.Result
+		for _, v := range spec.Variants {
+			for _, n := range counts {
+				v.NumTasks = n
+				res, err := sess.Run(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, res)
+			}
+		}
 		for _, workers := range []int{1, 2, 4} {
-			got, err := sgprs.RunScenarioWith(scenario, counts, horizon, 1, sgprs.SweepOptions{Jobs: workers})
+			rs, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{Jobs: workers})
 			if err != nil {
 				t.Fatalf("scenario %d workers=%d: %v", scenario, workers, err)
 			}
+			got := make([]sgprs.Result, len(rs.Results))
+			for i, r := range rs.Results {
+				got[i] = r.Result
+			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("scenario %d workers=%d: wrapper output differs from sequential reference", scenario, workers)
+				t.Errorf("scenario %d workers=%d: experiment output differs from the sequential session", scenario, workers)
 			}
 		}
 	}
 }
 
-// TestFacadeSweepGridDuplicates: the spec-backed grid rejects duplicate
-// variant names instead of silently merging their series.
+// TestFacadeSweepGridDuplicates: a grid experiment rejects duplicate variant
+// names at compile time instead of silently merging their series.
 func TestFacadeSweepGridDuplicates(t *testing.T) {
 	base := sgprs.RunConfig{
 		Kind:       sgprs.KindSGPRS,
@@ -147,48 +169,12 @@ func TestFacadeSweepGridDuplicates(t *testing.T) {
 		NumTasks:   1,
 		HorizonSec: 2,
 	}
-	if _, _, err := sgprs.SweepGrid([]sgprs.RunConfig{base, base}, []int{2}, sgprs.SweepOptions{}); err == nil {
-		t.Fatal("duplicate variant names accepted")
-	}
-	// The degenerate empty-counts shape is preserved: every variant
-	// present with an empty series, no error.
-	series, order, err := sgprs.SweepGrid([]sgprs.RunConfig{base}, nil, sgprs.SweepOptions{})
-	if err != nil || len(order) != 1 || len(series["dup"]) != 0 {
-		t.Errorf("empty-counts grid = %v %v %v", series, order, err)
-	}
-}
-
-// TestFacadeDecorrelateSeeds: the spec-backed wrappers translate
-// DecorrelateSeeds into the spec's SeedDerived policy, stamping exactly the
-// per-point seeds the pre-spec expansion did.
-func TestFacadeDecorrelateSeeds(t *testing.T) {
-	base := sgprs.RunConfig{
-		Kind:          sgprs.KindSGPRS,
-		Name:          "sgprs",
-		ContextSMs:    sgprs.ContextPool(2, 1.5, 68),
-		NumTasks:      1,
-		HorizonSec:    2,
-		Seed:          7,
-		WorkVariation: 0.3, // seed-sensitive workload
-	}
-	counts := []int{2, 4}
-	opt := sgprs.SweepOptions{DecorrelateSeeds: true}
-	ref, err := runner.SweepSeries(context.Background(), base, counts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sgprs.SweepSeriesWith(base, counts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Error("decorrelated wrapper differs from the legacy expansion")
-	}
-	fixed, err := sgprs.SweepSeriesWith(base, counts, sgprs.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(fixed, got) {
-		t.Error("DecorrelateSeeds had no effect on a seed-sensitive workload")
+	rs, err := sgprs.RunExperiment(context.Background(), &sgprs.Experiment{
+		Name:     "dups",
+		Variants: []sgprs.RunConfig{base, base},
+		Axes:     []sgprs.ExperimentAxis{sgprs.TasksAxis(2)},
+	}, sgprs.SweepOptions{})
+	if err == nil || !strings.Contains(err.Error(), `duplicate variant name "dup"`) || rs != nil {
+		t.Fatalf("duplicate variant names: result %v, err %v", rs, err)
 	}
 }
