@@ -91,14 +91,17 @@ experiments:
 	$(GO) run ./cmd/sgprs-sweep -list
 
 ## examples: build every example, then smoke-run the quickstart, the
-## registry-driven experiment example, and the fault-injection and
-## fleet-failover walkthroughs (the CI examples gate).
+## registry-driven experiment example, the fault-injection and
+## fleet-failover walkthroughs, the pivot search, and the parallel
+## scenario sweep (the CI examples gate).
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/registry
 	$(GO) run ./examples/faultinjection
 	$(GO) run ./examples/fleet
+	$(GO) run ./examples/pivot
+	$(GO) run ./examples/parallelsweep
 
 ## fuzz-smoke: a short bounded run of every fuzz target — enough to catch
 ## parser regressions on each push without burning CI minutes. Targets are
