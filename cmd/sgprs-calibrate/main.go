@@ -24,7 +24,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 
 	"sgprs/internal/exp"
@@ -133,15 +132,16 @@ func main() {
 }
 
 // calibrationCounts is the task axis around the target pivot: two below to
-// four above, keeping only counts of at least 1 (a run needs a task) with
-// no repeats.
+// four above, dropping counts below 1 (a run needs a task, and one invalid
+// count would fail the whole spec). The offsets are distinct, so no count
+// repeats.
 func calibrationCounts(targetPivot int) ([]int, error) {
 	if targetPivot < 1 {
 		return nil, fmt.Errorf("-target-pivot %d must be at least 1", targetPivot)
 	}
 	var out []int
 	for _, d := range []int{-2, -1, 0, 1, 2, 4} {
-		if n := targetPivot + d; n >= 1 && !slices.Contains(out, n) {
+		if n := targetPivot + d; n >= 1 {
 			out = append(out, n)
 		}
 	}
