@@ -328,7 +328,8 @@ func BenchmarkScenarioRegeneration(b *testing.B) {
 // BenchmarkSingleRun is the allocation microbenchmark: one simulation run at
 // a saturating load (SGPRS 1.5x, Scenario 2 pool, 26 tasks, 2 s horizon),
 // with the warm-cache and uncached offline phases reported separately so
-// per-run allocation regressions are visible in isolation.
+// per-run allocation regressions are visible in isolation. The reused-session
+// case also reports one run's des heap work.
 func BenchmarkSingleRun(b *testing.B) {
 	cfg := ablationBase()
 	cfg.HorizonSec = 2
@@ -368,7 +369,17 @@ func BenchmarkSingleRun(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		_, heap := sess.EngineStats()
+		reportHeap(b, heap)
 	})
+}
+
+// reportHeap reports one run's des heap work (des.HeapStats): the counters
+// that show the event layer's share of a change in host speed.
+func reportHeap(b *testing.B, h des.HeapStats) {
+	b.ReportMetric(float64(h.Pushes), "heap_pushes")
+	b.ReportMetric(float64(h.StaleRequeues), "stale_requeues")
+	b.ReportMetric(float64(h.SiftUps), "sift_ups")
 }
 
 // ffEligible makes a configuration fast-forward eligible: contention
@@ -497,7 +508,8 @@ func BenchmarkOverloadTail(b *testing.B) {
 // running-set transition over ~32 concurrent kernels, so this benchmark is
 // almost pure rate-engine work: ratio ≤ 1 exercises the dirty-context fast
 // path and the lean ceiling path, ratio > 1 the full sweep (DESIGN.md §10).
-// The recompute tier counts are reported per iteration.
+// The recompute tier counts and the des heap work are reported per
+// iteration.
 func BenchmarkDenseContention(b *testing.B) {
 	const (
 		perStream = 12
@@ -528,6 +540,7 @@ func BenchmarkDenseContention(b *testing.B) {
 				b.Fatal(err)
 			}
 			var fast, lean, full uint64
+			var heap des.HeapStats
 			for i := 0; i < b.N; i++ {
 				eng.Reset()
 				if err := dev.Reset(cfg); err != nil {
@@ -557,11 +570,13 @@ func BenchmarkDenseContention(b *testing.B) {
 					b.Fatalf("completed %d kernels, want %d", got, want)
 				}
 				fast, lean, full = dev.RecomputeStats()
+				heap = eng.HeapStats()
 			}
 			b.ReportMetric(float64(nCtx*smsPer)/68, "demand_ratio")
 			b.ReportMetric(float64(fast), "fast_recomputes")
 			b.ReportMetric(float64(lean), "lean_recomputes")
 			b.ReportMetric(float64(full), "full_recomputes")
+			reportHeap(b, heap)
 		})
 	}
 }

@@ -6,14 +6,20 @@ import "fmt"
 // can cancel or reschedule it.
 //
 // Events come in two ownership flavours. Retained events (Schedule, After,
-// ScheduleArg) are owned by the caller: they may be cancelled, rescheduled —
-// even after firing — and handed back to the engine's free list with Recycle
-// once the caller holds no further references. Detached events (ScheduleFunc,
-// AfterFunc, AfterArg) never escape the engine: no pointer is returned, so
-// they cannot be cancelled or rescheduled, and the engine recycles them
-// automatically the moment they fire. Recycling clears the callback before
-// the event re-enters the pool, so a reused Event can never resurrect a
-// previous occupant's callback.
+// ScheduleKeyed) are owned by the caller: they may be cancelled and
+// rescheduled — even after firing. Detached events (ScheduleFunc, AfterFunc,
+// AfterArg, AfterArgMonotone) never escape the engine: no pointer is
+// returned, so they cannot be cancelled or rescheduled, and the engine
+// recycles them automatically the moment they fire. Recycling clears the
+// callback before the event re-enters the pool, so a reused Event can never
+// resurrect a previous occupant's callback.
+//
+// Keyed events (ScheduleKeyed) are retained events whose firing key the
+// caller supplies: a sequence number reserved earlier with NextSeq instead
+// of a fresh one. One keyed event can then stand in for a whole set of
+// firing keys its owner tracks outside the queue — the GPU device holds its
+// one completion timer at the least key of its running kernels — and the
+// engine orders it exactly as it would the event that key was reserved for.
 type Event struct {
 	at    Time
 	seq   uint64
@@ -35,14 +41,17 @@ type Event struct {
 	// Exactly one of fn / fnArg is set. The arg variants exist so hot
 	// paths can use a shared package-level function plus a context value
 	// instead of allocating a fresh closure per event.
-	fn     func(now Time)
-	fnArg  func(now Time, arg any)
-	arg    any
-	label  string
-	cancel bool
+	fn    func(now Time)
+	fnArg func(now Time, arg any)
+	arg   any
+	label string
 	// detached marks engine-owned events (no pointer escaped): they are
 	// auto-recycled when they fire.
 	detached bool
+	// keyed marks ScheduleKeyed events. Their owner keeps them for good:
+	// Reset unqueues them without pooling, and EncodePending leaves them
+	// out (the owner supplies the keys they stand for).
+	keyed bool
 }
 
 // At reports the instant the event is scheduled to fire.
@@ -51,8 +60,9 @@ func (e *Event) At() Time { return e.trueAt }
 // Label reports the diagnostic label given at scheduling time.
 func (e *Event) Label() string { return e.label }
 
-// Pending reports whether the event is still queued and not cancelled.
-func (e *Event) Pending() bool { return e.index >= 0 && !e.cancel }
+// Pending reports whether the event is still queued (neither fired nor
+// cancelled).
+func (e *Event) Pending() bool { return e.index >= 0 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all callbacks run on the goroutine that calls Run.
@@ -81,8 +91,9 @@ type Engine struct {
 	free     []*Event
 	stopped  bool
 	fired    uint64
+	stats    HeapStats
 	// encScratch is EncodePending's reused sort buffer (see warp.go).
-	encScratch []*Event
+	encScratch []Pending
 }
 
 // NewEngine returns an engine positioned at the simulation epoch.
@@ -100,9 +111,35 @@ func (e *Engine) Pending() int { return len(e.queue) + len(e.mono) - e.monoHead 
 // FreeEvents reports the size of the event free list (diagnostics/tests).
 func (e *Engine) FreeEvents() int { return len(e.free) }
 
+// HeapStats counts the engine's heap work since construction or the last
+// Reset. It is a host-cost diagnostic: the counts depend on how callers
+// schedule, never on what the simulation computes.
+type HeapStats struct {
+	// Pushes counts heap insertions, StaleRequeues included.
+	Pushes uint64
+	// StaleRequeues counts deferred later-moves reinserted under their
+	// authoritative key when their stale position reached the root.
+	StaleRequeues uint64
+	// SiftUps counts reschedules of a queued event below its heap key,
+	// repaired in place by an up-sift.
+	SiftUps uint64
+}
+
+// HeapStats reports the heap work counters (see HeapStats).
+func (e *Engine) HeapStats() HeapStats { return e.stats }
+
+// NextSeq reserves the next sequence number, exactly as scheduling an event
+// would consume it, for a firing key the caller keeps itself and later hands
+// to ScheduleKeyed or RescheduleKeyed.
+func (e *Engine) NextSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
 // get pops an event from the free list (or allocates one) and stamps it with
-// a fresh sequence number. The returned event carries no callback yet.
-func (e *Engine) get(at Time, label string) *Event {
+// the key (at, seq). The returned event carries no callback yet.
+func (e *Engine) get(at Time, seq uint64, label string) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -111,8 +148,7 @@ func (e *Engine) get(at Time, label string) *Event {
 	} else {
 		ev = &Event{}
 	}
-	*ev = Event{at: at, seq: e.seq, trueAt: at, trueSeq: e.seq, index: -1, label: label}
-	e.seq++
+	*ev = Event{at: at, seq: seq, trueAt: at, trueSeq: seq, index: -1, label: label}
 	return ev
 }
 
@@ -137,7 +173,7 @@ func (e *Engine) checkSchedule(at Time, label string, ok bool) {
 // would hide ordering errors. The label is for diagnostics and traces.
 func (e *Engine) Schedule(at Time, label string, fn func(now Time)) *Event {
 	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, label)
+	ev := e.get(at, e.NextSeq(), label)
 	ev.fn = fn
 	e.push(ev)
 	return ev
@@ -153,7 +189,7 @@ func (e *Engine) After(d Time, label string, fn func(now Time)) *Event {
 // recycles it automatically when it fires.
 func (e *Engine) ScheduleFunc(at Time, label string, fn func(now Time)) {
 	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, label)
+	ev := e.get(at, e.NextSeq(), label)
 	ev.fn = fn
 	ev.detached = true
 	e.push(ev)
@@ -164,14 +200,19 @@ func (e *Engine) AfterFunc(d Time, label string, fn func(now Time)) {
 	e.ScheduleFunc(e.now.Add(d), label, fn)
 }
 
-// ScheduleArg queues a retained event whose callback receives arg at fire
-// time. A package-level fn plus an arg avoids the per-event closure
-// allocation of Schedule on hot paths.
-func (e *Engine) ScheduleArg(at Time, label string, fn func(now Time, arg any), arg any) *Event {
+// ScheduleKeyed queues a retained event under the caller-supplied key (at,
+// seq), where seq was reserved earlier with NextSeq; the call itself
+// consumes no sequence number. Its callback receives arg at fire time. The
+// owner keeps the event for good: RescheduleKeyed moves it, Cancel parks it,
+// Reset unqueues it without pooling it — so a reset owner re-arms it without
+// allocating — and EncodePending skips it, because the keys it stands for
+// reach the fingerprint as the owner's extra entries.
+func (e *Engine) ScheduleKeyed(at Time, seq uint64, label string, fn func(now Time, arg any), arg any) *Event {
 	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, label)
+	ev := e.get(at, seq, label)
 	ev.fnArg = fn
 	ev.arg = arg
+	ev.keyed = true
 	e.push(ev)
 	return ev
 }
@@ -181,7 +222,7 @@ func (e *Engine) ScheduleArg(at Time, label string, fn func(now Time, arg any), 
 func (e *Engine) AfterArg(d Time, label string, fn func(now Time, arg any), arg any) {
 	at := e.now.Add(d)
 	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, label)
+	ev := e.get(at, e.NextSeq(), label)
 	ev.fnArg = fn
 	ev.arg = arg
 	ev.detached = true
@@ -200,7 +241,7 @@ func (e *Engine) AfterArgMonotone(d Time, label string, fn func(now Time, arg an
 	if n := len(e.mono); n > e.monoHead && at < e.mono[n-1].at {
 		panic(fmt.Sprintf("des: monotone schedule %q at %v before pending %v", label, at, e.mono[n-1].at))
 	}
-	ev := e.get(at, label)
+	ev := e.get(at, e.NextSeq(), label)
 	ev.fnArg = fn
 	ev.arg = arg
 	ev.detached = true
@@ -237,57 +278,59 @@ func (e *Engine) monoBefore() bool {
 	return m.seq < h.seq
 }
 
-// Cancel removes ev from the queue if it has not fired. Cancelling an
-// already-fired or already-cancelled event is a no-op.
+// Cancel removes ev from the queue if it has not fired, so the queue never
+// holds a cancelled event. Cancelling an already-fired or already-cancelled
+// event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancel || ev.index < 0 {
-		if ev != nil {
-			ev.cancel = true
-		}
-		return
+	if ev != nil && ev.index >= 0 {
+		e.remove(ev.index)
 	}
-	ev.cancel = true
-	e.remove(ev.index)
 }
 
 // Reschedule moves a pending event to a new instant, preserving its callback.
 // If the event already fired it is re-queued. Rescheduling a pending event to
 // the very instant it already occupies is a no-op: the event keeps its place
 // — and its sequence number, so it still orders before any event scheduled
-// after it at the same instant — and the heap is left untouched.
-//
-// Moving a pending event later is O(1): only the authoritative key changes
-// (see Event), and the heap repair is deferred until the stale position
-// reaches the root. Moving it earlier (below its heap key) decreases the
-// key, so an up-sift restores order.
+// after it at the same instant — and the heap is left untouched. Any other
+// move draws a fresh sequence number and takes RescheduleKeyed's path.
 func (e *Engine) Reschedule(ev *Event, at Time) {
+	if ev.index >= 0 && ev.trueAt == at {
+		return
+	}
+	e.RescheduleKeyed(ev, at, e.NextSeq())
+}
+
+// RescheduleKeyed moves ev to the key (at, seq), re-queueing it if it
+// already fired or was cancelled. seq was reserved with NextSeq; the call
+// consumes none.
+//
+// Moving a queued event above its heap key is O(1): only the authoritative
+// key changes (see Event), and the heap repair is deferred until the stale
+// position reaches the root. Moving it below its heap key decreases the
+// key, so an up-sift restores order.
+func (e *Engine) RescheduleKeyed(ev *Event, at Time, seq uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("des: reschedule %q at %v before now %v", ev.label, at, e.now))
 	}
-	if ev.index >= 0 {
-		if ev.trueAt == at {
-			return
-		}
-		if at >= ev.at {
-			ev.trueAt = at
-			ev.trueSeq = e.seq
-			e.seq++
-			ev.stale = true
-			return
-		}
+	if ev.index < 0 {
 		ev.at, ev.trueAt = at, at
-		ev.seq, ev.trueSeq = e.seq, e.seq
-		e.seq++
+		ev.seq, ev.trueSeq = seq, seq
 		ev.stale = false
-		e.up(ev.index)
+		e.push(ev)
 		return
 	}
-	ev.cancel = false
-	ev.at, ev.trueAt = at, at
-	ev.seq, ev.trueSeq = e.seq, e.seq
-	e.seq++
+	if at == ev.trueAt && seq == ev.trueSeq {
+		return
+	}
+	ev.trueAt, ev.trueSeq = at, seq
+	if at > ev.at || (at == ev.at && seq > ev.seq) {
+		ev.stale = true
+		return
+	}
+	ev.at, ev.seq = at, seq
 	ev.stale = false
-	e.push(ev)
+	e.stats.SiftUps++
+	e.up(ev.index)
 }
 
 // requeueStale reinserts a popped stale event under its authoritative key.
@@ -297,22 +340,8 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 func (e *Engine) requeueStale(ev *Event) {
 	ev.at, ev.seq = ev.trueAt, ev.trueSeq
 	ev.stale = false
+	e.stats.StaleRequeues++
 	e.push(ev)
-}
-
-// Recycle returns a retained event to the engine's free list. A pending
-// event is removed from the queue first (it will not fire). The caller must
-// drop every reference to ev: using it after Recycle is a use-after-free
-// class bug, exactly like retaining a pooled buffer. Recycling nil is a
-// no-op.
-func (e *Engine) Recycle(ev *Event) {
-	if ev == nil {
-		return
-	}
-	if ev.index >= 0 {
-		e.remove(ev.index)
-	}
-	e.release(ev)
 }
 
 // Stop makes the current Run call return after the in-flight callback.
@@ -322,13 +351,19 @@ func (e *Engine) Stop() { e.stopped = true }
 // free list, so a reused engine schedules without allocating from its first
 // event on. Every still-pending event is recycled into the pool and every
 // outstanding retained-Event handle is invalidated: callers must drop them
-// all before Reset, exactly as they would before discarding the engine.
-// After Reset the engine is indistinguishable from NewEngine() — clock at
-// zero, sequence counter at zero — so a run on a reset engine is
-// bit-identical to one on a fresh engine.
+// all before Reset, exactly as they would before discarding the engine. The
+// exception is keyed events: they are unqueued but stay with their owner,
+// who may re-arm them with RescheduleKeyed. After Reset the engine is
+// indistinguishable from NewEngine() — clock at zero, sequence counter and
+// heap counters at zero — so a run on a reset engine is bit-identical to
+// one on a fresh engine.
 func (e *Engine) Reset() {
 	for i, ev := range e.queue {
 		e.queue[i] = nil
+		if ev.keyed {
+			ev.index = -1
+			continue
+		}
 		e.release(ev)
 	}
 	e.queue = e.queue[:0]
@@ -340,6 +375,7 @@ func (e *Engine) Reset() {
 	e.mono = e.mono[:0]
 	e.monoHead = 0
 	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
+	e.stats = HeapStats{}
 }
 
 // Step fires the single earliest pending event and reports whether one fired.
@@ -352,15 +388,6 @@ func (e *Engine) Step() bool {
 			ev = e.popMono()
 		} else {
 			ev = e.pop()
-			if ev.cancel {
-				// Cancelled retained events stay with their owner (it
-				// may Reschedule or Recycle them); only the
-				// engine-owned kind returns to the pool here.
-				if ev.detached {
-					e.release(ev)
-				}
-				continue
-			}
 			if ev.stale {
 				// A deferred later-move surfaced: reinsert it under
 				// its authoritative key instead of firing.
@@ -400,13 +427,6 @@ func (e *Engine) RunUntil(horizon Time) {
 			next = e.mono[e.monoHead]
 		} else if len(e.queue) > 0 {
 			next = e.queue[0]
-			if next.cancel {
-				ev := e.pop()
-				if ev.detached {
-					e.release(ev)
-				}
-				continue
-			}
 			if next.stale {
 				// Normalize before the horizon test: the stale heap
 				// key is only a lower bound on the authoritative
@@ -452,6 +472,7 @@ func (e *Engine) swap(i, j int) {
 }
 
 func (e *Engine) push(ev *Event) {
+	e.stats.Pushes++
 	ev.index = len(e.queue)
 	e.queue = append(e.queue, ev)
 	e.up(ev.index)

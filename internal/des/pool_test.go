@@ -71,49 +71,6 @@ func TestPoolReuseNeverResurrectsFiredCallback(t *testing.T) {
 	}
 }
 
-// TestRecycledEventReusedForRetainedSchedule: a retained event handed back
-// with Recycle re-enters the pool, and its next occupant gets a fresh
-// callback and a working cancel/reschedule lifecycle.
-func TestRecycledEventReusedForRetainedSchedule(t *testing.T) {
-	e := NewEngine()
-	var old, next int
-	ev := e.Schedule(Millisecond, "old", func(Time) { old++ })
-	e.Run()
-	if old != 1 {
-		t.Fatal("retained event did not fire")
-	}
-	e.Recycle(ev) // owner is done with it
-	if e.FreeEvents() != 1 {
-		t.Fatalf("free list has %d events after Recycle, want 1", e.FreeEvents())
-	}
-	ev2 := e.Schedule(2*Millisecond, "next", func(Time) { next++ })
-	if ev2 != ev {
-		t.Fatal("pool did not hand back the recycled event struct")
-	}
-	e.Reschedule(ev2, 5*Millisecond)
-	e.Run()
-	if old != 1 || next != 1 {
-		t.Fatalf("old=%d next=%d, want 1 and 1 (no resurrection, one fresh fire)", old, next)
-	}
-}
-
-// TestRecyclePendingEventNeverFires: recycling an event that has not fired
-// removes it from the queue.
-func TestRecyclePendingEventNeverFires(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	ev := e.Schedule(Millisecond, "x", func(Time) { count++ })
-	e.Recycle(ev)
-	if e.Pending() != 0 {
-		t.Fatalf("recycled pending event still queued (%d pending)", e.Pending())
-	}
-	e.Run()
-	if count != 0 {
-		t.Fatalf("recycled event fired %d times", count)
-	}
-	e.Recycle(nil) // no-op
-}
-
 // TestPoolStaysBoundedUnderChurn: a long schedule/fire chain must recycle
 // through a bounded pool instead of growing the free list or the heap.
 func TestPoolStaysBoundedUnderChurn(t *testing.T) {
@@ -144,7 +101,7 @@ func TestArgCallbacksDeliverArgAndOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	record := func(_ Time, arg any) { order = append(order, arg.(int)) }
-	e.ScheduleArg(2*Millisecond, "two", record, 2)
+	e.ScheduleKeyed(2*Millisecond, e.NextSeq(), "two", record, 2)
 	e.AfterArg(Millisecond, "one", record, 1)
 	e.Schedule(3*Millisecond, "three", func(Time) { order = append(order, 3) })
 	e.Run()

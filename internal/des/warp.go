@@ -48,13 +48,27 @@ func AppendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// Pending is one firing key a caller keeps outside the queue, stood for in
+// it by a keyed event (see ScheduleKeyed): the key as the engine would have
+// held it — instant, reserved sequence number — plus the label and callback
+// argument EncodePending's tag callback resolves.
+type Pending struct {
+	At    Time
+	Seq   uint64
+	Label string
+	Arg   any
+}
+
 // EncodePending appends a canonical encoding of the pending-event set to buf
-// and returns the extended slice. Events are encoded in authoritative firing
+// and returns the extended slice. The set is every queued event except keyed
+// ones, plus the caller's extra entries — the keys the keyed events stand
+// for — so a keyed event plus its owner's entries encodes byte-identically to
+// one retained event per key. Entries are encoded in authoritative firing
 // order — sorted by (trueAt, trueSeq), the key dispatch actually uses, so
 // stale heap positions and the monotone lane are invisible, exactly as they
-// are in the firing order. Each event contributes its label, an identity tag
+// are in the firing order. Each entry contributes its label, an identity tag
 // resolved by the caller's tag callback (distinguishing same-label events,
-// e.g. which running kernel a "gpu.finish" belongs to), and its firing
+// e.g. which running kernel a "gpu.finish" key belongs to), and its firing
 // instant relative to the current clock. Absolute times and raw sequence
 // numbers are excluded: two boundaries one cycle apart must encode
 // identically, and only relative times and relative order recur.
@@ -65,40 +79,42 @@ func AppendStr(buf []byte, s string) []byte {
 // sequence numbers larger than every pending one in both worlds.
 //
 // The engine's state is untouched; scratch is retained for reuse.
-func (e *Engine) EncodePending(buf []byte, tag func(label string, arg any) uint64) []byte {
+func (e *Engine) EncodePending(buf []byte, extra []Pending, tag func(label string, arg any) uint64) []byte {
 	sc := e.encScratch[:0]
 	for _, ev := range e.queue {
-		if !ev.cancel {
-			sc = append(sc, ev)
+		if !ev.keyed {
+			sc = append(sc, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label, Arg: ev.arg})
 		}
 	}
 	for _, ev := range e.mono[e.monoHead:] {
-		sc = append(sc, ev)
+		sc = append(sc, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label, Arg: ev.arg})
 	}
-	slices.SortFunc(sc, func(a, b *Event) int {
-		if a.trueAt != b.trueAt {
-			if a.trueAt < b.trueAt {
+	sc = append(sc, extra...)
+	slices.SortFunc(sc, func(a, b Pending) int {
+		if a.At != b.At {
+			if a.At < b.At {
 				return -1
 			}
 			return 1
 		}
-		if a.trueSeq < b.trueSeq {
+		if a.Seq < b.Seq {
 			return -1
 		}
 		return 1
 	})
 	buf = AppendU64(buf, uint64(len(sc)))
-	for _, ev := range sc {
-		buf = AppendStr(buf, ev.label)
-		buf = AppendU64(buf, tag(ev.label, ev.arg))
-		buf = AppendTime(buf, ev.trueAt-e.now)
+	for _, p := range sc {
+		buf = AppendStr(buf, p.Label)
+		buf = AppendU64(buf, tag(p.Label, p.Arg))
+		buf = AppendTime(buf, p.At-e.now)
 	}
 	e.encScratch = sc
 	return buf
 }
 
 // Warp advances the clock by delta and translates every pending event with
-// it, preserving all relative offsets. The heap is untouched: adding one
+// it, preserving all relative offsets. Keys kept outside the queue (see
+// ScheduleKeyed) are their owner's to translate. The heap is untouched: adding one
 // constant to every key preserves the heap order, the monotone lane stays
 // nondecreasing, and a stale event's lower-bound heap position stays a lower
 // bound. Sequence numbers are untouched, so pending events still order before

@@ -21,9 +21,11 @@
 //     that no amount of SMs shrinks).
 //
 // Execution is processor sharing: whenever the set of running kernels
-// changes, every kernel's progress is banked and its completion event is
-// recomputed from the new rates. All randomness is drawn from seeded streams,
-// so runs are exactly reproducible.
+// changes, every kernel's progress is banked and its completion instant is
+// recomputed from the new rates. Completion instants are plain kernel
+// fields, not engine events: the device keeps one completion timer on the
+// engine, armed at the earliest of them. All randomness is drawn from
+// seeded streams, so runs are exactly reproducible.
 package gpu
 
 import (
@@ -117,6 +119,15 @@ type Device struct {
 	lastUpdate des.Time
 	observer   Observer
 	hook       Hook
+
+	// timer is the device's one completion event, a keyed engine event
+	// held at the least (finAt, finSeq) key among the running kernels, so
+	// the engine orders it exactly as it would have ordered that kernel's
+	// own finish event (DESIGN.md §3); next is that kernel, the one the
+	// timer completes when it fires. The timer is created on first use and
+	// survives engine and device resets.
+	timer *des.Event
+	next  *Kernel
 
 	// effSMs is the device capacity every dynamic-rate computation divides
 	// by — DemandRatio, the over-subscription ratio, and the waterfill
@@ -218,9 +229,10 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 // accounting restarts; a run on a reset device is bit-identical to one on a
 // fresh device. Every kernel NewKernel handed out is zeroed and returned to
 // the free list, whatever state the previous run left it in. The caller must
-// Reset the driving engine first: finish and launch events of the kernels it
+// Reset the driving engine first: the launch events of the kernels it
 // reclaims live in the engine's queue, and the engine reset is what drops
-// them.
+// them. The completion timer is kept, parked, and re-armed without
+// allocating by the next run's first kernel start.
 func (d *Device) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -232,6 +244,8 @@ func (d *Device) Reset(cfg Config) error {
 	d.lastUpdate = 0
 	d.observer = nil
 	d.hook = nil
+	d.eng.Cancel(d.timer)
+	d.next = nil
 	d.effSMs = cfg.TotalSMs
 	d.kernelSeq = 0
 	d.busyDemand = 0
@@ -280,7 +294,7 @@ func (d *Device) FreeKernel(k *Kernel) {
 	if k.pooled {
 		panic(fmt.Sprintf("gpu: kernel %q freed twice", k.Label))
 	}
-	if k.started || k.finishEv != nil {
+	if k.started {
 		panic(fmt.Sprintf("gpu: free of running kernel %q", k.Label))
 	}
 	*k = Kernel{pooled: true}

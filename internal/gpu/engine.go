@@ -40,10 +40,9 @@ func quantizeCeiling(ceiling float64) int64 {
 	return int64(f)
 }
 
-// kernelStart and kernelFinish are the shared event callbacks for kernel
-// launch and completion. Using arg-style events with package-level functions
-// (the device is reachable through the kernel's stream) avoids a closure
-// allocation per kernel on both paths.
+// kernelStart and timerFire are the shared event callbacks for kernel launch
+// and completion. Using arg-style events with package-level functions avoids
+// a closure allocation per kernel on both paths.
 func kernelStart(now des.Time, arg any) {
 	k := arg.(*Kernel)
 	// A nil stream means the launch was cancelled while the kernel sat in
@@ -55,9 +54,12 @@ func kernelStart(now des.Time, arg any) {
 	k.stream.ctx.device.start(k, now)
 }
 
-func kernelFinish(now des.Time, arg any) {
-	k := arg.(*Kernel)
-	k.stream.ctx.device.complete(k, now)
+// timerFire completes the kernel the device's timer was armed for: the one
+// holding the least completion key, which is exactly the kernel whose own
+// finish event the engine would have fired here.
+func timerFire(now des.Time, arg any) {
+	d := arg.(*Device)
+	d.complete(d.next, now)
 }
 
 // pump starts the next queued kernel on s if the stream is idle. The kernel
@@ -156,7 +158,8 @@ func (d *Device) advance(now des.Time) {
 
 // recompute reassigns effective SM shares and rates after the running set
 // changed in the touched context, implementing the four-layer sharing model
-// described in the package comment.
+// described in the package comment, refreshes the completion keys the new
+// rates move, and re-arms the device timer.
 //
 // It is incremental (DESIGN.md §10). When the device is not over-subscribed
 // and the previous recompute was too (d.shapeValid), untouched contexts are
@@ -168,8 +171,8 @@ func (d *Device) advance(now des.Time) {
 //
 //  1. Fast path: the incrementally tracked fixed-point bound proves the
 //     aggregate ceiling cannot bind. Only touched kernels get new rates and
-//     reschedules; untouched contexts keep their rates and their scheduled
-//     finish events.
+//     reschedules; untouched contexts keep their rates and their completion
+//     keys.
 //  2. Lean ceiling path: the bound cannot rule the ceiling out, so the exact
 //     admission-ordered gain sum is rebuilt from the cached per-kernel pure
 //     gains — the same floats the full sweep would add in the same order —
@@ -221,13 +224,13 @@ func (d *Device) recompute(now des.Time, touched *Context) {
 			for _, k := range d.running {
 				k.rate = k.pureGain
 			}
-			d.reschedule(now, d.running)
+			d.rescheduleAll(now)
 			return
 		}
 		for _, k := range touched.running {
 			k.rate = k.pureGain
 		}
-		d.reschedule(now, touched.running)
+		d.reschedule(now, touched)
 		return
 	}
 
@@ -246,7 +249,7 @@ func (d *Device) recompute(now des.Time, touched *Context) {
 		for _, k := range d.running {
 			k.rate = k.pureGain * f
 		}
-		d.reschedule(now, d.running)
+		d.rescheduleAll(now)
 		return
 	}
 	if d.lastScaled {
@@ -254,13 +257,13 @@ func (d *Device) recompute(now des.Time, touched *Context) {
 		for _, k := range d.running {
 			k.rate = k.pureGain
 		}
-		d.reschedule(now, d.running)
+		d.rescheduleAll(now)
 		return
 	}
 	for _, k := range touched.running {
 		k.rate = k.pureGain
 	}
-	d.reschedule(now, touched.running)
+	d.reschedule(now, touched)
 }
 
 // fullRecompute is the reference sweep over every running kernel. Its float
@@ -368,10 +371,12 @@ func (d *Device) fullRecompute(now des.Time) {
 	d.shapeValid = ratio <= 1
 	d.lastScaled = scaled || ratio > 1
 
-	// Apply the adjustments fused with the reschedule sweep. Every
-	// adjustment is per-kernel-independent and runs in the same per-kernel
-	// order as separate sweeps would, so the arithmetic — and the engine
-	// calls' sequence numbering — is unchanged.
+	// Apply the adjustments fused with the reschedule sweep, which also
+	// finds the least completion key for the timer. Every adjustment is
+	// per-kernel-independent and runs in the same per-kernel order as
+	// separate sweeps would, so the arithmetic — and the sequence numbers
+	// the keys reserve — is unchanged.
+	var next *Kernel
 	switch {
 	case scaled && ratio > 1:
 		cj := d.cfg.ContentionJitter * (ratio - 1)
@@ -379,39 +384,64 @@ func (d *Device) fullRecompute(now des.Time) {
 			k.rate *= f
 			k.rate /= 1 + cj*k.jitterU
 			d.rescheduleOne(now, k)
+			next = earlier(next, k)
 		}
 	case scaled:
 		for _, k := range d.running {
 			k.rate *= f
 			d.rescheduleOne(now, k)
+			next = earlier(next, k)
 		}
 	case ratio > 1:
 		cj := d.cfg.ContentionJitter * (ratio - 1)
 		for _, k := range d.running {
 			k.rate /= 1 + cj*k.jitterU
 			d.rescheduleOne(now, k)
+			next = earlier(next, k)
 		}
 	default:
-		d.reschedule(now, d.running)
+		d.rescheduleAll(now)
+		return
 	}
+	d.arm(next)
 }
 
-// reschedule refreshes the completion events of the given kernels. A kernel
-// whose rate did not change since its finish event was last scheduled keeps
-// that event untouched: progress is linear in time at a fixed rate, so the
-// finish instant computed back then is still the finish instant now —
-// re-deriving it from the banked remainder would only replay the same
-// arithmetic (modulo sub-nanosecond rounding) while paying a heap fix per
-// kernel per running-set change.
-func (d *Device) reschedule(now des.Time, kernels []*Kernel) {
-	for _, k := range kernels {
+// reschedule refreshes the completion keys of the touched context's kernels
+// and re-arms the timer. A kernel whose rate did not change since its key
+// was last derived keeps that key untouched: progress is linear in time at a
+// fixed rate, so the finish instant computed back then is still the finish
+// instant now — re-deriving it from the banked remainder would only replay
+// the same arithmetic (modulo sub-nanosecond rounding).
+func (d *Device) reschedule(now des.Time, touched *Context) {
+	for _, k := range touched.running {
 		d.rescheduleOne(now, k)
 	}
+	var next *Kernel
+	for _, k := range d.running {
+		next = earlier(next, k)
+	}
+	d.arm(next)
 }
 
-// rescheduleOne refreshes one kernel's completion event (see reschedule).
+// rescheduleAll refreshes every running kernel's completion key (see
+// reschedule) and re-arms the timer at the least, found in the same pass.
+func (d *Device) rescheduleAll(now des.Time) {
+	var next *Kernel
+	for _, k := range d.running {
+		d.rescheduleOne(now, k)
+		next = earlier(next, k)
+	}
+	d.arm(next)
+}
+
+// rescheduleOne refreshes one kernel's completion key (see reschedule). A
+// key is re-derived exactly where the kernel's own finish event would have
+// been scheduled or moved, and reserves an engine sequence number exactly
+// where that event would have drawn one — including the engine's no-move
+// rule, which keeps the old number when the instant is unchanged — so the
+// timer reproduces the per-kernel events' firing order bit for bit.
 func (d *Device) rescheduleOne(now des.Time, k *Kernel) {
-	if k.finishEv != nil && k.rate == k.schedRate {
+	if k.finSet && k.rate == k.schedRate {
 		return
 	}
 	var msLeft float64
@@ -421,14 +451,38 @@ func (d *Device) rescheduleOne(now des.Time, k *Kernel) {
 	default:
 		msLeft = k.remainingFixed
 	}
-	// Ceil to the next nanosecond so the finish event never fires
-	// before the work is actually done.
+	// Ceil to the next nanosecond so the kernel never completes before
+	// the work is actually done.
 	at := now.Add(des.Time(msLeft*float64(des.Millisecond)) + 1)
 	k.schedRate = k.rate
-	if k.finishEv == nil {
-		k.finishEv = d.eng.ScheduleArg(at, "gpu.finish", kernelFinish, k)
-	} else {
-		d.eng.Reschedule(k.finishEv, at)
+	if k.finSet && k.finAt == at {
+		return
+	}
+	k.finAt, k.finSeq, k.finSet = at, d.eng.NextSeq(), true
+}
+
+// earlier returns whichever of a (possibly nil) and b holds the lesser
+// completion key — the engine's (time, sequence) order.
+func earlier(a, b *Kernel) *Kernel {
+	if a == nil || b.finAt < a.finAt || (b.finAt == a.finAt && b.finSeq < a.finSeq) {
+		return b
+	}
+	return a
+}
+
+// arm holds the device timer at next's completion key — the least among the
+// running kernels — or parks it when nothing runs. The timer is created on
+// first use and kept for the device's lifetime, across engine and device
+// resets alike (des.Engine.ScheduleKeyed).
+func (d *Device) arm(next *Kernel) {
+	d.next = next
+	switch {
+	case next == nil:
+		d.eng.Cancel(d.timer)
+	case d.timer == nil:
+		d.timer = d.eng.ScheduleKeyed(next.finAt, next.finSeq, "gpu.finish", timerFire, d)
+	default:
+		d.eng.RescheduleKeyed(d.timer, next.finAt, next.finSeq)
 	}
 }
 
@@ -550,10 +604,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 		}
 	}
 	k.started = false
-	// The finish event has just fired and the device is its only holder:
-	// hand it back to the engine's pool for the next kernel.
-	d.eng.Recycle(k.finishEv)
-	k.finishEv = nil
+	k.finSet = false
 	ctx.activeKernels--
 	if ctx.activeKernels == 0 {
 		d.busyDemand -= ctx.sms
@@ -586,7 +637,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 // Abort removes a running kernel from the device mid-flight — the transient
 // kernel-fault injection point. Progress up to now is banked (the work was
 // genuinely executed before the fault), then the kernel is evicted exactly as
-// complete would evict it — running-set removal, finish-event recycling,
+// complete would evict it — running-set removal, completion-key clearing,
 // context aggregates, rate recompute, stream pump — except that no completion
 // accounting or lifecycle callback fires: the fault injector drives recovery
 // explicitly through the scheduler. On return the kernel is detached
@@ -613,12 +664,7 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 		}
 	}
 	k.started = false
-	// Unlike complete, the finish event is still pending: Recycle removes
-	// it from the queue before pooling it.
-	if k.finishEv != nil {
-		d.eng.Recycle(k.finishEv)
-		k.finishEv = nil
-	}
+	k.finSet = false
 	ctx.activeKernels--
 	if ctx.activeKernels == 0 {
 		d.busyDemand -= ctx.sms

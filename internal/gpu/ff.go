@@ -92,8 +92,20 @@ func encodeKernel(buf []byte, k *Kernel, argEnc func(buf []byte, arg any) []byte
 	return argEnc(buf, k.Arg)
 }
 
+// AppendPending appends the running kernels' completion keys to dst as
+// fingerprint entries for des.Engine.EncodePending, in admission order: the
+// per-kernel finish events the device timer stands in for, which the engine
+// encoding skips. A fingerprint built from them is byte-identical to one
+// taken with one queued finish event per kernel.
+func (d *Device) AppendPending(dst []des.Pending) []des.Pending {
+	for _, k := range d.running {
+		dst = append(dst, des.Pending{At: k.finAt, Seq: k.finSeq, Label: "gpu.finish", Arg: k})
+	}
+	return dst
+}
+
 // EventTag resolves a pending gpu event's identity for the engine
-// fingerprint: a started kernel's finish event is named by its admission
+// fingerprint: a started kernel's completion key is named by its admission
 // index (the position every accumulation visits it at), a pending launch by
 // its context/stream coordinates. Reports false for foreign events.
 func (d *Device) EventTag(arg any) (uint64, bool) {
@@ -113,12 +125,14 @@ func (d *Device) EventTag(arg any) (uint64, bool) {
 
 // Warp translates the device's clocks forward by delta after whole cycles
 // were extrapolated: the banked-progress origin and every running kernel's
-// start instant shift with the engine clock. No rate, share, or aggregate
-// changes — the warped state is exactly the pre-warp state, later.
+// start instant and completion key shift with the engine clock (whose Warp
+// moves the timer along). No rate, share, or aggregate changes — the warped
+// state is exactly the pre-warp state, later.
 func (d *Device) Warp(delta des.Time) {
 	d.lastUpdate += delta
 	for _, k := range d.running {
 		k.startedAt += delta
+		k.finAt += delta
 	}
 }
 

@@ -47,8 +47,15 @@ type Kernel struct {
 	effSMs         float64
 	jitterU        float64 // per-kernel uniform draw for contention jitter
 	started        bool
-	finishEv       *des.Event
 	startedAt      des.Time
+	// finAt/finSeq are the kernel's completion key while finSet: the
+	// instant and reserved engine sequence number its own finish event
+	// would carry. The device's one timer sits at the least key of its
+	// running kernels instead of queueing an event per kernel (DESIGN.md
+	// §3).
+	finAt  des.Time
+	finSeq uint64
+	finSet bool
 	// launchSeq is the device-wide launch sequence number assigned each
 	// time the kernel starts executing. Fault-injection events captured
 	// against one launch compare it (together with Running) at fire time:
@@ -88,7 +95,7 @@ type Kernel struct {
 	// from these cached values instead of re-deriving every kernel's gain
 	// (DESIGN.md §10).
 	pureGain float64
-	// schedRate is the rate the finish event was last scheduled under;
+	// schedRate is the rate the completion key was last derived under;
 	// recompute skips the reschedule when the rate is unchanged.
 	schedRate float64
 }

@@ -154,3 +154,52 @@ func TestFreeKernelTwicePanics(t *testing.T) {
 	}()
 	dev.FreeKernel(k)
 }
+
+// TestResetDeviceRearmsTimerWithoutAllocating: the completion timer is the
+// device's for good. A reset taken mid-flight (engine first, then device)
+// parks it without handing it to the engine's pool, and the next run
+// re-arms the very same event: no per-run timer allocation, and no
+// allocation at all across steady start/complete cycles.
+func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
+	cfg := DefaultConfig()
+	eng, dev := newTestDevice(t, cfg)
+	stream := func() *Stream {
+		ctx, err := dev.CreateContext("c0", 34)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctx.AddStream("s0", HighPriority)
+	}
+	s := stream()
+	s.Submit(convKernel("a", 5))
+	s.Submit(convKernel("b", 5))
+	eng.RunUntil(100 * des.Microsecond) // a is running, its timer queued
+	timer := dev.timer
+	if timer == nil || !timer.Pending() {
+		t.Fatal("no queued completion timer mid-flight")
+	}
+	eng.Reset()
+	if err := dev.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if timer.Pending() {
+		t.Fatal("timer still queued after reset")
+	}
+
+	s = stream()
+	shares := []speedup.WorkShare{{Class: speedup.Conv, Work: 3}}
+	cycle := func() {
+		k := dev.NewKernel()
+		k.Label, k.Shares = "k", shares
+		s.Submit(k)
+		eng.Run()
+		dev.FreeKernel(k)
+	}
+	cycle()
+	if dev.timer != timer {
+		t.Fatal("reset device allocated a new completion timer")
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("start/complete cycle allocates %v times, want 0", n)
+	}
+}

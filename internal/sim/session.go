@@ -50,14 +50,16 @@ type Session struct {
 	tasks map[taskSetKey][]*rt.Task
 
 	// Fast-forward state (fastforward.go), reused across runs: the
-	// fingerprint build buffer, the arena of stored boundary fingerprints
-	// with their hash index, and the live-job warp dedup set. ffHash and
+	// fingerprint build buffer and the device's pending-key entries, the
+	// arena of stored boundary fingerprints with their hash index, and the
+	// live-job warp dedup set. ffHash and
 	// ffTrace are test hooks: ffHash overrides the fingerprint hash (the
 	// collision-safety tests truncate it to force collisions) and ffTrace,
 	// when set, fires at every release boundary — on the fast-forward and
 	// the reference path alike — so the lockstep equivalence tests can
 	// compare collector state boundary by boundary.
 	ffBuf    []byte
+	ffPend   []des.Pending
 	ffArena  []byte
 	ffEnts   []ffEntry
 	ffHashes map[uint64]int
@@ -232,6 +234,14 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 		res.FPSPerWatt = sum.TotalFPS / res.AvgPowerW
 	}
 	return res, nil
+}
+
+// EngineStats reports how many events the session's engine fired and its
+// heap work counters (des.HeapStats) over the last run. They measure host
+// cost, not simulated behaviour, so they stay out of Result, whose digests
+// pin the simulation's output.
+func (s *Session) EngineStats() (fired uint64, heap des.HeapStats) {
+	return s.eng.Fired(), s.eng.HeapStats()
 }
 
 // taskSet returns the built task set for the configuration, reusing a
