@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,6 +25,22 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := (1500 * Microsecond).Milliseconds(); got != 1.5 {
 		t.Errorf("Milliseconds = %v, want 1.5", got)
+	}
+}
+
+// TestFromSecondsSaturates: durations past the nanosecond clock's range
+// saturate at Never instead of wrapping negative, and in-range conversions
+// keep the exact round-to-nearest result.
+func TestFromSecondsSaturates(t *testing.T) {
+	for _, s := range []float64{9.23e9, 1e10, 1e12, math.MaxFloat64, math.Inf(1)} {
+		if got := FromSeconds(s); got != Never {
+			t.Errorf("FromSeconds(%v) = %d, want Never", s, int64(got))
+		}
+	}
+	for _, s := range []float64{0, 1e-9, 0.4e-9, 1.5, 4, 300, 1e6, 9.2e9} {
+		if got, want := FromSeconds(s), Time(s*float64(Second)+0.5); got != want {
+			t.Errorf("FromSeconds(%v) = %d, want %d", s, int64(got), int64(want))
+		}
 	}
 }
 

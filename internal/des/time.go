@@ -59,12 +59,18 @@ func (t Time) String() string {
 }
 
 // FromSeconds converts floating-point seconds into simulated Time, rounding
-// to the nearest nanosecond.
+// to the nearest nanosecond and saturating at Never, as Add does: durations
+// of about 9.22e9 s (292 years) and beyond do not fit the nanosecond clock,
+// and converting them unchecked would wrap to negative instants.
 func FromSeconds(s float64) Time {
 	if s < 0 {
 		panic(fmt.Sprintf("des: negative duration %v", s))
 	}
-	return Time(s*float64(Second) + 0.5)
+	ns := s*float64(Second) + 0.5
+	if ns >= float64(Never) { // float64(Never) rounds up to 2⁶³
+		return Never
+	}
+	return Time(ns)
 }
 
 // FromMillis converts floating-point milliseconds into simulated Time.

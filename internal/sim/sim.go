@@ -233,6 +233,17 @@ func (c *RunConfig) Normalize() error {
 	if c.HorizonSec <= c.WarmUpSec {
 		return fmt.Errorf("sim: run %q horizon %vs must exceed warm-up %vs", c.Name, c.HorizonSec, c.WarmUpSec)
 	}
+	// The simulated clock counts int64 nanoseconds: des.FromSeconds
+	// saturates at des.Never beyond ~292 years, where nothing can be
+	// scheduled, so such a horizon (and with it any warm-up, which is
+	// shorter) or release period is rejected here, named, instead of
+	// failing deep inside the run.
+	if des.FromSeconds(c.HorizonSec) == des.Never {
+		return fmt.Errorf("sim: run %q horizon %vs exceeds the simulated clock's range", c.Name, c.HorizonSec)
+	}
+	if des.FromSeconds(1/c.FPS) == des.Never {
+		return fmt.Errorf("sim: run %q FPS %v gives a release period of %vs, beyond the simulated clock's range", c.Name, c.FPS, 1/c.FPS)
+	}
 	if c.GPU.TotalSMs == 0 {
 		g := gpu.DefaultConfig()
 		g.Seed = c.Seed + 1

@@ -3,8 +3,10 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"sgprs/internal/fault"
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/speedup"
@@ -161,6 +163,48 @@ func TestNormalizeErrors(t *testing.T) {
 		if err := cfg.Normalize(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestClockRangeInputs pins the handling of instants past the nanosecond
+// clock's ~9.22e9 s range, which used to wrap to negative: an out-of-range
+// horizon or release period is a config error naming its field (a warm-up
+// that long implies such a horizon),
+// while a degradation window ending past the horizon is valid and simply
+// never restored.
+func TestClockRangeInputs(t *testing.T) {
+	base := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34, 34}, NumTasks: 4}
+	cases := []struct {
+		name    string
+		edit    func(*RunConfig)
+		wantErr string // "" means the run must succeed
+	}{
+		{"horizon", func(c *RunConfig) { c.HorizonSec = 1e10 }, "horizon"},
+		{"warm-up", func(c *RunConfig) { c.WarmUpSec, c.HorizonSec = 1e12, 2e12 }, "horizon"},
+		{"fps", func(c *RunConfig) { c.FPS = 1e-12 }, "FPS"},
+		{"degradation-past-horizon", func(c *RunConfig) {
+			c.HorizonSec = 2
+			c.Faults = &fault.Config{Degradation: []fault.Window{{StartSec: 1, EndSec: 1e12, SMs: 40}}}
+		}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.edit(&cfg)
+			res, err := NewSession(memo.New()).Run(cfg)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary.Completed == 0 {
+				t.Fatal("no job completed")
+			}
+		})
 	}
 }
 
