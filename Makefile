@@ -10,7 +10,7 @@ GO ?= go
 BENCH_BASELINE ?= BENCH_5.json
 BENCH_CURRENT ?= BENCH_13.json
 
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module lint vuln experiments examples fuzz-smoke ci
+.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint vuln experiments examples fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,17 @@ bench-ff:
 ## the committed golden digests.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+## bench-pairs: compare the working tree's host speed against BASE (a git
+## revision) in PAIRS alternating runs of `bench/run.sh -workloads
+## $(WORKLOADS)`, then `-compare` the pooled sides; BENCH_FLAGS passes extra
+## run.sh flags (e.g. `-seed 3 -seconds 10`). BASE is checked out as a git
+## worktree under .bench_build/ for the duration (scripts/bench-pairs.sh).
+PAIRS ?= 10
+WORKLOADS ?= paper-grid
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<ref> [PAIRS=10] [WORKLOADS=a,b] [BENCH_FLAGS=...]" >&2; exit 2; }
+	bash scripts/bench-pairs.sh '$(BASE)' '$(PAIRS)' '$(WORKLOADS)' $(BENCH_FLAGS)
 
 ## lint: vet, gofmt, and the sgprs-lint determinism suite (DESIGN.md §14) —
 ## the same blocking gate CI runs.
