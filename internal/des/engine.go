@@ -6,7 +6,7 @@ import "fmt"
 // can cancel or reschedule it.
 //
 // Events come in two ownership flavours. Retained events (Schedule, After,
-// ScheduleKeyed) are owned by the caller: they may be cancelled and
+// and keyed events) are owned by the caller: they may be cancelled and
 // rescheduled — even after firing. Detached events (ScheduleFunc, AfterFunc,
 // AfterArg, AfterArgMonotone) never escape the engine: no pointer is
 // returned, so they cannot be cancelled or rescheduled, and the engine
@@ -14,12 +14,13 @@ import "fmt"
 // callback before the event re-enters the pool, so a reused Event can never
 // resurrect a previous occupant's callback.
 //
-// Keyed events (ScheduleKeyed) are retained events whose firing key the
-// caller supplies: a sequence number reserved earlier with NextSeq instead
-// of a fresh one. One keyed event can then stand in for a whole set of
-// firing keys its owner tracks outside the queue — the GPU device holds its
-// one completion timer at the least key of its running kernels — and the
-// engine orders it exactly as it would the event that key was reserved for.
+// Keyed events (InitKeyed, RescheduleKeyed) are retained events whose firing
+// key the caller supplies: a sequence number reserved earlier with NextSeq
+// instead of a fresh one. One keyed event can then stand in for a whole set
+// of firing keys its owner tracks outside the queue — the GPU device holds
+// its one completion timer at the least key of its running kernels — and
+// the engine orders it exactly as it would the event that key was reserved
+// for.
 type Event struct {
 	at    Time
 	seq   uint64
@@ -48,9 +49,9 @@ type Event struct {
 	// detached marks engine-owned events (no pointer escaped): they are
 	// auto-recycled when they fire.
 	detached bool
-	// keyed marks ScheduleKeyed events. Their owner keeps them for good:
-	// Reset unqueues them without pooling, and EncodePending leaves them
-	// out (the owner supplies the keys they stand for).
+	// keyed marks InitKeyed events. Their owner keeps them for good: the
+	// engine never pools them, and EncodePending leaves them out (the
+	// owner supplies the keys they stand for).
 	keyed bool
 }
 
@@ -129,8 +130,8 @@ type HeapStats struct {
 func (e *Engine) HeapStats() HeapStats { return e.stats }
 
 // NextSeq reserves the next sequence number, exactly as scheduling an event
-// would consume it, for a firing key the caller keeps itself and later hands
-// to ScheduleKeyed or RescheduleKeyed.
+// would consume it, for a firing key the caller keeps itself and may later
+// hand to RescheduleKeyed.
 func (e *Engine) NextSeq() uint64 {
 	s := e.seq
 	e.seq++
@@ -200,21 +201,17 @@ func (e *Engine) AfterFunc(d Time, label string, fn func(now Time)) {
 	e.ScheduleFunc(e.now.Add(d), label, fn)
 }
 
-// ScheduleKeyed queues a retained event under the caller-supplied key (at,
-// seq), where seq was reserved earlier with NextSeq; the call itself
-// consumes no sequence number. Its callback receives arg at fire time. The
-// owner keeps the event for good: RescheduleKeyed moves it, Cancel parks it,
-// Reset unqueues it without pooling it — so a reset owner re-arms it without
-// allocating — and EncodePending skips it, because the keys it stands for
-// reach the fingerprint as the owner's extra entries.
-func (e *Engine) ScheduleKeyed(at Time, seq uint64, label string, fn func(now Time, arg any), arg any) *Event {
-	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, seq, label)
-	ev.fnArg = fn
-	ev.arg = arg
-	ev.keyed = true
-	e.push(ev)
-	return ev
+// InitKeyed readies ev as an unqueued keyed event whose callback receives
+// arg at fire time. ev is the caller's for good — typically a value field of
+// a longer-lived struct, so it needs no allocation of its own: the engine
+// never pools it, Reset merely unqueues it, RescheduleKeyed queues and moves
+// it, Cancel parks it, and EncodePending skips it, because the keys it
+// stands for reach the fingerprint as the owner's extra entries.
+func (ev *Event) InitKeyed(label string, fn func(now Time, arg any), arg any) {
+	if fn == nil {
+		panic("des: keyed event with nil callback")
+	}
+	*ev = Event{index: -1, label: label, fnArg: fn, arg: arg, keyed: true}
 }
 
 // AfterArg queues a detached (fire-and-forget, auto-recycled) event whose
@@ -300,9 +297,9 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 	e.RescheduleKeyed(ev, at, e.NextSeq())
 }
 
-// RescheduleKeyed moves ev to the key (at, seq), re-queueing it if it
-// already fired or was cancelled. seq was reserved with NextSeq; the call
-// consumes none.
+// RescheduleKeyed moves ev to the key (at, seq), queueing it if it is not
+// queued (never armed, fired, or cancelled). seq was reserved with NextSeq;
+// the call consumes none.
 //
 // Moving a queued event above its heap key is O(1): only the authoritative
 // key changes (see Event), and the heap repair is deferred until the stale
@@ -353,7 +350,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // outstanding retained-Event handle is invalidated: callers must drop them
 // all before Reset, exactly as they would before discarding the engine. The
 // exception is keyed events: they are unqueued but stay with their owner,
-// who may re-arm them with RescheduleKeyed. After Reset the engine is
+// who re-arms them with RescheduleKeyed. After Reset the engine is
 // indistinguishable from NewEngine() — clock at zero, sequence counter and
 // heap counters at zero — so a run on a reset engine is bit-identical to
 // one on a fresh engine.

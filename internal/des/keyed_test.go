@@ -25,7 +25,7 @@ type keyWorld interface {
 	warp(delta Time)
 	reset()
 	engine() *Engine
-	extra() []Pending
+	extra(dst []Pending) []Pending
 }
 
 // keyTrial is the bookkeeping both worlds share: the live items in creation
@@ -110,8 +110,8 @@ type retainedWorld struct {
 	evs map[int]*Event
 }
 
-func (w *retainedWorld) engine() *Engine  { return w.e }
-func (w *retainedWorld) extra() []Pending { return nil }
+func (w *retainedWorld) engine() *Engine               { return w.e }
+func (w *retainedWorld) extra(dst []Pending) []Pending { return dst }
 
 func (w *retainedWorld) add(_, id int, at Time) {
 	w.evs[id] = w.e.Schedule(at, fmt.Sprint("item", id), func(now Time) {
@@ -147,19 +147,18 @@ type keyedWorld struct {
 	tr     *keyTrial
 	e      *Engine
 	items  [][]keyedItem
-	timers []*Event
+	timers []Event
 }
 
 func (w *keyedWorld) engine() *Engine { return w.e }
 
-func (w *keyedWorld) extra() []Pending {
-	var out []Pending
+func (w *keyedWorld) extra(dst []Pending) []Pending {
 	for _, its := range w.items {
 		for _, it := range its {
-			out = append(out, Pending{At: it.at, Seq: it.seq, Label: fmt.Sprint("item", it.id)})
+			dst = append(dst, Pending{At: it.at, Seq: it.seq, Label: fmt.Sprint("item", it.id)})
 		}
 	}
-	return out
+	return dst
 }
 
 func (w *keyedWorld) find(id int) (owner, i int) {
@@ -176,7 +175,7 @@ func (w *keyedWorld) find(id int) (owner, i int) {
 func (w *keyedWorld) arm(owner int) {
 	its := w.items[owner]
 	if len(its) == 0 {
-		w.e.Cancel(w.timers[owner])
+		w.e.Cancel(&w.timers[owner])
 		return
 	}
 	least := its[0]
@@ -185,11 +184,7 @@ func (w *keyedWorld) arm(owner int) {
 			least = it
 		}
 	}
-	if w.timers[owner] == nil {
-		w.timers[owner] = w.e.ScheduleKeyed(least.at, least.seq, "timer", w.fire, owner)
-		return
-	}
-	w.e.RescheduleKeyed(w.timers[owner], least.at, least.seq)
+	w.e.RescheduleKeyed(&w.timers[owner], least.at, least.seq)
 }
 
 func (w *keyedWorld) fire(now Time, arg any) {
@@ -264,7 +259,7 @@ func runKeyTrial(t *testing.T, seed int64, owners int, mk func(tr *keyTrial) key
 	tr.churn(0, 10+tr.rng.Intn(20))
 	for chunk := 0; chunk < 30; chunk++ {
 		e.RunUntil(e.Now() + Time(tr.rng.Intn(6)))
-		encs = append(encs, e.EncodePending(nil, tr.w.extra(), tag))
+		encs = append(encs, e.EncodePending(nil, tr.w.extra, tag))
 		switch {
 		case chunk == 15:
 			tr.w.reset()
@@ -306,7 +301,11 @@ func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
 			return &retainedWorld{tr: tr, e: NewEngine(), evs: map[int]*Event{}}
 		})
 		gotLog, gotEnc := runKeyTrial(t, seed, owners, func(tr *keyTrial) keyWorld {
-			return &keyedWorld{tr: tr, e: NewEngine(), items: make([][]keyedItem, owners), timers: make([]*Event, owners)}
+			w := &keyedWorld{tr: tr, e: NewEngine(), items: make([][]keyedItem, owners), timers: make([]Event, owners)}
+			for o := range w.timers {
+				w.timers[o].InitKeyed("timer", w.fire, o)
+			}
+			return w
 		})
 		if len(gotLog) != len(wantLog) {
 			t.Fatalf("trial %d: %d firings, want %d", trial, len(gotLog), len(wantLog))
@@ -340,35 +339,39 @@ func TestEncodePendingKeyedPlusExtra(t *testing.T) {
 	ref.Schedule(9, "c", nop)
 
 	k := NewEngine()
+	var timer Event
+	timer.InitKeyed("timer", nopArg, nil)
 	keys := []Pending{{At: 5, Seq: k.NextSeq(), Label: "a"}}
 	bSeq := k.NextSeq()
 	k.Schedule(5, "bg", nop)
-	timer := k.ScheduleKeyed(3, bSeq, "timer", nopArg, nil)
+	k.RescheduleKeyed(&timer, 3, bSeq)
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "b"})
-	k.RescheduleKeyed(timer, 5, keys[0].Seq) // the least key is now a's
+	k.RescheduleKeyed(&timer, 5, keys[0].Seq) // the least key is now a's
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "c"})
 
 	want := ref.EncodePending(nil, nil, tag)
-	got := k.EncodePending(nil, keys, tag)
+	got := k.EncodePending(nil, func(dst []Pending) []Pending { return append(dst, keys...) }, tag)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("keyed encoding\n%x\nwant\n%x", got, want)
 	}
 }
 
 // TestResetKeepsKeyedEvents: Reset unqueues a keyed event without pooling
-// it, so its owner re-arms the same event on the reset engine — no
-// allocation, no pool entry shared with another schedule.
+// it, so its owner re-arms it in place on the reset engine — no allocation,
+// no pool entry shared with another schedule.
 func TestResetKeepsKeyedEvents(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	ev := e.ScheduleKeyed(7, e.NextSeq(), "timer", func(Time, any) { fired++ }, nil)
+	var ev Event
+	ev.InitKeyed("timer", func(Time, any) { fired++ }, nil)
+	e.RescheduleKeyed(&ev, 7, e.NextSeq())
 	e.Schedule(8, "x", func(Time) {})
 	e.Reset()
 	if ev.Pending() || e.FreeEvents() != 1 {
 		t.Fatalf("after Reset: keyed pending=%v, free list %d, want false and 1 (only the plain event)", ev.Pending(), e.FreeEvents())
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		e.RescheduleKeyed(ev, e.Now()+3, e.NextSeq())
+		e.RescheduleKeyed(&ev, e.Now()+3, e.NextSeq())
 		e.Run()
 	})
 	if allocs != 0 || fired != 11 {
@@ -383,10 +386,12 @@ func TestResetKeepsKeyedEvents(t *testing.T) {
 func TestRescheduleKeyedBelowHeapKey(t *testing.T) {
 	e := NewEngine()
 	var order []string
+	var ev Event
+	ev.InitKeyed("keyed", func(Time, any) { order = append(order, "keyed") }, nil)
 	old := e.NextSeq()
 	e.Schedule(5, "mid", func(Time) { order = append(order, "mid") })
-	ev := e.ScheduleKeyed(5, e.NextSeq(), "keyed", func(Time, any) { order = append(order, "keyed") }, nil)
-	e.RescheduleKeyed(ev, 5, old)
+	e.RescheduleKeyed(&ev, 5, e.NextSeq())
+	e.RescheduleKeyed(&ev, 5, old)
 	if got := e.HeapStats().SiftUps; got != 1 {
 		t.Fatalf("sift-ups = %d, want 1", got)
 	}

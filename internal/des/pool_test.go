@@ -101,7 +101,9 @@ func TestArgCallbacksDeliverArgAndOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	record := func(_ Time, arg any) { order = append(order, arg.(int)) }
-	e.ScheduleKeyed(2*Millisecond, e.NextSeq(), "two", record, 2)
+	var two Event
+	two.InitKeyed("two", record, 2)
+	e.RescheduleKeyed(&two, 2*Millisecond, e.NextSeq())
 	e.AfterArg(Millisecond, "one", record, 1)
 	e.Schedule(3*Millisecond, "three", func(Time) { order = append(order, 3) })
 	e.Run()

@@ -49,7 +49,7 @@ func AppendStr(buf []byte, s string) []byte {
 }
 
 // Pending is one firing key a caller keeps outside the queue, stood for in
-// it by a keyed event (see ScheduleKeyed): the key as the engine would have
+// it by a keyed event (see InitKeyed): the key as the engine would have
 // held it — instant, reserved sequence number — plus the label and callback
 // argument EncodePending's tag callback resolves.
 type Pending struct {
@@ -78,8 +78,10 @@ type Pending struct {
 // same-instant events, while events scheduled after the snapshot draw fresh
 // sequence numbers larger than every pending one in both worlds.
 //
-// The engine's state is untouched; scratch is retained for reuse.
-func (e *Engine) EncodePending(buf []byte, extra []Pending, tag func(label string, arg any) uint64) []byte {
+// extra, when non-nil, appends the caller's entries to the slice it is
+// given and returns it. The engine's state is untouched; scratch is
+// retained for reuse.
+func (e *Engine) EncodePending(buf []byte, extra func(dst []Pending) []Pending, tag func(label string, arg any) uint64) []byte {
 	sc := e.encScratch[:0]
 	for _, ev := range e.queue {
 		if !ev.keyed {
@@ -89,7 +91,9 @@ func (e *Engine) EncodePending(buf []byte, extra []Pending, tag func(label strin
 	for _, ev := range e.mono[e.monoHead:] {
 		sc = append(sc, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label, Arg: ev.arg})
 	}
-	sc = append(sc, extra...)
+	if extra != nil {
+		sc = extra(sc)
+	}
 	slices.SortFunc(sc, func(a, b Pending) int {
 		if a.At != b.At {
 			if a.At < b.At {
@@ -113,11 +117,11 @@ func (e *Engine) EncodePending(buf []byte, extra []Pending, tag func(label strin
 }
 
 // Warp advances the clock by delta and translates every pending event with
-// it, preserving all relative offsets. Keys kept outside the queue (see
-// ScheduleKeyed) are their owner's to translate. The heap is untouched: adding one
-// constant to every key preserves the heap order, the monotone lane stays
-// nondecreasing, and a stale event's lower-bound heap position stays a lower
-// bound. Sequence numbers are untouched, so pending events still order before
+// it, preserving all relative offsets; keys kept outside the queue (see
+// InitKeyed) are their owner's to translate. The heap is untouched: adding
+// one constant to every key preserves the heap order, the monotone lane
+// stays nondecreasing, and a stale event's lower-bound heap position stays a
+// lower bound. Sequence numbers are untouched, so pending events still order before
 // anything scheduled after the warp — exactly as they would had the skipped
 // interval been simulated.
 func (e *Engine) Warp(delta Time) {

@@ -124,9 +124,9 @@ type Device struct {
 	// held at the least (finAt, finSeq) key among the running kernels, so
 	// the engine orders it exactly as it would have ordered that kernel's
 	// own finish event (DESIGN.md §3); next is that kernel, the one the
-	// timer completes when it fires. The timer is created on first use and
-	// survives engine and device resets.
-	timer *des.Event
+	// timer completes when it fires. The timer lives in the device — no
+	// allocation of its own — and survives engine and device resets.
+	timer des.Event
 	next  *Kernel
 
 	// effSMs is the device capacity every dynamic-rate computation divides
@@ -210,7 +210,7 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 	if eng == nil || model == nil {
 		return nil, fmt.Errorf("gpu: nil engine or model")
 	}
-	return &Device{
+	d := &Device{
 		eng:        eng,
 		model:      model,
 		cfg:        cfg,
@@ -218,7 +218,9 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 		ceilingQ:   quantizeCeiling(cfg.AggregateGainCap),
 		shapeValid: true,
 		effSMs:     cfg.TotalSMs,
-	}, nil
+	}
+	d.timer.InitKeyed("gpu.finish", timerFire, d)
+	return d, nil
 }
 
 // Reset returns the device to its just-constructed state under a (possibly
@@ -231,8 +233,8 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 // the free list, whatever state the previous run left it in. The caller must
 // Reset the driving engine first: the launch events of the kernels it
 // reclaims live in the engine's queue, and the engine reset is what drops
-// them. The completion timer is kept, parked, and re-armed without
-// allocating by the next run's first kernel start.
+// them. The completion timer is parked, and the next run's first kernel
+// start re-arms it.
 func (d *Device) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -244,7 +246,7 @@ func (d *Device) Reset(cfg Config) error {
 	d.lastUpdate = 0
 	d.observer = nil
 	d.hook = nil
-	d.eng.Cancel(d.timer)
+	d.eng.Cancel(&d.timer)
 	d.next = nil
 	d.effSMs = cfg.TotalSMs
 	d.kernelSeq = 0

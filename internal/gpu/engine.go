@@ -471,19 +471,14 @@ func earlier(a, b *Kernel) *Kernel {
 }
 
 // arm holds the device timer at next's completion key — the least among the
-// running kernels — or parks it when nothing runs. The timer is created on
-// first use and kept for the device's lifetime, across engine and device
-// resets alike (des.Engine.ScheduleKeyed).
+// running kernels — or parks it when nothing runs.
 func (d *Device) arm(next *Kernel) {
 	d.next = next
-	switch {
-	case next == nil:
-		d.eng.Cancel(d.timer)
-	case d.timer == nil:
-		d.timer = d.eng.ScheduleKeyed(next.finAt, next.finSeq, "gpu.finish", timerFire, d)
-	default:
-		d.eng.RescheduleKeyed(d.timer, next.finAt, next.finSeq)
+	if next == nil {
+		d.eng.Cancel(&d.timer)
+		return
 	}
+	d.eng.RescheduleKeyed(&d.timer, next.finAt, next.finSeq)
 }
 
 // scratchFloats returns *buf resized to the context count and zeroed.

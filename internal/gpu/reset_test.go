@@ -155,11 +155,11 @@ func TestFreeKernelTwicePanics(t *testing.T) {
 	dev.FreeKernel(k)
 }
 
-// TestResetDeviceRearmsTimerWithoutAllocating: the completion timer is the
-// device's for good. A reset taken mid-flight (engine first, then device)
-// parks it without handing it to the engine's pool, and the next run
-// re-arms the very same event: no per-run timer allocation, and no
-// allocation at all across steady start/complete cycles.
+// TestResetDeviceRearmsTimerWithoutAllocating: the completion timer lives in
+// the device. A reset taken mid-flight (engine first, then device) unqueues
+// it without handing it to the engine's pool — every other pending event
+// goes there — and the next run re-arms it in place: no per-run timer
+// allocation, and no allocation at all across steady start/complete cycles.
 func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, dev := newTestDevice(t, cfg)
@@ -174,16 +174,19 @@ func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 	s.Submit(convKernel("a", 5))
 	s.Submit(convKernel("b", 5))
 	eng.RunUntil(100 * des.Microsecond) // a is running, its timer queued
-	timer := dev.timer
-	if timer == nil || !timer.Pending() {
+	if !dev.timer.Pending() {
 		t.Fatal("no queued completion timer mid-flight")
 	}
+	free, pending := eng.FreeEvents(), eng.Pending()
 	eng.Reset()
 	if err := dev.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if timer.Pending() {
+	if dev.timer.Pending() {
 		t.Fatal("timer still queued after reset")
+	}
+	if got, want := eng.FreeEvents(), free+pending-1; got != want {
+		t.Fatalf("engine free list %d events after reset, want %d: the timer entered the pool", got, want)
 	}
 
 	s = stream()
@@ -196,8 +199,8 @@ func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 		dev.FreeKernel(k)
 	}
 	cycle()
-	if dev.timer != timer {
-		t.Fatal("reset device allocated a new completion timer")
+	if dev.CompletedKernels() != 1 {
+		t.Fatalf("completed %d kernels after reset, want 1", dev.CompletedKernels())
 	}
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Errorf("start/complete cycle allocates %v times, want 0", n)

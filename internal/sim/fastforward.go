@@ -247,8 +247,7 @@ func (r *ffRun) fingerprint(now des.Time) []byte {
 		buf = des.AppendU64(buf, uint64(taskID))
 		buf = des.AppendI64(buf, int64(last-now))
 	})
-	r.s.ffPend = r.s.dev.AppendPending(r.s.ffPend[:0])
-	buf = r.s.eng.EncodePending(buf, r.s.ffPend, r.eventTag)
+	buf = r.s.eng.EncodePending(buf, r.s.dev.AppendPending, r.eventTag)
 	buf = r.s.dev.EncodeState(buf, now, r.argEnc)
 	if r.coreSch != nil {
 		buf = r.coreSch.EncodeState(buf, r.jobEnc)

@@ -50,16 +50,14 @@ type Session struct {
 	tasks map[taskSetKey][]*rt.Task
 
 	// Fast-forward state (fastforward.go), reused across runs: the
-	// fingerprint build buffer and the device's pending-key entries, the
-	// arena of stored boundary fingerprints with their hash index, and the
-	// live-job warp dedup set. ffHash and
+	// fingerprint build buffer, the arena of stored boundary fingerprints
+	// with their hash index, and the live-job warp dedup set. ffHash and
 	// ffTrace are test hooks: ffHash overrides the fingerprint hash (the
 	// collision-safety tests truncate it to force collisions) and ffTrace,
 	// when set, fires at every release boundary — on the fast-forward and
 	// the reference path alike — so the lockstep equivalence tests can
 	// compare collector state boundary by boundary.
 	ffBuf    []byte
-	ffPend   []des.Pending
 	ffArena  []byte
 	ffEnts   []ffEntry
 	ffHashes map[uint64]int
