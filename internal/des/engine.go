@@ -69,12 +69,12 @@ func (e *Event) Pending() bool { return e.index >= 0 }
 // concurrent use; all callbacks run on the goroutine that calls Run.
 //
 // The pending-event queue is a concrete binary heap over (time, sequence)
-// keys — no container/heap interface dispatch — and fired or recycled events
+// keys — no container/heap interface dispatch — and fired detached events
 // return to a free list, so steady-state simulation schedules without
-// allocating. Because every event carries a unique, monotonically assigned
-// sequence number, heap comparisons never tie: the firing order is a pure
-// function of the schedule calls, independent of the heap's internal layout
-// or of event reuse.
+// allocating. Because every pending key carries a unique sequence number,
+// heap comparisons never tie: the firing order is a pure function of the
+// schedule calls, independent of the heap's internal layout or of event
+// reuse.
 type Engine struct {
 	now   Time
 	seq   uint64
