@@ -52,9 +52,13 @@ bench-long:
 
 ## bench-ff: the steady-state fast-forward benchmarks — the eligible 60 s
 ## run with the detector on versus DisableFastForward, plus the long-horizon
-## sweep it collapses (see DESIGN.md §12).
+## sweep it shortens (see DESIGN.md §12) — and the two layer micro-benches
+## under them: stats.RepeatedSum against the naive replay loop, and
+## metrics.Collector.Summary over a 300 s cell's backlog. Report-only: none
+## of them is in bench-gate.
 bench-ff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSteadyState|BenchmarkLongHorizon' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRepeatedSum|BenchmarkCollectorSummary' -benchmem ./internal/stats ./internal/metrics
 
 ## bench-module: vet and test the host-speed benchmark's own module (bench/,
 ## see bench/README.md). Being a separate module, it is outside the root

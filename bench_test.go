@@ -382,6 +382,17 @@ func reportHeap(b *testing.B, h des.HeapStats) {
 	b.ReportMetric(float64(h.SiftUps), "sift_ups")
 }
 
+// reportReplay reports one run's fast-forward replay work
+// (sim.Session.ReplayStats): the accounting adds performed one by one, the
+// explicit cycles they made up, the binade jumps taken instead, and the
+// queue-depth sort fallbacks.
+func reportReplay(b *testing.B, r sim.ReplayStats) {
+	b.ReportMetric(float64(r.Adds), "replay_adds")
+	b.ReportMetric(float64(r.Cycles), "replay_cycles")
+	b.ReportMetric(float64(r.Jumps), "binade_jumps")
+	b.ReportMetric(float64(r.SortFallbacks), "sort_fallbacks")
+}
+
 // ffEligible makes a configuration fast-forward eligible: contention
 // jitter — the only stochastic draw inside the device — zeroed, everything
 // else the calibrated default, with the seed offset Normalize would apply.
@@ -399,11 +410,16 @@ func ffEligible(cfg sgprs.RunConfig) sgprs.RunConfig {
 // per simulated second are independent of horizon length — before PR 3,
 // every released job was retained and the 60 s run held ~30× the heap. The
 // configuration is fast-forward eligible, so past the first recurrence the
-// detector extrapolates whole hyperperiod cycles analytically: wall time
-// and allocations collapse to roughly one cycle's worth however long the
-// horizon (the 600 s case is the stress point — simulating it in full costs
-// ~100× the 6 s acceptance grids). The allocs/simsec metric feeds the CI
-// benchmark-delta report via BENCH_13.json.
+// detector extrapolates whole hyperperiod cycles: the device integrals jump
+// whole cycles of adds per binade (stats.RepeatedSum), so their cost grows
+// with the binades crossed, not the cycles skipped. What still grows
+// linearly with the horizon is the collector's per-job work — one
+// response-time slot and one backlog interval per skipped release, written
+// by Replay and read by Summary — so wall time is far below full simulation
+// (the 600 s case costs ~100× the 6 s acceptance grids in full) but not one
+// cycle's worth. replay_adds counts the adds still performed. The
+// allocs/simsec metric feeds the CI benchmark-delta report via
+// BENCH_13.json.
 func BenchmarkLongHorizon(b *testing.B) {
 	for _, sec := range []float64{2, 60, 600} {
 		sec := sec
@@ -426,6 +442,7 @@ func BenchmarkLongHorizon(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/sec, "allocs/simsec")
+			reportReplay(b, sess.ReplayStats())
 		})
 	}
 }
@@ -435,7 +452,8 @@ func BenchmarkLongHorizon(b *testing.B) {
 // simulates every one of the ~1800 release cycles; fast-forward simulates a
 // few dozen boundaries, extrapolates the rest analytically, and the results
 // stay bit-identical (TestFastForwardBitIdenticalScenarios pins this).
-// cycles_skipped reports how much of the horizon was never simulated.
+// cycles_skipped reports how much of the horizon was never simulated, and
+// the replay counters (reportReplay) what extrapolating it cost.
 func BenchmarkSteadyState(b *testing.B) {
 	base := ffEligible(ablationBase())
 	base.HorizonSec = 60
@@ -461,6 +479,7 @@ func BenchmarkSteadyState(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(res.FastForward.CyclesSkipped), "cycles_skipped")
+			reportReplay(b, sess.ReplayStats())
 		})
 	}
 }

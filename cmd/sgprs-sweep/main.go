@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -225,8 +226,12 @@ func resolveSpec(cfgPath, experiment string, scenario int, tasks string, horizon
 // applyTraffic overlays the open-loop traffic flags on the resolved spec:
 // the arrival process (or trace) on every variant, the SLO, and the
 // arrival-rate axis. Empty flags leave the spec untouched, so registered
-// experiments with their own arrivals run as declared.
+// experiments with their own arrivals run as declared. A malformed -slo is an
+// error naming the flag, not a silent "no SLO".
 func applyTraffic(spec *exp.Spec, arrival, tracePath, rates string, sloMS, periodSec float64) error {
+	if !(sloMS >= 0) || math.IsInf(sloMS, 1) {
+		return fmt.Errorf("invalid -slo %v (want a finite number of milliseconds >= 0; 0 = none)", sloMS)
+	}
 	var proc workload.Arrival
 	switch {
 	case tracePath != "":
@@ -295,9 +300,14 @@ func applyFaults(spec *exp.Spec, arg string) error {
 // (fleet-failover, fleet-shootout) run as declared; -devices 1 explicitly
 // collapses a fleet spec back to single-device runs, clearing the fleet-only
 // options so sim.Normalize accepts the result. A devices axis keeps priority
-// over the flag — the axis overwrites the field per grid cell anyway.
+// over the flag — the axis overwrites the field per grid cell anyway. -admit
+// takes a fraction in [0, 1] or the default -1 (leave as declared); anything
+// else is an error naming the flag.
 func applyFleet(spec *exp.Spec, devices int, placement, failover string, admit float64) error {
-	if devices == 0 && placement == "" && failover == "" && admit < 0 {
+	if admit != -1 && !(admit >= 0 && admit <= 1) {
+		return fmt.Errorf("invalid -admit %v (want a fraction in [0, 1], or -1 to leave the spec as declared)", admit)
+	}
+	if devices == 0 && placement == "" && failover == "" && admit == -1 {
 		return nil
 	}
 	pl, err := cluster.ParsePlacement(placement)
@@ -350,8 +360,8 @@ func parseArrival(s string, periodSec float64) (workload.Arrival, error) {
 		}
 		rate = v
 	}
-	if periodSec < 0 {
-		return nil, fmt.Errorf("invalid arrival period %v (must be >= 0)", periodSec)
+	if !(periodSec >= 0) || math.IsInf(periodSec, 1) {
+		return nil, fmt.Errorf("invalid -arrival-period %v (want a finite number of seconds >= 0; 0 = defaults)", periodSec)
 	}
 	k := strings.TrimSpace(kind)
 	if periodSec > 0 && k != "bursty" && k != "diurnal" {

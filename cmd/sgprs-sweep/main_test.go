@@ -1,9 +1,12 @@
 package main
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"sgprs/internal/exp"
 	"sgprs/internal/workload"
 )
 
@@ -46,4 +49,57 @@ func TestParseArrivalPeriod(t *testing.T) {
 			t.Errorf("%s: parseArrival(%q, %v) = %+v, want %+v", tc.name, tc.arrival, tc.period, got, tc.want)
 		}
 	}
+}
+
+// TestMalformedTrafficAndFleetFlags pins that malformed -slo, -arrival-period
+// and -admit values fail with an error naming the flag instead of running as
+// if the flag were unset, and that the documented values still pass: -slo 0
+// (none), -arrival-period 0 (defaults) and -admit -1 (leave as declared).
+func TestMalformedTrafficAndFleetFlags(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		apply   func(*exp.Spec) error
+		wantErr string // flag the error must name; "" = must succeed
+	}{
+		{"slo negative", traffic("", -5, 0), "-slo"},
+		{"slo NaN", traffic("", nan, 0), "-slo"},
+		{"slo Inf", traffic("", inf, 0), "-slo"},
+		{"slo none", traffic("", 0, 0), ""},
+		{"slo set", traffic("", 33.3, 0), ""},
+		{"period NaN", traffic("diurnal", 0, nan), "-arrival-period"},
+		{"period Inf", traffic("diurnal", 0, inf), "-arrival-period"},
+		{"period negative", traffic("bursty", 0, -2), "-arrival-period"},
+		{"period default", traffic("diurnal", 0, 0), ""},
+		{"admit NaN", fleet(2, nan), "-admit"},
+		{"admit negative", fleet(2, -0.5), "-admit"},
+		{"admit above one", fleet(2, 1.5), "-admit"},
+		{"admit NaN alone", fleet(0, nan), "-admit"},
+		{"admit unset", fleet(2, -1), ""},
+		{"admit zero", fleet(2, 0), ""},
+		{"admit set", fleet(2, 0.8), ""},
+	}
+	for _, tc := range cases {
+		spec, err := exp.Scenario(1, []int{4}, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.apply(spec)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %s", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr+" "):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+func traffic(arrival string, sloMS, periodSec float64) func(*exp.Spec) error {
+	return func(s *exp.Spec) error { return applyTraffic(s, arrival, "", "", sloMS, periodSec) }
+}
+
+func fleet(devices int, admit float64) func(*exp.Spec) error {
+	return func(s *exp.Spec) error { return applyFleet(s, devices, "", "", admit) }
 }

@@ -33,6 +33,7 @@ import (
 
 	"sgprs/internal/des"
 	"sgprs/internal/speedup"
+	"sgprs/internal/stats"
 )
 
 // Config holds the device parameters. The zero Config is invalid; start from
@@ -183,11 +184,13 @@ type Device struct {
 
 	// Fast-forward measurement-cycle recording (ff.go): while recording,
 	// advance appends each accounting operand pair so ReplayCycles can
-	// re-apply the identical add sequence over extrapolated cycles.
+	// reproduce the identical add sequence over extrapolated cycles;
+	// replayCounts tallies its work (ReplayStats).
 	recording    bool
 	recWork      []float64
 	recBusy      []float64
 	recCompleted uint64
+	replayCounts stats.RepeatCounts
 
 	// kernels is every kernel NewKernel ever allocated and freeKernels
 	// the ones available for reuse. The device owns them all: schedulers
@@ -265,6 +268,7 @@ func (d *Device) Reset(cfg Config) error {
 	d.recWork = d.recWork[:0]
 	d.recBusy = d.recBusy[:0]
 	d.recCompleted = 0
+	d.replayCounts = stats.RepeatCounts{}
 	d.freeKernels = d.freeKernels[:0]
 	for _, k := range d.kernels {
 		*k = Kernel{pooled: true}

@@ -1,6 +1,9 @@
 package gpu
 
-import "sgprs/internal/des"
+import (
+	"sgprs/internal/des"
+	"sgprs/internal/stats"
+)
 
 // This file is the device half of the steady-state fast-forward layer
 // (DESIGN.md §12): the canonical encoding of all dynamic device state, the
@@ -138,7 +141,7 @@ func (d *Device) Warp(delta des.Time) {
 
 // BeginRecording starts capturing the per-advance accounting operands of one
 // measurement cycle. advance chains its adds onto the running totals, so the
-// replay must re-apply the identical operand sequence — not a per-cycle sum,
+// replay must reproduce the identical operand sequence — not a per-cycle sum,
 // which would round differently.
 func (d *Device) BeginRecording() {
 	d.recording = true
@@ -154,20 +157,23 @@ func (d *Device) EndRecording() (completedDelta uint64) {
 	return d.completedKernels - d.recCompleted
 }
 
-// ReplayCycles applies the recorded accounting sequence k more times — the
-// exact adds, with the exact operands, full simulation of k further cycles
-// would have performed (the operands are functions of the recurring state,
-// so they repeat verbatim; only the running totals evolve, exactly as they
-// would have).
+// ReplayCycles advances the accounting totals by k more recorded cycles,
+// bit-identically to applying the exact adds, with the exact operands, that
+// full simulation of k further cycles would have performed (the operands
+// are functions of the recurring state, so they repeat verbatim; only the
+// running totals evolve). The two totals never read each other, so each is
+// replayed on its own by stats.RepeatedSum, which jumps whole cycles of
+// adds in integer ulps.
 func (d *Device) ReplayCycles(k int, completedDelta uint64) {
-	for c := 0; c < k; c++ {
-		for i, w := range d.recWork {
-			d.workDone += w
-			d.busySMTime += d.recBusy[i]
-		}
-	}
+	d.workDone = stats.RepeatedSum(d.workDone, d.recWork, k, &d.replayCounts)
+	d.busySMTime = stats.RepeatedSum(d.busySMTime, d.recBusy, k, &d.replayCounts)
 	d.completedKernels += uint64(k) * completedDelta
 }
+
+// ReplayStats reports the replay work of the run so far: the float adds
+// ReplayCycles performed one by one, the cycles they made up, and the
+// multi-cycle jumps it took instead.
+func (d *Device) ReplayStats() stats.RepeatCounts { return d.replayCounts }
 
 // ForEachKernelArg visits the scheduler payload of every kernel the device
 // currently holds — running, pending launch, or queued — so the fast-forward

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sgprs/internal/des"
 	"sgprs/internal/rt"
@@ -29,8 +30,11 @@ import (
 // profile is likewise order-independent: every released job gets an
 // interval record (Job.BacklogSlot) whose endpoints match what EvaluateSLO
 // reads off retained jobs, and queueDepth derives the depth statistics from
-// the interval multiset alone. TestCollectorMatchesEvaluate and the sim
-// streaming-equivalence tests pin all of this.
+// the interval multiset alone. It reads that multiset in ascending order,
+// which the collector has without sorting: releases arrive in time order,
+// and every completion or discard instant is logged in event order, which
+// the monotone engine clock keeps ascending. TestCollectorMatchesEvaluate and
+// the sim streaming-equivalence tests pin all of this.
 //
 // Missed-job accounting needs no deadline timers: an in-window released job
 // has Deadline < horizon by construction, so at the horizon every such job
@@ -57,14 +61,17 @@ type Collector struct {
 	// them, unlike resp), in release order: the release instant paired
 	// with the completion/discard instant, des.Never while pending.
 	starts, ends []des.Time
+	// endLog holds every completion/discard instant in the order the
+	// events arrived — ascending whenever they arrive in time order, as
+	// they do from the engine — so queueDepth can sweep it unsorted.
+	endLog []des.Time
+	// depthSorts counts the queueDepth inputs Summary found out of order
+	// and had to sort (SortFallbacks).
+	depthSorts int
 	// scratch and sorted are Summary's reused buffers: the release-order
 	// compaction (mean summation order) and its sorted copy (quantiles).
 	scratch []float64
 	sorted  []float64
-	// depthStarts and depthEnds are queueDepth's reused sort scratch —
-	// the live interval slices cannot be sorted in place without breaking
-	// the BacklogSlot indexing.
-	depthStarts, depthEnds []des.Time
 
 	// Degraded-window attribution (fault injection, DESIGN.md §13): the
 	// injector toggles degraded at each SM-degradation window edge, and
@@ -117,6 +124,8 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	c.resp = c.resp[:0]
 	c.starts = c.starts[:0]
 	c.ends = c.ends[:0]
+	c.endLog = c.endLog[:0]
+	c.depthSorts = 0
 	c.recording = false
 	c.recOps = c.recOps[:0]
 	c.degraded = false
@@ -178,6 +187,7 @@ func (c *Collector) JobReleased(j *rt.Job, now des.Time) {
 func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 	if j.BacklogSlot >= 0 {
 		c.ends[j.BacklogSlot] = now
+		c.endLog = append(c.endLog, now)
 	}
 	inWin := now >= c.warmUp && now < c.horizon
 	if inWin {
@@ -217,6 +227,7 @@ func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 func (c *Collector) JobDiscarded(j *rt.Job, now des.Time) {
 	if j.BacklogSlot >= 0 {
 		c.ends[j.BacklogSlot] = now
+		c.endLog = append(c.endLog, now)
 	}
 	if j.MetricsSlot >= 0 {
 		c.dropped++
@@ -264,8 +275,22 @@ func (c *Collector) Summary() Summary {
 		}
 	}
 	c.scratch = resp
-	c.depthStarts = append(c.depthStarts[:0], c.starts...)
-	c.depthEnds = append(c.depthEnds[:0], c.ends...)
-	c.sorted = s.finish(resp, c.sorted[:0], c.depthStarts, c.depthEnds, c.sloMS, sloHits)
+	// Releases and ends arrive in time order from the engine; only a
+	// caller delivering callbacks out of order pays for sorted copies.
+	b := backlog{starts: c.starts, ends: c.ends, byStart: c.starts, byEnd: c.endLog}
+	if !slices.IsSorted(b.byStart) {
+		b.byStart = slices.Sorted(slices.Values(b.byStart))
+		c.depthSorts++
+	}
+	if !slices.IsSorted(b.byEnd) {
+		b.byEnd = slices.Sorted(slices.Values(b.byEnd))
+		c.depthSorts++
+	}
+	c.sorted = s.finish(resp, c.sorted[:0], b, c.sloMS, sloHits)
 	return s
 }
+
+// SortFallbacks reports how many queue-depth inputs — the release or the end
+// instants — Summary has found out of time order since Reset and sorted in a
+// copy. Runs driven by the engine deliver both in order, so it stays 0.
+func (c *Collector) SortFallbacks() int { return c.depthSorts }

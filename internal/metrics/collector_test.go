@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sgprs/internal/des"
@@ -11,7 +13,7 @@ import (
 )
 
 // mkTask builds a profiled 2-stage synthetic task.
-func mkTask(t *testing.T, id int, period des.Time) *rt.Task {
+func mkTask(t testing.TB, id int, period des.Time) *rt.Task {
 	t.Helper()
 	g := dnn.TinyCNN(dnn.DefaultCostModel())
 	stages, err := dnn.Partition(g, 2)
@@ -34,6 +36,11 @@ func mkTask(t *testing.T, id int, period des.Time) *rt.Task {
 // JobDiscarded; jobs still pending at the horizon get no callback — the
 // three end states the schedulers produce. Returns the streaming summary.
 func replay(jobs []*rt.Job, perm []int, warmUp, horizon des.Time, sloMS float64) Summary {
+	return collect(jobs, perm, warmUp, horizon, sloMS).Summary()
+}
+
+// collect is replay without the final Summary.
+func collect(jobs []*rt.Job, perm []int, warmUp, horizon des.Time, sloMS float64) *Collector {
 	c := NewCollector(warmUp, horizon)
 	c.SetSLO(sloMS)
 	for _, j := range jobs {
@@ -48,7 +55,7 @@ func replay(jobs []*rt.Job, perm []int, warmUp, horizon des.Time, sloMS float64)
 			c.JobDiscarded(j, j.DiscardedAt)
 		}
 	}
-	return c.Summary()
+	return c
 }
 
 // TestCollectorMatchesEvaluate is the bit-identity test: over a mixed
@@ -121,6 +128,99 @@ func TestCollectorMatchesEvaluate(t *testing.T) {
 			t.Errorf("%s: streaming summary differs from Evaluate:\nwant %+v\ngot  %+v", name, want, got)
 		}
 	}
+}
+
+// TestCollectorSortFallbackMatchesFastPath pins the queue-depth fast path
+// against its fallback: over randomized intervals, a collector fed in time
+// order (the engine's order; queueDepth sweeps its logs as they are) and one
+// fed out of order (queueDepth sorts copies first) must give identical
+// Summaries, both equal to EvaluateSLO.
+func TestCollectorSortFallbackMatchesFastPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	task := mkTask(t, 0, des.FromMillis(40))
+	for trial := 0; trial < 200; trial++ {
+		var jobs []*rt.Job
+		var release des.Time
+		for i, n := 0, 1+rng.Intn(300); i < n; i++ {
+			// Gaps of zero make coincident releases and ends.
+			release += des.FromMillis(float64(rng.Intn(4) * 5))
+			j := task.NewJob(i, release)
+			switch end := release.Add(des.FromMillis(float64(rng.Intn(12) * 5))); rng.Intn(4) {
+			case 0, 1:
+				j.Stages[1].MarkFinished(end)
+			case 2:
+				j.Discard(end)
+			}
+			jobs = append(jobs, j)
+		}
+		warmUp := des.FromMillis(float64(rng.Intn(200)))
+		horizon := warmUp + des.FromMillis(float64(1+rng.Intn(int(release/des.Millisecond)+100)))
+		sloMS := float64(rng.Intn(3) * 20)
+
+		byEnd := make([]int, len(jobs))
+		for i := range byEnd {
+			byEnd[i] = i
+		}
+		slices.SortStableFunc(byEnd, func(a, b int) int { return cmp.Compare(jobEnd(jobs[a]), jobEnd(jobs[b])) })
+		shuffled := slices.Clone(byEnd)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		fast := collect(jobs, byEnd, warmUp, horizon, sloMS)
+		slow := collect(jobs, shuffled, warmUp, horizon, sloMS)
+		fastSum, slowSum := fast.Summary(), slow.Summary()
+		if fb := fast.SortFallbacks(); fb != 0 {
+			t.Fatalf("trial %d: time-ordered callbacks took %d sort fallbacks", trial, fb)
+		}
+		var logged []des.Time // the shuffled order's end log
+		for _, i := range shuffled {
+			if e := jobEnd(jobs[i]); e != des.Never {
+				logged = append(logged, e)
+			}
+		}
+		if !slices.IsSorted(logged) && slow.SortFallbacks() == 0 {
+			t.Fatalf("trial %d: out-of-order callbacks took no sort fallback", trial)
+		}
+		if !reflect.DeepEqual(fastSum, slowSum) {
+			t.Fatalf("trial %d: fast path and sort fallback differ:\nfast %+v\nslow %+v", trial, fastSum, slowSum)
+		}
+		if want := EvaluateSLO(jobs, warmUp, horizon, sloMS); !reflect.DeepEqual(want, fastSum) {
+			t.Fatalf("trial %d: collector differs from EvaluateSLO:\nwant %+v\ngot  %+v", trial, want, fastSum)
+		}
+	}
+}
+
+// BenchmarkCollectorSummary times Summary over a 300 s steady-state cell's
+// worth of jobs — about 175,000 backlog intervals recorded in engine order,
+// the case that needs no queue-depth sort.
+func BenchmarkCollectorSummary(b *testing.B) {
+	period := des.FromMillis(10)
+	task := mkTask(b, 0, period)
+	const n = 175000
+	horizon := des.Time(int64(period) * (n + 2))
+	c := NewCollector(des.Second, horizon)
+	var pending []*rt.Job
+	for i := 0; i < n; i++ {
+		now := des.Time(int64(period) * int64(i))
+		// Each job finishes 2.5 periods after release, so three overlap.
+		for len(pending) > 0 && pending[0].Release.Add(period*5/2) <= now {
+			j := pending[0]
+			pending[0] = nil // let the finished job go
+			pending = pending[1:]
+			end := j.Release.Add(period * 5 / 2)
+			j.Stages[1].MarkFinished(end)
+			c.JobDone(j, end)
+		}
+		j := task.NewJob(i, now)
+		c.JobReleased(j, now)
+		pending = append(pending, j)
+	}
+	c.Summary() // grow the reused buffers outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Summary()
+	}
+	b.ReportMetric(float64(c.SortFallbacks()), "sort_fallbacks")
 }
 
 // TestCollectorWindowing pins the window-edge semantics Evaluate has: warm-up

@@ -105,6 +105,7 @@ func (c *Collector) Replay(k int, cycle des.Time) {
 				}
 			case opDone:
 				c.ends[op.slot+ds] = op.at + shift
+				c.endLog = append(c.endLog, op.at+shift)
 				if op.inWin {
 					c.completed++
 				}
@@ -117,6 +118,7 @@ func (c *Collector) Replay(k int, cycle des.Time) {
 				}
 			case opDiscard:
 				c.ends[op.slot+ds] = op.at + shift
+				c.endLog = append(c.endLog, op.at+shift)
 				if op.hasResp {
 					c.dropped++
 				}
@@ -165,6 +167,7 @@ type CollectorSnapshot struct {
 	Dropped           int
 	Resp              []float64
 	Starts, Ends      []des.Time
+	EndLog            []des.Time
 }
 
 // DebugSnapshot copies the collector's counters and slot arrays.
@@ -178,6 +181,7 @@ func (c *Collector) DebugSnapshot() CollectorSnapshot {
 		Resp:              append([]float64(nil), c.resp...),
 		Starts:            append([]des.Time(nil), c.starts...),
 		Ends:              append([]des.Time(nil), c.ends...),
+		EndLog:            append([]des.Time(nil), c.endLog...),
 	}
 }
 

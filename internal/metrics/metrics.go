@@ -180,8 +180,23 @@ func EvaluateSLO(jobs []*rt.Job, warmUp, horizon des.Time, sloMS float64) Summar
 			}
 		}
 	}
-	s.finish(resp, nil, starts, ends, sloMS, sloHits)
+	b := backlog{
+		starts:  starts,
+		ends:    ends,
+		byStart: slices.Sorted(slices.Values(starts)),
+		byEnd:   slices.Sorted(slices.Values(ends)),
+	}
+	s.finish(resp, nil, b, sloMS, sloHits)
 	return s
+}
+
+// backlog is the input of the admission-backlog profile. starts[i] and
+// ends[i] are job i's interval (des.Never while pending); byStart and byEnd
+// hold the same start and end instants in ascending order — byEnd may omit
+// des.Never ends, which the depth sweep never reaches.
+type backlog struct {
+	starts, ends   []des.Time
+	byStart, byEnd []des.Time
 }
 
 // jobEnd reports the instant a job left the admission backlog: completion,
@@ -205,11 +220,11 @@ func jobEnd(j *rt.Job) des.Time {
 // float operation happens in the same order and the results are
 // bit-identical (the house streaming-equivalence invariant).
 //
-// resp must be in release order; starts/ends are the backlog intervals of
-// all jobs (sorted in place — callers pass scratch). sortBuf, when
-// non-nil, is reused for the sorted response copy; the (possibly grown)
-// buffer is returned so streaming callers can keep it across runs.
-func (s *Summary) finish(resp, sortBuf []float64, starts, ends []des.Time, sloMS float64, sloHits int) []float64 {
+// resp must be in release order; b is the backlog of all jobs, read but
+// not modified. sortBuf, when non-nil, is reused for the sorted response
+// copy; the (possibly grown) buffer is returned so streaming callers can
+// keep it across runs.
+func (s *Summary) finish(resp, sortBuf []float64, b backlog, sloMS float64, sloHits int) []float64 {
 	window := (s.Horizon - s.WarmUp).Seconds()
 	s.TotalFPS = float64(s.Completed) / window
 	if s.Released > 0 {
@@ -225,7 +240,7 @@ func (s *Summary) finish(resp, sortBuf []float64, starts, ends []des.Time, sloMS
 		s.RespP999MS = stats.QuantileSorted(sortBuf, 0.999)
 		s.RespMaxMS = stats.QuantileSorted(sortBuf, 1.0)
 	}
-	integral, maxDepth := queueDepth(starts, ends, s.WarmUp, s.Horizon)
+	integral, maxDepth := queueDepth(b, s.WarmUp, s.Horizon)
 	s.QueueDepthMax = maxDepth
 	s.QueueDepthMean = float64(integral) / float64(s.Horizon-s.WarmUp)
 	if sloMS > 0 {
@@ -246,10 +261,11 @@ func (s *Summary) finish(resp, sortBuf []float64, starts, ends []des.Time, sloMS
 // Both results are pure functions of the interval multiset, independent of
 // the order events were observed in; that is what lets the streaming
 // collector match the batch path bit for bit even though completions arrive
-// out of release order. Sorts starts and ends in place.
-func queueDepth(starts, ends []des.Time, warmUp, horizon des.Time) (integral int64, maxDepth int) {
-	for i := range starts {
-		s, e := starts[i], ends[i]
+// out of release order. The integral reads the slot-paired intervals, the
+// maximum sweeps the ascending byStart and byEnd.
+func queueDepth(b backlog, warmUp, horizon des.Time) (integral int64, maxDepth int) {
+	for i := range b.starts {
+		s, e := b.starts[i], b.ends[i]
 		if s < warmUp {
 			s = warmUp
 		}
@@ -260,8 +276,7 @@ func queueDepth(starts, ends []des.Time, warmUp, horizon des.Time) (integral int
 			integral += int64(e - s)
 		}
 	}
-	slices.Sort(starts)
-	slices.Sort(ends)
+	starts, ends := b.byStart, b.byEnd
 	// Sweep the starts in time order, popping ends that precede them; the
 	// depth right after each start inside the window is a candidate
 	// maximum, as is the depth at warmUp itself (jobs can straddle it).

@@ -176,7 +176,59 @@ func snapshotsEqual(a, b metrics.CollectorSnapshot) bool {
 			return false
 		}
 	}
-	return slices.Equal(a.Starts, b.Starts) && slices.Equal(a.Ends, b.Ends)
+	return slices.Equal(a.Starts, b.Starts) && slices.Equal(a.Ends, b.Ends) &&
+		slices.Equal(a.EndLog, b.EndLog)
+}
+
+// TestFastForwardLongHorizon pins the replay at horizons where the
+// accounting totals cross many more binades than the 6 s grids do: each
+// cross is where stats.RepeatedSum must switch from jumping whole cycles to
+// adding one explicitly. A 150 s run fast-forwarded must DeepEqual the same
+// run simulated in full, for SGPRS 2.0x on two contexts and for naive, and
+// neither run may reach the collector's queue-depth sort fallback.
+func TestFastForwardLongHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 150 s in full twice")
+	}
+	cache := memo.New()
+	for _, kind := range []Kind{KindSGPRS, KindNaive} {
+		cfg := RunConfig{
+			Kind: kind, Name: "long", ContextSMs: ContextPool(2, 2.0, speedup.DeviceSMs),
+			NumTasks: 16, HorizonSec: 150, Seed: 1, GPU: eligibleGPU(1),
+		}
+		if kind == KindNaive {
+			cfg.ContextSMs = ContextPool(2, 1.0, speedup.DeviceSMs)
+		}
+		ref := cfg
+		ref.DisableFastForward = true
+		refSess, sess := NewSession(cache), NewSession(cache)
+		want, err := refSess.Run(ref)
+		if err != nil {
+			t.Fatalf("kind=%v reference: %v", kind, err)
+		}
+		got, err := sess.Run(cfg)
+		if err != nil {
+			t.Fatalf("kind=%v fast-forward: %v", kind, err)
+		}
+		skipped := got.FastForward.CyclesSkipped
+		if skipped == 0 {
+			t.Fatalf("kind=%v: fast-forward never engaged", kind)
+		}
+		got.FastForward = metrics.FFStats{}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("kind=%v: fast-forward differs from full simulation\nwant %+v\ngot  %+v",
+				kind, want, got)
+		}
+		rs := sess.ReplayStats()
+		if rs.Jumps == 0 || rs.Cycles == 0 {
+			t.Errorf("kind=%v: replay took %d jumps and %d explicit cycles; the binade path is not exercised",
+				kind, rs.Jumps, rs.Cycles)
+		}
+		if fb := refSess.ReplayStats().SortFallbacks + rs.SortFallbacks; fb != 0 {
+			t.Errorf("kind=%v: %d queue-depth sort fallbacks, want 0", kind, fb)
+		}
+		t.Logf("kind=%v: %d cycles skipped; replay %+v", kind, skipped, rs)
+	}
 }
 
 // TestFastForwardCollisionSafety forces fingerprint hash collisions — a

@@ -11,6 +11,7 @@ import (
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
 	"sgprs/internal/speedup"
+	"sgprs/internal/stats"
 	"sgprs/internal/workload"
 )
 
@@ -240,6 +241,29 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 // pin the simulation's output.
 func (s *Session) EngineStats() (fired uint64, heap des.HeapStats) {
 	return s.eng.Fired(), s.eng.HeapStats()
+}
+
+// ReplayStats is the host-side work of the last run's fast-forward replay
+// and metric fold: the accounting adds gpu.Device.ReplayCycles performed
+// one by one (Adds, over Cycles explicit cycles) against the multi-cycle
+// binade jumps it took instead (Jumps, see stats.RepeatedSum), and the
+// queue-depth inputs metrics.Collector.Summary had to sort (SortFallbacks).
+type ReplayStats struct {
+	stats.RepeatCounts
+	SortFallbacks int
+}
+
+// ReplayStats reports the last run's replay work. Like EngineStats it
+// measures host cost and stays out of Result.
+func (s *Session) ReplayStats() ReplayStats {
+	var r ReplayStats
+	if s.dev != nil {
+		r.RepeatCounts = s.dev.ReplayStats()
+	}
+	if s.collector != nil {
+		r.SortFallbacks = s.collector.SortFallbacks()
+	}
+	return r
 }
 
 // taskSet returns the built task set for the configuration, reusing a
