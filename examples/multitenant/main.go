@@ -4,8 +4,9 @@
 // TinyCNN gesture detector) run under SGPRS on a three-context pool.
 //
 // This example wires the lower-level API directly — device, profiler,
-// scheduler, generator — instead of going through the sim front end, to show
-// how heterogeneous task sets are assembled.
+// scheduler, generator, streaming metrics collectors — instead of going
+// through the sim front end, to show how heterogeneous task sets are
+// assembled.
 //
 //	go run ./examples/multitenant
 package main
@@ -20,6 +21,7 @@ import (
 	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/profile"
+	"sgprs/internal/rt"
 	"sgprs/internal/sim"
 	"sgprs/internal/speedup"
 	"sgprs/internal/workload"
@@ -27,13 +29,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	eng := des.NewEngine()
 	model := speedup.DefaultModel()
-	dev, err := gpu.NewDevice(eng, model, gpu.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	cm := dnn.DefaultCostModel()
 	vgg := dnn.VGG11(cm)
 	// VGG11's raw cost model is relative; pin it to a plausible absolute
@@ -49,13 +45,45 @@ func main() {
 		{Name: "gesture-tinycnn", Graph: tiny, Stages: 2, FPS: 60},
 		{Name: "gesture-tinycnn-b", Graph: tiny, Stages: 2, FPS: 60},
 	}
+	pool := sim.ContextPool(3, 1.5, speedup.DeviceSMs)
+	horizon := des.FromSeconds(6)
+
+	// A job carries the slots of one collector only, so the per-tenant
+	// table and the total come from two identical runs.
+	tenants := make(byTenant, len(specs))
+	for i := range tenants {
+		tenants[i] = metrics.NewCollector(des.Second, horizon)
+	}
+	tasks, _, _ := simulate(model, specs, pool, horizon, tenants)
+	total := metrics.NewCollector(des.Second, horizon)
+	_, dev, sched := simulate(model, specs, pool, horizon, total)
+
+	fmt.Printf("multi-tenant inference under SGPRS: %v SMs, 6 s simulated\n\n", pool)
+	fmt.Printf("%-20s %6s %8s %8s %10s\n", "tenant", "rate", "fps", "dmr", "p99(ms)")
+	for _, task := range tasks {
+		sum := tenants[task.ID].Summary()
+		fmt.Printf("%-20s %6.0f %8.1f %8.4f %10.2f\n",
+			task.Name, 1/task.Period.Seconds(), sum.TotalFPS, sum.DMR, sum.RespP99MS)
+	}
+	fmt.Printf("\ntotal: %s\n", total.Summary())
+	fmt.Printf("device utilisation %.1f%%, medium promotions %d\n",
+		dev.Utilization()*100, sched.Promotions())
+}
+
+// simulate runs the tenant mix under SGPRS on a fresh engine and device
+// until the horizon, streaming every job's lifecycle to sink.
+func simulate(model *speedup.Model, specs []workload.TaskSpec, pool []int, horizon des.Time, sink workload.JobSink) ([]*rt.Task, *gpu.Device, *core.Scheduler) {
+	eng := des.NewEngine()
+	dev, err := gpu.NewDevice(eng, model, gpu.DefaultConfig())
+	if err != nil {
+		log.Fatal(err)
+	}
 	tasks, err := workload.Build(specs)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Offline phase: profile WCETs on the smallest pool context.
-	pool := sim.ContextPool(3, 1.5, speedup.DeviceSMs)
 	prof := profile.New(model, dev.Config())
 	for _, t := range tasks {
 		if err := prof.ProfileTask(t, pool[0]); err != nil {
@@ -71,31 +99,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	horizon := des.FromSeconds(6)
 	gen := workload.NewGenerator(eng, sched)
+	gen.SetSink(sink)
 	gen.Start(tasks, horizon)
 	eng.RunUntil(horizon)
-
-	fmt.Printf("multi-tenant inference under SGPRS: %v SMs, 6 s simulated\n\n", pool)
-	fmt.Printf("%-20s %6s %8s %8s %10s\n", "tenant", "rate", "fps", "dmr", "p99(ms)")
-	for _, task := range tasks {
-		sum := perTask(gen, task.ID, des.Second, horizon)
-		fmt.Printf("%-20s %6.0f %8.1f %8.4f %10.2f\n",
-			task.Name, 1/task.Period.Seconds(), sum.TotalFPS, sum.DMR, sum.RespP99MS)
-	}
-	total := metrics.Evaluate(gen.Jobs(), des.Second, horizon)
-	fmt.Printf("\ntotal: %s\n", total)
-	fmt.Printf("device utilisation %.1f%%, medium promotions %d\n",
-		dev.Utilization()*100, sched.Promotions())
+	return tasks, dev, sched
 }
 
-// perTask evaluates the metric window over one task's jobs only.
-func perTask(gen *workload.Generator, taskID int, warm, horizon des.Time) metrics.Summary {
-	var jobs = gen.Jobs()[:0:0]
-	for _, j := range gen.Jobs() {
-		if j.Task.ID == taskID {
-			jobs = append(jobs, j)
-		}
-	}
-	return metrics.Evaluate(jobs, warm, horizon)
-}
+// byTenant streams each job to its own task's collector; workload.Build
+// numbers tasks by their position in the spec list.
+type byTenant []*metrics.Collector
+
+func (b byTenant) JobReleased(j *rt.Job, now des.Time)  { b[j.Task.ID].JobReleased(j, now) }
+func (b byTenant) JobDone(j *rt.Job, now des.Time)      { b[j.Task.ID].JobDone(j, now) }
+func (b byTenant) JobDiscarded(j *rt.Job, now des.Time) { b[j.Task.ID].JobDiscarded(j, now) }

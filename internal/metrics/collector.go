@@ -9,7 +9,7 @@ import (
 	"sgprs/internal/rt"
 )
 
-// Collector is the streaming counterpart of Evaluate: it consumes job
+// Collector is the streaming counterpart of EvaluateSLO: it consumes job
 // lifecycle events as the simulation produces them — releases from the
 // workload generator, completions from the schedulers via rt.JobWatcher —
 // and retains only counters, one response-time float per released job, and
@@ -19,14 +19,14 @@ import (
 //
 // Bit-identity with EvaluateSLO is a hard invariant (the repository's
 // sim-determinism rule: no order-sensitive float accumulation may change).
-// Evaluate walks the generator's job list in release order, so its
+// EvaluateSLO walks a retained job list in release order, so its
 // response-time mean sums floats in release order and its quantiles sort
 // that same multiset. The collector pins the identical order by assigning
 // every in-window released job a slot (Job.MetricsSlot) at release time and
 // writing the response time into that slot at completion time: completions
 // may arrive in any order, but Summary folds the slots back in release
 // order. Unfilled slots (jobs that never finished) hold NaN and are skipped,
-// exactly as Evaluate skips jobs with Done unset. The admission-backlog
+// exactly as EvaluateSLO skips jobs with Done unset. The admission-backlog
 // profile is likewise order-independent: every released job gets an
 // interval record (Job.BacklogSlot) whose endpoints match what EvaluateSLO
 // reads off retained jobs, and queueDepth derives the depth statistics from
@@ -43,7 +43,7 @@ import (
 //
 //	Missed = lateCompleted + (released − completedReleased)
 //
-// which equals Evaluate's per-job Missed scan.
+// which equals EvaluateSLO's per-job Missed scan.
 type Collector struct {
 	warmUp, horizon des.Time
 	sloMS           float64
@@ -105,7 +105,7 @@ type Collector struct {
 }
 
 // NewCollector builds a collector for the measurement window [warmUp,
-// horizon). Like Evaluate, a horizon at or before the warm-up panics.
+// horizon). Like EvaluateSLO, a horizon at or before the warm-up panics.
 func NewCollector(warmUp, horizon des.Time) *Collector {
 	c := &Collector{}
 	c.Reset(warmUp, horizon)
@@ -262,7 +262,7 @@ func (c *Collector) Summary() Summary {
 	if c.fltReleased > 0 {
 		s.Fleet.FleetDegradedDMR = float64(s.Fleet.FleetDegradedMissed) / float64(c.fltReleased)
 	}
-	// Compact the slots in release order — Evaluate's iteration order —
+	// Compact the slots in release order — EvaluateSLO's iteration order —
 	// and count SLO hits over the identical float comparisons.
 	resp := c.scratch[:0]
 	sloHits := 0

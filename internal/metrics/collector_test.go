@@ -60,7 +60,7 @@ func collect(jobs []*rt.Job, perm []int, warmUp, horizon des.Time, sloMS float64
 
 // TestCollectorMatchesEvaluate is the bit-identity test: over a mixed
 // workload (on-time, late, discarded, and never-finishing jobs from two
-// interleaved tasks), the streaming summary must equal the batch Evaluate
+// interleaved tasks), the streaming summary must equal the batch EvaluateSLO
 // byte for byte — with completions delivered in release order AND in
 // reverse/shuffled order, since the device finishes jobs in neither order
 // in general.
@@ -93,7 +93,7 @@ func TestCollectorMatchesEvaluate(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	// Evaluate walks jobs in release order.
+	// EvaluateSLO walks jobs in release order.
 	byRelease := append([]*rt.Job(nil), jobs...)
 	for i := 1; i < len(byRelease); i++ {
 		for k := i; k > 0 && byRelease[k].Release < byRelease[k-1].Release; k-- {
@@ -125,7 +125,7 @@ func TestCollectorMatchesEvaluate(t *testing.T) {
 	} {
 		got := replay(byRelease, perm, warmUp, horizon, sloMS)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: streaming summary differs from Evaluate:\nwant %+v\ngot  %+v", name, want, got)
+			t.Errorf("%s: streaming summary differs from EvaluateSLO:\nwant %+v\ngot  %+v", name, want, got)
 		}
 	}
 }
@@ -223,7 +223,7 @@ func BenchmarkCollectorSummary(b *testing.B) {
 	b.ReportMetric(float64(c.SortFallbacks()), "sort_fallbacks")
 }
 
-// TestCollectorWindowing pins the window-edge semantics Evaluate has: warm-up
+// TestCollectorWindowing pins the window-edge semantics EvaluateSLO has: warm-up
 // releases count toward FPS but not DMR, and a deadline at or past the
 // horizon keeps a job out of the released count.
 func TestCollectorWindowing(t *testing.T) {
@@ -236,7 +236,7 @@ func TestCollectorWindowing(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	warmUp, horizon := des.FromSeconds(2), des.FromSeconds(4)
-	want := Evaluate(jobs, warmUp, horizon)
+	want := EvaluateSLO(jobs, warmUp, horizon, 0)
 	perm := make([]int, len(jobs))
 	for i := range perm {
 		perm[i] = i
@@ -276,7 +276,7 @@ func TestCollectorResetReuses(t *testing.T) {
 	}
 }
 
-// TestCollectorPanicsOnBadWindow mirrors Evaluate's contract.
+// TestCollectorPanicsOnBadWindow mirrors EvaluateSLO's contract.
 func TestCollectorPanicsOnBadWindow(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -60,8 +60,8 @@ type Summary struct {
 	SLOHitRate float64
 
 	// Faults is the fault-injection accounting (DESIGN.md §13): all-zero
-	// unless the run configured sim.RunConfig.Faults. The batch Evaluate
-	// path never fills it — fault injection is a streaming-only feature —
+	// unless the run configured sim.RunConfig.Faults. The batch EvaluateSLO
+	// reference never fills it — fault injection is a streaming-only feature —
 	// so the streaming-equivalence invariant is untouched.
 	Faults FaultStats
 
@@ -134,19 +134,14 @@ func (s Summary) String() string {
 		s.TotalFPS, s.DMR, s.Released, s.Completed, s.Missed, s.RespMeanMS, s.RespP99MS)
 }
 
-// Evaluate computes the run summary over [warmUp, horizon). Jobs released
-// during warm-up still count toward FPS if they complete inside the window
-// (the device was busy with them), but DMR is judged only on jobs whose
-// entire deadline window lies inside the measurement interval. No SLO is
-// configured; EvaluateSLO adds one.
-func Evaluate(jobs []*rt.Job, warmUp, horizon des.Time) Summary {
-	return EvaluateSLO(jobs, warmUp, horizon, 0)
-}
-
-// EvaluateSLO is Evaluate with a response-time service-level objective in
-// milliseconds (0 = none): Summary.SLOHitRate reports the fraction of
-// released jobs completing within it. This is the batch reference the
-// streaming Collector is pinned bit-identical to.
+// EvaluateSLO computes the run summary over [warmUp, horizon) from retained
+// jobs, with a response-time service-level objective in milliseconds (0 =
+// none): Summary.SLOHitRate reports the fraction of released jobs
+// completing within it. Jobs released during warm-up still count toward FPS
+// if they complete inside the window (the device was busy with them), but
+// DMR is judged only on jobs whose entire deadline window lies inside the
+// measurement interval. This is the batch reference the streaming Collector
+// is pinned bit-identical to; production runs use the Collector.
 func EvaluateSLO(jobs []*rt.Job, warmUp, horizon des.Time, sloMS float64) Summary {
 	if horizon <= warmUp {
 		panic(fmt.Sprintf("metrics: horizon %v not after warm-up %v", horizon, warmUp))

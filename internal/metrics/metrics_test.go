@@ -40,7 +40,7 @@ func mkJobs(t *testing.T, n int, period, resp des.Time) []*rt.Job {
 func TestEvaluateAllOnTime(t *testing.T) {
 	period := des.FromMillis(100)
 	jobs := mkJobs(t, 100, period, des.FromMillis(20)) // 10 s of releases
-	sum := Evaluate(jobs, des.Second, des.FromSeconds(9))
+	sum := EvaluateSLO(jobs, des.Second, des.FromSeconds(9), 0)
 	if sum.Missed != 0 || sum.DMR != 0 {
 		t.Errorf("missed=%d dmr=%v, want zero", sum.Missed, sum.DMR)
 	}
@@ -59,7 +59,7 @@ func TestEvaluateAllOnTime(t *testing.T) {
 func TestEvaluateAllLate(t *testing.T) {
 	period := des.FromMillis(100)
 	jobs := mkJobs(t, 100, period, des.FromMillis(150)) // responses beyond deadline
-	sum := Evaluate(jobs, des.Second, des.FromSeconds(9))
+	sum := EvaluateSLO(jobs, des.Second, des.FromSeconds(9), 0)
 	if sum.Released == 0 {
 		t.Fatal("nothing released")
 	}
@@ -78,7 +78,7 @@ func TestEvaluateAllLate(t *testing.T) {
 func TestEvaluateUnfinishedCountMissed(t *testing.T) {
 	period := des.FromMillis(100)
 	jobs := mkJobs(t, 100, period, 0) // never finish
-	sum := Evaluate(jobs, des.Second, des.FromSeconds(9))
+	sum := EvaluateSLO(jobs, des.Second, des.FromSeconds(9), 0)
 	if sum.Completed != 0 || sum.TotalFPS != 0 {
 		t.Error("unfinished jobs counted as completed")
 	}
@@ -90,7 +90,7 @@ func TestEvaluateUnfinishedCountMissed(t *testing.T) {
 func TestEvaluateWindowing(t *testing.T) {
 	period := des.FromMillis(100)
 	jobs := mkJobs(t, 100, period, des.FromMillis(10))
-	sum := Evaluate(jobs, des.FromSeconds(2), des.FromSeconds(4))
+	sum := EvaluateSLO(jobs, des.FromSeconds(2), des.FromSeconds(4), 0)
 	// Released window: release ≥ 2 s and deadline < 4 s → releases in
 	// [2.0, 3.9): 19 jobs.
 	if sum.Released != 19 {
@@ -109,11 +109,11 @@ func TestEvaluatePanicsOnBadWindow(t *testing.T) {
 			t.Fatal("bad window did not panic")
 		}
 	}()
-	Evaluate(nil, des.Second, des.Second)
+	EvaluateSLO(nil, des.Second, des.Second, 0)
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	sum := Evaluate(nil, 0, des.Second)
+	sum := EvaluateSLO(nil, 0, des.Second, 0)
 	if sum.TotalFPS != 0 || sum.DMR != 0 || sum.Released != 0 {
 		t.Errorf("empty evaluate = %+v", sum)
 	}

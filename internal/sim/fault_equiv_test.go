@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"sgprs/internal/fault"
@@ -138,20 +137,6 @@ func TestFaultRunsIneligibleForFastForward(t *testing.T) {
 	}
 	if faulted.FastForward != (metrics.FFStats{}) {
 		t.Errorf("fault run engaged fast-forward: %+v", faulted.FastForward)
-	}
-}
-
-// TestBatchPathRejectsFaults pins that the retained-jobs batch path refuses
-// fault configs instead of silently ignoring them — injection is wired only
-// through the streaming session.
-func TestBatchPathRejectsFaults(t *testing.T) {
-	cfg := faultedConfig("batch-faults", "retry")
-	_, err := runBatch(cfg, nil)
-	if err == nil {
-		t.Fatal("runBatch accepted a fault config")
-	}
-	if !strings.Contains(err.Error(), "streaming") {
-		t.Errorf("error does not point at the streaming path: %v", err)
 	}
 }
 

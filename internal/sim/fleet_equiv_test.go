@@ -141,19 +141,6 @@ func TestFleetIneligibleForFastForward(t *testing.T) {
 	}
 }
 
-// TestBatchPathRejectsFleet pins that the retained-jobs batch path refuses
-// fleet configs instead of silently running one device.
-func TestBatchPathRejectsFleet(t *testing.T) {
-	cfg := fleetConfig("batch-fleet", rt.FailoverMigrate)
-	_, err := runBatch(cfg, nil)
-	if err == nil {
-		t.Fatal("runBatch accepted a fleet config")
-	}
-	if !strings.Contains(err.Error(), "streaming") {
-		t.Errorf("error does not point at the streaming path: %v", err)
-	}
-}
-
 // TestFleetFailoverActivity guards the determinism tests against vacuity: the
 // pinned device-crash scenario must actually crash, restart, and — per
 // policy — migrate or shed, with the admission controller and the

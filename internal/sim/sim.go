@@ -19,7 +19,6 @@ import (
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/naive"
-	"sgprs/internal/profile"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
 	"sgprs/internal/speedup"
@@ -83,8 +82,7 @@ type RunConfig struct {
 	// Faults configures the fault-injection layer (DESIGN.md §13): WCET
 	// overruns, transient kernel faults with recovery policies, and SM
 	// degradation windows. Nil keeps today's fault-free dynamics — pinned
-	// bit-identical by the sim fault-equivalence tests. Fault injection is
-	// streaming-only (Session.Run); runBatch rejects it. A fault-injected
+	// bit-identical by the sim fault-equivalence tests. A fault-injected
 	// run is never eligible for steady-state fast-forward.
 	Faults *fault.Config
 
@@ -284,8 +282,7 @@ type Result struct {
 	// FPSPerWatt is the run's efficiency: total FPS over average power.
 	FPSPerWatt float64
 	// FastForward reports the steady-state fast-forward layer's activity
-	// (all-zero when it never engaged: ineligible workload, disabled, or
-	// the batch reference path).
+	// (all-zero when it never engaged: ineligible workload or disabled).
 	FastForward metrics.FFStats
 }
 
@@ -323,120 +320,11 @@ func Run(cfg RunConfig) (Result, error) {
 //
 // Metrics stream through a metrics.Collector and jobs recycle through an
 // rt.JobPool as the run progresses (via an ephemeral Session), so live
-// memory is O(in-flight jobs) whatever the horizon. runBatch keeps the
-// retain-everything/Evaluate reference path; the streaming-equivalence tests
-// pin the two bit-identical.
+// memory is O(in-flight jobs) whatever the horizon. The streaming-equivalence
+// tests pin this path bit-identical to a retain-everything batch reference
+// that lives in the tests.
 func RunWith(cfg RunConfig, cache *memo.Cache) (Result, error) {
 	return NewSession(cache).Run(cfg)
-}
-
-// runBatch is the post-hoc reference implementation of RunWith: every
-// released job is retained and metrics.Evaluate scans them after the run.
-// It allocates O(all jobs ever released) and exists as the semantic anchor
-// the streaming path (Session.Run) is tested against — change the two
-// together or the equivalence tests will say so.
-func runBatch(cfg RunConfig, cache *memo.Cache) (Result, error) {
-	if err := cfg.Normalize(); err != nil {
-		return Result{}, err
-	}
-	if cfg.Faults != nil {
-		// Fault injection needs the streaming collector (degraded-window
-		// attribution happens at release time); the batch reference path
-		// has no equivalent, so it refuses rather than silently dropping
-		// the configuration.
-		return Result{}, fmt.Errorf("sim: run %q: fault injection requires the streaming path", cfg.Name)
-	}
-	if cfg.Devices > 1 {
-		// Fleet runs are likewise streaming-only: the dispatcher feeds the
-		// collector's fleet-degraded attribution at release time.
-		return Result{}, fmt.Errorf("sim: run %q: fleet runs require the streaming path", cfg.Name)
-	}
-	eng := des.NewEngine()
-	model := defaultModel()
-
-	dev, err := gpu.NewDevice(eng, model, cfg.GPU)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.Observer != nil {
-		dev.SetObserver(cfg.Observer)
-	}
-
-	var graph *dnn.Graph
-	if cache != nil {
-		key := memo.GraphKey{Model: model, Name: "resnet18-ref", SMs: speedup.DeviceSMs, TargetMS: ReferenceLatencyMS}
-		graph = cache.Graph(key, func() *dnn.Graph { return ReferenceGraph(model) })
-	} else {
-		graph = ReferenceGraph(model)
-	}
-	specs := workload.Replicate(workload.Options{
-		Count: cfg.NumTasks,
-		Spec: workload.TaskSpec{
-			Name:          "resnet18",
-			Graph:         graph,
-			Stages:        cfg.Stages,
-			FPS:           cfg.FPS,
-			ReleaseJitter: des.FromMillis(cfg.ReleaseJitterMS),
-			WorkVariation: cfg.WorkVariation,
-		},
-		Stagger: cfg.Stagger,
-	})
-	tasks, err := workload.Build(specs)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Offline phase: profile stage WCETs in isolation on the smallest
-	// context of the pool (conservative). With a cache, each distinct task
-	// shape is measured once — here or in any earlier run — instead of
-	// once per task.
-	minSMs := cfg.ContextSMs[0]
-	for _, s := range cfg.ContextSMs[1:] {
-		if s < minSMs {
-			minSMs = s
-		}
-	}
-	prof := profile.New(model, cfg.GPU)
-	if cache != nil {
-		if err := cache.ProfileTasks(prof, tasks, minSMs); err != nil {
-			return Result{}, err
-		}
-	} else {
-		for _, t := range tasks {
-			if err := prof.ProfileTask(t, minSMs); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	s, err := buildScheduler(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.Attach(eng, dev, tasks); err != nil {
-		return Result{}, err
-	}
-
-	horizon := des.FromSeconds(cfg.HorizonSec)
-	gen := workload.NewGeneratorSeeded(eng, s, cfg.Seed+2)
-	gen.SetArrival(cfg.Arrival)
-	gen.Start(tasks, horizon)
-	eng.RunUntil(horizon)
-
-	sum := metrics.EvaluateSLO(gen.Jobs(), des.FromSeconds(cfg.WarmUpSec), horizon, cfg.SLOMS)
-	pm := gpu.DefaultPowerModel()
-	res := Result{
-		Name:              cfg.Name,
-		Tasks:             cfg.NumTasks,
-		Summary:           sum,
-		DeviceUtilization: dev.Utilization(),
-		EnergyJoules:      dev.EnergyJoules(pm),
-		AvgPowerW:         dev.AveragePowerW(pm),
-	}
-	if res.AvgPowerW > 0 {
-		res.FPSPerWatt = sum.TotalFPS / res.AvgPowerW
-	}
-	return res, nil
 }
 
 func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {

@@ -152,16 +152,13 @@ type JobSink interface {
 // per-job work variation draw from a seeded stream forked per task, so
 // adding a task never perturbs another task's draws.
 //
-// By default every released job is retained for a post-hoc metrics.Evaluate
-// scan — the reference batch path. Attaching a JobSink (SetSink) switches
-// the generator to streaming delivery, and attaching an rt.JobPool (UsePool)
-// recycles each job the moment its lifecycle ends; in either mode nothing
-// is retained and live memory stays O(in-flight jobs).
+// Jobs are never retained: every released job is streamed to the JobSink
+// (SetSink), if any, and attaching an rt.JobPool (UsePool) recycles each
+// job the moment its lifecycle ends, so live memory stays O(in-flight jobs).
 type Generator struct {
 	eng     *des.Engine
 	sched   sched.Scheduler
 	rng     *des.RNG
-	jobs    []*rt.Job
 	sink    JobSink
 	pool    *rt.JobPool
 	arrival Arrival
@@ -180,13 +177,11 @@ func NewGeneratorSeeded(eng *des.Engine, s sched.Scheduler, seed uint64) *Genera
 	return &Generator{eng: eng, sched: s, rng: des.NewRNG(seed).Fork(0x30B5)}
 }
 
-// SetSink streams the job lifecycle to s instead of retaining jobs: Jobs
-// returns nothing once a sink is attached. Must be called before Start.
+// SetSink streams the job lifecycle to s. Must be called before Start.
 func (g *Generator) SetSink(s JobSink) { g.sink = s }
 
 // UsePool recycles every job through p as soon as it completes or is
-// discarded (and stops retaining jobs, like SetSink). Must be called before
-// Start.
+// discarded. Must be called before Start.
 func (g *Generator) UsePool(p *rt.JobPool) { g.pool = p }
 
 // SetArrival sets the arrival process every task releases under (nil means
@@ -194,16 +189,6 @@ func (g *Generator) UsePool(p *rt.JobPool) { g.pool = p }
 // stream — the same stream work variation draws from. Must be called before
 // Start.
 func (g *Generator) SetArrival(a Arrival) { g.arrival = a }
-
-// Jobs lists every job released so far, in release order, as a fresh slice
-// the caller may keep or mutate. It is empty when a sink or pool is
-// attached — streamed jobs are not retained (and pooled ones get recycled).
-func (g *Generator) Jobs() []*rt.Job {
-	if len(g.jobs) == 0 {
-		return nil
-	}
-	return append([]*rt.Job(nil), g.jobs...)
-}
 
 // JobDone implements rt.JobWatcher: it forwards the completion to the sink,
 // then hands the job to the pool. Ordering matters — the sink must record
@@ -306,11 +291,7 @@ func fireChain(now des.Time, arg any) {
 			math.Max(0.5, 1-2*t.WorkVariation),
 			1+3*t.WorkVariation)
 	}
-	if g.sink != nil || g.pool != nil {
-		job.Watcher = g
-	} else {
-		g.jobs = append(g.jobs, job)
-	}
+	job.Watcher = g
 	if g.sink != nil {
 		g.sink.JobReleased(job, now)
 	}

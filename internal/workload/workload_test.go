@@ -116,6 +116,22 @@ func (g *genRecorder) Name() string                                      { retur
 func (g *genRecorder) Attach(*des.Engine, *gpu.Device, []*rt.Task) error { return nil }
 func (g *genRecorder) OnRelease(*rt.Job, des.Time)                       { g.n++ }
 
+// jobLog is a JobSink that keeps every released job, in release order. With
+// no pool attached the generator never recycles them, so the log can be
+// read after the run.
+type jobLog struct{ jobs []*rt.Job }
+
+func (l *jobLog) JobReleased(j *rt.Job, _ des.Time) { l.jobs = append(l.jobs, j) }
+func (l *jobLog) JobDone(*rt.Job, des.Time)         {}
+func (l *jobLog) JobDiscarded(*rt.Job, des.Time)    {}
+
+// logJobs attaches a fresh jobLog to gen; call before Start.
+func logJobs(gen *Generator) *jobLog {
+	l := &jobLog{}
+	gen.SetSink(l)
+	return l
+}
+
 func TestGeneratorPeriodicReleases(t *testing.T) {
 	tasks, err := Build(Identical(2, specResNet(), false))
 	if err != nil {
@@ -133,6 +149,7 @@ func TestGeneratorPeriodicReleases(t *testing.T) {
 	eng := des.NewEngine()
 	rec := &genRecorder{}
 	gen := NewGenerator(eng, rec)
+	log := logJobs(gen)
 	horizon := des.FromSeconds(1)
 	gen.Start(tasks, horizon)
 	eng.RunUntil(horizon)
@@ -140,12 +157,12 @@ func TestGeneratorPeriodicReleases(t *testing.T) {
 	// 30 fps for 1 s from offset 0. The period rounds to 33333333 ns,
 	// so release 30 lands at 0.9999... s, just inside the horizon:
 	// 31 releases per task.
-	if got := len(gen.Jobs()); got != 62 {
+	if got := len(log.jobs); got != 62 {
 		t.Fatalf("released %d jobs, want 62 (2 tasks x 31)", got)
 	}
 	// Job indices and releases are periodic per task.
 	per := map[int]int{}
-	for _, j := range gen.Jobs() {
+	for _, j := range log.jobs {
 		want := j.Task.Offset.Add(des.Time(int64(j.Task.Period) * int64(j.Index)))
 		if j.Release != want {
 			t.Fatalf("job %s released at %v, want %v", j, j.Release, want)
@@ -174,9 +191,10 @@ func TestGeneratorStaggeredOffsets(t *testing.T) {
 	}
 	eng := des.NewEngine()
 	gen := NewGenerator(eng, &genRecorder{})
+	log := logJobs(gen)
 	gen.Start(tasks, des.FromSeconds(0.1))
 	eng.RunUntil(des.FromSeconds(0.1))
-	for _, j := range gen.Jobs() {
+	for _, j := range log.jobs {
 		if j.Index == 0 && j.Release != j.Task.Offset {
 			t.Errorf("job %s first release %v != offset %v", j, j.Release, j.Task.Offset)
 		}
@@ -197,12 +215,13 @@ func TestReleaseJitterShiftsReleases(t *testing.T) {
 	tasks[0].SetWCETs(wcets)
 	eng := des.NewEngine()
 	gen := NewGeneratorSeeded(eng, &genRecorder{}, 7)
+	log := logJobs(gen)
 	gen.Start(tasks, des.FromSeconds(1))
 	eng.RunUntil(des.FromSeconds(1))
 
 	period := tasks[0].Period
 	jittered := 0
-	for _, j := range gen.Jobs() {
+	for _, j := range log.jobs {
 		nominal := des.Time(int64(period) * int64(j.Index))
 		off := j.Release - nominal
 		if off < 0 || off >= des.FromMillis(5) {
@@ -231,11 +250,12 @@ func TestWorkVariationStampsJobs(t *testing.T) {
 	tasks[0].SetWCETs(wcets)
 	eng := des.NewEngine()
 	gen := NewGeneratorSeeded(eng, &genRecorder{}, 7)
+	log := logJobs(gen)
 	gen.Start(tasks, des.FromSeconds(1))
 	eng.RunUntil(des.FromSeconds(1))
 
 	varied := 0
-	for _, j := range gen.Jobs() {
+	for _, j := range log.jobs {
 		if j.WorkScale < 0.5 || j.WorkScale > 1.6+1e-9 {
 			t.Fatalf("work scale %v outside clamp", j.WorkScale)
 		}
@@ -267,33 +287,6 @@ func TestIdenticalRejectsInvalidFPSLater(t *testing.T) {
 	}
 }
 
-// TestJobsReturnsCopy: mutating the returned slice must not corrupt the
-// generator's internal record.
-func TestJobsReturnsCopy(t *testing.T) {
-	tasks, err := Build(Identical(1, specResNet(), false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcets := make([]des.Time, tasks[0].NumStages())
-	for i := range wcets {
-		wcets[i] = des.Millisecond
-	}
-	tasks[0].SetWCETs(wcets)
-	eng := des.NewEngine()
-	gen := NewGenerator(eng, &genRecorder{})
-	gen.Start(tasks, des.FromSeconds(0.2))
-	eng.RunUntil(des.FromSeconds(0.2))
-
-	jobs := gen.Jobs()
-	if len(jobs) == 0 {
-		t.Fatal("no jobs released")
-	}
-	jobs[0] = nil
-	if again := gen.Jobs(); again[0] == nil {
-		t.Error("Jobs aliases the generator's internal slice")
-	}
-}
-
 // sinkRecorder counts the streamed lifecycle.
 type sinkRecorder struct {
 	released, done, discarded int
@@ -318,8 +311,7 @@ func (completingSched) OnRelease(j *rt.Job, now des.Time) {
 }
 
 // TestGeneratorStreamsAndRecycles: with a sink and pool attached the
-// generator retains nothing, streams every release and completion, and
-// recycles jobs through a pool bounded by the in-flight count (1 here —
+// generator streams every release and completion, and recycles jobs through a pool bounded by the in-flight count (1 here —
 // each job completes before the next release).
 func TestGeneratorStreamsAndRecycles(t *testing.T) {
 	tasks, err := Build(Identical(2, specResNet(), false))
@@ -346,9 +338,6 @@ func TestGeneratorStreamsAndRecycles(t *testing.T) {
 	if sink.released != 62 || sink.done != 62 || sink.discarded != 0 {
 		t.Errorf("streamed %d released / %d done / %d discarded, want 62/62/0",
 			sink.released, sink.done, sink.discarded)
-	}
-	if got := gen.Jobs(); got != nil {
-		t.Errorf("streaming generator retained %d jobs", len(got))
 	}
 	// Every job completed synchronously at release, so the pool never
 	// holds more than the two structs (one per task) in steady state.
