@@ -234,7 +234,7 @@ func TestFrameReplacementUnderOverload(t *testing.T) {
 			at := des.Time(k) * task.Period
 			task := task
 			k := k
-			r.eng.Schedule(at, "rel", func(now des.Time) {
+			r.eng.ScheduleFunc(at, "rel", func(now des.Time) {
 				r.sched.OnRelease(task.NewJob(k, now), now)
 			})
 		}
@@ -278,7 +278,7 @@ func TestSustainedThroughputUnderOverload(t *testing.T) {
 			if at >= des.FromSeconds(3) {
 				return
 			}
-			r.eng.Schedule(at, "rel", func(now des.Time) {
+			r.eng.ScheduleFunc(at, "rel", func(now des.Time) {
 				j := task.NewJob(k, now)
 				jobs = append(jobs, j)
 				r.sched.OnRelease(j, now)
@@ -352,7 +352,7 @@ func TestZeroMissesAtLightLoad(t *testing.T) {
 			if at >= des.FromSeconds(2) {
 				return
 			}
-			r.eng.Schedule(at, "rel", func(now des.Time) {
+			r.eng.ScheduleFunc(at, "rel", func(now des.Time) {
 				j := task.NewJob(k, now)
 				jobs = append(jobs, j)
 				r.sched.OnRelease(j, now)

@@ -2,32 +2,30 @@ package des
 
 import "fmt"
 
-// Event is a scheduled callback. It is returned by Engine.Schedule so callers
-// can cancel or reschedule it.
+// Event is a scheduled callback.
 //
-// Events come in two ownership flavours. Retained events (Schedule, After,
-// and keyed events) are owned by the caller: they may be cancelled and
-// rescheduled — even after firing. Detached events (ScheduleFunc, AfterFunc,
-// AfterArg, AfterArgMonotone) never escape the engine: no pointer is
-// returned, so they cannot be cancelled or rescheduled, and the engine
+// Events come in two ownership flavours. Detached events (ScheduleFunc,
+// AfterFunc, AfterArg, AfterArgMonotone) never escape the engine: no pointer
+// is returned, so they cannot be cancelled or rescheduled, and the engine
 // recycles them automatically the moment they fire. Recycling clears the
 // callback before the event re-enters the pool, so a reused Event can never
 // resurrect a previous occupant's callback.
 //
-// Keyed events (InitKeyed, RescheduleKeyed) are retained events whose firing
-// key the caller supplies: a sequence number reserved earlier with NextSeq
-// instead of a fresh one. One keyed event can then stand in for a whole set
-// of firing keys its owner tracks outside the queue — the GPU device holds
-// its one completion timer at the least key of its running kernels — and
-// the engine orders it exactly as it would the event that key was reserved
-// for.
+// Keyed events (InitKeyed, RescheduleKeyed) are owned by the caller: they
+// may be cancelled and rescheduled — even after firing — and their firing
+// key is one the caller supplies: a sequence number reserved earlier with
+// NextSeq instead of a fresh one. One keyed event can then stand in for a
+// whole set of firing keys its owner tracks outside the queue — the GPU
+// device holds its one completion timer at the least key of its running
+// kernels — and the engine orders it exactly as it would the event that key
+// was reserved for.
 type Event struct {
 	at    Time
 	seq   uint64
 	index int // heap index, -1 when not queued
 	// trueAt/trueSeq are the event's authoritative firing key. They equal
-	// (at, seq) except while the event is stale: Reschedule to a later
-	// instant only updates the authoritative key and leaves the heap
+	// (at, seq) except while the event is stale: RescheduleKeyed to a
+	// later instant only updates the authoritative key and leaves the heap
 	// position — a lower bound — untouched, deferring the heap work until
 	// the stale position surfaces at the root, where the event is
 	// reinserted under its authoritative key instead of firing. Rates in
@@ -46,24 +44,12 @@ type Event struct {
 	fnArg func(now Time, arg any)
 	arg   any
 	label string
-	// detached marks engine-owned events (no pointer escaped): they are
-	// auto-recycled when they fire.
-	detached bool
 	// keyed marks InitKeyed events. Their owner keeps them for good: the
 	// engine never pools them, and EncodePending leaves them out (the
-	// owner supplies the keys they stand for).
+	// owner supplies the keys they stand for). Every other event is
+	// detached: engine-owned and auto-recycled when it fires.
 	keyed bool
 }
-
-// At reports the instant the event is scheduled to fire.
-func (e *Event) At() Time { return e.trueAt }
-
-// Label reports the diagnostic label given at scheduling time.
-func (e *Event) Label() string { return e.label }
-
-// Pending reports whether the event is still queued (neither fired nor
-// cancelled).
-func (e *Event) Pending() bool { return e.index >= 0 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all callbacks run on the goroutine that calls Run.
@@ -169,30 +155,16 @@ func (e *Engine) checkSchedule(at Time, label string, ok bool) {
 	}
 }
 
-// Schedule queues fn to run at the absolute instant at. Scheduling in the
-// past panics: that is always a simulation bug, and silently clamping it
-// would hide ordering errors. The label is for diagnostics and traces.
-func (e *Engine) Schedule(at Time, label string, fn func(now Time)) *Event {
-	e.checkSchedule(at, label, fn != nil)
-	ev := e.get(at, e.NextSeq(), label)
-	ev.fn = fn
-	e.push(ev)
-	return ev
-}
-
-// After queues fn to run d after the current instant.
-func (e *Engine) After(d Time, label string, fn func(now Time)) *Event {
-	return e.Schedule(e.now.Add(d), label, fn)
-}
-
-// ScheduleFunc is Schedule for fire-and-forget callbacks: no handle is
-// returned, so the event cannot be cancelled or rescheduled, and the engine
-// recycles it automatically when it fires.
+// ScheduleFunc queues the fire-and-forget callback fn to run at the absolute
+// instant at: no handle is returned, so the event cannot be cancelled or
+// rescheduled, and the engine recycles it automatically when it fires.
+// Scheduling in the past panics: that is always a simulation bug, and
+// silently clamping it would hide ordering errors. The label is for
+// diagnostics and traces.
 func (e *Engine) ScheduleFunc(at Time, label string, fn func(now Time)) {
 	e.checkSchedule(at, label, fn != nil)
 	ev := e.get(at, e.NextSeq(), label)
 	ev.fn = fn
-	ev.detached = true
 	e.push(ev)
 }
 
@@ -222,7 +194,6 @@ func (e *Engine) AfterArg(d Time, label string, fn func(now Time, arg any), arg 
 	ev := e.get(at, e.NextSeq(), label)
 	ev.fnArg = fn
 	ev.arg = arg
-	ev.detached = true
 	e.push(ev)
 }
 
@@ -241,7 +212,6 @@ func (e *Engine) AfterArgMonotone(d Time, label string, fn func(now Time, arg an
 	ev := e.get(at, e.NextSeq(), label)
 	ev.fnArg = fn
 	ev.arg = arg
-	ev.detached = true
 	e.mono = append(e.mono, ev)
 }
 
@@ -275,26 +245,13 @@ func (e *Engine) monoBefore() bool {
 	return m.seq < h.seq
 }
 
-// Cancel removes ev from the queue if it has not fired, so the queue never
-// holds a cancelled event. Cancelling an already-fired or already-cancelled
-// event is a no-op.
+// Cancel removes the keyed event ev from the queue if it has not fired, so
+// the queue never holds a cancelled event. Cancelling an already-fired or
+// already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
 	if ev != nil && ev.index >= 0 {
 		e.remove(ev.index)
 	}
-}
-
-// Reschedule moves a pending event to a new instant, preserving its callback.
-// If the event already fired it is re-queued. Rescheduling a pending event to
-// the very instant it already occupies is a no-op: the event keeps its place
-// — and its sequence number, so it still orders before any event scheduled
-// after it at the same instant — and the heap is left untouched. Any other
-// move draws a fresh sequence number and takes RescheduleKeyed's path.
-func (e *Engine) Reschedule(ev *Event, at Time) {
-	if ev.index >= 0 && ev.trueAt == at {
-		return
-	}
-	e.RescheduleKeyed(ev, at, e.NextSeq())
 }
 
 // RescheduleKeyed moves ev to the key (at, seq), queueing it if it is not
@@ -331,7 +288,7 @@ func (e *Engine) RescheduleKeyed(ev *Event, at Time, seq uint64) {
 }
 
 // requeueStale reinserts a popped stale event under its authoritative key.
-// The key was assigned when the deferring Reschedule ran, so the event
+// The key was assigned when the deferring RescheduleKeyed ran, so the event
 // orders against every other event exactly as an eager reschedule would
 // have placed it.
 func (e *Engine) requeueStale(ev *Event) {
@@ -346,11 +303,9 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns the engine to the simulation epoch while keeping its event
 // free list, so a reused engine schedules without allocating from its first
-// event on. Every still-pending event is recycled into the pool and every
-// outstanding retained-Event handle is invalidated: callers must drop them
-// all before Reset, exactly as they would before discarding the engine. The
-// exception is keyed events: they are unqueued but stay with their owner,
-// who re-arms them with RescheduleKeyed. After Reset the engine is
+// event on. Every still-pending detached event is recycled into the pool;
+// keyed events are unqueued but stay with their owner, who re-arms them
+// with RescheduleKeyed. After Reset the engine is
 // indistinguishable from NewEngine() — clock at zero, sequence counter and
 // heap counters at zero — so a run on a reset engine is bit-identical to
 // one on a fresh engine.
@@ -399,7 +354,7 @@ func (e *Engine) Step() bool {
 		// the callback itself can reuse the slot for follow-up events.
 		// The callback was copied out above: a reused event never carries
 		// the old callback (release cleared it).
-		if ev.detached {
+		if !ev.keyed {
 			e.release(ev)
 		}
 		if fnArg != nil {

@@ -78,12 +78,36 @@ func TestFromSecondsNegativePanics(t *testing.T) {
 	FromSeconds(-1)
 }
 
+// schedKeyed queues fn at the absolute instant at as a keyed event under a
+// fresh sequence number, returning the caller-owned handle the cancel and
+// reschedule tests drive.
+func schedKeyed(e *Engine, at Time, label string, fn func(now Time)) *Event {
+	ev := new(Event)
+	ev.InitKeyed(label, func(now Time, _ any) { fn(now) }, nil)
+	e.RescheduleKeyed(ev, at, e.NextSeq())
+	return ev
+}
+
+// reschedule moves the keyed event ev to at under a fresh sequence number,
+// except that a queued event moved to its own instant keeps its key — and
+// with it its place among same-instant events — and consumes none: the
+// no-move rule the GPU device applies to its completion keys.
+func reschedule(e *Engine, ev *Event, at Time) {
+	if queued(ev) && ev.trueAt == at {
+		return
+	}
+	e.RescheduleKeyed(ev, at, e.NextSeq())
+}
+
+// queued reports whether ev is in the queue (neither fired nor cancelled).
+func queued(ev *Event) bool { return ev.index >= 0 }
+
 func TestEngineOrdersByTime(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30*Millisecond, "c", func(Time) { order = append(order, 3) })
-	e.Schedule(10*Millisecond, "a", func(Time) { order = append(order, 1) })
-	e.Schedule(20*Millisecond, "b", func(Time) { order = append(order, 2) })
+	e.ScheduleFunc(30*Millisecond, "c", func(Time) { order = append(order, 3) })
+	e.ScheduleFunc(10*Millisecond, "a", func(Time) { order = append(order, 1) })
+	e.ScheduleFunc(20*Millisecond, "b", func(Time) { order = append(order, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -101,7 +125,7 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(Millisecond, "tie", func(Time) { order = append(order, i) })
+		e.ScheduleFunc(Millisecond, "tie", func(Time) { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -113,14 +137,14 @@ func TestEngineFIFOAtSameInstant(t *testing.T) {
 
 func TestEngineScheduleInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10*Millisecond, "x", func(Time) {})
+	e.ScheduleFunc(10*Millisecond, "x", func(Time) {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("schedule in the past did not panic")
 		}
 	}()
-	e.Schedule(5*Millisecond, "past", func(Time) {})
+	e.ScheduleFunc(5*Millisecond, "past", func(Time) {})
 }
 
 func TestEngineNilCallbackPanics(t *testing.T) {
@@ -130,18 +154,18 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 			t.Fatal("nil callback did not panic")
 		}
 	}()
-	e.Schedule(Millisecond, "nil", nil)
+	e.ScheduleFunc(Millisecond, "nil", nil)
 }
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(Millisecond, "x", func(Time) { fired = true })
-	if !ev.Pending() {
+	ev := schedKeyed(e, Millisecond, "x", func(Time) { fired = true })
+	if !queued(ev) {
 		t.Fatal("event not pending after schedule")
 	}
 	e.Cancel(ev)
-	if ev.Pending() {
+	if queued(ev) {
 		t.Fatal("event pending after cancel")
 	}
 	e.Run()
@@ -155,14 +179,14 @@ func TestEngineCancel(t *testing.T) {
 func TestEngineReschedule(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	ev := e.Schedule(Millisecond, "x", func(now Time) { at = now })
-	e.Reschedule(ev, 5*Millisecond)
+	ev := schedKeyed(e, Millisecond, "x", func(now Time) { at = now })
+	reschedule(e, ev, 5*Millisecond)
 	e.Run()
 	if at != 5*Millisecond {
 		t.Errorf("fired at %v, want 5ms", at)
 	}
 	// Re-queue after firing.
-	e.Reschedule(ev, 9*Millisecond)
+	reschedule(e, ev, 9*Millisecond)
 	e.Run()
 	if at != 9*Millisecond {
 		t.Errorf("refired at %v, want 9ms", at)
@@ -172,8 +196,8 @@ func TestEngineReschedule(t *testing.T) {
 func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.Schedule(Millisecond, "a", func(Time) { count++ })
-	e.Schedule(Second, "b", func(Time) { count++ })
+	e.ScheduleFunc(Millisecond, "a", func(Time) { count++ })
+	e.ScheduleFunc(Second, "b", func(Time) { count++ })
 	e.RunUntil(100 * Millisecond)
 	if count != 1 {
 		t.Errorf("fired %d events, want 1", count)
@@ -194,7 +218,7 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*Millisecond, "x", func(Time) {
+		e.ScheduleFunc(Time(i)*Millisecond, "x", func(Time) {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -214,10 +238,10 @@ func TestEngineSelfScheduling(t *testing.T) {
 	tick = func(now Time) {
 		count++
 		if count < 100 {
-			e.After(Millisecond, "tick", tick)
+			e.AfterFunc(Millisecond, "tick", tick)
 		}
 	}
-	e.After(Millisecond, "tick", tick)
+	e.AfterFunc(Millisecond, "tick", tick)
 	e.Run()
 	if count != 100 {
 		t.Errorf("ticks = %d, want 100", count)
@@ -329,7 +353,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		e := NewEngine()
 		var fired []Time
 		for _, off := range offsets {
-			e.Schedule(Time(off)*Microsecond, "p", func(now Time) {
+			e.ScheduleFunc(Time(off)*Microsecond, "p", func(now Time) {
 				fired = append(fired, now)
 			})
 		}

@@ -16,7 +16,7 @@ type keyFire struct {
 
 // keyWorld drives one engine through a trial's item operations. Items are
 // firing keys grouped by owner; the two implementations hold them as one
-// retained event per item (the reference) or as one keyed timer per owner at
+// keyed event per item (the reference) or as one keyed timer per owner at
 // its least item key (the scheme under test).
 type keyWorld interface {
 	add(owner, id int, at Time)
@@ -96,40 +96,50 @@ func (tr *keyTrial) churn(now Time, n int) {
 			tr.w.remove(id)
 			tr.drop(id)
 		default:
-			e.Schedule(now+Time(tr.rng.Intn(12)), "bg", func(now Time) {
+			e.ScheduleFunc(now+Time(tr.rng.Intn(12)), "bg", func(now Time) {
 				tr.log = append(tr.log, keyFire{-1, now})
 			})
 		}
 	}
 }
 
-// retainedWorld is the reference: one retained event per item.
-type retainedWorld struct {
+// perKeyWorld is the reference: one keyed event per item, queued under a
+// fresh sequence number and moved by reschedule (the no-move rule). The
+// engine leaves keyed events out of EncodePending, so the items' keys reach
+// it as extra entries, read off the events themselves.
+type perKeyWorld struct {
 	tr  *keyTrial
 	e   *Engine
 	evs map[int]*Event
 }
 
-func (w *retainedWorld) engine() *Engine               { return w.e }
-func (w *retainedWorld) extra(dst []Pending) []Pending { return dst }
+func (w *perKeyWorld) engine() *Engine { return w.e }
 
-func (w *retainedWorld) add(_, id int, at Time) {
-	w.evs[id] = w.e.Schedule(at, fmt.Sprint("item", id), func(now Time) {
+func (w *perKeyWorld) extra(dst []Pending) []Pending {
+	for _, id := range w.tr.live {
+		ev := w.evs[id]
+		dst = append(dst, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label})
+	}
+	return dst
+}
+
+func (w *perKeyWorld) add(_, id int, at Time) {
+	w.evs[id] = schedKeyed(w.e, at, fmt.Sprint("item", id), func(now Time) {
 		delete(w.evs, id)
 		w.tr.fired(id, now)
 	})
 }
 
-func (w *retainedWorld) move(id int, at Time) { w.e.Reschedule(w.evs[id], at) }
+func (w *perKeyWorld) move(id int, at Time) { reschedule(w.e, w.evs[id], at) }
 
-func (w *retainedWorld) remove(id int) {
+func (w *perKeyWorld) remove(id int) {
 	w.e.Cancel(w.evs[id])
 	delete(w.evs, id)
 }
 
-func (w *retainedWorld) warp(delta Time) { w.e.Warp(delta) }
+func (w *perKeyWorld) warp(delta Time) { w.e.Warp(delta) }
 
-func (w *retainedWorld) reset() {
+func (w *perKeyWorld) reset() {
 	w.e.Reset()
 	clear(w.evs)
 }
@@ -283,9 +293,9 @@ func runKeyTrial(t *testing.T, seed int64, owners int, mk func(tr *keyTrial) key
 // TestKeyedTimerMatchesPerKeyEvents is the keyed-event equivalence property:
 // one keyed event per owner, held at the owner's least (instant, reserved
 // sequence) key, fires the owners' keys in exactly the order — and at
-// exactly the clock — one retained event per key would, and the pending-set
-// encoding (keyed events skipped, the owners' keys passed as extra entries)
-// is byte-identical at every chunk boundary. Trials mix same-instant ties,
+// exactly the clock — one keyed event per key would, and the pending-set
+// encoding (keyed events skipped, the keys passed as extra entries in both
+// worlds) is byte-identical at every chunk boundary. Trials mix same-instant ties,
 // no-moves, earlier and later moves (the deferred stale path), owners
 // emptying (timer cancelled) and re-arming after a fire, background events,
 // clock warps, and an engine reset mid-trial.
@@ -298,7 +308,7 @@ func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
 		seed := int64(trial) + 7
 		owners := 1 + trial%4
 		wantLog, wantEnc := runKeyTrial(t, seed, owners, func(tr *keyTrial) keyWorld {
-			return &retainedWorld{tr: tr, e: NewEngine(), evs: map[int]*Event{}}
+			return &perKeyWorld{tr: tr, e: NewEngine(), evs: map[int]*Event{}}
 		})
 		gotLog, gotEnc := runKeyTrial(t, seed, owners, func(tr *keyTrial) keyWorld {
 			w := &keyedWorld{tr: tr, e: NewEngine(), items: make([][]keyedItem, owners), timers: make([]Event, owners)}
@@ -324,29 +334,35 @@ func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
 }
 
 // TestEncodePendingKeyedPlusExtra: a keyed event stood in for by its
-// owner's extra entries encodes byte-identically to one retained event per
-// key, including a stale later-moved key and same-instant ties.
+// owner's extra entries encodes byte-identically to one detached event per
+// key, with the keyed event stale (later-moved) and same-instant ties.
 func TestEncodePendingKeyedPlusExtra(t *testing.T) {
 	tag := func(label string, _ any) uint64 { return uint64(len(label)) }
 	nop := func(Time) {}
 	nopArg := func(Time, any) {}
 
+	// The reference queues every key as a plain event, drawing the
+	// sequence numbers in the keyed world's order: b's first key (3) is
+	// superseded by its key at 9, drawn after bg's.
 	ref := NewEngine()
-	ref.Schedule(5, "a", nop)
-	b := ref.Schedule(3, "b", nop)
-	ref.Schedule(5, "bg", nop)
-	ref.Reschedule(b, 9) // stale: heap position 3, authoritative 9
-	ref.Schedule(9, "c", nop)
+	ref.ScheduleFunc(5, "a", nop)
+	ref.NextSeq()
+	ref.ScheduleFunc(5, "bg", nop)
+	ref.ScheduleFunc(9, "b", nop)
+	ref.ScheduleFunc(9, "c", nop)
 
 	k := NewEngine()
 	var timer Event
 	timer.InitKeyed("timer", nopArg, nil)
 	keys := []Pending{{At: 5, Seq: k.NextSeq(), Label: "a"}}
 	bSeq := k.NextSeq()
-	k.Schedule(5, "bg", nop)
+	k.ScheduleFunc(5, "bg", nop)
 	k.RescheduleKeyed(&timer, 3, bSeq)
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "b"})
-	k.RescheduleKeyed(&timer, 5, keys[0].Seq) // the least key is now a's
+	k.RescheduleKeyed(&timer, 5, keys[0].Seq) // the least key is now a's: a later move, left stale
+	if !timer.stale {
+		t.Fatal("timer not stale after its later move")
+	}
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "c"})
 
 	want := ref.EncodePending(nil, nil, tag)
@@ -365,10 +381,10 @@ func TestResetKeepsKeyedEvents(t *testing.T) {
 	var ev Event
 	ev.InitKeyed("timer", func(Time, any) { fired++ }, nil)
 	e.RescheduleKeyed(&ev, 7, e.NextSeq())
-	e.Schedule(8, "x", func(Time) {})
+	e.ScheduleFunc(8, "x", func(Time) {})
 	e.Reset()
-	if ev.Pending() || e.FreeEvents() != 1 {
-		t.Fatalf("after Reset: keyed pending=%v, free list %d, want false and 1 (only the plain event)", ev.Pending(), e.FreeEvents())
+	if queued(&ev) || e.FreeEvents() != 1 {
+		t.Fatalf("after Reset: keyed pending=%v, free list %d, want false and 1 (only the plain event)", queued(&ev), e.FreeEvents())
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		e.RescheduleKeyed(&ev, e.Now()+3, e.NextSeq())
@@ -389,7 +405,7 @@ func TestRescheduleKeyedBelowHeapKey(t *testing.T) {
 	var ev Event
 	ev.InitKeyed("keyed", func(Time, any) { order = append(order, "keyed") }, nil)
 	old := e.NextSeq()
-	e.Schedule(5, "mid", func(Time) { order = append(order, "mid") })
+	e.ScheduleFunc(5, "mid", func(Time) { order = append(order, "mid") })
 	e.RescheduleKeyed(&ev, 5, e.NextSeq())
 	e.RescheduleKeyed(&ev, 5, old)
 	if got := e.HeapStats().SiftUps; got != 1 {

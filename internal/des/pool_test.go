@@ -2,19 +2,19 @@ package des
 
 import "testing"
 
-// TestCancelThenRescheduleStillFires pins the retained-event contract the
+// TestCancelThenRescheduleStillFires pins the keyed-event contract the
 // event pool must not break: a cancelled event can be revived with
-// Reschedule and fires exactly once at the new instant.
+// RescheduleKeyed and fires exactly once at the new instant.
 func TestCancelThenRescheduleStillFires(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	ev := e.Schedule(Millisecond, "x", func(now Time) { fired = append(fired, now) })
+	ev := schedKeyed(e, Millisecond, "x", func(now Time) { fired = append(fired, now) })
 	e.Cancel(ev)
-	if ev.Pending() {
+	if queued(ev) {
 		t.Fatal("cancelled event still pending")
 	}
-	e.Reschedule(ev, 3*Millisecond)
-	if !ev.Pending() {
+	reschedule(e, ev, 3*Millisecond)
+	if !queued(ev) {
 		t.Fatal("rescheduled event not pending")
 	}
 	e.Run()
@@ -29,9 +29,9 @@ func TestCancelThenRescheduleStillFires(t *testing.T) {
 func TestCancelAfterRemovalThenReschedule(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	ev := e.Schedule(Millisecond, "x", func(Time) { count++ })
+	ev := schedKeyed(e, Millisecond, "x", func(Time) { count++ })
 	e.Cancel(ev)
-	e.Reschedule(ev, 2*Millisecond)
+	reschedule(e, ev, 2*Millisecond)
 	e.Cancel(ev)
 	e.Run()
 	if count != 0 {
@@ -45,7 +45,7 @@ func TestCancelAfterRemovalThenReschedule(t *testing.T) {
 // TestPoolReuseNeverResurrectsFiredCallback is the pool-safety test: after a
 // detached event fires and its Event struct is reused for a later schedule,
 // the original callback must never run again — under plain reuse, under
-// cancel, and under reschedule of unrelated retained events.
+// cancel, and under reschedule of unrelated keyed events.
 func TestPoolReuseNeverResurrectsFiredCallback(t *testing.T) {
 	e := NewEngine()
 	var aFired, bFired int
@@ -105,7 +105,7 @@ func TestArgCallbacksDeliverArgAndOrder(t *testing.T) {
 	two.InitKeyed("two", record, 2)
 	e.RescheduleKeyed(&two, 2*Millisecond, e.NextSeq())
 	e.AfterArg(Millisecond, "one", record, 1)
-	e.Schedule(3*Millisecond, "three", func(Time) { order = append(order, 3) })
+	e.ScheduleFunc(3*Millisecond, "three", func(Time) { order = append(order, 3) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
@@ -113,14 +113,14 @@ func TestArgCallbacksDeliverArgAndOrder(t *testing.T) {
 }
 
 // TestRetainedRescheduleAfterFireRequeues pins the documented semantics the
-// GPU engine relies on: rescheduling an already-fired retained event
-// re-queues it with its original callback.
+// GPU engine relies on: rescheduling an already-fired keyed event re-queues
+// it with its original callback.
 func TestRetainedRescheduleAfterFireRequeues(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	ev := e.Schedule(Millisecond, "x", func(Time) { count++ })
+	ev := schedKeyed(e, Millisecond, "x", func(Time) { count++ })
 	e.Run()
-	e.Reschedule(ev, e.Now().Add(Millisecond))
+	reschedule(e, ev, e.Now().Add(Millisecond))
 	e.Run()
 	if count != 2 {
 		t.Fatalf("fired %d times, want 2 (fire, requeue, fire)", count)
@@ -136,7 +136,7 @@ func TestHeapRemoveMiddle(t *testing.T) {
 	var fired []int
 	for i := 0; i < n; i++ {
 		i := i
-		events[i] = e.Schedule(Time(i+1)*Millisecond, "x", func(Time) { fired = append(fired, i) })
+		events[i] = schedKeyed(e, Time(i+1)*Millisecond, "x", func(Time) { fired = append(fired, i) })
 	}
 	for i := 0; i < n; i += 3 {
 		e.Cancel(events[i])

@@ -17,8 +17,9 @@ type modelEvent struct {
 }
 
 // TestRescheduleChurnPreservesOrder drives the engine through randomized
-// interleavings of Schedule, Reschedule (later, earlier, and to the same
-// instant — the no-move fast path), and Cancel, then checks that events fire
+// interleavings of scheduling, rescheduling (later, earlier, and to the same
+// instant — the no-move rule), and Cancel on one keyed event per item, then
+// checks that events fire
 // exactly in (time, sequence) order of their last effective reschedule. The
 // reference model re-derives that order independently, so the lazy
 // later-move deferral, the up-only earlier move, and the no-move skip all
@@ -35,8 +36,8 @@ func TestRescheduleChurnPreservesOrder(t *testing.T) {
 		var model []*modelEvent
 		var handles []*Event
 		var fired []int
-		// modelSeq mirrors the engine's sequence counter. Every Schedule
-		// consumes one; a Reschedule consumes one unless it is a no-move.
+		// modelSeq mirrors the engine's sequence counter. Every schedule
+		// consumes one; a reschedule consumes one unless it is a no-move.
 		var modelSeq uint64
 
 		schedule := func(at Time) {
@@ -44,7 +45,7 @@ func TestRescheduleChurnPreservesOrder(t *testing.T) {
 			modelSeq++
 			model = append(model, me)
 			me2 := me
-			handles = append(handles, eng.Schedule(at, "churn", func(now Time) {
+			handles = append(handles, schedKeyed(eng, at, "churn", func(now Time) {
 				if now != me2.at {
 					t.Fatalf("trial %d: event %d fired at %v, model says %v", trial, me2.id, now, me2.at)
 				}
@@ -82,7 +83,7 @@ func TestRescheduleChurnPreservesOrder(t *testing.T) {
 				default:
 					at = Time(rng.Intn(1000))
 				}
-				eng.Reschedule(handles[id], at)
+				reschedule(eng, handles[id], at)
 				if at != model[id].at {
 					model[id].at = at
 					model[id].seq = modelSeq
@@ -126,10 +127,10 @@ func TestRescheduleChurnPreservesOrder(t *testing.T) {
 func TestRescheduleNoMoveKeepsOrder(t *testing.T) {
 	eng := NewEngine()
 	var order []string
-	first := eng.Schedule(Time(50), "first", func(Time) { order = append(order, "first") })
-	eng.Schedule(Time(50), "second", func(Time) { order = append(order, "second") })
+	first := schedKeyed(eng, Time(50), "first", func(Time) { order = append(order, "first") })
+	eng.ScheduleFunc(Time(50), "second", func(Time) { order = append(order, "second") })
 	seqBefore := eng.seq
-	eng.Reschedule(first, Time(50)) // no-move: must not re-stamp the sequence
+	reschedule(eng, first, Time(50)) // no-move: must not re-stamp the sequence
 	if eng.seq != seqBefore {
 		t.Fatalf("no-move reschedule consumed a sequence number")
 	}
@@ -145,20 +146,20 @@ func TestRescheduleNoMoveKeepsOrder(t *testing.T) {
 func TestRescheduleLaterIsDeferred(t *testing.T) {
 	eng := NewEngine()
 	var order []string
-	ev := eng.Schedule(Time(10), "moved", func(now Time) {
+	ev := schedKeyed(eng, Time(10), "moved", func(now Time) {
 		if now != Time(300) {
 			t.Fatalf("moved event fired at %v, want 300", now)
 		}
 		order = append(order, "moved")
 	})
-	eng.Reschedule(ev, Time(300))
-	if ev.At() != Time(300) {
-		t.Fatalf("At() = %v after deferred reschedule, want 300", ev.At())
+	reschedule(eng, ev, Time(300))
+	if ev.trueAt != Time(300) || !ev.stale {
+		t.Fatalf("after deferred reschedule: key at %v, stale %v; want 300, true", ev.trueAt, ev.stale)
 	}
-	eng.Schedule(Time(200), "mid", func(Time) { order = append(order, "mid") })
+	eng.ScheduleFunc(Time(200), "mid", func(Time) { order = append(order, "mid") })
 	// Same instant as the moved event but scheduled afterwards: the moved
 	// event's deferred sequence number is older, so it fires first.
-	eng.Schedule(Time(300), "tie", func(Time) { order = append(order, "tie") })
+	eng.ScheduleFunc(Time(300), "tie", func(Time) { order = append(order, "tie") })
 	eng.Run()
 	if len(order) != 3 || order[0] != "mid" || order[1] != "moved" || order[2] != "tie" {
 		t.Fatalf("order = %v, want [mid moved tie]", order)
@@ -171,8 +172,8 @@ func TestRescheduleLaterIsDeferred(t *testing.T) {
 func TestRunUntilWithStaleRoot(t *testing.T) {
 	eng := NewEngine()
 	firedAt := Time(-1)
-	ev := eng.Schedule(Time(10), "late", func(now Time) { firedAt = now })
-	eng.Reschedule(ev, Time(500))
+	ev := schedKeyed(eng, Time(10), "late", func(now Time) { firedAt = now })
+	reschedule(eng, ev, Time(500))
 	eng.RunUntil(Time(100))
 	if firedAt != Time(-1) {
 		t.Fatalf("deferred event fired at %v before its instant", firedAt)
@@ -198,10 +199,10 @@ func TestAfterArgMonotoneLane(t *testing.T) {
 	}
 	// Heap event at 30, monotone at 20 and 40, heap tie at 40 scheduled
 	// after the monotone event.
-	eng.Schedule(Time(30), "h30", note("h30"))
+	eng.ScheduleFunc(Time(30), "h30", note("h30"))
 	eng.AfterArgMonotone(Time(20), "m20", noteArg, "m20")
 	eng.AfterArgMonotone(Time(40), "m40", noteArg, "m40")
-	eng.Schedule(Time(40), "h40", note("h40"))
+	eng.ScheduleFunc(Time(40), "h40", note("h40"))
 	eng.Run()
 	want := "[m20 h30 m40 h40]"
 	if got := sprint(order); got != want {
@@ -214,7 +215,7 @@ func TestAfterArgMonotoneLane(t *testing.T) {
 	// The lane contract: scheduling a monotone event before the pending
 	// tail is a bug and panics.
 	eng2 := NewEngine()
-	eng2.Schedule(Time(1000), "hold", func(now Time) {
+	eng2.ScheduleFunc(Time(1000), "hold", func(now Time) {
 		// now = 1000: a monotone event at now+0 while one pends at 1005
 		// violates monotonicity.
 		eng2.AfterArgMonotone(Time(5), "ok", noteArg, "x")

@@ -8,8 +8,8 @@ import "testing"
 func TestResetReplaysFreshEngine(t *testing.T) {
 	run := func(e *Engine) []Time {
 		var fired []Time
-		e.Schedule(3*Millisecond, "c", func(now Time) { fired = append(fired, now) })
-		e.Schedule(Millisecond, "a", func(now Time) { fired = append(fired, now) })
+		e.ScheduleFunc(3*Millisecond, "c", func(now Time) { fired = append(fired, now) })
+		e.ScheduleFunc(Millisecond, "a", func(now Time) { fired = append(fired, now) })
 		e.AfterFunc(2*Millisecond, "b", func(now Time) { fired = append(fired, now) })
 		e.Run()
 		return fired
@@ -22,7 +22,7 @@ func TestResetReplaysFreshEngine(t *testing.T) {
 	// Dirty the engine: fire some events, leave others pending.
 	reused.AfterFunc(Millisecond, "stale", func(Time) {})
 	reused.Run()
-	reused.Schedule(5*Millisecond, "pending", func(Time) { t.Error("pre-reset event fired") })
+	reused.ScheduleFunc(5*Millisecond, "pending", func(Time) { t.Error("pre-reset event fired") })
 	reused.Reset()
 
 	if reused.Now() != 0 || reused.Pending() != 0 || reused.Fired() != 0 {
@@ -46,13 +46,13 @@ func TestResetReplaysFreshEngine(t *testing.T) {
 func TestResetRecyclesPendingEvents(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
-		e.Schedule(Time(i+1)*Millisecond, "x", func(Time) {})
+		e.ScheduleFunc(Time(i+1)*Millisecond, "x", func(Time) {})
 	}
 	e.Reset()
 	if e.FreeEvents() != 4 {
 		t.Fatalf("free list has %d events after Reset, want 4", e.FreeEvents())
 	}
-	e.Schedule(Millisecond, "y", func(Time) {})
+	e.ScheduleFunc(Millisecond, "y", func(Time) {})
 	if e.FreeEvents() != 3 {
 		t.Fatalf("schedule after Reset did not reuse the pool (%d free)", e.FreeEvents())
 	}

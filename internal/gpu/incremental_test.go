@@ -279,7 +279,7 @@ func TestIncrementalStateMaintenance(t *testing.T) {
 	sa.Submit(convKernel("ka", 60))
 	sb.Submit(convKernel("kb", 50))
 	// Sample mid-run, while both kernels execute.
-	eng.After(des.FromMillis(1), "sample", func(des.Time) {
+	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
 		if a.weightSum != 3 || b.weightSum != 1 {
 			t.Errorf("weight sums = %v/%v, want 3/1", a.weightSum, b.weightSum)
 		}

@@ -32,7 +32,7 @@ func TestWaterfillWorkConserving(t *testing.T) {
 	}
 	a.AddStream("s", LowPriority).Submit(ka)
 	// Sample effective SMs shortly after all four started.
-	eng.After(des.FromMillis(1), "sample", func(des.Time) {
+	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
 		aSMs = ka.EffectiveSMs()
 		for _, kb := range kbs {
 			bSMs += kb.EffectiveSMs()
@@ -60,7 +60,7 @@ func TestWaterfillRigidAtNoOversubscription(t *testing.T) {
 	a.AddStream("s", LowPriority).Submit(ka)
 	bctx.AddStream("s0", LowPriority).Submit(kb1)
 	bctx.AddStream("s1", LowPriority).Submit(kb2)
-	eng.After(des.FromMillis(1), "sample", func(des.Time) {
+	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
 		if math.Abs(ka.EffectiveSMs()-34) > 0.01 {
 			t.Errorf("A kernel = %v SMs, want its full 34", ka.EffectiveSMs())
 		}

@@ -160,7 +160,7 @@ func TestDominoEffectUnderOverload(t *testing.T) {
 			if at >= des.FromSeconds(2) {
 				return
 			}
-			eng.Schedule(at, "rel", func(now des.Time) {
+			eng.ScheduleFunc(at, "rel", func(now des.Time) {
 				j := task.NewJob(k, now)
 				jobs = append(jobs, j)
 				s.OnRelease(j, now)
