@@ -48,19 +48,6 @@ func FromTask(t *rt.Task) (TaskLoad, error) {
 	}, nil
 }
 
-// FromTasks extracts loads for a whole task set.
-func FromTasks(tasks []*rt.Task) ([]TaskLoad, error) {
-	out := make([]TaskLoad, 0, len(tasks))
-	for _, t := range tasks {
-		l, err := FromTask(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-	}
-	return out, nil
-}
-
 // Utilization reports the classical Σ Cᵢ/Tᵢ over profiled WCETs. Values
 // above the pool's parallelism indicate certain overload of the *isolated*
 // service rate; the work-rate test below is the sharper device-level bound.
@@ -236,23 +223,4 @@ func (r Report) String() string {
 	return fmt.Sprintf(
 		"tasks=%d utilization=%.3f work-rate=%.2f ssm-ms/ms capacity=%.2f margin=%.2f → %s",
 		r.Tasks, r.Utilization, r.WorkRate, r.Capacity, r.Margin, verdict)
-}
-
-// Sensitivity sweeps identical-task counts from 1 to max and reports the
-// feasibility frontier: the largest feasible n (the analytic pivot) plus the
-// margin at each count.
-func Sensitivity(l TaskLoad, dev gpu.Config, max int) (frontier int, margins []float64) {
-	margins = make([]float64, 0, max)
-	for n := 1; n <= max; n++ {
-		loads := make([]TaskLoad, n)
-		for i := range loads {
-			loads[i] = l
-		}
-		m := CapacityMargin(loads, dev)
-		margins = append(margins, m)
-		if _, ok := EDFFeasible(loads, dev); ok {
-			frontier = n
-		}
-	}
-	return frontier, margins
 }

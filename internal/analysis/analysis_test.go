@@ -47,9 +47,6 @@ func TestFromTaskRequiresProfile(t *testing.T) {
 	if _, err := FromTask(task); err == nil {
 		t.Error("unprofiled task accepted")
 	}
-	if _, err := FromTasks([]*rt.Task{task}); err == nil {
-		t.Error("unprofiled task set accepted")
-	}
 }
 
 func TestUtilizationAndWorkRate(t *testing.T) {
@@ -188,15 +185,27 @@ func TestAnalyzeReport(t *testing.T) {
 	}
 }
 
+// TestSensitivityFrontier cross-checks PredictPivot against EDFFeasible:
+// sweeping identical-task counts 1..30, the largest feasible count (the
+// feasibility frontier) is the predicted pivot, and the capacity margin
+// strictly decreases with every added task.
 func TestSensitivityFrontier(t *testing.T) {
 	l := refLoad(t)
 	dev := gpu.DefaultConfig()
-	frontier, margins := Sensitivity(l, dev, 30)
+	frontier := 0
+	var margins []float64
+	for n := 1; n <= 30; n++ {
+		loads := make([]TaskLoad, n)
+		for i := range loads {
+			loads[i] = l
+		}
+		margins = append(margins, CapacityMargin(loads, dev))
+		if _, ok := EDFFeasible(loads, dev); ok {
+			frontier = n
+		}
+	}
 	if frontier != PredictPivot(l, dev) {
 		t.Errorf("frontier %d != predicted pivot %d", frontier, PredictPivot(l, dev))
-	}
-	if len(margins) != 30 {
-		t.Fatalf("margins = %d", len(margins))
 	}
 	for i := 1; i < len(margins); i++ {
 		if margins[i] >= margins[i-1] {

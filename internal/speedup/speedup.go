@@ -16,8 +16,6 @@ package speedup
 
 import (
 	"fmt"
-	"math"
-	"sort"
 )
 
 // DeviceSMs is the SM count of the modelled device (NVIDIA RTX 2080 Ti).
@@ -201,49 +199,4 @@ func (m *Model) Table(smCounts []int) map[Class][]float64 {
 		out[cl] = row
 	}
 	return out
-}
-
-// FitCurve least-squares fits a Curve to measured (sms, gain) points by
-// linear regression on the transformed model 1/g = (1/A) + (B/A)·(1/n).
-// It returns an error when fewer than two distinct points are given or the
-// fit degenerates (non-positive A or B).
-func FitCurve(sms, gains []float64) (Curve, error) {
-	if len(sms) != len(gains) {
-		return Curve{}, fmt.Errorf("speedup: mismatched fit inputs (%d vs %d)", len(sms), len(gains))
-	}
-	var xs, ys []float64
-	for i := range sms {
-		if sms[i] <= 0 || gains[i] <= 0 {
-			continue
-		}
-		xs = append(xs, 1/sms[i])
-		ys = append(ys, 1/gains[i])
-	}
-	if len(xs) < 2 {
-		return Curve{}, fmt.Errorf("speedup: need at least two positive points, got %d", len(xs))
-	}
-	distinct := append([]float64(nil), xs...)
-	sort.Float64s(distinct)
-	if distinct[0] == distinct[len(distinct)-1] {
-		return Curve{}, fmt.Errorf("speedup: all points share one SM count")
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if math.Abs(den) < 1e-12 {
-		return Curve{}, fmt.Errorf("speedup: degenerate fit")
-	}
-	slope := (n*sxy - sx*sy) / den   // B/A
-	intercept := (sy - slope*sx) / n // 1/A
-	if intercept <= 0 || slope <= 0 {
-		return Curve{}, fmt.Errorf("speedup: fit produced non-saturating curve (A⁻¹=%v, B/A=%v)", intercept, slope)
-	}
-	a := 1 / intercept
-	return Curve{A: a, B: slope * a}, nil
 }

@@ -185,37 +185,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestFitCurveRecoversKnownCurve(t *testing.T) {
-	want := NewCurve(32)
-	var sms, gains []float64
-	for _, n := range []float64{1, 2, 4, 8, 16, 32, 48, 68} {
-		sms = append(sms, n)
-		gains = append(gains, want.Gain(n))
-	}
-	got, err := FitCurve(sms, gains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.A-want.A) > 1e-6*want.A || math.Abs(got.B-want.B) > 1e-6*want.B {
-		t.Errorf("fit = %+v, want %+v", got, want)
-	}
-}
-
-func TestFitCurveErrors(t *testing.T) {
-	if _, err := FitCurve([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point fit should fail")
-	}
-	if _, err := FitCurve([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := FitCurve([]float64{4, 4, 4}, []float64{2, 2, 2}); err == nil {
-		t.Error("single distinct SM count should fail")
-	}
-	if _, err := FitCurve([]float64{-1, 0}, []float64{1, 1}); err == nil {
-		t.Error("no positive points should fail")
-	}
-}
-
 // Property: for any valid curve, gain is monotone in n and bounded by A.
 func TestCurveBoundsProperty(t *testing.T) {
 	f := func(rawGain, rawN uint16) bool {

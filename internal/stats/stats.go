@@ -98,41 +98,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram counts values into uniform-width bins over [lo, hi]. Values
-// outside the range clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	count  int
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi].
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v)x%d", lo, hi, n))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}
-}
-
-// Add counts one value.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.count++
-}
-
-// Count reports the total number of values added.
-func (h *Histogram) Count() int { return h.count }
-
-// BinCenter reports the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
-}

@@ -91,50 +91,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d", h.Count())
-	}
-	want := []int{2, 1, 1, 1, 2}
-	for i, w := range want {
-		if h.Bins[i] != w {
-			t.Errorf("bin %d = %d, want %d (bins %v)", i, h.Bins[i], w, h.Bins)
-		}
-	}
-	// Out-of-range values clamp to edge bins.
-	h.Add(-5)
-	h.Add(50)
-	if h.Bins[0] != 3 || h.Bins[4] != 3 {
-		t.Errorf("clamping failed: %v", h.Bins)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("bin 0 center = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Errorf("bin 4 center = %v, want 9", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 0, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // Property: Online mean/min/max agree with direct computation.
 func TestOnlineAgreesWithDirect(t *testing.T) {
 	f := func(raw []int16) bool {
