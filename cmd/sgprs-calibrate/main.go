@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -47,6 +48,9 @@ func main() {
 
 	counts, err := calibrationCounts(*targetPivot)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checkTargets(*targetFPS, *osLevel); err != nil {
 		log.Fatal(err)
 	}
 	np, err := sim.ScenarioContexts(*scenario)
@@ -146,6 +150,18 @@ func calibrationCounts(targetPivot int) ([]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkTargets rejects a saturation target or over-subscription level no
+// calibration can use: both must be positive and finite.
+func checkTargets(targetFPS, osLevel float64) error {
+	if !(targetFPS > 0) || math.IsInf(targetFPS, 0) {
+		return fmt.Errorf("-target-fps %v must be positive and finite", targetFPS)
+	}
+	if !(osLevel > 0) || math.IsInf(osLevel, 0) {
+		return fmt.Errorf("-os %v must be positive and finite", osLevel)
+	}
+	return nil
 }
 
 func abs(x float64) float64 {

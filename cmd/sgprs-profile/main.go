@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -33,6 +34,10 @@ func main() {
 	margin := flag.Float64("margin", 0.05, "WCET safety margin")
 	flag.Parse()
 
+	period, err := checkFlags(*fps, *margin)
+	if err != nil {
+		log.Fatal(err)
+	}
 	model := speedup.DefaultModel()
 	graph, err := buildNet(*net, model)
 	if err != nil {
@@ -42,7 +47,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	period := des.FromSeconds(1 / *fps)
 	task, err := rt.NewTask(0, *net, graph, parts, period, period, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -69,6 +73,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nutilisation C/T = %.3f\n", task.Utilization())
+}
+
+// checkFlags validates -fps and -margin and returns the release period
+// -fps implies: the rate must be positive and finite with a period of at
+// least one nanosecond that fits the simulated clock, and the WCET margin
+// non-negative and finite.
+func checkFlags(fps, margin float64) (des.Time, error) {
+	if !(fps > 0) || math.IsInf(fps, 0) {
+		return 0, fmt.Errorf("-fps %v must be positive and finite", fps)
+	}
+	period := des.FromSeconds(1 / fps)
+	if period == 0 || period == des.Never {
+		return 0, fmt.Errorf("-fps %v gives a period of %vs, outside the simulated clock's range", fps, 1/fps)
+	}
+	if !(margin >= 0) || math.IsInf(margin, 0) {
+		return 0, fmt.Errorf("-margin %v must be non-negative and finite", margin)
+	}
+	return period, nil
 }
 
 func buildNet(name string, model *speedup.Model) (*dnn.Graph, error) {

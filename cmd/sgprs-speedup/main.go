@@ -15,10 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
+	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
 	"sgprs/internal/profile"
@@ -37,6 +39,9 @@ func main() {
 
 	smCounts, err := parseSMs(*smsFlag)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := checkWork(*workMS); err != nil {
 		log.Fatal(err)
 	}
 
@@ -77,6 +82,19 @@ func parseSMs(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
+}
+
+// checkWork rejects a -work the measurement cannot run: a kernel needs
+// positive, finite work, and on one SM it runs for about -work
+// milliseconds, which must fit the simulated clock.
+func checkWork(workMS float64) error {
+	if !(workMS > 0) || math.IsInf(workMS, 0) {
+		return fmt.Errorf("-work %v must be positive and finite", workMS)
+	}
+	if des.FromMillis(workMS) == des.Never {
+		return fmt.Errorf("-work %vms exceeds the simulated clock's range", workMS)
+	}
+	return nil
 }
 
 func measure(model *speedup.Model, smCounts []int, workMS float64) (*report.Figure1, error) {

@@ -11,10 +11,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
 	"sgprs/internal/config"
+	"sgprs/internal/des"
 	"sgprs/internal/sim"
 	"sgprs/internal/trace"
 )
@@ -30,6 +32,9 @@ func main() {
 	out := flag.String("o", "trace.json", "output file (.json for Chrome trace, .csv for CSV)")
 	flag.Parse()
 
+	if err := checkHorizon(*horizon); err != nil {
+		log.Fatal(err)
+	}
 	kind := sim.KindSGPRS
 	switch *schedName {
 	case "sgprs":
@@ -72,4 +77,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d kernel spans to %s (run: %s)\n", len(rec.Spans()), *out, res.Summary)
+}
+
+// checkHorizon rejects a -horizon the trace cannot cover: it must be
+// positive, finite and within the simulated clock. Zero is an error rather
+// than the run configuration's 10 s default, which would trace far more
+// than this tool means to.
+func checkHorizon(sec float64) error {
+	if !(sec > 0) || math.IsInf(sec, 0) {
+		return fmt.Errorf("-horizon %v must be positive and finite", sec)
+	}
+	if des.FromSeconds(sec) == des.Never {
+		return fmt.Errorf("-horizon %vs exceeds the simulated clock's range", sec)
+	}
+	return nil
 }
