@@ -10,7 +10,7 @@ GO ?= go
 BENCH_BASELINE ?= BENCH_5.json
 BENCH_CURRENT ?= BENCH_13.json
 
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint vuln experiments examples fuzz-smoke ci
+.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint vuln experiments examples fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -107,8 +107,9 @@ experiments:
 
 ## examples: build every example, then smoke-run the quickstart, the
 ## registry-driven experiment example, the fault-injection and
-## fleet-failover walkthroughs, the pivot search, and the parallel
-## scenario sweep (the CI examples gate).
+## fleet-failover walkthroughs, the pivot search, the parallel scenario
+## sweep, and the multi-tenant mix on per-tenant collectors (the CI
+## examples gate).
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart
@@ -117,6 +118,13 @@ examples:
 	$(GO) run ./examples/fleet
 	$(GO) run ./examples/pivot
 	$(GO) run ./examples/parallelsweep
+	$(GO) run ./examples/multitenant
+
+## loc: count the non-test Go lines outside bench/ (the module's own
+## benchmark lives there), raw and non-blank non-comment — the figures
+## CHANGES.md records per change.
+loc:
+	@bash scripts/loc.sh
 
 ## fuzz-smoke: a short bounded run of every fuzz target — enough to catch
 ## parser regressions on each push without burning CI minutes. Targets are

@@ -63,7 +63,7 @@ type Pending struct {
 // and returns the extended slice. The set is every queued event except keyed
 // ones, plus the caller's extra entries — the keys the keyed events stand
 // for — so a keyed event plus its owner's entries encodes byte-identically to
-// one retained event per key. Entries are encoded in authoritative firing
+// one plain event per key. Entries are encoded in authoritative firing
 // order — sorted by (trueAt, trueSeq), the key dispatch actually uses, so
 // stale heap positions and the monotone lane are invisible, exactly as they
 // are in the firing order. Each entry contributes its label, an identity tag

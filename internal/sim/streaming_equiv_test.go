@@ -14,7 +14,7 @@ import (
 // TestStreamingMatchesBatchScenarios is the streaming-metrics acceptance
 // test: the Session path (streaming Collector, recycled jobs, reused
 // engine/device) must reproduce the batch reference path (retain every job,
-// post-hoc Evaluate) byte for byte across both paper scenarios — every
+// post-hoc EvaluateSLO) byte for byte across both paper scenarios — every
 // variant, every task count, every float bit of every metric. The grid spans
 // the regimes where completion order differs from release order: the naive
 // baseline completes FIFO per partition while SGPRS interleaves stages
@@ -61,7 +61,7 @@ func TestStreamingMatchesBatchJittered(t *testing.T) {
 }
 
 // batchScenario regenerates a scenario through runBatch — the reference
-// retain-and-Evaluate path — in scenarioSeries' shape.
+// retain-and-EvaluateSLO path — in scenarioSeries' shape.
 func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64) map[string][]metrics.Point {
 	t.Helper()
 	np, err := ScenarioContexts(scenario)
