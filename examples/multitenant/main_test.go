@@ -2,18 +2,16 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/stdout.txt from the current output")
-
 // TestStdoutGolden pins the example's report byte for byte against
 // testdata/stdout.txt, so a rewrite of how it collects metrics cannot
-// change a digit it prints. Run with -update only for an intended change.
+// change a digit it prints. For an intended change, regenerate the file
+// with `go run ./examples/multitenant > examples/multitenant/testdata/stdout.txt`.
 func TestStdoutGolden(t *testing.T) {
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -32,11 +30,6 @@ func TestStdoutGolden(t *testing.T) {
 	got := <-done
 
 	path := filepath.Join("testdata", "stdout.txt")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
