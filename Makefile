@@ -54,8 +54,8 @@ bench-long:
 ## run with the detector on versus DisableFastForward, plus the long-horizon
 ## sweep it shortens (see DESIGN.md §12) — and the two layer micro-benches
 ## under them: stats.RepeatedSum against the naive replay loop, and
-## metrics.Collector.Summary over a 300 s cell's backlog. Report-only: none
-## of them is in bench-gate.
+## metrics.Collector.Summary over a 300 s cell's backlog, streamed and
+## replayed. Report-only: none of them is in bench-gate.
 bench-ff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSteadyState|BenchmarkLongHorizon' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRepeatedSum|BenchmarkCollectorSummary' -benchmem ./internal/stats ./internal/metrics

@@ -384,13 +384,16 @@ func reportHeap(b *testing.B, h des.HeapStats) {
 
 // reportReplay reports one run's fast-forward replay work
 // (sim.Session.ReplayStats): the accounting adds performed one by one, the
-// explicit cycles they made up, the binade jumps taken instead, and the
-// queue-depth sort fallbacks.
+// explicit cycles they made up, the binade jumps taken instead, the
+// queue-depth sort fallbacks, the response times Summary sorted, and the
+// slots the collector's Replay wrote.
 func reportReplay(b *testing.B, r sim.ReplayStats) {
 	b.ReportMetric(float64(r.Adds), "replay_adds")
 	b.ReportMetric(float64(r.Cycles), "replay_cycles")
 	b.ReportMetric(float64(r.Jumps), "binade_jumps")
 	b.ReportMetric(float64(r.SortFallbacks), "sort_fallbacks")
+	b.ReportMetric(float64(r.SortedResponses), "sorted_responses")
+	b.ReportMetric(float64(r.ReplayWrites), "replay_writes")
 }
 
 // ffEligible makes a configuration fast-forward eligible: contention
@@ -412,12 +415,10 @@ func ffEligible(cfg sgprs.RunConfig) sgprs.RunConfig {
 // configuration is fast-forward eligible, so past the first recurrence the
 // detector extrapolates whole hyperperiod cycles: the device integrals jump
 // whole cycles of adds per binade (stats.RepeatedSum), so their cost grows
-// with the binades crossed, not the cycles skipped. What still grows
-// linearly with the horizon is the collector's per-job work — one
-// response-time slot and one backlog interval per skipped release, written
-// by Replay and read by Summary — so wall time is far below full simulation
-// (the 600 s case costs ~100× the 6 s acceptance grids in full) but not one
-// cycle's worth. replay_adds counts the adds still performed. The
+// with the binades crossed, not the cycles skipped, and the collector keeps
+// the skipped cycles as one stored cycle and a multiplicity, so Replay and
+// Summary cost one cycle's work (replay_writes, sorted_responses).
+// replay_adds counts the adds still performed. The
 // allocs/simsec metric feeds the CI benchmark-delta report via
 // BENCH_13.json.
 func BenchmarkLongHorizon(b *testing.B) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -51,9 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := profile.New(model, gpu.DefaultConfig())
-	prof.Margin = *margin
-	if err := prof.ProfileTask(task, *sms); err != nil {
+	if err := profileTask(model, task, *sms, *margin); err != nil {
 		log.Fatal(err)
 	}
 
@@ -91,6 +90,18 @@ func checkFlags(fps, margin float64) (des.Time, error) {
 		return 0, fmt.Errorf("-margin %v must be non-negative and finite", margin)
 	}
 	return period, nil
+}
+
+// profileTask installs the task's WCETs measured on sms SMs and padded by
+// margin, naming -margin when the padding overflows the simulated clock.
+func profileTask(model *speedup.Model, task *rt.Task, sms int, margin float64) error {
+	prof := profile.New(model, gpu.DefaultConfig())
+	prof.Margin = margin
+	err := prof.ProfileTask(task, sms)
+	if errors.Is(err, profile.ErrWCETOverflow) {
+		return fmt.Errorf("-margin %v pads the WCETs past the simulated clock", margin)
+	}
+	return err
 }
 
 func buildNet(name string, model *speedup.Model) (*dnn.Graph, error) {

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"sgprs/internal/des"
+	"sgprs/internal/dnn"
+	"sgprs/internal/rt"
+	"sgprs/internal/speedup"
 )
 
 // TestMalformedRateAndMarginFlags pins that a -fps without a usable period
@@ -43,6 +46,42 @@ func TestMalformedRateAndMarginFlags(t *testing.T) {
 			t.Errorf("%s: accepted, want an error naming %s", tc.name, tc.wantErr)
 		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr+" "):
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestOverflowingMarginNamesFlag: a finite -margin large enough to pad a
+// WCET past the simulated clock passes checkFlags but fails profiling with
+// an error naming -margin, instead of a negative-WCET error from a wrapped
+// conversion; a large margin that still fits the clock profiles fine.
+func TestOverflowingMarginNamesFlag(t *testing.T) {
+	model := speedup.DefaultModel()
+	for _, tc := range []struct {
+		margin float64
+		fail   bool
+	}{{1e300, true}, {1e14, true}, {1e6, false}} {
+		if _, err := checkFlags(30, tc.margin); err != nil {
+			t.Fatalf("margin %v: checkFlags: %v", tc.margin, err)
+		}
+		graph, err := buildNet("resnet18", model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := dnn.Partition(graph, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		period := des.FromSeconds(1.0 / 30)
+		task, err := rt.NewTask(0, "resnet18", graph, parts, period, period, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = profileTask(model, task, 34, tc.margin)
+		switch {
+		case !tc.fail && err != nil:
+			t.Errorf("margin %v: %v", tc.margin, err)
+		case tc.fail && (err == nil || !strings.Contains(err.Error(), "-margin ")):
+			t.Errorf("margin %v: error %v does not name -margin", tc.margin, err)
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // lifecycle events as the simulation produces them — releases from the
 // workload generator, completions from the schedulers via rt.JobWatcher —
 // and retains only counters, one response-time float per released job, and
-// one backlog interval per job. The jobs themselves can be recycled the
+// one backlog interval per job (of a fast-forwarded span, one cycle's worth:
+// ff.go). The jobs themselves can be recycled the
 // moment they are recorded, so a run's live memory is O(in-flight jobs)
 // instead of O(all jobs ever released).
 //
@@ -68,10 +69,10 @@ type Collector struct {
 	// depthSorts counts the queueDepth inputs Summary found out of order
 	// and had to sort (SortFallbacks).
 	depthSorts int
-	// scratch and sorted are Summary's reused buffers: the release-order
-	// compaction (mean summation order) and its sorted copy (quantiles).
+	// scratch and sortBuf are Summary's reused buffers: the release-order
+	// compaction (mean summation order) and its sorted copies (quantiles).
 	scratch []float64
-	sorted  []float64
+	sortBuf summaryBuf
 
 	// Degraded-window attribution (fault injection, DESIGN.md §13): the
 	// injector toggles degraded at each SM-degradation window edge, and
@@ -95,13 +96,17 @@ type Collector struct {
 
 	// Fast-forward measurement-cycle recording (ff.go): while recording,
 	// every lifecycle call appends an op so Replay can re-apply the cycle's
-	// metric writes over extrapolated cycles.
-	recording         bool
-	recOps            []ffOp
-	recStartsBase     int
-	recRespBase       int
-	recPerCycleStarts int
-	recPerCycleResp   int
+	// metric writes over extrapolated cycles. slotBlk, respBlk and logBlk
+	// locate the recorded cycle in starts/ends, resp and endLog; after
+	// Replay each array stands for mult further copies of it, shifted by
+	// multiples of period, which are never stored.
+	recording                bool
+	recOps                   []ffOp
+	slotBlk, respBlk, logBlk block
+	mult                     int
+	period                   des.Time
+	// replayWrites counts the slots Replay wrote (ReplayWrites).
+	replayWrites int
 }
 
 // NewCollector builds a collector for the measurement window [warmUp,
@@ -126,8 +131,11 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	c.ends = c.ends[:0]
 	c.endLog = c.endLog[:0]
 	c.depthSorts = 0
+	c.sortBuf.sorted = 0
 	c.recording = false
 	c.recOps = c.recOps[:0]
+	c.slotBlk, c.respBlk, c.logBlk = block{}, block{}, block{}
+	c.mult, c.period, c.replayWrites = 0, 0, 0
 	c.degraded = false
 	c.degFlags = c.degFlags[:0]
 	c.degReleased, c.degCompletedReleased, c.degLateCompleted = 0, 0, 0
@@ -157,13 +165,13 @@ func (c *Collector) SetSLO(ms float64) { c.sloMS = ms }
 // additionally get a response-time slot, and jobs whose deadline window
 // extends past the measurement interval are marked out-of-window.
 func (c *Collector) JobReleased(j *rt.Job, now des.Time) {
-	j.BacklogSlot = len(c.starts)
+	j.BacklogSlot = len(c.starts) + c.mult*c.slotBlk.n
 	c.starts = append(c.starts, j.Release)
 	c.ends = append(c.ends, des.Never)
 	if j.Release < c.warmUp || j.Deadline >= c.horizon {
 		j.MetricsSlot = -1
 	} else {
-		j.MetricsSlot = len(c.resp)
+		j.MetricsSlot = len(c.resp) + c.mult*c.respBlk.n
 		c.released++
 		c.resp = append(c.resp, math.NaN())
 		c.degFlags = append(c.degFlags, c.degraded)
@@ -186,7 +194,7 @@ func (c *Collector) JobReleased(j *rt.Job, now des.Time) {
 // recorded for in-window released jobs only, into their release-order slot.
 func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 	if j.BacklogSlot >= 0 {
-		c.ends[j.BacklogSlot] = now
+		c.ends[c.slotBlk.phys(j.BacklogSlot, c.mult)] = now
 		c.endLog = append(c.endLog, now)
 	}
 	inWin := now >= c.warmUp && now < c.horizon
@@ -198,8 +206,8 @@ func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 		if now > j.Deadline {
 			c.lateCompleted++
 		}
-		c.resp[j.MetricsSlot] = j.ResponseTime().Milliseconds()
-		// Slots appended by fast-forward Replay have no degFlags entry:
+		c.resp[c.respBlk.phys(j.MetricsSlot, c.mult)] = j.ResponseTime().Milliseconds()
+		// Slots fast-forward Replay stands for have no degFlags entry:
 		// fault-injected runs are FF-ineligible, so a replayed slot is
 		// never degraded and treating it as false is exact.
 		if j.MetricsSlot < len(c.degFlags) && c.degFlags[j.MetricsSlot] {
@@ -226,7 +234,7 @@ func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 // Summary time, exactly like a job still unfinished at the horizon.
 func (c *Collector) JobDiscarded(j *rt.Job, now des.Time) {
 	if j.BacklogSlot >= 0 {
-		c.ends[j.BacklogSlot] = now
+		c.ends[c.slotBlk.phys(j.BacklogSlot, c.mult)] = now
 		c.endLog = append(c.endLog, now)
 	}
 	if j.MetricsSlot >= 0 {
@@ -263,21 +271,25 @@ func (c *Collector) Summary() Summary {
 		s.Fleet.FleetDegradedDMR = float64(s.Fleet.FleetDegradedMissed) / float64(c.fltReleased)
 	}
 	// Compact the slots in release order — EvaluateSLO's iteration order —
-	// and count SLO hits over the identical float comparisons.
-	resp := c.scratch[:0]
-	sloHits := 0
-	for _, r := range c.resp {
-		if !math.IsNaN(r) {
-			resp = append(resp, r)
-			if c.sloMS > 0 && r <= c.sloMS {
-				sloHits++
-			}
-		}
-	}
+	// and count SLO hits over the identical float comparisons. A
+	// fast-forwarded span's copies repeat its block's floats and hits.
+	lo, hi := c.respBlk.cut-c.respBlk.n, c.respBlk.cut
+	resp, headHits := c.compact(c.scratch[:0], c.resp[:lo])
+	head := len(resp)
+	resp, blockHits := c.compact(resp, c.resp[lo:hi])
+	view := repeated{cut: len(resp), n: len(resp) - head, mult: c.mult}
+	resp, tailHits := c.compact(resp, c.resp[hi:])
 	c.scratch = resp
+	view.all = resp
+	sloHits := headHits + (1+c.mult)*blockHits + tailHits
 	// Releases and ends arrive in time order from the engine; only a
-	// caller delivering callbacks out of order pays for sorted copies.
-	b := backlog{starts: c.starts, ends: c.ends, byStart: c.starts, byEnd: c.endLog}
+	// caller delivering callbacks out of order pays for sorted copies. The
+	// sweep merges a span's copies into the stored arrays, so only those
+	// need to be in order.
+	b := backlog{
+		starts: c.starts, ends: c.ends, byStart: c.starts, byEnd: c.endLog,
+		cut: c.slotBlk.cut, n: c.slotBlk.n, mult: c.mult, period: c.period,
+	}
 	if !slices.IsSorted(b.byStart) {
 		b.byStart = slices.Sorted(slices.Values(b.byStart))
 		c.depthSorts++
@@ -286,11 +298,45 @@ func (c *Collector) Summary() Summary {
 		b.byEnd = slices.Sorted(slices.Values(b.byEnd))
 		c.depthSorts++
 	}
-	c.sorted = s.finish(resp, c.sorted[:0], b, c.sloMS, sloHits)
+	if c.mult > 0 {
+		b.blockStarts = blockInstants(c.starts, c.slotBlk)
+		b.blockEnds = blockInstants(c.endLog, c.logBlk)
+	}
+	s.finish(view, &c.sortBuf, b, c.sloMS, sloHits)
 	return s
+}
+
+// compact appends the filled (non-NaN) slots of resp to dst and counts those
+// within the SLO.
+func (c *Collector) compact(dst, resp []float64) ([]float64, int) {
+	hits := 0
+	for _, r := range resp {
+		if !math.IsNaN(r) {
+			dst = append(dst, r)
+			if c.sloMS > 0 && r <= c.sloMS {
+				hits++
+			}
+		}
+	}
+	return dst, hits
+}
+
+// blockInstants returns the instants of xs's recorded block in ascending
+// order: the block itself, unless callbacks came out of time order and
+// Summary is already on its sort fallback.
+func blockInstants(xs []des.Time, b block) []des.Time {
+	blk := xs[b.cut-b.n : b.cut]
+	if slices.IsSorted(blk) {
+		return blk
+	}
+	return slices.Sorted(slices.Values(blk))
 }
 
 // SortFallbacks reports how many queue-depth inputs — the release or the end
 // instants — Summary has found out of time order since Reset and sorted in a
 // copy. Runs driven by the engine deliver both in order, so it stays 0.
 func (c *Collector) SortFallbacks() int { return c.depthSorts }
+
+// SortedResponses reports how many response times Summary has sorted since
+// Reset: the compacted slots, plus a fast-forwarded span's block once.
+func (c *Collector) SortedResponses() int { return c.sortBuf.sorted }

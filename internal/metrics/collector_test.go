@@ -190,37 +190,58 @@ func TestCollectorSortFallbackMatchesFastPath(t *testing.T) {
 }
 
 // BenchmarkCollectorSummary times Summary over a 300 s steady-state cell's
-// worth of jobs — about 175,000 backlog intervals recorded in engine order,
-// the case that needs no queue-depth sort.
+// worth of jobs — about 175,000 backlog intervals. "streamed" records every
+// one in engine order, the case that needs no queue-depth sort; "replayed"
+// records one cycle and Replays it to as many logical slots, which Summary
+// reads as one block and a multiplicity. sorted/op counts the response times
+// each Summary sorts.
 func BenchmarkCollectorSummary(b *testing.B) {
-	period := des.FromMillis(10)
-	task := mkTask(b, 0, period)
 	const n = 175000
-	horizon := des.Time(int64(period) * (n + 2))
-	c := NewCollector(des.Second, horizon)
-	var pending []*rt.Job
-	for i := 0; i < n; i++ {
-		now := des.Time(int64(period) * int64(i))
-		// Each job finishes 2.5 periods after release, so three overlap.
-		for len(pending) > 0 && pending[0].Release.Add(period*5/2) <= now {
-			j := pending[0]
-			pending[0] = nil // let the finished job go
-			pending = pending[1:]
-			end := j.Release.Add(period * 5 / 2)
-			j.Stages[1].MarkFinished(end)
-			c.JobDone(j, end)
+	b.Run("streamed", func(b *testing.B) {
+		period := des.FromMillis(10)
+		task := mkTask(b, 0, period)
+		horizon := des.Time(int64(period) * (n + 2))
+		c := NewCollector(des.Second, horizon)
+		var pending []*rt.Job
+		for i := 0; i < n; i++ {
+			now := des.Time(int64(period) * int64(i))
+			// Each job finishes 2.5 periods after release, so three overlap.
+			for len(pending) > 0 && pending[0].Release.Add(period*5/2) <= now {
+				j := pending[0]
+				pending[0] = nil // let the finished job go
+				pending = pending[1:]
+				end := j.Release.Add(period * 5 / 2)
+				j.Stages[1].MarkFinished(end)
+				c.JobDone(j, end)
+			}
+			j := task.NewJob(i, now)
+			c.JobReleased(j, now)
+			pending = append(pending, j)
 		}
-		j := task.NewJob(i, now)
-		c.JobReleased(j, now)
-		pending = append(pending, j)
-	}
+		benchSummary(b, c)
+	})
+	b.Run("replayed", func(b *testing.B) {
+		ms := des.Millisecond
+		p := cyclePlan{period: 40 * ms, cycle: []jobPlan{
+			{release: 0, end: 50 * ms},
+			{release: 5 * ms, end: 30 * ms},
+			{release: 10 * ms, end: 35 * ms},
+			{release: 20 * ms, end: 58 * ms},
+		}}
+		benchSummary(b, p.run(b, n/len(p.cycle), true))
+	})
+}
+
+func benchSummary(b *testing.B, c *Collector) {
 	c.Summary() // grow the reused buffers outside the timed loop
+	sorted := c.SortedResponses()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Summary()
 	}
 	b.ReportMetric(float64(c.SortFallbacks()), "sort_fallbacks")
+	b.ReportMetric(float64(sorted), "sorted/op")
 }
 
 // TestCollectorWindowing pins the window-edge semantics EvaluateSLO has: warm-up

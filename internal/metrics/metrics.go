@@ -181,17 +181,53 @@ func EvaluateSLO(jobs []*rt.Job, warmUp, horizon des.Time, sloMS float64) Summar
 		byStart: slices.Sorted(slices.Values(starts)),
 		byEnd:   slices.Sorted(slices.Values(ends)),
 	}
-	s.finish(resp, nil, b, sloMS, sloHits)
+	s.finish(repeated{all: resp}, &summaryBuf{}, b, sloMS, sloHits)
 	return s
+}
+
+// repeated is a logical sequence of response times stored compactly:
+// all[:cut], then mult further copies of the block all[cut-n:cut], then
+// all[cut:]. A collector holding a fast-forwarded span (ff.go) hands finish
+// this view instead of the copies; every other caller passes mult 0, where
+// the view is all itself.
+type repeated struct {
+	all          []float64
+	cut, n, mult int
+}
+
+func (r repeated) block() []float64 { return r.all[r.cut-r.n : r.cut] }
+
+// summaryBuf holds finish's sorted response times, reused across
+// Collector.Summary calls, and counts the response times it has sorted.
+type summaryBuf struct {
+	rest, block []float64
+	sorted      int
+}
+
+// sortedCopy returns xs sorted, in dst's storage.
+func (buf *summaryBuf) sortedCopy(dst *[]float64, xs []float64) []float64 {
+	*dst = append((*dst)[:0], xs...)
+	slices.Sort(*dst)
+	buf.sorted += len(xs)
+	return *dst
 }
 
 // backlog is the input of the admission-backlog profile. starts[i] and
 // ends[i] are job i's interval (des.Never while pending); byStart and byEnd
 // hold the same start and end instants in ascending order — byEnd may omit
 // des.Never ends, which the depth sweep never reaches.
+//
+// A fast-forwarded span adds mult further copies of the intervals at
+// [cut-n, cut) of starts and ends, the c-th shifted by c·period. The copies
+// close inside the window, unclipped (Collector.Replay checks this), and
+// blockStarts and blockEnds hold their start and end instants in ascending
+// order, each spanning at most one period.
 type backlog struct {
-	starts, ends   []des.Time
-	byStart, byEnd []des.Time
+	starts, ends           []des.Time
+	byStart, byEnd         []des.Time
+	cut, n, mult           int
+	blockStarts, blockEnds []des.Time
+	period                 des.Time
 }
 
 // jobEnd reports the instant a job left the admission backlog: completion,
@@ -216,24 +252,28 @@ func jobEnd(j *rt.Job) des.Time {
 // bit-identical (the house streaming-equivalence invariant).
 //
 // resp must be in release order; b is the backlog of all jobs, read but
-// not modified. sortBuf, when non-nil, is reused for the sorted response
-// copy; the (possibly grown) buffer is returned so streaming callers can
-// keep it across runs.
-func (s *Summary) finish(resp, sortBuf []float64, b backlog, sloMS float64, sloHits int) []float64 {
+// not modified; buf receives the sorted response times. A fast-forwarded
+// span reaches finish as its block and multiplicity, never as copies, and
+// the stats helpers read the mean and the quantiles of the expanded slots
+// from that view bit for bit.
+func (s *Summary) finish(resp repeated, buf *summaryBuf, b backlog, sloMS float64, sloHits int) {
 	window := (s.Horizon - s.WarmUp).Seconds()
 	s.TotalFPS = float64(s.Completed) / window
 	if s.Released > 0 {
 		s.DMR = float64(s.Missed) / float64(s.Released)
 		s.DropRate = float64(s.Dropped) / float64(s.Released)
 	}
-	if len(resp) > 0 {
-		s.RespMeanMS = stats.Mean(resp)
-		sortBuf = append(sortBuf[:0], resp...)
-		slices.Sort(sortBuf)
-		s.RespP50MS = stats.QuantileSorted(sortBuf, 0.50)
-		s.RespP99MS = stats.QuantileSorted(sortBuf, 0.99)
-		s.RespP999MS = stats.QuantileSorted(sortBuf, 0.999)
-		s.RespMaxMS = stats.QuantileSorted(sortBuf, 1.0)
+	if len(resp.all) > 0 {
+		s.RespMeanMS = stats.MeanRepeated(resp.all, resp.cut, resp.n, resp.mult)
+		rest := buf.sortedCopy(&buf.rest, resp.all)
+		var block []float64
+		if resp.mult > 0 {
+			block = buf.sortedCopy(&buf.block, resp.block())
+		}
+		s.RespP50MS = stats.QuantileSortedRepeated(rest, block, resp.mult, 0.50)
+		s.RespP99MS = stats.QuantileSortedRepeated(rest, block, resp.mult, 0.99)
+		s.RespP999MS = stats.QuantileSortedRepeated(rest, block, resp.mult, 0.999)
+		s.RespMaxMS = stats.QuantileSortedRepeated(rest, block, resp.mult, 1.0)
 	}
 	integral, maxDepth := queueDepth(b, s.WarmUp, s.Horizon)
 	s.QueueDepthMax = maxDepth
@@ -244,7 +284,6 @@ func (s *Summary) finish(resp, sortBuf []float64, b backlog, sloMS float64, sloH
 			s.SLOHitRate = float64(sloHits) / float64(s.Released)
 		}
 	}
-	return sortBuf
 }
 
 // queueDepth computes the admission-backlog profile over [warmUp, horizon):
@@ -257,7 +296,11 @@ func (s *Summary) finish(resp, sortBuf []float64, b backlog, sloMS float64, sloH
 // the order events were observed in; that is what lets the streaming
 // collector match the batch path bit for bit even though completions arrive
 // out of release order. The integral reads the slot-paired intervals, the
-// maximum sweeps the ascending byStart and byEnd.
+// maximum sweeps the ascending starts and ends. A fast-forwarded span's
+// copies are unclipped, so they add mult times the block's integral; the
+// sweep reads them through instants, and where one copy leaves the sweep in
+// the state the previous one did, the copies up to the next rest instant
+// would only repeat it, so the sweep jumps past them.
 func queueDepth(b backlog, warmUp, horizon des.Time) (integral int64, maxDepth int) {
 	for i := range b.starts {
 		s, e := b.starts[i], b.ends[i]
@@ -271,45 +314,156 @@ func queueDepth(b backlog, warmUp, horizon des.Time) (integral int64, maxDepth i
 			integral += int64(e - s)
 		}
 	}
-	starts, ends := b.byStart, b.byEnd
+	var block int64
+	for i := b.cut - b.n; i < b.cut; i++ {
+		block += int64(b.ends[i] - b.starts[i])
+	}
+	integral += int64(b.mult) * block
+
+	starts := newInstants(b.byStart, b.blockStarts, b.mult, b.period)
+	ends := newInstants(b.byEnd, b.blockEnds, b.mult, b.period)
 	// Sweep the starts in time order, popping ends that precede them; the
 	// depth right after each start inside the window is a candidate
 	// maximum, as is the depth at warmUp itself (jobs can straddle it).
-	depth, j := 0, 0
+	depth := 0
 	warm := false
-	for i := 0; i < len(starts) && starts[i] < horizon; i++ {
-		s := starts[i]
+	var prev sweepState
+	seen := false
+	for {
+		s := starts.peek()
+		if s >= horizon {
+			break
+		}
 		if !warm && s >= warmUp {
-			for j < len(ends) && ends[j] <= warmUp {
+			for ends.peek() <= warmUp {
 				depth--
-				j++
+				ends.next()
 			}
 			if depth > maxDepth {
 				maxDepth = depth
 			}
 			warm = true
 		}
-		for j < len(ends) && ends[j] <= s {
+		for ends.peek() <= s {
 			depth--
-			j++
+			ends.next()
 		}
 		depth++
 		if warm && depth > maxDepth {
 			maxDepth = depth
 		}
+		if starts.next() && warm {
+			st := sweepState{depth, starts.i, ends.i, ends.c - starts.c, ends.j}
+			if seen && st == prev {
+				skipCopies(&starts, &ends, horizon)
+			}
+			prev, seen = st, true
+		}
 	}
 	if !warm {
 		// No start inside the window: the only candidate is the depth
 		// carried across warmUp by straddling jobs.
-		for j < len(ends) && ends[j] <= warmUp {
+		for ends.peek() <= warmUp {
 			depth--
-			j++
+			ends.next()
 		}
 		if depth > maxDepth {
 			maxDepth = depth
 		}
 	}
 	return integral, maxDepth
+}
+
+// sweepState is the depth sweep's state at the end of a copy of the starts
+// block: the depth, both rest positions, and the ends' copy position
+// relative to the starts'. Two consecutive copies ending in equal states
+// were swept identically, one period apart.
+type sweepState struct {
+	depth, startRest, endRest, endCopy, endAt int
+}
+
+// skipCopies advances both sweeps past the copies of the starts block that
+// would repeat the one just swept. Copy c+1 is swept like copy c shifted by
+// a period as long as its starts and the ends it reads, up to the one that
+// stops the last pop, are copies that precede every rest instant still
+// unread, and its starts lie before the horizon; the depth after it is the
+// same, and so is the maximum. The sweep states agree, so every copy after
+// the one just ended is skipped while that holds.
+func skipCopies(starts, ends *instants, horizon des.Time) {
+	if ends.c > ends.mult {
+		return
+	}
+	d := int64(starts.period)
+	last := int64(starts.block[len(starts.block)-1])
+	// Copy c of the starts block (ended: c = starts.c-1) may be skipped
+	// while it ends before bound, and the end the sweep stops at after it
+	// — copy ends.c+k at ends.j — precedes the ends' next rest instant.
+	done := starts.c - 1
+	bound := min(int64(horizon), int64(starts.restNext()))
+	k := min(starts.mult-done, int((bound-1-last)/d)-done)
+	k = min(k, ends.mult-ends.c, int((int64(ends.restNext())-1-int64(ends.block[ends.j]))/d)-ends.c)
+	if k > 0 {
+		starts.skip(k)
+		ends.skip(k)
+	}
+}
+
+// instants yields, in ascending order, the merge of rest and copies 1..mult
+// of block, the c-th shifted by c·period, reading des.Never once both are
+// exhausted. Both slices must be ascending and block must span at most one
+// period, so each copy ends at or before the next begins. Ties go to rest.
+type instants struct {
+	rest, block []des.Time
+	i           int // next rest index
+	j           int // next block index within copy c
+	c, mult     int // copy c of 1..mult; c > mult once the copies are read
+	period      des.Time
+	shift       des.Time // c·period
+}
+
+func newInstants(rest, block []des.Time, mult int, period des.Time) instants {
+	it := instants{rest: rest, block: block, c: 1, mult: mult, period: period, shift: period}
+	if len(block) == 0 {
+		it.c = mult + 1
+	}
+	return it
+}
+
+func (it *instants) restNext() des.Time {
+	if it.i == len(it.rest) {
+		return des.Never
+	}
+	return it.rest[it.i]
+}
+
+func (it *instants) copyNext() des.Time {
+	if it.c > it.mult {
+		return des.Never
+	}
+	return it.block[it.j] + it.shift
+}
+
+func (it *instants) peek() des.Time { return min(it.restNext(), it.copyNext()) }
+
+// next consumes the next instant and reports whether it ended a copy.
+func (it *instants) next() bool {
+	if it.i < len(it.rest) && it.rest[it.i] <= it.copyNext() {
+		it.i++
+		return false
+	}
+	it.j++
+	if it.j < len(it.block) {
+		return false
+	}
+	it.skip(1)
+	it.j = 0
+	return true
+}
+
+// skip moves k copies on, keeping the position within the copy.
+func (it *instants) skip(k int) {
+	it.c += k
+	it.shift += des.Time(int64(k) * int64(it.period))
 }
 
 // Point is one sweep sample: a task count and its run summary.

@@ -9,6 +9,7 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 
 	"sgprs/internal/des"
@@ -67,19 +68,31 @@ func (p *Profiler) measure(k *gpu.Kernel, sms int) (des.Time, error) {
 	return done, nil
 }
 
-// pad applies the WCET margin.
+// ErrWCETOverflow reports a margin that pads a WCET, or a task's WCETs
+// together, past the simulated clock.
+var ErrWCETOverflow = errors.New("padded WCET overflows the simulated clock")
+
+// pad applies the WCET margin, saturating at des.Never (a NaN margin
+// included).
 func (p *Profiler) pad(t des.Time) des.Time {
-	return des.Time(float64(t) * (1 + p.Margin))
+	if w := float64(t) * (1 + p.Margin); w < float64(des.Never) {
+		return des.Time(w)
+	}
+	return des.Never
 }
 
-// StageWCET measures stage st in isolation on a context of sms SMs.
+// StageWCET measures stage st in isolation on a context of sms SMs. It
+// fails with ErrWCETOverflow when the margin pads it past the clock.
 func (p *Profiler) StageWCET(st *dnn.Stage, sms int) (des.Time, error) {
 	k := &gpu.Kernel{Label: st.Name(), Shares: st.Shares}
 	t, err := p.measure(k, sms)
 	if err != nil {
 		return 0, err
 	}
-	return p.pad(t), nil
+	if w := p.pad(t); w != des.Never {
+		return w, nil
+	}
+	return 0, fmt.Errorf("profile: stage %s with margin %v: %w", st.Name(), p.Margin, ErrWCETOverflow)
 }
 
 // ProfileTask measures every stage of the task on a context of sms SMs and
@@ -88,11 +101,16 @@ func (p *Profiler) StageWCET(st *dnn.Stage, sms int) (des.Time, error) {
 // conservative choice.
 func (p *Profiler) ProfileTask(task *rt.Task, sms int) error {
 	wcets := make([]des.Time, len(task.Stages))
+	var total des.Time
 	for j, st := range task.Stages {
 		c, err := p.StageWCET(st, sms)
 		if err != nil {
 			return fmt.Errorf("profile: task %s stage %d: %w", task.Name, j, err)
 		}
+		if c >= des.Never-total {
+			return fmt.Errorf("profile: task %s with margin %v: %w", task.Name, p.Margin, ErrWCETOverflow)
+		}
+		total += c
 		wcets[j] = c
 	}
 	return task.SetWCETs(wcets)

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -182,5 +183,42 @@ func TestProfilingIsDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("profiling not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestMarginOverflowSaturates: a margin that pads one stage past the clock,
+// or every stage within it but their sum past it, fails with
+// ErrWCETOverflow instead of wrapping into a negative WCET; so does a NaN
+// margin.
+func TestMarginOverflowSaturates(t *testing.T) {
+	g := dnn.ResNet18(dnn.DefaultCostModel())
+	stages, err := dnn.Partition(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProfiler()
+	p.Margin = 0
+	var total float64
+	for _, st := range stages {
+		c, err := p.StageWCET(st, 34)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += float64(c)
+	}
+	sumOnly := 1.5*float64(des.Never)/total - 1 // each stage fits, the sum does not
+	for _, margin := range []float64{1e300, math.NaN(), sumOnly} {
+		p.Margin = margin
+		task, err := rt.NewTask(0, "r", g, stages, des.Second, des.Second, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ProfileTask(task, 34); !errors.Is(err, ErrWCETOverflow) {
+			t.Errorf("margin %v: ProfileTask error %v, want ErrWCETOverflow", margin, err)
+		}
+	}
+	p.Margin = sumOnly
+	if _, err := p.StageWCET(stages[0], 34); err != nil {
+		t.Errorf("margin %v: one stage should still fit the clock: %v", sumOnly, err)
 	}
 }

@@ -306,3 +306,36 @@ func TestSessionInterleavedFastForward(t *testing.T) {
 		}
 	}
 }
+
+// TestFastForwardReplaysDrops fast-forwards a cell whose recorded cycle
+// drops jobs, so the collector's replayed block holds empty (NaN) response
+// slots that every copy repeats: 30 tasks on two 1.0x contexts shed load in
+// steady state. The run must DeepEqual the same cell simulated in full, and
+// the drops must scale with the cycles skipped — at least one per cycle —
+// which shows the recorded cycle carried them.
+func TestFastForwardReplaysDrops(t *testing.T) {
+	cfg := RunConfig{
+		Kind: KindSGPRS, Name: "drops", ContextSMs: ContextPool(2, 1.0, speedup.DeviceSMs),
+		NumTasks: 30, HorizonSec: 20, Seed: 1, GPU: eligibleGPU(1),
+	}
+	ref := cfg
+	ref.DisableFastForward = true
+	cache := memo.New()
+	want, err := NewSession(cache).Run(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewSession(cache).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := got.FastForward.CyclesSkipped
+	if skipped == 0 || uint64(got.Summary.Dropped) < skipped {
+		t.Fatalf("%d cycles skipped with %d drops: the replayed cycle drops nothing",
+			skipped, got.Summary.Dropped)
+	}
+	got.FastForward = metrics.FFStats{}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("fast-forward differs from full simulation\nwant %+v\ngot  %+v", want, got)
+	}
+}

@@ -246,11 +246,16 @@ func (s *Session) EngineStats() (fired uint64, heap des.HeapStats) {
 // ReplayStats is the host-side work of the last run's fast-forward replay
 // and metric fold: the accounting adds gpu.Device.ReplayCycles performed
 // one by one (Adds, over Cycles explicit cycles) against the multi-cycle
-// binade jumps it took instead (Jumps, see stats.RepeatedSum), and the
-// queue-depth inputs metrics.Collector.Summary had to sort (SortFallbacks).
+// binade jumps it took instead (Jumps, see stats.RepeatedSum); the
+// queue-depth inputs metrics.Collector.Summary had to sort (SortFallbacks);
+// the response times Summary sorted (SortedResponses); and the slots
+// metrics.Collector.Replay wrote across its four per-job arrays
+// (ReplayWrites).
 type ReplayStats struct {
 	stats.RepeatCounts
-	SortFallbacks int
+	SortFallbacks   int
+	SortedResponses int
+	ReplayWrites    int
 }
 
 // ReplayStats reports the last run's replay work. Like EngineStats it
@@ -262,6 +267,8 @@ func (s *Session) ReplayStats() ReplayStats {
 	}
 	if s.collector != nil {
 		r.SortFallbacks = s.collector.SortFallbacks()
+		r.SortedResponses = s.collector.SortedResponses()
+		r.ReplayWrites = s.collector.ReplayWrites()
 	}
 	return r
 }

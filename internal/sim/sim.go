@@ -359,21 +359,17 @@ func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {
 
 // ContextPool computes the per-context SM allocation for a pool of np
 // contexts at over-subscription level os on a device of totalSMs: each
-// context gets round(os·total/np), clamped to [1, total].
+// context gets round(os·total/np), clamped to [1, total]. It panics unless
+// np, os and totalSMs are all positive (a NaN os included).
 func ContextPool(np int, os float64, totalSMs int) []int {
-	if np <= 0 || os <= 0 || totalSMs <= 0 {
+	if np <= 0 || !(os > 0) || totalSMs <= 0 {
 		panic(fmt.Sprintf("sim: invalid pool np=%d os=%v sms=%d", np, os, totalSMs))
 	}
-	per := int(math.Round(os * float64(totalSMs) / float64(np)))
-	if per < 1 {
-		per = 1
-	}
-	if per > totalSMs {
-		per = totalSMs
-	}
+	// Clamp before converting: a huge os would overflow the int.
+	per := min(max(math.Round(os*float64(totalSMs)/float64(np)), 1), float64(totalSMs))
 	out := make([]int, np)
 	for i := range out {
-		out[i] = per
+		out[i] = int(per)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,6 +84,23 @@ func TestContextPool(t *testing.T) {
 	if got := ContextPool(200, 0.1, 68); got[0] != 1 {
 		t.Errorf("under-clamp = %v", got)
 	}
+}
+
+// TestContextPoolHugeOversubscription: an os so large that os·total/np
+// overflows an int still clamps to the whole device, and a NaN os panics
+// like any other non-positive one.
+func TestContextPoolHugeOversubscription(t *testing.T) {
+	for _, os := range []float64{1e300, math.Inf(1)} {
+		if got := ContextPool(2, os, 68); !slices.Equal(got, []int{68, 68}) {
+			t.Errorf("os=%v: pool %v, want the whole device per context", os, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NaN os did not panic")
+		}
+	}()
+	ContextPool(2, math.NaN(), 68)
 }
 
 func TestContextPoolPanics(t *testing.T) {

@@ -68,33 +68,79 @@ func Quantile(xs []float64, q float64) float64 {
 // of paying Quantile's copy-and-sort per call. Same interpolation, same
 // panics — Quantile delegates here, so the two cannot drift.
 func QuantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
+	return QuantileSortedRepeated(s, nil, 0, q)
+}
+
+// QuantileSortedRepeated is QuantileSorted over the multiset of rest plus m
+// further copies of block, both ascending, without building that multiset.
+// It reads the order statistics QuantileSorted would read from the sorted
+// expansion and interpolates them the same way, so the result is the same
+// float bit for bit. With m == 0 it is QuantileSorted(rest, q).
+func QuantileSortedRepeated(rest, block []float64, m int, q float64) float64 {
+	n := len(rest) + m*len(block)
+	if n == 0 {
 		panic("stats: quantile of empty slice")
 	}
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
 	}
-	if len(s) == 1 {
-		return s[0]
+	if n == 1 {
+		return rankRepeated(rest, block, m, 0)
 	}
-	pos := q * float64(len(s)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s[lo]
+		return rankRepeated(rest, block, m, lo)
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return rankRepeated(rest, block, m, lo)*(1-frac) + rankRepeated(rest, block, m, hi)*frac
+}
+
+// rankRepeated returns the r-th smallest (from 0) element of rest plus m
+// copies of block, both ascending. The answer is the smallest element v of
+// either slice with more than r elements of the multiset at or below it, so
+// a binary search over each slice finds its candidate and the smaller wins.
+func rankRepeated(rest, block []float64, m, r int) float64 {
+	if m == 0 || len(block) == 0 {
+		return rest[r]
+	}
+	atOrBelow := func(v float64) int {
+		return upperBound(rest, v) + m*upperBound(block, v)
+	}
+	i := sort.Search(len(rest), func(i int) bool { return atOrBelow(rest[i]) > r })
+	j := sort.Search(len(block), func(j int) bool { return atOrBelow(block[j]) > r })
+	if i == len(rest) || (j < len(block) && block[j] < rest[i]) {
+		return block[j]
+	}
+	return rest[i]
+}
+
+// upperBound returns how many elements of ascending s are at or below v.
+func upperBound(s []float64, v float64) int {
+	return sort.Search(len(s), func(i int) bool { return s[i] > v })
 }
 
 // Mean reports the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
+func Mean(xs []float64) float64 { return MeanRepeated(xs, 0, 0, 0) }
+
+// MeanRepeated is Mean over xs[:cut], then m further copies of the block
+// xs[cut-n:cut], then xs[cut:], without building that sequence. It adds the
+// head in order, the copies with RepeatedSum and then the tail: the same
+// adds in the same order, so the same float bit for bit.
+func MeanRepeated(xs []float64, cut, n, m int) float64 {
+	count := len(xs) + m*n
+	if count == 0 {
 		return 0
 	}
 	var sum float64
-	for _, x := range xs {
+	for _, x := range xs[:cut] {
 		sum += x
 	}
-	return sum / float64(len(xs))
+	var adds RepeatCounts
+	sum = RepeatedSum(sum, xs[cut-n:cut], m, &adds)
+	for _, x := range xs[cut:] {
+		sum += x
+	}
+	return sum / float64(count)
 }

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +140,42 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRepeatedViewsMatchExpansion pins MeanRepeated and
+// QuantileSortedRepeated against Mean and QuantileSorted over the sequence
+// they stand for, built out: random heads, blocks and tails, with repeated
+// values so ranks straddle ties, and multiplicities from 0 up.
+func TestRepeatedViewsMatchExpansion(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+rng.Intn(12))
+		for i := range xs {
+			xs[i] = float64(rng.Intn(6)) * 0.37 * float64(1+rng.Intn(3))
+		}
+		cut := rng.Intn(len(xs) + 1)
+		n := rng.Intn(cut + 1)
+		m := []int{0, 1, 2, 7, 300}[rng.Intn(5)]
+		var full []float64
+		full = append(full, xs[:cut]...)
+		for range m {
+			full = append(full, xs[cut-n:cut]...)
+		}
+		full = append(full, xs[cut:]...)
+		if got, want := MeanRepeated(xs, cut, n, m), Mean(full); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: MeanRepeated = %v, Mean of expansion = %v", trial, got, want)
+		}
+		rest := append([]float64(nil), xs...)
+		block := append([]float64(nil), xs[cut-n:cut]...)
+		sort.Float64s(rest)
+		sort.Float64s(block)
+		sort.Float64s(full)
+		for _, q := range []float64{0, 0.25, 0.5, 0.99, 0.999, 1, rng.Float64()} {
+			got := QuantileSortedRepeated(rest, block, m, q)
+			if want := QuantileSorted(full, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d q=%v: QuantileSortedRepeated = %v, expansion = %v", trial, q, got, want)
+			}
+		}
 	}
 }
