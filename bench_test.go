@@ -521,15 +521,14 @@ func BenchmarkOverloadTail(b *testing.B) {
 	b.Run("naive", run(naive))
 }
 
-// BenchmarkDenseContention stresses the incremental rate engine where the
-// paper's dense-contention regimes live: many contexts × many streams, all
+// BenchmarkDenseContention stresses the rate engine where the paper's
+// dense-contention regimes live: many contexts × many streams, all
 // continuously busy, swept across demand ratios from half-subscribed to the
 // paper's 2.0x over-subscription. Every kernel completion triggers a
 // running-set transition over ~32 concurrent kernels, so this benchmark is
-// almost pure rate-engine work: ratio ≤ 1 exercises the dirty-context fast
-// path and the lean ceiling path, ratio > 1 the full sweep (DESIGN.md §10).
-// The recompute tier counts and the des heap work are reported per
-// iteration.
+// almost pure rate-engine work (DESIGN.md §10): ratio ≤ 1 takes the rigid
+// allocation, ratio > 1 the waterfill and the contention terms. The
+// recompute count and the des heap work are reported per iteration.
 func BenchmarkDenseContention(b *testing.B) {
 	const (
 		perStream = 12
@@ -537,8 +536,8 @@ func BenchmarkDenseContention(b *testing.B) {
 	)
 	// Explicit context layouts rather than a derived division: the 1.0 case
 	// sits exactly on the demand == TotalSMs boundary (4×17 = 68), the last
-	// point the incremental tiers may handle, and the sub-benchmark names
-	// carry the achieved ratio (also reported as a metric).
+	// point the rigid allocation covers, and the sub-benchmark names carry
+	// the achieved ratio (also reported as a metric).
 	cases := []struct {
 		name   string
 		nCtx   int
@@ -559,7 +558,7 @@ func BenchmarkDenseContention(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var fast, lean, full uint64
+			var recomputes uint64
 			var heap des.HeapStats
 			for i := 0; i < b.N; i++ {
 				eng.Reset()
@@ -589,13 +588,11 @@ func BenchmarkDenseContention(b *testing.B) {
 				if got, want := dev.CompletedKernels(), uint64(nCtx*4*perStream); got != want {
 					b.Fatalf("completed %d kernels, want %d", got, want)
 				}
-				fast, lean, full = dev.RecomputeStats()
+				recomputes = dev.RecomputeStats()
 				heap = eng.HeapStats()
 			}
 			b.ReportMetric(float64(nCtx*smsPer)/68, "demand_ratio")
-			b.ReportMetric(float64(fast), "fast_recomputes")
-			b.ReportMetric(float64(lean), "lean_recomputes")
-			b.ReportMetric(float64(full), "full_recomputes")
+			b.ReportMetric(float64(recomputes), "recomputes")
 			reportHeap(b, heap)
 		})
 	}

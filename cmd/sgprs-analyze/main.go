@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -79,6 +80,10 @@ func main() {
 	// sim.DefaultModel (not a fresh speedup.DefaultModel) so the direct
 	// profile below and the verification sweep share cache entries: the
 	// offline cache keys on model identity.
+	period, err := checkFlags(*n, *fps)
+	if err != nil {
+		log.Fatal(err)
+	}
 	model := sim.DefaultModel()
 	dev := gpu.DefaultConfig()
 	g := sim.ReferenceGraph(model)
@@ -86,7 +91,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	period := des.FromSeconds(1 / *fps)
 	task, err := rt.NewTask(0, "resnet18", g, parts, period, period, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -203,6 +207,23 @@ func fromExperiment(name string, n *int, fps *float64, stages *int) ([]int, erro
 		return append([]int(nil), v.ContextSMs...), nil
 	}
 	return nil, fmt.Errorf("experiment %q has no SGPRS variant with a context pool", name)
+}
+
+// checkFlags validates -n and -fps (after -experiment has filled them) and
+// returns the release period: at least one task, and a frame rate whose
+// period is positive, finite and inside the simulated clock's range.
+func checkFlags(n int, fps float64) (des.Time, error) {
+	if n < 1 {
+		return 0, fmt.Errorf("-n %d must be at least 1", n)
+	}
+	if !(fps > 0) || math.IsInf(fps, 0) {
+		return 0, fmt.Errorf("-fps %v must be positive and finite", fps)
+	}
+	period := des.FromSeconds(1 / fps)
+	if period == 0 || period == des.Never {
+		return 0, fmt.Errorf("-fps %v gives a period of %vs, outside the simulated clock's range", fps, 1/fps)
+	}
+	return period, nil
 }
 
 // verifyCounts is the verification sweep's task axis: the predicted pivot

@@ -30,9 +30,8 @@ func (p Priority) String() string {
 // Priority SM-sharing weights. They are small exact integers on purpose:
 // per-context weight sums maintained with += / -= as kernels start and
 // finish stay exact (integer float arithmetic never rounds below 2⁵³), so
-// the incrementally tracked sums are bit-identical to re-deriving them from
-// the running set — the foundation of the incremental rate engine
-// (DESIGN.md §10).
+// the tracked sums the rate sweep reads are bit-identical to re-deriving
+// them from the running set (DESIGN.md §10).
 const (
 	lowWeight  = 1
 	highWeight = 3
@@ -61,20 +60,11 @@ type Context struct {
 
 	activeKernels int // kernels currently executing in this context
 
-	// Incrementally maintained aggregates (DESIGN.md §10), updated by
-	// Device.start/complete instead of being re-derived from the global
-	// running set on every recompute:
-	//
-	//   - weightSum is the summed priority weight of the context's running
-	//     kernels — exact, because weights are small integers;
-	//   - running lists those kernels in admission order, so a fast-path
-	//     recompute visits exactly the kernels the full sweep would, in the
-	//     same order;
-	//   - gainQ is the context's fixed-point pure-gain sum, the per-context
-	//     slice of the device's conservative aggregate-ceiling bound.
+	// weightSum is the summed priority weight of the context's running
+	// kernels, maintained by Device.start/complete instead of being
+	// re-derived from the running set on every recompute — exact, because
+	// weights are small integers (DESIGN.md §10).
 	weightSum float64
-	running   []*Kernel
-	gainQ     int64
 
 	// shareLow/shareHigh are the per-priority intra-context SM shares of
 	// the latest recompute. A context's kernels can take only two distinct

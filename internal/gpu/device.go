@@ -61,12 +61,6 @@ type Config struct {
 	ContentionJitter float64
 	// Seed feeds every stochastic draw in the device.
 	Seed uint64
-	// DisableIncremental forces the full reference sweep on every
-	// running-set change instead of the dirty-context fast path
-	// (DESIGN.md §10). Results are bit-identical either way — the
-	// equivalence tests run both engines against each other — so this
-	// exists only as the retained reference those tests compare to.
-	DisableIncremental bool
 }
 
 // DefaultConfig returns the calibrated RTX 2080 Ti model parameters.
@@ -151,31 +145,11 @@ type Device struct {
 	allocScratch  []float64
 	cappedScratch []bool
 
-	// Incremental rate-engine state (DESIGN.md §10), maintained by
-	// start/complete alongside the per-context aggregates:
-	//
-	//   - busyDemand is the summed SM allocation of busy contexts (the
-	//     demand the full sweep used to re-derive every recompute);
-	//   - gainBoundQ is Σ Context.gainQ, the fixed-point conservative
-	//     upper bound on the pure gain sum; ceilingQ is the aggregate
-	//     ceiling on the same grid;
-	//   - shapeValid records that the previous recompute used the rigid
-	//     demand-fits allocation (ratio ≤ 1), making untouched contexts'
-	//     cached shares and pure gains reusable;
-	//   - lastScaled records that the stored rates carry a ceiling factor
-	//     (they are not the pure gains), so dropping back below the
-	//     ceiling must revert every kernel, not just the touched context.
+	// busyDemand is the summed SM allocation of busy contexts, maintained
+	// by start/complete alongside the per-context aggregates (DESIGN.md
+	// §10); recomputes counts running-set transitions (RecomputeStats).
 	busyDemand int
-	gainBoundQ int64
-	ceilingQ   int64
-	shapeValid bool
-	lastScaled bool
-
-	// fast/lean/full count which tier each running-set transition took
-	// (diagnostics; RecomputeStats).
-	fastRecomputes uint64
-	leanRecomputes uint64
-	fullRecomputes uint64
+	recomputes uint64
 
 	// Accounting.
 	completedKernels uint64
@@ -214,13 +188,11 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 		return nil, fmt.Errorf("gpu: nil engine or model")
 	}
 	d := &Device{
-		eng:        eng,
-		model:      model,
-		cfg:        cfg,
-		rng:        deviceRNG(cfg.Seed),
-		ceilingQ:   quantizeCeiling(cfg.AggregateGainCap),
-		shapeValid: true,
-		effSMs:     cfg.TotalSMs,
+		eng:    eng,
+		model:  model,
+		cfg:    cfg,
+		rng:    deviceRNG(cfg.Seed),
+		effSMs: cfg.TotalSMs,
 	}
 	d.timer.InitKeyed("gpu.finish", timerFire, d)
 	return d, nil
@@ -254,13 +226,7 @@ func (d *Device) Reset(cfg Config) error {
 	d.effSMs = cfg.TotalSMs
 	d.kernelSeq = 0
 	d.busyDemand = 0
-	d.gainBoundQ = 0
-	d.ceilingQ = quantizeCeiling(cfg.AggregateGainCap)
-	d.shapeValid = true
-	d.lastScaled = false
-	d.fastRecomputes = 0
-	d.leanRecomputes = 0
-	d.fullRecomputes = 0
+	d.recomputes = 0
 	d.completedKernels = 0
 	d.busySMTime = 0
 	d.workDone = 0
@@ -421,13 +387,10 @@ func (d *Device) SetEffectiveSMs(n int, now des.Time) error {
 	}
 	d.advance(now)
 	d.effSMs = n
-	d.fullRecompute(now)
+	d.recompute(now)
 	return nil
 }
 
-// RecomputeStats reports how many running-set transitions took the
-// dirty-context fast path, the lean ceiling path, and the full reference
-// sweep (DESIGN.md §10).
-func (d *Device) RecomputeStats() (fast, lean, full uint64) {
-	return d.fastRecomputes, d.leanRecomputes, d.fullRecomputes
-}
+// RecomputeStats reports how many rate sweeps the device has run: one per
+// running-set transition and capacity change (DESIGN.md §10).
+func (d *Device) RecomputeStats() uint64 { return d.recomputes }

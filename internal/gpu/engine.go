@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"math"
 
 	"sgprs/internal/des"
 )
@@ -10,35 +9,6 @@ import (
 // workEpsilon absorbs floating-point residue when deciding that a kernel's
 // remaining work has hit zero.
 const workEpsilon = 1e-9
-
-// gainQScale is the fixed-point scale of the conservative gain-sum bound
-// (DESIGN.md §10). Quantized gains are integers, so the bound can be
-// maintained with exact += / -= arithmetic across millions of running-set
-// transitions — a float accumulator would drift, and a drifted bound could
-// claim the aggregate ceiling is slack when the exact sweep would find it
-// binding.
-const gainQScale = 1 << 20
-
-// quantizeGain rounds a gain up onto the fixed-point grid, plus one extra
-// quantum (≈1e-6) that dominates every float-rounding effect separating the
-// tracked bound from the slow path's exact admission-ordered summation.
-func quantizeGain(g float64) int64 {
-	q := math.Ceil(g * gainQScale)
-	if q >= math.MaxInt64/4 {
-		return math.MaxInt64 / 4
-	}
-	return int64(q) + 1
-}
-
-// quantizeCeiling rounds the aggregate ceiling down onto the same grid, so
-// bound ≤ ceilingQ implies the exact gain sum cannot exceed the ceiling.
-func quantizeCeiling(ceiling float64) int64 {
-	f := ceiling * gainQScale
-	if f >= math.MaxInt64/4 {
-		return math.MaxInt64 / 4
-	}
-	return int64(f)
-}
 
 // kernelStart and timerFire are the shared event callbacks for kernel launch
 // and completion. Using arg-style events with package-level functions avoids
@@ -96,7 +66,6 @@ func (d *Device) start(k *Kernel, now des.Time) {
 	}
 	ctx.activeKernels++
 	ctx.weightSum += k.stream.priority.weight()
-	ctx.running = append(ctx.running, k)
 	d.running = append(d.running, k)
 	if d.observer != nil {
 		d.observer.KernelStarted(k, now)
@@ -112,7 +81,7 @@ func (d *Device) start(k *Kernel, now des.Time) {
 	if d.hook != nil {
 		d.hook.KernelLaunched(k, now)
 	}
-	d.recompute(now, ctx)
+	d.recompute(now)
 }
 
 // advance banks every running kernel's progress for the interval
@@ -157,122 +126,12 @@ func (d *Device) advance(now des.Time) {
 }
 
 // recompute reassigns effective SM shares and rates after the running set
-// changed in the touched context, implementing the four-layer sharing model
-// described in the package comment, refreshes the completion keys the new
-// rates move, and re-arms the device timer.
-//
-// It is incremental (DESIGN.md §10). When the device is not over-subscribed
-// and the previous recompute was too (d.shapeValid), untouched contexts are
-// provably unaffected by the transition: at demand ≤ TotalSMs waterfilling
-// hands every busy context exactly its own allocation, so a context's shares
-// — and therefore its kernels' pure gains — depend only on its own weight
-// sum, which only the touched context changed. Only the touched context's
-// gains are re-derived; three tiers then finish the transition:
-//
-//  1. Fast path: the incrementally tracked fixed-point bound proves the
-//     aggregate ceiling cannot bind. Only touched kernels get new rates and
-//     reschedules; untouched contexts keep their rates and their completion
-//     keys.
-//  2. Lean ceiling path: the bound cannot rule the ceiling out, so the exact
-//     admission-ordered gain sum is rebuilt from the cached per-kernel pure
-//     gains — the same floats the full sweep would add in the same order —
-//     and the ceiling factor is applied without waterfilling or re-deriving
-//     any untouched gain.
-//  3. Full sweep (fullRecompute): over-subscription (ratio > 1) or a
-//     reference-mode device. Float arithmetic there is byte-for-byte the
-//     original engine's.
-//
-// Every tier assigns bit-identical rates to what the full sweep would, so
-// the path taken can never alter simulation output. The tentative shares
-// written while refreshing the touched context are safe: fullRecompute
-// overwrites every kernel from scratch.
-func (d *Device) recompute(now des.Time, touched *Context) {
-	if d.cfg.DisableIncremental || !d.shapeValid || d.busyDemand > d.effSMs {
-		d.fullRecompute(now)
-		return
-	}
-	// Refresh the touched context's shares and pure gains (the only ones
-	// the transition can have changed) and its slice of the ceiling bound.
-	var ctxGainQ int64
-	if touched.weightSum > 0 {
-		touched.setShares(float64(touched.sms))
-		for _, k := range touched.running {
-			share := touched.share(k)
-			k.effSMs = share
-			gain := k.gainV0
-			if !k.aggOK || share != k.gainN0 {
-				gain = k.gainAt(d.model, share)
-			}
-			if k.remainingWork > workEpsilon && gain <= 0 {
-				panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
-			}
-			k.pureGain = gain
-			ctxGainQ += quantizeGain(gain)
-		}
-	}
-	d.gainBoundQ += ctxGainQ - touched.gainQ
-	touched.gainQ = ctxGainQ
-
-	if len(d.running) < 2 || d.gainBoundQ <= d.ceilingQ {
-		// Tier 1: the ceiling provably cannot bind, so every rate is its
-		// pure gain. If the previous assignment was ceiling-scaled, the
-		// stored rates of untouched kernels are stale and every kernel
-		// reverts; otherwise only the touched context moves.
-		d.fastRecomputes++
-		if d.lastScaled {
-			d.lastScaled = false
-			for _, k := range d.running {
-				k.rate = k.pureGain
-			}
-			d.rescheduleAll(now)
-			return
-		}
-		for _, k := range touched.running {
-			k.rate = k.pureGain
-		}
-		d.reschedule(now, touched)
-		return
-	}
-
-	// Tier 2: decide the ceiling exactly, summing the cached pure gains in
-	// admission order — the identical floats, added in the identical
-	// order, as the full sweep's first pass.
-	d.leanRecomputes++
-	var gainSum float64
-	for _, k := range d.running {
-		gainSum += k.pureGain
-	}
-	ceiling := d.cfg.AggregateGainCap
-	if gainSum > ceiling {
-		d.lastScaled = true
-		f := ceiling / gainSum
-		for _, k := range d.running {
-			k.rate = k.pureGain * f
-		}
-		d.rescheduleAll(now)
-		return
-	}
-	if d.lastScaled {
-		d.lastScaled = false
-		for _, k := range d.running {
-			k.rate = k.pureGain
-		}
-		d.rescheduleAll(now)
-		return
-	}
-	for _, k := range touched.running {
-		k.rate = k.pureGain
-	}
-	d.reschedule(now, touched)
-}
-
-// fullRecompute is the reference sweep over every running kernel. Its float
-// arithmetic — the per-kernel share and gain expressions and the
-// admission-ordered gainSum accumulation — is byte-for-byte the original
-// full-recompute engine's, so slow-path results never depend on how many
-// fast-path transitions preceded them.
-func (d *Device) fullRecompute(now des.Time) {
-	d.fullRecomputes++
+// changed, implementing the four-layer sharing model described in the
+// package comment, refreshes the completion keys the new rates move, and
+// re-arms the device timer. It is one full sweep over every running kernel
+// in admission order, whatever the transition (DESIGN.md §10).
+func (d *Device) recompute(now des.Time) {
+	d.recomputes++
 	ratio := float64(d.busyDemand) / float64(d.effSMs)
 
 	// SM allocation per context by two-level waterfilling: the device's
@@ -285,57 +144,25 @@ func (d *Device) fullRecompute(now des.Time) {
 	// partition could not.
 	alloc := d.waterfill()
 
-	// First pass: raw gains from intra-context weighted splits. The
-	// fixed-point gain bound is only consumed by the incremental tiers,
-	// which require ratio ≤ 1, so quantization is skipped entirely under
-	// over-subscription (the bound goes stale there; the next ratio ≤ 1
-	// full sweep rebuilds it before any tier reads it).
-	var gainSum float64
+	// First pass: raw gains from intra-context weighted splits.
 	for _, c := range d.contexts {
 		if c.weightSum > 0 {
 			c.setShares(alloc[c.id])
 		}
 	}
-	if ratio <= 1 {
-		for _, c := range d.contexts {
-			c.gainQ = 0
+	var gainSum float64
+	for _, k := range d.running {
+		share := k.stream.ctx.share(k)
+		k.effSMs = share
+		gain := k.gainV0
+		if !k.aggOK || share != k.gainN0 {
+			gain = k.gainAt(d.model, share)
 		}
-		for _, k := range d.running {
-			c := k.stream.ctx
-			share := c.share(k)
-			k.effSMs = share
-			gain := k.gainV0
-			if !k.aggOK || share != k.gainN0 {
-				gain = k.gainAt(d.model, share)
-			}
-			if k.remainingWork > workEpsilon && gain <= 0 {
-				panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
-			}
-			k.rate = gain
-			k.pureGain = gain
-			c.gainQ += quantizeGain(gain)
-			gainSum += gain
+		if k.remainingWork > workEpsilon && gain <= 0 {
+			panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
 		}
-		d.gainBoundQ = 0
-		for _, c := range d.contexts {
-			d.gainBoundQ += c.gainQ
-		}
-	} else {
-		for _, k := range d.running {
-			c := k.stream.ctx
-			share := c.share(k)
-			k.effSMs = share
-			gain := k.gainV0
-			if !k.aggOK || share != k.gainN0 {
-				gain = k.gainAt(d.model, share)
-			}
-			if k.remainingWork > workEpsilon && gain <= 0 {
-				panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
-			}
-			k.rate = gain
-			k.pureGain = gain
-			gainSum += gain
-		}
+		k.rate = gain
+		gainSum += gain
 	}
 
 	// Bandwidth ceiling: proportional scale-down when the sum of gains
@@ -363,16 +190,8 @@ func (d *Device) fullRecompute(now des.Time) {
 	// Per-kernel contention jitter applies after the ceiling: it is
 	// variance the ceiling cannot renormalise away — the paper's "poor
 	// predictability" under heavy over-subscription. Both adjustments are
-	// per-kernel-independent, so one fused pass applies them in the same
-	// per-kernel order as two separate sweeps would.
-	// The incremental tiers may run next only if this sweep used the rigid
-	// demand-fits allocation (their share reuse depends on it), and must
-	// know whether the stored rates are pure share-gains or ceiling-scaled.
-	d.shapeValid = ratio <= 1
-	d.lastScaled = scaled || ratio > 1
-
-	// Apply the adjustments fused with the reschedule sweep, which also
-	// finds the least completion key for the timer. Every adjustment is
+	// fused with the reschedule sweep, which also finds the least
+	// completion key for the timer. Every adjustment is
 	// per-kernel-independent and runs in the same per-kernel order as
 	// separate sweeps would, so the arithmetic — and the sequence numbers
 	// the keys reserve — is unchanged.
@@ -400,42 +219,20 @@ func (d *Device) fullRecompute(now des.Time) {
 			next = earlier(next, k)
 		}
 	default:
-		d.rescheduleAll(now)
-		return
+		for _, k := range d.running {
+			d.rescheduleOne(now, k)
+			next = earlier(next, k)
+		}
 	}
 	d.arm(next)
 }
 
-// reschedule refreshes the completion keys of the touched context's kernels
-// and re-arms the timer. A kernel whose rate did not change since its key
-// was last derived keeps that key untouched: progress is linear in time at a
-// fixed rate, so the finish instant computed back then is still the finish
-// instant now — re-deriving it from the banked remainder would only replay
-// the same arithmetic (modulo sub-nanosecond rounding).
-func (d *Device) reschedule(now des.Time, touched *Context) {
-	for _, k := range touched.running {
-		d.rescheduleOne(now, k)
-	}
-	var next *Kernel
-	for _, k := range d.running {
-		next = earlier(next, k)
-	}
-	d.arm(next)
-}
-
-// rescheduleAll refreshes every running kernel's completion key (see
-// reschedule) and re-arms the timer at the least, found in the same pass.
-func (d *Device) rescheduleAll(now des.Time) {
-	var next *Kernel
-	for _, k := range d.running {
-		d.rescheduleOne(now, k)
-		next = earlier(next, k)
-	}
-	d.arm(next)
-}
-
-// rescheduleOne refreshes one kernel's completion key (see reschedule). A
-// key is re-derived exactly where the kernel's own finish event would have
+// rescheduleOne refreshes one kernel's completion key. A kernel whose rate
+// did not change since its key was last derived keeps that key untouched:
+// progress is linear in time at a fixed rate, so the finish instant computed
+// back then is still the finish instant now — re-deriving it from the banked
+// remainder would only replay the same arithmetic (modulo sub-nanosecond
+// rounding). Otherwise the key is re-derived exactly where the kernel's own finish event would have
 // been scheduled or moved, and reserves an engine sequence number exactly
 // where that event would have drawn one — including the engine's no-move
 // rule, which keeps the old number when the instant is unchanged — so the
@@ -592,12 +389,6 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 		}
 	}
 	ctx := k.stream.ctx
-	for i, r := range ctx.running {
-		if r == k {
-			ctx.running = append(ctx.running[:i], ctx.running[i+1:]...)
-			break
-		}
-	}
 	k.started = false
 	k.finSet = false
 	ctx.activeKernels--
@@ -609,7 +400,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 	s := k.stream
 	s.running = nil
 	d.completedKernels++
-	d.recompute(now, ctx)
+	d.recompute(now)
 	if d.observer != nil {
 		d.observer.KernelFinished(k, now)
 	}
@@ -652,12 +443,6 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 		}
 	}
 	ctx := k.stream.ctx
-	for i, r := range ctx.running {
-		if r == k {
-			ctx.running = append(ctx.running[:i], ctx.running[i+1:]...)
-			break
-		}
-	}
 	k.started = false
 	k.finSet = false
 	ctx.activeKernels--
@@ -669,7 +454,7 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 	s := k.stream
 	s.running = nil
 	k.stream = nil
-	d.recompute(now, ctx)
+	d.recompute(now)
 	d.pump(s)
 }
 

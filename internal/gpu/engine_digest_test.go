@@ -4,10 +4,137 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"sgprs/internal/des"
+	"sgprs/internal/speedup"
 )
+
+// incrScenario is one randomized workload, replayable onto any device: a
+// context/stream layout plus per-stream kernel chains with staggered
+// submission times. Ratios span under- and over-subscription, and the
+// generated runs cross between them.
+type incrScenario struct {
+	cfg      Config
+	contexts []incrContext
+	// submits are (delay, context, stream, kernel) tuples; kernels on one
+	// stream serialise, so later submissions on a busy stream queue.
+	submits []incrSubmit
+}
+
+type incrContext struct {
+	sms     int
+	streams []Priority
+}
+
+type incrSubmit struct {
+	at      des.Time
+	ctx     int
+	stream  int
+	shares  []speedup.WorkShare
+	fixedMS float64
+}
+
+// randomScenario draws a workload. The config varies the aggregate ceiling
+// (tight, calibrated, effectively unbounded) and the contention terms, so
+// ceiling-bound, jittered, and pure regimes all occur.
+func randomScenario(rng *rand.Rand) incrScenario {
+	cfg := DefaultConfig()
+	cfg.Seed = rng.Uint64()
+	switch rng.Intn(3) {
+	case 0:
+		cfg.AggregateGainCap = 4 + 20*rng.Float64() // often binding
+	case 1:
+		cfg.AggregateGainCap = 1e9 // never binding
+	}
+	if rng.Intn(2) == 0 {
+		cfg.ContentionPenalty = 0.05 * rng.Float64()
+		cfg.ContentionJitter = 0.1 * rng.Float64()
+	}
+	sc := incrScenario{cfg: cfg}
+	classes := speedup.Classes()
+	nCtx := 1 + rng.Intn(4)
+	for c := 0; c < nCtx; c++ {
+		ctx := incrContext{sms: 1 + rng.Intn(cfg.TotalSMs)}
+		for s := 0; s < 1+rng.Intn(4); s++ {
+			p := LowPriority
+			if rng.Intn(2) == 0 {
+				p = HighPriority
+			}
+			ctx.streams = append(ctx.streams, p)
+		}
+		sc.contexts = append(sc.contexts, ctx)
+	}
+	for c, ctx := range sc.contexts {
+		for s := range ctx.streams {
+			for k := 0; k < 1+rng.Intn(5); k++ {
+				sub := incrSubmit{
+					at:     des.FromMicros(float64(rng.Intn(4000))),
+					ctx:    c,
+					stream: s,
+				}
+				if rng.Intn(8) == 0 {
+					sub.fixedMS = 0.2 * rng.Float64()
+				}
+				if rng.Intn(8) != 0 {
+					n := 1 + rng.Intn(3)
+					for i := 0; i < n; i++ {
+						sub.shares = append(sub.shares, speedup.WorkShare{
+							Class: classes[rng.Intn(len(classes))],
+							Work:  0.2 + 4*rng.Float64(),
+						})
+					}
+				} else if sub.fixedMS == 0 {
+					sub.fixedMS = 0.1
+				}
+				sc.submits = append(sc.submits, sub)
+			}
+		}
+	}
+	return sc
+}
+
+// buildRun materialises the scenario on a fresh engine/device pair and
+// returns the kernels in construction order plus a completion log.
+func buildRun(t *testing.T, sc incrScenario) (*des.Engine, *Device, []*Kernel, *[]string) {
+	t.Helper()
+	eng := des.NewEngine()
+	dev, err := NewDevice(eng, speedup.DefaultModel(), sc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([][]*Stream, len(sc.contexts))
+	for c, ic := range sc.contexts {
+		ctx, err := dev.CreateContext(fmt.Sprintf("c%d", c), ic.sms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, p := range ic.streams {
+			streams[c] = append(streams[c], ctx.AddStream(fmt.Sprintf("s%d", s), p))
+		}
+	}
+	log := &[]string{}
+	kernels := make([]*Kernel, len(sc.submits))
+	for i, sub := range sc.submits {
+		i, sub := i, sub
+		k := &Kernel{
+			Label:   fmt.Sprintf("k%d", i),
+			Shares:  sub.shares,
+			FixedMS: sub.fixedMS,
+		}
+		k.OnComplete = func(now des.Time) {
+			*log = append(*log, fmt.Sprintf("%s@%d", k.Label, int64(now)))
+		}
+		kernels[i] = k
+		eng.ScheduleFunc(sub.at, "submit", func(des.Time) {
+			streams[sub.ctx][sub.stream].Submit(k)
+		})
+	}
+	return eng, dev, kernels, log
+}
 
 // rateEngineDigest pins the rate engine's full trajectory over 200
 // randomScenario draws: under- and over-subscribed pools, binding and slack
@@ -19,8 +146,10 @@ const rateEngineDigest = "6861c5cb9e02b50cc0dcc4c6d7e41303ca7bee552108a1744f0509
 // after every event, the clock and every running kernel's rate, effective
 // share, remainders and completion key (instant and engine sequence number)
 // into one SHA-256; the per-trial accounting totals and completion log are
-// folded in at the end. The incremental engine and the full reference sweep
-// (Config.DisableIncremental) both produce this digest.
+// folded in at the end. The digest was computed while the rate engine still
+// had incremental recompute tiers beside its full sweep, and both produced
+// it; it pins that the one full sweep reproduces the old trajectory bit for
+// bit.
 func TestRateEngineEventDigest(t *testing.T) {
 	h := sha256.New()
 	var buf []byte
@@ -28,7 +157,7 @@ func TestRateEngineEventDigest(t *testing.T) {
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	for trial := 0; trial < 200; trial++ {
 		sc := randomScenario(rand.New(rand.NewSource(int64(trial) + 1)))
-		eng, dev, _, log := buildRun(t, sc, false)
+		eng, dev, _, log := buildRun(t, sc)
 		for eng.Step() {
 			buf = buf[:0]
 			u64(uint64(eng.Now()))

@@ -23,19 +23,15 @@ import (
 // against the boundary), since two boundaries one cycle apart must encode
 // identically.
 //
-// Included: the incremental engine's aggregates (busy demand, the
-// fixed-point gain bound, shape/scale flags), the un-banked advance interval,
-// every running kernel's full execution state in admission order, every
-// context's incrementally maintained sums, and every stream's pending-launch
+// Included: the busy demand, the un-banked advance interval, every running
+// kernel's full execution state in admission order, every context's
+// maintained weight sum and kernel count, and every stream's pending-launch
 // and queued kernels with their work specs. Excluded as derived or
 // unobservable: the per-priority share caches and per-kernel gain memos
 // (refreshed before every read), jitterU and the RNG (see above), and the
-// accounting integrals and tier counters (outputs, not dynamics).
+// accounting integrals and recompute counter (outputs, not dynamics).
 func (d *Device) EncodeState(buf []byte, now des.Time, argEnc func(buf []byte, arg any) []byte) []byte {
 	buf = des.AppendI64(buf, int64(d.busyDemand))
-	buf = des.AppendI64(buf, d.gainBoundQ)
-	buf = des.AppendBool(buf, d.shapeValid)
-	buf = des.AppendBool(buf, d.lastScaled)
 	buf = des.AppendTime(buf, now-d.lastUpdate)
 	buf = des.AppendU64(buf, uint64(len(d.running)))
 	for _, k := range d.running {
@@ -45,7 +41,6 @@ func (d *Device) EncodeState(buf []byte, now des.Time, argEnc func(buf []byte, a
 	}
 	for _, c := range d.contexts {
 		buf = des.AppendF64(buf, c.weightSum)
-		buf = des.AppendI64(buf, c.gainQ)
 		buf = des.AppendU64(buf, uint64(c.activeKernels))
 		for _, s := range c.streams {
 			// A stream's occupant is either a started kernel (already
@@ -75,7 +70,6 @@ func encodeKernel(buf []byte, k *Kernel, argEnc func(buf []byte, arg any) []byte
 	buf = des.AppendF64(buf, k.remainingWork)
 	buf = des.AppendF64(buf, k.rate)
 	buf = des.AppendF64(buf, k.effSMs)
-	buf = des.AppendF64(buf, k.pureGain)
 	buf = des.AppendF64(buf, k.schedRate)
 	buf = des.AppendF64(buf, k.FixedMS)
 	buf = des.AppendBool(buf, k.aggOK)

@@ -495,3 +495,29 @@ func TestSharingMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIncrementalStateMaintenance pins the incrementally maintained
+// aggregates the rate sweep reads (weight sums, busy demand) against
+// re-derivation from the running set, mid-run and drained.
+func TestIncrementalStateMaintenance(t *testing.T) {
+	eng, dev := newTestDevice(t, quietConfig())
+	a, _ := dev.CreateContext("a", 40)
+	b, _ := dev.CreateContext("b", 40)
+	sa := a.AddStream("hi", HighPriority)
+	sb := b.AddStream("lo", LowPriority)
+	sa.Submit(convKernel("ka", 60))
+	sb.Submit(convKernel("kb", 50))
+	// Sample mid-run, while both kernels execute.
+	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
+		if a.weightSum != 3 || b.weightSum != 1 {
+			t.Errorf("weight sums = %v/%v, want 3/1", a.weightSum, b.weightSum)
+		}
+		if dev.busyDemand != 80 {
+			t.Errorf("busyDemand = %d, want 80", dev.busyDemand)
+		}
+	})
+	eng.Run()
+	if a.weightSum != 0 || b.weightSum != 0 || dev.busyDemand != 0 || len(dev.running) != 0 {
+		t.Errorf("drained device retains weight/demand/running: %v/%v/%d/%d", a.weightSum, b.weightSum, dev.busyDemand, len(dev.running))
+	}
+}

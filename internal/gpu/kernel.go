@@ -89,12 +89,6 @@ type Kernel struct {
 	// the share.
 	gainN0, gainV0 float64
 	gainN1, gainV1 float64
-	// pureGain is the kernel's latest pre-ceiling, pre-jitter share-gain —
-	// the value the full sweep's first pass assigns. The incremental
-	// engine's lean path rebuilds the exact admission-ordered gain sum
-	// from these cached values instead of re-deriving every kernel's gain
-	// (DESIGN.md §10).
-	pureGain float64
 	// schedRate is the rate the completion key was last derived under;
 	// recompute skips the reschedule when the rate is unchanged.
 	schedRate float64

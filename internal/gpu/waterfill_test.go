@@ -157,8 +157,8 @@ func TestWaterfillFullAllocationProperty(t *testing.T) {
 // redistribution loop (forced by bypassing the early out via an
 // over-subscribed twin whose extra context carries no weight — impossible in
 // real runs, where weight implies demand) would agree with the rigid split.
-// Real coverage of the mixed regimes comes from the randomized engine
-// cross-check in incremental_test.go; this asserts the boundary case where
+// Real coverage of the mixed regimes comes from the randomized event digest
+// in engine_digest_test.go; this asserts the boundary case where
 // demand == TotalSMs with uneven integer weights.
 func TestWaterfillEarlyOutMatchesLoop(t *testing.T) {
 	eng := des.NewEngine()

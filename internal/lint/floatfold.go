@@ -12,8 +12,9 @@ import (
 // the package. An add-only fold over an admission-ordered slice recomputes
 // the sum in one deterministic pass and is fine; a sum that is patched up
 // and down as entities come and go accumulates rounding that depends on the
-// full history of operations, the drift class PR 5's int64 fixed-point gain
-// bound was built to kill (DESIGN.md §10). The exact escape: keep the
+// full history of operations — the drift the rate engine's per-context
+// weight sums must not have, since every rate sweep reads them (DESIGN.md
+// §10). The exact escape: keep the
 // increments provably exact (small integer floats, like the priority
 // weights) or move the fold to integer fixed point — and write the proof
 // into a //sgprs:allow on each `-=` site.

@@ -87,16 +87,12 @@ type profileEntry struct {
 }
 
 // profileConfigKey zeroes the gpu.Config fields an isolated measurement
-// cannot observe. DisableIncremental is among them by construction: the
-// incremental rate engine is bit-identical to the full reference sweep
-// (DESIGN.md §10), so profiles measured under either mode are
-// interchangeable.
+// cannot observe.
 func profileConfigKey(cfg gpu.Config) gpu.Config {
 	cfg.Seed = 0
 	cfg.ContentionJitter = 0
 	cfg.ContentionPenalty = 0
 	cfg.AggregateGainCap = 0
-	cfg.DisableIncremental = false
 	return cfg
 }
 

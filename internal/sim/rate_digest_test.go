@@ -16,8 +16,8 @@ func digest(v any) string {
 
 // TestRateEngineScenarioDigests pins every variant of both paper scenarios,
 // swept from light load through past the pivot, to the digest of its series.
-// The incremental rate engine and the full reference sweep
-// (gpu.Config.DisableIncremental) both produce these digests.
+// The digests were computed while the gpu rate engine still had incremental
+// recompute tiers beside its full sweep, and both produced them.
 func TestRateEngineScenarioDigests(t *testing.T) {
 	want := map[string]string{
 		"1/naive":      "a5836b77b851c6a65e9b11060459bef4d135af3a9359e324728fffe26c998931",
@@ -55,8 +55,8 @@ func TestRateEngineScenarioDigests(t *testing.T) {
 // TestRateEngineStochasticDigests covers the regimes the scenario grids miss:
 // sporadic releases (jitter), WCET overruns (work variation), heavy
 // over-subscription, and the naive baseline's fixed-cost kernels. Each run's
-// full Result is pinned to a digest that the incremental rate engine and the
-// full reference sweep both produce.
+// full Result is pinned to a digest computed, like the scenario digests,
+// while the tiered and the full-sweep rate engines both produced it.
 func TestRateEngineStochasticDigests(t *testing.T) {
 	cases := []struct {
 		name string

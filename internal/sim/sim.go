@@ -112,14 +112,14 @@ type RunConfig struct {
 	GPU gpu.Config
 
 	// SGPRS options (ablations).
-	DisableMediumPromotion  bool
-	DisableLateDrop         bool
-	FlattenPriorities       bool
-	AssignPolicy            core.AssignPolicy
-	HighStreams, LowStreams int // zero means the paper's 2 and 2
+	DisableMediumPromotion bool
+	DisableLateDrop        bool
+	FlattenPriorities      bool
+	AssignPolicy           core.AssignPolicy
 
-	// Naive overrides; zero values mean naive.DefaultConfig().
-	NaiveSyncMS, NaiveReconfigBaseMS, NaiveReconfigPerResMS float64
+	// NaiveReconfigBaseMS overrides the naive baseline's per-reconfiguration
+	// base cost; zero means naive.DefaultConfig()'s.
+	NaiveReconfigBaseMS float64
 
 	// Observer, when non-nil, receives every kernel start/finish (e.g. a
 	// trace.Recorder).
@@ -129,7 +129,7 @@ type RunConfig struct {
 	// the steady-state fast-forward (DESIGN.md §12). Results are
 	// bit-identical either way — the equivalence tests run both modes
 	// against each other — so this exists as the retained reference those
-	// tests compare to, mirroring gpu.Config.DisableIncremental.
+	// tests compare to.
 	DisableFastForward bool
 }
 
@@ -335,21 +335,11 @@ func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {
 		c.DisableLateDrop = cfg.DisableLateDrop
 		c.FlattenPriorities = cfg.FlattenPriorities
 		c.AssignPolicy = cfg.AssignPolicy
-		if cfg.HighStreams > 0 || cfg.LowStreams > 0 {
-			c.HighStreams = cfg.HighStreams
-			c.LowStreams = cfg.LowStreams
-		}
 		return core.New(c)
 	case KindNaive:
 		c := naive.DefaultConfig(cfg.Name, cfg.ContextSMs)
-		if cfg.NaiveSyncMS > 0 {
-			c.SyncOverheadMS = cfg.NaiveSyncMS
-		}
 		if cfg.NaiveReconfigBaseMS > 0 {
 			c.ReconfigBaseMS = cfg.NaiveReconfigBaseMS
-		}
-		if cfg.NaiveReconfigPerResMS > 0 {
-			c.ReconfigPerResidentMS = cfg.NaiveReconfigPerResMS
 		}
 		return naive.New(c)
 	default:
