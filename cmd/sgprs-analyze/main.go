@@ -77,13 +77,14 @@ func main() {
 		}
 	}
 
-	// sim.DefaultModel (not a fresh speedup.DefaultModel) so the direct
-	// profile below and the verification sweep share cache entries: the
-	// offline cache keys on model identity.
 	period, err := checkFlags(*n, *fps)
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// sim.DefaultModel (not a fresh speedup.DefaultModel) so the direct
+	// profile below and the verification sweep share cache entries: the
+	// offline cache keys on model identity.
 	model := sim.DefaultModel()
 	dev := gpu.DefaultConfig()
 	g := sim.ReferenceGraph(model)

@@ -147,7 +147,7 @@ type Device struct {
 
 	// busyDemand is the summed SM allocation of busy contexts, maintained
 	// by start/complete alongside the per-context aggregates (DESIGN.md
-	// §10); recomputes counts running-set transitions (RecomputeStats).
+	// §10); recomputes counts rate sweeps (RecomputeStats).
 	busyDemand int
 	recomputes uint64
 

@@ -13,24 +13,24 @@ import (
 	"sgprs/internal/speedup"
 )
 
-// incrScenario is one randomized workload, replayable onto any device: a
+// devScenario is one randomized workload, replayable onto any device: a
 // context/stream layout plus per-stream kernel chains with staggered
 // submission times. Ratios span under- and over-subscription, and the
 // generated runs cross between them.
-type incrScenario struct {
+type devScenario struct {
 	cfg      Config
-	contexts []incrContext
+	contexts []devContext
 	// submits are (delay, context, stream, kernel) tuples; kernels on one
 	// stream serialise, so later submissions on a busy stream queue.
-	submits []incrSubmit
+	submits []devSubmit
 }
 
-type incrContext struct {
+type devContext struct {
 	sms     int
 	streams []Priority
 }
 
-type incrSubmit struct {
+type devSubmit struct {
 	at      des.Time
 	ctx     int
 	stream  int
@@ -41,7 +41,7 @@ type incrSubmit struct {
 // randomScenario draws a workload. The config varies the aggregate ceiling
 // (tight, calibrated, effectively unbounded) and the contention terms, so
 // ceiling-bound, jittered, and pure regimes all occur.
-func randomScenario(rng *rand.Rand) incrScenario {
+func randomScenario(rng *rand.Rand) devScenario {
 	cfg := DefaultConfig()
 	cfg.Seed = rng.Uint64()
 	switch rng.Intn(3) {
@@ -54,11 +54,11 @@ func randomScenario(rng *rand.Rand) incrScenario {
 		cfg.ContentionPenalty = 0.05 * rng.Float64()
 		cfg.ContentionJitter = 0.1 * rng.Float64()
 	}
-	sc := incrScenario{cfg: cfg}
+	sc := devScenario{cfg: cfg}
 	classes := speedup.Classes()
 	nCtx := 1 + rng.Intn(4)
 	for c := 0; c < nCtx; c++ {
-		ctx := incrContext{sms: 1 + rng.Intn(cfg.TotalSMs)}
+		ctx := devContext{sms: 1 + rng.Intn(cfg.TotalSMs)}
 		for s := 0; s < 1+rng.Intn(4); s++ {
 			p := LowPriority
 			if rng.Intn(2) == 0 {
@@ -71,7 +71,7 @@ func randomScenario(rng *rand.Rand) incrScenario {
 	for c, ctx := range sc.contexts {
 		for s := range ctx.streams {
 			for k := 0; k < 1+rng.Intn(5); k++ {
-				sub := incrSubmit{
+				sub := devSubmit{
 					at:     des.FromMicros(float64(rng.Intn(4000))),
 					ctx:    c,
 					stream: s,
@@ -98,8 +98,8 @@ func randomScenario(rng *rand.Rand) incrScenario {
 }
 
 // buildRun materialises the scenario on a fresh engine/device pair and
-// returns the kernels in construction order plus a completion log.
-func buildRun(t *testing.T, sc incrScenario) (*des.Engine, *Device, []*Kernel, *[]string) {
+// returns them with a completion log.
+func buildRun(t *testing.T, sc devScenario) (*des.Engine, *Device, *[]string) {
 	t.Helper()
 	eng := des.NewEngine()
 	dev, err := NewDevice(eng, speedup.DefaultModel(), sc.cfg)
@@ -117,7 +117,6 @@ func buildRun(t *testing.T, sc incrScenario) (*des.Engine, *Device, []*Kernel, *
 		}
 	}
 	log := &[]string{}
-	kernels := make([]*Kernel, len(sc.submits))
 	for i, sub := range sc.submits {
 		i, sub := i, sub
 		k := &Kernel{
@@ -128,12 +127,11 @@ func buildRun(t *testing.T, sc incrScenario) (*des.Engine, *Device, []*Kernel, *
 		k.OnComplete = func(now des.Time) {
 			*log = append(*log, fmt.Sprintf("%s@%d", k.Label, int64(now)))
 		}
-		kernels[i] = k
 		eng.ScheduleFunc(sub.at, "submit", func(des.Time) {
 			streams[sub.ctx][sub.stream].Submit(k)
 		})
 	}
-	return eng, dev, kernels, log
+	return eng, dev, log
 }
 
 // rateEngineDigest pins the rate engine's full trajectory over 200
@@ -157,7 +155,7 @@ func TestRateEngineEventDigest(t *testing.T) {
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	for trial := 0; trial < 200; trial++ {
 		sc := randomScenario(rand.New(rand.NewSource(int64(trial) + 1)))
-		eng, dev, _, log := buildRun(t, sc)
+		eng, dev, log := buildRun(t, sc)
 		for eng.Step() {
 			buf = buf[:0]
 			u64(uint64(eng.Now()))

@@ -14,10 +14,10 @@ import (
 // and down as entities come and go accumulates rounding that depends on the
 // full history of operations — the drift the rate engine's per-context
 // weight sums must not have, since every rate sweep reads them (DESIGN.md
-// §10). The exact escape: keep the
-// increments provably exact (small integer floats, like the priority
-// weights) or move the fold to integer fixed point — and write the proof
-// into a //sgprs:allow on each `-=` site.
+// §10). The exact escape: keep the increments provably exact (small
+// integer floats, like the priority weights) or move the fold to integer
+// fixed point — and write the proof into a //sgprs:allow on each `-=`
+// site.
 //
 // Diagnostics land on the `-=` sites: every decrement implies a matching
 // increment, and it is the subtraction that turns a fold into an
