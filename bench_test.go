@@ -558,7 +558,7 @@ func BenchmarkDenseContention(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var recomputes uint64
+			var recomputes, gainEvals uint64
 			var heap des.HeapStats
 			for i := 0; i < b.N; i++ {
 				eng.Reset()
@@ -588,11 +588,12 @@ func BenchmarkDenseContention(b *testing.B) {
 				if got, want := dev.CompletedKernels(), uint64(nCtx*4*perStream); got != want {
 					b.Fatalf("completed %d kernels, want %d", got, want)
 				}
-				recomputes = dev.RecomputeStats()
+				recomputes, gainEvals = dev.RecomputeStats()
 				heap = eng.HeapStats()
 			}
 			b.ReportMetric(float64(nCtx*smsPer)/68, "demand_ratio")
 			b.ReportMetric(float64(recomputes), "recomputes")
+			b.ReportMetric(float64(gainEvals), "gain_evals")
 			reportHeap(b, heap)
 		})
 	}

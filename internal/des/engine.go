@@ -125,7 +125,9 @@ func (e *Engine) NextSeq() uint64 {
 }
 
 // get pops an event from the free list (or allocates one) and stamps it with
-// the key (at, seq). The returned event carries no callback yet.
+// the key (at, seq) and the label. The returned event carries no callback
+// yet. A pooled event is stamped, not overwritten: release already cleared
+// it to an unqueued zero event, the state a new one starts in.
 func (e *Engine) get(at Time, seq uint64, label string) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -133,9 +135,9 @@ func (e *Engine) get(at Time, seq uint64, label string) *Event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{}
+		ev = &Event{index: -1}
 	}
-	*ev = Event{at: at, seq: seq, trueAt: at, trueSeq: seq, index: -1, label: label}
+	ev.at, ev.seq, ev.trueAt, ev.trueSeq, ev.label = at, seq, at, seq, label
 	return ev
 }
 

@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"sgprs/internal/rt"
@@ -111,7 +112,9 @@ type Config struct {
 
 // Validate reports whether the configuration is usable. It never mutates the
 // receiver: a Config may be shared across experiment cells, so defaults are
-// resolved at injection time instead of being written back.
+// resolved at injection time instead of being written back. Every float must
+// be finite: a NaN compares false against any bound, so each check rules it
+// out explicitly.
 func (c *Config) Validate() error {
 	if c == nil {
 		return nil
@@ -123,18 +126,18 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("fault: unknown overrun model %q (want %s, %s, or %s)",
 				o.Model, OverrunConstant, OverrunHeavyTail, OverrunSpike)
 		}
-		if o.Factor < 1 {
-			return fmt.Errorf("fault: overrun factor %v must be at least 1", o.Factor)
+		if o.Factor < 1 || !finite(o.Factor) {
+			return fmt.Errorf("fault: overrun factor %v must be at least 1 and finite", o.Factor)
 		}
-		if o.Alpha < 0 {
-			return fmt.Errorf("fault: overrun alpha %v must be non-negative", o.Alpha)
+		if o.Alpha < 0 || !finite(o.Alpha) {
+			return fmt.Errorf("fault: overrun alpha %v must be non-negative and finite", o.Alpha)
 		}
 		if o.Every < 0 {
 			return fmt.Errorf("fault: overrun cadence %d must be non-negative", o.Every)
 		}
 	}
 	if t := c.Transient; t != nil {
-		if t.Prob < 0 || t.Prob > 1 {
+		if !(t.Prob >= 0 && t.Prob <= 1) {
 			return fmt.Errorf("fault: transient probability %v outside [0, 1]", t.Prob)
 		}
 		if _, err := rt.ParseRecoveryPolicy(t.Policy); err != nil {
@@ -143,8 +146,8 @@ func (c *Config) Validate() error {
 		if t.MaxRetries < 0 {
 			return fmt.Errorf("fault: retry budget %d must be non-negative", t.MaxRetries)
 		}
-		if t.BackoffMS < 0 {
-			return fmt.Errorf("fault: retry backoff %v ms must be non-negative", t.BackoffMS)
+		if t.BackoffMS < 0 || !finite(t.BackoffMS) {
+			return fmt.Errorf("fault: retry backoff %v ms must be non-negative and finite", t.BackoffMS)
 		}
 	}
 	if !sort.SliceIsSorted(c.Degradation, func(i, j int) bool {
@@ -156,8 +159,8 @@ func (c *Config) Validate() error {
 		if w.SMs < 1 {
 			return fmt.Errorf("fault: degradation window %d SM count %d must be positive", i, w.SMs)
 		}
-		if w.StartSec < 0 || w.EndSec <= w.StartSec {
-			return fmt.Errorf("fault: degradation window %d [%v, %v) is not a forward interval", i, w.StartSec, w.EndSec)
+		if w.StartSec < 0 || w.EndSec <= w.StartSec || !finite(w.StartSec) || !finite(w.EndSec) {
+			return fmt.Errorf("fault: degradation window %d [%v, %v) is not a forward interval of finite seconds", i, w.StartSec, w.EndSec)
 		}
 		if i > 0 && w.StartSec < c.Degradation[i-1].EndSec {
 			return fmt.Errorf("fault: degradation windows %d and %d overlap", i-1, i)
@@ -167,16 +170,19 @@ func (c *Config) Validate() error {
 		if f.Device < 0 {
 			return fmt.Errorf("fault: device fault %d device index %d must be non-negative", i, f.Device)
 		}
-		if f.StartSec < 0 {
-			return fmt.Errorf("fault: device fault %d start %v must be non-negative", i, f.StartSec)
+		if f.StartSec < 0 || !finite(f.StartSec) {
+			return fmt.Errorf("fault: device fault %d start %v must be non-negative and finite", i, f.StartSec)
 		}
-		if f.RestartSec != 0 && f.RestartSec <= f.StartSec {
-			return fmt.Errorf("fault: device fault %d restart %v must follow crash %v (or be 0 for permanent loss)",
+		if f.RestartSec != 0 && (f.RestartSec <= f.StartSec || !finite(f.RestartSec)) {
+			return fmt.Errorf("fault: device fault %d restart %v must be finite and follow crash %v (or be 0 for permanent loss)",
 				i, f.RestartSec, f.StartSec)
 		}
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Clone deep-copies the configuration (nil-safe). Experiment axes mutate
 // per-cell copies; the variant's own Config must stay pristine.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -39,6 +40,20 @@ func TestValidate(t *testing.T) {
 		{"overlapping windows", &Config{Degradation: []Window{
 			{StartSec: 0, EndSec: 2, SMs: 5}, {StartSec: 1, EndSec: 3, SMs: 5},
 		}}, "overlap"},
+		// NaN compares false against every bound, so each float field
+		// needs its own finiteness check.
+		{"NaN factor", &Config{Overrun: &Overrun{Model: OverrunConstant, Factor: math.NaN()}}, "overrun factor NaN must be at least 1 and finite"},
+		{"infinite factor", &Config{Overrun: &Overrun{Model: OverrunConstant, Factor: math.Inf(1)}}, "overrun factor +Inf"},
+		{"NaN alpha", &Config{Overrun: &Overrun{Model: OverrunHeavyTail, Factor: 2, Alpha: math.NaN()}}, "overrun alpha NaN"},
+		{"NaN prob", &Config{Transient: &Transient{Prob: math.NaN()}}, "transient probability NaN outside [0, 1]"},
+		{"NaN backoff", &Config{Transient: &Transient{Prob: 0.1, BackoffMS: math.NaN()}}, "retry backoff NaN ms"},
+		{"infinite backoff", &Config{Transient: &Transient{Prob: 0.1, BackoffMS: math.Inf(1)}}, "retry backoff +Inf ms"},
+		{"NaN window start", &Config{Degradation: []Window{{StartSec: math.NaN(), EndSec: 1, SMs: 5}}}, "degradation window 0 [NaN, 1)"},
+		{"infinite window end", &Config{Degradation: []Window{
+			{StartSec: 0, EndSec: 1, SMs: 5}, {StartSec: 2, EndSec: math.Inf(1), SMs: 5},
+		}}, "degradation window 1 [2, +Inf) is not a forward interval of finite seconds"},
+		{"NaN crash", &Config{DeviceFaults: []DeviceFault{{StartSec: math.NaN()}}}, "device fault 0 start NaN"},
+		{"NaN restart", &Config{DeviceFaults: []DeviceFault{{StartSec: 1, RestartSec: math.NaN()}}}, "device fault 0 restart NaN"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

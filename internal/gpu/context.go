@@ -66,28 +66,24 @@ type Context struct {
 	// weights are small integers (DESIGN.md §10).
 	weightSum float64
 
-	// shareLow/shareHigh are the per-priority intra-context SM shares of
-	// the latest recompute. A context's kernels can take only two distinct
-	// weights, so the share expression alloc·w/weightSum has only two
-	// distinct values — computed once per context instead of once per
-	// kernel, with byte-identical arithmetic.
-	shareLow, shareHigh float64
+	// shares holds the intra-context SM share of each priority at the
+	// latest recompute, indexed by Priority. A context's kernels can take
+	// only two distinct weights, so the share expression alloc·w/weightSum
+	// has only two distinct values — computed once per context instead of
+	// once per kernel, with byte-identical arithmetic. Indexing instead of
+	// testing the priority keeps the sweep's per-kernel path branch-free.
+	shares [2]float64
 }
 
 // setShares precomputes both priority shares at the given SM allocation.
 // Only meaningful for busy contexts (weightSum > 0).
 func (c *Context) setShares(alloc float64) {
-	c.shareLow = alloc * lowWeight / c.weightSum
-	c.shareHigh = alloc * highWeight / c.weightSum
+	c.shares[LowPriority] = alloc * lowWeight / c.weightSum
+	c.shares[HighPriority] = alloc * highWeight / c.weightSum
 }
 
 // share reads the precomputed share for k's priority.
-func (c *Context) share(k *Kernel) float64 {
-	if k.stream.priority == HighPriority {
-		return c.shareHigh
-	}
-	return c.shareLow
-}
+func (c *Context) share(k *Kernel) float64 { return c.shares[k.stream.priority] }
 
 // ID reports the context's index in creation order.
 func (c *Context) ID() int { return c.id }
@@ -104,8 +100,13 @@ func (c *Context) Streams() []*Stream { return c.streams }
 // ActiveKernels reports how many kernels are executing right now.
 func (c *Context) ActiveKernels() int { return c.activeKernels }
 
-// AddStream creates a stream with the given priority.
+// AddStream creates a stream with the given priority, which must be
+// LowPriority or HighPriority: any other value is a programming error and
+// panics.
 func (c *Context) AddStream(name string, p Priority) *Stream {
+	if p != LowPriority && p != HighPriority {
+		panic(fmt.Sprintf("gpu: stream %q has %v, want low or high", name, p))
+	}
 	s := &Stream{
 		ctx:      c,
 		id:       len(c.streams),

@@ -147,9 +147,11 @@ type Device struct {
 
 	// busyDemand is the summed SM allocation of busy contexts, maintained
 	// by start/complete alongside the per-context aggregates (DESIGN.md
-	// §10); recomputes counts rate sweeps (RecomputeStats).
+	// §10); recomputes counts rate sweeps and visits the kernels those
+	// sweeps visited (RecomputeStats).
 	busyDemand int
 	recomputes uint64
+	visits     uint64
 
 	// Accounting.
 	completedKernels uint64
@@ -227,6 +229,7 @@ func (d *Device) Reset(cfg Config) error {
 	d.kernelSeq = 0
 	d.busyDemand = 0
 	d.recomputes = 0
+	d.visits = 0
 	d.completedKernels = 0
 	d.busySMTime = 0
 	d.workDone = 0
@@ -391,6 +394,8 @@ func (d *Device) SetEffectiveSMs(n int, now des.Time) error {
 	return nil
 }
 
-// RecomputeStats reports how many rate sweeps the device has run: one per
-// running-set transition and capacity change (DESIGN.md §10).
-func (d *Device) RecomputeStats() uint64 { return d.recomputes }
+// RecomputeStats reports how many rate sweeps the device has run — one per
+// running-set transition and capacity change — and how many running kernels
+// they visited in total. Every visit evaluates the kernel's gain, so visits
+// is also the gain-evaluation count (DESIGN.md §10).
+func (d *Device) RecomputeStats() (sweeps, visits uint64) { return d.recomputes, d.visits }

@@ -132,6 +132,7 @@ func (d *Device) advance(now des.Time) {
 // in admission order, whatever the transition (DESIGN.md §10).
 func (d *Device) recompute(now des.Time) {
 	d.recomputes++
+	d.visits += uint64(len(d.running))
 	ratio := float64(d.busyDemand) / float64(d.effSMs)
 
 	// SM allocation per context by two-level waterfilling: the device's
@@ -154,10 +155,7 @@ func (d *Device) recompute(now des.Time) {
 	for _, k := range d.running {
 		share := k.stream.ctx.share(k)
 		k.effSMs = share
-		gain := k.gainV0
-		if !k.aggOK || share != k.gainN0 {
-			gain = k.gainAt(d.model, share)
-		}
+		gain := k.aggregateGain(d.model, share)
 		if k.remainingWork > workEpsilon && gain <= 0 {
 			panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
 		}
@@ -249,8 +247,13 @@ func (d *Device) rescheduleOne(now des.Time, k *Kernel) {
 		msLeft = k.remainingFixed
 	}
 	// Ceil to the next nanosecond so the kernel never completes before
-	// the work is actually done.
-	at := now.Add(des.Time(msLeft*float64(des.Millisecond)) + 1)
+	// the work is actually done. A remainder past the clock saturates at
+	// Never, by des.FromSeconds' rule: the kernel cannot finish in any
+	// run, and converting it unchecked would wrap to a negative instant.
+	at := des.Never
+	if ns := msLeft * float64(des.Millisecond); ns < float64(des.Never) {
+		at = now.Add(des.Time(ns) + 1)
+	}
 	k.schedRate = k.rate
 	if k.finSet && k.finAt == at {
 		return

@@ -27,9 +27,9 @@ import (
 // kernel's full execution state in admission order, every context's
 // maintained weight sum and kernel count, and every stream's pending-launch
 // and queued kernels with their work specs. Excluded as derived or
-// unobservable: the per-priority share caches and per-kernel gain memos
-// (refreshed before every read), jitterU and the RNG (see above), and the
-// accounting integrals and recompute counter (outputs, not dynamics).
+// unobservable: the per-priority share caches (refreshed before every
+// read), jitterU and the RNG (see above), and the accounting integrals and
+// recompute counters (outputs, not dynamics).
 func (d *Device) EncodeState(buf []byte, now des.Time, argEnc func(buf []byte, arg any) []byte) []byte {
 	buf = des.AppendI64(buf, int64(d.busyDemand))
 	buf = des.AppendTime(buf, now-d.lastUpdate)

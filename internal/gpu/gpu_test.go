@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -405,6 +406,53 @@ func TestEmptyKernelPanics(t *testing.T) {
 		}
 	}()
 	s.Submit(&Kernel{Label: "empty"})
+}
+
+// TestAddStreamRejectsUnknownPriority: the rate sweep indexes per-priority
+// shares by Priority, so a stream of any other priority must be refused up
+// front, naming the value, instead of being weighted as low.
+func TestAddStreamRejectsUnknownPriority(t *testing.T) {
+	_, dev := newTestDevice(t, quietConfig())
+	ctx, _ := dev.CreateContext("c", 68)
+	for _, p := range []Priority{2, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, p.String()) {
+					t.Errorf("AddStream(%d) panic = %q, want one naming %s", int(p), msg, p)
+				}
+			}()
+			ctx.AddStream("s", p)
+		}()
+	}
+	if len(ctx.Streams()) != 0 {
+		t.Errorf("rejected streams were added: %d", len(ctx.Streams()))
+	}
+}
+
+// TestKernelPastClockKeysNever: a kernel whose remainder lies past the
+// nanosecond clock is keyed at des.Never instead of wrapping to a negative
+// instant. The device keeps running the other kernels, the unfinishable one
+// is still running at the horizon, and Abort still evicts it and parks the
+// timer.
+func TestKernelPastClockKeysNever(t *testing.T) {
+	eng, dev := newTestDevice(t, quietConfig())
+	ctx, _ := dev.CreateContext("c", 68)
+	huge := convKernel("huge", 1e300)
+	ctx.AddStream("s0", LowPriority).Submit(huge)
+	ctx.AddStream("s1", LowPriority).Submit(convKernel("small", 1))
+	eng.RunUntil(des.Second)
+	if !huge.Running() || huge.finAt != des.Never {
+		t.Fatalf("huge kernel running=%v key=%v, want running at never", huge.Running(), huge.finAt)
+	}
+	if dev.CompletedKernels() != 1 {
+		t.Errorf("completed %d kernels, want the small one", dev.CompletedKernels())
+	}
+	dev.Abort(huge, eng.Now())
+	if huge.Running() || huge.Stream() != nil || len(dev.running) != 0 || eng.Pending() != 0 {
+		t.Errorf("abort left running=%v stream=%v running set=%d pending=%d",
+			huge.Running(), huge.Stream(), len(dev.running), eng.Pending())
+	}
 }
 
 func TestIsolatedLatencyMS(t *testing.T) {

@@ -80,15 +80,6 @@ type Kernel struct {
 	// both fixed for a kernel's lifetime.
 	aggW, aggP, aggQ float64
 	aggOK            bool
-	// gainN0/gainV0 and gainN1/gainV1 memoize the last two (share, gain)
-	// evaluations. Under steady-state processor sharing a kernel's share
-	// oscillates between the values before and after a neighbour's
-	// start/finish pair, so this two-entry cache turns most recompute
-	// gain evaluations into a load. Replaying a memoized value is
-	// bit-identical to re-dividing: the closed form is a pure function of
-	// the share.
-	gainN0, gainV0 float64
-	gainN1, gainV1 float64
 	// schedRate is the rate the completion key was last derived under;
 	// recompute skips the reschedule when the rate is unchanged.
 	schedRate float64
@@ -116,25 +107,6 @@ func (k *Kernel) aggregateGain(m *speedup.Model, n float64) float64 {
 		return 0
 	}
 	return k.aggW / (k.aggP + k.aggQ/n)
-}
-
-// gainAt is aggregateGain behind the kernel's two-entry (share, gain) memo.
-// A hit returns the previously computed float for the identical share bits —
-// indistinguishable from recomputing it — and a miss evicts the older entry.
-func (k *Kernel) gainAt(m *speedup.Model, n float64) float64 {
-	if k.aggOK {
-		if n == k.gainN0 {
-			return k.gainV0
-		}
-		if n == k.gainN1 {
-			k.gainN0, k.gainV0, k.gainN1, k.gainV1 = k.gainN1, k.gainV1, k.gainN0, k.gainV0
-			return k.gainV0
-		}
-	}
-	g := k.aggregateGain(m, n)
-	k.gainN1, k.gainV1 = k.gainN0, k.gainV0
-	k.gainN0, k.gainV0 = n, g
-	return g
 }
 
 // totalWork sums the scalable work across classes.

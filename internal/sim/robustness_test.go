@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"sgprs/internal/fault"
 )
 
 // TestReleaseJitterStillSchedulable: sporadic releases at light load must
@@ -25,6 +27,30 @@ func TestReleaseJitterStillSchedulable(t *testing.T) {
 	// Jitter spreads releases, so FPS stays near offered.
 	if res.Summary.TotalFPS < 220 || res.Summary.TotalFPS > 250 {
 		t.Errorf("fps = %v, want ~240", res.Summary.TotalFPS)
+	}
+}
+
+// TestOverrunPastClockMissesJobs: an overrun factor that pushes kernels'
+// finish instants past the nanosecond clock leaves them unfinishable within
+// any horizon. Both schedulers must still run to the horizon, and every
+// measured job must count as missed.
+func TestOverrunPastClockMissesJobs(t *testing.T) {
+	for _, kind := range []Kind{KindNaive, KindSGPRS} {
+		res, err := Run(RunConfig{
+			Kind:       kind,
+			ContextSMs: []int{34, 34},
+			NumTasks:   4,
+			HorizonSec: 2,
+			Faults:     &fault.Config{Overrun: &fault.Overrun{Model: fault.OverrunConstant, Factor: 1e300}},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		s := res.Summary
+		if s.Faults.Overruns == 0 || s.Released == 0 || s.Completed != 0 || s.Missed != s.Released {
+			t.Errorf("%v: overruns=%d released=%d completed=%d missed=%d, want every released job missed",
+				kind, s.Faults.Overruns, s.Released, s.Completed, s.Missed)
+		}
 	}
 }
 
