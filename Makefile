@@ -108,8 +108,8 @@ experiments:
 ## examples: build every example, then smoke-run the quickstart, the
 ## registry-driven experiment example, the fault-injection and
 ## fleet-failover walkthroughs, the pivot search, the parallel scenario
-## sweep, and the multi-tenant mix on per-tenant collectors (the CI
-## examples gate).
+## sweep, the multi-tenant mix on per-tenant collectors, the energy and
+## over-subscription sweeps, and the trace replay (the CI examples gate).
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart
@@ -119,6 +119,9 @@ examples:
 	$(GO) run ./examples/pivot
 	$(GO) run ./examples/parallelsweep
 	$(GO) run ./examples/multitenant
+	$(GO) run ./examples/energy
+	$(GO) run ./examples/oversubscription
+	$(GO) run ./examples/tracereplay
 
 ## loc: count the non-test Go lines outside bench/ (the module's own
 ## benchmark lives there), raw and non-blank non-comment — the figures

@@ -10,16 +10,18 @@
 // while an admission controller sheds the lowest-priority chains' releases
 // when surviving capacity falls below a configurable ceiling.
 //
+// A single GPU is a fleet of one: every sim run goes through the
+// dispatcher, which then hands each release to its one member unchanged.
+//
 // Determinism discipline: devices and chains are iterated in admission order
 // (fleet position, task ID) everywhere; crash/restart edges are ordinary
-// seeded engine events; the dispatcher's dedicated RNG stream is forked from
-// the fleet seed so any future randomized policy never perturbs the workload
-// or device cursors. The current policies are draw-free, so a fleet run is a
+// engine events; the policies draw no random numbers, so a fleet run is a
 // pure function of its configuration.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"sgprs/internal/des"
 	"sgprs/internal/fault"
@@ -29,10 +31,21 @@ import (
 	"sgprs/internal/sched"
 )
 
-// rngSalt separates the dispatcher's draw stream from every other consumer
-// of the fleet seed. The stream is reserved — the built-in policies are
-// draw-free — so future randomized placement never shifts another cursor.
-const rngSalt = 0xF1EE7
+// Migration and steal costs.
+const (
+	// migrationBaseMS and migrationPerStageMS price a chain migration:
+	// base + perStage·stages of blackout while weights and state re-stage.
+	migrationBaseMS     = 5
+	migrationPerStageMS = 1
+	// retryBackoffMS delays the first release delivered to a restarted
+	// origin device under FailoverRetry.
+	retryBackoffMS = 10
+	// stealMargin is the demand-ratio gap that triggers a load-steal
+	// migration; stealCooldownMS is the per-chain minimum time between
+	// steals.
+	stealMargin     = 0.5
+	stealCooldownMS = 100
+)
 
 // Placement selects how chains are homed onto fleet devices.
 type Placement int
@@ -83,8 +96,7 @@ func ParsePlacement(s string) (Placement, error) {
 	}
 }
 
-// Config parameterises the dispatcher. Zero-valued cost knobs take the
-// defaults documented on each field.
+// Config parameterises the dispatcher.
 type Config struct {
 	// Placement selects the chain-homing policy.
 	Placement Placement
@@ -94,24 +106,9 @@ type Config struct {
 	// AdmitCeiling, when positive, is the surviving-capacity fraction
 	// below which the admission controller sheds releases: with upFrac =
 	// surviving SMs / total SMs < AdmitCeiling, only the first
-	// ⌈upFrac·N⌉ chains (task order — lowest IDs are highest priority)
-	// keep releasing.
+	// ⌊upFrac·N⌋ chains, at least one (task order — lowest IDs are
+	// highest priority), keep releasing.
 	AdmitCeiling float64
-	// MigrationBaseMS and MigrationPerStageMS price a chain migration:
-	// base + perStage·stages of blackout while weights and state re-stage
-	// (defaults 5 and 1).
-	MigrationBaseMS     float64
-	MigrationPerStageMS float64
-	// RetryBackoffMS delays the first release delivered to a restarted
-	// origin device under FailoverRetry (default 10).
-	RetryBackoffMS float64
-	// StealMargin is the demand-ratio gap that triggers a load-steal
-	// migration (default 0.5); StealCooldownMS is the per-chain minimum
-	// time between steals (default 100).
-	StealMargin     float64
-	StealCooldownMS float64
-	// Seed feeds the dispatcher's dedicated RNG stream.
-	Seed uint64
 	// DeviceFaults lists the device-level crash/restart events to inject.
 	DeviceFaults []fault.DeviceFault
 }
@@ -137,24 +134,25 @@ type node struct {
 	up  bool
 }
 
+// chain is the dispatcher's bookkeeping for one task.
+type chain struct {
+	home     int      // fleet index
+	shed     bool     // permanently shed
+	admitted bool     // passes the admission controller
+	blackout des.Time // releases before this instant are delayed
+	nextOK   des.Time // earliest next load-steal (cooldown)
+}
+
 // Fleet is the dispatcher. It implements sched.Scheduler so the workload
-// generator drives it exactly like a single-device scheduler; it is wired at
-// construction (New), so Attach always errors.
+// generator drives it exactly like a single-device scheduler; it is wired by
+// New or Reset, so Attach always errors.
 type Fleet struct {
 	cfg     Config
 	eng     *des.Engine
-	nodes   []*node
-	tasks   []*rt.Task // admission order; IDs are dense [0, len)
+	nodes   []node
+	tasks   []*rt.Task // admission order
+	chains  []chain    // by task ID
 	horizon des.Time
-
-	home     []int      // task ID → fleet index
-	shed     []bool     // task ID → chain permanently shed
-	admitted []bool     // task ID → passes the admission controller
-	blackout []des.Time // task ID → releases before this instant are delayed
-	nextOK   []des.Time // task ID → earliest next load-steal (cooldown)
-
-	// rng is the dispatcher's reserved draw stream (see rngSalt).
-	rng *des.RNG
 
 	marker        Marker
 	downCount     int
@@ -165,77 +163,78 @@ type Fleet struct {
 	fwdFn func(now des.Time, arg any)
 }
 
-// New builds the dispatcher over the given members and homes every chain.
-// Members' schedulers must already be attached to their devices (placement
-// inspects their contexts) and must implement sched.Evictor — a fleet member
-// that cannot drain on device loss is rejected.
+// New builds the dispatcher over the given members and homes every chain:
+// Reset on a zero Fleet.
 func New(eng *des.Engine, cfg Config, members []Member, tasks []*rt.Task, horizon des.Time) (*Fleet, error) {
-	if len(members) < 2 {
-		return nil, fmt.Errorf("cluster: fleet needs at least 2 devices, got %d", len(members))
+	f := &Fleet{}
+	if err := f.Reset(eng, cfg, members, tasks, horizon); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reset rewires the dispatcher over the given members and homes every chain,
+// keeping the node and chain slices' capacity so a reused fleet allocates
+// nothing. Members' schedulers must already be attached to their devices
+// (placement inspects their contexts) and must implement sched.Evictor — a
+// fleet member that cannot drain on device loss is rejected. After an error
+// the fleet is unusable until a Reset succeeds.
+func (f *Fleet) Reset(eng *des.Engine, cfg Config, members []Member, tasks []*rt.Task, horizon des.Time) error {
+	if len(members) == 0 {
+		return fmt.Errorf("cluster: fleet needs at least one device")
 	}
 	if len(tasks) == 0 {
-		return nil, fmt.Errorf("cluster: fleet needs at least one task")
+		return fmt.Errorf("cluster: fleet needs at least one task")
 	}
 	if cfg.AdmitCeiling < 0 || cfg.AdmitCeiling > 1 {
-		return nil, fmt.Errorf("cluster: admission ceiling %v outside [0, 1]", cfg.AdmitCeiling)
+		return fmt.Errorf("cluster: admission ceiling %v outside [0, 1]", cfg.AdmitCeiling)
 	}
 	for i, df := range cfg.DeviceFaults {
 		if df.Device >= len(members) {
-			return nil, fmt.Errorf("cluster: device fault %d targets device %d, fleet has %d", i, df.Device, len(members))
+			return fmt.Errorf("cluster: device fault %d targets device %d, fleet has %d", i, df.Device, len(members))
 		}
 	}
-	f := &Fleet{
-		cfg:     cfg,
-		eng:     eng,
-		tasks:   tasks,
-		horizon: horizon,
-		rng:     des.NewRNG(cfg.Seed).Fork(rngSalt),
-	}
-	if f.cfg.MigrationBaseMS == 0 {
-		f.cfg.MigrationBaseMS = 5
-	}
-	if f.cfg.MigrationPerStageMS == 0 {
-		f.cfg.MigrationPerStageMS = 1
-	}
-	if f.cfg.RetryBackoffMS == 0 {
-		f.cfg.RetryBackoffMS = 10
-	}
-	if f.cfg.StealMargin == 0 {
-		f.cfg.StealMargin = 0.5
-	}
-	if f.cfg.StealCooldownMS == 0 {
-		f.cfg.StealCooldownMS = 100
-	}
+	clear(f.nodes)
+	nodes := slices.Grow(f.nodes[:0], len(members))
 	for i, m := range members {
 		ev, ok := m.Sch.(sched.Evictor)
 		if !ok {
-			return nil, fmt.Errorf("cluster: device %d scheduler %q implements no EvictAll", i, m.Sch.Name())
+			return fmt.Errorf("cluster: device %d scheduler %q implements no EvictAll", i, m.Sch.Name())
 		}
-		f.nodes = append(f.nodes, &node{dev: m.Dev, sch: m.Sch, ev: ev, up: true})
+		nodes = append(nodes, node{dev: m.Dev, sch: m.Sch, ev: ev, up: true})
 	}
 	n := 0
 	for _, t := range tasks {
 		if t.ID < 0 {
-			return nil, fmt.Errorf("cluster: task %s has negative ID", t)
+			return fmt.Errorf("cluster: task %s has negative ID", t)
 		}
-		if t.ID+1 > n {
-			n = t.ID + 1
-		}
+		n = max(n, t.ID+1)
 	}
-	f.home = make([]int, n)
-	f.shed = make([]bool, n)
-	f.admitted = make([]bool, n)
-	f.blackout = make([]des.Time, n)
-	f.nextOK = make([]des.Time, n)
-	for i := range f.home {
-		f.home[i] = -1
+	chains := slices.Grow(f.chains[:0], n)
+	for range n {
+		chains = append(chains, chain{home: -1})
 	}
+	fwdFn := f.fwdFn
+	if fwdFn == nil {
+		fwdFn = func(now des.Time, arg any) { f.OnRelease(arg.(*rt.Job), now) }
+	}
+	*f = Fleet{cfg: cfg, eng: eng, nodes: nodes, tasks: tasks, chains: chains, horizon: horizon, fwdFn: fwdFn}
 	for i, t := range tasks {
-		f.admitted[t.ID] = true
-		f.home[t.ID] = f.place(i, t)
+		c := &f.chains[t.ID]
+		c.admitted = true
+		c.home = f.place(i, t)
 	}
-	f.fwdFn = func(now des.Time, arg any) { f.OnRelease(arg.(*rt.Job), now) }
-	return f, nil
+	return nil
+}
+
+// Sole returns the scheduler of a fleet of one's only member, and nil for a
+// larger fleet. Fast-forward fingerprints it in place of the dispatcher
+// (DESIGN.md §12).
+func (f *Fleet) Sole() sched.Scheduler {
+	if len(f.nodes) != 1 {
+		return nil
+	}
+	return f.nodes[0].sch
 }
 
 // place homes task t (the i-th of the admission order) under the configured
@@ -281,7 +280,7 @@ func taskWeight(t *rt.Task) float64 {
 func (f *Fleet) nodeWeight(di int) float64 {
 	var w float64
 	for _, t := range f.tasks {
-		if f.home[t.ID] == di && !f.shed[t.ID] {
+		if c := f.chains[t.ID]; c.home == di && !c.shed {
 			w += taskWeight(t)
 		}
 	}
@@ -292,7 +291,7 @@ func (f *Fleet) nodeWeight(di int) float64 {
 func (f *Fleet) homedCount(di int) int {
 	n := 0
 	for _, t := range f.tasks {
-		if f.home[t.ID] == di && !f.shed[t.ID] {
+		if c := f.chains[t.ID]; c.home == di && !c.shed {
 			n++
 		}
 	}
@@ -304,7 +303,7 @@ func (f *Fleet) homedCount(di int) int {
 func (f *Fleet) Name() string { return f.nodes[0].sch.Name() }
 
 // Attach implements sched.Scheduler by rejecting the call: the fleet is
-// wired at construction — members attach to their own devices before New.
+// wired by New or Reset — members attach to their own devices before.
 func (f *Fleet) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) error {
 	return fmt.Errorf("cluster: fleet is wired at construction, not via Attach")
 }
@@ -332,15 +331,15 @@ func (f *Fleet) Install(marker Marker) {
 // blackouts outlasting the horizon, homes that are down with no plan — are
 // discarded immediately and counted as shed.
 func (f *Fleet) OnRelease(job *rt.Job, now des.Time) {
-	id := job.Task.ID
-	if f.shed[id] || !f.admitted[id] {
+	c := &f.chains[job.Task.ID]
+	if c.shed || !c.admitted {
 		f.shedRelease(job, now)
 		return
 	}
 	if f.cfg.Placement == PlaceLoadSteal {
 		f.maybeSteal(job.Task, now)
 	}
-	if bl := f.blackout[id]; now < bl {
+	if bl := c.blackout; now < bl {
 		if bl >= f.horizon {
 			f.shedRelease(job, now)
 			return
@@ -350,7 +349,7 @@ func (f *Fleet) OnRelease(job *rt.Job, now des.Time) {
 		f.eng.AfterArg(bl-now, "cluster.forward", f.fwdFn, job)
 		return
 	}
-	nd := f.nodes[f.home[id]]
+	nd := &f.nodes[c.home]
 	if !nd.up {
 		f.shedRelease(job, now)
 		return
@@ -368,11 +367,11 @@ func (f *Fleet) shedRelease(job *rt.Job, now des.Time) {
 // the least-loaded survivor (PlaceLoadSteal), paying the migration cost as a
 // blackout and honouring the per-chain cooldown.
 func (f *Fleet) maybeSteal(t *rt.Task, now des.Time) {
-	id := t.ID
-	if now < f.nextOK[id] {
+	c := &f.chains[t.ID]
+	if now < c.nextOK {
 		return
 	}
-	hi := f.home[id]
+	hi := c.home
 	if !f.nodes[hi].up {
 		return
 	}
@@ -385,18 +384,19 @@ func (f *Fleet) maybeSteal(t *rt.Task, now des.Time) {
 			best, bestR = di, r
 		}
 	}
-	if best < 0 || f.nodes[hi].dev.DemandRatio() <= bestR+f.cfg.StealMargin {
+	if best < 0 || f.nodes[hi].dev.DemandRatio() <= bestR+stealMargin {
 		return
 	}
 	f.migrate(t, best, now)
-	f.nextOK[id] = now.Add(des.FromMillis(f.cfg.StealCooldownMS))
+	c.nextOK = now.Add(des.FromMillis(stealCooldownMS))
 }
 
 // migrate re-homes chain t onto device di, pricing the move as a blackout.
 func (f *Fleet) migrate(t *rt.Task, di int, now des.Time) {
-	costMS := f.cfg.MigrationBaseMS + f.cfg.MigrationPerStageMS*float64(len(t.Stages))
-	f.home[t.ID] = di
-	f.blackout[t.ID] = now.Add(des.FromMillis(costMS))
+	costMS := migrationBaseMS + migrationPerStageMS*float64(len(t.Stages))
+	c := &f.chains[t.ID]
+	c.home = di
+	c.blackout = now.Add(des.FromMillis(costMS))
 	f.stats.Migrations++
 	f.stats.MigrationCostMS += costMS
 }
@@ -406,7 +406,7 @@ func (f *Fleet) migrate(t *rt.Task, di int, now des.Time) {
 // under the failover policy. restartSec is the configured restart instant in
 // seconds (0 = permanent loss), which FailoverRetry turns into a blackout.
 func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
-	nd := f.nodes[di]
+	nd := &f.nodes[di]
 	if !nd.up {
 		return
 	}
@@ -424,7 +424,8 @@ func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
 	}
 	for _, t := range f.tasks {
 		id := t.ID
-		if f.home[id] != di || f.shed[id] {
+		c := &f.chains[id]
+		if c.home != di || c.shed {
 			continue
 		}
 		switch policy {
@@ -435,7 +436,7 @@ func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
 				continue
 			}
 			f.migrate(t, tgt, now)
-			f.failoverSumMS += (f.blackout[id] - now).Milliseconds()
+			f.failoverSumMS += (c.blackout - now).Milliseconds()
 			f.failoverN++
 		case rt.FailoverRetry:
 			if restartSec <= 0 {
@@ -443,8 +444,8 @@ func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
 				f.shedChain(id)
 				continue
 			}
-			bl := des.FromSeconds(restartSec).Add(des.FromMillis(f.cfg.RetryBackoffMS))
-			f.blackout[id] = bl
+			bl := des.FromSeconds(restartSec).Add(des.FromMillis(retryBackoffMS))
+			c.blackout = bl
 			f.failoverSumMS += (bl - now).Milliseconds()
 			f.failoverN++
 		case rt.FailoverShed:
@@ -456,7 +457,7 @@ func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
 
 // restore brings device di back up after a crash window.
 func (f *Fleet) restore(di int, now des.Time) {
-	nd := f.nodes[di]
+	nd := &f.nodes[di]
 	if nd.up {
 		return
 	}
@@ -486,12 +487,13 @@ func (f *Fleet) pickSurvivor() int {
 
 // shedChain permanently drops a chain: every subsequent release discards.
 func (f *Fleet) shedChain(id int) {
-	f.shed[id] = true
+	f.chains[id].shed = true
 	f.stats.ShedChains++
 }
 
 // recomputeAdmission re-derives the admission cut from surviving capacity:
-// below the ceiling, only the first ⌈upFrac·N⌉ chains keep releasing.
+// below the ceiling, only the first ⌊upFrac·N⌋ chains, at least one, keep
+// releasing.
 func (f *Fleet) recomputeAdmission() {
 	if f.cfg.AdmitCeiling <= 0 {
 		return
@@ -512,7 +514,7 @@ func (f *Fleet) recomputeAdmission() {
 		}
 	}
 	for i, t := range f.tasks {
-		f.admitted[t.ID] = i < cut
+		f.chains[t.ID].admitted = i < cut
 	}
 }
 

@@ -53,9 +53,9 @@ type Experiment struct {
 	// §13); omitted keeps the fault-free dynamics. The block serialises
 	// with fault.Config's own JSON tags.
 	Faults *fault.Config `json:"faults,omitempty"`
-	// Devices sizes the fleet (DESIGN.md §15); 0 or 1 keeps the classic
-	// single-device run. Device-level failure windows ride in the faults
-	// block's device_faults list.
+	// Devices sizes the fleet (DESIGN.md §15); 0 or 1 is a fleet of one,
+	// the classic single-GPU run. Device-level failure windows ride in the
+	// faults block's device_faults list.
 	Devices int `json:"devices,omitempty"`
 	// Placement is the fleet chain-homing policy: "bin-pack" (default),
 	// "context-fit", or "load-steal". Requires devices > 1.

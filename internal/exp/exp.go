@@ -255,8 +255,8 @@ func DegradationSMs(sms ...int) Axis {
 	return Axis{Kind: AxisDegradation, Values: vs}
 }
 
-// Devices sweeps the fleet size (sets RunConfig.Devices; 1 is the
-// single-device path, larger values run behind the cluster dispatcher).
+// Devices sweeps the fleet size (sets RunConfig.Devices; 1 is a fleet of
+// one, the paper's single GPU).
 func Devices(counts ...int) Axis {
 	vs := make([]float64, len(counts))
 	for i, n := range counts {

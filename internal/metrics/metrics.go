@@ -66,8 +66,9 @@ type Summary struct {
 	Faults FaultStats
 
 	// Fleet is the multi-device dispatcher accounting (DESIGN.md §15):
-	// all-zero unless the run configured sim.RunConfig.Devices > 1, so
-	// single-device summaries — and their DeepEqual pins — are untouched.
+	// all-zero unless the run configured sim.RunConfig.Devices > 1. A fleet
+	// of one leaves it zero, so one-GPU summaries — and their DeepEqual
+	// pins — match the single-device simulator's.
 	Fleet FleetStats
 }
 
@@ -75,7 +76,7 @@ type Summary struct {
 // fills the placement/failover counters, the collector the fleet-degraded
 // deadline accounting (releases while at least one device was down).
 type FleetStats struct {
-	// Devices is the fleet size (0 on single-device runs).
+	// Devices is the fleet size (0 for a fleet of one).
 	Devices int
 	// PerDeviceUtilization is each device's busy-SM utilization over the
 	// run, indexed by fleet position.

@@ -5,10 +5,10 @@ import (
 
 	"sgprs/internal/core"
 	"sgprs/internal/des"
+	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/naive"
 	"sgprs/internal/rt"
-	"sgprs/internal/sched"
 	"sgprs/internal/workload"
 )
 
@@ -58,6 +58,7 @@ type ffEntry struct {
 // ffRun carries one run's fast-forward state.
 type ffRun struct {
 	s        *Session
+	dev      *gpu.Device
 	gen      *workload.Generator
 	coreSch  *core.Scheduler
 	naiveSch *naive.Scheduler
@@ -73,18 +74,19 @@ type ffRun struct {
 
 // runToHorizon drives the online phase from the post-Start state to the
 // horizon, fast-forwarding when the run is eligible and a cycle is found.
-// It replaces the plain RunUntil(horizon) in Session.Run.
-func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *workload.Generator, tasks []*rt.Task, warmUp, horizon des.Time) metrics.FFStats {
-	r := ffRun{s: s, gen: gen, horizon: horizon}
+// It replaces the plain RunUntil(horizon) in Session.Run. Only a fleet of one
+// is eligible: its dispatcher state is constant during an eligible run
+// (DESIGN.md §12), so the fingerprint covers the sole device and scheduler.
+func (s *Session) runToHorizon(cfg RunConfig, gen *workload.Generator, tasks []*rt.Task, warmUp, horizon des.Time) metrics.FFStats {
+	r := ffRun{s: s, dev: s.devs[0], gen: gen, horizon: horizon}
 	period, steady := gen.SteadyPeriod()
 	r.period = period
 	eligible := steady &&
 		!cfg.DisableFastForward &&
 		cfg.Observer == nil &&
 		cfg.Faults == nil &&
-		cfg.Devices <= 1 &&
 		cfg.GPU.ContentionJitter == 0
-	switch v := scheduler.(type) {
+	switch v := s.fleet.Sole().(type) {
 	case *core.Scheduler:
 		r.coreSch = v
 	case *naive.Scheduler:
@@ -182,12 +184,12 @@ func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *wo
 		// Measure one full cycle (b, t3], recording every metric write and
 		// accounting operand.
 		s.collector.BeginRecording()
-		s.dev.BeginRecording()
+		r.dev.BeginRecording()
 		s.eng.RunUntil(t3)
 		if s.ffTrace != nil {
 			s.ffTrace(t3)
 		}
-		completedDelta := s.dev.EndRecording()
+		completedDelta := r.dev.EndRecording()
 		s.collector.EndRecording()
 		// Defensive re-verification: determinism guarantees the state at t3
 		// matches the stored fingerprint; anything else means the
@@ -199,11 +201,11 @@ func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *wo
 		}
 		delta := des.Time(int64(D) * int64(k))
 		s.collector.Replay(k, D)
-		s.dev.ReplayCycles(k, completedDelta)
+		r.dev.ReplayCycles(k, completedDelta)
 		r.warpJobs(delta, k)
 		gen.Warp(delta, k*int(int64(D)/int64(period)))
 		s.eng.Warp(delta)
-		s.dev.Warp(delta)
+		r.dev.Warp(delta)
 		r.stats.CyclesSkipped += uint64(k)
 		if s.ffTrace != nil {
 			s.ffTrace(t3 + delta)
@@ -247,8 +249,8 @@ func (r *ffRun) fingerprint(now des.Time) []byte {
 		buf = des.AppendU64(buf, uint64(taskID))
 		buf = des.AppendI64(buf, int64(last-now))
 	})
-	buf = r.s.eng.EncodePending(buf, r.s.dev.AppendPending, r.eventTag)
-	buf = r.s.dev.EncodeState(buf, now, r.argEnc)
+	buf = r.s.eng.EncodePending(buf, r.dev.AppendPending, r.eventTag)
+	buf = r.dev.EncodeState(buf, now, r.argEnc)
 	if r.coreSch != nil {
 		buf = r.coreSch.EncodeState(buf, r.jobEnc)
 	} else {
@@ -265,7 +267,7 @@ func (r *ffRun) eventTag(label string, arg any) uint64 {
 	if t, ok := r.gen.EventTag(arg); ok {
 		return t
 	}
-	if t, ok := r.s.dev.EventTag(arg); ok {
+	if t, ok := r.dev.EventTag(arg); ok {
 		return 1<<48 | t
 	}
 	return 0
@@ -356,7 +358,7 @@ func (r *ffRun) warpJobs(delta des.Time, k int) {
 	if r.coreSch != nil {
 		r.coreSch.ForEachJob(visit)
 	}
-	r.s.dev.ForEachKernelArg(func(arg any) {
+	r.dev.ForEachKernelArg(func(arg any) {
 		switch v := arg.(type) {
 		case *rt.StageJob:
 			visit(v.Job)

@@ -312,30 +312,33 @@ func TestSessionInterleavedFastForward(t *testing.T) {
 // slots that every copy repeats: 30 tasks on two 1.0x contexts shed load in
 // steady state. The run must DeepEqual the same cell simulated in full, and
 // the drops must scale with the cycles skipped — at least one per cycle —
-// which shows the recorded cycle carried them.
+// which shows the recorded cycle carried them. Devices 0 and an explicit
+// fleet of one (Devices 1) both fast-forward: they are the same run.
 func TestFastForwardReplaysDrops(t *testing.T) {
-	cfg := RunConfig{
-		Kind: KindSGPRS, Name: "drops", ContextSMs: ContextPool(2, 1.0, speedup.DeviceSMs),
-		NumTasks: 30, HorizonSec: 20, Seed: 1, GPU: eligibleGPU(1),
-	}
-	ref := cfg
-	ref.DisableFastForward = true
 	cache := memo.New()
-	want, err := NewSession(cache).Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewSession(cache).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := got.FastForward.CyclesSkipped
-	if skipped == 0 || uint64(got.Summary.Dropped) < skipped {
-		t.Fatalf("%d cycles skipped with %d drops: the replayed cycle drops nothing",
-			skipped, got.Summary.Dropped)
-	}
-	got.FastForward = metrics.FFStats{}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("fast-forward differs from full simulation\nwant %+v\ngot  %+v", want, got)
+	for _, devices := range []int{0, 1} {
+		cfg := RunConfig{
+			Kind: KindSGPRS, Name: "drops", ContextSMs: ContextPool(2, 1.0, speedup.DeviceSMs),
+			NumTasks: 30, HorizonSec: 20, Seed: 1, GPU: eligibleGPU(1), Devices: devices,
+		}
+		ref := cfg
+		ref.DisableFastForward = true
+		want, err := NewSession(cache).Run(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewSession(cache).Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped := got.FastForward.CyclesSkipped
+		if skipped == 0 || uint64(got.Summary.Dropped) < skipped {
+			t.Fatalf("devices=%d: %d cycles skipped with %d drops: the replayed cycle drops nothing",
+				devices, skipped, got.Summary.Dropped)
+		}
+		got.FastForward = metrics.FFStats{}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("devices=%d: fast-forward differs from full simulation\nwant %+v\ngot  %+v", devices, want, got)
+		}
 	}
 }

@@ -8,47 +8,26 @@ import (
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
-	"sgprs/internal/speedup"
 	"sgprs/internal/workload"
 )
 
-// runFleet is Session.Run's multi-device tail (DESIGN.md §15): cfg.Devices
-// identical devices on the one shared engine, each with its own scheduler
-// instance attached to the full task set, behind a cluster dispatcher that
-// owns placement, failover, and admission. Session.Run has already reset the
-// engine, prepared s.dev (fleet position 0), built the task set, and
-// profiled it; this picks up from there.
+// runFleet is Session.Run's online phase (DESIGN.md §15): the run's devices
+// on the one shared engine, each with its own scheduler instance attached to
+// the full task set, behind a cluster dispatcher that owns placement,
+// failover, and admission. A single GPU is a fleet of one, whose dispatcher
+// hands every release to its one member unchanged. Session.Run has already
+// reset the engine and the devices, built the task set, and profiled it;
+// this picks up from there.
 //
-// Seeds: device i runs at cfg.GPU.Seed+i so the fleet's stochastic streams
-// decorrelate; per-device fault injectors at faultSeed+i likewise; the
-// dispatcher's reserved stream at cfg.Seed+4 (the run seed's next unclaimed
-// offset after GPU +1, workload +2, faults +3). All derived streams fork
-// with distinct salts, so overlapping bases cannot collide.
-func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task) (Result, error) {
-	devs := make([]*gpu.Device, cfg.Devices)
-	devs[0] = s.dev
-	for i := 1; i < cfg.Devices; i++ {
-		gi := cfg.GPU
-		gi.Seed = cfg.GPU.Seed + uint64(i)
-		if i-1 < len(s.fleetDevs) {
-			if err := s.fleetDevs[i-1].Reset(gi); err != nil {
-				return Result{}, err
-			}
-		} else {
-			d, err := gpu.NewDevice(s.eng, model, gi)
-			if err != nil {
-				return Result{}, err
-			}
-			s.fleetDevs = append(s.fleetDevs, d)
-		}
-		devs[i] = s.fleetDevs[i-1]
-		if cfg.Observer != nil {
-			devs[i].SetObserver(cfg.Observer)
-		}
-	}
-
-	members := make([]cluster.Member, cfg.Devices)
-	for i, d := range devs {
+// Seeds: device i's fault injector runs at faultSeed+i (faultSeed defaults
+// to the run seed +3, after GPU +1 and workload +2), as the device itself
+// runs at cfg.GPU.Seed+i. All derived streams fork with distinct salts, so
+// overlapping bases cannot collide.
+func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
+	devs := s.devs[:max(cfg.Devices, 1)]
+	clear(s.members)
+	s.members = s.members[:0]
+	for _, d := range devs {
 		sch, err := buildScheduler(cfg)
 		if err != nil {
 			return Result{}, err
@@ -56,7 +35,7 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 		if err := sch.Attach(s.eng, d, tasks); err != nil {
 			return Result{}, err
 		}
-		members[i] = cluster.Member{Dev: d, Sch: sch}
+		s.members = append(s.members, cluster.Member{Dev: d, Sch: sch})
 	}
 
 	horizon := des.FromSeconds(cfg.HorizonSec)
@@ -68,13 +47,17 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 	}
 	s.collector.SetSLO(cfg.SLOMS)
 
-	// The kernel-level fault families run per device: every member gets its
-	// own injector (own forked streams, own device hook, its scheduler as
+	// Fault injection (DESIGN.md §13): each injector draws from dedicated
+	// forked RNG streams, so installing one never perturbs the workload or
+	// contention-jitter cursors; with cfg.Faults nil none of this runs. The
+	// kernel-level fault families run per device: every member gets its own
+	// injector (own forked streams, own device hook, its scheduler as
 	// recovery handler). The degradation windows are fleet-wide — the same
 	// config applies to every device — so only device 0's injector flips the
 	// collector's degraded marker: the edges coincide across devices, and one
 	// toggle per edge is the collector's contract.
-	var injs []*fault.Injector
+	clear(s.injs)
+	s.injs = s.injs[:0]
 	var deviceFaults []fault.DeviceFault
 	if cfg.Faults != nil {
 		deviceFaults = cfg.Faults.DeviceFaults
@@ -82,7 +65,7 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 		if base == 0 {
 			base = cfg.Seed + 3
 		}
-		for i, m := range members {
+		for i, m := range s.members {
 			handler, _ := m.Sch.(sched.FaultHandler)
 			inj, err := fault.NewInjector(cfg.Faults, s.eng, m.Dev, handler, base+uint64(i))
 			if err != nil {
@@ -93,35 +76,29 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 				marker = s.collector
 			}
 			inj.Install(marker)
-			injs = append(injs, inj)
+			s.injs = append(s.injs, inj)
 		}
 	}
 
-	fleet, err := cluster.New(s.eng, cluster.Config{
+	if err := s.fleet.Reset(s.eng, cluster.Config{
 		Placement:    cfg.Placement,
 		Failover:     cfg.Failover,
 		AdmitCeiling: cfg.AdmitCeiling,
-		Seed:         cfg.Seed + 4,
 		DeviceFaults: deviceFaults,
-	}, members, tasks, horizon)
-	if err != nil {
+	}, s.members, tasks, horizon); err != nil {
 		return Result{}, err
 	}
-	fleet.Install(s.collector)
+	s.fleet.Install(s.collector)
 
-	gen := workload.NewGeneratorSeeded(s.eng, fleet, cfg.Seed+2)
+	gen := workload.NewGeneratorSeeded(s.eng, &s.fleet, cfg.Seed+2)
 	gen.SetSink(s.collector)
 	gen.UsePool(&s.pool)
 	gen.SetArrival(cfg.Arrival)
 	gen.Start(tasks, horizon)
-	// The fleet dispatcher is not a recognised steady-state scheduler, so
-	// runToHorizon always takes the reference path here (fleet runs join the
-	// fast-forward ineligibility conjunction); going through it keeps the
-	// lockstep trace hooks working.
-	ff := s.runToHorizon(cfg, fleet, gen, tasks, warmUp, horizon)
+	ff := s.runToHorizon(cfg, gen, tasks, warmUp, horizon)
 
 	sum := s.collector.Summary()
-	for _, inj := range injs {
+	for _, inj := range s.injs {
 		st := inj.Stats()
 		sum.Faults.Overruns += st.Overruns
 		sum.Faults.OverrunMassMS += st.OverrunMassMS
@@ -131,13 +108,17 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 		sum.Faults.SkippedJobs += st.SkippedJobs
 		sum.Faults.KilledChains += st.KilledChains
 	}
-	// The collector filled the fleet-degraded attribution; everything else
-	// in FleetStats lives in the dispatcher.
-	fs := fleet.Stats()
-	fs.FleetDegradedReleased = sum.Fleet.FleetDegradedReleased
-	fs.FleetDegradedMissed = sum.Fleet.FleetDegradedMissed
-	fs.FleetDegradedDMR = sum.Fleet.FleetDegradedDMR
-	sum.Fleet = fs
+	// A fleet of one leaves Summary.Fleet zero: its dispatcher counts
+	// nothing, and the collector saw no fleet-degraded interval. A larger
+	// fleet's collector filled the fleet-degraded attribution; everything
+	// else in FleetStats lives in the dispatcher.
+	if len(devs) > 1 {
+		fs := s.fleet.Stats()
+		fs.FleetDegradedReleased = sum.Fleet.FleetDegradedReleased
+		fs.FleetDegradedMissed = sum.Fleet.FleetDegradedMissed
+		fs.FleetDegradedDMR = sum.Fleet.FleetDegradedDMR
+		sum.Fleet = fs
+	}
 
 	pm := gpu.DefaultPowerModel()
 	res := Result{
@@ -148,7 +129,8 @@ func (s *Session) runFleet(cfg RunConfig, model *speedup.Model, tasks []*rt.Task
 	}
 	// Fleet-level rollups: utilization averages over the devices (each is
 	// already a [0,1] mean over time), energy and power add up. Fixed
-	// fleet-position summation order.
+	// fleet-position summation order; for a fleet of one, x/1 and 0+x are
+	// exact, so the rollups equal the device's own figures.
 	var util, energy, power float64
 	for _, d := range devs {
 		util += d.Utilization()

@@ -30,10 +30,10 @@ func fleetConfig(name string, failover rt.FailoverPolicy) RunConfig {
 	}
 }
 
-// TestFleetDevicesOneBitIdentical is the fleet-layer acceptance pin: Devices=1
-// (with every fleet knob zero) must reproduce the Devices=0 run byte for byte
-// across both paper scenario grids, every variant, every task count — the
-// single-device path is untouched by the fleet wiring.
+// TestFleetDevicesOneBitIdentical pins that Devices=0 and Devices=1 (with
+// every fleet knob zero) are the same fleet of one: byte for byte across both
+// paper scenario grids, every variant, every task count, Summary.Fleet zero
+// in both.
 func TestFleetDevicesOneBitIdentical(t *testing.T) {
 	counts := []int{4, 12}
 	const horizon = 2
@@ -115,10 +115,11 @@ func TestFleetRunsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetIneligibleForFastForward pins the eligibility conjunct: a steady
-// configuration that warps when single-device must fully simulate as a fleet
-// — crash edges and placement are event-driven, and a warp would skip
-// releases the dispatcher was due to route.
+// TestFleetIneligibleForFastForward pins the eligibility gate: a steady
+// configuration that warps on one device must fully simulate on a fleet of
+// two, which has no sole scheduler to fingerprint — crash edges and
+// placement are event-driven, and a warp would skip releases the dispatcher
+// was due to route.
 func TestFleetIneligibleForFastForward(t *testing.T) {
 	cfg := RunConfig{
 		Kind: KindSGPRS, Name: "ff-fleet", ContextSMs: ContextPool(2, 1.5, speedup.DeviceSMs),

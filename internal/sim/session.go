@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sgprs/internal/cluster"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/fault"
@@ -9,19 +10,19 @@ import (
 	"sgprs/internal/metrics"
 	"sgprs/internal/profile"
 	"sgprs/internal/rt"
-	"sgprs/internal/sched"
 	"sgprs/internal/speedup"
 	"sgprs/internal/stats"
 	"sgprs/internal/workload"
 )
 
 // Session executes simulation runs over reused infrastructure: one
-// discrete-event engine (whose event free list survives across runs), one
-// device (scratch buffers and slice capacities retained), one job pool, one
-// streaming metrics collector, a profiler, and a cache of built task sets
-// keyed by workload shape. A sweep that previously rebuilt all of this per
-// point now pays for it once per worker, so steady-state sweep points run
-// the online phase with almost no allocation.
+// discrete-event engine (whose event free list survives across runs), the
+// fleet's devices (scratch buffers and slice capacities retained) and its
+// dispatcher, one job pool, one streaming metrics collector, a profiler, and
+// a cache of built task sets keyed by workload shape. A sweep that
+// previously rebuilt all of this per point now pays for it once per worker,
+// so steady-state sweep points run the online phase with almost no
+// allocation.
 //
 // Reuse is invisible in the results: des.Engine.Reset and gpu.Device.Reset
 // restore fresh-equivalent state (clock, sequence numbers, stochastic
@@ -37,16 +38,20 @@ type Session struct {
 	cache *memo.Cache
 
 	eng       *des.Engine
-	dev       *gpu.Device
 	pool      rt.JobPool
 	collector *metrics.Collector
 
 	prof    *profile.Profiler
 	profCfg gpu.Config
 
-	// fleetDevs caches the extra fleet devices (positions 1..Devices-1;
-	// position 0 is s.dev) across fleet runs, Reset per run like s.dev.
-	fleetDevs []*gpu.Device
+	// Every run is a fleet (fleet.go); a single GPU is a fleet of one. devs
+	// holds the devices by fleet position, members and injs the per-device
+	// schedulers and fault injectors, and fleet the dispatcher. All of them
+	// are kept across runs and reset per run, so a run allocates none anew.
+	devs    []*gpu.Device
+	members []cluster.Member
+	injs    []*fault.Injector
+	fleet   cluster.Fleet
 
 	tasks map[taskSetKey][]*rt.Task
 
@@ -104,20 +109,27 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 
 	// The engine reset drops every pending event, the last references to
 	// the previous run's in-flight jobs and kernels; only then may the
-	// pool and the devices reclaim them (DESIGN.md §8).
+	// pool and the devices reclaim them (DESIGN.md §8). Device i runs at
+	// cfg.GPU.Seed+i so a fleet's stochastic streams decorrelate.
 	s.eng.Reset()
 	s.pool.Reclaim()
-	if s.dev == nil {
-		dev, err := gpu.NewDevice(s.eng, model, cfg.GPU)
-		if err != nil {
-			return Result{}, err
+	for i := range max(cfg.Devices, 1) {
+		gi := cfg.GPU
+		gi.Seed += uint64(i)
+		if i < len(s.devs) {
+			if err := s.devs[i].Reset(gi); err != nil {
+				return Result{}, err
+			}
+		} else {
+			d, err := gpu.NewDevice(s.eng, model, gi)
+			if err != nil {
+				return Result{}, err
+			}
+			s.devs = append(s.devs, d)
 		}
-		s.dev = dev
-	} else if err := s.dev.Reset(cfg.GPU); err != nil {
-		return Result{}, err
-	}
-	if cfg.Observer != nil {
-		s.dev.SetObserver(cfg.Observer)
+		if cfg.Observer != nil {
+			s.devs[i].SetObserver(cfg.Observer)
+		}
 	}
 
 	var graph *dnn.Graph
@@ -160,79 +172,7 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 		}
 	}
 
-	if cfg.Devices > 1 {
-		return s.runFleet(cfg, model, tasks)
-	}
-
-	scheduler, err := buildScheduler(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := scheduler.Attach(s.eng, s.dev, tasks); err != nil {
-		return Result{}, err
-	}
-
-	horizon := des.FromSeconds(cfg.HorizonSec)
-	warmUp := des.FromSeconds(cfg.WarmUpSec)
-	if s.collector == nil {
-		s.collector = metrics.NewCollector(warmUp, horizon)
-	} else {
-		s.collector.Reset(warmUp, horizon)
-	}
-	s.collector.SetSLO(cfg.SLOMS)
-
-	// Fault injection (DESIGN.md §13): the injector draws from a dedicated
-	// forked RNG stream, so installing it never perturbs the workload or
-	// contention-jitter cursors; with cfg.Faults nil none of this runs and
-	// the dynamics are bit-identical to the pre-fault code path.
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		handler, _ := scheduler.(sched.FaultHandler)
-		seed := cfg.Faults.Seed
-		if seed == 0 {
-			seed = cfg.Seed + 3
-		}
-		inj, err = fault.NewInjector(cfg.Faults, s.eng, s.dev, handler, seed)
-		if err != nil {
-			return Result{}, err
-		}
-		inj.Install(s.collector)
-	}
-
-	gen := workload.NewGeneratorSeeded(s.eng, scheduler, cfg.Seed+2)
-	gen.SetSink(s.collector)
-	gen.UsePool(&s.pool)
-	gen.SetArrival(cfg.Arrival)
-	gen.Start(tasks, horizon)
-	ff := s.runToHorizon(cfg, scheduler, gen, tasks, warmUp, horizon)
-
-	sum := s.collector.Summary()
-	if inj != nil {
-		// The collector filled the Degraded* fields of sum.Faults; the
-		// injection counters live in the injector.
-		st := inj.Stats()
-		sum.Faults.Overruns = st.Overruns
-		sum.Faults.OverrunMassMS = st.OverrunMassMS
-		sum.Faults.TransientFaults = st.TransientFaults
-		sum.Faults.Retries = st.Retries
-		sum.Faults.Recoveries = st.Recoveries
-		sum.Faults.SkippedJobs = st.SkippedJobs
-		sum.Faults.KilledChains = st.KilledChains
-	}
-	pm := gpu.DefaultPowerModel()
-	res := Result{
-		Name:              cfg.Name,
-		Tasks:             cfg.NumTasks,
-		Summary:           sum,
-		FastForward:       ff,
-		DeviceUtilization: s.dev.Utilization(),
-		EnergyJoules:      s.dev.EnergyJoules(pm),
-		AvgPowerW:         s.dev.AveragePowerW(pm),
-	}
-	if res.AvgPowerW > 0 {
-		res.FPSPerWatt = sum.TotalFPS / res.AvgPowerW
-	}
-	return res, nil
+	return s.runFleet(cfg, tasks)
 }
 
 // EngineStats reports how many events the session's engine fired and its
@@ -262,8 +202,8 @@ type ReplayStats struct {
 // measures host cost and stays out of Result.
 func (s *Session) ReplayStats() ReplayStats {
 	var r ReplayStats
-	if s.dev != nil {
-		r.RepeatCounts = s.dev.ReplayStats()
+	if len(s.devs) > 0 {
+		r.RepeatCounts = s.devs[0].ReplayStats()
 	}
 	if s.collector != nil {
 		r.SortFallbacks = s.collector.SortFallbacks()

@@ -86,13 +86,13 @@ type RunConfig struct {
 	// run is never eligible for steady-state fast-forward.
 	Faults *fault.Config
 
-	// Fleet (DESIGN.md §15): Devices > 1 runs the configuration on that many
-	// identical devices behind a cluster dispatcher — one scheduler instance
-	// per device, chains homed by Placement, device crashes (Faults'
-	// DeviceFaults) survived under Failover with an optional AdmitCeiling
-	// admission controller. Devices 0 or 1 is the single-device path, pinned
-	// bit-identical to the pre-fleet code by the fleet-equivalence tests;
-	// fleet runs are streaming-only and never fast-forward eligible.
+	// Fleet (DESIGN.md §15): every run executes on Devices identical devices
+	// behind a cluster dispatcher — one scheduler instance per device,
+	// chains homed by Placement, device crashes (Faults' DeviceFaults)
+	// survived under Failover with an optional AdmitCeiling admission
+	// controller. Devices 0 or 1 is a fleet of one: the paper's single GPU,
+	// with every fleet option zero and Summary.Fleet left zero; only a
+	// fleet of one is fast-forward eligible.
 	Devices int
 	// Placement selects the chain-homing policy (fleet runs only).
 	Placement cluster.Placement
@@ -200,8 +200,9 @@ func (c *RunConfig) Normalize() error {
 	}
 	if c.Devices <= 1 {
 		// Fleet knobs on a single-device run are a config mistake, not a
-		// no-op: reject rather than silently ignoring them, so the pinned
-		// Devices≤1 path really is the zero-valued one.
+		// no-op: reject rather than silently ignoring them, so a fleet of
+		// one keeps a constant dispatcher (what lets it fast-forward,
+		// DESIGN.md §12).
 		if c.Placement != 0 || c.Failover != 0 || c.AdmitCeiling != 0 {
 			return fmt.Errorf("sim: run %q sets fleet options (placement/failover/admission ceiling) on a single device; set Devices > 1", c.Name)
 		}

@@ -188,7 +188,7 @@ func TestSessionReclaimAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inFlight int
-	sess.dev.ForEachKernelArg(func(any) { inFlight++ })
+	sess.devs[0].ForEachKernelArg(func(any) { inFlight++ })
 	const bound = 600
 	if inFlight < 2000 {
 		t.Fatalf("only %d kernels in flight at the horizon; the pin needs thousands", inFlight)
