@@ -10,7 +10,7 @@ GO ?= go
 BENCH_BASELINE ?= BENCH_5.json
 BENCH_CURRENT ?= BENCH_13.json
 
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint vuln experiments examples fuzz-smoke loc ci
+.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check vuln experiments examples fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -37,10 +37,13 @@ bench-json:
 
 ## bench-gate: the CI allocation gate — re-run the pinned benches and fail
 ## on a >25% allocs/op regression against the committed $(BENCH_CURRENT).
+## The fresh snapshot goes to .bench_build/ in the checkout, so gates run
+## from two clones at once never share a file.
 bench-gate:
+	@mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkScenarioRegeneration|BenchmarkSingleRun|BenchmarkEngineThroughput|BenchmarkLongHorizon|BenchmarkDenseContention|BenchmarkOverloadTail|BenchmarkSteadyState|BenchmarkFleetFailover' \
 		-benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/sgprs-benchjson -baseline $(BENCH_CURRENT) -out /tmp/bench-current.json \
+		| $(GO) run ./cmd/sgprs-benchjson -baseline $(BENCH_CURRENT) -out .bench_build/bench-current.json \
 			-gate 'BenchmarkSingleRun/|BenchmarkScenarioRegeneration/(uncached|cold|warm)-offline|BenchmarkLongHorizon/|BenchmarkOverloadTail/|BenchmarkSteadyState/|BenchmarkFleetFailover/' \
 			-max-allocs-regress 25
 
@@ -87,6 +90,13 @@ lint:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 	$(GO) run ./cmd/sgprs-lint ./...
+
+## inline-check: fail unless the gpu rate sweep (Device.recompute) inlines
+## its per-kernel helpers, aggregateGain first among them (DESIGN.md §10;
+## scripts/inline-check.sh) — an out-of-line call there costs throughput
+## without failing any test.
+inline-check:
+	@GO=$(GO) bash scripts/inline-check.sh
 
 ## vuln: scan the module against the Go vulnerability database. Uses a
 ## govulncheck binary when one is installed; otherwise reports how to get
@@ -143,4 +153,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: lint build race bench-module examples fuzz-smoke bench bench-gate
+ci: lint inline-check build race bench-module examples fuzz-smoke bench bench-gate

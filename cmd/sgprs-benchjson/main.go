@@ -11,7 +11,8 @@
 //
 // -gate promotes a pinned subset to a hard gate: every baseline benchmark
 // whose name matches the regexp must be present in the fresh run, and its
-// allocs/op must not regress by more than -max-allocs-regress percent.
+// allocs/op must not regress by more than -max-allocs-regress percent. With
+// -gate, the missing-benchmark warning covers only the benches it matches.
 // Allocations — unlike ns/op — are deterministic enough to gate on with
 // single-iteration CI runs; a one-line leak in the simulator's steady state
 // multiplies allocs/op immediately.
@@ -29,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"regexp"
@@ -107,7 +109,7 @@ func main() {
 	}
 
 	if base != nil {
-		report(base, file)
+		report(os.Stderr, base, file, gateRE)
 		if gateRE != nil {
 			if failures := checkGate(base, file, gateRE, *maxAllocsRegress); len(failures) > 0 {
 				for _, f := range failures {
@@ -252,10 +254,13 @@ func procsSuffix(name string) string {
 }
 
 // report prints a benchstat-style delta table covering both ns/op and
-// allocs/op (report-only; never fails). Benchmarks present only in the
+// allocs/op to w (report-only; never fails). Benchmarks present only in the
 // baseline — typically renamed or retired benches — are listed as warnings
 // rather than breaking the run, so `make bench-json` survives bench churn.
-func report(base, cur *File) {
+// With a gate, only the missing baseline benchmarks it matches are warned
+// about: a run restricted to the gate's benches misses the others by
+// design, and warning about them would bury a real rename.
+func report(w io.Writer, base, cur *File, gate *regexp.Regexp) {
 	old := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		old[b.Name] = b
@@ -269,31 +274,31 @@ func report(base, cur *File) {
 	for _, b := range cur.Benchmarks {
 		byName[b.Name] = b
 	}
-	fmt.Fprintf(os.Stderr, "benchmark delta vs baseline (report-only; single-iteration smoke numbers are noisy):\n")
-	fmt.Fprintf(os.Stderr, "%-64s %14s %14s %8s %12s %12s %8s\n",
+	fmt.Fprintf(w, "benchmark delta vs baseline (report-only; single-iteration smoke numbers are noisy):\n")
+	fmt.Fprintf(w, "%-64s %14s %14s %8s %12s %12s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	for _, name := range names {
 		b := byName[name]
 		o, ok := old[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "%-64s %14s %14.0f %8s %12s %12s %8s\n",
+			fmt.Fprintf(w, "%-64s %14s %14.0f %8s %12s %12s %8s\n",
 				name, "-", b.NsPerOp, "new", "-", allocsCell(b.AllocsPerOp), "new")
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%-64s %14.0f %14.0f %8s %12s %12s %8s\n",
+		fmt.Fprintf(w, "%-64s %14.0f %14.0f %8s %12s %12s %8s\n",
 			name, o.NsPerOp, b.NsPerOp, pctDelta(o.NsPerOp, b.NsPerOp),
 			allocsCell(o.AllocsPerOp), allocsCell(b.AllocsPerOp),
 			allocsDelta(o.AllocsPerOp, b.AllocsPerOp))
 	}
 	missing := make([]string, 0, len(old))
 	for name := range old {
-		if _, ok := byName[name]; !ok {
+		if _, ok := byName[name]; !ok && (gate == nil || gate.MatchString(name)) {
 			missing = append(missing, name)
 		}
 	}
 	sort.Strings(missing)
 	for _, name := range missing {
-		fmt.Fprintf(os.Stderr, "warning: baseline benchmark %q missing from this run (renamed or removed?); skipping its delta\n", name)
+		fmt.Fprintf(w, "warning: baseline benchmark %q missing from this run (renamed or removed?); skipping its delta\n", name)
 	}
 }
 

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,58 @@ func TestParseProcsSuffix(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("names = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestReportMissingWarnings: a baseline benchmark missing from the fresh run
+// is warned about, except under -gate when the gate does not match it — a
+// gated run leaves those out by design.
+func TestReportMissingWarnings(t *testing.T) {
+	base := &File{Benchmarks: []Benchmark{
+		{Name: "BenchmarkSingleRun/sgprs", AllocsPerOp: 10},
+		{Name: "BenchmarkSingleRun/naive", AllocsPerOp: 10},
+		{Name: "BenchmarkFig4a/tasks-4", AllocsPerOp: 10},
+	}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkSingleRun/sgprs", AllocsPerOp: 10}}}
+	for _, tc := range []struct {
+		name      string
+		gate      string
+		warned    []string
+		notWarned []string
+	}{
+		{
+			name:   "no gate warns about every miss",
+			warned: []string{"BenchmarkSingleRun/naive", "BenchmarkFig4a/tasks-4"},
+		},
+		{
+			name:      "gated miss is warned, ungated miss is silent",
+			gate:      "BenchmarkSingleRun/",
+			warned:    []string{"BenchmarkSingleRun/naive"},
+			notWarned: []string{"BenchmarkFig4a/tasks-4"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var gate *regexp.Regexp
+			if tc.gate != "" {
+				gate = regexp.MustCompile(tc.gate)
+			}
+			var buf bytes.Buffer
+			report(&buf, base, cur, gate)
+			out := buf.String()
+			for _, name := range tc.warned {
+				if !strings.Contains(out, `warning: baseline benchmark "`+name+`" missing`) {
+					t.Errorf("no warning for %s:\n%s", name, out)
+				}
+			}
+			for _, name := range tc.notWarned {
+				if strings.Contains(out, `"`+name+`" missing`) {
+					t.Errorf("unexpected warning for %s:\n%s", name, out)
+				}
+			}
+			if strings.Contains(out, `"BenchmarkSingleRun/sgprs" missing`) {
+				t.Errorf("warned about a benchmark the run has:\n%s", out)
 			}
 		})
 	}

@@ -159,7 +159,7 @@ type Device struct {
 	workDone         float64 // single-SM milliseconds retired
 
 	// Fast-forward measurement-cycle recording (ff.go): while recording,
-	// advance appends each accounting operand pair so ReplayCycles can
+	// the rate sweep appends each banked operand pair so ReplayCycles can
 	// reproduce the identical add sequence over extrapolated cycles;
 	// replayCounts tallies its work (ReplayStats).
 	recording    bool
@@ -388,9 +388,8 @@ func (d *Device) SetEffectiveSMs(n int, now des.Time) error {
 	if n == d.effSMs {
 		return nil
 	}
-	d.advance(now)
 	d.effSMs = n
-	d.recompute(now)
+	d.recompute(now, nil, nil)
 	return nil
 }
 

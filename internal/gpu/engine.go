@@ -52,9 +52,11 @@ func (d *Device) pump(s *Stream) {
 }
 
 // start admits k into the running set, updates the incrementally maintained
-// per-context aggregates, and recomputes rates.
+// per-context aggregates, and recomputes rates. The lifecycle callbacks and
+// the fault hook run before the sweep banks the other kernels' progress:
+// none of them reads another kernel's remainders or the device's accounting
+// totals (DESIGN.md §10).
 func (d *Device) start(k *Kernel, now des.Time) {
-	d.advance(now)
 	k.started = true
 	k.startedAt = now
 	d.kernelSeq++
@@ -81,59 +83,25 @@ func (d *Device) start(k *Kernel, now des.Time) {
 	if d.hook != nil {
 		d.hook.KernelLaunched(k, now)
 	}
-	d.recompute(now)
+	k.initGain(d.model)
+	d.recompute(now, k, nil)
 }
 
-// advance banks every running kernel's progress for the interval
-// [lastUpdate, now] at the rates fixed by the previous recompute.
-func (d *Device) advance(now des.Time) {
+// recompute is the device's one rate sweep, run on every running-set
+// transition and capacity change (DESIGN.md §10). Its first pass banks each
+// running kernel's progress over [lastUpdate, now] at the rate and share the
+// previous sweep fixed, then gives it its new share and raw gain, in
+// admission order; its second pass applies the aggregate ceiling and the
+// contention jitter, refreshes the completion keys the new rates move, and
+// finds the least key for the device timer. Neither pass calls out of line.
+//
+// fresh is the kernel start just appended: it has no progress to bank. gone
+// is the kernel complete or Abort is retiring: it is banked, then dropped
+// from the running set in the same pass. Either may be nil. The per-context
+// aggregates must already describe the new running set.
+func (d *Device) recompute(now des.Time, fresh, gone *Kernel) {
 	dtMS := float64(now-d.lastUpdate) / float64(des.Millisecond)
 	d.lastUpdate = now
-	if dtMS <= 0 {
-		return
-	}
-	// Accumulate through locals: the adds happen in the identical order
-	// with identical operands, but the compiler cannot keep the device
-	// fields in registers across the kernel writes on its own.
-	workDone, busySMTime := d.workDone, d.busySMTime
-	for _, k := range d.running {
-		remaining := dtMS
-		if k.remainingFixed > 0 {
-			df := remaining
-			if df > k.remainingFixed {
-				df = k.remainingFixed
-			}
-			k.remainingFixed -= df
-			remaining -= df
-		}
-		if remaining > 0 && k.remainingWork > 0 {
-			done := remaining * k.rate
-			if done > k.remainingWork {
-				done = k.remainingWork
-			}
-			//sgprs:allow floatfold — per-kernel countdown: the lone += (fault-injection work inflation, Kernel.InflateWork) happens at launch, before any decrement
-			k.remainingWork -= done
-			busy := k.effSMs * remaining / 1000
-			workDone += done
-			busySMTime += busy
-			if d.recording {
-				d.recWork = append(d.recWork, done)
-				d.recBusy = append(d.recBusy, busy)
-			}
-		}
-	}
-	d.workDone, d.busySMTime = workDone, busySMTime
-}
-
-// recompute reassigns effective SM shares and rates after the running set
-// changed, implementing the four-layer sharing model described in the
-// package comment, refreshes the completion keys the new rates move, and
-// re-arms the device timer. It is one full sweep over every running kernel
-// in admission order, whatever the transition (DESIGN.md §10).
-func (d *Device) recompute(now des.Time) {
-	d.recomputes++
-	d.visits += uint64(len(d.running))
-	ratio := float64(d.busyDemand) / float64(d.effSMs)
 
 	// SM allocation per context by two-level waterfilling: the device's
 	// SMs go to busy contexts in proportion to their active kernel
@@ -144,24 +112,71 @@ func (d *Device) recompute(now des.Time) {
 	// a context with more runnable work can soak up SMs a rigid small
 	// partition could not.
 	alloc := d.waterfill()
-
-	// First pass: raw gains from intra-context weighted splits.
 	for _, c := range d.contexts {
 		if c.weightSum > 0 {
 			c.setShares(alloc[c.id])
 		}
 	}
+
+	// First pass: bank progress, then raw gains from intra-context
+	// weighted splits. Each kernel is banked before its rate and share are
+	// overwritten, and every accumulation runs in admission order with the
+	// operands a separate banking pass would use, so the totals are
+	// bit-identical. The accumulators live in locals: the compiler cannot
+	// keep the device fields in registers across the kernel writes.
+	workDone, busySMTime := d.workDone, d.busySMTime
 	var gainSum float64
-	for _, k := range d.running {
+	running := d.running
+	n := 0
+	for _, k := range running {
+		if dtMS > 0 && k != fresh {
+			remaining := dtMS
+			if k.remainingFixed > 0 {
+				df := remaining
+				if df > k.remainingFixed {
+					df = k.remainingFixed
+				}
+				k.remainingFixed -= df
+				remaining -= df
+			}
+			if remaining > 0 && k.remainingWork > 0 {
+				done := remaining * k.rate
+				if done > k.remainingWork {
+					done = k.remainingWork
+				}
+				//sgprs:allow floatfold — per-kernel countdown: the lone += (fault-injection work inflation, Kernel.InflateWork) happens at launch, before any decrement
+				k.remainingWork -= done
+				busy := k.effSMs * remaining / 1000
+				workDone += done
+				busySMTime += busy
+				if d.recording {
+					d.recWork = append(d.recWork, done)
+					d.recBusy = append(d.recBusy, busy)
+				}
+			}
+		}
+		if k == gone {
+			continue
+		}
+		running[n] = k
+		n++
 		share := k.stream.ctx.share(k)
 		k.effSMs = share
-		gain := k.aggregateGain(d.model, share)
+		gain := k.aggregateGain(share)
 		if k.remainingWork > workEpsilon && gain <= 0 {
 			panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
 		}
 		k.rate = gain
 		gainSum += gain
 	}
+	if n < len(running) {
+		running[n] = nil
+	}
+	running = running[:n]
+	d.running = running
+	d.workDone, d.busySMTime = workDone, busySMTime
+	d.recomputes++
+	d.visits += uint64(n)
 
 	// Bandwidth ceiling: proportional scale-down when the sum of gains
 	// exceeds the device's aggregate cap. It models cross-kernel DRAM
@@ -171,94 +186,65 @@ func (d *Device) recompute(now des.Time) {
 	// wastes a slice of the ceiling itself (context interleaving,
 	// thrashed L2): the deterministic contention penalty shrinks the
 	// effective cap as the demand ratio grows.
-	scaled := false
-	var f float64
-	if len(d.running) >= 2 {
+	//
+	// Per-kernel contention jitter applies after the ceiling: it is
+	// variance the ceiling cannot renormalise away — the paper's "poor
+	// predictability" under heavy over-subscription. A ceiling that does
+	// not bind scales by f = 1 and a device that is not over-subscribed
+	// divides by 1 + 0·u = 1; both are exact identities, so one loop
+	// covers all four cases with the arithmetic of four specialised ones.
+	ratio := float64(d.busyDemand) / float64(d.effSMs)
+	f, cj := 1.0, 0.0
+	if ratio > 1 {
+		cj = d.cfg.ContentionJitter * (ratio - 1)
+	}
+	if n >= 2 {
 		ceiling := d.cfg.AggregateGainCap
 		if ratio > 1 {
 			over := ratio - 1
 			ceiling /= 1 + d.cfg.ContentionPenalty*over*over
 		}
 		if gainSum > ceiling {
-			scaled = true
 			f = ceiling / gainSum
 		}
 	}
 
-	// Per-kernel contention jitter applies after the ceiling: it is
-	// variance the ceiling cannot renormalise away — the paper's "poor
-	// predictability" under heavy over-subscription. Both adjustments are
-	// fused with the reschedule sweep, which also finds the least
-	// completion key for the timer. Every adjustment is
-	// per-kernel-independent and runs in the same per-kernel order as
-	// separate sweeps would, so the arithmetic — and the sequence numbers
-	// the keys reserve — is unchanged.
+	// Second pass: final rates and completion keys. A kernel whose rate
+	// did not change since its key was last derived keeps that key:
+	// progress is linear in time at a fixed rate, so the finish instant
+	// computed back then is still the finish instant now. Otherwise the
+	// key is re-derived exactly where the kernel's own finish event would
+	// have been scheduled or moved, and reserves an engine sequence number
+	// exactly where that event would have drawn one — including the
+	// engine's no-move rule, which keeps the old number when the instant
+	// is unchanged — so the timer reproduces the per-kernel events' firing
+	// order bit for bit (DESIGN.md §3).
 	var next *Kernel
-	switch {
-	case scaled && ratio > 1:
-		cj := d.cfg.ContentionJitter * (ratio - 1)
-		for _, k := range d.running {
-			k.rate *= f
-			k.rate /= 1 + cj*k.jitterU
-			d.rescheduleOne(now, k)
-			next = earlier(next, k)
+	for _, k := range running {
+		rate := k.rate * f / (1 + cj*k.jitterU)
+		k.rate = rate
+		if !k.finSet || rate != k.schedRate {
+			msLeft := k.remainingFixed
+			if k.remainingWork > workEpsilon {
+				msLeft += k.remainingWork / rate
+			}
+			// Ceil to the next nanosecond so the kernel never completes
+			// before the work is actually done. A remainder past the
+			// clock saturates at Never, by des.FromSeconds' rule: the
+			// kernel cannot finish in any run, and converting it
+			// unchecked would wrap to a negative instant.
+			at := des.Never
+			if ns := msLeft * float64(des.Millisecond); ns < float64(des.Never) {
+				at = now.Add(des.Time(ns) + 1)
+			}
+			k.schedRate = rate
+			if !k.finSet || k.finAt != at {
+				k.finAt, k.finSeq, k.finSet = at, d.eng.NextSeq(), true
+			}
 		}
-	case scaled:
-		for _, k := range d.running {
-			k.rate *= f
-			d.rescheduleOne(now, k)
-			next = earlier(next, k)
-		}
-	case ratio > 1:
-		cj := d.cfg.ContentionJitter * (ratio - 1)
-		for _, k := range d.running {
-			k.rate /= 1 + cj*k.jitterU
-			d.rescheduleOne(now, k)
-			next = earlier(next, k)
-		}
-	default:
-		for _, k := range d.running {
-			d.rescheduleOne(now, k)
-			next = earlier(next, k)
-		}
+		next = earlier(next, k)
 	}
 	d.arm(next)
-}
-
-// rescheduleOne refreshes one kernel's completion key. A kernel whose rate
-// did not change since its key was last derived keeps that key untouched:
-// progress is linear in time at a fixed rate, so the finish instant computed
-// back then is still the finish instant now — re-deriving it from the banked
-// remainder would only replay the same arithmetic (modulo sub-nanosecond
-// rounding). Otherwise the key is re-derived exactly where the kernel's own finish event would have
-// been scheduled or moved, and reserves an engine sequence number exactly
-// where that event would have drawn one — including the engine's no-move
-// rule, which keeps the old number when the instant is unchanged — so the
-// timer reproduces the per-kernel events' firing order bit for bit.
-func (d *Device) rescheduleOne(now des.Time, k *Kernel) {
-	if k.finSet && k.rate == k.schedRate {
-		return
-	}
-	var msLeft float64
-	switch {
-	case k.remainingWork > workEpsilon:
-		msLeft = k.remainingFixed + k.remainingWork/k.rate
-	default:
-		msLeft = k.remainingFixed
-	}
-	// Ceil to the next nanosecond so the kernel never completes before
-	// the work is actually done. A remainder past the clock saturates at
-	// Never, by des.FromSeconds' rule: the kernel cannot finish in any
-	// run, and converting it unchecked would wrap to a negative instant.
-	at := des.Never
-	if ns := msLeft * float64(des.Millisecond); ns < float64(des.Never) {
-		at = now.Add(des.Time(ns) + 1)
-	}
-	k.schedRate = k.rate
-	if k.finSet && k.finAt == at {
-		return
-	}
-	k.finAt, k.finSeq, k.finSet = at, d.eng.NextSeq(), true
 }
 
 // earlier returns whichever of a (possibly nil) and b holds the lesser
@@ -377,20 +363,6 @@ func (d *Device) waterfill() []float64 {
 
 // complete retires k, recomputes the remaining kernels, and pumps the stream.
 func (d *Device) complete(k *Kernel, now des.Time) {
-	d.advance(now)
-	// The finish instant is rounded to nanoseconds, so up to ~1ns of rate
-	// can remain numerically; anything beyond that is an engine bug.
-	slack := 1e-5 * (1 + k.rate)
-	if k.remainingWork > slack || k.remainingFixed > slack {
-		panic(fmt.Sprintf("gpu: kernel %q completed with %.3g ms work and %.3g ms fixed left",
-			k.Label, k.remainingWork, k.remainingFixed))
-	}
-	for i, r := range d.running {
-		if r == k {
-			d.running = append(d.running[:i], d.running[i+1:]...)
-			break
-		}
-	}
 	ctx := k.stream.ctx
 	k.started = false
 	k.finSet = false
@@ -400,10 +372,18 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 	}
 	//sgprs:allow floatfold — priority weights are small exact integers; integer-float += / -= never rounds (DESIGN.md §10)
 	ctx.weightSum -= k.stream.priority.weight()
+	d.recompute(now, nil, k)
+	// The sweep banked k's last interval at its final rate. The finish
+	// instant is rounded to nanoseconds, so up to ~1ns of rate can remain
+	// numerically; anything beyond that is an engine bug.
+	slack := 1e-5 * (1 + k.rate)
+	if k.remainingWork > slack || k.remainingFixed > slack {
+		panic(fmt.Sprintf("gpu: kernel %q completed with %.3g ms work and %.3g ms fixed left",
+			k.Label, k.remainingWork, k.remainingFixed))
+	}
 	s := k.stream
 	s.running = nil
 	d.completedKernels++
-	d.recompute(now)
 	if d.observer != nil {
 		d.observer.KernelFinished(k, now)
 	}
@@ -438,13 +418,6 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 	if !k.started {
 		panic(fmt.Sprintf("gpu: abort of non-running kernel %q", k.Label))
 	}
-	d.advance(now)
-	for i, r := range d.running {
-		if r == k {
-			d.running = append(d.running[:i], d.running[i+1:]...)
-			break
-		}
-	}
 	ctx := k.stream.ctx
 	k.started = false
 	k.finSet = false
@@ -454,10 +427,10 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 	}
 	//sgprs:allow floatfold — priority weights are small exact integers; integer-float += / -= never rounds (DESIGN.md §10)
 	ctx.weightSum -= k.stream.priority.weight()
+	d.recompute(now, nil, k)
 	s := k.stream
 	s.running = nil
 	k.stream = nil
-	d.recompute(now)
 	d.pump(s)
 }
 

@@ -23,7 +23,7 @@ import (
 // against the boundary), since two boundaries one cycle apart must encode
 // identically.
 //
-// Included: the busy demand, the un-banked advance interval, every running
+// Included: the busy demand, the un-banked progress interval, every running
 // kernel's full execution state in admission order, every context's
 // maintained weight sum and kernel count, and every stream's pending-launch
 // and queued kernels with their work specs. Excluded as derived or
@@ -133,10 +133,10 @@ func (d *Device) Warp(delta des.Time) {
 	}
 }
 
-// BeginRecording starts capturing the per-advance accounting operands of one
-// measurement cycle. advance chains its adds onto the running totals, so the
-// replay must reproduce the identical operand sequence — not a per-cycle sum,
-// which would round differently.
+// BeginRecording starts capturing the banked accounting operands of one
+// measurement cycle. The rate sweep chains its adds onto the running totals,
+// so the replay must reproduce the identical operand sequence — not a
+// per-cycle sum, which would round differently.
 func (d *Device) BeginRecording() {
 	d.recording = true
 	d.recWork = d.recWork[:0]

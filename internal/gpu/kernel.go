@@ -67,9 +67,9 @@ type Kernel struct {
 	// again before the next NewKernel is a use-after-free bug.
 	pooled bool
 
-	// Closed-form aggregate-gain coefficients, precomputed on first use.
-	// The composed gain is a weighted harmonic mean over saturating
-	// curves gᵢ(n) = Aᵢ·n/(n+Bᵢ):
+	// Closed-form aggregate-gain coefficients, computed by initGain when
+	// the kernel first starts. The composed gain is a weighted harmonic
+	// mean over saturating curves gᵢ(n) = Aᵢ·n/(n+Bᵢ):
 	//
 	//	gain(n) = W / Σ wᵢ/gᵢ(n) = W / (P + Q/n)
 	//
@@ -85,24 +85,36 @@ type Kernel struct {
 	schedRate float64
 }
 
-// aggregateGain returns the model's composed gain at n effective SMs via the
-// precomputed closed form.
-func (k *Kernel) aggregateGain(m *speedup.Model, n float64) float64 {
-	if !k.aggOK {
-		for _, p := range k.Shares {
-			if p.Work < 0 {
-				panic(fmt.Sprintf("gpu: kernel %q has negative work", k.Label))
-			}
-			if p.Work == 0 {
-				continue
-			}
-			c := m.Curve(p.Class)
-			k.aggW += p.Work
-			k.aggP += p.Work / c.A
-			k.aggQ += p.Work * c.B / c.A
-		}
-		k.aggOK = true
+// initGain computes the closed-form gain coefficients from Shares under
+// model m, once per kernel: a kernel resubmitted after Abort keeps the
+// coefficients of its first start instead of adding its shares twice. start
+// calls it before the rate sweep, so the sweep's per-kernel gain is the
+// inlined aggregateGain alone. Submit does not: EncodeState encodes a queued
+// kernel by its Shares until it first starts.
+func (k *Kernel) initGain(m *speedup.Model) {
+	if k.aggOK {
+		return
 	}
+	for _, p := range k.Shares {
+		if p.Work < 0 {
+			panic(fmt.Sprintf("gpu: kernel %q has negative work", k.Label))
+		}
+		if p.Work == 0 {
+			continue
+		}
+		c := m.Curve(p.Class)
+		k.aggW += p.Work
+		k.aggP += p.Work / c.A
+		k.aggQ += p.Work * c.B / c.A
+	}
+	k.aggOK = true
+}
+
+// aggregateGain returns the composed gain at n effective SMs via the closed
+// form initGain prepared. It is small enough to inline into recompute's
+// sweep (make inline-check pins that): an out-of-line call there spills
+// the sweep's live accumulators (DESIGN.md §10).
+func (k *Kernel) aggregateGain(n float64) float64 {
 	if n <= 0 || k.aggW == 0 {
 		return 0
 	}
