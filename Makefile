@@ -111,27 +111,20 @@ vuln:
 	fi
 
 ## experiments: enumerate the declarative experiment registry (name,
-## shape, description) via the sweep CLI.
+## shape, axes, description).
 experiments:
-	$(GO) run ./cmd/sgprs-sweep -list
+	$(GO) run ./cmd/sgprs list
 
-## examples: build every example, then smoke-run the quickstart, the
-## registry-driven experiment example, the fault-injection and
-## fleet-failover walkthroughs, the pivot search, the parallel scenario
-## sweep, the multi-tenant mix on per-tenant collectors, the energy and
-## over-subscription sweeps, and the trace replay (the CI examples gate).
+## examples: build every example, then run each one end to end (the CI
+## examples gate). The examples are enumerated from examples/*/, so a new
+## example joins the gate automatically.
 examples:
 	$(GO) build ./examples/...
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/registry
-	$(GO) run ./examples/faultinjection
-	$(GO) run ./examples/fleet
-	$(GO) run ./examples/pivot
-	$(GO) run ./examples/parallelsweep
-	$(GO) run ./examples/multitenant
-	$(GO) run ./examples/energy
-	$(GO) run ./examples/oversubscription
-	$(GO) run ./examples/tracereplay
+	@set -e; \
+	for dir in examples/*/; do \
+		echo "examples: $$dir"; \
+		$(GO) run "./$$dir"; \
+	done
 
 ## loc: count the non-test Go lines outside bench/ (the module's own
 ## benchmark lives there), raw and non-blank non-comment — the figures

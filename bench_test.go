@@ -7,7 +7,7 @@
 //	go test -bench=. -benchmem
 //
 // regenerates every figure's headline numbers. Full-resolution sweeps (all
-// task counts, 10 s horizons) are produced by cmd/sgprs-sweep; the benches
+// task counts, 10 s horizons) are produced by `sgprs sweep`; the benches
 // use shorter horizons and the load levels where the paper's claims live.
 package sgprs_test
 

@@ -1,19 +1,10 @@
-// Command sgprs-profile runs the offline phase in isolation and prints the
-// per-stage WCET and virtual-deadline table for a network — the inputs the
-// online scheduler works from (paper Section IV-A).
-//
-// Usage:
-//
-//	sgprs-profile [-net resnet18] [-stages 6] [-sms 34] [-fps 30] [-margin 0.05]
 package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
-	"os"
 	"text/tabwriter"
 
 	"sgprs/internal/des"
@@ -25,42 +16,46 @@ import (
 	"sgprs/internal/speedup"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sgprs-profile: ")
-	net := flag.String("net", "resnet18", "network: resnet18, vgg11, tinycnn, mlp")
-	stages := flag.Int("stages", 6, "pipeline stage count")
-	sms := flag.Int("sms", 34, "context SM allocation to profile on")
-	fps := flag.Float64("fps", 30, "task frame rate (sets the deadline)")
-	margin := flag.Float64("margin", 0.05, "WCET safety margin")
-	flag.Parse()
-
-	period, err := checkFlags(*fps, *margin)
+// profileCmd runs the offline phase in isolation and prints the per-stage WCET
+// and virtual-deadline table for a network — the inputs the online
+// scheduler works from (paper Section IV-A).
+//
+//	sgprs profile [-net resnet18] [-stages 6] [-sms 34] [-fps 30] [-margin 0.05]
+func profileCmd(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("profile", stderr)
+	net := fs.String("net", "resnet18", "network: resnet18, vgg11, tinycnn, mlp")
+	stages := fs.Int("stages", 6, "pipeline stage count")
+	sms := fs.Int("sms", 34, "context SM allocation to profile on")
+	fps := fs.Float64("fps", 30, "task frame rate (sets the deadline)")
+	margin := fs.Float64("margin", 0.05, "WCET safety margin")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	period, err := profilePeriod(*fps, *margin)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model := speedup.DefaultModel()
 	graph, err := buildNet(*net, model)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	parts, err := dnn.Partition(graph, *stages)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	task, err := rt.NewTask(0, *net, graph, parts, period, period, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := profileTask(model, task, *sms, *margin); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("network %s: %d ops, %.1f single-SM ms, %.2f GMACs\n",
+	fmt.Fprintf(stdout, "network %s: %d ops, %.1f single-SM ms, %.2f GMACs\n",
 		graph.Name, len(graph.Ops), graph.TotalWorkMS(), float64(graph.TotalMACs())/1e9)
-	fmt.Printf("profiled on %d SMs (margin %.0f%%), period/deadline %v\n\n", *sms, *margin*100, period)
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(stdout, "profiled on %d SMs (margin %.0f%%), period/deadline %v\n\n", *sms, *margin*100, period)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "stage\tops\twork(ssm·ms)\tWCET\tvirtual deadline\tlevel\t")
 	for j, st := range parts {
 		fmt.Fprintf(tw, "%d\t%d\t%.2f\t%v\t%v\t%v\t\n",
@@ -69,22 +64,18 @@ func main() {
 	fmt.Fprintf(tw, "total\t%d\t%.2f\t%v\t%v\t\t\n",
 		len(graph.Ops), graph.TotalWorkMS(), task.WCET(), task.Deadline)
 	if err := tw.Flush(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nutilisation C/T = %.3f\n", task.Utilization())
+	fmt.Fprintf(stdout, "\nutilisation C/T = %.3f\n", task.Utilization())
+	return nil
 }
 
-// checkFlags validates -fps and -margin and returns the release period
-// -fps implies: the rate must be positive and finite with a period of at
-// least one nanosecond that fits the simulated clock, and the WCET margin
-// non-negative and finite.
-func checkFlags(fps, margin float64) (des.Time, error) {
-	if !(fps > 0) || math.IsInf(fps, 0) {
-		return 0, fmt.Errorf("-fps %v must be positive and finite", fps)
-	}
-	period := des.FromSeconds(1 / fps)
-	if period == 0 || period == des.Never {
-		return 0, fmt.Errorf("-fps %v gives a period of %vs, outside the simulated clock's range", fps, 1/fps)
+// profilePeriod validates -fps and -margin and returns the release period
+// -fps implies; the WCET margin must be non-negative and finite.
+func profilePeriod(fps, margin float64) (des.Time, error) {
+	period, err := fpsPeriod(fps)
+	if err != nil {
+		return 0, err
 	}
 	if !(margin >= 0) || math.IsInf(margin, 0) {
 		return 0, fmt.Errorf("-margin %v must be non-negative and finite", margin)

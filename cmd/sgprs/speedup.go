@@ -1,25 +1,11 @@
-// Command sgprs-speedup regenerates the paper's Figure 1: speedup gain as a
-// function of the SM count for each operation class running in isolation,
-// plus the composed whole-ResNet18 curve.
-//
-// Gains are measured by running kernels on the simulated device (via the
-// offline profiler), not by sampling the analytic model, unless -model is
-// given.
-//
-// Usage:
-//
-//	sgprs-speedup [-sms 1,2,4,...] [-csv] [-model]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 
+	"sgprs/internal/config"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
@@ -28,21 +14,28 @@ import (
 	"sgprs/internal/speedup"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sgprs-speedup: ")
-	smsFlag := flag.String("sms", "1,2,4,8,16,24,34,48,68", "comma-separated SM counts to sample")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	analytic := flag.Bool("model", false, "sample the analytic model instead of measuring on the simulated device")
-	workMS := flag.Float64("work", 50, "single-SM milliseconds of work per measured kernel")
-	flag.Parse()
-
-	smCounts, err := parseSMs(*smsFlag)
+// speedupCmd regenerates the paper's Figure 1: speedup gain as a function of
+// the SM count for each operation class running in isolation, plus the
+// composed whole-ResNet18 curve. Gains are measured by running kernels on
+// the simulated device (via the offline profiler); -model samples the
+// analytic model instead.
+//
+//	sgprs speedup [-sms 1,2,4,...] [-csv] [-model]
+func speedupCmd(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("speedup", stderr)
+	smsFlag := fs.String("sms", "1,2,4,8,16,24,34,48,68", "comma-separated SM counts to sample")
+	csvOut := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	analytic := fs.Bool("model", false, "sample the analytic model instead of measuring on the simulated device")
+	workMS := fs.Float64("work", 50, "single-SM milliseconds of work per measured kernel")
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	smCounts, err := config.ParseInts(*smsFlag, "SM count", 1, speedup.DeviceSMs)
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("%w (device has %d SMs)", err, speedup.DeviceSMs)
 	}
 	if err := checkWork(*workMS); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	model := speedup.DefaultModel()
@@ -55,33 +48,13 @@ func main() {
 			row[i] = g.Gain(model, float64(n))
 		}
 		fig.AddRow("resnet18", row)
-	} else {
-		fig, err = measure(model, smCounts, *workMS)
-		if err != nil {
-			log.Fatal(err)
-		}
+	} else if fig, err = measure(model, smCounts, *workMS); err != nil {
+		return err
 	}
-
 	if *csvOut {
-		err = fig.WriteCSV(os.Stdout)
-	} else {
-		err = fig.WriteText(os.Stdout)
+		return fig.WriteCSV(stdout)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func parseSMs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 || n > speedup.DeviceSMs {
-			return nil, fmt.Errorf("invalid SM count %q (device has %d SMs)", part, speedup.DeviceSMs)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return fig.WriteText(stdout)
 }
 
 // checkWork rejects a -work the measurement cannot run: a kernel needs

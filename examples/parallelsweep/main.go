@@ -1,7 +1,8 @@
 // Parallelsweep: regenerate a paper scenario as an experiment on the
 // parallel runner, with a progress callback, and double-check that the
 // result is bit-identical to a single-worker run (it always is — worker
-// count only changes wall-clock; see DESIGN.md §5-§6).
+// count only changes wall-clock; see DESIGN.md §5-§6). Progress goes to
+// stderr in completion order; stdout is deterministic.
 //
 //	go run ./examples/parallelsweep
 package main
@@ -10,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"reflect"
 
 	"sgprs"
@@ -24,7 +26,7 @@ func main() {
 
 	par, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{
 		Progress: func(done, total int, r sgprs.SweepJobResult) {
-			fmt.Printf("  [%2d/%d] %-10s n=%d\n", done, total, r.Job.Variant, r.Job.Tasks)
+			fmt.Fprintf(os.Stderr, "  [%2d/%d] %-10s n=%d\n", done, total, r.Job.Variant, r.Job.Tasks)
 		},
 	})
 	if err != nil {

@@ -4,7 +4,8 @@
 // long campaign would be driven.
 //
 // Lookup returns an independent clone, so shrinking the axes here never
-// affects what `sgprs-sweep -experiment jitter-ladder` runs.
+// affects what `sgprs sweep -experiment jitter-ladder` runs. Per-job progress
+// goes to stderr in completion order; stdout is deterministic.
 //
 //	go run ./examples/registry
 package main
@@ -48,11 +49,11 @@ func main() {
 	fmt.Println("\nrunning a smoke-scale jitter-ladder clone:")
 	rs, err := sgprs.RunExperiment(ctx, spec, sgprs.SweepOptions{
 		Progress: func(done, total int, r sgprs.SweepJobResult) {
-			fmt.Printf("  [%d/%d] %-14s n=%-2d", done, total, r.Job.Variant, r.Job.Tasks)
+			fmt.Fprintf(os.Stderr, "  [%d/%d] %-14s n=%-2d", done, total, r.Job.Variant, r.Job.Tasks)
 			if r.Err != nil {
-				fmt.Printf("  %v\n", r.Err)
+				fmt.Fprintf(os.Stderr, "  %v\n", r.Err)
 			} else {
-				fmt.Printf("  %6.1f fps  dmr %.4f\n", r.Result.Summary.TotalFPS, r.Result.Summary.DMR)
+				fmt.Fprintf(os.Stderr, "  %6.1f fps  dmr %.4f\n", r.Result.Summary.TotalFPS, r.Result.Summary.DMR)
 			}
 		},
 	})

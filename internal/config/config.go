@@ -174,8 +174,8 @@ func (e *Experiment) Normalize() error {
 	}
 	for i := range e.Variants {
 		v := &e.Variants[i]
-		if v.Kind != "sgprs" && v.Kind != "naive" {
-			return fmt.Errorf("config: variant %q has unknown kind %q", v.Name, v.Kind)
+		if _, err := sim.ParseKind(v.Kind); err != nil {
+			return fmt.Errorf("config: variant %q: %w", v.Name, err)
 		}
 		if v.Name == "" {
 			return fmt.Errorf("config: variant %d needs a name", i)
@@ -201,11 +201,8 @@ func (e *Experiment) Normalize() error {
 	if e.Devices < 0 {
 		return fmt.Errorf("config: devices %d must be non-negative", e.Devices)
 	}
-	if _, err := cluster.ParsePlacement(e.Placement); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if _, err := rt.ParseFailoverPolicy(e.Failover); err != nil {
-		return fmt.Errorf("config: %w", err)
+	if _, _, err := e.FleetPolicies(); err != nil {
+		return err
 	}
 	if e.Devices <= 1 && (e.Placement != "" || e.Failover != "" || e.AdmitCeiling != 0) {
 		return fmt.Errorf("config: placement/failover/admit_ceiling need devices > 1")
@@ -227,19 +224,15 @@ func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
 		}
 		arrival = p
 	}
-	placement, err := cluster.ParsePlacement(e.Placement)
+	placement, failover, err := e.FleetPolicies()
 	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	failover, err := rt.ParseFailoverPolicy(e.Failover)
-	if err != nil {
-		return nil, fmt.Errorf("config: %w", err)
+		return nil, err
 	}
 	var out []sim.RunConfig
 	for _, v := range e.Variants {
-		kind := sim.KindSGPRS
-		if v.Kind == "naive" {
-			kind = sim.KindNaive
+		kind, err := sim.ParseKind(v.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("config: variant %q: %w", v.Name, err)
 		}
 		pool := v.ContextSMs
 		if len(pool) == 0 {
@@ -274,6 +267,20 @@ func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
 		})
 	}
 	return out, nil
+}
+
+// FleetPolicies parses the placement and failover names; empty names are
+// the defaults.
+func (e *Experiment) FleetPolicies() (cluster.Placement, rt.FailoverPolicy, error) {
+	placement, err := cluster.ParsePlacement(e.Placement)
+	if err != nil {
+		return 0, 0, fmt.Errorf("config: %w", err)
+	}
+	failover, err := rt.ParseFailoverPolicy(e.Failover)
+	if err != nil {
+		return 0, 0, fmt.Errorf("config: %w", err)
+	}
+	return placement, failover, nil
 }
 
 // Spec compiles the serialised experiment into a declarative exp.Spec (one
@@ -323,14 +330,43 @@ func (e *Experiment) Save(path string) error {
 	return nil
 }
 
-// ParsePool parses a comma-separated context pool flag ("34,34") into
-// per-context SM counts, each at least 1.
-func ParsePool(s string) ([]int, error) {
-	var out []int
+// ParseInts parses a list flag of integers in [lo, hi]: comma-separated
+// ("34,34") or an inclusive range ("1..30"). A bad element fails as
+// `invalid <what> "<element>"`, a bad range as `invalid range "<s>"`.
+func ParseInts(s, what string, lo, hi int) ([]int, error) {
+	if a, b, ok := strings.Cut(s, ".."); ok {
+		first, err1 := strconv.Atoi(strings.TrimSpace(a))
+		last, err2 := strconv.Atoi(strings.TrimSpace(b))
+		if err1 != nil || err2 != nil || first < lo || last < first || last > hi {
+			return nil, fmt.Errorf("invalid range %q", s)
+		}
+		var out []int
+		for n := first; n <= last; n++ {
+			out = append(out, n)
+		}
+		return out, nil
+	}
+	return parseList(s, what, func(part string) (int, bool) {
+		n, err := strconv.Atoi(part)
+		return n, err == nil && n >= lo && n <= hi
+	})
+}
+
+// ParseFloats parses a comma-separated list flag of floats ("1,1.25,1.5"),
+// failing on a bad element as `invalid <what> "<element>"`.
+func ParseFloats(s, what string) ([]float64, error) {
+	return parseList(s, what, func(part string) (float64, bool) {
+		v, err := strconv.ParseFloat(part, 64)
+		return v, err == nil
+	})
+}
+
+func parseList[T any](s, what string, parse func(string) (T, bool)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
+		v, ok := parse(strings.TrimSpace(part))
+		if !ok {
+			return nil, fmt.Errorf("invalid %s %q", what, part)
 		}
 		out = append(out, v)
 	}

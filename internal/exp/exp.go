@@ -152,7 +152,7 @@ func (a Axis) len() int {
 
 // String renders the axis with its value range — "task-count=1..30",
 // "arrival-rate=1,1.25,1.5", "arrival=poisson,bursty-1/1" — the form
-// sgprs-sweep -list prints per experiment.
+// `sgprs list` prints per experiment.
 func (a Axis) String() string {
 	if a.Kind == AxisArrival {
 		names := make([]string, len(a.Arrivals))

@@ -224,12 +224,13 @@ func (s *Stream) Submit(k *Kernel) {
 	if k.stream != nil {
 		panic(fmt.Sprintf("gpu: kernel %q submitted twice", k.Label))
 	}
-	if k.totalWork() == 0 && k.FixedMS <= 0 {
+	work := k.totalWork()
+	if work == 0 && k.FixedMS <= 0 {
 		panic(fmt.Sprintf("gpu: kernel %q has no work", k.Label))
 	}
 	k.stream = s
 	k.remainingFixed = k.FixedMS
-	k.remainingWork = k.totalWork()
+	k.remainingWork = work
 	s.queue = append(s.queue, k)
 	s.ctx.device.pump(s)
 }

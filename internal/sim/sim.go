@@ -46,6 +46,17 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind resolves a scheduler name, the inverse of Kind.String.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "sgprs":
+		return KindSGPRS, nil
+	case "naive":
+		return KindNaive, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q", name)
+}
+
 // ReferenceLatencyMS is the calibrated full-device ResNet18 inference
 // latency. It pins simulated time to the scale implied by the paper's
 // saturation throughput (DESIGN.md §2).
@@ -301,7 +312,7 @@ func ReferenceGraph(model *speedup.Model) *dnn.Graph {
 var defaultModel = sync.OnceValue(speedup.DefaultModel)
 
 // DefaultModel exposes the shared default speedup model. Callers that
-// profile directly (cmd/sgprs-analyze) must use this instance — not a fresh
+// profile directly (`sgprs analyze`) must use this instance — not a fresh
 // speedup.DefaultModel() — for their measurements to share offline-cache
 // entries with the run drivers, which key on model identity.
 func DefaultModel() *speedup.Model { return defaultModel() }
