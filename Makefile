@@ -10,7 +10,7 @@ GO ?= go
 BENCH_BASELINE ?= BENCH_5.json
 BENCH_CURRENT ?= BENCH_13.json
 
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check vuln experiments examples fuzz-smoke loc ci
+.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check fma-check vuln experiments examples fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ lint:
 inline-check:
 	@GO=$(GO) bash scripts/inline-check.sh
 
+## fma-check: fail if arm64, ppc64le, s390x or riscv64 would fuse any
+## floating-point multiply-add in the module (DESIGN.md §6;
+## scripts/fma-check.sh) — a fused x*y + z rounds once, so results would
+## depend on the CPU architecture. amd64 never fuses.
+fma-check:
+	@GO=$(GO) bash scripts/fma-check.sh
+
 ## vuln: scan the module against the Go vulnerability database. Uses a
 ## govulncheck binary when one is installed; otherwise reports how to get
 ## one rather than failing the build (the tool needs network access).
@@ -146,4 +153,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: lint inline-check build race bench-module examples fuzz-smoke bench bench-gate
+ci: lint inline-check fma-check build race bench-module examples fuzz-smoke bench bench-gate

@@ -378,8 +378,6 @@ func BenchmarkSingleRun(b *testing.B) {
 // that show the event layer's share of a change in host speed.
 func reportHeap(b *testing.B, h des.HeapStats) {
 	b.ReportMetric(float64(h.Pushes), "heap_pushes")
-	b.ReportMetric(float64(h.StaleRequeues), "stale_requeues")
-	b.ReportMetric(float64(h.SiftUps), "sift_ups")
 }
 
 // reportReplay reports one run's fast-forward replay work

@@ -86,7 +86,7 @@ func calibrateCmd(args []string, stdout, stderr io.Writer) error {
 		fps := metrics.SaturationFPS(series)
 		pivot := metrics.PivotPoint(series)
 		// Relative FPS error plus one "FPS-percent" per pivot step off.
-		score := math.Abs(fps-*targetFPS) / *targetFPS * 100
+		score := float64(math.Abs(fps-*targetFPS) / *targetFPS * 100)
 		score += math.Abs(float64(pivot - *targetPivot))
 		fmt.Fprintf(stdout, "%8.1f %10.1f %8d %8.2f\n", cap, fps, pivot, score)
 		if score < bestScore {

@@ -124,7 +124,7 @@ func EDFFeasible(loads []TaskLoad, dev gpu.Config) (des.Time, bool) {
 		for _, l := range loads {
 			demand += dbf(l, t)
 		}
-		if demand > g*t.Milliseconds()+1e-9 {
+		if demand > float64(g*t.Milliseconds())+1e-9 {
 			return t, false
 		}
 	}

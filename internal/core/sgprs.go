@@ -507,7 +507,7 @@ func (s *Scheduler) onStageDone(c *ctxState, st *rt.StageJob, now des.Time) {
 		if s.ewmaPipeMS == 0 {
 			s.ewmaPipeMS = pipeMS
 		} else {
-			s.ewmaPipeMS += alpha * (pipeMS - s.ewmaPipeMS)
+			s.ewmaPipeMS += float64(alpha * (pipeMS - s.ewmaPipeMS))
 		}
 		s.jobOver(st.Job.Task.ID, now)
 	}

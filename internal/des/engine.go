@@ -20,27 +20,17 @@ import "fmt"
 // kernels — and the engine orders it exactly as it would the event that key
 // was reserved for.
 type Event struct {
-	at    Time
-	seq   uint64
-	index int // heap index, -1 when not queued
-	// trueAt/trueSeq are the event's authoritative firing key. They equal
-	// (at, seq) except while the event is stale: RescheduleKeyed to a
-	// later instant only updates the authoritative key and leaves the heap
-	// position — a lower bound — untouched, deferring the heap work until
-	// the stale position surfaces at the root, where the event is
-	// reinserted under its authoritative key instead of firing. Rates in
-	// the GPU model drop whenever a kernel joins the running set, pushing
-	// every completion later, so this turns the dominant reschedule
-	// direction into O(1). The stashed key is drawn from the same sequence
-	// counter at the same call as an eager reschedule would, so firing
-	// order is unchanged — see pool_test.go and reschedule_test.go.
-	trueAt  Time
-	trueSeq uint64
-	stale   bool
-	// Exactly one of fn / fnArg is set. The arg variants exist so hot
-	// paths can use a shared package-level function plus a context value
-	// instead of allocating a fresh closure per event.
-	fn    func(now Time)
+	at  Time
+	seq uint64
+	// index is the event's heap position, or for a keyed event its
+	// position in the keyed lane; -1 when not queued (and always for
+	// monotone-lane events, which are found by the lane head instead).
+	index int
+	// fnArg is the callback. The arg form lets hot paths use a shared
+	// package-level function plus a context value instead of allocating a
+	// fresh closure per event; ScheduleFunc stores its plain func(Time) as
+	// arg under callFunc, which costs no allocation (a func value fills
+	// the interface word).
 	fnArg func(now Time, arg any)
 	arg   any
 	label string
@@ -54,13 +44,15 @@ type Event struct {
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all callbacks run on the goroutine that calls Run.
 //
-// The pending-event queue is a concrete binary heap over (time, sequence)
-// keys — no container/heap interface dispatch — and fired detached events
-// return to a free list, so steady-state simulation schedules without
-// allocating. Because every pending key carries a unique sequence number,
-// heap comparisons never tie: the firing order is a pure function of the
-// schedule calls, independent of the heap's internal layout or of event
-// reuse.
+// The pending events live in three structures: a concrete binary heap over
+// (time, sequence) keys — no container/heap interface dispatch — for
+// detached events, the monotone lane, and the keyed lane. Fired detached
+// events return to a free list, so steady-state simulation schedules
+// without allocating. Because every pending key carries a unique sequence
+// number, comparisons never tie: dispatch fires the (time, sequence)-least
+// event across the three, so the firing order is a pure function of the
+// schedule calls, independent of which structure holds an event, of the
+// heap's internal layout, or of event reuse.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -71,10 +63,20 @@ type Engine struct {
 	// event per kernel in the GPU model — enqueue and dequeue in O(1)
 	// here instead of paying two heap walks each. Events in the lane
 	// carry sequence numbers from the same counter as heap events, and
-	// dispatch always fires the (time, sequence)-least event across both
-	// structures, so the lane is invisible in the firing order.
+	// dispatch always fires the (time, sequence)-least event across all
+	// three structures, so the lane is invisible in the firing order.
 	mono     []*Event
 	monoHead int
+	// keyed is the keyed lane: the queued keyed events, unordered, each
+	// at its index. Keyed events are few — one completion timer per GPU
+	// device — and their owners move them far more often than they fire
+	// (every rate change re-keys the timer), so the lane makes a move an
+	// O(1) key write and Cancel a swap-remove, and dispatch finds the
+	// least keyed event by a linear scan. keyedBuf backs it up to eight
+	// keyed events, so a new engine arms a fleet's timers without
+	// allocating.
+	keyed    []*Event
+	keyedBuf [8]*Event
 	free     []*Event
 	stopped  bool
 	fired    uint64
@@ -84,7 +86,11 @@ type Engine struct {
 }
 
 // NewEngine returns an engine positioned at the simulation epoch.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.keyed = e.keyedBuf[:0]
+	return e
+}
 
 // Now reports the current simulated instant.
 func (e *Engine) Now() Time { return e.now }
@@ -93,7 +99,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.queue) + len(e.mono) - e.monoHead }
+func (e *Engine) Pending() int { return len(e.queue) + len(e.mono) - e.monoHead + len(e.keyed) }
 
 // FreeEvents reports the size of the event free list (diagnostics/tests).
 func (e *Engine) FreeEvents() int { return len(e.free) }
@@ -102,14 +108,9 @@ func (e *Engine) FreeEvents() int { return len(e.free) }
 // Reset. It is a host-cost diagnostic: the counts depend on how callers
 // schedule, never on what the simulation computes.
 type HeapStats struct {
-	// Pushes counts heap insertions, StaleRequeues included.
+	// Pushes counts heap insertions: detached events scheduled off the
+	// monotone lane. Keyed events never enter the heap.
 	Pushes uint64
-	// StaleRequeues counts deferred later-moves reinserted under their
-	// authoritative key when their stale position reached the root.
-	StaleRequeues uint64
-	// SiftUps counts reschedules of a queued event below its heap key,
-	// repaired in place by an up-sift.
-	SiftUps uint64
 }
 
 // HeapStats reports the heap work counters (see HeapStats).
@@ -137,7 +138,7 @@ func (e *Engine) get(at Time, seq uint64, label string) *Event {
 	} else {
 		ev = &Event{index: -1}
 	}
-	ev.at, ev.seq, ev.trueAt, ev.trueSeq, ev.label = at, seq, at, seq, label
+	ev.at, ev.seq, ev.label = at, seq, label
 	return ev
 }
 
@@ -166,9 +167,14 @@ func (e *Engine) checkSchedule(at Time, label string, ok bool) {
 func (e *Engine) ScheduleFunc(at Time, label string, fn func(now Time)) {
 	e.checkSchedule(at, label, fn != nil)
 	ev := e.get(at, e.NextSeq(), label)
-	ev.fn = fn
+	ev.fnArg = callFunc
+	ev.arg = fn
 	e.push(ev)
 }
+
+// callFunc is the callback of every ScheduleFunc event: arg is the
+// scheduled func(Time).
+func callFunc(now Time, arg any) { arg.(func(now Time))(now) }
 
 // AfterFunc is ScheduleFunc relative to the current instant.
 func (e *Engine) AfterFunc(d Time, label string, fn func(now Time)) {
@@ -186,6 +192,14 @@ func (ev *Event) InitKeyed(label string, fn func(now Time, arg any), arg any) {
 		panic("des: keyed event with nil callback")
 	}
 	*ev = Event{index: -1, label: label, fnArg: fn, arg: arg, keyed: true}
+}
+
+// keyedOnly panics unless ev went through InitKeyed: a zero Event would
+// otherwise read as queued (index 0) and silently never fire.
+func keyedOnly(ev *Event, op string) {
+	if !ev.keyed {
+		panic(fmt.Sprintf("des: %s on non-keyed event %q (InitKeyed it first)", op, ev.label))
+	}
 }
 
 // AfterArg queues a detached (fire-and-forget, auto-recycled) event whose
@@ -217,87 +231,57 @@ func (e *Engine) AfterArgMonotone(d Time, label string, fn func(now Time, arg an
 	e.mono = append(e.mono, ev)
 }
 
-// popMono dequeues the monotone-lane head, rewinding the backing array once
+// popMono drops the monotone-lane head, rewinding the backing array once
 // the lane drains (the same reclaim discipline as the GPU stream FIFOs).
-func (e *Engine) popMono() *Event {
-	ev := e.mono[e.monoHead]
+func (e *Engine) popMono() {
 	e.mono[e.monoHead] = nil
 	e.monoHead++
 	if e.monoHead == len(e.mono) {
 		e.mono = e.mono[:0]
 		e.monoHead = 0
 	}
-	return ev
 }
 
-// monoBefore reports whether the monotone-lane head fires before the heap
-// root (or the heap is empty). Both carry sequence numbers from the shared
-// counter, so the comparison is the engine's usual total order.
-func (e *Engine) monoBefore() bool {
-	if e.monoHead >= len(e.mono) {
-		return false
-	}
-	if len(e.queue) == 0 {
-		return true
-	}
-	m, h := e.mono[e.monoHead], e.queue[0]
-	if m.at != h.at {
-		return m.at < h.at
-	}
-	return m.seq < h.seq
-}
-
-// Cancel removes the keyed event ev from the queue if it has not fired, so
-// the queue never holds a cancelled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// Cancel removes the keyed event ev from the keyed lane if it has not
+// fired, so the queue never holds a cancelled event: the lane's last event
+// takes its slot. Cancelling nil, an already-fired or an already-cancelled
+// event is a no-op; cancelling an event InitKeyed never readied panics.
 func (e *Engine) Cancel(ev *Event) {
-	if ev != nil && ev.index >= 0 {
-		e.remove(ev.index)
+	if ev == nil {
+		return
+	}
+	keyedOnly(ev, "Cancel")
+	if ev.index >= 0 {
+		e.unqueueKeyed(ev)
 	}
 }
 
-// RescheduleKeyed moves ev to the key (at, seq), queueing it if it is not
-// queued (never armed, fired, or cancelled). seq was reserved with NextSeq;
-// the call consumes none.
-//
-// Moving a queued event above its heap key is O(1): only the authoritative
-// key changes (see Event), and the heap repair is deferred until the stale
-// position reaches the root. Moving it below its heap key decreases the
-// key, so an up-sift restores order.
+// unqueueKeyed swap-removes the queued keyed event ev from the keyed lane.
+func (e *Engine) unqueueKeyed(ev *Event) {
+	n := len(e.keyed) - 1
+	last := e.keyed[n]
+	e.keyed[ev.index] = last
+	last.index = ev.index
+	e.keyed[n] = nil
+	e.keyed = e.keyed[:n]
+	ev.index = -1
+}
+
+// RescheduleKeyed moves ev to the key (at, seq), queueing it in the keyed
+// lane if it is not queued (never armed, fired, or cancelled). seq was
+// reserved with NextSeq; the call consumes none. The lane is unordered, so
+// the move is a key write whichever way it goes. ev must have gone through
+// InitKeyed.
 func (e *Engine) RescheduleKeyed(ev *Event, at Time, seq uint64) {
+	keyedOnly(ev, "RescheduleKeyed")
 	if at < e.now {
 		panic(fmt.Sprintf("des: reschedule %q at %v before now %v", ev.label, at, e.now))
 	}
-	if ev.index < 0 {
-		ev.at, ev.trueAt = at, at
-		ev.seq, ev.trueSeq = seq, seq
-		ev.stale = false
-		e.push(ev)
-		return
-	}
-	if at == ev.trueAt && seq == ev.trueSeq {
-		return
-	}
-	ev.trueAt, ev.trueSeq = at, seq
-	if at > ev.at || (at == ev.at && seq > ev.seq) {
-		ev.stale = true
-		return
-	}
 	ev.at, ev.seq = at, seq
-	ev.stale = false
-	e.stats.SiftUps++
-	e.up(ev.index)
-}
-
-// requeueStale reinserts a popped stale event under its authoritative key.
-// The key was assigned when the deferring RescheduleKeyed ran, so the event
-// orders against every other event exactly as an eager reschedule would
-// have placed it.
-func (e *Engine) requeueStale(ev *Event) {
-	ev.at, ev.seq = ev.trueAt, ev.trueSeq
-	ev.stale = false
-	e.stats.StaleRequeues++
-	e.push(ev)
+	if ev.index < 0 {
+		ev.index = len(e.keyed)
+		e.keyed = append(e.keyed, ev)
+	}
 }
 
 // Stop makes the current Run call return after the in-flight callback.
@@ -314,13 +298,14 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Reset() {
 	for i, ev := range e.queue {
 		e.queue[i] = nil
-		if ev.keyed {
-			ev.index = -1
-			continue
-		}
 		e.release(ev)
 	}
 	e.queue = e.queue[:0]
+	for i, ev := range e.keyed {
+		e.keyed[i] = nil
+		ev.index = -1
+	}
+	e.keyed = e.keyed[:0]
 	for i := e.monoHead; i < len(e.mono); i++ {
 		ev := e.mono[i]
 		e.mono[i] = nil
@@ -332,41 +317,68 @@ func (e *Engine) Reset() {
 	e.stats = HeapStats{}
 }
 
+// before reports whether a fires before b in the engine's total (time,
+// sequence) order.
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// next returns the earliest pending event — the (time, sequence)-least
+// across the heap root, the monotone-lane head and the keyed lane — without
+// dequeueing it, or nil when nothing is pending.
+func (e *Engine) next() *Event {
+	var ev *Event
+	if len(e.queue) > 0 {
+		ev = e.queue[0]
+	}
+	if e.monoHead < len(e.mono) {
+		if m := e.mono[e.monoHead]; ev == nil || before(m, ev) {
+			ev = m
+		}
+	}
+	for _, k := range e.keyed {
+		if ev == nil || before(k, ev) {
+			ev = k
+		}
+	}
+	return ev
+}
+
+// fire dequeues ev, which next returned, advances the clock to it, and runs
+// its callback.
+func (e *Engine) fire(ev *Event) {
+	switch {
+	case ev.keyed:
+		e.unqueueKeyed(ev)
+	case ev.index < 0:
+		e.popMono()
+	default:
+		e.pop()
+	}
+	e.now = ev.at
+	e.fired++
+	fn, arg := ev.fnArg, ev.arg
+	// Detached events re-enter the pool before the callback runs, so the
+	// callback itself can reuse the slot for follow-up events. The
+	// callback was copied out above: a reused event never carries the old
+	// callback (release cleared it).
+	if !ev.keyed {
+		e.release(ev)
+	}
+	fn(e.now, arg)
+}
+
 // Step fires the single earliest pending event and reports whether one fired.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 || e.monoHead < len(e.mono) {
-		var ev *Event
-		if e.monoBefore() {
-			// Monotone-lane events are detached: they can never be
-			// cancelled, rescheduled, or stale.
-			ev = e.popMono()
-		} else {
-			ev = e.pop()
-			if ev.stale {
-				// A deferred later-move surfaced: reinsert it under
-				// its authoritative key instead of firing.
-				e.requeueStale(ev)
-				continue
-			}
-		}
-		e.now = ev.at
-		e.fired++
-		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
-		// Detached events re-enter the pool before the callback runs, so
-		// the callback itself can reuse the slot for follow-up events.
-		// The callback was copied out above: a reused event never carries
-		// the old callback (release cleared it).
-		if !ev.keyed {
-			e.release(ev)
-		}
-		if fnArg != nil {
-			fnArg(e.now, arg)
-		} else {
-			fn(e.now)
-		}
-		return true
+	ev := e.next()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.fire(ev)
+	return true
 }
 
 // RunUntil fires events in timestamp order until the queue drains, Stop is
@@ -376,25 +388,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(horizon Time) {
 	e.stopped = false
 	for !e.stopped {
-		var next *Event
-		if e.monoBefore() {
-			next = e.mono[e.monoHead]
-		} else if len(e.queue) > 0 {
-			next = e.queue[0]
-			if next.stale {
-				// Normalize before the horizon test: the stale heap
-				// key is only a lower bound on the authoritative
-				// firing instant.
-				e.requeueStale(e.pop())
-				continue
-			}
-		} else {
+		ev := e.next()
+		if ev == nil || ev.at > horizon {
 			break
 		}
-		if next.at > horizon {
-			break
-		}
-		e.Step()
+		e.fire(ev)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -410,13 +408,7 @@ func (e *Engine) Run() {
 
 // less orders the heap by (time, sequence). Sequence numbers are unique, so
 // the order is total and deterministic.
-func (e *Engine) less(i, j int) bool {
-	a, b := e.queue[i], e.queue[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func (e *Engine) less(i, j int) bool { return before(e.queue[i], e.queue[j]) }
 
 func (e *Engine) swap(i, j int) {
 	q := e.queue
@@ -432,35 +424,16 @@ func (e *Engine) push(ev *Event) {
 	e.up(ev.index)
 }
 
-// pop removes and returns the heap minimum, marking it unqueued.
-func (e *Engine) pop() *Event {
+// pop removes the heap minimum, marking it unqueued.
+func (e *Engine) pop() {
 	n := len(e.queue) - 1
 	e.swap(0, n)
-	ev := e.queue[n]
+	e.queue[n].index = -1
 	e.queue[n] = nil
 	e.queue = e.queue[:n]
 	if n > 0 {
 		e.down(0)
 	}
-	ev.index = -1
-	return ev
-}
-
-// remove deletes the event at heap index i, marking it unqueued.
-func (e *Engine) remove(i int) {
-	n := len(e.queue) - 1
-	ev := e.queue[i]
-	if i != n {
-		e.swap(i, n)
-	}
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
-	if i != n && n > 0 {
-		if !e.down(i) {
-			e.up(i)
-		}
-	}
-	ev.index = -1
 }
 
 func (e *Engine) up(i int) {
@@ -474,11 +447,9 @@ func (e *Engine) up(i int) {
 	}
 }
 
-// down sifts the event at index i toward the leaves, reporting whether it
-// moved.
-func (e *Engine) down(i int) bool {
+// down sifts the event at index i toward the leaves.
+func (e *Engine) down(i int) {
 	n := len(e.queue)
-	start := i
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -494,5 +465,4 @@ func (e *Engine) down(i int) bool {
 		e.swap(i, least)
 		i = least
 	}
-	return i > start
 }

@@ -93,7 +93,7 @@ func schedKeyed(e *Engine, at Time, label string, fn func(now Time)) *Event {
 // with it its place among same-instant events — and consumes none: the
 // no-move rule the GPU device applies to its completion keys.
 func reschedule(e *Engine, ev *Event, at Time) {
-	if queued(ev) && ev.trueAt == at {
+	if queued(ev) && ev.at == at {
 		return
 	}
 	e.RescheduleKeyed(ev, at, e.NextSeq())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -32,7 +33,6 @@ type keyWorld interface {
 // order (so a seeded pick selects the same item in both), their owners and
 // instants, and the firing log.
 type keyTrial struct {
-	t      *testing.T
 	rng    *rand.Rand
 	w      keyWorld
 	live   []int
@@ -118,13 +118,13 @@ func (w *perKeyWorld) engine() *Engine { return w.e }
 func (w *perKeyWorld) extra(dst []Pending) []Pending {
 	for _, id := range w.tr.live {
 		ev := w.evs[id]
-		dst = append(dst, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label})
+		dst = append(dst, Pending{At: ev.at, Seq: ev.seq, Label: ev.label})
 	}
 	return dst
 }
 
 func (w *perKeyWorld) add(_, id int, at Time) {
-	w.evs[id] = schedKeyed(w.e, at, fmt.Sprint("item", id), func(now Time) {
+	w.evs[id] = schedKeyed(w.e, at, itemLabel(id), func(now Time) {
 		delete(w.evs, id)
 		w.tr.fired(id, now)
 	})
@@ -151,28 +151,37 @@ type keyedItem struct {
 	seq uint64
 }
 
-// keyedWorld keeps each owner's item keys itself and one keyed timer per
-// owner at the least of them.
-type keyedWorld struct {
-	tr     *keyTrial
+func itemLabel(id int) string { return fmt.Sprint("item", id) }
+
+// timerSet keeps each owner's item keys itself and one keyed timer per
+// owner at the least of them; fired hears which item's key fired.
+type timerSet struct {
 	e      *Engine
 	items  [][]keyedItem
 	timers []Event
+	fired  func(id int, now Time)
 }
 
-func (w *keyedWorld) engine() *Engine { return w.e }
+func newTimerSet(owners int, fired func(id int, now Time)) *timerSet {
+	s := &timerSet{e: NewEngine(), items: make([][]keyedItem, owners), timers: make([]Event, owners), fired: fired}
+	for o := range s.timers {
+		s.timers[o].InitKeyed("timer", s.fire, o)
+	}
+	return s
+}
 
-func (w *keyedWorld) extra(dst []Pending) []Pending {
-	for _, its := range w.items {
+// extra appends every item key, for EncodePending.
+func (s *timerSet) extra(dst []Pending) []Pending {
+	for _, its := range s.items {
 		for _, it := range its {
-			dst = append(dst, Pending{At: it.at, Seq: it.seq, Label: fmt.Sprint("item", it.id)})
+			dst = append(dst, Pending{At: it.at, Seq: it.seq, Label: itemLabel(it.id)})
 		}
 	}
 	return dst
 }
 
-func (w *keyedWorld) find(id int) (owner, i int) {
-	for o, its := range w.items {
+func (s *timerSet) find(id int) (owner, i int) {
+	for o, its := range s.items {
 		for i, it := range its {
 			if it.id == id {
 				return o, i
@@ -182,81 +191,90 @@ func (w *keyedWorld) find(id int) (owner, i int) {
 	panic(fmt.Sprint("no item ", id))
 }
 
-func (w *keyedWorld) arm(owner int) {
-	its := w.items[owner]
-	if len(its) == 0 {
-		w.e.Cancel(&w.timers[owner])
-		return
-	}
-	least := its[0]
-	for _, it := range its[1:] {
-		if it.at < least.at || (it.at == least.at && it.seq < least.seq) {
-			least = it
-		}
-	}
-	w.e.RescheduleKeyed(&w.timers[owner], least.at, least.seq)
-}
-
-func (w *keyedWorld) fire(now Time, arg any) {
-	owner := arg.(int)
-	its := w.items[owner]
-	li := 0
+// least returns the index of owner's least key.
+func (s *timerSet) least(owner int) int {
+	its, li := s.items[owner], 0
 	for i, it := range its {
 		if it.at < its[li].at || (it.at == its[li].at && it.seq < its[li].seq) {
 			li = i
 		}
 	}
-	id := its[li].id
-	if its[li].at != now {
-		w.tr.t.Fatalf("owner %d timer fired at %v, least key at %v", owner, now, its[li].at)
+	return li
+}
+
+func (s *timerSet) arm(owner int) {
+	if len(s.items[owner]) == 0 {
+		s.e.Cancel(&s.timers[owner])
+		return
 	}
-	w.items[owner] = append(its[:li], its[li+1:]...)
-	w.arm(owner)
-	w.tr.fired(id, now)
+	it := s.items[owner][s.least(owner)]
+	s.e.RescheduleKeyed(&s.timers[owner], it.at, it.seq)
 }
 
-func (w *keyedWorld) add(owner, id int, at Time) {
-	w.items[owner] = append(w.items[owner], keyedItem{id: id, at: at, seq: w.e.NextSeq()})
-	w.arm(owner)
+func (s *timerSet) fire(now Time, arg any) {
+	owner := arg.(int)
+	li := s.least(owner)
+	it := s.items[owner][li]
+	if it.at != now {
+		panic(fmt.Sprintf("owner %d timer fired at %v, least key at %v", owner, now, it.at))
+	}
+	s.items[owner] = slices.Delete(s.items[owner], li, li+1)
+	s.arm(owner)
+	s.fired(it.id, now)
 }
 
-func (w *keyedWorld) move(id int, at Time) {
-	o, i := w.find(id)
-	it := &w.items[o][i]
+func (s *timerSet) add(owner, id int, at Time) {
+	s.items[owner] = append(s.items[owner], keyedItem{id: id, at: at, seq: s.e.NextSeq()})
+	s.arm(owner)
+}
+
+func (s *timerSet) move(id int, at Time) {
+	o, i := s.find(id)
+	it := &s.items[o][i]
 	if it.at == at {
 		return // the engine's no-move rule: key and sequence number kept
 	}
-	it.at, it.seq = at, w.e.NextSeq()
-	w.arm(o)
+	it.at, it.seq = at, s.e.NextSeq()
+	s.arm(o)
 }
 
-func (w *keyedWorld) remove(id int) {
-	o, i := w.find(id)
-	w.items[o] = append(w.items[o][:i], w.items[o][i+1:]...)
-	w.arm(o)
+func (s *timerSet) remove(id int) {
+	o, i := s.find(id)
+	s.items[o] = slices.Delete(s.items[o], i, i+1)
+	s.arm(o)
 }
 
-func (w *keyedWorld) warp(delta Time) {
-	w.e.Warp(delta)
-	for _, its := range w.items {
+// cancel drops every key of owner and parks its timer.
+func (s *timerSet) cancel(owner int) {
+	s.items[owner] = s.items[owner][:0]
+	s.e.Cancel(&s.timers[owner])
+}
+
+func (s *timerSet) warp(delta Time) {
+	s.e.Warp(delta)
+	for _, its := range s.items {
 		for i := range its {
 			its[i].at += delta
 		}
 	}
 }
 
-func (w *keyedWorld) reset() {
-	w.e.Reset()
-	for o := range w.items {
-		w.items[o] = w.items[o][:0]
+func (s *timerSet) reset() {
+	s.e.Reset()
+	for o := range s.items {
+		s.items[o] = s.items[o][:0]
 	}
 }
 
+// keyedWorld is the timer set as a keyWorld.
+type keyedWorld struct{ *timerSet }
+
+func (w keyedWorld) engine() *Engine { return w.e }
+
 // runKeyTrial plays one seeded trial against a world and returns its firing
 // log and the pending-set encoding taken at every chunk boundary.
-func runKeyTrial(t *testing.T, seed int64, owners int, mk func(tr *keyTrial) keyWorld) ([]keyFire, [][]byte) {
+func runKeyTrial(seed int64, owners int, mk func(tr *keyTrial) keyWorld) ([]keyFire, [][]byte) {
 	tr := &keyTrial{
-		t:      t,
 		rng:    rand.New(rand.NewSource(seed)),
 		owner:  map[int]int{},
 		at:     map[int]Time{},
@@ -296,7 +314,7 @@ func runKeyTrial(t *testing.T, seed int64, owners int, mk func(tr *keyTrial) key
 // exactly the clock — one keyed event per key would, and the pending-set
 // encoding (keyed events skipped, the keys passed as extra entries in both
 // worlds) is byte-identical at every chunk boundary. Trials mix same-instant ties,
-// no-moves, earlier and later moves (the deferred stale path), owners
+// no-moves, earlier and later moves, owners
 // emptying (timer cancelled) and re-arming after a fire, background events,
 // clock warps, and an engine reset mid-trial.
 func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
@@ -307,15 +325,11 @@ func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(trial) + 7
 		owners := 1 + trial%4
-		wantLog, wantEnc := runKeyTrial(t, seed, owners, func(tr *keyTrial) keyWorld {
+		wantLog, wantEnc := runKeyTrial(seed, owners, func(tr *keyTrial) keyWorld {
 			return &perKeyWorld{tr: tr, e: NewEngine(), evs: map[int]*Event{}}
 		})
-		gotLog, gotEnc := runKeyTrial(t, seed, owners, func(tr *keyTrial) keyWorld {
-			w := &keyedWorld{tr: tr, e: NewEngine(), items: make([][]keyedItem, owners), timers: make([]Event, owners)}
-			for o := range w.timers {
-				w.timers[o].InitKeyed("timer", w.fire, o)
-			}
-			return w
+		gotLog, gotEnc := runKeyTrial(seed, owners, func(tr *keyTrial) keyWorld {
+			return keyedWorld{newTimerSet(owners, tr.fired)}
 		})
 		if len(gotLog) != len(wantLog) {
 			t.Fatalf("trial %d: %d firings, want %d", trial, len(gotLog), len(wantLog))
@@ -335,11 +349,12 @@ func TestKeyedTimerMatchesPerKeyEvents(t *testing.T) {
 
 // TestEncodePendingKeyedPlusExtra: a keyed event stood in for by its
 // owner's extra entries encodes byte-identically to one detached event per
-// key, with the keyed event stale (later-moved) and same-instant ties.
+// key, with the keyed event later-moved and same-instant ties; the timer
+// then fires at its last key, ahead of the same-instant event drawn after
+// it.
 func TestEncodePendingKeyedPlusExtra(t *testing.T) {
 	tag := func(label string, _ any) uint64 { return uint64(len(label)) }
 	nop := func(Time) {}
-	nopArg := func(Time, any) {}
 
 	// The reference queues every key as a plain event, drawing the
 	// sequence numbers in the keyed world's order: b's first key (3) is
@@ -352,23 +367,25 @@ func TestEncodePendingKeyedPlusExtra(t *testing.T) {
 	ref.ScheduleFunc(9, "c", nop)
 
 	k := NewEngine()
+	var order []string
 	var timer Event
-	timer.InitKeyed("timer", nopArg, nil)
+	timer.InitKeyed("timer", func(now Time, _ any) { order = append(order, fmt.Sprint("timer@", now)) }, nil)
 	keys := []Pending{{At: 5, Seq: k.NextSeq(), Label: "a"}}
 	bSeq := k.NextSeq()
-	k.ScheduleFunc(5, "bg", nop)
+	k.ScheduleFunc(5, "bg", func(now Time) { order = append(order, fmt.Sprint("bg@", now)) })
 	k.RescheduleKeyed(&timer, 3, bSeq)
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "b"})
-	k.RescheduleKeyed(&timer, 5, keys[0].Seq) // the least key is now a's: a later move, left stale
-	if !timer.stale {
-		t.Fatal("timer not stale after its later move")
-	}
+	k.RescheduleKeyed(&timer, 5, keys[0].Seq) // the least key is now a's: a later move
 	keys = append(keys, Pending{At: 9, Seq: k.NextSeq(), Label: "c"})
 
 	want := ref.EncodePending(nil, nil, tag)
 	got := k.EncodePending(nil, func(dst []Pending) []Pending { return append(dst, keys...) }, tag)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("keyed encoding\n%x\nwant\n%x", got, want)
+	}
+	k.RunUntil(5)
+	if got := sprint(order); got != "[timer@5ns bg@5ns]" {
+		t.Fatalf("order = %v, want [timer@5ns bg@5ns]", got)
 	}
 }
 
@@ -397,22 +414,23 @@ func TestResetKeepsKeyedEvents(t *testing.T) {
 
 // TestRescheduleKeyedBelowHeapKey: RescheduleKeyed orders by the full (time,
 // sequence) key, so moving a queued event to the same instant under an older
-// reserved sequence number is a move below its heap key — an up-sift — and
-// it fires before a same-instant event it used to follow.
+// reserved sequence number moves it below its previous key, and it fires
+// before a same-instant event it used to follow.
 func TestRescheduleKeyedBelowHeapKey(t *testing.T) {
 	e := NewEngine()
 	var order []string
+	var at []Time
 	var ev Event
-	ev.InitKeyed("keyed", func(Time, any) { order = append(order, "keyed") }, nil)
+	ev.InitKeyed("keyed", func(now Time, _ any) { order, at = append(order, "keyed"), append(at, now) }, nil)
 	old := e.NextSeq()
-	e.ScheduleFunc(5, "mid", func(Time) { order = append(order, "mid") })
+	e.ScheduleFunc(5, "mid", func(now Time) { order, at = append(order, "mid"), append(at, now) })
 	e.RescheduleKeyed(&ev, 5, e.NextSeq())
 	e.RescheduleKeyed(&ev, 5, old)
-	if got := e.HeapStats().SiftUps; got != 1 {
-		t.Fatalf("sift-ups = %d, want 1", got)
-	}
 	e.Run()
 	if len(order) != 2 || order[0] != "keyed" || order[1] != "mid" {
 		t.Fatalf("order = %v, want [keyed mid]", order)
+	}
+	if at[0] != 5 || at[1] != 5 {
+		t.Fatalf("fired at %v, want [5 5]", at)
 	}
 }

@@ -23,9 +23,9 @@ func TestCancelThenRescheduleStillFires(t *testing.T) {
 	}
 }
 
-// TestCancelAfterRemovalThenReschedule exercises the lazy-cancellation
-// corner: the event is cancelled while queued (heap removal), then revived,
-// then cancelled again before it can fire.
+// TestCancelAfterRemovalThenReschedule exercises the cancellation corner:
+// the event is cancelled while queued (removed from the keyed lane), then
+// revived, then cancelled again before it can fire.
 func TestCancelAfterRemovalThenReschedule(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -127,7 +127,7 @@ func TestRetainedRescheduleAfterFireRequeues(t *testing.T) {
 	}
 }
 
-// TestHeapRemoveMiddle exercises the concrete heap's remove/fix paths with
+// TestHeapRemoveMiddle exercises the keyed lane's swap-remove with
 // cancellations from the middle of a large queue.
 func TestHeapRemoveMiddle(t *testing.T) {
 	e := NewEngine()

@@ -19,10 +19,9 @@ type modelEvent struct {
 // TestRescheduleChurnPreservesOrder drives the engine through randomized
 // interleavings of scheduling, rescheduling (later, earlier, and to the same
 // instant — the no-move rule), and Cancel on one keyed event per item, then
-// checks that events fire
-// exactly in (time, sequence) order of their last effective reschedule. The
-// reference model re-derives that order independently, so the lazy
-// later-move deferral, the up-only earlier move, and the no-move skip all
+// checks that events fire exactly in (time, sequence) order of their last
+// effective reschedule. The reference model re-derives that order
+// independently, so later moves, earlier moves, and the no-move skip all
 // have to agree with eager semantics.
 func TestRescheduleChurnPreservesOrder(t *testing.T) {
 	trials := 200
@@ -140,9 +139,9 @@ func TestRescheduleNoMoveKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestRescheduleLaterIsDeferred pins the lazy later-move: the heap position
-// is untouched, the event still fires at — and only at — its new instant,
-// and the deferred key still orders correctly against intervening events.
+// TestRescheduleLaterIsDeferred pins the later move: the event fires at —
+// and only at — its new instant, not at its first one, and its new key
+// orders correctly against intervening events.
 func TestRescheduleLaterIsDeferred(t *testing.T) {
 	eng := NewEngine()
 	var order []string
@@ -153,12 +152,13 @@ func TestRescheduleLaterIsDeferred(t *testing.T) {
 		order = append(order, "moved")
 	})
 	reschedule(eng, ev, Time(300))
-	if ev.trueAt != Time(300) || !ev.stale {
-		t.Fatalf("after deferred reschedule: key at %v, stale %v; want 300, true", ev.trueAt, ev.stale)
+	eng.RunUntil(Time(10))
+	if len(order) != 0 || eng.Now() != Time(10) {
+		t.Fatalf("by its first instant: order = %v, clock %v; want [] and 10", order, eng.Now())
 	}
 	eng.ScheduleFunc(Time(200), "mid", func(Time) { order = append(order, "mid") })
 	// Same instant as the moved event but scheduled afterwards: the moved
-	// event's deferred sequence number is older, so it fires first.
+	// event's sequence number is older, so it fires first.
 	eng.ScheduleFunc(Time(300), "tie", func(Time) { order = append(order, "tie") })
 	eng.Run()
 	if len(order) != 3 || order[0] != "mid" || order[1] != "moved" || order[2] != "tie" {
@@ -166,9 +166,9 @@ func TestRescheduleLaterIsDeferred(t *testing.T) {
 	}
 }
 
-// TestRunUntilWithStaleRoot pins the horizon check against deferred moves: a
-// stale heap root below the horizon whose authoritative instant lies beyond
-// it must not fire, and the clock must land exactly on the horizon.
+// TestRunUntilWithStaleRoot pins the horizon check against later moves: an
+// event first keyed below the horizon and then moved beyond it must not
+// fire, and the clock must land exactly on the horizon.
 func TestRunUntilWithStaleRoot(t *testing.T) {
 	eng := NewEngine()
 	firedAt := Time(-1)
@@ -176,14 +176,14 @@ func TestRunUntilWithStaleRoot(t *testing.T) {
 	reschedule(eng, ev, Time(500))
 	eng.RunUntil(Time(100))
 	if firedAt != Time(-1) {
-		t.Fatalf("deferred event fired at %v before its instant", firedAt)
+		t.Fatalf("moved event fired at %v before its instant", firedAt)
 	}
 	if eng.Now() != Time(100) {
 		t.Fatalf("clock = %v, want horizon 100", eng.Now())
 	}
 	eng.RunUntil(Time(1000))
 	if firedAt != Time(500) {
-		t.Fatalf("deferred event fired at %v, want 500", firedAt)
+		t.Fatalf("moved event fired at %v, want 500", firedAt)
 	}
 }
 

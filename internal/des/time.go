@@ -66,7 +66,7 @@ func FromSeconds(s float64) Time {
 	if s < 0 {
 		panic(fmt.Sprintf("des: negative duration %v", s))
 	}
-	ns := s*float64(Second) + 0.5
+	ns := float64(s*float64(Second)) + 0.5
 	if ns >= float64(Never) { // float64(Never) rounds up to 2⁶³
 		return Never
 	}

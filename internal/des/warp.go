@@ -51,7 +51,8 @@ func AppendStr(buf []byte, s string) []byte {
 // Pending is one firing key a caller keeps outside the queue, stood for in
 // it by a keyed event (see InitKeyed): the key as the engine would have
 // held it — instant, reserved sequence number — plus the label and callback
-// argument EncodePending's tag callback resolves.
+// argument EncodePending's tag callback resolves (for a ScheduleFunc event,
+// its func).
 type Pending struct {
 	At    Time
 	Seq   uint64
@@ -63,10 +64,10 @@ type Pending struct {
 // and returns the extended slice. The set is every queued event except keyed
 // ones, plus the caller's extra entries — the keys the keyed events stand
 // for — so a keyed event plus its owner's entries encodes byte-identically to
-// one plain event per key. Entries are encoded in authoritative firing
-// order — sorted by (trueAt, trueSeq), the key dispatch actually uses, so
-// stale heap positions and the monotone lane are invisible, exactly as they
-// are in the firing order. Each entry contributes its label, an identity tag
+// one plain event per key. Entries are encoded in firing order — sorted by
+// (time, sequence), the key dispatch uses — so which structure holds an
+// event (heap or monotone lane) is invisible, exactly as it is in the
+// firing order. Each entry contributes its label, an identity tag
 // resolved by the caller's tag callback (distinguishing same-label events,
 // e.g. which running kernel a "gpu.finish" key belongs to), and its firing
 // instant relative to the current clock. Absolute times and raw sequence
@@ -84,12 +85,10 @@ type Pending struct {
 func (e *Engine) EncodePending(buf []byte, extra func(dst []Pending) []Pending, tag func(label string, arg any) uint64) []byte {
 	sc := e.encScratch[:0]
 	for _, ev := range e.queue {
-		if !ev.keyed {
-			sc = append(sc, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label, Arg: ev.arg})
-		}
+		sc = append(sc, Pending{At: ev.at, Seq: ev.seq, Label: ev.label, Arg: ev.arg})
 	}
 	for _, ev := range e.mono[e.monoHead:] {
-		sc = append(sc, Pending{At: ev.trueAt, Seq: ev.trueSeq, Label: ev.label, Arg: ev.arg})
+		sc = append(sc, Pending{At: ev.at, Seq: ev.seq, Label: ev.label, Arg: ev.arg})
 	}
 	if extra != nil {
 		sc = extra(sc)
@@ -117,21 +116,18 @@ func (e *Engine) EncodePending(buf []byte, extra func(dst []Pending) []Pending, 
 }
 
 // Warp advances the clock by delta and translates every pending event with
-// it, preserving all relative offsets; keys kept outside the queue (see
-// InitKeyed) are their owner's to translate. The heap is untouched: adding
-// one constant to every key preserves the heap order, the monotone lane
-// stays nondecreasing, and a stale event's lower-bound heap position stays a
-// lower bound. Sequence numbers are untouched, so pending events still order before
+// it — heap, monotone lane and keyed lane alike — preserving all relative
+// offsets; keys kept outside the queue (see InitKeyed) are their owner's to
+// translate. No structure is reordered: adding one constant to every key
+// preserves the heap order and keeps the monotone lane nondecreasing.
+// Sequence numbers are untouched, so pending events still order before
 // anything scheduled after the warp — exactly as they would had the skipped
 // interval been simulated.
 func (e *Engine) Warp(delta Time) {
 	e.now += delta
-	for _, ev := range e.queue {
-		ev.at += delta
-		ev.trueAt += delta
-	}
-	for _, ev := range e.mono[e.monoHead:] {
-		ev.at += delta
-		ev.trueAt += delta
+	for _, evs := range [][]*Event{e.queue, e.mono[e.monoHead:], e.keyed} {
+		for _, ev := range evs {
+			ev.at += delta
+		}
 	}
 }

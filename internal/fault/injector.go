@@ -159,7 +159,7 @@ func (in *Injector) KernelLaunched(k *gpu.Kernel, now des.Time) {
 			}
 			// Pareto with unit minimum: most draws sit just above 1,
 			// the tail — capped at Factor — overruns badly.
-			factor = math.Min(o.Factor, math.Pow(1-in.orng.Float64(), -1/alpha))
+			factor = math.Min(o.Factor, math.Pow(1-float64(in.orng.Float64()), -1/alpha))
 		case OverrunSpike:
 			every := o.Every
 			if every == 0 {

@@ -27,7 +27,7 @@ func DefaultPowerModel() PowerModel {
 // idle power over elapsed time plus dynamic power over the busy-SM integral.
 func (d *Device) EnergyJoules(pm PowerModel) float64 {
 	elapsed := d.eng.Now().Seconds()
-	return pm.IdleW*elapsed + pm.PerSMW*d.busySMTime
+	return float64(pm.IdleW*elapsed) + float64(pm.PerSMW*d.busySMTime)
 }
 
 // AveragePowerW reports mean power draw over the elapsed simulated time.

@@ -202,7 +202,7 @@ func (d *Device) recompute(now des.Time, fresh, gone *Kernel) {
 		ceiling := d.cfg.AggregateGainCap
 		if ratio > 1 {
 			over := ratio - 1
-			ceiling /= 1 + d.cfg.ContentionPenalty*over*over
+			ceiling /= 1 + float64(d.cfg.ContentionPenalty*over*over)
 		}
 		if gainSum > ceiling {
 			f = ceiling / gainSum
@@ -221,7 +221,7 @@ func (d *Device) recompute(now des.Time, fresh, gone *Kernel) {
 	// order bit for bit (DESIGN.md §3).
 	var next *Kernel
 	for _, k := range running {
-		rate := k.rate * f / (1 + cj*k.jitterU)
+		rate := k.rate * f / (1 + float64(cj*k.jitterU))
 		k.rate = rate
 		if !k.finSet || rate != k.schedRate {
 			msLeft := k.remainingFixed

@@ -149,7 +149,7 @@ func (k *Kernel) InflateWork(factor float64) float64 {
 	if factor <= 1 {
 		return 0
 	}
-	extra := k.remainingWork * (factor - 1)
+	extra := float64(k.remainingWork * (factor - 1))
 	k.remainingWork += extra
 	return extra
 }

@@ -296,7 +296,7 @@ func expand[T float64 | des.Time](xs []T, b block, mult int, period T, fixed fun
 	for c := 1; c <= mult; c++ {
 		for _, x := range xs[b.cut-b.n : b.cut] {
 			if !fixed(x) {
-				x += T(c) * period
+				x += T(T(c) * period)
 			}
 			out = append(out, x)
 		}

@@ -152,10 +152,10 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 		st.MarkReady(now)
 	}
 
-	fixed := s.cfg.SyncOverheadMS * float64(len(job.Task.Graph.Ops))
+	fixed := float64(s.cfg.SyncOverheadMS * float64(len(job.Task.Graph.Ops)))
 	if p.lastTask != job.Task.ID {
 		fixed += s.cfg.ReconfigBaseMS +
-			s.cfg.ReconfigPerResidentMS*float64(len(p.tasks)-1)
+			float64(s.cfg.ReconfigPerResidentMS*float64(len(p.tasks)-1))
 		s.reconfigs++
 	}
 	p.lastTask = job.Task.ID

@@ -28,7 +28,7 @@ func (o *Online) Add(x float64) {
 	o.n++
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.m2 += float64(d * (x - o.mean))
 }
 
 // N reports the number of samples.
@@ -93,8 +93,8 @@ func QuantileSortedRepeated(rest, block []float64, m int, q float64) float64 {
 	if lo == hi {
 		return rankRepeated(rest, block, m, lo)
 	}
-	frac := pos - float64(lo)
-	return rankRepeated(rest, block, m, lo)*(1-frac) + rankRepeated(rest, block, m, hi)*frac
+	frac := float64(pos) - float64(lo)
+	return float64(rankRepeated(rest, block, m, lo)*(1-frac)) + float64(rankRepeated(rest, block, m, hi)*frac)
 }
 
 // rankRepeated returns the r-th smallest (from 0) element of rest plus m

@@ -258,7 +258,7 @@ type burstyProcess struct {
 func (p *burstyProcess) Next() (des.Time, bool) {
 	p.busyNS += p.rng.Exp(p.meanNS)
 	cycles := math.Floor(p.busyNS / p.onNS)
-	wall := cycles*p.cycNS + (p.busyNS - cycles*p.onNS)
+	wall := float64(cycles*p.cycNS) + (p.busyNS - float64(cycles*p.onNS))
 	return p.offset.Add(des.Time(wall + 0.5)), true
 }
 
@@ -421,7 +421,7 @@ func (p *diurnalProcess) Next() (des.Time, bool) {
 	for {
 		p.curNS += p.rng.Exp(meanNS)
 		phase := 2 * math.Pi * (p.curNS / p.periodNS)
-		rate := p.min + (p.max-p.min)*0.5*(1-math.Cos(phase))
+		rate := p.min + float64((p.max-p.min)*0.5*(1-math.Cos(phase)))
 		if p.rng.Float64()*p.max < rate {
 			return p.offset.Add(des.Time(p.curNS + 0.5)), true
 		}

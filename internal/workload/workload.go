@@ -289,7 +289,7 @@ func fireChain(now des.Time, arg any) {
 		job.WorkScale = c.rng.TruncNormal(
 			1, t.WorkVariation,
 			math.Max(0.5, 1-2*t.WorkVariation),
-			1+3*t.WorkVariation)
+			1+float64(3*t.WorkVariation))
 	}
 	job.Watcher = g
 	if g.sink != nil {
