@@ -3,14 +3,7 @@
 
 GO ?= go
 
-## Benchmark JSON snapshots: BENCH_BASELINE is the frozen reference the delta
-## report and the allocation gate compare against; BENCH_CURRENT is the
-## snapshot bench-json rewrites. Bump BENCH_CURRENT (and, when a baseline is
-## re-frozen, BENCH_BASELINE) here instead of editing the recipes.
-BENCH_BASELINE ?= BENCH_5.json
-BENCH_CURRENT ?= BENCH_13.json
-
-.PHONY: build test race bench bench-json bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check fma-check vuln experiments examples fuzz-smoke loc ci
+.PHONY: build test race bench bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check fma-check vuln experiments examples fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -26,30 +19,18 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-## bench-json: rewrite $(BENCH_CURRENT) (machine-readable ns/op, B/op,
-## allocs/op, and custom metrics per benchmark) from a 3-iteration run,
-## printing the ns/op and allocs/op delta against $(BENCH_BASELINE) — the
-## frozen reference snapshot — first. This is how the perf trajectory
-## stays trackable across PRs.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 3x . \
-		| $(GO) run ./cmd/sgprs-benchjson -baseline $(BENCH_BASELINE) -out $(BENCH_CURRENT)
-
-## bench-gate: the CI allocation gate — re-run the pinned benches and fail
-## on a >25% allocs/op regression against the committed $(BENCH_CURRENT).
-## The fresh snapshot goes to .bench_build/ in the checkout, so gates run
-## from two clones at once never share a file.
+## bench-gate: the CI perf gate — TestWorkGate (work_test.go) runs every
+## case of the work table once: it fails when a case's allocs/op exceed
+## 1.25× the budget recorded in the table, or when its exact work counters
+## (events fired, heap pushes, rate sweeps, kernels visited, replay work)
+## differ from testdata/work.txt. An intended change re-records the file
+## with `go test -run TestWorkGate -update .` and shows up as its diff.
 bench-gate:
-	@mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench 'BenchmarkScenarioRegeneration|BenchmarkSingleRun|BenchmarkEngineThroughput|BenchmarkLongHorizon|BenchmarkDenseContention|BenchmarkOverloadTail|BenchmarkSteadyState|BenchmarkFleetFailover' \
-		-benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/sgprs-benchjson -baseline $(BENCH_CURRENT) -out .bench_build/bench-current.json \
-			-gate 'BenchmarkSingleRun/|BenchmarkScenarioRegeneration/(uncached|cold|warm)-offline|BenchmarkLongHorizon/|BenchmarkOverloadTail/|BenchmarkSteadyState/|BenchmarkFleetFailover/' \
-			-max-allocs-regress 25
+	$(GO) test -count=1 -run '^TestWorkGate$$' .
 
-## bench-long: the long-horizon memory benchmark alone — verifies that
-## allocations per simulated second are independent of horizon length
-## (streaming metrics + job recycling; see DESIGN.md §8).
+## bench-long: the long-horizon memory benchmark alone — allocations per
+## run stay flat from a 2 s to a 600 s horizon (streaming metrics, job
+## recycling and fast-forward; see DESIGN.md §8).
 bench-long:
 	$(GO) test -run '^$$' -bench BenchmarkLongHorizon -benchmem -benchtime 1x .
 
@@ -58,7 +39,8 @@ bench-long:
 ## sweep it shortens (see DESIGN.md §12) — and the two layer micro-benches
 ## under them: stats.RepeatedSum against the naive replay loop, and
 ## metrics.Collector.Summary over a 300 s cell's backlog, streamed and
-## replayed. Report-only: none of them is in bench-gate.
+## replayed. Report-only: bench-gate gates the root cases' allocations and
+## work counters.
 bench-ff:
 	$(GO) test -run '^$$' -bench 'BenchmarkSteadyState|BenchmarkLongHorizon' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRepeatedSum|BenchmarkCollectorSummary' -benchmem ./internal/stats ./internal/metrics

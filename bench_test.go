@@ -15,15 +15,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sgprs"
 	"sgprs/internal/core"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
-	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
-	"sgprs/internal/memo"
 	"sgprs/internal/profile"
 	"sgprs/internal/sim"
 	"sgprs/internal/speedup"
@@ -268,7 +267,8 @@ func BenchmarkAblationLateDrop(b *testing.B) {
 // scenario (the 4-variant × task-count grid behind Figures 3a/3b) across the
 // execution strategies. Outputs are bit-identical across every case (the
 // runner's determinism tests and the sim cache-equality tests pin this);
-// only wall-clock differs. The three offline cases run on one worker:
+// only wall-clock differs. The three offline cases are work-table cases
+// (work_test.go) and run on one worker:
 //
 //   - uncached-offline: the reference path — every run rebuilds the
 //     calibrated graph and profiles each task from scratch.
@@ -280,36 +280,11 @@ func BenchmarkAblationLateDrop(b *testing.B) {
 //     multi-core host wall-clock approaches 1/min(workers, cores, 12 jobs),
 //     on a single core it matches sequential to within pool overhead.
 func BenchmarkScenarioRegeneration(b *testing.B) {
+	benchWork(b, "ScenarioRegeneration", nil)
 	spec, err := sgprs.ScenarioExperiment(1, []int{8, 16, 24}, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	regenerate := func(b *testing.B, opt sgprs.SweepOptions) {
-		if _, err := sgprs.RunExperiment(context.Background(), spec, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("uncached-offline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			regenerate(b, sgprs.SweepOptions{Jobs: 1, NoOfflineCache: true})
-		}
-	})
-	b.Run("cold-offline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			regenerate(b, sgprs.SweepOptions{Jobs: 1, Cache: memo.New()})
-		}
-	})
-	b.Run("warm-offline", func(b *testing.B) {
-		b.ReportAllocs()
-		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
-		regenerate(b, warm) // populate outside the timed loop
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			regenerate(b, warm)
-		}
-	})
 	workers := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		workers = append(workers, n)
@@ -319,7 +294,35 @@ func BenchmarkScenarioRegeneration(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel-jobs%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				regenerate(b, sgprs.SweepOptions{Jobs: w})
+				if _, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{Jobs: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchWork times the work-table cases named group/... (work_test.go) as
+// sub-benchmarks: the op TestWorkGate counts, after the same setup. report,
+// when set, adds the group's metrics from the last op's result and work
+// counters.
+func benchWork(b *testing.B, group string, report func(b *testing.B, res sim.Result, st sim.Stats)) {
+	for _, c := range workCases {
+		sub, ok := strings.CutPrefix(c.name, group+"/")
+		if !ok {
+			continue
+		}
+		b.Run(sub, func(b *testing.B) {
+			op, work := c.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res sim.Result
+			for i := 0; i < b.N; i++ {
+				res = op()
+			}
+			b.StopTimer()
+			if report != nil {
+				report(b, res, work())
 			}
 		})
 	}
@@ -328,49 +331,12 @@ func BenchmarkScenarioRegeneration(b *testing.B) {
 // BenchmarkSingleRun is the allocation microbenchmark: one simulation run at
 // a saturating load (SGPRS 1.5x, Scenario 2 pool, 26 tasks, 2 s horizon),
 // with the warm-cache and uncached offline phases reported separately so
-// per-run allocation regressions are visible in isolation. The reused-session
-// case also reports one run's des heap work.
+// per-run allocation regressions are visible in isolation, and one run's
+// events fired and des heap pushes.
 func BenchmarkSingleRun(b *testing.B) {
-	cfg := ablationBase()
-	cfg.HorizonSec = 2
-	b.Run("warm-offline", func(b *testing.B) {
-		b.ReportAllocs()
-		cache := memo.New()
-		if _, err := sim.RunWith(cfg, cache); err != nil {
-			b.Fatal(err) // populate outside the timed loop
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(cfg, cache); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("uncached-offline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The steady-state path: one Session reused across runs, as every
-	// sweep worker does. Engine, device, job pool, and task structures
-	// all survive between iterations.
-	b.Run("warm-session", func(b *testing.B) {
-		b.ReportAllocs()
-		sess := sim.NewSession(memo.New())
-		if _, err := sess.Run(cfg); err != nil {
-			b.Fatal(err) // populate caches and pools outside the timed loop
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sess.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		_, heap := sess.EngineStats()
-		reportHeap(b, heap)
+	benchWork(b, "SingleRun", func(b *testing.B, _ sim.Result, st sim.Stats) {
+		b.ReportMetric(float64(st.Fired), "events")
+		b.ReportMetric(float64(st.HeapPushes), "heap_pushes")
 	})
 }
 
@@ -380,12 +346,12 @@ func reportHeap(b *testing.B, h des.HeapStats) {
 	b.ReportMetric(float64(h.Pushes), "heap_pushes")
 }
 
-// reportReplay reports one run's fast-forward replay work
-// (sim.Session.ReplayStats): the accounting adds performed one by one, the
-// explicit cycles they made up, the binade jumps taken instead, the
-// queue-depth sort fallbacks, the response times Summary sorted, and the
-// slots the collector's Replay wrote.
-func reportReplay(b *testing.B, r sim.ReplayStats) {
+// reportReplay reports one run's fast-forward replay work (sim.Stats): the
+// accounting adds performed one by one, the explicit cycles they made up,
+// the binade jumps taken instead, the queue-depth sort fallbacks, the
+// response times Summary sorted, and the slots the collector's Replay
+// wrote.
+func reportReplay(b *testing.B, r sim.Stats) {
 	b.ReportMetric(float64(r.Adds), "replay_adds")
 	b.ReportMetric(float64(r.Cycles), "replay_cycles")
 	b.ReportMetric(float64(r.Jumps), "binade_jumps")
@@ -407,43 +373,21 @@ func ffEligible(cfg sgprs.RunConfig) sgprs.RunConfig {
 
 // BenchmarkLongHorizon is the long-horizon cost benchmark: the same
 // saturating workload simulated over 2 s, 60 s, and 600 s horizons through
-// a reused Session. With streaming metrics and job recycling, allocations
-// per simulated second are independent of horizon length — before PR 3,
-// every released job was retained and the 60 s run held ~30× the heap. The
-// configuration is fast-forward eligible, so past the first recurrence the
-// detector extrapolates whole hyperperiod cycles: the device integrals jump
-// whole cycles of adds per binade (stats.RepeatedSum), so their cost grows
-// with the binades crossed, not the cycles skipped, and the collector keeps
-// the skipped cycles as one stored cycle and a multiplicity, so Replay and
-// Summary cost one cycle's work (replay_writes, sorted_responses).
-// replay_adds counts the adds still performed. The
-// allocs/simsec metric feeds the CI benchmark-delta report via
-// BENCH_13.json.
+// a reused Session. With streaming metrics and job recycling, live memory
+// is independent of horizon length — before streaming metrics, every
+// released job was retained and the 60 s run held ~30× the heap. The
+// configuration is fast-forward eligible, so past the first recurrence
+// the detector extrapolates whole hyperperiod cycles: the device integrals
+// jump whole cycles of adds per binade (stats.RepeatedSum), so their cost
+// grows with the binades crossed, not the cycles skipped, and the
+// collector keeps the skipped cycles as one stored cycle and a
+// multiplicity, so Replay and Summary cost one cycle's work
+// (replay_writes, sorted_responses). replay_adds counts the adds still
+// performed. TestWorkGate pins each
+// horizon's allocs/op and counters, so horizon-proportional allocation
+// fails there.
 func BenchmarkLongHorizon(b *testing.B) {
-	for _, sec := range []float64{2, 60, 600} {
-		sec := sec
-		b.Run(fmt.Sprintf("horizon-%.0fs", sec), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := ffEligible(ablationBase())
-			cfg.HorizonSec = sec
-			sess := sim.NewSession(memo.New())
-			if _, err := sess.Run(cfg); err != nil {
-				b.Fatal(err) // reach steady state outside the timed loop
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sess.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/sec, "allocs/simsec")
-			reportReplay(b, sess.ReplayStats())
-		})
-	}
+	benchWork(b, "LongHorizon", func(b *testing.B, _ sim.Result, st sim.Stats) { reportReplay(b, st) })
 }
 
 // BenchmarkSteadyState is the fast-forward headline: the identical eligible
@@ -454,33 +398,10 @@ func BenchmarkLongHorizon(b *testing.B) {
 // cycles_skipped reports how much of the horizon was never simulated, and
 // the replay counters (reportReplay) what extrapolating it cost.
 func BenchmarkSteadyState(b *testing.B) {
-	base := ffEligible(ablationBase())
-	base.HorizonSec = 60
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fast-forward", false}, {"full-sim", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := base
-			cfg.DisableFastForward = mode.disable
-			sess := sim.NewSession(memo.New())
-			var res sgprs.Result
-			var err error
-			if _, err = sess.Run(cfg); err != nil {
-				b.Fatal(err) // reach steady state outside the timed loop
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res, err = sess.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.FastForward.CyclesSkipped), "cycles_skipped")
-			reportReplay(b, sess.ReplayStats())
-		})
-	}
+	benchWork(b, "SteadyState", func(b *testing.B, res sim.Result, st sim.Stats) {
+		b.ReportMetric(float64(res.FastForward.CyclesSkipped), "cycles_skipped")
+		reportReplay(b, st)
+	})
 }
 
 // BenchmarkOverloadTail is the open-loop overload benchmark (the headline
@@ -489,34 +410,15 @@ func BenchmarkSteadyState(b *testing.B) {
 // one-frame SLO. SGPRS sheds the excess through late drops and keeps the
 // tail short; naive queues unboundedly and lets p99 grow with the backlog.
 // Drop rate, SLO hit rate, and tail latency are reported alongside the
-// allocation figures the CI gate pins.
+// allocation figures TestWorkGate pins.
 func BenchmarkOverloadTail(b *testing.B) {
-	run := func(cfg sgprs.RunConfig) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var res sgprs.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				if res, err = sgprs.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			s := res.Summary
-			b.ReportMetric(s.DropRate, "drop_rate")
-			b.ReportMetric(s.SLOHitRate, "slo_hit_rate")
-			b.ReportMetric(s.RespP99MS, "p99_ms")
-			b.ReportMetric(s.QueueDepthMean, "queue_mean")
-		}
-	}
-	over := ablationBase()
-	over.Arrival = sgprs.PoissonArrival(45) // 1.5x the 30 fps natural rate
-	over.SLOMS = 1000.0 / 30.0
-	b.Run("sgprs-1.5x", run(over))
-	naive := over
-	naive.Kind = sgprs.KindNaive
-	naive.Name = "naive"
-	naive.ContextSMs = sgprs.ContextPool(3, 1.0, 68)
-	b.Run("naive", run(naive))
+	benchWork(b, "OverloadTail", func(b *testing.B, res sim.Result, _ sim.Stats) {
+		s := res.Summary
+		b.ReportMetric(s.DropRate, "drop_rate")
+		b.ReportMetric(s.SLOHitRate, "slo_hit_rate")
+		b.ReportMetric(s.RespP99MS, "p99_ms")
+		b.ReportMetric(s.QueueDepthMean, "queue_mean")
+	})
 }
 
 // BenchmarkDenseContention stresses the rate engine where the paper's
@@ -657,46 +559,14 @@ func BenchmarkEnergyEfficiency(b *testing.B) {
 // BenchmarkFleetFailover is the fleet-layer benchmark (DESIGN.md §15): a
 // 3-device fleet loses device 1 mid-run and recovers it a second later,
 // once per failover policy, against a clean fleet twin. The failover
-// counters ride alongside the allocation figures the CI gate pins.
+// counters ride alongside the allocation figures TestWorkGate pins.
 func BenchmarkFleetFailover(b *testing.B) {
-	base := ablationBase()
-	base.Name = "fleet"
-	base.ContextSMs = sgprs.ContextPool(3, 1.0, 68)
-	base.Devices = 3
-	base.AdmitCeiling = 0.7
-	for _, bench := range []struct {
-		name    string
-		policy  sgprs.FailoverPolicy
-		crashed bool
-	}{
-		{"clean", sgprs.FailoverDefault, false},
-		{"migrate", sgprs.FailoverMigrate, true},
-		{"retry", sgprs.FailoverRetry, true},
-		{"shed", sgprs.FailoverShed, true},
-	} {
-		bench := bench
-		b.Run(bench.name, func(b *testing.B) {
-			cfg := base
-			cfg.Failover = bench.policy
-			if bench.crashed {
-				cfg.Faults = &fault.Config{
-					DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 2, RestartSec: 3}},
-				}
-			}
-			b.ReportAllocs()
-			var res sgprs.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				if res, err = sgprs.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			fl := res.Summary.Fleet
-			b.ReportMetric(res.Summary.TotalFPS, "fps")
-			b.ReportMetric(res.Summary.DMR, "dmr")
-			b.ReportMetric(float64(fl.Migrations), "migrations")
-			b.ReportMetric(float64(fl.ShedReleases), "shed_releases")
-			b.ReportMetric(fl.FleetDegradedDMR, "fleet_dmr")
-		})
-	}
+	benchWork(b, "FleetFailover", func(b *testing.B, res sim.Result, _ sim.Stats) {
+		fl := res.Summary.Fleet
+		b.ReportMetric(res.Summary.TotalFPS, "fps")
+		b.ReportMetric(res.Summary.DMR, "dmr")
+		b.ReportMetric(float64(fl.Migrations), "migrations")
+		b.ReportMetric(float64(fl.ShedReleases), "shed_releases")
+		b.ReportMetric(fl.FleetDegradedDMR, "fleet_dmr")
+	})
 }

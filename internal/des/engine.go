@@ -228,6 +228,17 @@ func (e *Engine) AfterArgMonotone(d Time, label string, fn func(now Time, arg an
 	ev := e.get(at, e.NextSeq(), label)
 	ev.fnArg = fn
 	ev.arg = arg
+	// A lane that never drains never rewinds. When it fills its backing
+	// array with at least half of it popped, the live tail moves to the
+	// front instead of the array growing, so the array stays within about
+	// four times the lane's peak length. Each move is paid for by as many
+	// pops, so scheduling stays O(1) amortized.
+	if n := len(e.mono); n == cap(e.mono) && e.monoHead > 0 && 2*e.monoHead >= n {
+		live := copy(e.mono, e.mono[e.monoHead:])
+		clear(e.mono[e.monoHead:])
+		e.mono = e.mono[:live]
+		e.monoHead = 0
+	}
 	e.mono = append(e.mono, ev)
 }
 

@@ -362,3 +362,35 @@ func TestKeyedMisusePanics(t *testing.T) {
 		t.Fatalf("misuse left %d events pending", e.Pending())
 	}
 }
+
+// TestMonoLaneBoundedWithoutDrain churns the monotone lane without ever
+// letting it drain — eight events pending, one scheduled per one fired —
+// and requires the lane's backing array to stay bounded and the events to
+// fire in order. A lane that only rewinds on a drain grows with every event
+// it ever held.
+func TestMonoLaneBoundedWithoutDrain(t *testing.T) {
+	e := NewEngine()
+	var fired []int
+	fire := func(_ Time, arg any) { fired = append(fired, arg.(int)) }
+	for i := range 8 {
+		e.AfterArgMonotone(laneDelay, "mono", fire, i)
+	}
+	for i := 8; i < 10008; i++ {
+		e.AfterArgMonotone(laneDelay, "mono", fire, i)
+		if !e.Step() {
+			t.Fatal("no event fired")
+		}
+	}
+	if c := cap(e.mono); c > 32 {
+		t.Errorf("monotone lane holds %d pending in a backing array of %d", e.Pending(), c)
+	}
+	for i, v := range fired {
+		if v != i {
+			t.Fatalf("firing %d carried %d", i, v)
+		}
+	}
+	e.Run()
+	if len(fired) != 10008 {
+		t.Errorf("fired %d events, want 10008", len(fired))
+	}
+}

@@ -35,7 +35,7 @@ func timerFire(now des.Time, arg any) {
 // pump starts the next queued kernel on s if the stream is idle. The kernel
 // begins executing after the device's launch overhead. Popping advances the
 // queue's head index and rewinds the slice once drained, keeping the backing
-// array for the next burst.
+// array for the next burst (Submit compacts a queue that never drains).
 func (d *Device) pump(s *Stream) {
 	if s.running != nil || s.head == len(s.queue) {
 		return

@@ -38,6 +38,50 @@ func convKernel(label string, workMS float64) *Kernel {
 	}
 }
 
+// TestStreamQueueBoundedWithoutDrain keeps eight kernels queued on one
+// stream for ten thousand completions — each completion submits the next —
+// so the queue never drains, and requires its backing array to stay bounded
+// and the kernels to run in submission order.
+func TestStreamQueueBoundedWithoutDrain(t *testing.T) {
+	eng, dev := newTestDevice(t, quietConfig())
+	ctx, err := dev.CreateContext("c0", 68)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ctx.AddStream("s0", LowPriority)
+	const total = 10000
+	var done []int
+	var submit func(i int)
+	submit = func(i int) {
+		k := convKernel("k", 1)
+		k.OnComplete = func(des.Time) {
+			done = append(done, i)
+			if next := i + 9; next < total {
+				submit(next)
+			}
+		}
+		s.Submit(k)
+	}
+	for i := range 9 {
+		submit(i)
+	}
+	peak := 0
+	for eng.Step() {
+		peak = max(peak, cap(s.queue))
+	}
+	if peak > 32 {
+		t.Errorf("stream queue backing array reached %d with at most 8 queued", peak)
+	}
+	if len(done) != total {
+		t.Fatalf("completed %d kernels, want %d", len(done), total)
+	}
+	for i, v := range done {
+		if v != i {
+			t.Fatalf("completion %d was kernel %d", i, v)
+		}
+	}
+}
+
 func TestSingleKernelLatency(t *testing.T) {
 	eng, dev := newTestDevice(t, quietConfig())
 	ctx, err := dev.CreateContext("c0", 68)

@@ -180,9 +180,10 @@ func (k *Kernel) IsolatedLatencyMS(m *speedup.Model, n float64) float64 {
 // different streams of one context run concurrently and share its SMs.
 //
 // The FIFO is a head-indexed slice rather than a reslice-on-pop queue: the
-// backing array is reclaimed every time the queue drains, so steady-state
-// submit/pump churn allocates nothing (a reslice-forward queue leaks its
-// capacity and pays one allocation per kernel).
+// backing array is reclaimed every time the queue drains (pump), and a
+// queue that never drains is compacted when it fills (Submit), so
+// steady-state submit/pump churn allocates nothing (a reslice-forward queue
+// leaks its capacity and pays one allocation per kernel).
 type Stream struct {
 	ctx      *Context
 	id       int
@@ -231,6 +232,15 @@ func (s *Stream) Submit(k *Kernel) {
 	k.stream = s
 	k.remainingFixed = k.FixedMS
 	k.remainingWork = work
+	// A queue that never drains never rewinds: when it fills its backing
+	// array with at least half of it popped, the live tail moves to the
+	// front instead of the array growing (the des monotone lane's rule).
+	if n := len(s.queue); n == cap(s.queue) && s.head > 0 && 2*s.head >= n {
+		live := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[s.head:])
+		s.queue = s.queue[:live]
+		s.head = 0
+	}
 	s.queue = append(s.queue, k)
 	s.ctx.device.pump(s)
 }

@@ -232,6 +232,42 @@ func BenchmarkCollectorSummary(b *testing.B) {
 	})
 }
 
+// BenchmarkCollectorRecord times the collector's per-job recording: one
+// JobReleased plus one JobDone for an in-window job, the two calls every
+// completed job costs a run. The collector is Reset every 4096 jobs, which
+// keeps its buffers, so the case reports the steady state (0 allocs/op);
+// ns/op is report-only.
+func BenchmarkCollectorRecord(b *testing.B) {
+	const batch = 4096
+	period := des.FromMillis(10)
+	task := mkTask(b, 0, period)
+	jobs := make([]*rt.Job, 64)
+	for i := range jobs {
+		j := task.NewJob(i, des.Time(int64(period)*int64(i)))
+		j.Stages[1].MarkFinished(j.Release.Add(period / 2))
+		jobs[i] = j
+	}
+	horizon := des.Time(int64(period) * int64(len(jobs)+1))
+	c := NewCollector(0, horizon)
+	record := func(i int) {
+		j := jobs[i%len(jobs)]
+		c.JobReleased(j, j.Release)
+		c.JobDone(j, j.FinishedAt)
+	}
+	for i := range batch {
+		record(i) // grow the buffers outside the timed loop
+	}
+	c.Reset(0, horizon)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batch == batch-1 {
+			c.Reset(0, horizon)
+		}
+		record(i)
+	}
+}
+
 func benchSummary(b *testing.B, c *Collector) {
 	c.Summary() // grow the reused buffers outside the timed loop
 	sorted := c.SortedResponses()

@@ -10,7 +10,7 @@ import (
 )
 
 // mkStage builds a standalone stage job with the given deadline and level.
-func mkStage(t *testing.T, taskID, jobIdx, stageIdx int, deadline des.Time, level rt.Level) *rt.StageJob {
+func mkStage(t testing.TB, taskID, jobIdx, stageIdx int, deadline des.Time, level rt.Level) *rt.StageJob {
 	t.Helper()
 	g := dnn.TinyCNN(dnn.DefaultCostModel())
 	stages, err := dnn.Partition(g, 4)

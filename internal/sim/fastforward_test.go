@@ -219,12 +219,12 @@ func TestFastForwardLongHorizon(t *testing.T) {
 			t.Errorf("kind=%v: fast-forward differs from full simulation\nwant %+v\ngot  %+v",
 				kind, want, got)
 		}
-		rs := sess.ReplayStats()
+		rs := sess.Stats()
 		if rs.Jumps == 0 || rs.Cycles == 0 {
 			t.Errorf("kind=%v: replay took %d jumps and %d explicit cycles; the binade path is not exercised",
 				kind, rs.Jumps, rs.Cycles)
 		}
-		if fb := refSess.ReplayStats().SortFallbacks + rs.SortFallbacks; fb != 0 {
+		if fb := refSess.Stats().SortFallbacks + rs.SortFallbacks; fb != 0 {
 			t.Errorf("kind=%v: %d queue-depth sort fallbacks, want 0", kind, fb)
 		}
 		t.Logf("kind=%v: %d cycles skipped; replay %+v", kind, skipped, rs)

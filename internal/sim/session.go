@@ -175,42 +175,53 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 	return s.runFleet(cfg, tasks)
 }
 
-// EngineStats reports how many events the session's engine fired and its
-// heap work counters (des.HeapStats) over the last run. They measure host
-// cost, not simulated behaviour, so they stay out of Result, whose digests
-// pin the simulation's output.
-func (s *Session) EngineStats() (fired uint64, heap des.HeapStats) {
-	return s.eng.Fired(), s.eng.HeapStats()
-}
-
-// ReplayStats is the host-side work of the last run's fast-forward replay
-// and metric fold: the accounting adds gpu.Device.ReplayCycles performed
-// one by one (Adds, over Cycles explicit cycles) against the multi-cycle
-// binade jumps it took instead (Jumps, see stats.RepeatedSum); the
-// queue-depth inputs metrics.Collector.Summary had to sort (SortFallbacks);
-// the response times Summary sorted (SortedResponses); and the slots
-// metrics.Collector.Replay wrote across its four per-job arrays
-// (ReplayWrites).
-type ReplayStats struct {
+// Stats is the host-side work of a session's last run: what the engine,
+// the fleet's rate engines, the fast-forward replay and the metric fold
+// did to compute it. It measures host cost, not simulated behaviour, so it
+// stays out of Result, whose digests pin the simulation's output; the root
+// package's work gate pins it per workload instead.
+type Stats struct {
+	// Fired counts the events the engine fired and HeapPushes the detached
+	// events it scheduled off the monotone lane (des.HeapStats).
+	Fired      uint64
+	HeapPushes uint64
+	// Sweeps and Visits are the rate sweeps the devices ran and the
+	// kernels those sweeps visited, summed over the fleet
+	// (gpu.Device.RecomputeStats).
+	Sweeps uint64
+	Visits uint64
+	// RepeatCounts are the accounting adds the devices' fast-forward
+	// replay performed one by one (Adds, over Cycles explicit cycles)
+	// against the multi-cycle binade jumps it took instead (Jumps, see
+	// stats.RepeatedSum), summed over the fleet.
 	stats.RepeatCounts
+	// SortFallbacks counts the queue-depth inputs metrics.Collector.Summary
+	// had to sort, SortedResponses the response times it sorted, and
+	// ReplayWrites the slots metrics.Collector.Replay wrote across its four
+	// per-job arrays.
 	SortFallbacks   int
 	SortedResponses int
 	ReplayWrites    int
 }
 
-// ReplayStats reports the last run's replay work. Like EngineStats it
-// measures host cost and stays out of Result.
-func (s *Session) ReplayStats() ReplayStats {
-	var r ReplayStats
-	if len(s.devs) > 0 {
-		r.RepeatCounts = s.devs[0].ReplayStats()
+// Stats reports the last run's host-side work (see Stats).
+func (s *Session) Stats() Stats {
+	st := Stats{Fired: s.eng.Fired(), HeapPushes: s.eng.HeapStats().Pushes}
+	for _, m := range s.members {
+		sweeps, visits := m.Dev.RecomputeStats()
+		st.Sweeps += sweeps
+		st.Visits += visits
+		r := m.Dev.ReplayStats()
+		st.Adds += r.Adds
+		st.Cycles += r.Cycles
+		st.Jumps += r.Jumps
 	}
 	if s.collector != nil {
-		r.SortFallbacks = s.collector.SortFallbacks()
-		r.SortedResponses = s.collector.SortedResponses()
-		r.ReplayWrites = s.collector.ReplayWrites()
+		st.SortFallbacks = s.collector.SortFallbacks()
+		st.SortedResponses = s.collector.SortedResponses()
+		st.ReplayWrites = s.collector.ReplayWrites()
 	}
-	return r
+	return st
 }
 
 // taskSet returns the built task set for the configuration, reusing a

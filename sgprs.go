@@ -131,9 +131,6 @@ type FleetStats = metrics.FleetStats
 // decorrelation is the Experiment's SeedPolicy.
 type SweepOptions = runner.Options
 
-// SweepJob is one unit of runner work: a run plus its sweep coordinates.
-type SweepJob = runner.Job
-
 // SweepJobResult pairs a job with its outcome (result or attributed error).
 type SweepJobResult = runner.JobResult
 
@@ -185,26 +182,6 @@ func NewSessionWith(cache *OfflineCache) *Session { return sim.NewSession(cache)
 // served from the default cache; results are bit-identical to an uncached
 // run.
 func Run(cfg RunConfig) (Result, error) { return sim.Run(cfg) }
-
-// RunUncached is Run without offline-phase memoization (the reference code
-// path the cached one is tested against).
-func RunUncached(cfg RunConfig) (Result, error) { return sim.RunWith(cfg, nil) }
-
-// RunJobs executes an explicit job list on the worker pool, returning
-// ordered results with per-job error attribution.
-func RunJobs(jobs []SweepJob, opt SweepOptions) []SweepJobResult {
-	return runner.Run(context.Background(), jobs, opt)
-}
-
-// RunJobsContext is RunJobs under a context: cancellation stops dispatching
-// new jobs, drains the in-flight ones, and attributes every undispatched
-// job's error to the context. Completed results are always returned.
-func RunJobsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) []SweepJobResult {
-	return runner.Run(ctx, jobs, opt)
-}
-
-// JobsErr collects the failures of a RunJobs result set, or nil.
-func JobsErr(results []SweepJobResult) error { return runner.Err(results) }
 
 // DeriveSeed deterministically mixes a per-job seed from the base seed and
 // a job's sweep coordinates.
