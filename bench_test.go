@@ -485,8 +485,10 @@ func BenchmarkDenseContention(b *testing.B) {
 					}
 				}
 				eng.Run()
-				if got, want := dev.CompletedKernels(), uint64(nCtx*4*perStream); got != want {
-					b.Fatalf("completed %d kernels, want %d", got, want)
+				for _, ctx := range dev.Contexts() {
+					if ctx.Busy() {
+						b.Fatalf("%v still holds kernels after the run", ctx)
+					}
 				}
 				recomputes, gainEvals = dev.RecomputeStats()
 				heap = eng.HeapStats()
@@ -496,20 +498,6 @@ func BenchmarkDenseContention(b *testing.B) {
 			b.ReportMetric(float64(gainEvals), "gain_evals")
 			reportHeap(b, heap)
 		})
-	}
-}
-
-// BenchmarkEngineThroughput measures raw simulator speed: simulated kernel
-// completions per wall second at a saturating load (not a paper figure —
-// infrastructure health).
-func BenchmarkEngineThroughput(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ablationBase()
-	cfg.HorizonSec = 2
-	for i := 0; i < b.N; i++ {
-		if _, err := sgprs.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -203,9 +203,7 @@ func TestMalformedTrafficAndFleetFlags(t *testing.T) {
 func TestSetFlagsOverrideEverySpecSource(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.json")
 	file := &config.Experiment{Scenario: 1, TaskCounts: []int{2}, HorizonSec: 5, Seed: 7}
-	if err := file.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	saveExperiment(t, file, path)
 	for _, source := range []string{"-config " + path, "-experiment scenario1", "-scenario 2"} {
 		_, spec, err := parseSweep(strings.Fields(source+" -tasks 4,6 -horizon 3 -slo 40"), io.Discard)
 		if err != nil {
@@ -296,6 +294,18 @@ func TestSweepFlagsJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// saveExperiment writes e to path as the JSON file -config reads.
+func saveExperiment(t *testing.T, e *config.Experiment, path string) {
+	t.Helper()
+	data, err := json.MarshalIndent(e, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepFlagsMatchSavedJSON: a sweep given by flags and the same sweep
 // given by the JSON file its decoded experiment saves to run the same cells
 // with DeepEqual results — here an open-loop scenario on a two-device fleet
@@ -307,9 +317,7 @@ func TestSweepFlagsMatchSavedJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "e.json")
-	if err := f.e.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	saveExperiment(t, &f.e, path)
 	_, fromFile, err := parseSweep([]string{"-config", path}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -163,16 +163,6 @@ type Fleet struct {
 	fwdFn func(now des.Time, arg any)
 }
 
-// New builds the dispatcher over the given members and homes every chain:
-// Reset on a zero Fleet.
-func New(eng *des.Engine, cfg Config, members []Member, tasks []*rt.Task, horizon des.Time) (*Fleet, error) {
-	f := &Fleet{}
-	if err := f.Reset(eng, cfg, members, tasks, horizon); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Reset rewires the dispatcher over the given members and homes every chain,
 // keeping the node and chain slices' capacity so a reused fleet allocates
 // nothing. Members' schedulers must already be attached to their devices

@@ -88,6 +88,16 @@ func homes(f *Fleet) []int {
 	return out
 }
 
+// New builds the dispatcher over the given members and homes every chain:
+// Reset on a zero Fleet.
+func New(eng *des.Engine, cfg Config, members []Member, tasks []*rt.Task, horizon des.Time) (*Fleet, error) {
+	f := &Fleet{}
+	if err := f.Reset(eng, cfg, members, tasks, horizon); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func TestNewRejects(t *testing.T) {
 	eng := des.NewEngine()
 	tasks := newTasks(t, 1, 1)

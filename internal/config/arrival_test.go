@@ -125,9 +125,7 @@ func TestSaveLoadArrivalRoundTrip(t *testing.T) {
 		Arrival:  &Arrival{Kind: "bursty", OnSec: 0.3, OffSec: 0.7, Rate: 50},
 		SLOMS:    40,
 	}
-	if err := e.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	save(t, e, path)
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)

@@ -317,19 +317,6 @@ func Load(path string) (*Experiment, error) {
 	return &e, nil
 }
 
-// Save writes the experiment as indented JSON.
-func (e *Experiment) Save(path string) error {
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	return nil
-}
-
 // ParseInts parses a list flag of integers in [lo, hi]: comma-separated
 // ("34,34") or an inclusive range ("1..30"). A bad element fails as
 // `invalid <what> "<element>"`, a bad range as `invalid range "<s>"`.

@@ -1,12 +1,25 @@
 package config
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"sgprs/internal/sim"
 )
+
+// save writes e to path as the JSON file Load reads.
+func save(t *testing.T, e *Experiment, path string) {
+	t.Helper()
+	data, err := json.MarshalIndent(e, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestNormalizeDefaults(t *testing.T) {
 	e := &Experiment{Scenario: 1}
@@ -81,9 +94,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "exp.json")
 	e := &Experiment{Scenario: 1, TaskCounts: []int{5, 10}, Seed: 42}
-	if err := e.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	save(t, e, path)
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)

@@ -65,6 +65,12 @@ func newRig(t *testing.T, cfg Config, n int) *rig {
 	return &rig{eng: eng, dev: dev, sched: s, tasks: tasks}
 }
 
+// kernelCount is a gpu.Observer counting finished kernels.
+type kernelCount int
+
+func (c *kernelCount) KernelStarted(*gpu.Kernel, des.Time)  {}
+func (c *kernelCount) KernelFinished(*gpu.Kernel, des.Time) { *c++ }
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ContextSMs: []int{34}}); err == nil {
 		t.Error("nameless config accepted")
@@ -190,7 +196,7 @@ func TestEmptyQueueRulePrefersLargestEmptyContext(t *testing.T) {
 	// With both contexts empty, rule 1 picks the larger (51 SMs), so the
 	// first stage must have executed there. Verify via completed kernel
 	// accounting: context 1 should have run at least one kernel.
-	if r.dev.Contexts()[1].QueuedKernels() != 0 {
+	if r.dev.Contexts()[1].Busy() {
 		t.Error("work left behind")
 	}
 	if !job.Done {
@@ -202,6 +208,8 @@ func TestMediumPromotionHappens(t *testing.T) {
 	// Overload a tiny context pool so predecessors run late.
 	cfg := DefaultConfig("sgprs", []int{10})
 	r := newRig(t, cfg, 22)
+	var finished kernelCount
+	r.dev.SetObserver(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
@@ -215,6 +223,8 @@ func TestMediumPromotionCanBeDisabled(t *testing.T) {
 	cfg := DefaultConfig("sgprs", []int{10})
 	cfg.DisableMediumPromotion = true
 	r := newRig(t, cfg, 22)
+	var finished kernelCount
+	r.dev.SetObserver(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
@@ -305,14 +315,13 @@ func TestAssignPolicies(t *testing.T) {
 		cfg := DefaultConfig("sgprs", []int{34, 34})
 		cfg.AssignPolicy = pol
 		r := newRig(t, cfg, 4)
+		var finished kernelCount
+		r.dev.SetObserver(&finished)
 		for _, task := range r.tasks {
 			r.sched.OnRelease(task.NewJob(0, 0), 0)
 		}
 		r.eng.Run()
-		for _, task := range r.tasks {
-			_ = task
-		}
-		if got := r.dev.CompletedKernels(); got != 4*6 {
+		if got := finished; got != 4*6 {
 			t.Errorf("policy %v completed %d kernels, want 24", pol, got)
 		}
 	}
@@ -373,6 +382,8 @@ func TestFlattenPrioritiesPureEDF(t *testing.T) {
 	cfg := DefaultConfig("sgprs", []int{10})
 	cfg.FlattenPriorities = true
 	r := newRig(t, cfg, 22)
+	var finished kernelCount
+	r.dev.SetObserver(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
@@ -381,7 +392,7 @@ func TestFlattenPrioritiesPureEDF(t *testing.T) {
 		t.Errorf("flattened scheduler promoted %d stages", r.sched.Promotions())
 	}
 	// Work still flows: kernels completed despite the flat queue.
-	if r.dev.CompletedKernels() == 0 {
+	if finished == 0 {
 		t.Error("no kernels completed under flat EDF")
 	}
 }

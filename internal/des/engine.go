@@ -78,7 +78,6 @@ type Engine struct {
 	keyed    []*Event
 	keyedBuf [8]*Event
 	free     []*Event
-	stopped  bool
 	fired    uint64
 	stats    HeapStats
 	// encScratch is EncodePending's reused sort buffer (see warp.go).
@@ -295,9 +294,6 @@ func (e *Engine) RescheduleKeyed(ev *Event, at Time, seq uint64) {
 	}
 }
 
-// Stop makes the current Run call return after the in-flight callback.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Reset returns the engine to the simulation epoch while keeping its event
 // free list, so a reused engine schedules without allocating from its first
 // event on. Every still-pending detached event is recycled into the pool;
@@ -324,7 +320,7 @@ func (e *Engine) Reset() {
 	}
 	e.mono = e.mono[:0]
 	e.monoHead = 0
-	e.now, e.seq, e.fired, e.stopped = 0, 0, 0, false
+	e.now, e.seq, e.fired = 0, 0, 0
 	e.stats = HeapStats{}
 }
 
@@ -392,13 +388,12 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil fires events in timestamp order until the queue drains, Stop is
-// called, or the next event would fire strictly after the horizon. The clock
-// is left at min(horizon, last event time) — i.e. it advances to the horizon
-// when the queue outlives it.
+// RunUntil fires events in timestamp order until the queue drains or the
+// next event would fire strictly after the horizon. The clock is left at
+// min(horizon, last event time) — i.e. it advances to the horizon when the
+// queue outlives it.
 func (e *Engine) RunUntil(horizon Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev := e.next()
 		if ev == nil || ev.at > horizon {
 			break
@@ -410,10 +405,9 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 }
 
-// Run fires events until the queue drains or Stop is called.
+// Run fires events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 

@@ -42,14 +42,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("des: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Normal returns a normally distributed value with the given mean and
 // standard deviation (Box-Muller).
 func (r *RNG) Normal(mean, stddev float64) float64 {

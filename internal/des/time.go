@@ -26,9 +26,6 @@ const (
 // Never is a sentinel Time greater than any reachable simulation instant.
 const Never = Time(1<<63 - 1)
 
-// FromDuration converts a time.Duration into simulated Time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Duration converts t into a time.Duration relative to the simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(int64(t)) }
 

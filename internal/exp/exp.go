@@ -242,19 +242,6 @@ func Arrivals(procs ...workload.Arrival) Axis { return Axis{Kind: AxisArrival, A
 // are the package defaults). Zero disables transient faults for that point.
 func FaultRate(probs ...float64) Axis { return Axis{Kind: AxisFaultRate, Values: probs} }
 
-// DegradationSMs sweeps the degraded capacity: each value overwrites the SM
-// count of every degradation window of the variant's fault configuration.
-// The variant must carry at least one window in Faults.Degradation — the
-// axis sweeps how deep the dip goes, the template says when it happens;
-// Compile rejects the combination otherwise.
-func DegradationSMs(sms ...int) Axis {
-	vs := make([]float64, len(sms))
-	for i, n := range sms {
-		vs[i] = float64(n)
-	}
-	return Axis{Kind: AxisDegradation, Values: vs}
-}
-
 // Devices sweeps the fleet size (sets RunConfig.Devices; 1 is a fleet of
 // one, the paper's single GPU).
 func Devices(counts ...int) Axis {

@@ -10,6 +10,19 @@ import (
 	"sgprs/internal/runner"
 )
 
+// DegradationSMs sweeps the degraded capacity: each value overwrites the SM
+// count of every degradation window of the variant's fault configuration.
+// The variant must carry at least one window in Faults.Degradation — the
+// axis sweeps how deep the dip goes, the template says when it happens;
+// Compile rejects the combination otherwise.
+func DegradationSMs(sms ...int) Axis {
+	vs := make([]float64, len(sms))
+	for i, n := range sms {
+		vs[i] = float64(n)
+	}
+	return Axis{Kind: AxisDegradation, Values: vs}
+}
+
 // faultSmokeSpec shrinks the fault-resilience builtin to a fast grid: the
 // same four variants and both fault axes' machinery, but two rates, two task
 // counts, and a two-second horizon.

@@ -73,6 +73,9 @@ type Context struct {
 	// once per kernel, with byte-identical arithmetic. Indexing instead of
 	// testing the priority keeps the sweep's per-kernel path branch-free.
 	shares [2]float64
+	// capped marks a context waterfill has capped at its own allocation
+	// in the current sweep.
+	capped bool
 }
 
 // setShares precomputes both priority shares at the given SM allocation.
@@ -96,9 +99,6 @@ func (c *Context) SMs() int { return c.sms }
 
 // Streams lists the context's streams in creation order.
 func (c *Context) Streams() []*Stream { return c.streams }
-
-// ActiveKernels reports how many kernels are executing right now.
-func (c *Context) ActiveKernels() int { return c.activeKernels }
 
 // AddStream creates a stream with the given priority, which must be
 // LowPriority or HighPriority: any other value is a programming error and
@@ -126,19 +126,6 @@ func (c *Context) Busy() bool {
 		}
 	}
 	return false
-}
-
-// QueuedKernels reports the total number of kernels queued or running across
-// the context's streams.
-func (c *Context) QueuedKernels() int {
-	n := 0
-	for _, s := range c.streams {
-		n += s.QueueLen()
-		if s.running != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders "ctx0(name,34sm)".

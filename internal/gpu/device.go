@@ -138,16 +138,9 @@ type Device struct {
 	// the launching kernel (Kernel.LaunchSeq).
 	kernelSeq uint64
 
-	// Per-context scratch buffers reused across recompute/waterfill calls
-	// (indexed by context ID). recompute runs on every running-set change
-	// — twice per kernel — so allocating these per call dominated the
-	// simulator's allocation profile.
-	allocScratch  []float64
-	cappedScratch []bool
-
 	// busyDemand is the summed SM allocation of busy contexts, maintained
-	// by start/complete alongside the per-context aggregates (DESIGN.md
-	// §10); recomputes counts rate sweeps and visits the kernels those
+	// by start/complete alongside the per-context aggregates and read by
+	// waterfill (DESIGN.md §10); recomputes counts rate sweeps and visits the kernels those
 	// sweeps visited (RecomputeStats).
 	busyDemand int
 	recomputes uint64
@@ -201,9 +194,8 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 }
 
 // Reset returns the device to its just-constructed state under a (possibly
-// different) configuration, retaining its allocations — the scratch buffers
-// and slice capacities survive, so a reused device recomputes without
-// growing. Contexts are discarded (schedulers recreate their pool on
+// different) configuration, retaining its allocations — the slice
+// capacities survive, so a reused device recomputes without growing. Contexts are discarded (schedulers recreate their pool on
 // Attach), the stochastic stream is re-derived from the new seed, and all
 // accounting restarts; a run on a reset device is bit-identical to one on a
 // fresh device. Every kernel NewKernel handed out is zeroed and returned to
@@ -328,12 +320,6 @@ func (d *Device) Engine() *des.Engine { return d.eng }
 // Contexts lists the created contexts in creation order.
 func (d *Device) Contexts() []*Context { return d.contexts }
 
-// CompletedKernels reports how many kernels have finished.
-func (d *Device) CompletedKernels() uint64 { return d.completedKernels }
-
-// BusySMSeconds reports the integral of in-use effective SMs over time.
-func (d *Device) BusySMSeconds() float64 { return d.busySMTime }
-
 // Utilization reports mean device utilisation in [0,1] over the elapsed
 // simulated time (effective busy SM-time over total SM-time).
 func (d *Device) Utilization() float64 {
@@ -370,10 +356,6 @@ func (d *Device) CreateContext(name string, sms int) (*Context, error) {
 func (d *Device) DemandRatio() float64 {
 	return float64(d.busyDemand) / float64(d.effSMs)
 }
-
-// EffectiveSMs reports the capacity dynamic-rate computations currently
-// divide by — cfg.TotalSMs outside SM-degradation windows.
-func (d *Device) EffectiveSMs() int { return d.effSMs }
 
 // SetEffectiveSMs changes the device's effective capacity at time now — the
 // SM-degradation injection point. Every running kernel's progress is banked

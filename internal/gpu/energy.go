@@ -38,12 +38,3 @@ func (d *Device) AveragePowerW(pm PowerModel) float64 {
 	}
 	return d.EnergyJoules(pm) / elapsed
 }
-
-// EnergyPerInferenceJ reports energy divided by completed kernels-per-job —
-// callers pass the completed inference count (the device only sees kernels).
-func (d *Device) EnergyPerInferenceJ(pm PowerModel, inferences int) float64 {
-	if inferences <= 0 {
-		return 0
-	}
-	return d.EnergyJoules(pm) / float64(inferences)
-}

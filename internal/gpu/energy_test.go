@@ -41,24 +41,26 @@ func TestEnergyScalesWithWork(t *testing.T) {
 	}
 }
 
+// TestEnergyPerInference: identical kernels run back to back cost the same
+// energy each, so ten of them cost ten times one.
 func TestEnergyPerInference(t *testing.T) {
-	eng, dev := newTestDevice(t, quietConfig())
-	ctx, _ := dev.CreateContext("c", 68)
-	s := ctx.AddStream("s", LowPriority)
-	for i := 0; i < 10; i++ {
-		s.Submit(convKernel("k", 5))
-	}
-	eng.Run()
 	pm := DefaultPowerModel()
-	per := dev.EnergyPerInferenceJ(pm, 10)
-	if per <= 0 {
-		t.Errorf("energy per inference = %v", per)
+	energy := func(n int) float64 {
+		eng, dev := newTestDevice(t, quietConfig())
+		ctx, _ := dev.CreateContext("c", 68)
+		s := ctx.AddStream("s", LowPriority)
+		for i := 0; i < n; i++ {
+			s.Submit(convKernel("k", 5))
+		}
+		eng.Run()
+		return dev.EnergyJoules(pm)
 	}
-	if math.Abs(per*10-dev.EnergyJoules(pm)) > 1e-9 {
-		t.Error("per-inference energy inconsistent with total")
+	one, ten := energy(1), energy(10)
+	if one <= 0 {
+		t.Fatalf("energy per inference = %v", one)
 	}
-	if dev.EnergyPerInferenceJ(pm, 0) != 0 {
-		t.Error("zero inferences should report 0")
+	if math.Abs(ten/10-one) > 1e-9*one {
+		t.Errorf("ten inferences cost %v J, want 10 × %v J", ten, one)
 	}
 }
 

@@ -72,9 +72,6 @@ func (d *Device) start(k *Kernel, now des.Time) {
 	if d.observer != nil {
 		d.observer.KernelStarted(k, now)
 	}
-	if k.OnStart != nil {
-		k.OnStart(now)
-	}
 	if k.OnBegin != nil {
 		k.OnBegin(k, now)
 	}
@@ -111,12 +108,7 @@ func (d *Device) recompute(now des.Time, fresh, gone *Kernel) {
 	// which is exactly the benefit of larger (over-subscribed) contexts:
 	// a context with more runnable work can soak up SMs a rigid small
 	// partition could not.
-	alloc := d.waterfill()
-	for _, c := range d.contexts {
-		if c.weightSum > 0 {
-			c.setShares(alloc[c.id])
-		}
-	}
+	d.waterfill()
 
 	// First pass: bank progress, then raw gains from intra-context
 	// weighted splits. Each kernel is banked before its rate and share are
@@ -267,94 +259,71 @@ func (d *Device) arm(next *Kernel) {
 	d.eng.RescheduleKeyed(&d.timer, next.finAt, next.finSeq)
 }
 
-// scratchFloats returns *buf resized to the context count and zeroed.
-func (d *Device) scratchFloats(buf *[]float64) []float64 {
-	n := len(d.contexts)
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	} else {
-		*buf = (*buf)[:n]
-		clear(*buf)
-	}
-	return *buf
-}
-
 // waterfill distributes the device's SMs across busy contexts (weightSum > 0)
 // in proportion to their active kernel weights, capping each context at its
-// own SM allocation and redistributing the surplus until it is absorbed. The
-// result is indexed by context ID; idle contexts get zero. The returned slice
-// is a scratch buffer owned by the device, valid until the next recompute.
+// own SM allocation and redistributing the surplus until it is absorbed, and
+// sets each busy context's priority shares at its allocation. Idle contexts
+// are left alone: none of their kernels runs.
 //
-// When the busy contexts' summed allocations fit the device, the loop is
-// skipped entirely: every busy context receives exactly its full allocation.
-// That early out is bit-identical to running the loop. Weight sums are exact
-// small integers (priority weights are 1 and 3), so each round's
-// want = remaining·w/openWeight rounds to a float ≥ ctx.sms whenever its
-// rational value is — ctx.sms is exactly representable — and since the wants
-// of the uncapped contexts sum to remaining ≥ their summed allocations, some
-// context caps (at exactly float64(ctx.sms)) in every round until none
+// When the busy contexts' summed allocations (busyDemand) fit the device,
+// the loop is skipped entirely: every busy context receives exactly its full
+// allocation. That early out is bit-identical to running the loop. Weight
+// sums are exact small integers (priority weights are 1 and 3), so each
+// round's want = remaining·w/openWeight rounds to a float ≥ ctx.sms whenever
+// its rational value is — ctx.sms is exactly representable — and since the
+// wants of the uncapped contexts sum to remaining ≥ their summed allocations,
+// some context caps (at exactly float64(ctx.sms)) in every round until none
 // remain. The loop can never fall through to a proportional split below a
 // busy context's allocation when demand fits.
-func (d *Device) waterfill() []float64 {
-	alloc := d.scratchFloats(&d.allocScratch)
-	demand := 0
-	for _, ctx := range d.contexts {
-		if ctx.weightSum > 0 {
-			demand += ctx.sms
-		}
-	}
-	if demand <= d.effSMs {
+func (d *Device) waterfill() {
+	if d.busyDemand <= d.effSMs {
 		for _, ctx := range d.contexts {
 			if ctx.weightSum > 0 {
-				alloc[ctx.id] = float64(ctx.sms)
+				ctx.setShares(float64(ctx.sms))
 			}
 		}
-		return alloc
+		return
 	}
-	capped := d.cappedScratch
-	if cap(capped) < len(d.contexts) {
-		capped = make([]bool, len(d.contexts))
-		d.cappedScratch = capped
-	} else {
-		capped = capped[:len(d.contexts)]
-		clear(capped)
+	for _, ctx := range d.contexts {
+		ctx.capped = false
 	}
 	remaining := float64(d.effSMs)
 	for {
 		var openWeight float64
 		for _, ctx := range d.contexts {
-			if ctx.weightSum > 0 && !capped[ctx.id] {
+			if ctx.weightSum > 0 && !ctx.capped {
 				openWeight += ctx.weightSum
 			}
 		}
-		if openWeight == 0 || remaining <= 0 {
-			return alloc
+		if openWeight == 0 {
+			return
 		}
 		progress := false
 		for _, ctx := range d.contexts {
-			if ctx.weightSum == 0 || capped[ctx.id] {
+			if ctx.weightSum == 0 || ctx.capped {
 				continue
 			}
 			want := remaining * ctx.weightSum / openWeight
 			if want >= float64(ctx.sms) {
-				alloc[ctx.id] = float64(ctx.sms)
-				capped[ctx.id] = true
+				ctx.setShares(float64(ctx.sms))
+				ctx.capped = true
 				progress = true
 			}
 		}
 		if !progress {
-			// Nobody hit a cap: the proportional split stands.
+			// Nobody hit a cap: the proportional split stands (a zero
+			// share when the capped contexts fill the device exactly).
 			for _, ctx := range d.contexts {
-				if ctx.weightSum > 0 && !capped[ctx.id] {
-					alloc[ctx.id] = remaining * ctx.weightSum / openWeight
+				if ctx.weightSum > 0 && !ctx.capped {
+					ctx.setShares(remaining * ctx.weightSum / openWeight)
 				}
 			}
-			return alloc
+			return
 		}
 		// Recompute the pot after removing capped contexts.
 		remaining = float64(d.effSMs)
 		for _, ctx := range d.contexts {
-			if capped[ctx.id] {
+			if ctx.capped {
 				remaining -= float64(ctx.sms)
 			}
 		}
@@ -386,9 +355,6 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 	d.completedKernels++
 	if d.observer != nil {
 		d.observer.KernelFinished(k, now)
-	}
-	if k.OnComplete != nil {
-		k.OnComplete(now)
 	}
 	// The fault hook must see the kernel before OnDone can free it.
 	if d.hook != nil {

@@ -124,7 +124,7 @@ func buildRun(t *testing.T, sc devScenario) (*des.Engine, *Device, *[]string) {
 			Shares:  sub.shares,
 			FixedMS: sub.fixedMS,
 		}
-		k.OnComplete = func(now des.Time) {
+		k.OnDone = func(_ *Kernel, now des.Time) {
 			*log = append(*log, fmt.Sprintf("%s@%d", k.Label, int64(now)))
 		}
 		eng.ScheduleFunc(sub.at, "submit", func(des.Time) {
@@ -170,8 +170,8 @@ func TestRateEngineEventDigest(t *testing.T) {
 			}
 			h.Write(buf)
 		}
-		if dev.CompletedKernels() != uint64(len(sc.submits)) {
-			t.Fatalf("trial %d: %d of %d kernels completed", trial, dev.CompletedKernels(), len(sc.submits))
+		if dev.completedKernels != uint64(len(sc.submits)) {
+			t.Fatalf("trial %d: %d of %d kernels completed", trial, dev.completedKernels, len(sc.submits))
 		}
 		buf = buf[:0]
 		f64(dev.workDone)

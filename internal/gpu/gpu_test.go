@@ -21,7 +21,7 @@ func quietConfig() Config {
 	return cfg
 }
 
-func newTestDevice(t *testing.T, cfg Config) (*des.Engine, *Device) {
+func newTestDevice(t testing.TB, cfg Config) (*des.Engine, *Device) {
 	t.Helper()
 	eng := des.NewEngine()
 	dev, err := NewDevice(eng, speedup.DefaultModel(), cfg)
@@ -54,7 +54,7 @@ func TestStreamQueueBoundedWithoutDrain(t *testing.T) {
 	var submit func(i int)
 	submit = func(i int) {
 		k := convKernel("k", 1)
-		k.OnComplete = func(des.Time) {
+		k.OnDone = func(*Kernel, des.Time) {
 			done = append(done, i)
 			if next := i + 9; next < total {
 				submit(next)
@@ -92,7 +92,7 @@ func TestSingleKernelLatency(t *testing.T) {
 
 	var done des.Time
 	k := convKernel("k", 32) // 32 single-SM ms
-	k.OnComplete = func(now des.Time) { done = now }
+	k.OnDone = func(_ *Kernel, now des.Time) { done = now }
 	s.Submit(k)
 	eng.Run()
 
@@ -100,8 +100,8 @@ func TestSingleKernelLatency(t *testing.T) {
 	if got := done.Milliseconds(); math.Abs(got-want) > 1e-4 {
 		t.Errorf("latency = %.6f ms, want %.6f", got, want)
 	}
-	if dev.CompletedKernels() != 1 {
-		t.Errorf("completed = %d", dev.CompletedKernels())
+	if dev.completedKernels != 1 {
+		t.Errorf("completed = %d", dev.completedKernels)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestLaunchOverheadDelaysStart(t *testing.T) {
 
 	var started des.Time
 	k := convKernel("k", 10)
-	k.OnStart = func(now des.Time) { started = now }
+	k.OnBegin = func(_ *Kernel, now des.Time) { started = now }
 	s.Submit(k)
 	eng.Run()
 	if started != des.FromMicros(100) {
@@ -127,7 +127,7 @@ func TestFixedOnlyKernel(t *testing.T) {
 	ctx, _ := dev.CreateContext("c0", 34)
 	s := ctx.AddStream("s0", LowPriority)
 	var done des.Time
-	k := &Kernel{Label: "fixed", FixedMS: 2.5, OnComplete: func(n des.Time) { done = n }}
+	k := &Kernel{Label: "fixed", FixedMS: 2.5, OnDone: func(_ *Kernel, n des.Time) { done = n }}
 	s.Submit(k)
 	eng.Run()
 	if math.Abs(done.Milliseconds()-2.5) > 1e-4 {
@@ -142,7 +142,7 @@ func TestFixedPlusWorkKernel(t *testing.T) {
 	var done des.Time
 	k := convKernel("k", 16)
 	k.FixedMS = 1.0
-	k.OnComplete = func(n des.Time) { done = n }
+	k.OnDone = func(_ *Kernel, n des.Time) { done = n }
 	s.Submit(k)
 	eng.Run()
 	want := 1.0 + 16.0/speedup.DefaultModel().Gain(speedup.Conv, 68)
@@ -160,7 +160,7 @@ func TestStreamSerializesFIFO(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		k := convKernel(name, 10)
 		name := name
-		k.OnComplete = func(des.Time) { order = append(order, name) }
+		k.OnDone = func(*Kernel, des.Time) { order = append(order, name) }
 		s.Submit(k)
 	}
 	if s.QueueLen() != 2 {
@@ -180,9 +180,9 @@ func TestIntraContextSharingHalvesSMs(t *testing.T) {
 
 	var d1, d2 des.Time
 	k1 := convKernel("k1", 32)
-	k1.OnComplete = func(n des.Time) { d1 = n }
+	k1.OnDone = func(_ *Kernel, n des.Time) { d1 = n }
 	k2 := convKernel("k2", 32)
-	k2.OnComplete = func(n des.Time) { d2 = n }
+	k2.OnDone = func(_ *Kernel, n des.Time) { d2 = n }
 	s1.Submit(k1)
 	s2.Submit(k2)
 	eng.Run()
@@ -202,9 +202,9 @@ func TestPriorityWeightedSharing(t *testing.T) {
 
 	var dHi, dLo des.Time
 	kh := convKernel("kh", 32)
-	kh.OnComplete = func(n des.Time) { dHi = n }
+	kh.OnDone = func(_ *Kernel, n des.Time) { dHi = n }
 	kl := convKernel("kl", 32)
-	kl.OnComplete = func(n des.Time) { dLo = n }
+	kl.OnDone = func(_ *Kernel, n des.Time) { dLo = n }
 	hi.Submit(kh)
 	lo.Submit(kl)
 	eng.Run()
@@ -229,7 +229,7 @@ func TestOverSubscriptionScalesShares(t *testing.T) {
 
 	var d1 des.Time
 	k1 := convKernel("k1", 32)
-	k1.OnComplete = func(n des.Time) { d1 = n }
+	k1.OnDone = func(_ *Kernel, n des.Time) { d1 = n }
 	k2 := convKernel("k2", 32)
 	s1.Submit(k1)
 	s2.Submit(k2)
@@ -254,7 +254,7 @@ func TestContentionPenaltySlowsOverSubscribed(t *testing.T) {
 		c2, _ := dev.CreateContext("c2", 68)
 		var done des.Time
 		k1 := convKernel("k1", 32)
-		k1.OnComplete = func(n des.Time) { done = n }
+		k1.OnDone = func(_ *Kernel, n des.Time) { done = n }
 		c1.AddStream("s", LowPriority).Submit(k1)
 		c2.AddStream("s", LowPriority).Submit(convKernel("k2", 32))
 		eng.Run()
@@ -270,7 +270,7 @@ func TestContentionPenaltySlowsOverSubscribed(t *testing.T) {
 	ctx, _ := dev.CreateContext("c", 68)
 	var done des.Time
 	k := convKernel("k", 32)
-	k.OnComplete = func(n des.Time) { done = n }
+	k.OnDone = func(_ *Kernel, n des.Time) { done = n }
 	ctx.AddStream("s", LowPriority).Submit(k)
 	eng.Run()
 	want := 32.0 / speedup.DefaultModel().Gain(speedup.Conv, 68)
@@ -289,7 +289,7 @@ func TestContentionJitterIsDeterministic(t *testing.T) {
 		c2, _ := dev.CreateContext("c2", 68)
 		var done des.Time
 		k1 := convKernel("k1", 32)
-		k1.OnComplete = func(n des.Time) { done = n }
+		k1.OnDone = func(_ *Kernel, n des.Time) { done = n }
 		c1.AddStream("s", LowPriority).Submit(k1)
 		c2.AddStream("s", LowPriority).Submit(convKernel("k2", 32))
 		eng.Run()
@@ -319,7 +319,7 @@ func TestAggregateGainCapLimitsThroughput(t *testing.T) {
 			ctx, _ := dev.CreateContext("c", 17)
 			k := convKernel("k", 10)
 			if i == 0 {
-				k.OnComplete = func(n des.Time) { done = n }
+				k.OnDone = func(_ *Kernel, n des.Time) { done = n }
 			}
 			ctx.AddStream("s", LowPriority).Submit(k)
 		}
@@ -350,8 +350,8 @@ func TestWorkConservation(t *testing.T) {
 		streams[i%len(streams)].Submit(convKernel("k", w))
 	}
 	eng.Run()
-	if dev.CompletedKernels() != 40 {
-		t.Fatalf("completed %d kernels, want 40", dev.CompletedKernels())
+	if dev.completedKernels != 40 {
+		t.Fatalf("completed %d kernels, want 40", dev.completedKernels)
 	}
 	if math.Abs(dev.workDone-submitted) > 1e-3 {
 		t.Errorf("work retired %.6f, submitted %.6f", dev.workDone, submitted)
@@ -371,7 +371,7 @@ func TestDemandRatio(t *testing.T) {
 	k := convKernel("k1", 50)
 	var during float64
 	k2 := convKernel("k2", 1)
-	k2.OnStart = func(des.Time) { during = dev.DemandRatio() }
+	k2.OnBegin = func(*Kernel, des.Time) { during = dev.DemandRatio() }
 	c1.AddStream("s", LowPriority).Submit(k)
 	c2.AddStream("s", LowPriority).Submit(k2)
 	eng.Run()
@@ -489,8 +489,8 @@ func TestKernelPastClockKeysNever(t *testing.T) {
 	if !huge.Running() || huge.finAt != des.Never {
 		t.Fatalf("huge kernel running=%v key=%v, want running at never", huge.Running(), huge.finAt)
 	}
-	if dev.CompletedKernels() != 1 {
-		t.Errorf("completed %d kernels, want the small one", dev.CompletedKernels())
+	if dev.completedKernels != 1 {
+		t.Errorf("completed %d kernels, want the small one", dev.completedKernels)
 	}
 	dev.Abort(huge, eng.Now())
 	if huge.Running() || huge.Stream() != nil || len(dev.running) != 0 || eng.Pending() != 0 {
@@ -539,16 +539,16 @@ func TestContextAccessors(t *testing.T) {
 	if len(ctx.Streams()) != 2 || ctx.Name() != "c" {
 		t.Error("context accessors wrong")
 	}
-	if ctx.Busy() || ctx.QueuedKernels() != 0 {
+	if ctx.Busy() {
 		t.Error("fresh context should be idle")
 	}
 	s1.Submit(convKernel("k1", 5))
 	s1.Submit(convKernel("k2", 5))
-	if !ctx.Busy() || ctx.QueuedKernels() != 2 {
-		t.Errorf("busy=%v queued=%d, want true/2", ctx.Busy(), ctx.QueuedKernels())
+	if !ctx.Busy() || s1.Running() == nil || s1.QueueLen() != 1 {
+		t.Errorf("busy=%v dispatched=%v queued=%d, want true/true/1", ctx.Busy(), s1.Running() != nil, s1.QueueLen())
 	}
 	eng.Run()
-	if ctx.Busy() || ctx.ActiveKernels() != 0 {
+	if ctx.Busy() || ctx.activeKernels != 0 {
 		t.Error("context should drain")
 	}
 	if len(dev.Contexts()) != 1 {
@@ -567,7 +567,7 @@ func TestSharingMonotoneProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := ctx.AddStream("s", LowPriority)
 			k := convKernel("k", 10)
-			k.OnComplete = func(now des.Time) {
+			k.OnDone = func(_ *Kernel, now des.Time) {
 				if now > last {
 					last = now
 				}
@@ -575,7 +575,7 @@ func TestSharingMonotoneProperty(t *testing.T) {
 			s.Submit(k)
 		}
 		eng.Run()
-		if dev.CompletedKernels() != uint64(n) {
+		if dev.completedKernels != uint64(n) {
 			return false
 		}
 		// n concurrent kernels at 68/n SMs each: makespan must be at

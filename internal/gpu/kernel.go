@@ -20,22 +20,15 @@ type Kernel struct {
 	Shares []speedup.WorkShare
 	// FixedMS is non-scalable time in milliseconds.
 	FixedMS float64
-	// OnStart fires when the kernel begins executing (after launch
-	// overhead), OnComplete when it finishes. Either may be nil.
-	OnStart    func(now des.Time)
-	OnComplete func(now des.Time)
-	// OnBegin, when non-nil, fires on start after OnStart, receiving the
-	// kernel itself — the start-side twin of OnDone: together with Arg it
-	// lets schedulers share one callback across every kernel instead of
-	// allocating an OnStart closure per launch.
+	// OnBegin fires when the kernel begins executing (after launch
+	// overhead), OnDone when it finishes; either may be nil. Both receive
+	// the kernel itself, so with Arg a scheduler shares one callback
+	// across every kernel instead of allocating a closure per launch.
+	// OnDone is the last time the device touches the kernel: the callback
+	// may free and reuse it immediately.
 	OnBegin func(k *Kernel, now des.Time)
-	// OnDone, when non-nil, fires on completion after OnComplete,
-	// receiving the kernel itself. Together with Arg it lets schedulers
-	// share one callback across every kernel instead of allocating a
-	// closure per launch. It is the last time the device touches the
-	// kernel: the callback may free and reuse it immediately.
-	OnDone func(k *Kernel, now des.Time)
-	// Arg is an opaque scheduler payload carried to OnDone.
+	OnDone  func(k *Kernel, now des.Time)
+	// Arg is an opaque scheduler payload carried to the callbacks.
 	Arg any
 
 	stream *Stream
@@ -156,9 +149,6 @@ func (k *Kernel) InflateWork(factor float64) float64 {
 
 // StartedAt reports when execution began (zero until started).
 func (k *Kernel) StartedAt() des.Time { return k.startedAt }
-
-// EffectiveSMs reports the kernel's current effective SM share (diagnostic).
-func (k *Kernel) EffectiveSMs() float64 { return k.effSMs }
 
 // IsolatedLatencyMS predicts the kernel's latency if it ran alone in a
 // context of n SMs on a device using model m, with no contention. This is

@@ -24,13 +24,13 @@ func TestDeviceResetReplaysFreshDevice(t *testing.T) {
 		}
 		s1 := ctx1.AddStream("s0", HighPriority)
 		s2 := ctx2.AddStream("s0", LowPriority)
-		record := func(now des.Time) { times = append(times, now) }
+		record := func(_ *Kernel, now des.Time) { times = append(times, now) }
 		for i := 0; i < 3; i++ {
 			k1 := convKernel("a", 5)
-			k1.OnComplete = record
+			k1.OnDone = record
 			s1.Submit(k1)
 			k2 := convKernel("b", 7)
-			k2.OnComplete = record
+			k2.OnDone = record
 			s2.Submit(k2)
 		}
 		eng.Run()
@@ -41,16 +41,16 @@ func TestDeviceResetReplaysFreshDevice(t *testing.T) {
 	wantTimes, wantUtil := workload(freshEng, freshDev)
 
 	eng, dev := newTestDevice(t, cfg)
-	if _, _ = workload(eng, dev); dev.CompletedKernels() == 0 {
+	if _, _ = workload(eng, dev); dev.completedKernels == 0 {
 		t.Fatal("dirtying run completed nothing")
 	}
 	eng.Reset()
 	if err := dev.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(dev.Contexts()) != 0 || dev.CompletedKernels() != 0 || dev.BusySMSeconds() != 0 {
+	if len(dev.Contexts()) != 0 || dev.completedKernels != 0 || dev.busySMTime != 0 {
 		t.Fatalf("reset device kept state: %d contexts, %d kernels, %v busy",
-			len(dev.Contexts()), dev.CompletedKernels(), dev.BusySMSeconds())
+			len(dev.Contexts()), dev.completedKernels, dev.busySMTime)
 	}
 	gotTimes, gotUtil := workload(eng, dev)
 
@@ -93,7 +93,7 @@ func TestDeviceResetReclaimsKernels(t *testing.T) {
 		k := dev.NewKernel()
 		k.Label = label
 		k.Shares = []speedup.WorkShare{{Class: speedup.Conv, Work: 50}}
-		k.OnComplete = func(des.Time) {}
+		k.OnDone = func(*Kernel, des.Time) {}
 		return k
 	}
 
@@ -195,8 +195,8 @@ func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 		dev.FreeKernel(k)
 	}
 	cycle()
-	if dev.CompletedKernels() != 1 {
-		t.Fatalf("completed %d kernels after reset, want 1", dev.CompletedKernels())
+	if dev.completedKernels != 1 {
+		t.Fatalf("completed %d kernels after reset, want 1", dev.completedKernels)
 	}
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Errorf("start/complete cycle allocates %v times, want 0", n)

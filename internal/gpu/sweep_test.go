@@ -77,7 +77,7 @@ func TestSweepRemovalKeepsAdmissionOrder(t *testing.T) {
 		t.Run("complete/"+all, func(t *testing.T) {
 			eng, dev, ks := startRunning(t, set...)
 			var got string
-			ks["b"].OnComplete = func(des.Time) { got = runningLabels(dev) }
+			ks["b"].OnDone = func(*Kernel, des.Time) { got = runningLabels(dev) }
 			eng.Run()
 			if got != want {
 				t.Errorf("running after b completed = %q, want %q", got, want)
@@ -100,7 +100,7 @@ func TestSweepRemovalKeepsAdmissionOrder(t *testing.T) {
 			if ks["b"].Stream() != nil || ks["b"].Running() {
 				t.Error("aborted kernel still attached")
 			}
-			if n := int(dev.CompletedKernels()); n != len(set)-1 {
+			if n := int(dev.completedKernels); n != len(set)-1 {
 				t.Errorf("completed = %d, want %d", n, len(set)-1)
 			}
 		})
@@ -108,19 +108,19 @@ func TestSweepRemovalKeepsAdmissionOrder(t *testing.T) {
 }
 
 // TestSweepBanksLeavingKernel: the leaving kernel's last interval is banked
-// into BusySMSeconds, at its final share, before it drops out.
+// into the busy SM-time, at its final share, before it drops out.
 func TestSweepBanksLeavingKernel(t *testing.T) {
 	t.Run("complete", func(t *testing.T) {
 		eng, dev := newTestDevice(t, quietConfig())
 		ctx, _ := dev.CreateContext("c0", 68)
 		k := convKernel("k", 32)
 		var done des.Time
-		k.OnComplete = func(now des.Time) { done = now }
+		k.OnDone = func(_ *Kernel, now des.Time) { done = now }
 		ctx.AddStream("s", LowPriority).Submit(k)
 		eng.Run()
 		dtMS := float64(done) / float64(des.Millisecond)
-		if want := 68 * dtMS / 1000; dev.BusySMSeconds() != want {
-			t.Errorf("BusySMSeconds = %v, want %v", dev.BusySMSeconds(), want)
+		if want := 68 * dtMS / 1000; dev.busySMTime != want {
+			t.Errorf("busySMTime = %v, want %v", dev.busySMTime, want)
 		}
 	})
 	t.Run("abort", func(t *testing.T) {
@@ -130,8 +130,8 @@ func TestSweepBanksLeavingKernel(t *testing.T) {
 		ctx.AddStream("s", LowPriority).Submit(k)
 		eng.AfterFunc(des.FromMillis(2), "abort", func(now des.Time) { dev.Abort(k, now) })
 		eng.Run()
-		if want := 68.0 * 2 / 1000; dev.BusySMSeconds() != want {
-			t.Errorf("BusySMSeconds = %v, want %v", dev.BusySMSeconds(), want)
+		if want := 68.0 * 2 / 1000; dev.busySMTime != want {
+			t.Errorf("busySMTime = %v, want %v", dev.busySMTime, want)
 		}
 		if want := 320 - 2*k.aggregateGain(68); k.remainingWork != want {
 			t.Errorf("aborted kernel's remaining work = %v, want %v", k.remainingWork, want)
@@ -247,7 +247,7 @@ func TestUncontendedRateIsAggregateGain(t *testing.T) {
 		for j := range k.Shares {
 			k.Shares[j].Work *= float64(1 + i%5)
 		}
-		k.OnComplete = check
+		k.OnDone = func(_ *Kernel, now des.Time) { check(now) }
 		streams[i%len(streams)].Submit(k)
 	}
 	for ms := 0.05; ms < 3; ms += 0.25 {
@@ -256,5 +256,54 @@ func TestUncontendedRateIsAggregateGain(t *testing.T) {
 	eng.Run()
 	if samples == 0 {
 		t.Fatal("no running kernel sampled")
+	}
+}
+
+// BenchmarkSweep times one rate sweep (Device.recompute) over 4, 8 and 12
+// running kernels spread across three contexts of two high- and two
+// low-priority streams each, for a pool that fits the device (3×20 SMs) and
+// one that over-subscribes it (3×34 SMs, so the waterfill loop, the
+// contention penalty and the jitter all run). Each op advances the clock by
+// a microsecond, so every kernel is banked as well. Report-only; a sweep
+// allocates nothing.
+func BenchmarkSweep(b *testing.B) {
+	for _, pool := range []struct {
+		name string
+		sms  int
+	}{{"fit", 20}, {"oversubscribed", 34}} {
+		for _, n := range []int{4, 8, 12} {
+			b.Run(fmt.Sprintf("%s/kernels-%d", pool.name, n), func(b *testing.B) {
+				eng, dev := newTestDevice(b, DefaultConfig())
+				var streams []*Stream
+				for c := 0; c < 3; c++ {
+					ctx, err := dev.CreateContext(fmt.Sprint("c", c), pool.sms)
+					if err != nil {
+						b.Fatal(err)
+					}
+					streams = append(streams,
+						ctx.AddStream("h0", HighPriority), ctx.AddStream("h1", HighPriority),
+						ctx.AddStream("l0", LowPriority), ctx.AddStream("l1", LowPriority))
+				}
+				for i := 0; i < n; i++ {
+					k := mixedKernel(fmt.Sprint("k", i))
+					for j := range k.Shares {
+						k.Shares[j].Work *= 1e9 // runs past any benchmark
+					}
+					// Kernel i goes to context i%3, so the contexts fill evenly.
+					streams[(i%3)*4+(i/3)%4].Submit(k)
+				}
+				eng.RunUntil(dev.cfg.LaunchOverhead)
+				if len(dev.running) != n {
+					b.Fatalf("%d kernels running, want %d", len(dev.running), n)
+				}
+				now := eng.Now()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					now += des.Microsecond
+					dev.recompute(now, nil, nil)
+				}
+			})
+		}
 	}
 }

@@ -17,7 +17,6 @@ func TestWaterfillWorkConserving(t *testing.T) {
 	// Two 68-SM contexts (2x over-subscription): 1 kernel in A, 3 in B.
 	a, _ := dev.CreateContext("a", 68)
 	bctx, _ := dev.CreateContext("b", 68)
-	var aSMs, bSMs float64
 	ka := convKernel("ka", 50)
 	streams := []*Stream{
 		bctx.AddStream("s0", LowPriority),
@@ -32,14 +31,12 @@ func TestWaterfillWorkConserving(t *testing.T) {
 	}
 	a.AddStream("s", LowPriority).Submit(ka)
 	// Sample effective SMs shortly after all four started.
-	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
-		aSMs = ka.EffectiveSMs()
-		for _, kb := range kbs {
-			bSMs += kb.EffectiveSMs()
-		}
-		eng.Stop()
-	})
-	eng.Run()
+	eng.RunUntil(des.FromMillis(1))
+	aSMs := ka.effSMs
+	var bSMs float64
+	for _, kb := range kbs {
+		bSMs += kb.effSMs
+	}
 	// Weights 1 vs 3 → A gets 17, B gets 51 (both under their 68 caps).
 	if math.Abs(aSMs-17) > 0.01 || math.Abs(bSMs-51) > 0.01 {
 		t.Errorf("allocation A=%v B=%v, want 17/51 (load-proportional)", aSMs, bSMs)
@@ -60,16 +57,30 @@ func TestWaterfillRigidAtNoOversubscription(t *testing.T) {
 	a.AddStream("s", LowPriority).Submit(ka)
 	bctx.AddStream("s0", LowPriority).Submit(kb1)
 	bctx.AddStream("s1", LowPriority).Submit(kb2)
-	eng.AfterFunc(des.FromMillis(1), "sample", func(des.Time) {
-		if math.Abs(ka.EffectiveSMs()-34) > 0.01 {
-			t.Errorf("A kernel = %v SMs, want its full 34", ka.EffectiveSMs())
-		}
-		if math.Abs(kb1.EffectiveSMs()-17) > 0.01 || math.Abs(kb2.EffectiveSMs()-17) > 0.01 {
-			t.Errorf("B kernels = %v/%v SMs, want 17 each", kb1.EffectiveSMs(), kb2.EffectiveSMs())
-		}
-		eng.Stop()
-	})
-	eng.Run()
+	eng.RunUntil(des.FromMillis(1))
+	if math.Abs(ka.effSMs-34) > 0.01 {
+		t.Errorf("A kernel = %v SMs, want its full 34", ka.effSMs)
+	}
+	if math.Abs(kb1.effSMs-17) > 0.01 || math.Abs(kb2.effSMs-17) > 0.01 {
+		t.Errorf("B kernels = %v/%v SMs, want 17 each", kb1.effSMs, kb2.effSMs)
+	}
+}
+
+// setLoad gives ctx the running-kernel weight w without running kernels,
+// keeping the device's busy demand consistent as start and complete do.
+func setLoad(dev *Device, ctx *Context, w float64) {
+	if ctx.weightSum > 0 {
+		dev.busyDemand -= ctx.sms
+	}
+	ctx.weightSum = w
+	if w > 0 {
+		dev.busyDemand += ctx.sms
+	}
+}
+
+// sharesAt is what setShares stores for ctx at an allocation of alloc SMs.
+func sharesAt(ctx *Context, alloc float64) [2]float64 {
+	return [2]float64{alloc * lowWeight / ctx.weightSum, alloc * highWeight / ctx.weightSum}
 }
 
 // Property: waterfill never allocates more than a context's own SMs, never
@@ -89,22 +100,24 @@ func TestWaterfillBoundsProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			ctx.weightSum = float64(rawLoad[i] % 5)
+			setLoad(dev, ctx, float64(rawLoad[i]%5))
 			ctxs = append(ctxs, ctx)
 		}
-		alloc := dev.waterfill()
+		dev.waterfill()
 		var total float64
-		for i, ctx := range ctxs {
-			if alloc[i] < 0 || alloc[i] > float64(ctx.sms)+1e-9 {
+		for _, ctx := range ctxs {
+			if ctx.weightSum == 0 {
+				if ctx.shares != [2]float64{} {
+					return false // an idle context's shares are never set
+				}
+				continue
+			}
+			// The low-priority share is alloc·1/weightSum.
+			alloc := ctx.shares[LowPriority] * ctx.weightSum
+			if alloc <= 0 || alloc > float64(ctx.sms)+1e-9 {
 				return false
 			}
-			if ctx.weightSum > 0 && alloc[i] <= 0 {
-				return false
-			}
-			if ctx.weightSum == 0 && alloc[i] != 0 {
-				return false
-			}
-			total += alloc[i]
+			total += alloc
 		}
 		return total <= float64(dev.cfg.TotalSMs)+1e-9
 	}
@@ -133,15 +146,15 @@ func TestWaterfillFullAllocationProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			ctx.weightSum = float64(rawLoad[i] % 3)
+			setLoad(dev, ctx, float64(rawLoad[i]%3))
 			ctxs = append(ctxs, ctx)
 		}
 		if budget < 0 {
 			return true
 		}
-		alloc := dev.waterfill()
-		for i, ctx := range ctxs {
-			if ctx.weightSum > 0 && math.Float64bits(alloc[i]) != math.Float64bits(float64(ctx.sms)) {
+		dev.waterfill()
+		for _, ctx := range ctxs {
+			if ctx.weightSum > 0 && ctx.shares != sharesAt(ctx, float64(ctx.sms)) {
 				return false
 			}
 		}
@@ -153,13 +166,11 @@ func TestWaterfillFullAllocationProperty(t *testing.T) {
 }
 
 // TestWaterfillEarlyOutMatchesLoop pins the early out's bit-identity claim
-// directly: for demand that exactly fills or just fits the device, the
-// redistribution loop (forced by bypassing the early out via an
-// over-subscribed twin whose extra context carries no weight — impossible in
-// real runs, where weight implies demand) would agree with the rigid split.
-// Real coverage of the mixed regimes comes from the randomized event digest
-// in engine_digest_test.go; this asserts the boundary case where
-// demand == TotalSMs with uneven integer weights.
+// directly: for demand that exactly fills the device, with uneven integer
+// weights, the redistribution loop — forced by overstating the busy demand,
+// which real runs never do — sets the same shares, to the last bit, as the
+// early out. Real coverage of the mixed regimes comes from the randomized
+// event digest in engine_digest_test.go.
 func TestWaterfillEarlyOutMatchesLoop(t *testing.T) {
 	eng := des.NewEngine()
 	dev, err := NewDevice(eng, speedup.DefaultModel(), quietConfig())
@@ -173,12 +184,19 @@ func TestWaterfillEarlyOutMatchesLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.weightSum = weights[i]
+		setLoad(dev, ctx, weights[i])
 	}
-	alloc := dev.waterfill()
-	for i, s := range sms {
-		if math.Float64bits(alloc[i]) != math.Float64bits(float64(s)) {
-			t.Errorf("ctx %d: alloc %v, want exactly %d", i, alloc[i], s)
+	dev.waterfill() // demand == TotalSMs: the early out
+	for i, ctx := range dev.contexts {
+		if want := sharesAt(ctx, float64(sms[i])); ctx.shares != want {
+			t.Errorf("ctx %d: early-out shares %v, want exactly %v", i, ctx.shares, want)
+		}
+	}
+	dev.busyDemand = dev.effSMs + 1 // force the loop
+	dev.waterfill()
+	for i, ctx := range dev.contexts {
+		if want := sharesAt(ctx, float64(sms[i])); ctx.shares != want {
+			t.Errorf("ctx %d: loop shares %v, want exactly %v", i, ctx.shares, want)
 		}
 	}
 }

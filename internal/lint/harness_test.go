@@ -1,16 +1,4 @@
-// Package linttest is the fixture harness for the determinism suite — the
-// analysistest idiom on the stdlib-only framework. A fixture is a directory
-// of Go files under testdata/src/<pkg>; expected findings are trailing
-// comments of the form
-//
-//	x += v[k] // want "accumulates into float"
-//
-// where each quoted string is a regular expression that must match a
-// diagnostic reported on that line. The harness fails on unexpected
-// diagnostics and on expectations nothing matched — so deleting an
-// analyzer's check makes its fixture test fail, which is the anti-vacuity
-// property CI leans on.
-package linttest
+package lint_test
 
 import (
 	"fmt"
@@ -23,20 +11,33 @@ import (
 	"sgprs/internal/lint"
 )
 
-// Run loads testdata/src/<pkg> (pkg doubles as the fixture's import path, so
+// runFixture is the fixture harness for the determinism suite — the
+// analysistest idiom on the stdlib-only framework. A fixture is a directory
+// of Go files under testdata/src/<pkg>; expected findings are trailing
+// comments of the form
+//
+//	x += v[k] // want "accumulates into float"
+//
+// where each quoted string is a regular expression that must match a
+// diagnostic reported on that line. The harness fails on unexpected
+// diagnostics and on expectations nothing matched — so deleting an
+// analyzer's check makes its fixture test fail, which is the anti-vacuity
+// property CI leans on.
+//
+// It loads testdata/src/<pkg> (pkg doubles as the fixture's import path, so
 // a fixture named "gpu" is bound by the simulation-package rules and one
 // named "outside" is not), runs the given analyzers plus the allow layer,
 // and compares against the fixture's want expectations.
-func Run(t *testing.T, testdata, pkg string, analyzers ...*lint.Analyzer) {
+func runFixture(t *testing.T, testdata, pkg string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	diags := RunDiagnostics(t, testdata, pkg, analyzers...)
+	diags := fixtureDiagnostics(t, testdata, pkg, analyzers...)
 	checkWants(t, filepath.Join(testdata, "src", pkg), diags)
 }
 
-// RunDiagnostics loads and lints the fixture, returning the surviving
+// fixtureDiagnostics loads and lints the fixture, returning the surviving
 // diagnostics without checking want expectations — for driver-level tests
 // that assert on the diagnostics themselves.
-func RunDiagnostics(t *testing.T, testdata, pkg string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
+func fixtureDiagnostics(t *testing.T, testdata, pkg string, analyzers ...*lint.Analyzer) []lint.Diagnostic {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkg)
 	p, err := lint.LoadFixture(dir, pkg)

@@ -5,24 +5,23 @@ import (
 	"testing"
 
 	"sgprs/internal/lint"
-	"sgprs/internal/lint/linttest"
 )
 
 // The five analyzer fixtures. Each carries positive `// want` expectations,
 // so these tests are anti-vacuous by construction: weaken or delete an
 // analyzer's check and its unmatched wants fail the test.
 
-func TestMapOrder(t *testing.T)     { linttest.Run(t, "testdata", "gpu", lint.MapOrder) }
-func TestRNGPurity(t *testing.T)    { linttest.Run(t, "testdata", "des", lint.RNGPurity) }
-func TestGoroutineBan(t *testing.T) { linttest.Run(t, "testdata", "core", lint.GoroutineBan) }
-func TestFloatFold(t *testing.T)    { linttest.Run(t, "testdata", "sim", lint.FloatFold) }
-func TestTagSwitch(t *testing.T)    { linttest.Run(t, "testdata", "workload", lint.TagSwitch) }
+func TestMapOrder(t *testing.T)     { runFixture(t, "testdata", "gpu", lint.MapOrder) }
+func TestRNGPurity(t *testing.T)    { runFixture(t, "testdata", "des", lint.RNGPurity) }
+func TestGoroutineBan(t *testing.T) { runFixture(t, "testdata", "core", lint.GoroutineBan) }
+func TestFloatFold(t *testing.T)    { runFixture(t, "testdata", "sim", lint.FloatFold) }
+func TestTagSwitch(t *testing.T)    { runFixture(t, "testdata", "workload", lint.TagSwitch) }
 
 // TestScopedRulesIgnoreNonSimPackages is the clean-file negative for every
 // package-scoped rule: the "outside" fixture commits all four sins in a
 // package the discipline does not bind, and nothing is reported.
 func TestScopedRulesIgnoreNonSimPackages(t *testing.T) {
-	diags := linttest.RunDiagnostics(t, "testdata", "outside",
+	diags := fixtureDiagnostics(t, "testdata", "outside",
 		lint.MapOrder, lint.RNGPurity, lint.GoroutineBan, lint.FloatFold)
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic outside the simulation packages: %s", d)
@@ -32,7 +31,7 @@ func TestScopedRulesIgnoreNonSimPackages(t *testing.T) {
 // TestAllowSuppresses proves the escape hatch: annotated violations are
 // silent and the annotations count as used.
 func TestAllowSuppresses(t *testing.T) {
-	diags := linttest.RunDiagnostics(t, "testdata", "metrics", lint.All()...)
+	diags := fixtureDiagnostics(t, "testdata", "metrics", lint.All()...)
 	for _, d := range diags {
 		t.Errorf("allowed violation still reported: %s", d)
 	}
@@ -42,7 +41,7 @@ func TestAllowSuppresses(t *testing.T) {
 // suppresses nothing is a finding of its own, so stale exemptions cannot
 // survive the code they excused.
 func TestUnusedAllowFails(t *testing.T) {
-	diags := linttest.RunDiagnostics(t, "testdata", "naive", lint.All()...)
+	diags := fixtureDiagnostics(t, "testdata", "naive", lint.All()...)
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly the unused allow: %v", len(diags), diags)
 	}
@@ -56,7 +55,7 @@ func TestUnusedAllowFails(t *testing.T) {
 // reason; a malformed one suppresses nothing, so the underlying violation
 // surfaces too.
 func TestMalformedAllowsFail(t *testing.T) {
-	diags := linttest.RunDiagnostics(t, "testdata", "fault", lint.All()...)
+	diags := fixtureDiagnostics(t, "testdata", "fault", lint.All()...)
 	var unknown, noReason, violations int
 	for _, d := range diags {
 		switch {

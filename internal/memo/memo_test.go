@@ -88,7 +88,7 @@ func TestProfileTasksDedupAndEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		for j := 0; j < task.NumStages(); j++ {
+		for j := 0; j < len(task.Stages); j++ {
 			if task.StageWCET(j) != ref.StageWCET(j) {
 				t.Fatalf("stage %d WCET %v differs from uncached %v", j, task.StageWCET(j), ref.StageWCET(j))
 			}
@@ -198,7 +198,7 @@ func TestConcurrentProfileTasksSingleflight(t *testing.T) {
 	}
 	var wcets [][]int64
 	for _, task := range tasks {
-		row := make([]int64, task.NumStages())
+		row := make([]int64, len(task.Stages))
 		for j := range row {
 			row[j] = int64(task.StageWCET(j))
 		}

@@ -260,8 +260,7 @@ func (s *Scheduler) kernelBegin(k *gpu.Kernel, now des.Time) {
 // kernelDone is the shared completion callback: it unpacks the job, hands
 // the kernel back to the device's free list (the device guarantees it no
 // longer touches it), and retires every stage — the final MarkFinished
-// completes the job and notifies its watcher, exactly when the OnComplete
-// closure used to.
+// completes the job and notifies its watcher.
 func (s *Scheduler) kernelDone(k *gpu.Kernel, now des.Time) {
 	job := k.Arg.(*rt.Job)
 	s.dev.FreeKernel(k)

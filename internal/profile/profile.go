@@ -59,7 +59,7 @@ func (p *Profiler) measure(k *gpu.Kernel, sms int) (des.Time, error) {
 		return 0, err
 	}
 	var done des.Time
-	k.OnComplete = func(now des.Time) { done = now }
+	k.OnDone = func(_ *gpu.Kernel, now des.Time) { done = now }
 	ctx.AddStream("s0", gpu.LowPriority).Submit(k)
 	eng.Run()
 	if done == 0 {
@@ -157,10 +157,4 @@ func (p *Profiler) NetworkGain(g *dnn.Graph, sms int) (float64, error) {
 		return 0, fmt.Errorf("profile: zero latency at %d SMs", sms)
 	}
 	return float64(t1) / float64(tn), nil
-}
-
-// NetworkLatency measures the isolated inference latency of a whole network
-// at sms SMs (no WCET margin — this is a raw measurement).
-func (p *Profiler) NetworkLatency(g *dnn.Graph, sms int) (des.Time, error) {
-	return p.measure(&gpu.Kernel{Label: g.Name, Shares: g.WorkByClass()}, sms)
 }

@@ -74,7 +74,7 @@ func TestProfileTaskSetsWCETsAndVirtualDeadlines(t *testing.T) {
 		t.Fatal("task not profiled")
 	}
 	var sum des.Time
-	for j := 0; j < task.NumStages(); j++ {
+	for j := 0; j < len(task.Stages); j++ {
 		if task.StageWCET(j) <= 0 {
 			t.Errorf("stage %d WCET %v", j, task.StageWCET(j))
 		}
@@ -137,6 +137,12 @@ func TestNetworkGainNearPaper(t *testing.T) {
 	if got >= conv {
 		t.Errorf("network gain %.2f should be below conv %.2f", got, conv)
 	}
+}
+
+// NetworkLatency measures the isolated inference latency of a whole network
+// at sms SMs (no WCET margin — this is a raw measurement).
+func (p *Profiler) NetworkLatency(g *dnn.Graph, sms int) (des.Time, error) {
+	return p.measure(&gpu.Kernel{Label: g.Name, Shares: g.WorkByClass()}, sms)
 }
 
 func TestNetworkLatencyScalesWithSMs(t *testing.T) {

@@ -222,10 +222,6 @@ func (j *Job) ResponseTime() des.Time {
 	return j.FinishedAt - j.Release
 }
 
-// Lateness reports finish − deadline (negative when early). Only meaningful
-// for completed jobs.
-func (j *Job) Lateness() des.Time { return j.FinishedAt - j.Deadline }
-
 // Label renders "τ2#17". It is String without the fmt machinery: schedulers
 // stamp every launched kernel with a label, which makes this a hot path.
 func (j *Job) Label() string { return string(j.appendLabel(make([]byte, 0, 16))) }

@@ -97,9 +97,6 @@ func NewTask(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, dea
 	}, nil
 }
 
-// NumStages reports the number of stages.
-func (t *Task) NumStages() int { return len(t.Stages) }
-
 // SetWCETs installs offline-measured per-stage WCETs and derives the virtual
 // deadlines: Dᵢʲ = Dᵢ · Cᵢʲ / Cᵢ (Section IV-A2). The split always sums to
 // exactly Dᵢ; the last stage absorbs rounding.

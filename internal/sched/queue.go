@@ -98,27 +98,12 @@ func (m *MultiLevelQueue) Len() int {
 	return m.levels[0].Len() + m.levels[1].Len() + m.levels[2].Len()
 }
 
-// LenLevel reports the queued stages at one level.
-func (m *MultiLevelQueue) LenLevel(l rt.Level) int { return m.levels[l].Len() }
-
 // Push enqueues the stage at its current level.
 func (m *MultiLevelQueue) Push(s *rt.StageJob) { m.levels[s.Level].Push(s) }
 
 // Pop removes the most urgent stage: highest non-empty level, EDF within.
 func (m *MultiLevelQueue) Pop() *rt.StageJob {
 	for l := rt.LevelHigh; l >= rt.LevelLow; l-- {
-		if s := m.levels[l].Pop(); s != nil {
-			return s
-		}
-	}
-	return nil
-}
-
-// PopAtMost removes the most urgent stage whose level does not exceed
-// maxLevel — used to keep high-priority hardware streams from draining low
-// work.
-func (m *MultiLevelQueue) PopAtMost(maxLevel, minLevel rt.Level) *rt.StageJob {
-	for l := maxLevel; l >= minLevel; l-- {
 		if s := m.levels[l].Pop(); s != nil {
 			return s
 		}

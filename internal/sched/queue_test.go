@@ -9,6 +9,20 @@ import (
 	"sgprs/internal/rt"
 )
 
+// LenLevel reports the queued stages at one level.
+func (m *MultiLevelQueue) LenLevel(l rt.Level) int { return m.levels[l].Len() }
+
+// PopAtMost removes the most urgent stage whose level lies in
+// [minLevel, maxLevel].
+func (m *MultiLevelQueue) PopAtMost(maxLevel, minLevel rt.Level) *rt.StageJob {
+	for l := maxLevel; l >= minLevel; l-- {
+		if s := m.levels[l].Pop(); s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
 // mkStage builds a standalone stage job with the given deadline and level.
 func mkStage(t testing.TB, taskID, jobIdx, stageIdx int, deadline des.Time, level rt.Level) *rt.StageJob {
 	t.Helper()

@@ -100,9 +100,6 @@ func (c Curve) Gain(n float64) float64 {
 	return c.A * n / (n + c.B)
 }
 
-// GainAtFull reports the gain with every SM of the device.
-func (c Curve) GainAtFull() float64 { return c.Gain(DeviceSMs) }
-
 // Model maps every operation class to its speedup curve.
 type Model struct {
 	curves [numClasses]Curve

@@ -54,12 +54,12 @@ func TestCurveMonotoneAndSaturating(t *testing.T) {
 			prev = g
 		}
 		c := m.Curve(cl)
-		if c.GainAtFull() >= c.A {
-			t.Errorf("%v gain at full device (%v) should be below asymptote %v", cl, c.GainAtFull(), c.A)
+		if c.Gain(DeviceSMs) >= c.A {
+			t.Errorf("%v gain at full device (%v) should be below asymptote %v", cl, c.Gain(DeviceSMs), c.A)
 		}
 		// Diminishing returns: second half of SMs adds less than the first.
 		firstHalf := m.Gain(cl, 34)
-		secondHalf := c.GainAtFull() - firstHalf
+		secondHalf := c.Gain(DeviceSMs) - firstHalf
 		if secondHalf >= firstHalf {
 			t.Errorf("%v not saturating: first 34 SMs give %v, next 34 give %v", cl, firstHalf, secondHalf)
 		}

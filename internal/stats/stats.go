@@ -1,5 +1,6 @@
-// Package stats provides the small statistical kit the metrics and report
-// layers need: online mean/variance, order statistics, and histograms.
+// Package stats provides the small statistical kit the metrics layer needs:
+// the mean and order statistics of a sample whose tail may repeat a block
+// (fast-forward replay), without expanding the repeats.
 package stats
 
 import (
@@ -8,74 +9,12 @@ import (
 	"sort"
 )
 
-// Online accumulates count, mean, and variance in one pass (Welford).
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds a value into the accumulator.
-func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		o.min = math.Min(o.min, x)
-		o.max = math.Max(o.max, x)
-	}
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += float64(d * (x - o.mean))
-}
-
-// N reports the number of samples.
-func (o *Online) N() int { return o.n }
-
-// Mean reports the sample mean (0 with no samples).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var reports the unbiased sample variance (0 with fewer than two samples).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std reports the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min reports the smallest sample (0 with no samples).
-func (o *Online) Min() float64 { return o.min }
-
-// Max reports the largest sample (0 with no samples).
-func (o *Online) Max() float64 { return o.max }
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear interpolation
-// between order statistics. It panics on an empty slice or out-of-range q —
-// both are caller bugs, not data conditions.
-func Quantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return QuantileSorted(s, q)
-}
-
-// QuantileSorted is Quantile for input already in ascending order: callers
-// that need several quantiles of one sample sort once and read many, instead
-// of paying Quantile's copy-and-sort per call. Same interpolation, same
-// panics — Quantile delegates here, so the two cannot drift.
-func QuantileSorted(s []float64, q float64) float64 {
-	return QuantileSortedRepeated(s, nil, 0, q)
-}
-
-// QuantileSortedRepeated is QuantileSorted over the multiset of rest plus m
-// further copies of block, both ascending, without building that multiset.
-// It reads the order statistics QuantileSorted would read from the sorted
-// expansion and interpolates them the same way, so the result is the same
-// float bit for bit. With m == 0 it is QuantileSorted(rest, q).
+// QuantileSortedRepeated returns the q-quantile (0 ≤ q ≤ 1) of the multiset of
+// rest plus m further copies of block, both ascending, without building that
+// multiset: linear interpolation between the order statistics of the sorted
+// expansion, so the result is the same float bit for bit. It panics on an
+// empty multiset or out-of-range q — both are caller bugs, not data
+// conditions.
 func QuantileSortedRepeated(rest, block []float64, m int, q float64) float64 {
 	n := len(rest) + m*len(block)
 	if n == 0 {
@@ -121,13 +60,11 @@ func upperBound(s []float64, v float64) int {
 	return sort.Search(len(s), func(i int) bool { return s[i] > v })
 }
 
-// Mean reports the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 { return MeanRepeated(xs, 0, 0, 0) }
-
-// MeanRepeated is Mean over xs[:cut], then m further copies of the block
-// xs[cut-n:cut], then xs[cut:], without building that sequence. It adds the
-// head in order, the copies with RepeatedSum and then the tail: the same
-// adds in the same order, so the same float bit for bit.
+// MeanRepeated reports the arithmetic mean (0 for empty input) of xs[:cut],
+// then m further copies of the block xs[cut-n:cut], then xs[cut:], without
+// building that sequence. It adds the head in order, the copies with
+// RepeatedSum and then the tail: the same adds in the same order as a plain
+// loop over the sequence, so the same float bit for bit.
 func MeanRepeated(xs []float64, cut, n, m int) float64 {
 	count := len(xs) + m*n
 	if count == 0 {

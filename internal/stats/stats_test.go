@@ -8,6 +8,68 @@ import (
 	"testing/quick"
 )
 
+// Online accumulates count, mean, and variance in one pass (Welford).
+type Online struct {
+	n    int
+	mean float64
+	m2   float64
+	min  float64
+	max  float64
+}
+
+// Add folds a value into the accumulator.
+func (o *Online) Add(x float64) {
+	if o.n == 0 {
+		o.min, o.max = x, x
+	} else {
+		o.min = math.Min(o.min, x)
+		o.max = math.Max(o.max, x)
+	}
+	o.n++
+	d := x - o.mean
+	o.mean += d / float64(o.n)
+	o.m2 += float64(d * (x - o.mean))
+}
+
+// N reports the number of samples.
+func (o *Online) N() int { return o.n }
+
+// Mean reports the sample mean (0 with no samples).
+func (o *Online) Mean() float64 { return o.mean }
+
+// Var reports the unbiased sample variance (0 with fewer than two samples).
+func (o *Online) Var() float64 {
+	if o.n < 2 {
+		return 0
+	}
+	return o.m2 / float64(o.n-1)
+}
+
+// Std reports the sample standard deviation.
+func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
+
+// Min reports the smallest sample (0 with no samples).
+func (o *Online) Min() float64 { return o.min }
+
+// Max reports the largest sample (0 with no samples).
+func (o *Online) Max() float64 { return o.max }
+
+// Quantile is QuantileSortedRepeated over a copy of xs sorted, without
+// repeats: the plain sample quantile the repeated form must reproduce.
+func Quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return QuantileSorted(s, q)
+}
+
+// QuantileSorted is Quantile for input already in ascending order.
+func QuantileSorted(s []float64, q float64) float64 {
+	return QuantileSortedRepeated(s, nil, 0, q)
+}
+
+// Mean is MeanRepeated without repeats: the plain mean.
+func Mean(xs []float64) float64 { return MeanRepeated(xs, 0, 0, 0) }
+
 func TestOnlineMoments(t *testing.T) {
 	var o Online
 	if o.N() != 0 || o.Mean() != 0 || o.Var() != 0 {

@@ -256,6 +256,11 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 	}
 }
 
+// Identical is Replicate in positional form.
+func Identical(n int, spec TaskSpec, stagger bool) []TaskSpec {
+	return Replicate(Options{Count: n, Spec: spec, Stagger: stagger})
+}
+
 // TestReplicateMatchesIdentical pins the struct-constructor refactor: the
 // positional wrapper and the Options form are interchangeable.
 func TestReplicateMatchesIdentical(t *testing.T) {

@@ -36,21 +36,7 @@ type TaskSpec struct {
 	WorkVariation float64
 }
 
-// Identical returns n copies of one spec, optionally staggering release
-// offsets evenly across the period (stagger=false reproduces the paper's
-// synchronous releases — the worst case for contention).
-//
-// A non-positive FPS cannot yield a period, so staggered offsets are only
-// derived when the rate is valid; the invalid spec itself flows through
-// unchanged for Build to reject with a proper error (rather than an Inf/NaN
-// period corrupting the offsets here, before validation ever runs).
-func Identical(n int, spec TaskSpec, stagger bool) []TaskSpec {
-	return Replicate(Options{Count: n, Spec: spec, Stagger: stagger})
-}
-
-// Options names the parameters of Replicate — the struct-constructor form
-// of Identical, for call sites where positional (n, spec, stagger) reads
-// poorly or will grow more knobs.
+// Options names the parameters of Replicate.
 type Options struct {
 	// Count is the number of task copies.
 	Count int
@@ -61,8 +47,14 @@ type Options struct {
 	Stagger bool
 }
 
-// Replicate expands the options into Count task specs; Identical is a thin
-// positional wrapper over it, and both produce identical output.
+// Replicate returns Count copies of one spec, optionally staggering release
+// offsets evenly across the period (Stagger false reproduces the paper's
+// synchronous releases — the worst case for contention).
+//
+// A non-positive FPS cannot yield a period, so staggered offsets are only
+// derived when the rate is valid; the invalid spec itself flows through
+// unchanged for Build to reject with a proper error (rather than an Inf/NaN
+// period corrupting the offsets here, before validation ever runs).
 func Replicate(o Options) []TaskSpec {
 	out := make([]TaskSpec, o.Count)
 	for i := range out {
@@ -82,7 +74,7 @@ func Replicate(o Options) []TaskSpec {
 // stage chain and wires periods, deadlines, and offsets. WCETs remain unset;
 // run the profiler before attaching a scheduler.
 //
-// Specs sharing a graph and stage count — the common Identical case —
+// Specs sharing a graph and stage count — the common Replicate case —
 // share one partition: the balanced-partition DP runs once per distinct
 // (graph, stages) pair and the resulting stage chain is handed to every
 // task. Stages are immutable after Partition (schedulers only read Shares

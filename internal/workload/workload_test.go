@@ -59,8 +59,8 @@ func TestBuild(t *testing.T) {
 		if task.ID != i {
 			t.Errorf("task %d has ID %d", i, task.ID)
 		}
-		if task.NumStages() != 6 {
-			t.Errorf("task %d has %d stages", i, task.NumStages())
+		if len(task.Stages) != 6 {
+			t.Errorf("task %d has %d stages", i, len(task.Stages))
 		}
 		if task.Period != des.FromSeconds(1.0/30) {
 			t.Errorf("task %d period %v", i, task.Period)
@@ -138,7 +138,7 @@ func TestGeneratorPeriodicReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		wcets := make([]des.Time, task.NumStages())
+		wcets := make([]des.Time, len(task.Stages))
 		for i := range wcets {
 			wcets[i] = des.Millisecond
 		}
@@ -183,7 +183,7 @@ func TestGeneratorStaggeredOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		wcets := make([]des.Time, task.NumStages())
+		wcets := make([]des.Time, len(task.Stages))
 		for i := range wcets {
 			wcets[i] = des.Millisecond
 		}
@@ -208,7 +208,7 @@ func TestReleaseJitterShiftsReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcets := make([]des.Time, tasks[0].NumStages())
+	wcets := make([]des.Time, len(tasks[0].Stages))
 	for i := range wcets {
 		wcets[i] = des.Millisecond
 	}
@@ -243,7 +243,7 @@ func TestWorkVariationStampsJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wcets := make([]des.Time, tasks[0].NumStages())
+	wcets := make([]des.Time, len(tasks[0].Stages))
 	for i := range wcets {
 		wcets[i] = des.Millisecond
 	}
@@ -319,7 +319,7 @@ func TestGeneratorStreamsAndRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		wcets := make([]des.Time, task.NumStages())
+		wcets := make([]des.Time, len(task.Stages))
 		for i := range wcets {
 			wcets[i] = des.Millisecond
 		}
