@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"sgprs"
-	"sgprs/internal/core"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
@@ -206,25 +205,6 @@ func BenchmarkAblationMediumPromotion(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationContextPolicy (A3): the paper's three-rule context
-// assignment versus single-rule baselines.
-func BenchmarkAblationContextPolicy(b *testing.B) {
-	policies := []struct {
-		name string
-		pol  int
-	}{
-		{"paper", 0}, {"shortest-queue", 1}, {"earliest-finish", 2}, {"round-robin", 3},
-	}
-	for _, p := range policies {
-		p := p
-		b.Run(p.name, func(b *testing.B) {
-			cfg := ablationBase()
-			cfg.AssignPolicy = core.AssignPolicy(p.pol)
-			runAblation(b, cfg)
-		})
-	}
-}
-
 // BenchmarkAblationStageCount (A4): pipeline granularity.
 func BenchmarkAblationStageCount(b *testing.B) {
 	for _, stages := range []int{1, 2, 3, 6, 12} {
@@ -232,21 +212,6 @@ func BenchmarkAblationStageCount(b *testing.B) {
 		b.Run(fmt.Sprintf("stages-%d", stages), func(b *testing.B) {
 			cfg := ablationBase()
 			cfg.Stages = stages
-			runAblation(b, cfg)
-		})
-	}
-}
-
-// BenchmarkAblationSwitchCost (A5): sensitivity of the naive baseline to the
-// reconfiguration cost SGPRS avoids entirely.
-func BenchmarkAblationSwitchCost(b *testing.B) {
-	for _, reconfig := range []float64{0.05, 0.3, 0.6, 1.2} {
-		reconfig := reconfig
-		b.Run(fmt.Sprintf("reconfig-%dus", int(reconfig*1000)), func(b *testing.B) {
-			cfg := ablationBase()
-			cfg.Kind = sgprs.KindNaive
-			cfg.ContextSMs = sgprs.ContextPool(3, 1.0, 68)
-			cfg.NaiveReconfigBaseMS = reconfig
 			runAblation(b, cfg)
 		})
 	}

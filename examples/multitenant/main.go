@@ -91,7 +91,7 @@ func simulate(model *speedup.Model, specs []workload.TaskSpec, pool []int, horiz
 		}
 	}
 
-	sched, err := core.New(core.DefaultConfig("sgprs-multitenant", pool))
+	sched, err := core.New(core.Config{Name: "sgprs-multitenant", ContextSMs: pool})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"sgprs/internal/fault"
 	"sgprs/internal/rt"
 	"sgprs/internal/sim"
+	"sgprs/internal/speedup"
 	"sgprs/internal/workload"
 )
 
@@ -186,6 +187,11 @@ func (e *Experiment) Normalize() error {
 			}
 			if v.OS <= 0 {
 				return fmt.Errorf("config: variant %q needs an over-subscription level", v.Name)
+			}
+		}
+		for j, sms := range v.ContextSMs {
+			if sms < 1 || sms > speedup.DeviceSMs {
+				return fmt.Errorf("config: variant %q context_sms[%d] = %d outside [1, %d], the device's SM count", v.Name, j, sms, speedup.DeviceSMs)
 			}
 		}
 	}

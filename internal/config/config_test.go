@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sgprs/internal/sim"
@@ -53,6 +54,21 @@ func TestNormalizeErrors(t *testing.T) {
 	for i, e := range cases {
 		if err := e.Normalize(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, e)
+		}
+	}
+	// A context outside the device is rejected here, naming the variant's
+	// entry, not inside a pool worker.
+	for _, tc := range []struct {
+		pool []int
+		want string
+	}{
+		{[]int{0}, `variant "x" context_sms[0] = 0 outside [1, 68]`},
+		{[]int{-4, 34}, `variant "x" context_sms[0] = -4 outside [1, 68]`},
+		{[]int{34, 100000}, `variant "x" context_sms[1] = 100000 outside [1, 68]`},
+	} {
+		e := &Experiment{Variants: []Variant{{Kind: "sgprs", Name: "x", ContextSMs: tc.pool}}}
+		if err := e.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("context_sms %v: err = %v, want one containing %q", tc.pool, err, tc.want)
 		}
 	}
 }

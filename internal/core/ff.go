@@ -20,9 +20,6 @@ import (
 // to buf and returns the extended slice. jobEnc encodes one live job (its
 // identity, per-stage state, and instants relative to the boundary).
 func (s *Scheduler) EncodeState(buf []byte, jobEnc func(buf []byte, j *rt.Job) []byte) []byte {
-	// The round-robin cursor grows without bound but is only ever read
-	// modulo the context count.
-	buf = des.AppendU64(buf, uint64(s.rrNext%len(s.ctxs)))
 	buf = des.AppendF64(buf, s.ewmaPipeMS)
 	buf = des.AppendI64(buf, int64(s.inflight))
 	for _, c := range s.ctxs {

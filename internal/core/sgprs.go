@@ -41,9 +41,6 @@ type Config struct {
 	// ContextSMs is the SM allocation of each context in the pool. The
 	// sum may exceed the device: that is over-subscription.
 	ContextSMs []int
-	// HighStreams and LowStreams are the per-context stream counts. The
-	// paper fixes them at 2 and 2.
-	HighStreams, LowStreams int
 	// DisableMediumPromotion turns off the third priority level
 	// (ablation A2 in DESIGN.md).
 	DisableMediumPromotion bool
@@ -54,64 +51,14 @@ type Config struct {
 	// partitioning discipline the naive baseline lacks. Set this for the
 	// ablation that shows the resulting domino effect.
 	DisableLateDrop bool
-	// MaxInflight caps concurrently admitted frames. Zero sizes the
-	// window by Little's law at attach time: with the device retiring at
-	// most G single-SM milliseconds of work per wall millisecond (its
-	// aggregate gain cap) and an average admitted frame costing W
-	// single-SM milliseconds, pipeline latency is ≈ in-flight·W/G, so
-	// the largest window whose admitted frames still fit a deadline D is
-	// ⌊D·G/W⌋. Admissions beyond the window are held (newest frame per
-	// task) and skipped if they go stale — that is what converts
-	// overload into skipped frames instead of a backlog of late ones.
-	MaxInflight int
-	// AssignPolicy selects the context-assignment rule (ablation A3).
-	// Default is the paper's three-rule policy.
-	AssignPolicy AssignPolicy
 	// FlattenPriorities collapses the two-level offline priority
 	// assignment into pure EDF across all stages (ablation A1): every
 	// stage queues at the low level and promotion is off.
 	FlattenPriorities bool
 }
 
-// AssignPolicy selects how released stages map to contexts.
-type AssignPolicy int
-
-// Context-assignment policies. PolicyPaper is the three-rule policy from
-// Section IV-B2; the others are ablation baselines.
-const (
-	PolicyPaper AssignPolicy = iota
-	PolicyShortestQueue
-	PolicyEarliestFinish
-	PolicyRoundRobin
-)
-
-// String names the policy.
-func (p AssignPolicy) String() string {
-	switch p {
-	case PolicyPaper:
-		return "paper"
-	case PolicyShortestQueue:
-		return "shortest-queue"
-	case PolicyEarliestFinish:
-		return "earliest-finish"
-	case PolicyRoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// DefaultConfig returns the paper's configuration over the given context
-// pool: two high- and two low-priority streams per context, medium promotion
-// on, three-rule assignment.
-func DefaultConfig(name string, contextSMs []int) Config {
-	return Config{
-		Name:        name,
-		ContextSMs:  contextSMs,
-		HighStreams: 2,
-		LowStreams:  2,
-	}
-}
+// Every pool context runs the paper's two high- and two low-priority streams.
+const highStreams, lowStreams = 2, 2
 
 // ctxState is the scheduler's bookkeeping for one pool context.
 type ctxState struct {
@@ -137,8 +84,6 @@ type Scheduler struct {
 	dev   *gpu.Device
 	ctxs  []*ctxState
 	tasks []*rt.Task // admission-ordered attach set (EvictAll iteration order)
-
-	rrNext int // round-robin cursor (ablation policy)
 
 	// Per-task frame flow control: each task pipelines one frame at a
 	// time. active is the job currently in the stage pipeline; held is
@@ -191,9 +136,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if len(cfg.ContextSMs) == 0 {
 		return nil, fmt.Errorf("core: config needs at least one context")
 	}
-	if cfg.HighStreams < 0 || cfg.LowStreams < 0 || cfg.HighStreams+cfg.LowStreams == 0 {
-		return nil, fmt.Errorf("core: need at least one stream per context")
-	}
 	return &Scheduler{
 		cfg:    cfg,
 		active: map[int]*rt.Job{},
@@ -228,31 +170,31 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 	}
 	s.eng = eng
 	s.dev = dev
-	s.maxInflight = s.cfg.MaxInflight
-	if s.maxInflight == 0 {
-		// Little's-law sizing (see Config.MaxInflight): the widest
-		// admission window whose frames still fit the tightest
-		// deadline, floored at the pool's hardware concurrency.
-		minDeadlineMS := 0.0
-		avgWorkMS := 0.0
-		for _, t := range tasks {
-			d := float64(t.Deadline) / float64(des.Millisecond)
-			if minDeadlineMS == 0 || d < minDeadlineMS {
-				minDeadlineMS = d
-			}
-			avgWorkMS += t.Graph.TotalWorkMS()
+	// Little's-law sizing of the admission window: with the device
+	// retiring at most G single-SM milliseconds of work per wall
+	// millisecond (its aggregate gain cap) and an average admitted frame
+	// costing W single-SM milliseconds, pipeline latency is
+	// ≈ in-flight·W/G, so the widest window whose admitted frames still
+	// fit the tightest deadline D is ⌊D·G/W⌋, floored at the pool's
+	// hardware concurrency. Admissions beyond the window are held (newest
+	// frame per task) and skipped if they go stale — that is what
+	// converts overload into skipped frames instead of a backlog of late
+	// ones.
+	minDeadlineMS := 0.0
+	avgWorkMS := 0.0
+	for _, t := range tasks {
+		d := float64(t.Deadline) / float64(des.Millisecond)
+		if minDeadlineMS == 0 || d < minDeadlineMS {
+			minDeadlineMS = d
 		}
-		avgWorkMS /= float64(len(tasks))
-		if avgWorkMS > 0 {
-			s.maxInflight = int(minDeadlineMS * dev.Config().AggregateGainCap / avgWorkMS)
-		}
-		streams := (s.cfg.HighStreams + s.cfg.LowStreams) * len(s.cfg.ContextSMs)
-		if s.maxInflight < streams {
-			s.maxInflight = streams
-		}
+		avgWorkMS += t.Graph.TotalWorkMS()
 	}
-	if s.maxInflight < 1 {
-		s.maxInflight = 1
+	avgWorkMS /= float64(len(tasks))
+	if avgWorkMS > 0 {
+		s.maxInflight = int(minDeadlineMS * dev.Config().AggregateGainCap / avgWorkMS)
+	}
+	if streams := (highStreams + lowStreams) * len(s.cfg.ContextSMs); s.maxInflight < streams {
+		s.maxInflight = streams
 	}
 	s.tasks = tasks
 	s.doneFn = s.kernelDone
@@ -262,10 +204,10 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 		if err != nil {
 			return fmt.Errorf("core: context pool: %w", err)
 		}
-		for h := 0; h < s.cfg.HighStreams; h++ {
+		for h := range highStreams {
 			ctx.AddStream(fmt.Sprintf("hi%d", h), gpu.HighPriority)
 		}
-		for l := 0; l < s.cfg.LowStreams; l++ {
+		for l := range lowStreams {
 			ctx.AddStream(fmt.Sprintf("lo%d", l), gpu.LowPriority)
 		}
 		c := &ctxState{ctx: ctx}
@@ -326,19 +268,6 @@ func (s *Scheduler) enqueue(st *rt.StageJob, now des.Time) {
 
 // assign picks the context for a ready stage.
 func (s *Scheduler) assign(st *rt.StageJob, now des.Time) *ctxState {
-	switch s.cfg.AssignPolicy {
-	case PolicyShortestQueue:
-		return s.pickShortestQueue()
-	case PolicyEarliestFinish:
-		return s.pickEarliestFinish()
-	case PolicyRoundRobin:
-		c := s.ctxs[s.rrNext%len(s.ctxs)]
-		s.rrNext++
-		return c
-	case PolicyPaper:
-		// Falls out to the paper rules below — shared with any policy
-		// value Config validation did not catch.
-	}
 	// The paper's three rules, in order.
 	// Rule 1: empty queues first.
 	var empty *ctxState
@@ -369,20 +298,6 @@ func (s *Scheduler) assign(st *rt.StageJob, now des.Time) *ctxState {
 		return meet
 	}
 	// Rule 3: earliest estimated finish time.
-	return s.pickEarliestFinish()
-}
-
-func (s *Scheduler) pickShortestQueue() *ctxState {
-	best := s.ctxs[0]
-	for _, c := range s.ctxs[1:] {
-		if c.queueLen() < best.queueLen() {
-			best = c
-		}
-	}
-	return best
-}
-
-func (s *Scheduler) pickEarliestFinish() *ctxState {
 	best := s.ctxs[0]
 	for _, c := range s.ctxs[1:] {
 		if c.pendingWCET < best.pendingWCET {

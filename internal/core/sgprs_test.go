@@ -78,29 +78,38 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Name: "x"}); err == nil {
 		t.Error("contextless config accepted")
 	}
-	if _, err := New(Config{Name: "x", ContextSMs: []int{34}}); err == nil {
-		t.Error("streamless config accepted")
-	}
-	if _, err := New(Config{Name: "x", ContextSMs: []int{34}, HighStreams: -1, LowStreams: 3}); err == nil {
-		t.Error("negative stream count accepted")
-	}
-	if _, err := New(DefaultConfig("ok", []int{34, 34})); err != nil {
+	if _, err := New(Config{Name: "ok", ContextSMs: []int{34, 34}}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
 
+// TestDefaultConfigMatchesPaper: a config naming only its pool runs the
+// paper's layout — two high- then two low-priority streams per context, the
+// creation order dispatch visits them in — with medium promotion on.
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := DefaultConfig("x", []int{34, 34})
-	if cfg.HighStreams != 2 || cfg.LowStreams != 2 {
-		t.Errorf("streams = %d/%d, want paper's 2/2", cfg.HighStreams, cfg.LowStreams)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{34, 34}}, 1)
+	want := []struct {
+		name string
+		prio gpu.Priority
+	}{{"hi0", gpu.HighPriority}, {"hi1", gpu.HighPriority}, {"lo0", gpu.LowPriority}, {"lo1", gpu.LowPriority}}
+	for _, c := range r.dev.Contexts() {
+		streams := c.Streams()
+		if len(streams) != len(want) {
+			t.Fatalf("%v has %d streams, want the paper's 2+2", c, len(streams))
+		}
+		for i, w := range want {
+			if streams[i].Name() != w.name || streams[i].Priority() != w.prio {
+				t.Errorf("%v stream %d = %s/%v, want %s/%v", c, i, streams[i].Name(), streams[i].Priority(), w.name, w.prio)
+			}
+		}
 	}
-	if cfg.DisableMediumPromotion || cfg.AssignPolicy != PolicyPaper {
-		t.Error("default must enable promotion and the paper policy")
+	if r.sched.cfg.DisableMediumPromotion {
+		t.Error("default must enable promotion")
 	}
 }
 
 func TestAttachBuildsContextPool(t *testing.T) {
-	r := newRig(t, DefaultConfig("sgprs", []int{34, 34}), 1)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{34, 34}}, 1)
 	ctxs := r.dev.Contexts()
 	if len(ctxs) != 2 {
 		t.Fatalf("contexts = %d", len(ctxs))
@@ -109,26 +118,15 @@ func TestAttachBuildsContextPool(t *testing.T) {
 		if c.SMs() != 34 {
 			t.Errorf("%v SMs = %d", c, c.SMs())
 		}
-		var hi, lo int
-		for _, s := range c.Streams() {
-			if s.Priority() == gpu.HighPriority {
-				hi++
-			} else {
-				lo++
-			}
-		}
-		if hi != 2 || lo != 2 {
-			t.Errorf("%v has %d high / %d low streams, want 2/2", c, hi, lo)
-		}
 	}
 }
 
 func TestAttachErrors(t *testing.T) {
-	r := newRig(t, DefaultConfig("sgprs", []int{34}), 1)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{34}}, 1)
 	if err := r.sched.Attach(r.eng, r.dev, r.tasks); err == nil {
 		t.Error("double attach accepted")
 	}
-	s, _ := New(DefaultConfig("x", []int{34}))
+	s, _ := New(Config{Name: "x", ContextSMs: []int{34}})
 	if err := s.Attach(des.NewEngine(), r.dev, nil); err == nil {
 		t.Error("attach with no tasks accepted")
 	}
@@ -136,12 +134,12 @@ func TestAttachErrors(t *testing.T) {
 	g := dnn.TinyCNN(dnn.DefaultCostModel())
 	stages, _ := dnn.Partition(g, 2)
 	task, _ := rt.NewTask(0, "t", g, stages, des.Second, des.Second, 0)
-	s2, _ := New(DefaultConfig("y", []int{34}))
+	s2, _ := New(Config{Name: "y", ContextSMs: []int{34}})
 	if err := s2.Attach(des.NewEngine(), r.dev, []*rt.Task{task}); err == nil {
 		t.Error("unprofiled task accepted")
 	}
 	// Context larger than the device.
-	s3, _ := New(DefaultConfig("z", []int{999}))
+	s3, _ := New(Config{Name: "z", ContextSMs: []int{999}})
 	eng := des.NewEngine()
 	dev, _ := gpu.NewDevice(eng, speedup.DefaultModel(), gpu.DefaultConfig())
 	if err := s3.Attach(eng, dev, r.tasks); err == nil {
@@ -150,7 +148,7 @@ func TestAttachErrors(t *testing.T) {
 }
 
 func TestSingleJobMeetsDeadline(t *testing.T) {
-	r := newRig(t, DefaultConfig("sgprs", []int{34, 34}), 1)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{34, 34}}, 1)
 	task := r.tasks[0]
 	job := task.NewJob(0, 0)
 	r.sched.OnRelease(job, 0)
@@ -175,7 +173,7 @@ func TestSingleJobMeetsDeadline(t *testing.T) {
 }
 
 func TestStagesOfOneJobChainSequentially(t *testing.T) {
-	r := newRig(t, DefaultConfig("sgprs", []int{68}), 1)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{68}}, 1)
 	job := r.tasks[0].NewJob(0, 0)
 	r.sched.OnRelease(job, 0)
 	r.eng.Run()
@@ -188,7 +186,7 @@ func TestStagesOfOneJobChainSequentially(t *testing.T) {
 }
 
 func TestEmptyQueueRulePrefersLargestEmptyContext(t *testing.T) {
-	cfg := DefaultConfig("sgprs", []int{20, 51})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{20, 51}}
 	r := newRig(t, cfg, 1)
 	job := r.tasks[0].NewJob(0, 0)
 	r.sched.OnRelease(job, 0)
@@ -206,7 +204,7 @@ func TestEmptyQueueRulePrefersLargestEmptyContext(t *testing.T) {
 
 func TestMediumPromotionHappens(t *testing.T) {
 	// Overload a tiny context pool so predecessors run late.
-	cfg := DefaultConfig("sgprs", []int{10})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	r := newRig(t, cfg, 22)
 	var finished kernelCount
 	r.dev.SetObserver(&finished)
@@ -220,7 +218,7 @@ func TestMediumPromotionHappens(t *testing.T) {
 }
 
 func TestMediumPromotionCanBeDisabled(t *testing.T) {
-	cfg := DefaultConfig("sgprs", []int{10})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	cfg.DisableMediumPromotion = true
 	r := newRig(t, cfg, 22)
 	var finished kernelCount
@@ -235,7 +233,7 @@ func TestMediumPromotionCanBeDisabled(t *testing.T) {
 }
 
 func TestFrameReplacementUnderOverload(t *testing.T) {
-	cfg := DefaultConfig("sgprs", []int{10})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	r := newRig(t, cfg, 20)
 	// Release three periods of jobs for every task at once; the pipeline
 	// depth bound must replace stale held frames.
@@ -256,7 +254,7 @@ func TestFrameReplacementUnderOverload(t *testing.T) {
 }
 
 func TestLittleLawWindowSizing(t *testing.T) {
-	r := newRig(t, DefaultConfig("sgprs", []int{34, 34}), 1)
+	r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{34, 34}}, 1)
 	// Window = deadline · aggCap / jobWork ≈ 33.3 · 23.3 / (1.40·gain).
 	g := dnn.ResNet18(dnn.DefaultCostModel())
 	dnn.Calibrate(g, speedup.DefaultModel(), speedup.DeviceSMs, 1.40)
@@ -265,19 +263,12 @@ func TestLittleLawWindowSizing(t *testing.T) {
 	if got < wantApprox-1.5 || got > wantApprox+0.5 {
 		t.Errorf("maxInflight = %v, want ≈ %.1f", got, wantApprox)
 	}
-	// Explicit override wins.
-	cfg := DefaultConfig("sgprs", []int{34, 34})
-	cfg.MaxInflight = 7
-	r2 := newRig(t, cfg, 1)
-	if r2.sched.maxInflight != 7 {
-		t.Errorf("override maxInflight = %d, want 7", r2.sched.maxInflight)
-	}
 }
 
 func TestSustainedThroughputUnderOverload(t *testing.T) {
 	// The headline SGPRS property: past the pivot, completions per second
 	// hold near the window bound instead of collapsing.
-	cfg := DefaultConfig("sgprs", []int{34, 34})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{34, 34}}
 	r := newRig(t, cfg, 30)
 	var jobs []*rt.Job
 	for _, task := range r.tasks {
@@ -310,47 +301,15 @@ func TestSustainedThroughputUnderOverload(t *testing.T) {
 	}
 }
 
-func TestAssignPolicies(t *testing.T) {
-	for _, pol := range []AssignPolicy{PolicyPaper, PolicyShortestQueue, PolicyEarliestFinish, PolicyRoundRobin} {
-		cfg := DefaultConfig("sgprs", []int{34, 34})
-		cfg.AssignPolicy = pol
-		r := newRig(t, cfg, 4)
-		var finished kernelCount
-		r.dev.SetObserver(&finished)
-		for _, task := range r.tasks {
-			r.sched.OnRelease(task.NewJob(0, 0), 0)
-		}
-		r.eng.Run()
-		if got := finished; got != 4*6 {
-			t.Errorf("policy %v completed %d kernels, want 24", pol, got)
-		}
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	names := map[AssignPolicy]string{
-		PolicyPaper:          "paper",
-		PolicyShortestQueue:  "shortest-queue",
-		PolicyEarliestFinish: "earliest-finish",
-		PolicyRoundRobin:     "round-robin",
-		AssignPolicy(9):      "policy(9)",
-	}
-	for p, want := range names {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
-		}
-	}
-}
-
 func TestName(t *testing.T) {
-	s, _ := New(DefaultConfig("sgprs-1.5x", []int{34}))
+	s, _ := New(Config{Name: "sgprs-1.5x", ContextSMs: []int{34}})
 	if s.Name() != "sgprs-1.5x" {
 		t.Errorf("Name = %q", s.Name())
 	}
 }
 
 func TestZeroMissesAtLightLoad(t *testing.T) {
-	cfg := DefaultConfig("sgprs", []int{34, 34})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{34, 34}}
 	r := newRig(t, cfg, 8)
 	var jobs []*rt.Job
 	for _, task := range r.tasks {
@@ -379,7 +338,7 @@ func TestZeroMissesAtLightLoad(t *testing.T) {
 }
 
 func TestFlattenPrioritiesPureEDF(t *testing.T) {
-	cfg := DefaultConfig("sgprs", []int{10})
+	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	cfg.FlattenPriorities = true
 	r := newRig(t, cfg, 22)
 	var finished kernelCount
@@ -399,7 +358,7 @@ func TestFlattenPrioritiesPureEDF(t *testing.T) {
 
 func TestWorkScaleStretchesExecution(t *testing.T) {
 	run := func(scale float64) des.Time {
-		r := newRig(t, DefaultConfig("sgprs", []int{68}), 1)
+		r := newRig(t, Config{Name: "sgprs", ContextSMs: []int{68}}, 1)
 		job := r.tasks[0].NewJob(0, 0)
 		job.WorkScale = scale
 		r.sched.OnRelease(job, 0)

@@ -313,24 +313,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-// Intn returns a uniform value in [0, n), a test-input draw for the property
-// tests. It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("des: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-func TestRNGIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	NewRNG(1).Intn(0)
-}
-
 // Property: events always fire in non-decreasing time order, whatever the
 // scheduling order.
 func TestEngineOrderProperty(t *testing.T) {

@@ -179,7 +179,7 @@ func TestArrivalAxisValidation(t *testing.T) {
 // enumerated, and axes render with their value ranges.
 func TestAxisStringAndKinds(t *testing.T) {
 	kinds := Kinds()
-	if len(kinds) != 12 {
+	if len(kinds) != 11 {
 		t.Fatalf("Kinds() lists %d kinds", len(kinds))
 	}
 	seen := map[string]bool{}

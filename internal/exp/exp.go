@@ -48,7 +48,6 @@ const (
 	AxisRate
 	AxisArrival
 	AxisFaultRate
-	AxisDegradation
 	AxisDevices
 	AxisPlacement
 )
@@ -59,7 +58,7 @@ func Kinds() []AxisKind {
 	return []AxisKind{
 		AxisTasks, AxisOverSub, AxisFPS, AxisJitterMS,
 		AxisWorkVar, AxisHorizonSec, AxisRate, AxisArrival,
-		AxisFaultRate, AxisDegradation, AxisDevices, AxisPlacement,
+		AxisFaultRate, AxisDevices, AxisPlacement,
 	}
 }
 
@@ -84,8 +83,6 @@ func (k AxisKind) String() string {
 		return "arrival"
 	case AxisFaultRate:
 		return "fault-rate"
-	case AxisDegradation:
-		return "degradation-sms"
 	case AxisDevices:
 		return "devices"
 	case AxisPlacement:
@@ -117,8 +114,6 @@ func (k AxisKind) key() string {
 		return "arr"
 	case AxisFaultRate:
 		return "fr"
-	case AxisDegradation:
-		return "deg"
 	case AxisDevices:
 		return "dev"
 	case AxisPlacement:
@@ -314,10 +309,6 @@ func (a Axis) validate(spec string) error {
 		case AxisFaultRate:
 			if !(v >= 0 && v <= 1) {
 				bad = "must be a probability in [0,1]"
-			}
-		case AxisDegradation:
-			if v != math.Trunc(v) || v < 1 {
-				bad = "must be an integer SM count >= 1"
 			}
 		case AxisDevices:
 			if v != math.Trunc(v) || v < 1 {
@@ -603,15 +594,6 @@ func applyAxis(cfg *sim.RunConfig, a Axis, idx int) error {
 			fc.Transient = &fault.Transient{}
 		}
 		fc.Transient.Prob = a.Values[idx]
-		cfg.Faults = fc
-	case AxisDegradation:
-		if cfg.Faults == nil || len(cfg.Faults.Degradation) == 0 {
-			return fmt.Errorf("%s axis needs degradation windows on the variant (set RunConfig.Faults.Degradation)", a.Kind)
-		}
-		fc := cfg.Faults.Clone()
-		for i := range fc.Degradation {
-			fc.Degradation[i].SMs = int(a.Values[idx])
-		}
 		cfg.Faults = fc
 	case AxisDevices:
 		cfg.Devices = int(a.Values[idx])

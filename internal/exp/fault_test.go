@@ -6,25 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"sgprs/internal/fault"
 	"sgprs/internal/runner"
 )
 
-// DegradationSMs sweeps the degraded capacity: each value overwrites the SM
-// count of every degradation window of the variant's fault configuration.
-// The variant must carry at least one window in Faults.Degradation — the
-// axis sweeps how deep the dip goes, the template says when it happens;
-// Compile rejects the combination otherwise.
-func DegradationSMs(sms ...int) Axis {
-	vs := make([]float64, len(sms))
-	for i, n := range sms {
-		vs[i] = float64(n)
-	}
-	return Axis{Kind: AxisDegradation, Values: vs}
-}
-
 // faultSmokeSpec shrinks the fault-resilience builtin to a fast grid: the
-// same four variants and both fault axes' machinery, but two rates, two task
+// same four variants and the fault-rate axis's machinery, but two rates, two task
 // counts, and a two-second horizon.
 func faultSmokeSpec(t *testing.T) *Spec {
 	t.Helper()
@@ -68,15 +54,12 @@ func TestFaultResilienceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultAxesValidate pins the fault axes' rejection surface and the
+// TestFaultAxesValidate pins the fault-rate axis's rejection surface and the
 // clone-before-mutate discipline: expanding a fault-rate axis must not write
 // through to the variant's shared Config.
 func TestFaultAxesValidate(t *testing.T) {
 	if err := FaultRate(0, 1.5).validate("t"); err == nil || !strings.Contains(err.Error(), "probability") {
 		t.Errorf("FaultRate(1.5) validate = %v", err)
-	}
-	if err := DegradationSMs(0).validate("t"); err == nil || !strings.Contains(err.Error(), "SM count") {
-		t.Errorf("DegradationSMs(0) validate = %v", err)
 	}
 	spec := faultSmokeSpec(t)
 	before := spec.Variants[0].Faults.Clone()
@@ -85,24 +68,5 @@ func TestFaultAxesValidate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, spec.Variants[0].Faults) {
 		t.Errorf("compiling mutated the variant's fault config: %+v", spec.Variants[0].Faults)
-	}
-
-	// A degradation axis over a variant with no windows has nothing to
-	// scale — compiling must fail loudly, not silently produce a no-op.
-	spec.Axes = []Axis{DegradationSMs(10, 20)}
-	if _, err := spec.Compile(); err == nil || !strings.Contains(err.Error(), "degradation windows") {
-		t.Errorf("degradation axis without windows: Compile = %v", err)
-	}
-	spec.Variants = spec.Variants[:1]
-	spec.Variants[0].Faults = &fault.Config{Degradation: []fault.Window{{StartSec: 0.5, EndSec: 1, SMs: 40}}}
-	c, err := spec.Compile()
-	if err != nil {
-		t.Fatalf("degradation axis with windows: %v", err)
-	}
-	if c.Jobs[0].Config.Faults.Degradation[0].SMs != 10 {
-		t.Errorf("axis did not stamp the window SM count: %+v", c.Jobs[0].Config.Faults.Degradation)
-	}
-	if spec.Variants[0].Faults.Degradation[0].SMs != 40 {
-		t.Errorf("axis wrote through to the variant: %+v", spec.Variants[0].Faults.Degradation)
 	}
 }

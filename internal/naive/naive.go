@@ -36,28 +36,18 @@ type Config struct {
 	// ContextSMs is the SM allocation per partition (no over-subscription
 	// in the naive design: partitions tile the device).
 	ContextSMs []int
-	// SyncOverheadMS is the host-side synchronisation gap per operation
-	// launch, in milliseconds. Whole-network execution pays it for every
-	// operation of the graph.
-	SyncOverheadMS float64
-	// ReconfigBaseMS is the fixed cost of switching a partition to a
-	// different resident model.
-	ReconfigBaseMS float64
-	// ReconfigPerResidentMS is the additional switch cost per extra model
-	// resident on the same partition (working-set thrash).
-	ReconfigPerResidentMS float64
 }
 
-// DefaultConfig returns the calibrated baseline over the given partitions.
-func DefaultConfig(name string, contextSMs []int) Config {
-	return Config{
-		Name:                  name,
-		ContextSMs:            contextSMs,
-		SyncOverheadMS:        0.012, // 12 µs per synchronous op launch
-		ReconfigBaseMS:        0.30,
-		ReconfigPerResidentMS: 0.03,
-	}
-}
+// The calibrated baseline costs, in milliseconds. Whole-network execution
+// pays syncOverheadMS, the host-side synchronisation gap per operation
+// launch, for every operation of the graph. Switching a partition to a
+// different resident model costs reconfigBaseMS plus reconfigPerResidentMS
+// per extra model resident on the same partition (working-set thrash).
+const (
+	syncOverheadMS        = 0.012 // 12 µs per synchronous op launch
+	reconfigBaseMS        = 0.30
+	reconfigPerResidentMS = 0.03
+)
 
 // partition is one static spatial partition.
 type partition struct {
@@ -97,9 +87,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if len(cfg.ContextSMs) == 0 {
 		return nil, fmt.Errorf("naive: config needs at least one partition")
-	}
-	if cfg.SyncOverheadMS < 0 || cfg.ReconfigBaseMS < 0 || cfg.ReconfigPerResidentMS < 0 {
-		return nil, fmt.Errorf("naive: overheads must be non-negative")
 	}
 	return &Scheduler{cfg: cfg, homes: map[int]*partition{}}, nil
 }
@@ -152,10 +139,10 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 		st.MarkReady(now)
 	}
 
-	fixed := float64(s.cfg.SyncOverheadMS * float64(len(job.Task.Graph.Ops)))
+	fixed := float64(syncOverheadMS * float64(len(job.Task.Graph.Ops)))
 	if p.lastTask != job.Task.ID {
-		fixed += s.cfg.ReconfigBaseMS +
-			float64(s.cfg.ReconfigPerResidentMS*float64(len(p.tasks)-1))
+		fixed += reconfigBaseMS +
+			float64(reconfigPerResidentMS*float64(len(p.tasks)-1))
 		s.reconfigs++
 	}
 	p.lastTask = job.Task.ID

@@ -1,6 +1,7 @@
 package naive
 
 import (
+	"math"
 	"testing"
 
 	"sgprs/internal/des"
@@ -56,18 +57,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Name: "x"}); err == nil {
 		t.Error("partitionless config accepted")
 	}
-	bad := DefaultConfig("x", []int{34})
-	bad.SyncOverheadMS = -1
-	if _, err := New(bad); err == nil {
-		t.Error("negative overhead accepted")
-	}
-	if _, err := New(DefaultConfig("naive", []int{34, 34})); err != nil {
+	if _, err := New(Config{Name: "naive", ContextSMs: []int{34, 34}}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
 
 func TestStaticPinningRoundRobin(t *testing.T) {
-	_, dev, s, tasks := newRig(t, DefaultConfig("naive", []int{34, 34}), 5)
+	_, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{34, 34}}, 5)
 	if len(dev.Contexts()) != 2 {
 		t.Fatalf("partitions = %d", len(dev.Contexts()))
 	}
@@ -92,7 +88,7 @@ func (c *kernelCount) KernelStarted(*gpu.Kernel, des.Time)  {}
 func (c *kernelCount) KernelFinished(*gpu.Kernel, des.Time) { *c++ }
 
 func TestWholeNetworkExecution(t *testing.T) {
-	eng, dev, s, tasks := newRig(t, DefaultConfig("naive", []int{34, 34}), 1)
+	eng, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{34, 34}}, 1)
 	var finished kernelCount
 	dev.SetObserver(&finished)
 	job := tasks[0].NewJob(0, 0)
@@ -113,28 +109,60 @@ func TestWholeNetworkExecution(t *testing.T) {
 	}
 }
 
+// fixedLog is a gpu.Observer recording each started kernel's fixed cost.
+type fixedLog []float64
+
+func (l *fixedLog) KernelStarted(k *gpu.Kernel, _ des.Time) { *l = append(*l, k.FixedMS) }
+func (l *fixedLog) KernelFinished(*gpu.Kernel, des.Time)    {}
+
+// TestSequentialExecutionOverheadSlowsInference: a whole-network job finishes
+// later than the same work launched with no fixed cost by exactly its fixed
+// cost — the graph's op count × 12 µs of synchronous launches plus the cold
+// partition's 0.30 ms switch.
 func TestSequentialExecutionOverheadSlowsInference(t *testing.T) {
-	run := func(sync float64) des.Time {
-		cfg := DefaultConfig("naive", []int{68})
-		cfg.SyncOverheadMS = sync
-		eng, _, s, tasks := newRig(t, cfg, 1)
-		job := tasks[0].NewJob(0, 0)
-		s.OnRelease(job, 0)
-		eng.Run()
-		return job.FinishedAt
+	eng, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{68}}, 1)
+	var fixed fixedLog
+	dev.SetObserver(&fixed)
+	job := tasks[0].NewJob(0, 0)
+	s.OnRelease(job, 0)
+	eng.Run()
+	ops := float64(len(tasks[0].Graph.Ops))
+	want := float64(0.012*ops) + 0.30
+	if len(fixed) != 1 || fixed[0] != want {
+		t.Fatalf("fixed costs = %v, want [%v]", fixed, want)
 	}
-	fast := run(0)
-	slow := run(0.05)
-	// 71 ops × 50 µs ≈ 3.55 ms extra.
-	extra := (slow - fast).Milliseconds()
-	if extra < 3 || extra > 4.5 {
-		t.Errorf("sync overhead added %.2f ms, want ~3.5", extra)
+
+	// The same work as one kernel without fixed cost on an identical device.
+	refEng := des.NewEngine()
+	refDev, err := gpu.NewDevice(refEng, speedup.DefaultModel(), gpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := refDev.CreateContext("ref", 68)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refDone des.Time
+	k := refDev.NewKernel()
+	k.Label = "ref"
+	k.Shares = tasks[0].Graph.WorkByClass()
+	k.OnDone = func(_ *gpu.Kernel, now des.Time) { refDone = now }
+	ctx.AddStream("s0", gpu.LowPriority).Submit(k)
+	refEng.Run()
+	if extra := (job.FinishedAt - refDone).Milliseconds(); math.Abs(extra-want) > 1e-5 {
+		t.Errorf("fixed cost added %.6f ms, want %.6f", extra, want)
 	}
 }
 
+// TestReconfigurationCostOnTaskSwitch: a partition switching to a different
+// resident model pays 0.30 ms plus 0.03 ms per other resident model, on top
+// of the per-op synchronisation; running the same model again pays only the
+// latter.
 func TestReconfigurationCostOnTaskSwitch(t *testing.T) {
-	cfg := DefaultConfig("naive", []int{68})
-	eng, _, s, tasks := newRig(t, cfg, 2) // both tasks share one partition
+	cfg := Config{Name: "naive", ContextSMs: []int{68}}
+	eng, dev, s, tasks := newRig(t, cfg, 2) // both tasks share one partition
+	var fixed fixedLog
+	dev.SetObserver(&fixed)
 	// Alternate releases: every job switches the resident model.
 	j0 := tasks[0].NewJob(0, 0)
 	j1 := tasks[1].NewJob(0, 0)
@@ -144,20 +172,30 @@ func TestReconfigurationCostOnTaskSwitch(t *testing.T) {
 	if s.Reconfigurations() != 2 {
 		t.Errorf("reconfigurations = %d, want 2 (cold + switch)", s.Reconfigurations())
 	}
+	sync := float64(0.012 * float64(len(tasks[0].Graph.Ops)))
+	switched := sync + (0.30 + float64(0.03*(2-1)))
+	if len(fixed) != 2 || fixed[0] != switched || fixed[1] != switched {
+		t.Errorf("fixed costs = %v, want [%v %v]", fixed, switched, switched)
+	}
 	// Same task twice: only the first pays.
-	eng2, _, s2, tasks2 := newRig(t, cfg, 2)
+	eng2, dev2, s2, tasks2 := newRig(t, cfg, 2)
+	fixed = nil
+	dev2.SetObserver(&fixed)
 	s2.OnRelease(tasks2[0].NewJob(0, 0), 0)
 	s2.OnRelease(tasks2[0].NewJob(1, 0), 0)
 	eng2.Run()
 	if s2.Reconfigurations() != 1 {
 		t.Errorf("reconfigurations = %d, want 1", s2.Reconfigurations())
 	}
+	if len(fixed) != 2 || fixed[0] != switched || fixed[1] != sync {
+		t.Errorf("fixed costs = %v, want [%v %v]", fixed, switched, sync)
+	}
 }
 
 func TestDominoEffectUnderOverload(t *testing.T) {
 	// FIFO with no temporal partitioning: once saturated, every
 	// subsequent job of the backlog misses — the paper's domino effect.
-	cfg := DefaultConfig("naive", []int{34, 34})
+	cfg := Config{Name: "naive", ContextSMs: []int{34, 34}}
 	eng, _, s, tasks := newRig(t, cfg, 24)
 	var jobs []*rt.Job
 	for _, task := range tasks {
@@ -197,11 +235,11 @@ func TestDominoEffectUnderOverload(t *testing.T) {
 }
 
 func TestAttachErrors(t *testing.T) {
-	eng, dev, s, tasks := newRig(t, DefaultConfig("naive", []int{34}), 1)
+	eng, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{34}}, 1)
 	if err := s.Attach(eng, dev, tasks); err == nil {
 		t.Error("double attach accepted")
 	}
-	s2, _ := New(DefaultConfig("naive", []int{999}))
+	s2, _ := New(Config{Name: "naive", ContextSMs: []int{999}})
 	eng2 := des.NewEngine()
 	dev2, _ := gpu.NewDevice(eng2, speedup.DefaultModel(), gpu.DefaultConfig())
 	if err := s2.Attach(eng2, dev2, tasks); err == nil {
@@ -210,7 +248,7 @@ func TestAttachErrors(t *testing.T) {
 }
 
 func TestOnReleaseUnknownTaskPanics(t *testing.T) {
-	_, _, s, tasks := newRig(t, DefaultConfig("naive", []int{34}), 1)
+	_, _, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{34}}, 1)
 	g := dnn.TinyCNN(dnn.DefaultCostModel())
 	stages, _ := dnn.Partition(g, 2)
 	alien, _ := rt.NewTask(99, "alien", g, stages, des.Second, des.Second, 0)
@@ -225,7 +263,7 @@ func TestOnReleaseUnknownTaskPanics(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	s, _ := New(DefaultConfig("naive", []int{34}))
+	s, _ := New(Config{Name: "naive", ContextSMs: []int{34}})
 	if s.Name() != "naive" {
 		t.Errorf("Name = %q", s.Name())
 	}

@@ -12,17 +12,6 @@ import (
 // LenLevel reports the queued stages at one level.
 func (m *MultiLevelQueue) LenLevel(l rt.Level) int { return m.levels[l].Len() }
 
-// PopAtMost removes the most urgent stage whose level lies in
-// [minLevel, maxLevel].
-func (m *MultiLevelQueue) PopAtMost(maxLevel, minLevel rt.Level) *rt.StageJob {
-	for l := maxLevel; l >= minLevel; l-- {
-		if s := m.levels[l].Pop(); s != nil {
-			return s
-		}
-	}
-	return nil
-}
-
 // mkStage builds a standalone stage job with the given deadline and level.
 func mkStage(t testing.TB, taskID, jobIdx, stageIdx int, deadline des.Time, level rt.Level) *rt.StageJob {
 	t.Helper()
@@ -129,26 +118,6 @@ func TestMultiLevelQueuePriorityOrder(t *testing.T) {
 	}
 	if m.Pop() != nil {
 		t.Error("empty multilevel pop should be nil")
-	}
-}
-
-func TestMultiLevelQueuePopAtMost(t *testing.T) {
-	var m MultiLevelQueue
-	hi := mkStage(t, 0, 0, 3, des.FromMillis(5), rt.LevelHigh)
-	lo := mkStage(t, 1, 0, 0, des.FromMillis(5), rt.LevelLow)
-	m.Push(hi)
-	m.Push(lo)
-	// A pop capped below high must skip the high stage.
-	if got := m.PopAtMost(rt.LevelMedium, rt.LevelLow); got != lo {
-		t.Fatalf("PopAtMost(medium,low) = %v, want low stage", got)
-	}
-	// A pop floored above low must not return low stages.
-	m.Push(lo)
-	if got := m.PopAtMost(rt.LevelHigh, rt.LevelMedium); got != hi {
-		t.Fatalf("PopAtMost(high,medium) = %v, want high stage", got)
-	}
-	if got := m.PopAtMost(rt.LevelHigh, rt.LevelMedium); got != nil {
-		t.Fatalf("PopAtMost should not reach the low level, got %v", got)
 	}
 }
 

@@ -126,11 +126,6 @@ type RunConfig struct {
 	DisableMediumPromotion bool
 	DisableLateDrop        bool
 	FlattenPriorities      bool
-	AssignPolicy           core.AssignPolicy
-
-	// NaiveReconfigBaseMS overrides the naive baseline's per-reconfiguration
-	// base cost; zero means naive.DefaultConfig()'s.
-	NaiveReconfigBaseMS float64
 
 	// Observer, when non-nil, receives every kernel start/finish (e.g. a
 	// trace.Recorder).
@@ -259,6 +254,11 @@ func (c *RunConfig) Normalize() error {
 		g.Seed = c.Seed + 1
 		c.GPU = g
 	}
+	for i, sms := range c.ContextSMs {
+		if sms < 1 || sms > c.GPU.TotalSMs {
+			return fmt.Errorf("sim: run %q ContextSMs[%d] = %d outside [1, %d], the device's SM count", c.Name, i, sms, c.GPU.TotalSMs)
+		}
+	}
 	// Fault windows are checked against the actual device configuration here
 	// — after GPU defaulting, when the SM count is known — so an impossible
 	// window fails fast as a config error instead of deep inside the run.
@@ -342,18 +342,15 @@ func RunWith(cfg RunConfig, cache *memo.Cache) (Result, error) {
 func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {
 	switch cfg.Kind {
 	case KindSGPRS:
-		c := core.DefaultConfig(cfg.Name, cfg.ContextSMs)
-		c.DisableMediumPromotion = cfg.DisableMediumPromotion
-		c.DisableLateDrop = cfg.DisableLateDrop
-		c.FlattenPriorities = cfg.FlattenPriorities
-		c.AssignPolicy = cfg.AssignPolicy
-		return core.New(c)
+		return core.New(core.Config{
+			Name:                   cfg.Name,
+			ContextSMs:             cfg.ContextSMs,
+			DisableMediumPromotion: cfg.DisableMediumPromotion,
+			DisableLateDrop:        cfg.DisableLateDrop,
+			FlattenPriorities:      cfg.FlattenPriorities,
+		})
 	case KindNaive:
-		c := naive.DefaultConfig(cfg.Name, cfg.ContextSMs)
-		if cfg.NaiveReconfigBaseMS > 0 {
-			c.ReconfigBaseMS = cfg.NaiveReconfigBaseMS
-		}
-		return naive.New(c)
+		return naive.New(naive.Config{Name: cfg.Name, ContextSMs: cfg.ContextSMs})
 	default:
 		return nil, fmt.Errorf("sim: unknown scheduler kind %v", cfg.Kind)
 	}

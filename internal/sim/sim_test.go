@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sgprs/internal/fault"
+	"sgprs/internal/gpu"
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/speedup"
@@ -172,14 +173,24 @@ func TestNormalizeDefaults(t *testing.T) {
 }
 
 func TestNormalizeErrors(t *testing.T) {
-	cases := []RunConfig{
-		{Kind: KindSGPRS, NumTasks: 1},                                                       // no contexts
-		{Kind: KindSGPRS, ContextSMs: []int{34}},                                             // no tasks
-		{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 1, HorizonSec: 0.5, WarmUpSec: 1}, // bad window
+	small := gpu.DefaultConfig()
+	small.TotalSMs = 20
+	cases := []struct {
+		cfg  RunConfig
+		want string
+	}{
+		{RunConfig{Kind: KindSGPRS, NumTasks: 1}, "no contexts"},
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}}, "at least one task"},
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 1, HorizonSec: 0.5, WarmUpSec: 1}, "must exceed warm-up"},
+		// A context outside the device is a config error naming the entry.
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{0}, NumTasks: 1}, "ContextSMs[0] = 0 outside [1, 68]"},
+		{RunConfig{Kind: KindNaive, ContextSMs: []int{-4, 34}, NumTasks: 1}, "ContextSMs[0] = -4 outside [1, 68]"},
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34, 100000}, NumTasks: 1}, "ContextSMs[1] = 100000 outside [1, 68]"},
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 1, GPU: small}, "ContextSMs[0] = 34 outside [1, 20]"},
 	}
-	for i, cfg := range cases {
-		if err := cfg.Normalize(); err == nil {
-			t.Errorf("case %d accepted", i)
+	for i, tc := range cases {
+		if err := tc.cfg.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want one containing %q", i, err, tc.want)
 		}
 	}
 }

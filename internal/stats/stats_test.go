@@ -8,52 +8,6 @@ import (
 	"testing/quick"
 )
 
-// Online accumulates count, mean, and variance in one pass (Welford).
-type Online struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds a value into the accumulator.
-func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		o.min = math.Min(o.min, x)
-		o.max = math.Max(o.max, x)
-	}
-	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += float64(d * (x - o.mean))
-}
-
-// N reports the number of samples.
-func (o *Online) N() int { return o.n }
-
-// Mean reports the sample mean (0 with no samples).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var reports the unbiased sample variance (0 with fewer than two samples).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Std reports the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min reports the smallest sample (0 with no samples).
-func (o *Online) Min() float64 { return o.min }
-
-// Max reports the largest sample (0 with no samples).
-func (o *Online) Max() float64 { return o.max }
-
 // Quantile is QuantileSortedRepeated over a copy of xs sorted, without
 // repeats: the plain sample quantile the repeated form must reproduce.
 func Quantile(xs []float64, q float64) float64 {
@@ -69,40 +23,6 @@ func QuantileSorted(s []float64, q float64) float64 {
 
 // Mean is MeanRepeated without repeats: the plain mean.
 func Mean(xs []float64) float64 { return MeanRepeated(xs, 0, 0, 0) }
-
-func TestOnlineMoments(t *testing.T) {
-	var o Online
-	if o.N() != 0 || o.Mean() != 0 || o.Var() != 0 {
-		t.Error("zero value should be empty")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		o.Add(x)
-	}
-	if o.N() != 8 {
-		t.Errorf("n = %d", o.N())
-	}
-	if math.Abs(o.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", o.Mean())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if math.Abs(o.Var()-32.0/7) > 1e-12 {
-		t.Errorf("var = %v, want %v", o.Var(), 32.0/7)
-	}
-	if math.Abs(o.Std()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("std = %v", o.Std())
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Errorf("min/max = %v/%v", o.Min(), o.Max())
-	}
-}
-
-func TestOnlineSingleSample(t *testing.T) {
-	var o Online
-	o.Add(3)
-	if o.Mean() != 3 || o.Var() != 0 || o.Min() != 3 || o.Max() != 3 {
-		t.Errorf("single sample stats wrong: %+v", o)
-	}
-}
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
@@ -152,31 +72,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("mean = %v", got)
-	}
-}
-
-// Property: Online mean/min/max agree with direct computation.
-func TestOnlineAgreesWithDirect(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var o Online
-		var xs []float64
-		for _, r := range raw {
-			x := float64(r)
-			xs = append(xs, x)
-			o.Add(x)
-		}
-		mn, mx := xs[0], xs[0]
-		for _, x := range xs {
-			mn = math.Min(mn, x)
-			mx = math.Max(mx, x)
-		}
-		return math.Abs(o.Mean()-Mean(xs)) < 1e-6 && o.Min() == mn && o.Max() == mx
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

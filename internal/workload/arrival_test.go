@@ -261,18 +261,6 @@ func Identical(n int, spec TaskSpec, stagger bool) []TaskSpec {
 	return Replicate(Options{Count: n, Spec: spec, Stagger: stagger})
 }
 
-// TestReplicateMatchesIdentical pins the struct-constructor refactor: the
-// positional wrapper and the Options form are interchangeable.
-func TestReplicateMatchesIdentical(t *testing.T) {
-	for _, stagger := range []bool{false, true} {
-		want := Identical(6, specResNet(), stagger)
-		got := Replicate(Options{Count: 6, Spec: specResNet(), Stagger: stagger})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("stagger=%v: Replicate differs from Identical", stagger)
-		}
-	}
-}
-
 // TestBuildRejectsNonFinite: NaN and Inf in the float-valued spec fields
 // must fail validation instead of corrupting periods or work draws.
 func TestBuildRejectsNonFinite(t *testing.T) {
