@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check fma-check vuln experiments examples fuzz-smoke loc ci
+.PHONY: build test race bench bench-gate bench-long bench-ff bench-module bench-pairs lint inline-check fma-check test-386 vuln experiments examples fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,13 @@ inline-check:
 fma-check:
 	@GO=$(GO) bash scripts/fma-check.sh
 
+## test-386: vet and test the module built for 32-bit x86 (GOARCH=386), so
+## an int that silently assumes 64 bits fails here (DESIGN.md §6). Runs the
+## 386 binaries on this host; needs no emulator.
+test-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./...
+
 ## vuln: scan the module against the Go vulnerability database. Uses a
 ## govulncheck binary when one is installed; otherwise reports how to get
 ## one rather than failing the build (the tool needs network access).
@@ -135,4 +142,4 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: lint inline-check fma-check build race bench-module examples fuzz-smoke bench bench-gate
+ci: lint inline-check fma-check test-386 build race bench-module examples fuzz-smoke bench bench-gate

@@ -232,11 +232,9 @@ func BenchmarkAblationLateDrop(b *testing.B) {
 // scenario (the 4-variant × task-count grid behind Figures 3a/3b) across the
 // execution strategies. Outputs are bit-identical across every case (the
 // runner's determinism tests and the sim cache-equality tests pin this);
-// only wall-clock differs. The three offline cases are work-table cases
+// only wall-clock differs. The two offline cases are work-table cases
 // (work_test.go) and run on one worker:
 //
-//   - uncached-offline: the reference path — every run rebuilds the
-//     calibrated graph and profiles each task from scratch.
 //   - cold-offline: a fresh offline cache per iteration, so each distinct
 //     shape is profiled once per scenario (intra-run and intra-sweep reuse).
 //   - warm-offline: the steady-state path (shared cache, all hits) — what
@@ -295,9 +293,9 @@ func benchWork(b *testing.B, group string, report func(b *testing.B, res sim.Res
 
 // BenchmarkSingleRun is the allocation microbenchmark: one simulation run at
 // a saturating load (SGPRS 1.5x, Scenario 2 pool, 26 tasks, 2 s horizon),
-// with the warm-cache and uncached offline phases reported separately so
-// per-run allocation regressions are visible in isolation, and one run's
-// events fired and des heap pushes.
+// on a fresh session over a warm cache and on a reused session, so per-run
+// allocation regressions are visible in isolation, and one run's events
+// fired and des heap pushes.
 func BenchmarkSingleRun(b *testing.B) {
 	benchWork(b, "SingleRun", func(b *testing.B, _ sim.Result, st sim.Stats) {
 		b.ReportMetric(float64(st.Fired), "events")

@@ -70,12 +70,7 @@ func analyzeCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	prof := profile.New(model, dev)
-	if pool.noCache {
-		err = prof.ProfileTask(task, slices.Min(contextSMs))
-	} else {
-		err = memo.Default().ProfileTasks(prof, []*rt.Task{task}, slices.Min(contextSMs))
-	}
-	if err != nil {
+	if err := memo.Default().ProfileTasks(prof, []*rt.Task{task}, slices.Min(contextSMs)); err != nil {
 		return err
 	}
 	load, err := analysis.FromTask(task)

@@ -49,14 +49,12 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 
 // poolFlags are the worker-pool flags of every subcommand that runs a sweep.
 type poolFlags struct {
-	jobs    int
-	noCache bool
+	jobs int
 }
 
 func addPoolFlags(fs *flag.FlagSet) *poolFlags {
 	p := &poolFlags{}
 	fs.IntVar(&p.jobs, "jobs", 0, "parallel workers (0 = all CPUs)")
-	fs.BoolVar(&p.noCache, "no-offline-cache", false, "disable offline-phase memoization (re-profile every run)")
 	return p
 }
 
@@ -66,7 +64,7 @@ func addPoolFlags(fs *flag.FlagSet) *poolFlags {
 // when the sweep is done.
 func (p *poolFlags) start() (ctx context.Context, stop context.CancelFunc, opt runner.Options) {
 	ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	return ctx, stop, runner.Options{Jobs: p.jobs, NoOfflineCache: p.noCache}
+	return ctx, stop, runner.Options{Jobs: p.jobs}
 }
 
 // fpsPeriod turns -fps into a release period: the rate must be positive

@@ -227,6 +227,49 @@ func TestSetFlagsOverrideEverySpecSource(t *testing.T) {
 	}
 }
 
+// TestFleetFlagsCollapseAxes: -devices and -placement override a spec
+// whose devices or placement axis would otherwise re-apply per cell. The
+// flag collapses the axis to its value, and -devices 1 drops a placement
+// axis, since single-device runs take no placement.
+func TestFleetFlagsCollapseAxes(t *testing.T) {
+	cases := []struct {
+		args      string
+		jobs      int
+		devices   int    // every job's device count; 0 = any
+		placement string // every job's placement; "" = any
+		first     string // the first job's label
+	}{
+		{"-devices 1 -tasks 2 -horizon 2", 1, 1, "bin-pack", "sgprs-fleet@dev=1"},
+		{"-devices 2 -placement load-steal", 3, 2, "load-steal", "sgprs-fleet@dev=2,pl=load-steal"},
+		{"-devices 3", 9, 3, "", "sgprs-fleet@dev=3,pl=bin-pack"},
+		{"-placement context-fit -tasks 16", 3, 0, "context-fit", "sgprs-fleet@dev=2,pl=context-fit"},
+	}
+	for _, tc := range cases {
+		_, spec, err := parseSweep(strings.Fields("-experiment fleet-shootout "+tc.args), io.Discard)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		c, err := spec.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if len(c.Jobs) != tc.jobs {
+			t.Errorf("%s: %d jobs, want %d", tc.args, len(c.Jobs), tc.jobs)
+		}
+		for _, j := range c.Jobs {
+			if tc.devices != 0 && j.Config.Devices != tc.devices {
+				t.Errorf("%s: job %s runs on %d devices, want %d", tc.args, j.Variant, j.Config.Devices, tc.devices)
+			}
+			if tc.placement != "" && j.Config.Placement.String() != tc.placement {
+				t.Errorf("%s: job %s places by %v, want %s", tc.args, j.Variant, j.Config.Placement, tc.placement)
+			}
+		}
+		if c.Jobs[0].Variant != tc.first {
+			t.Errorf("%s: first label %q, want %q", tc.args, c.Jobs[0].Variant, tc.first)
+		}
+	}
+}
+
 func taskAxis(spec *exp.Spec) []float64 {
 	for _, a := range spec.Axes {
 		if a.Kind == exp.AxisTasks {

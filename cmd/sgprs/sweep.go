@@ -25,9 +25,9 @@ import (
 // sequential run for any worker count. A failing point is reported with its
 // (variant, task count) and the sweep keeps going: every finished point is
 // still printed, and the exit status is non-zero. Ctrl-C cancels cleanly.
-// The offline phase is memoized across the sweep's runs (-no-offline-cache
-// disables it, -offline-stats reports its traffic), and each worker reuses
-// one run session, so memory stays flat however long the -horizon.
+// The offline phase is memoized across the sweep's runs (-offline-stats
+// reports its traffic), and each worker reuses one run session, so memory
+// stays flat however long the -horizon.
 //
 // Open-loop traffic rides on any spec: -arrival swaps the periodic releases
 // for a stochastic process, -trace replays a recorded arrival log, -rate
@@ -220,9 +220,11 @@ func (f *sweepFlags) resolve() (*exp.Spec, error) {
 // overlay applies every flag set on the command line to the spec's
 // variants and axes, on the caller's clone. A -devices of 0 and an -admit
 // of -1 mean "as declared" and change nothing; -devices 1 collapses a fleet
-// spec to single-device runs, clearing its fleet-only settings. A -tasks or
-// -rate list replaces the spec's axis of that kind or adds one; -horizon
-// collapses a horizon axis to its value.
+// spec to single-device runs, clearing its fleet-only settings and dropping
+// a placement axis. A -tasks or -rate list replaces the spec's axis of that
+// kind or adds one; -horizon, -devices and -placement collapse an axis of
+// their kind to their value, which the axis would otherwise re-apply per
+// cell.
 func (f *sweepFlags) overlay(spec *exp.Spec, set map[string]bool) error {
 	var arrival workload.Arrival
 	if f.e.Arrival != nil {
@@ -241,11 +243,21 @@ func (f *sweepFlags) overlay(spec *exp.Spec, set map[string]bool) error {
 	if set["rate"] {
 		setAxis(spec, exp.Rate(f.e.RateFactors...))
 	}
-	for i := range spec.Axes {
-		if set["horizon"] && spec.Axes[i].Kind == exp.AxisHorizonSec {
-			spec.Axes[i] = exp.HorizonSec(f.e.HorizonSec)
+	axes := spec.Axes[:0]
+	for _, a := range spec.Axes {
+		switch {
+		case a.Kind == exp.AxisHorizonSec && set["horizon"]:
+			a = exp.HorizonSec(f.e.HorizonSec)
+		case a.Kind == exp.AxisDevices && f.e.Devices != 0:
+			a = exp.Devices(f.e.Devices)
+		case a.Kind == exp.AxisPlacement && f.e.Devices == 1:
+			continue
+		case a.Kind == exp.AxisPlacement && set["placement"]:
+			a = exp.Placements(placement)
 		}
+		axes = append(axes, a)
 	}
+	spec.Axes = axes
 	for i := range spec.Variants {
 		v := &spec.Variants[i]
 		if set["horizon"] {

@@ -169,6 +169,8 @@ var knobStructs = []string{
 	"sgprs/internal/sim.RunConfig",
 	"sgprs/internal/core.Config",
 	"sgprs/internal/naive.Config",
+	"sgprs/internal/exp.Spec",
+	"sgprs/internal/runner.Options",
 }
 
 // testOnlyKnobs names the fields of knobStructs that no shipped path writes

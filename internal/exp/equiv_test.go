@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sgprs/internal/memo"
 	"sgprs/internal/runner"
 	"sgprs/internal/sim"
 	"sgprs/internal/speedup"
@@ -41,12 +42,12 @@ func scenarioJobs(t *testing.T, scenario int) []runner.Job {
 	return jobs
 }
 
-// sequentialSeries runs a job list in order on one uncached session and
-// folds it into per-variant series — the pool-free reference the spec runs
-// are compared against.
+// sequentialSeries runs a job list in order on one session over a fresh
+// offline cache and folds it into per-variant series — the pool-free
+// reference the spec runs are compared against.
 func sequentialSeries(t *testing.T, jobs []runner.Job) ([]string, map[string][]sim.Result) {
 	t.Helper()
-	sess := sim.NewSession(nil)
+	sess := sim.NewSession(memo.New())
 	var order []string
 	series := map[string][]sim.Result{}
 	for _, j := range jobs {
@@ -92,8 +93,8 @@ func TestScenarioSpecCompilesToLegacyJobs(t *testing.T) {
 }
 
 // TestScenarioSpecBitIdentical: the spec-driven regeneration of scenarios 1
-// and 2 is bit-identical to running the same cells in order on one uncached
-// session, at worker counts 1, 2, and 4.
+// and 2 is bit-identical to running the same cells in order on one session
+// over a fresh offline cache, at worker counts 1, 2, and 4.
 func TestScenarioSpecBitIdentical(t *testing.T) {
 	for _, scenario := range []int{1, 2} {
 		order, ref := sequentialSeries(t, scenarioJobs(t, scenario))

@@ -11,9 +11,8 @@
 // A Spec is the only way this repository runs more than one cell: the CLIs,
 // the examples, and the facade's RunExperiment all compile one and hand it
 // to Run. Determinism is inherited from the runner: a compiled job's seed is
-// fixed at compile time (SeedFixed keeps each variant's configured seed;
-// SeedDerived decorrelates per grid cell via runner.DeriveSeed), so results
-// are bit-identical across worker counts. Committed golden digests
+// its variant's configured seed, fixed at compile time, so results are
+// bit-identical across worker counts. Committed golden digests
 // (testdata/golden.txt) pin the results of a representative grid.
 package exp
 
@@ -146,28 +145,34 @@ func (a Axis) len() int {
 }
 
 // String renders the axis with its value range — "task-count=1..30",
-// "arrival-rate=1,1.25,1.5", "arrival=poisson,bursty-1/1" — the form
-// `sgprs list` prints per experiment.
+// "arrival-rate=1,1.25,1.5", "arrival=poisson,bursty-1/1",
+// "placement=bin-pack,load-steal" — the form `sgprs list` prints per
+// experiment.
 func (a Axis) String() string {
-	if a.Kind == AxisArrival {
-		names := make([]string, len(a.Arrivals))
-		for i, p := range a.Arrivals {
-			if p == nil {
-				names[i] = "nil"
-				continue
-			}
-			names[i] = p.Name()
-		}
-		return a.Kind.String() + "=" + strings.Join(names, ",")
-	}
-	if n := len(a.Values); n > 2 && contiguousInts(a.Values) {
+	if n := len(a.Values); n > 2 && a.Kind != AxisPlacement && contiguousInts(a.Values) {
 		return fmt.Sprintf("%s=%g..%g", a.Kind, a.Values[0], a.Values[n-1])
 	}
-	parts := make([]string, len(a.Values))
-	for i, v := range a.Values {
-		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	parts := make([]string, a.len())
+	for i := range parts {
+		parts[i] = a.point(i)
 	}
 	return a.Kind.String() + "=" + strings.Join(parts, ",")
+}
+
+// point renders the axis's i-th point as expanded labels and String show
+// it: an arrival process by name, a placement policy by its config-file
+// spelling, any other value as a number.
+func (a Axis) point(i int) string {
+	if a.Kind == AxisArrival {
+		if a.Arrivals[i] == nil {
+			return "nil"
+		}
+		return a.Arrivals[i].Name()
+	}
+	if a.Kind == AxisPlacement {
+		return cluster.Placement(a.Values[i]).String()
+	}
+	return strconv.FormatFloat(a.Values[i], 'g', -1, 64)
 }
 
 // contiguousInts reports whether vs is an ascending run of consecutive
@@ -328,19 +333,6 @@ func (a Axis) validate(spec string) error {
 	return nil
 }
 
-// SeedPolicy selects how compiled jobs get their seeds.
-type SeedPolicy int
-
-const (
-	// SeedFixed keeps each variant's configured seed on every grid cell —
-	// the default.
-	SeedFixed SeedPolicy = iota
-	// SeedDerived gives every grid cell a distinct seed mixed from the
-	// variant's base seed and the cell's (label, task count) via
-	// runner.DeriveSeed; exactly reproducible, never scheduling-dependent.
-	SeedDerived
-)
-
 // Spec is a declarative experiment: named variants (RunConfig templates)
 // crossed with sweep axes. Compile expands the cross product into the
 // runner's job list; Run executes it. Specs are plain data — copy one,
@@ -360,8 +352,6 @@ type Spec struct {
 	// variant × other-axis combination); if absent, each variant runs at
 	// its template's NumTasks. An axis with no values is a compile error.
 	Axes []Axis
-	// SeedPolicy is SeedFixed (default) or SeedDerived.
-	SeedPolicy SeedPolicy
 }
 
 // Clone returns an independent deep copy: mutating the copy's variants or
@@ -481,11 +471,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 			if len(sweep) > 0 {
 				parts := make([]string, len(sweep))
 				for i, a := range sweep {
-					if a.Kind == AxisArrival {
-						parts[i] = a.Kind.key() + "=" + a.Arrivals[combo[i]].Name()
-					} else {
-						parts[i] = a.Kind.key() + "=" + strconv.FormatFloat(a.Values[combo[i]], 'g', -1, 64)
-					}
+					parts[i] = a.Kind.key() + "=" + a.point(combo[i])
 				}
 				label += "@" + strings.Join(parts, ",")
 			}
@@ -511,9 +497,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 			for _, n := range counts {
 				jc := cfg
 				jc.NumTasks = n
-				if s.SeedPolicy == SeedDerived {
-					jc.Seed = runner.DeriveSeed(v.Seed, label, n)
-				}
 				// Dry-run the run-time validation on a copy: every
 				// rejection a worker would hit surfaces here, with
 				// the expanded label in the message.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sgprs/internal/cluster"
 	"sgprs/internal/runner"
 	"sgprs/internal/sim"
 )
@@ -147,8 +148,8 @@ func TestCompileWithoutTaskAxis(t *testing.T) {
 	}
 }
 
-// TestSeedPolicies: SeedFixed keeps the template seed on every cell;
-// SeedDerived stamps runner.DeriveSeed(variant seed, label, tasks).
+// TestSeedPolicies: seeds are fixed at compile time, and every cell keeps
+// its variant's configured seed.
 func TestSeedPolicies(t *testing.T) {
 	s := Series(sgprsBase("s"), []int{2, 4})
 	c, err := s.Compile()
@@ -157,18 +158,28 @@ func TestSeedPolicies(t *testing.T) {
 	}
 	for _, j := range c.Jobs {
 		if j.Config.Seed != 1 {
-			t.Errorf("fixed-seed job %v has seed %d", j.Tasks, j.Config.Seed)
+			t.Errorf("job n=%d has seed %d, want its variant's 1", j.Tasks, j.Config.Seed)
 		}
 	}
-	s.SeedPolicy = SeedDerived
-	c, err = s.Compile()
+}
+
+// TestPlacementAxisNames: a placement axis shows its policies by name, in
+// Axis.String (the `sgprs list` column) and in expanded cell labels, so the
+// cells of a placement sweep can be told apart.
+func TestPlacementAxisNames(t *testing.T) {
+	axis := Placements(cluster.PlaceBinPack, cluster.PlaceContextFit, cluster.PlaceLoadSteal)
+	if got, want := axis.String(), "placement=bin-pack,context-fit,load-steal"; got != want {
+		t.Errorf("Axis.String() = %q, want %q", got, want)
+	}
+	v := sgprsBase("f")
+	v.Devices = 2
+	c, err := (&Spec{Name: "pl", Variants: []sim.RunConfig{v}, Axes: []Axis{axis}}).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range c.Jobs {
-		if want := runner.DeriveSeed(1, "s", j.Tasks); j.Config.Seed != want {
-			t.Errorf("derived seed for n=%d = %d, want %d", j.Tasks, j.Config.Seed, want)
-		}
+	want := []string{"f@pl=bin-pack", "f@pl=context-fit", "f@pl=load-steal"}
+	if !reflect.DeepEqual(c.Order, want) {
+		t.Errorf("labels = %q, want %q", c.Order, want)
 	}
 }
 

@@ -70,8 +70,8 @@ type graphEntry struct {
 // margin. The gpu.Config inside is normalized by profileConfigKey: fields
 // that provably cannot influence an isolated single-kernel measurement
 // (Seed, ContentionJitter, ContentionPenalty, AggregateGainCap — see the
-// package comment) are zeroed so that e.g. a seed-decorrelated sweep or a
-// gain-cap calibration grid still shares one profile per shape.
+// package comment) are zeroed so that e.g. runs that differ only in seed or
+// a gain-cap calibration grid still share one profile per shape.
 type profileKey struct {
 	model  *speedup.Model
 	cfg    gpu.Config
@@ -188,8 +188,7 @@ func (c *Cache) Graph(key GraphKey, build func() *dnn.Graph) *dnn.Graph {
 // ProfileTasks installs per-stage WCETs on every task, measuring each
 // distinct task shape exactly once — within this call, across runs, and
 // across concurrent runner workers — instead of once per task. sms is the
-// context size to profile on (the pool's smallest, as in the uncached
-// offline phase). The memoized table is installed through
+// context size to profile on (the pool's smallest). The memoized table is installed through
 // rt.Task.SetWCETs, which copies, so tasks never alias cache memory.
 func (c *Cache) ProfileTasks(p *profile.Profiler, tasks []*rt.Task, sms int) error {
 	cfgKey := profileConfigKey(p.Config())

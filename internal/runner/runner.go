@@ -126,17 +126,10 @@ type Options struct {
 	// change results (memo's package comment has the argument; tests in
 	// internal/sim pin it).
 	Cache *memo.Cache
-	// NoOfflineCache disables offline-phase memoization entirely: every
-	// run rebuilds the reference graph and re-profiles every task. Only
-	// useful for benchmarking the cache itself and for equivalence tests.
-	NoOfflineCache bool
 }
 
 // cache resolves the effective offline cache for a fan-out.
 func (o Options) cache() *memo.Cache {
-	if o.NoOfflineCache {
-		return nil
-	}
 	if o.Cache != nil {
 		return o.Cache
 	}
@@ -267,32 +260,4 @@ func Err(results []JobResult) error {
 		return nil
 	}
 	return es
-}
-
-// DeriveSeed mixes a per-job seed from the base seed and the job's sweep
-// coordinates. It is a pure function — the same (base, variant, tasks)
-// always yields the same seed, independent of scheduling — so decorrelated
-// sweeps stay exactly reproducible. FNV-1a absorbs the coordinates and a
-// splitmix64 finalizer scrambles the result.
-func DeriveSeed(base uint64, variant string, tasks int) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(b byte) { h ^= uint64(b); h *= fnvPrime }
-	for i := 0; i < 8; i++ {
-		mix(byte(base >> (8 * i)))
-	}
-	for i := 0; i < len(variant); i++ {
-		mix(variant[i])
-	}
-	for i := 0; i < 8; i++ {
-		mix(byte(uint64(tasks) >> (8 * i)))
-	}
-	// splitmix64 finalizer.
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sgprs/internal/memo"
 	"sgprs/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func sweepJobs(base sim.RunConfig, taskCounts []int) []Job {
 // in order on one session, with no pool at all.
 func runSequential(t *testing.T, jobs []Job) []sim.Result {
 	t.Helper()
-	sess := sim.NewSession(nil)
+	sess := sim.NewSession(memo.New())
 	out := make([]sim.Result, len(jobs))
 	for i, j := range jobs {
 		res, err := sess.Run(j.Config)
@@ -69,7 +70,8 @@ func resultsOf(t *testing.T, results []JobResult) []sim.Result {
 
 // TestScenarioMatchesSequential proves the tentpole determinism claim: for
 // both paper scenarios, the pool's output is bit-identical to running the
-// same jobs in order on one uncached session, regardless of worker count.
+// same jobs in order on one session over a fresh cache, regardless of
+// worker count.
 func TestScenarioMatchesSequential(t *testing.T) {
 	for _, scenario := range []int{1, 2} {
 		np, err := sim.ScenarioContexts(scenario)
@@ -199,46 +201,6 @@ func TestProgress(t *testing.T) {
 	}})
 	if calls != 3 || len(seen) != 3 {
 		t.Errorf("calls = %d, distinct indices = %d, want 3/3", calls, len(seen))
-	}
-}
-
-// TestDeriveSeed: pure, stable, and sensitive to every coordinate.
-func TestDeriveSeed(t *testing.T) {
-	s := DeriveSeed(1, "sgprs-1.5x", 8)
-	if s != DeriveSeed(1, "sgprs-1.5x", 8) {
-		t.Error("DeriveSeed is not deterministic")
-	}
-	for _, other := range []uint64{
-		DeriveSeed(2, "sgprs-1.5x", 8),
-		DeriveSeed(1, "sgprs-2.0x", 8),
-		DeriveSeed(1, "sgprs-1.5x", 9),
-	} {
-		if other == s {
-			t.Error("DeriveSeed collides across adjacent coordinates")
-		}
-	}
-}
-
-// TestDecorrelateSeeds: a job list whose seeds are stamped with DeriveSeed
-// stays worker-invariant, and the per-job seeds reach the runs — on a
-// seed-sensitive workload the results differ from the fixed-seed list.
-func TestDecorrelateSeeds(t *testing.T) {
-	base := testBase("sgprs")
-	base.WorkVariation = 0.3 // seed-sensitive workload
-	fixed := sweepJobs(base, testCounts)
-	dec := sweepJobs(base, testCounts)
-	for i := range dec {
-		dec[i].Config.Seed = DeriveSeed(base.Seed, "sgprs", testCounts[i])
-	}
-	if dec[0].Config.Seed == dec[1].Config.Seed {
-		t.Error("decorrelated seeds collide across task counts")
-	}
-	one := resultsOf(t, Run(context.Background(), dec, Options{Jobs: 1}))
-	if many := resultsOf(t, Run(context.Background(), dec, Options{Jobs: 4})); !reflect.DeepEqual(one, many) {
-		t.Error("decorrelated results differ between 1 and 4 workers")
-	}
-	if reflect.DeepEqual(one, resultsOf(t, Run(context.Background(), fixed, Options{}))) {
-		t.Error("derived seeds had no effect on a seed-sensitive workload")
 	}
 }
 

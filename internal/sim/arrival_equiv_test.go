@@ -33,13 +33,13 @@ func TestNilArrivalBitIdenticalScenarios(t *testing.T) {
 					Seed:       1,
 					NumTasks:   n,
 				}
-				want, err := RunWith(cfg, cache)
+				want, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d nil arrival: %v", scenario, v.Name, n, err)
 				}
 				for _, a := range []workload.Arrival{workload.Periodic{}, workload.Periodic{Rate: 1}} {
 					cfg.Arrival = a
-					got, err := RunWith(cfg, cache)
+					got, err := NewSession(cache).Run(cfg)
 					if err != nil {
 						t.Fatalf("scenario %d %s n=%d %+v arrival: %v", scenario, v.Name, n, a, err)
 					}
@@ -68,12 +68,12 @@ func TestNilArrivalBitIdenticalJittered(t *testing.T) {
 			ReleaseJitterMS: 2, HorizonSec: 2, Seed: 5},
 	}
 	for _, cfg := range cfgs {
-		want, err := RunWith(cfg, nil)
+		want, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s nil arrival: %v", cfg.Name, err)
 		}
 		cfg.Arrival = workload.Periodic{}
-		got, err := RunWith(cfg, nil)
+		got, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s periodic arrival: %v", cfg.Name, err)
 		}
@@ -103,11 +103,11 @@ func TestOpenLoopStreamingMatchesBatch(t *testing.T) {
 	}
 	sess := NewSession(memo.New())
 	for _, cfg := range cfgs {
-		want, err := runBatch(cfg, nil)
+		want, err := runBatch(cfg)
 		if err != nil {
 			t.Fatalf("%s batch: %v", cfg.Name, err)
 		}
-		got, err := RunWith(cfg, nil)
+		got, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s streaming: %v", cfg.Name, err)
 		}
@@ -134,7 +134,7 @@ func TestOpenLoopExercisesOverloadMetrics(t *testing.T) {
 		Kind: KindSGPRS, Name: "hot", ContextSMs: []int{23, 23, 23}, NumTasks: 16,
 		Arrival: workload.Poisson{Rate: 60}, SLOMS: 33.4, HorizonSec: 2, Seed: 1,
 	}
-	res, err := RunWith(cfg, nil)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

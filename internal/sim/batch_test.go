@@ -2,13 +2,10 @@ package sim
 
 import (
 	"sgprs/internal/des"
-	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
-	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/profile"
 	"sgprs/internal/rt"
-	"sgprs/internal/speedup"
 	"sgprs/internal/workload"
 )
 
@@ -21,14 +18,16 @@ func (l *jobLog) JobReleased(j *rt.Job, _ des.Time) { l.jobs = append(l.jobs, j)
 func (l *jobLog) JobDone(*rt.Job, des.Time)         {}
 func (l *jobLog) JobDiscarded(*rt.Job, des.Time)    {}
 
-// runBatch is the post-hoc reference implementation of RunWith: every
-// released job is retained and metrics.EvaluateSLO scans them after the run.
-// It allocates O(all jobs ever released) and exists as the semantic anchor
-// the streaming path (Session.Run) is tested against — change the two
-// together or the equivalence tests will say so. It covers single-device,
-// fault-free configurations only: fault and fleet accounting happen at
-// release time in the streaming collector and have no batch equivalent.
-func runBatch(cfg RunConfig, cache *memo.Cache) (Result, error) {
+// runBatch is the post-hoc, uncached reference implementation of Run: every
+// released job is retained and metrics.EvaluateSLO scans them after the run,
+// and the offline phase rebuilds the reference graph and profiles every task
+// itself, with no memo.Cache. It allocates O(all jobs ever released) and
+// exists as the semantic anchor the streaming, cached path (Session.Run) is
+// tested against — change the two together or the equivalence tests will
+// say so. It covers single-device, fault-free configurations only: fault
+// and fleet accounting happen at release time in the streaming collector and
+// have no batch equivalent.
+func runBatch(cfg RunConfig) (Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return Result{}, err
 	}
@@ -43,13 +42,7 @@ func runBatch(cfg RunConfig, cache *memo.Cache) (Result, error) {
 		dev.SetObserver(cfg.Observer)
 	}
 
-	var graph *dnn.Graph
-	if cache != nil {
-		key := memo.GraphKey{Model: model, Name: "resnet18-ref", SMs: speedup.DeviceSMs, TargetMS: ReferenceLatencyMS}
-		graph = cache.Graph(key, func() *dnn.Graph { return ReferenceGraph(model) })
-	} else {
-		graph = ReferenceGraph(model)
-	}
+	graph := ReferenceGraph(model)
 	specs := workload.Replicate(workload.Options{
 		Count: cfg.NumTasks,
 		Spec: workload.TaskSpec{
@@ -67,10 +60,8 @@ func runBatch(cfg RunConfig, cache *memo.Cache) (Result, error) {
 		return Result{}, err
 	}
 
-	// Offline phase: profile stage WCETs in isolation on the smallest
-	// context of the pool (conservative). With a cache, each distinct task
-	// shape is measured once — here or in any earlier run — instead of
-	// once per task.
+	// Offline phase: profile every task's stage WCETs in isolation on the
+	// smallest context of the pool (conservative).
 	minSMs := cfg.ContextSMs[0]
 	for _, s := range cfg.ContextSMs[1:] {
 		if s < minSMs {
@@ -78,15 +69,9 @@ func runBatch(cfg RunConfig, cache *memo.Cache) (Result, error) {
 		}
 	}
 	prof := profile.New(model, cfg.GPU)
-	if cache != nil {
-		if err := cache.ProfileTasks(prof, tasks, minSMs); err != nil {
+	for _, t := range tasks {
+		if err := prof.ProfileTask(t, minSMs); err != nil {
 			return Result{}, err
-		}
-	} else {
-		for _, t := range tasks {
-			if err := prof.ProfileTask(t, minSMs); err != nil {
-				return Result{}, err
-			}
 		}
 	}
 

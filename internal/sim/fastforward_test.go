@@ -53,11 +53,11 @@ func TestFastForwardBitIdenticalScenarios(t *testing.T) {
 				}
 				ref := cfg
 				ref.DisableFastForward = true
-				want, err := RunWith(ref, cache)
+				want, err := NewSession(cache).Run(ref)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d reference: %v", scenario, v.Name, n, err)
 				}
-				got, err := RunWith(cfg, cache)
+				got, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d fast-forward: %v", scenario, v.Name, n, err)
 				}
@@ -94,7 +94,7 @@ func TestFastForwardIneligibleZeroOverhead(t *testing.T) {
 			WorkVariation: 0.1, HorizonSec: 2, Seed: 1, GPU: eligibleGPU(1)},
 	}
 	for _, cfg := range cfgs {
-		res, err := RunWith(cfg, nil)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -245,7 +245,7 @@ func TestFastForwardCollisionSafety(t *testing.T) {
 	}
 	ref := cfg
 	ref.DisableFastForward = true
-	want, err := RunWith(ref, nil)
+	want, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFastForwardCollisionSafety(t *testing.T) {
 		"constant": func([]byte) uint64 { return 0 },
 	}
 	for name, h := range hashes {
-		sess := NewSession(nil)
+		sess := NewSession(memo.New())
 		sess.ffHash = h
 		got, err := sess.Run(cfg)
 		if err != nil {

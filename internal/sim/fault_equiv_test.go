@@ -39,12 +39,12 @@ func TestNilFaultsBitIdenticalScenarios(t *testing.T) {
 					NumTasks:           n,
 					DisableFastForward: true,
 				}
-				want, err := RunWith(cfg, cache)
+				want, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d nil faults: %v", scenario, v.Name, n, err)
 				}
 				cfg.Faults = &fault.Config{}
-				got, err := RunWith(cfg, cache)
+				got, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d empty faults: %v", scenario, v.Name, n, err)
 				}
@@ -82,11 +82,11 @@ func faultedConfig(name, policy string) RunConfig {
 func TestFaultRunsDeterministic(t *testing.T) {
 	for _, policy := range []string{"retry", "skip-job", "kill-chain"} {
 		cfg := faultedConfig("det-"+policy, policy)
-		want, err := RunWith(cfg, nil)
+		want, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s first run: %v", policy, err)
 		}
-		again, err := RunWith(cfg, nil)
+		again, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s second run: %v", policy, err)
 		}
@@ -123,7 +123,7 @@ func TestFaultRunsIneligibleForFastForward(t *testing.T) {
 		Kind: KindSGPRS, Name: "ff-faults", ContextSMs: ContextPool(2, 1.5, speedup.DeviceSMs),
 		NumTasks: 6, HorizonSec: 8, Seed: 1, GPU: eligibleGPU(1),
 	}
-	clean, err := RunWith(cfg, nil)
+	clean, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFaultRunsIneligibleForFastForward(t *testing.T) {
 		t.Fatal("reference run never fast-forwarded; the test exercises nothing")
 	}
 	cfg.Faults = &fault.Config{}
-	faulted, err := RunWith(cfg, nil)
+	faulted, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestFaultRunsIneligibleForFastForward(t *testing.T) {
 func TestFaultInjectionActivity(t *testing.T) {
 	clean := faultedConfig("clean", "retry")
 	clean.Faults = nil
-	base, err := RunWith(clean, nil)
+	base, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range []string{"retry", "skip-job", "kill-chain"} {
-		res, err := RunWith(faultedConfig("act-"+policy, policy), nil)
+		res, err := Run(faultedConfig("act-"+policy, policy))
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}

@@ -53,12 +53,12 @@ func TestFleetDevicesOneBitIdentical(t *testing.T) {
 					Seed:       1,
 					NumTasks:   n,
 				}
-				want, err := RunWith(cfg, cache)
+				want, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d devices=0: %v", scenario, v.Name, n, err)
 				}
 				cfg.Devices = 1
-				got, err := RunWith(cfg, cache)
+				got, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d devices=1: %v", scenario, v.Name, n, err)
 				}
@@ -79,11 +79,11 @@ func TestFleetDevicesOneBitIdentical(t *testing.T) {
 func TestFleetRunsDeterministic(t *testing.T) {
 	for _, fo := range []rt.FailoverPolicy{rt.FailoverMigrate, rt.FailoverRetry, rt.FailoverShed} {
 		cfg := fleetConfig("det-"+fo.String(), fo)
-		want, err := RunWith(cfg, nil)
+		want, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s first run: %v", fo, err)
 		}
-		again, err := RunWith(cfg, nil)
+		again, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s second run: %v", fo, err)
 		}
@@ -125,7 +125,7 @@ func TestFleetIneligibleForFastForward(t *testing.T) {
 		Kind: KindSGPRS, Name: "ff-fleet", ContextSMs: ContextPool(2, 1.5, speedup.DeviceSMs),
 		NumTasks: 6, HorizonSec: 8, Seed: 1, GPU: eligibleGPU(1),
 	}
-	clean, err := RunWith(cfg, nil)
+	clean, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFleetIneligibleForFastForward(t *testing.T) {
 		t.Fatal("reference run never fast-forwarded; the test exercises nothing")
 	}
 	cfg.Devices = 2
-	fleet, err := RunWith(cfg, nil)
+	fleet, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFleetIneligibleForFastForward(t *testing.T) {
 func TestFleetFailoverActivity(t *testing.T) {
 	clean := fleetConfig("clean-fleet", rt.FailoverMigrate)
 	clean.Faults = nil
-	base, err := RunWith(clean, nil)
+	base, err := Run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFleetFailoverActivity(t *testing.T) {
 		}
 	}
 	for _, fo := range []rt.FailoverPolicy{rt.FailoverMigrate, rt.FailoverRetry, rt.FailoverShed} {
-		res, err := RunWith(fleetConfig("act-"+fo.String(), fo), nil)
+		res, err := Run(fleetConfig("act-"+fo.String(), fo))
 		if err != nil {
 			t.Fatalf("%s: %v", fo, err)
 		}

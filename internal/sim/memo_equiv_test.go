@@ -10,14 +10,15 @@ import (
 // TestCachedScenarioBitIdentical is the offline-cache acceptance test: a
 // fully cached scenario regeneration (fresh cache populated during the run,
 // then a second pass served entirely from hits) must be byte-for-byte equal
-// to the uncached reference path, for both paper scenarios. All comparisons
-// are reflect.DeepEqual over every variant's series, so every float bit of
-// every metric participates.
+// to the uncached batch reference (runBatch), for both paper scenarios. All
+// comparisons
+// are reflect.DeepEqual over every variant's series, so every float bit
+// of every metric participates.
 func TestCachedScenarioBitIdentical(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		uncached := scenarioSeries(t, scenario, counts, horizon, nil)
+		uncached := batchScenario(t, scenario, counts, horizon)
 		cache := memo.New()
 		if cold := scenarioSeries(t, scenario, counts, horizon, cache); !reflect.DeepEqual(uncached, cold) {
 			t.Errorf("scenario %d: cold-cache output differs from uncached", scenario)
@@ -38,8 +39,9 @@ func TestCachedScenarioBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCachedRunBitIdentical pins single-run equality, including seed and
-// GPU-config variations that must not be conflated by cache keying.
+// TestCachedRunBitIdentical pins single-run equality with the uncached batch
+// reference, cold and warm, including seed variations that must not be
+// conflated by cache keying.
 func TestCachedRunBitIdentical(t *testing.T) {
 	base := RunConfig{
 		Kind:       KindSGPRS,
@@ -51,16 +53,18 @@ func TestCachedRunBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
 		cfg := base
 		cfg.Seed = seed
-		want, err := RunWith(cfg, nil)
+		want, err := runBatch(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunWith(cfg, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("seed %d: cached run differs from uncached", seed)
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := NewSession(cache).Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("seed %d: %s-cache run differs from uncached", seed, pass)
+			}
 		}
 	}
 	// Two seeds, one task shape: the second seed must have been a pure

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"sgprs/internal/memo"
 )
 
 // digest is the golden recipe (internal/exp's TestGoldenDigests): SHA-256 of
@@ -36,7 +38,7 @@ func TestRateEngineScenarioDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range ScenarioVariants() {
-			series := sweep(t, NewSession(nil), RunConfig{
+			series := sweep(t, NewSession(memo.New()), RunConfig{
 				Kind:       v.Kind,
 				Name:       v.Name,
 				ContextSMs: ContextPool(np, v.OS, 68),
@@ -82,7 +84,7 @@ func TestRateEngineStochasticDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := RunWith(tc.cfg, nil)
+			res, err := Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

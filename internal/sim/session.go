@@ -28,8 +28,8 @@ import (
 // restore fresh-equivalent state (clock, sequence numbers, stochastic
 // streams), recycled jobs and events are fully reinitialised before reuse,
 // and cached task sets are re-profiled per run from the memoized WCET
-// tables. TestSessionReuseBitIdentical pins Session.Run == RunWith for
-// mixed-configuration sequences.
+// tables. TestSessionReuseBitIdentical pins a reused Session to a fresh one
+// for mixed-configuration sequences.
 //
 // A Session is single-threaded, like the engine it wraps: the parallel
 // runner gives each worker its own. The zero value is not usable; call
@@ -86,10 +86,11 @@ type taskSetKey struct {
 	stagger  bool
 }
 
-// NewSession builds a session around the given offline-phase cache. A nil
-// cache reproduces the uncached reference path: the reference graph is
-// rebuilt and every task profiled from scratch each run (and, because task
-// sets are keyed by graph identity, never reused across runs).
+// NewSession builds a session around the given offline-phase cache, which
+// must not be nil. The cache serves the reference graph and every WCET
+// profile; results are bit-identical to rebuilding and re-profiling from
+// scratch (memo's package comment has the argument; the tests in this
+// package pin it against the uncached batch reference).
 func NewSession(cache *memo.Cache) *Session {
 	return &Session{
 		cache: cache,
@@ -99,8 +100,8 @@ func NewSession(cache *memo.Cache) *Session {
 }
 
 // Run executes one simulation on the session's reused infrastructure and
-// returns its metrics, exactly as RunWith would for the same configuration
-// and cache.
+// returns its metrics, exactly as a fresh session would for the same
+// configuration.
 func (s *Session) Run(cfg RunConfig) (Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return Result{}, err
@@ -132,13 +133,8 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 		}
 	}
 
-	var graph *dnn.Graph
-	if s.cache != nil {
-		key := memo.GraphKey{Model: model, Name: "resnet18-ref", SMs: speedup.DeviceSMs, TargetMS: ReferenceLatencyMS}
-		graph = s.cache.Graph(key, func() *dnn.Graph { return ReferenceGraph(model) })
-	} else {
-		graph = ReferenceGraph(model)
-	}
+	key := memo.GraphKey{Model: model, Name: "resnet18-ref", SMs: speedup.DeviceSMs, TargetMS: ReferenceLatencyMS}
+	graph := s.cache.Graph(key, func() *dnn.Graph { return ReferenceGraph(model) })
 
 	tasks, err := s.taskSet(graph, cfg)
 	if err != nil {
@@ -148,8 +144,8 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 	// Offline phase: profile stage WCETs in isolation on the smallest
 	// context of the pool (conservative). Cached task sets are
 	// re-profiled every run — the pool's minimum may differ between
-	// configurations sharing a task shape — but with a cache that is a
-	// table lookup, not a measurement.
+	// configurations sharing a task shape — but that is a table lookup
+	// in the cache, not a measurement.
 	minSMs := cfg.ContextSMs[0]
 	for _, c := range cfg.ContextSMs[1:] {
 		if c < minSMs {
@@ -160,16 +156,8 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 		s.prof = profile.New(model, cfg.GPU)
 		s.profCfg = cfg.GPU
 	}
-	if s.cache != nil {
-		if err := s.cache.ProfileTasks(s.prof, tasks, minSMs); err != nil {
-			return Result{}, err
-		}
-	} else {
-		for _, t := range tasks {
-			if err := s.prof.ProfileTask(t, minSMs); err != nil {
-				return Result{}, err
-			}
-		}
+	if err := s.cache.ProfileTasks(s.prof, tasks, minSMs); err != nil {
+		return Result{}, err
 	}
 
 	return s.runFleet(cfg, tasks)
@@ -228,11 +216,6 @@ func (s *Session) Stats() Stats {
 // previous run's when the workload shape matches. Tasks are immutable during
 // the online phase (schedulers and jobs only read them) and re-profiled per
 // run, so sharing them across runs cannot alter results.
-//
-// Without an offline cache the reference graph is rebuilt per run, so the
-// graph-keyed lookup could never hit; caching would only accumulate dead
-// entries for the session's lifetime. The uncached session builds fresh and
-// stores nothing.
 func (s *Session) taskSet(graph *dnn.Graph, cfg RunConfig) ([]*rt.Task, error) {
 	key := taskSetKey{
 		graph:    graph,
@@ -262,8 +245,6 @@ func (s *Session) taskSet(graph *dnn.Graph, cfg RunConfig) ([]*rt.Task, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cache != nil {
-		s.tasks[key] = tasks
-	}
+	s.tasks[key] = tasks
 	return tasks, nil
 }

@@ -321,22 +321,14 @@ func DefaultModel() *speedup.Model { return defaultModel() }
 // (reference-graph calibration, WCET profiling) is served from the
 // process-wide cache (memo.Default()); results are bit-identical to an
 // uncached run (see memo's package comment and TestCachedRunBitIdentical).
-func Run(cfg RunConfig) (Result, error) {
-	return RunWith(cfg, memo.Default())
-}
-
-// RunWith is Run with an explicit offline-phase cache. A nil cache disables
-// memoization entirely: the reference graph is rebuilt and every task
-// profiled from scratch — the reference code path the cached one is tested
-// against.
 //
 // Metrics stream through a metrics.Collector and jobs recycle through an
 // rt.JobPool as the run progresses (via an ephemeral Session), so live
 // memory is O(in-flight jobs) whatever the horizon. The streaming-equivalence
 // tests pin this path bit-identical to a retain-everything batch reference
 // that lives in the tests.
-func RunWith(cfg RunConfig, cache *memo.Cache) (Result, error) {
-	return NewSession(cache).Run(cfg)
+func Run(cfg RunConfig) (Result, error) {
+	return NewSession(memo.Default()).Run(cfg)
 }
 
 func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {

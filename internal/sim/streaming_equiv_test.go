@@ -34,7 +34,8 @@ func TestStreamingMatchesBatchScenarios(t *testing.T) {
 // TestStreamingMatchesBatchJittered covers the stochastic corners the
 // scenario grid misses: sporadic releases, WCET overruns, staggered offsets,
 // and a tight deadline factor — all of which move completions further from
-// release order.
+// release order. Each configuration runs twice on one offline cache, cold
+// then warm, against the uncached batch reference.
 func TestStreamingMatchesBatchJittered(t *testing.T) {
 	cfgs := []RunConfig{
 		{Kind: KindSGPRS, Name: "jittered", ContextSMs: []int{34, 34}, NumTasks: 12,
@@ -44,24 +45,27 @@ func TestStreamingMatchesBatchJittered(t *testing.T) {
 		{Kind: KindNaive, Name: "naive-jit", ContextSMs: []int{34, 34}, NumTasks: 20,
 			ReleaseJitterMS: 2, HorizonSec: 2, Seed: 5},
 	}
+	cache := memo.New()
 	for _, cfg := range cfgs {
-		want, err := runBatch(cfg, nil)
+		want, err := runBatch(cfg)
 		if err != nil {
 			t.Fatalf("%s batch: %v", cfg.Name, err)
 		}
-		got, err := RunWith(cfg, nil)
-		if err != nil {
-			t.Fatalf("%s streaming: %v", cfg.Name, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: streaming result differs from batch reference\nwant %+v\ngot  %+v",
-				cfg.Name, want, got)
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := NewSession(cache).Run(cfg)
+			if err != nil {
+				t.Fatalf("%s streaming (%s cache): %v", cfg.Name, pass, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: streaming result (%s cache) differs from batch reference\nwant %+v\ngot  %+v",
+					cfg.Name, pass, want, got)
+			}
 		}
 	}
 }
 
-// batchScenario regenerates a scenario through runBatch — the reference
-// retain-and-EvaluateSLO path — in scenarioSeries' shape.
+// batchScenario regenerates a scenario through runBatch — the uncached
+// retain-and-EvaluateSLO reference — in scenarioSeries' shape.
 func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64) map[string][]metrics.Point {
 	t.Helper()
 	np, err := ScenarioContexts(scenario)
@@ -69,7 +73,6 @@ func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64)
 		t.Fatal(err)
 	}
 	run := map[string][]metrics.Point{}
-	cache := memo.New()
 	for _, v := range ScenarioVariants() {
 		var series []metrics.Point
 		for _, n := range counts {
@@ -81,7 +84,7 @@ func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64)
 				Seed:       1,
 				NumTasks:   n,
 			}
-			res, err := runBatch(cfg, cache)
+			res, err := runBatch(cfg)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", v.Name, n, err)
 			}
@@ -105,7 +108,7 @@ func overloadConfig() RunConfig {
 // TestSessionReuseBitIdentical pins the session-reuse invariant: a single
 // Session carrying a mixed sequence of configurations — different schedulers,
 // pool shapes, task counts, seeds — must return, run for run, exactly what a
-// fresh RunWith returns for the same configuration. This is what lets the
+// fresh session returns for the same configuration. This is what lets the
 // runner hand each worker one long-lived session.
 //
 // The tail of the sequence stresses the run-start reclaim: an overload run
@@ -126,7 +129,7 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 	cache := memo.New()
 	sess := NewSession(cache)
 	for i, cfg := range cfgs {
-		want, err := RunWith(cfg, cache)
+		want, err := NewSession(cache).Run(cfg)
 		if err != nil {
 			t.Fatalf("run %d fresh: %v", i, err)
 		}

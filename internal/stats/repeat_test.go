@@ -85,9 +85,10 @@ func TestRepeatedSumCases(t *testing.T) {
 	}
 	checkRepeat(t, "Δ past the room", 0, wide, 3)
 	// k too large for the naive loop: 2^-60 is far below half an ulp of
-	// 1, so every add is absorbed and one jump covers all 2^40 cycles.
+	// 1, so every add is absorbed and one jump covers all math.MaxInt
+	// cycles, whatever the word size.
 	var n RepeatCounts
-	if got := RepeatedSum(1, []float64{0x1p-60}, 1<<40, &n); got != 1 || n.Cycles != 0 || n.Jumps != 1 {
+	if got := RepeatedSum(1, []float64{0x1p-60}, math.MaxInt, &n); got != 1 || n.Cycles != 0 || n.Jumps != 1 {
 		t.Fatalf("huge k: got %v after %+v, want 1 in one jump", got, n)
 	}
 }

@@ -127,8 +127,8 @@ type FleetStats = metrics.FleetStats
 
 // SweepOptions configures the parallel experiment runner: worker count
 // (default one per CPU), progress callbacks, and the offline cache. The zero
-// value is ready to use. Worker count never affects results; per-cell seed
-// decorrelation is the Experiment's SeedPolicy.
+// value is ready to use. Worker count never affects results: every cell
+// runs at its variant's seed.
 type SweepOptions = runner.Options
 
 // SweepJobResult pairs a job with its outcome (result or attributed error).
@@ -147,10 +147,10 @@ type SweepProgress = runner.Progress
 // OfflineCache memoizes the simulation's offline phase — the calibrated
 // reference graph and the per-shape WCET profile tables — across runs and
 // across the runner's workers. Cache hits are bit-identical to recomputing
-// (the memo package documents the argument; tests pin it). Run and
-// RunExperiment use the process-wide default cache; pass an explicit cache through
-// SweepOptions.Cache to scope reuse, or set SweepOptions.NoOfflineCache to
-// measure the uncached path.
+// (the memo package documents the argument; tests pin it). Every run takes
+// its offline phase from a cache: Run, NewSession and RunExperiment use the
+// process-wide default; pass an explicit cache through SweepOptions.Cache to
+// scope reuse.
 type OfflineCache = memo.Cache
 
 // OfflineStats counts offline-cache traffic (hits and misses per table).
@@ -174,20 +174,10 @@ type Session = sim.Session
 // NewSession returns a run session backed by the process-wide offline cache.
 func NewSession() *Session { return sim.NewSession(memo.Default()) }
 
-// NewSessionWith is NewSession with an explicit offline cache (nil disables
-// offline-phase memoization).
-func NewSessionWith(cache *OfflineCache) *Session { return sim.NewSession(cache) }
-
 // Run executes one simulation and returns its metrics. The offline phase is
 // served from the default cache; results are bit-identical to an uncached
 // run.
 func Run(cfg RunConfig) (Result, error) { return sim.Run(cfg) }
-
-// DeriveSeed deterministically mixes a per-job seed from the base seed and
-// a job's sweep coordinates.
-func DeriveSeed(base uint64, variant string, tasks int) uint64 {
-	return runner.DeriveSeed(base, variant, tasks)
-}
 
 // Experiment is a declarative experiment specification: named scheduler
 // variants (RunConfig templates) crossed with typed sweep axes, compiled
@@ -226,17 +216,6 @@ func AxisKinds() []AxisKind { return exp.Kinds() }
 // submission order plus the folding metadata (expanded variant labels,
 // task axis) to read them back as figure series.
 type ExperimentResults = exp.ResultSet
-
-// ExperimentSeedPolicy selects how compiled jobs get their seeds:
-// SeedFixed (the default: every cell keeps its variant's seed) or SeedDerived
-// (per-cell decorrelation via DeriveSeed).
-type ExperimentSeedPolicy = exp.SeedPolicy
-
-// Experiment seed policies.
-const (
-	SeedFixed   = exp.SeedFixed
-	SeedDerived = exp.SeedDerived
-)
 
 // Experiment axis constructors. Each axis overwrites the corresponding
 // RunConfig field per grid cell; the task axis is always the innermost

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"sgprs"
+	"sgprs/internal/memo"
+	"sgprs/internal/sim"
 )
 
 // TestFacadeQuickstart exercises the public API end to end, exactly as the
@@ -121,8 +123,8 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 
 // TestFacadeScenarioBitIdentical is the pinned acceptance test at the
 // facade: RunExperiment over ScenarioExperiment regenerates scenarios 1 and
-// 2 bit-identically to running the same cells in order on one uncached
-// Session, at worker counts 1, 2, and 4.
+// 2 bit-identically to running the same cells in order on one Session over a
+// fresh offline cache, at worker counts 1, 2, and 4.
 func TestFacadeScenarioBitIdentical(t *testing.T) {
 	counts := []int{2, 4}
 	const horizon = 2
@@ -131,7 +133,7 @@ func TestFacadeScenarioBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := sgprs.NewSessionWith(nil)
+		sess := sim.NewSession(memo.New())
 		var ref []sgprs.Result
 		for _, v := range spec.Variants {
 			for _, n := range counts {

@@ -46,17 +46,11 @@ var workCases = []workCase{
 	{name: "SingleRun/warm-offline", allocs: 787, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, singleRunConfig(), warmCache(tb, singleRunConfig()))
 	}},
-	{name: "SingleRun/uncached-offline", allocs: 3884, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
-		return freshSessions(tb, singleRunConfig(), nil)
-	}},
 	// The steady-state path: one Session reused across runs, as every
 	// sweep worker does. Engine, device, job pool, and task structures all
 	// survive between ops.
 	{name: "SingleRun/warm-session", allocs: 342, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return warmSession(tb, singleRunConfig())
-	}},
-	{name: "ScenarioRegeneration/uncached-offline", allocs: 30282, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
-		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, NoOfflineCache: true} })
 	}},
 	{name: "ScenarioRegeneration/cold-offline", allocs: 5795, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, Cache: memo.New()} })
@@ -124,7 +118,7 @@ func warmCache(tb testing.TB, cfg sgprs.RunConfig) *memo.Cache {
 }
 
 // freshSessions runs cfg on a new session per op over cache — what
-// sim.RunWith (and, over memo.Default, sgprs.Run) does.
+// sgprs.Run does over memo.Default.
 func freshSessions(tb testing.TB, cfg sgprs.RunConfig, cache *memo.Cache) (func() sim.Result, func() sim.Stats) {
 	var last *sim.Session
 	op := func() sim.Result {
