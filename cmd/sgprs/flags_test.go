@@ -160,6 +160,8 @@ func TestParseArrivalPeriod(t *testing.T) {
 // and -admit values fail with an error naming the flag instead of running as
 // if the flag were unset, and that the documented values still pass: -slo 0
 // (none), -arrival-period 0 (defaults) and -admit -1 (leave as declared).
+// With -devices 1 an explicit -placement, -failover or -admit fails too,
+// rather than being dropped with the spec's fleet settings.
 func TestMalformedTrafficAndFleetFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -182,6 +184,11 @@ func TestMalformedTrafficAndFleetFlags(t *testing.T) {
 		{"admit unset", "-devices 2 -admit -1", ""},
 		{"admit zero", "-devices 2 -admit 0", ""},
 		{"admit set", "-devices 2 -admit 0.8", ""},
+		{"placement on one device", "-devices 1 -placement load-steal", "-placement"},
+		{"failover on one device", "-devices 1 -failover retry", "-failover"},
+		{"admit on one device", "-devices 1 -admit 0.8", "-admit"},
+		{"admit unset on one device", "-devices 1 -admit -1", ""},
+		{"one device", "-devices 1", ""},
 	}
 	for _, tc := range cases {
 		args := append(strings.Fields("-scenario 1 -tasks 4 -horizon 2"), strings.Fields(tc.args)...)

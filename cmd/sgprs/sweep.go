@@ -221,10 +221,11 @@ func (f *sweepFlags) resolve() (*exp.Spec, error) {
 // variants and axes, on the caller's clone. A -devices of 0 and an -admit
 // of -1 mean "as declared" and change nothing; -devices 1 collapses a fleet
 // spec to single-device runs, clearing its fleet-only settings and dropping
-// a placement axis. A -tasks or -rate list replaces the spec's axis of that
-// kind or adds one; -horizon, -devices and -placement collapse an axis of
-// their kind to their value, which the axis would otherwise re-apply per
-// cell.
+// a placement axis; like sim.RunConfig.Normalize it rejects fleet options
+// on one device, here an explicit -placement, -failover or -admit. A -tasks
+// or -rate list replaces the spec's axis of that kind or adds one;
+// -horizon, -devices and -placement collapse an axis of their kind to their
+// value, which the axis would otherwise re-apply per cell.
 func (f *sweepFlags) overlay(spec *exp.Spec, set map[string]bool) error {
 	var arrival workload.Arrival
 	if f.e.Arrival != nil {
@@ -236,6 +237,16 @@ func (f *sweepFlags) overlay(spec *exp.Spec, set map[string]bool) error {
 	placement, failover, err := f.e.FleetPolicies()
 	if err != nil {
 		return err
+	}
+	if f.e.Devices == 1 {
+		for _, fl := range []struct {
+			name string
+			on   bool
+		}{{"placement", set["placement"]}, {"failover", set["failover"]}, {"admit", f.admit != -1}} {
+			if fl.on {
+				return fmt.Errorf("-%s needs a fleet, but -devices 1 forces single-device runs", fl.name)
+			}
+		}
 	}
 	if set["tasks"] {
 		setAxis(spec, exp.Tasks(f.e.TaskCounts...))

@@ -95,19 +95,7 @@ func (g *Graph) TotalMACs() int64 {
 
 // WorkByClass aggregates single-SM work per speedup class, in class order.
 // It is the WorkShare vector feeding speedup.Model.Aggregate.
-func (g *Graph) WorkByClass() []speedup.WorkShare {
-	acc := make(map[speedup.Class]float64)
-	for _, op := range g.Ops {
-		acc[op.Class] += op.WorkMS
-	}
-	var out []speedup.WorkShare
-	for _, cl := range speedup.Classes() {
-		if w := acc[cl]; w > 0 {
-			out = append(out, speedup.WorkShare{Class: cl, Work: w})
-		}
-	}
-	return out
-}
+func (g *Graph) WorkByClass() []speedup.WorkShare { return workShares(g.Ops) }
 
 // Gain reports the whole-network speedup at n effective SMs under model m —
 // the "ResNet18" series of Figure 1.
@@ -143,18 +131,15 @@ func (g *Graph) CutPoints() []int {
 			}
 		}
 	}
-	var cuts []int
+	// Op i is a cut point when no earlier op reaches past it: reach is the
+	// running maximum of maxReach[j] over j < i.
+	cuts := make([]int, 0, n)
+	reach := -1
 	for i := 0; i < n-1; i++ {
-		ok := true
-		for j := 0; j < i; j++ {
-			if maxReach[j] > i {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if reach <= i {
 			cuts = append(cuts, i)
 		}
+		reach = max(reach, maxReach[i])
 	}
 	return cuts
 }

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"slices"
 
 	"sgprs/internal/speedup"
 )
@@ -81,10 +82,9 @@ func Partition(g *Graph, k int) ([]*Stage, error) {
 	opStart := 0
 	for si, take := range groups {
 		last := bounds[atom+take-1]
-		st := &Stage{Index: si}
-		for j := opStart; j <= last; j++ {
-			st.Ops = append(st.Ops, g.Ops[j])
-			st.WorkMS += g.Ops[j].WorkMS
+		st := &Stage{Index: si, Ops: slices.Clone(g.Ops[opStart : last+1])}
+		for _, op := range st.Ops {
+			st.WorkMS += op.WorkMS
 		}
 		st.Shares = workShares(st.Ops)
 		stages[si] = st
@@ -94,15 +94,29 @@ func Partition(g *Graph, k int) ([]*Stage, error) {
 	return stages, nil
 }
 
+// workShares sums the ops' work per class, in op order, and lists the
+// classes with positive work in class order. Ops of a class outside the
+// model's range contribute to no share.
 func workShares(ops []*Op) []speedup.WorkShare {
-	acc := make(map[speedup.Class]float64)
+	var acc [speedup.NumClasses]float64
 	for _, op := range ops {
-		acc[op.Class] += op.WorkMS
+		if op.Class >= 0 && op.Class < speedup.NumClasses {
+			acc[op.Class] += op.WorkMS
+		}
 	}
-	var out []speedup.WorkShare
-	for _, cl := range speedup.Classes() {
-		if w := acc[cl]; w > 0 {
-			out = append(out, speedup.WorkShare{Class: cl, Work: w})
+	n := 0
+	for _, w := range acc {
+		if w > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]speedup.WorkShare, 0, n)
+	for cl, w := range acc {
+		if w > 0 {
+			out = append(out, speedup.WorkShare{Class: speedup.Class(cl), Work: w})
 		}
 	}
 	return out
@@ -120,30 +134,29 @@ func balancedPartition(work []float64, k int) []int {
 	sum := func(i, j int) float64 { return prefix[j] - prefix[i] } // [i, j)
 
 	const inf = 1e308
-	// dp[m][i] = minimal max-sum splitting work[:i] into m groups.
-	dp := make([][]float64, k+1)
-	cut := make([][]int, k+1)
-	for m := range dp {
-		dp[m] = make([]float64, n+1)
-		cut[m] = make([]int, n+1)
-		for i := range dp[m] {
-			dp[m][i] = inf
-		}
+	// dp[m*w+i] = minimal max-sum splitting work[:i] into m groups, and
+	// cut[m*w+i] the start of that split's last group.
+	w := n + 1
+	dp := make([]float64, (k+1)*w)
+	cut := make([]int, (k+1)*w)
+	for i := range dp {
+		dp[i] = inf
 	}
-	dp[0][0] = 0
+	dp[0] = 0
 	for m := 1; m <= k; m++ {
+		prev, row := dp[(m-1)*w:m*w], dp[m*w:(m+1)*w]
 		for i := m; i <= n-(k-m); i++ {
 			for j := m - 1; j < i; j++ {
-				if dp[m-1][j] == inf {
+				if prev[j] == inf {
 					continue
 				}
-				cand := dp[m-1][j]
+				cand := prev[j]
 				if s := sum(j, i); s > cand {
 					cand = s
 				}
-				if cand < dp[m][i] {
-					dp[m][i] = cand
-					cut[m][i] = j
+				if cand < row[i] {
+					row[i] = cand
+					cut[m*w+i] = j
 				}
 			}
 		}
@@ -151,7 +164,7 @@ func balancedPartition(work []float64, k int) []int {
 	sizes := make([]int, k)
 	i := n
 	for m := k; m >= 1; m-- {
-		j := cut[m][i]
+		j := cut[m*w+i]
 		sizes[m-1] = i - j
 		i = j
 	}

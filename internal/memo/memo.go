@@ -25,6 +25,16 @@
 // cached and uncached runs produce byte-for-byte equal outputs; the
 // equality tests in internal/sim pin this for both paper scenarios.
 //
+// # Work per shape, not per task
+//
+// A profile lookup is keyed by the chain's ShapeFingerprint, a
+// length-prefixed binary encoding of every stage's work shares. Tasks built
+// together share one stage chain, so ProfileTasks fingerprints and looks up
+// a chain once and hands its entry to every following task on the same
+// slice; each task still counts as one hit or miss in Stats. rt.Task.SetWCETs
+// copies the table into the task and returns at once when the task already
+// holds an equal one, so a warm session's re-profiling installs nothing.
+//
 // # Concurrency
 //
 // A Cache is safe for concurrent use by the parallel experiment runner's
@@ -36,9 +46,9 @@
 package memo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -99,18 +109,23 @@ func profileConfigKey(cfg gpu.Config) gpu.Config {
 // ShapeFingerprint serializes a stage chain's execution-relevant shape: for
 // each stage, its per-class work shares (exact float bits). Two tasks with
 // equal fingerprints are indistinguishable to the profiler, whatever graph
-// or task objects they came from. The encoding is exact (no hashing), so
-// distinct shapes can never collide.
+// or task objects they came from. The encoding is length-prefixed binary —
+// uvarint stage count, then per stage a uvarint share count and per share a
+// uvarint class and the 8 little-endian bytes of math.Float64bits(work) —
+// so it parses back unambiguously: distinct shapes can never collide, and
+// nothing is hashed.
 func ShapeFingerprint(stages []*dnn.Stage) string {
-	buf := make([]byte, 0, 16+32*len(stages))
-	buf = strconv.AppendInt(buf, int64(len(stages)), 10)
+	size := binary.MaxVarintLen64
 	for _, st := range stages {
-		buf = append(buf, '|')
+		size += binary.MaxVarintLen64 + len(st.Shares)*(binary.MaxVarintLen64+8)
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, uint64(len(stages)))
+	for _, st := range stages {
+		buf = binary.AppendUvarint(buf, uint64(len(st.Shares)))
 		for _, sh := range st.Shares {
-			buf = strconv.AppendInt(buf, int64(sh.Class), 10)
-			buf = append(buf, ':')
-			buf = strconv.AppendUint(buf, math.Float64bits(sh.Work), 16)
-			buf = append(buf, ',')
+			buf = binary.AppendUvarint(buf, uint64(sh.Class))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sh.Work))
 		}
 	}
 	return string(buf)
@@ -188,42 +203,63 @@ func (c *Cache) Graph(key GraphKey, build func() *dnn.Graph) *dnn.Graph {
 // ProfileTasks installs per-stage WCETs on every task, measuring each
 // distinct task shape exactly once — within this call, across runs, and
 // across concurrent runner workers — instead of once per task. sms is the
-// context size to profile on (the pool's smallest). The memoized table is installed through
-// rt.Task.SetWCETs, which copies, so tasks never alias cache memory.
+// context size to profile on (the pool's smallest). The memoized table is
+// installed through rt.Task.SetWCETs, which copies, so tasks never alias
+// cache memory.
+//
+// Tasks built together share one stage chain (workload.Build partitions
+// once per graph and stage count), so a task whose chain is the previous
+// task's slice reuses that task's entry without fingerprinting it again. The
+// reuse still counts as a profile hit, exactly as the repeated lookup did.
 func (c *Cache) ProfileTasks(p *profile.Profiler, tasks []*rt.Task, sms int) error {
 	cfgKey := profileConfigKey(p.Config())
 	model := p.Model()
 	margin := math.Float64bits(p.Margin)
+	var (
+		chain []*dnn.Stage
+		e     *profileEntry
+	)
 	for _, t := range tasks {
-		key := profileKey{
-			model:  model,
-			cfg:    cfgKey,
-			sms:    sms,
-			margin: margin,
-			shape:  ShapeFingerprint(t.Stages),
-		}
-		c.mu.Lock()
-		e, ok := c.profiles[key]
-		if !ok {
-			e = &profileEntry{}
-			c.profiles[key] = e
-		}
-		c.mu.Unlock()
-		if ok {
+		if sameChain(t.Stages, chain) {
 			c.profileHits.Add(1)
 		} else {
-			c.profileMisses.Add(1)
-		}
-		t := t
-		e.once.Do(func() { e.wcets, e.err = measureWCETs(p, t, sms) })
-		if e.err != nil {
-			return e.err
+			key := profileKey{
+				model:  model,
+				cfg:    cfgKey,
+				sms:    sms,
+				margin: margin,
+				shape:  ShapeFingerprint(t.Stages),
+			}
+			c.mu.Lock()
+			var ok bool
+			e, ok = c.profiles[key]
+			if !ok {
+				e = &profileEntry{}
+				c.profiles[key] = e
+			}
+			c.mu.Unlock()
+			if ok {
+				c.profileHits.Add(1)
+			} else {
+				c.profileMisses.Add(1)
+			}
+			chain = t.Stages
+			e.once.Do(func() { e.wcets, e.err = measureWCETs(p, t, sms) })
+			if e.err != nil {
+				return e.err
+			}
 		}
 		if err := t.SetWCETs(e.wcets); err != nil {
 			return fmt.Errorf("memo: task %s: %w", t.Name, err)
 		}
 	}
 	return nil
+}
+
+// sameChain reports whether a and b are the same stage chain: one slice, not
+// merely equal contents.
+func sameChain(a, b []*dnn.Stage) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // measureWCETs is the uncached per-shape measurement: every stage in

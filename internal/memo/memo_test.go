@@ -210,3 +210,52 @@ func TestConcurrentProfileTasksSingleflight(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileTasksInterleavedChains: tasks that share stage chains, in the
+// order A, A, B, A, B, each get their own chain's table — equal to the
+// uncached profiler's — and the cache counts one lookup per task, exactly
+// as fingerprinting every task would. A and B have the same stage count, so
+// reusing an entry on a length match alone would hand B A's table.
+func TestProfileTasksInterleavedChains(t *testing.T) {
+	model := speedup.DefaultModel()
+	prof := profile.New(model, gpu.DefaultConfig())
+	cm := dnn.DefaultCostModel()
+	chain := func(g *dnn.Graph) []*dnn.Stage {
+		stages, err := dnn.Partition(g, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stages
+	}
+	a, b := chain(dnn.ResNet18(cm)), chain(dnn.VGG11(cm))
+	var tasks []*rt.Task
+	for i, stages := range [][]*dnn.Stage{a, a, b, a, b} {
+		task, err := rt.NewTask(i, "t", nil, stages, 1e8, 1e8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	c := New()
+	if err := c.ProfileTasks(prof, tasks, 34); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.ProfileMisses != 2 || st.ProfileHits != 3 {
+		t.Fatalf("stats = %v, want 2 misses / 3 hits", st)
+	}
+	for i, task := range tasks {
+		ref, err := rt.NewTask(0, "ref", nil, task.Stages, 1e8, 1e8, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prof.ProfileTask(ref, 34); err != nil {
+			t.Fatal(err)
+		}
+		for j := range task.Stages {
+			if task.StageWCET(j) != ref.StageWCET(j) || task.VirtualDeadline(j) != ref.VirtualDeadline(j) {
+				t.Fatalf("task %d stage %d: WCET %v, deadline %v; uncached %v, %v", i, j,
+					task.StageWCET(j), task.VirtualDeadline(j), ref.StageWCET(j), ref.VirtualDeadline(j))
+			}
+		}
+	}
+}

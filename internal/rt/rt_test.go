@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,65 @@ func TestSetWCETsErrors(t *testing.T) {
 	}
 	if err := task.SetWCETs(make([]des.Time, 6)); err == nil {
 		t.Error("zero WCET accepted")
+	}
+}
+
+// TestSetWCETsReinstall: re-installing an equal table is free, and a
+// different table re-derives everything a fresh task would derive from it.
+func TestSetWCETsReinstall(t *testing.T) {
+	ms := func(vs ...float64) []des.Time {
+		out := make([]des.Time, len(vs))
+		for i, v := range vs {
+			out[i] = des.FromMillis(v)
+		}
+		return out
+	}
+	a := ms(1, 2, 3, 2, 1, 1)
+	b := ms(4, 1, 1, 1, 1, 7)
+	// timing snapshots what SetWCETs derives.
+	timing := func(task *Task) []des.Time {
+		out := []des.Time{task.WCET()}
+		for j := range task.Stages {
+			out = append(out, task.StageWCET(j), task.VirtualDeadline(j))
+		}
+		return out
+	}
+	fresh := func(wcets []des.Time) []des.Time {
+		task := testTask(t, 6)
+		if err := task.SetWCETs(wcets); err != nil {
+			t.Fatal(err)
+		}
+		return timing(task)
+	}
+
+	task := testTask(t, 6)
+	if err := task.SetWCETs(a); err != nil {
+		t.Fatal(err)
+	}
+	equal := append([]des.Time(nil), a...)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := task.SetWCETs(equal); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("re-installing an equal table allocates %v times, want 0", n)
+	}
+	a[0] = des.FromMillis(9) // the task keeps its own copy
+	if got, want := timing(task), fresh(equal); !slices.Equal(got, want) {
+		t.Fatalf("after equal re-install: %v, want %v", got, want)
+	}
+
+	if err := task.SetWCETs(b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := timing(task), fresh(b); !slices.Equal(got, want) {
+		t.Fatalf("after a different table: %v, want %v", got, want)
+	}
+	if err := task.SetWCETs(make([]des.Time, 6)); err == nil {
+		t.Fatal("zero WCET accepted")
+	}
+	if got, want := timing(task), fresh(b); !slices.Equal(got, want) {
+		t.Fatalf("a rejected table changed the task: %v, want %v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
@@ -99,8 +100,14 @@ func NewTask(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, dea
 
 // SetWCETs installs offline-measured per-stage WCETs and derives the virtual
 // deadlines: Dᵢʲ = Dᵢ · Cᵢʲ / Cᵢ (Section IV-A2). The split always sums to
-// exactly Dᵢ; the last stage absorbs rounding.
+// exactly Dᵢ; the last stage absorbs rounding. The table is copied, so the
+// caller may share or reuse it. Re-installing the table already installed
+// is free: the deadlines depend only on it and on Dᵢ, which is fixed at
+// NewTask.
 func (t *Task) SetWCETs(stageWCET []des.Time) error {
+	if t.wcet != nil && slices.Equal(t.wcet, stageWCET) {
+		return nil
+	}
 	if len(stageWCET) != len(t.Stages) {
 		return fmt.Errorf("rt: task %q has %d stages, got %d WCETs", t.Name, len(t.Stages), len(stageWCET))
 	}
@@ -111,10 +118,15 @@ func (t *Task) SetWCETs(stageWCET []des.Time) error {
 		}
 		total += c
 	}
-	t.wcet = append([]des.Time(nil), stageWCET...)
+	if t.wcet == nil {
+		// One allocation holds both tables; later installs overwrite it.
+		n := len(stageWCET)
+		buf := make([]des.Time, 2*n)
+		t.wcet, t.virtualDls = buf[:n:n], buf[n:]
+	}
+	copy(t.wcet, stageWCET)
 	t.totalWCET = total
 
-	t.virtualDls = make([]des.Time, len(stageWCET))
 	var assigned des.Time
 	for j, c := range stageWCET {
 		if j == len(stageWCET)-1 {

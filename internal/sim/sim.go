@@ -249,6 +249,18 @@ func (c *RunConfig) Normalize() error {
 	if des.FromSeconds(1/c.FPS) == des.Never {
 		return fmt.Errorf("sim: run %q FPS %v gives a release period of %vs, beyond the simulated clock's range", c.Name, c.FPS, 1/c.FPS)
 	}
+	// Jobs are counted and indexed by int, 32 bits on some platforms, so
+	// the release count — tasks × FPS × rate factor × horizon, plus each
+	// task's release at its offset — must fit one. Only periodic runs
+	// fast-forward, so only they reach such counts in practice; other
+	// arrival processes are checked at the tasks' natural rate.
+	rate := 1.0
+	if p, ok := c.Arrival.(workload.Periodic); ok && p.Rate != 0 {
+		rate = p.Rate
+	}
+	if n := float64(c.NumTasks) * (float64(c.FPS*rate*c.HorizonSec) + 1); n >= math.MaxInt {
+		return fmt.Errorf("sim: run %q horizon %vs releases %.4g jobs, more than an int counts (%d)", c.Name, c.HorizonSec, n, math.MaxInt)
+	}
 	if c.GPU.TotalSMs == 0 {
 		g := gpu.DefaultConfig()
 		g.Seed = c.Seed + 1

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/speedup"
+	"sgprs/internal/workload"
 )
 
 // sweep runs base across the task counts on one session and folds the
@@ -232,6 +234,43 @@ func TestClockRangeInputs(t *testing.T) {
 			}
 			if res.Summary.Completed == 0 {
 				t.Fatal("no job completed")
+			}
+		})
+	}
+}
+
+// TestReleaseCountFitsInt: a run whose release count (tasks × FPS × rate
+// factor × horizon) overflows int is a config error naming the horizon,
+// on every word size. The 8-task jitter-free 1.5× run below fast-forwards;
+// on a 32-bit int its 1e7 s horizon used to print negative counts and a
+// 5e9 s one to panic in the collector.
+func TestReleaseCountFitsInt(t *testing.T) {
+	paper := RunConfig{Kind: KindSGPRS, ContextSMs: ContextPool(2, 1.5, 68), NumTasks: 8}
+	// huge has the tasks for 0.6 × MaxInt releases over its 2 s at 30 FPS.
+	huge := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: math.MaxInt / 100, HorizonSec: 2}
+	cases := []struct {
+		name     string
+		cfg      RunConfig
+		edit     func(*RunConfig)
+		overflow bool
+	}{
+		{"600s", paper, func(c *RunConfig) { c.HorizonSec = 600 }, false},
+		{"1e7s", paper, func(c *RunConfig) { c.HorizonSec = 1e7 }, strconv.IntSize == 32},
+		{"5e9s", paper, func(c *RunConfig) { c.HorizonSec = 5e9 }, strconv.IntSize == 32},
+		{"tasks", huge, func(*RunConfig) {}, false},
+		{"tasks-twice-the-rate", huge, func(c *RunConfig) { c.Arrival = workload.Periodic{Rate: 2} }, true},
+		{"tasks-longer", huge, func(c *RunConfig) { c.HorizonSec = 4 }, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			tc.edit(&cfg)
+			err := cfg.Normalize()
+			switch {
+			case !tc.overflow && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.overflow && (err == nil || !strings.Contains(err.Error(), "horizon")):
+				t.Fatalf("err = %v, want one naming the horizon", err)
 			}
 		})
 	}

@@ -36,7 +36,9 @@ const (
 	Linear
 	Add
 	Softmax
-	numClasses
+	// NumClasses is the number of operation classes; a Class indexes
+	// arrays of this length.
+	NumClasses
 )
 
 var classNames = [...]string{
@@ -60,7 +62,7 @@ func (c Class) String() string {
 
 // Classes lists every operation class in display order.
 func Classes() []Class {
-	out := make([]Class, numClasses)
+	out := make([]Class, NumClasses)
 	for i := range out {
 		out[i] = Class(i)
 	}
@@ -102,7 +104,7 @@ func (c Curve) Gain(n float64) float64 {
 
 // Model maps every operation class to its speedup curve.
 type Model struct {
-	curves [numClasses]Curve
+	curves [NumClasses]Curve
 }
 
 // NewModel builds a model from explicit per-class curves. Classes absent from
@@ -139,7 +141,7 @@ func DefaultModel() *Model {
 
 // Curve returns the curve for class cl.
 func (m *Model) Curve(cl Class) Curve {
-	if cl < 0 || cl >= numClasses {
+	if cl < 0 || cl >= NumClasses {
 		panic(fmt.Sprintf("speedup: unknown class %v", cl))
 	}
 	return m.curves[cl]
@@ -187,7 +189,7 @@ func (m *Model) Aggregate(parts []WorkShare, n float64) float64 {
 // Table samples gain curves at the given SM counts for every class, in class
 // order — the data series behind Figure 1.
 func (m *Model) Table(smCounts []int) map[Class][]float64 {
-	out := make(map[Class][]float64, numClasses)
+	out := make(map[Class][]float64, NumClasses)
 	for _, cl := range Classes() {
 		row := make([]float64, len(smCounts))
 		for i, n := range smCounts {

@@ -160,8 +160,8 @@ func TestTableShape(t *testing.T) {
 	m := DefaultModel()
 	sms := []int{1, 2, 4, 8, 16, 32, 68}
 	tab := m.Table(sms)
-	if len(tab) != int(numClasses) {
-		t.Fatalf("table has %d classes, want %d", len(tab), numClasses)
+	if len(tab) != int(NumClasses) {
+		t.Fatalf("table has %d classes, want %d", len(tab), NumClasses)
 	}
 	for cl, row := range tab {
 		if len(row) != len(sms) {
@@ -180,7 +180,7 @@ func TestClassString(t *testing.T) {
 	if Class(99).String() != "class(99)" {
 		t.Errorf("out-of-range class string = %q", Class(99).String())
 	}
-	if len(Classes()) != int(numClasses) {
+	if len(Classes()) != int(NumClasses) {
 		t.Errorf("Classes() returned %d entries", len(Classes()))
 	}
 }

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
@@ -59,7 +60,7 @@ func Replicate(o Options) []TaskSpec {
 	out := make([]TaskSpec, o.Count)
 	for i := range out {
 		out[i] = o.Spec
-		out[i].Name = fmt.Sprintf("%s-%d", o.Spec.Name, i)
+		out[i].Name = o.Spec.Name + "-" + strconv.Itoa(i)
 	}
 	if o.Stagger && o.Spec.FPS > 0 {
 		period := des.FromSeconds(1 / o.Spec.FPS)
