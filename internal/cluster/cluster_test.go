@@ -37,7 +37,7 @@ func (s *fakeSched) EvictAll(des.Time) { s.evictions++ }
 
 // newMembers builds one default device per entry of contexts, each with an
 // attached fakeSched owning that many contexts.
-func newMembers(t *testing.T, eng *des.Engine, tasks []*rt.Task, contexts ...int) ([]Member, []*fakeSched) {
+func newMembers(t testing.TB, eng *des.Engine, tasks []*rt.Task, contexts ...int) ([]Member, []*fakeSched) {
 	t.Helper()
 	var members []Member
 	var scheds []*fakeSched
@@ -58,7 +58,7 @@ func newMembers(t *testing.T, eng *des.Engine, tasks []*rt.Task, contexts ...int
 
 // newTasks builds profiled one-stage tasks with a 10 ms period; task i does
 // workMS[i] of work per period, so its offline load is workMS[i]/10.
-func newTasks(t *testing.T, workMS ...float64) []*rt.Task {
+func newTasks(t testing.TB, workMS ...float64) []*rt.Task {
 	t.Helper()
 	period := des.FromMillis(10)
 	var tasks []*rt.Task

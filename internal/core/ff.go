@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"sgprs/internal/des"
 	"sgprs/internal/rt"
 )
@@ -34,44 +32,37 @@ func (s *Scheduler) EncodeState(buf []byte, jobEnc func(buf []byte, j *rt.Job) [
 			buf = des.AppendU64(buf, uint64(st.Index))
 		}
 	}
-	// Flow-control maps, iterated in sorted task-ID order (map iteration
-	// order must never leak into a fingerprint). Entries with nil jobs are
-	// semantically absent but kept by jobOver; encode presence explicitly.
-	s.encIDs = s.encIDs[:0]
-	//sgprs:allow maporder — task IDs are collected then sorted before any byte is encoded
-	for id := range s.active {
-		s.encIDs = append(s.encIDs, id)
-	}
-	slices.Sort(s.encIDs)
-	buf = des.AppendU64(buf, uint64(len(s.encIDs)))
-	for _, id := range s.encIDs {
-		buf = des.AppendU64(buf, uint64(id))
-		if j := s.active[id]; j != nil {
-			buf = append(buf, 1)
-			buf = jobEnc(buf, j)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	s.encIDs = s.encIDs[:0]
-	//sgprs:allow maporder — task IDs are collected then sorted before any byte is encoded
-	for id := range s.held {
-		s.encIDs = append(s.encIDs, id)
-	}
-	slices.Sort(s.encIDs)
-	buf = des.AppendU64(buf, uint64(len(s.encIDs)))
-	for _, id := range s.encIDs {
-		buf = des.AppendU64(buf, uint64(id))
-		if j := s.held[id]; j != nil {
-			buf = append(buf, 1)
-			buf = jobEnc(buf, j)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
+	// Flow control, in task-ID order: the tasks that ever had an active
+	// frame, then those that ever had a held one, each with its frame or
+	// an explicit absence (a slot emptied by jobOver stays listed).
+	buf = s.encodeFlows(buf, jobEnc, func(f *taskFlow) (*rt.Job, bool) { return f.active, f.wasActive })
+	buf = s.encodeFlows(buf, jobEnc, func(f *taskFlow) (*rt.Job, bool) { return f.held, f.wasHeld })
 	buf = des.AppendU64(buf, uint64(len(s.heldOrder)))
 	for _, id := range s.heldOrder {
 		buf = des.AppendU64(buf, uint64(id))
+	}
+	return buf
+}
+
+// encodeFlows appends the count of listed tasks, then per listed task its ID,
+// a presence byte and, when present, the job. slot reports a task's frame
+// and whether the task is listed.
+func (s *Scheduler) encodeFlows(buf []byte, jobEnc func(buf []byte, j *rt.Job) []byte, slot func(f *taskFlow) (*rt.Job, bool)) []byte {
+	s.encIDs = s.encIDs[:0]
+	for id := range s.flows {
+		if _, listed := slot(&s.flows[id]); listed {
+			s.encIDs = append(s.encIDs, id)
+		}
+	}
+	buf = des.AppendU64(buf, uint64(len(s.encIDs)))
+	for _, id := range s.encIDs {
+		buf = des.AppendU64(buf, uint64(id))
+		if j, _ := slot(&s.flows[id]); j != nil {
+			buf = append(buf, 1)
+			buf = jobEnc(buf, j)
+		} else {
+			buf = append(buf, 0)
+		}
 	}
 	return buf
 }
@@ -81,13 +72,13 @@ func (s *Scheduler) EncodeState(buf []byte, jobEnc func(buf []byte, j *rt.Job) [
 // referenced only through device kernels are a subset of the active ones,
 // but the fast-forward layer deduplicates across both enumerations anyway.
 func (s *Scheduler) ForEachJob(f func(j *rt.Job)) {
-	for _, j := range s.active {
-		if j != nil {
+	for i := range s.flows {
+		if j := s.flows[i].active; j != nil {
 			f(j)
 		}
 	}
-	for _, j := range s.held {
-		if j != nil {
+	for i := range s.flows {
+		if j := s.flows[i].held; j != nil {
 			f(j)
 		}
 	}

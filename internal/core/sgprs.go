@@ -26,12 +26,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"sgprs/internal/des"
 	"sgprs/internal/gpu"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
-	"sgprs/internal/speedup"
+	"sgprs/internal/slab"
 )
 
 // Config parameterises an SGPRS instance.
@@ -60,6 +62,23 @@ type Config struct {
 // Every pool context runs the paper's two high- and two low-priority streams.
 const highStreams, lowStreams = 2, 2
 
+// Stream names, by priority and index within it. Pool contexts are named
+// "cp" plus their index; the table covers the pools the paper and the
+// registry use, so naming them builds no string.
+var (
+	highNames = [highStreams]string{"hi0", "hi1"}
+	lowNames  = [lowStreams]string{"lo0", "lo1"}
+	ctxNames  = [...]string{"cp0", "cp1", "cp2", "cp3", "cp4", "cp5", "cp6", "cp7"}
+)
+
+// ctxName names pool context i.
+func ctxName(i int) string {
+	if i < len(ctxNames) {
+		return ctxNames[i]
+	}
+	return "cp" + strconv.Itoa(i)
+}
+
 // ctxState is the scheduler's bookkeeping for one pool context.
 type ctxState struct {
 	ctx   *gpu.Context
@@ -85,13 +104,8 @@ type Scheduler struct {
 	ctxs  []*ctxState
 	tasks []*rt.Task // admission-ordered attach set (EvictAll iteration order)
 
-	// Per-task frame flow control: each task pipelines one frame at a
-	// time. active is the job currently in the stage pipeline; held is
-	// the newest released job waiting for the pipeline to free. A fresh
-	// release replaces a still-waiting held frame (the replaced frame
-	// counts as missed without ever costing GPU time).
-	active map[int]*rt.Job
-	held   map[int]*rt.Job
+	// Per-task frame flow control, indexed by task ID (see taskFlow).
+	flows []taskFlow
 	// heldOrder queues task IDs with held frames in arrival order so
 	// freed admission slots go to the oldest waiting frame.
 	heldOrder   []int
@@ -128,19 +142,53 @@ type Scheduler struct {
 	encIDs    []int
 }
 
+// taskFlow is one task's frame flow control: each task pipelines one frame
+// at a time. active is the job currently in the stage pipeline; held is the
+// newest released job waiting for the pipeline to free. A fresh release
+// replaces a still-waiting held frame (the replaced frame counts as missed
+// without ever costing GPU time). wasActive and wasHeld record whether the
+// task ever had an active or a held frame this run: the fast-forward
+// fingerprint lists exactly those tasks (EncodeState).
+type taskFlow struct {
+	active, held       *rt.Job
+	wasActive, wasHeld bool
+}
+
 // New validates cfg and returns an unattached scheduler.
 func New(cfg Config) (*Scheduler, error) {
+	s := &Scheduler{}
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset validates cfg and returns the scheduler to the unattached state New
+// leaves it in, keeping its allocations — context states with their queue
+// arrays, the per-task flow slots, the retry tokens and the encoding
+// scratch — so a session that reuses it across runs attaches without
+// allocating them again. It must not be called while a run still drives the
+// scheduler.
+func (s *Scheduler) Reset(cfg Config) error {
 	if cfg.Name == "" {
-		return nil, fmt.Errorf("core: config needs a name")
+		return fmt.Errorf("core: config needs a name")
 	}
 	if len(cfg.ContextSMs) == 0 {
-		return nil, fmt.Errorf("core: config needs at least one context")
+		return fmt.Errorf("core: config needs at least one context")
 	}
-	return &Scheduler{
-		cfg:    cfg,
-		active: map[int]*rt.Job{},
-		held:   map[int]*rt.Job{},
-	}, nil
+	*s = Scheduler{
+		cfg:       cfg,
+		ctxs:      s.ctxs[:0],
+		flows:     s.flows[:0],
+		heldOrder: s.heldOrder[:0],
+		stateOf:   s.stateOf[:0],
+		doneFn:    s.doneFn,
+		retryFn:   s.retryFn,
+		tokenPool: s.tokenPool,
+		encStages: s.encStages[:0],
+		encIDs:    s.encIDs[:0],
+	}
+	return nil
 }
 
 // Name implements sched.Scheduler.
@@ -163,11 +211,18 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 	if len(tasks) == 0 {
 		return fmt.Errorf("core: scheduler %q attached with no tasks", s.cfg.Name)
 	}
+	maxID := 0
 	for _, t := range tasks {
 		if !t.Profiled() {
 			return fmt.Errorf("core: task %s not profiled", t)
 		}
+		if t.ID < 0 {
+			return fmt.Errorf("core: task %s has negative ID %d", t, t.ID)
+		}
+		maxID = max(maxID, t.ID)
 	}
+	s.flows = slices.Grow(s.flows[:0], maxID+1)[:maxID+1]
+	clear(s.flows)
 	s.eng = eng
 	s.dev = dev
 	// Little's-law sizing of the admission window: with the device
@@ -197,21 +252,27 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 		s.maxInflight = streams
 	}
 	s.tasks = tasks
-	s.doneFn = s.kernelDone
-	s.retryFn = s.retryFire
+	if s.doneFn == nil {
+		s.doneFn = s.kernelDone
+		s.retryFn = s.retryFire
+	}
 	for i, sms := range s.cfg.ContextSMs {
-		ctx, err := dev.CreateContext(fmt.Sprintf("cp%d", i), sms)
+		ctx, err := dev.CreateContext(ctxName(i), sms)
 		if err != nil {
 			return fmt.Errorf("core: context pool: %w", err)
 		}
-		for h := range highStreams {
-			ctx.AddStream(fmt.Sprintf("hi%d", h), gpu.HighPriority)
+		for _, name := range highNames {
+			ctx.AddStream(name, gpu.HighPriority)
 		}
-		for l := range lowStreams {
-			ctx.AddStream(fmt.Sprintf("lo%d", l), gpu.LowPriority)
+		for _, name := range lowNames {
+			ctx.AddStream(name, gpu.LowPriority)
 		}
-		c := &ctxState{ctx: ctx}
-		s.ctxs = append(s.ctxs, c)
+		// A reset scheduler keeps its context states past len(s.ctxs);
+		// reuse one, with its queue arrays.
+		var c *ctxState
+		s.ctxs, c = slab.Reuse(s.ctxs)
+		c.queue.Reset()
+		c.ctx, c.pendingWCET, c.inFlight = ctx, 0, 0
 		for len(s.stateOf) <= ctx.ID() {
 			s.stateOf = append(s.stateOf, nil)
 		}
@@ -229,8 +290,9 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 // the naive baseline's domino effect.
 func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 	id := job.Task.ID
-	if s.active[id] != nil || s.inflight >= s.maxInflight {
-		if old := s.held[id]; old != nil {
+	f := &s.flows[id]
+	if f.active != nil || s.inflight >= s.maxInflight {
+		if old := f.held; old != nil {
 			s.replaced++
 			// The replaced frame will never run: report it abandoned
 			// so its owner can record and recycle it.
@@ -238,7 +300,7 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 		} else {
 			s.heldOrder = append(s.heldOrder, id)
 		}
-		s.held[id] = job
+		f.held, f.wasHeld = job, true
 		return
 	}
 	s.activate(job, now)
@@ -246,7 +308,8 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 
 // activate pushes a job's first stage into the online pipeline.
 func (s *Scheduler) activate(job *rt.Job, now des.Time) {
-	s.active[job.Task.ID] = job
+	f := &s.flows[job.Task.ID]
+	f.active, f.wasActive = job, true
 	s.inflight++
 	st := job.Stages[0]
 	st.MarkReady(now)
@@ -363,7 +426,7 @@ func (s *Scheduler) launch(c *ctxState, stream *gpu.Stream, st *rt.StageJob, now
 	} else {
 		k.Label = "stage"
 	}
-	k.Shares = scaleShares(task.Stages[st.Index].Shares, st.Job.WorkScale)
+	k.ScaleShares(task.Stages[st.Index].Shares, st.Job.WorkScale)
 	k.Arg = st
 	k.OnDone = s.doneFn
 	stream.Submit(k)
@@ -378,19 +441,6 @@ func (s *Scheduler) kernelDone(k *gpu.Kernel, now des.Time) {
 	c := s.stateOf[k.Stream().Context().ID()]
 	s.dev.FreeKernel(k)
 	s.onStageDone(c, st, now)
-}
-
-// scaleShares applies a job's execution-demand scale to stage work. Scale 1
-// returns the shared slice untouched (the common case allocates nothing).
-func scaleShares(shares []speedup.WorkShare, scale float64) []speedup.WorkShare {
-	if scale == 1 || scale <= 0 {
-		return shares
-	}
-	out := make([]speedup.WorkShare, len(shares))
-	for i, ws := range shares {
-		out[i] = speedup.WorkShare{Class: ws.Class, Work: ws.Work * scale}
-	}
-	return out
 }
 
 // onStageDone retires a stage, releases its successor (with medium promotion
@@ -461,8 +511,9 @@ func (s *Scheduler) RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action sche
 	case sched.ActionKillChain:
 		// Shed the task's backlog too: a held frame of the faulted task
 		// dies with the faulted frame.
-		if h := s.held[st.Job.Task.ID]; h != nil {
-			s.held[st.Job.Task.ID] = nil
+		if f := &s.flows[st.Job.Task.ID]; f.held != nil {
+			h := f.held
+			f.held = nil
 			s.dropped++
 			h.Discard(now)
 		}
@@ -537,16 +588,17 @@ func (s *Scheduler) EvictAll(now des.Time) {
 		c.inFlight = 0
 	}
 	for _, t := range s.tasks {
-		if j := s.active[t.ID]; j != nil {
-			s.active[t.ID] = nil
+		f := &s.flows[t.ID]
+		if j := f.active; j != nil {
+			f.active = nil
 			s.inflight--
 			s.dropped++
 			if !j.Discarded {
 				j.Discard(now)
 			}
 		}
-		if h := s.held[t.ID]; h != nil {
-			s.held[t.ID] = nil
+		if h := f.held; h != nil {
+			f.held = nil
 			s.dropped++
 			h.Discard(now)
 		}
@@ -557,7 +609,7 @@ func (s *Scheduler) EvictAll(now des.Time) {
 // jobOver frees a task's pipeline slot and hands freed admission capacity to
 // the oldest held frame whose task is idle.
 func (s *Scheduler) jobOver(taskID int, now des.Time) {
-	s.active[taskID] = nil
+	s.flows[taskID].active = nil
 	s.inflight--
 	kept := s.heldOrder[:0]
 	for i, id := range s.heldOrder {
@@ -565,11 +617,12 @@ func (s *Scheduler) jobOver(taskID int, now des.Time) {
 			kept = append(kept, s.heldOrder[i:]...)
 			break
 		}
-		h := s.held[id]
+		f := &s.flows[id]
+		h := f.held
 		switch {
 		case h == nil:
 			// Stale entry; drop it.
-		case s.active[id] != nil:
+		case f.active != nil:
 			// Task still busy; keep its place in line.
 			kept = append(kept, id)
 		case !s.cfg.DisableLateDrop &&
@@ -578,11 +631,11 @@ func (s *Scheduler) jobOver(taskID int, now des.Time) {
 			// pipeline latency: it would finish late. Skipping
 			// it now (it counts as missed either way) lets the
 			// task's next frame start fresh and on time.
-			s.held[id] = nil
+			f.held = nil
 			s.dropped++
 			h.Discard(now)
 		default:
-			s.held[id] = nil
+			f.held = nil
 			s.activate(h, now)
 		}
 	}

@@ -1,6 +1,10 @@
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"sgprs/internal/slab"
+)
 
 // Priority is a CUDA stream priority. The hardware exposes two levels; the
 // scheduler's third, logical "medium" level (promoted stages) is mapped onto
@@ -107,13 +111,18 @@ func (c *Context) AddStream(name string, p Priority) *Stream {
 	if p != LowPriority && p != HighPriority {
 		panic(fmt.Sprintf("gpu: stream %q has %v, want low or high", name, p))
 	}
-	s := &Stream{
+	// Streams of a context reused after a device reset are reused too,
+	// with their queue arrays.
+	var s *Stream
+	c.streams, s = slab.Reuse(c.streams)
+	clear(s.queue)
+	*s = Stream{
 		ctx:      c,
-		id:       len(c.streams),
+		id:       len(c.streams) - 1,
 		name:     name,
 		priority: p,
+		queue:    s.queue[:0],
 	}
-	c.streams = append(c.streams, s)
 	return s
 }
 

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"sgprs/internal/des"
+	"sgprs/internal/slab"
 	"sgprs/internal/speedup"
 	"sgprs/internal/stats"
 )
@@ -101,7 +102,7 @@ type Device struct {
 	eng      *des.Engine
 	model    *speedup.Model
 	cfg      Config
-	rng      *des.RNG
+	rng      des.RNG
 	contexts []*Context
 
 	// running holds the executing kernels in admission order. It is a
@@ -161,18 +162,18 @@ type Device struct {
 	recCompleted uint64
 	replayCounts stats.RepeatCounts
 
-	// kernels is every kernel NewKernel ever allocated and freeKernels
-	// the ones available for reuse. The device owns them all: schedulers
-	// borrow with NewKernel and return with FreeKernel, and Reset reclaims
-	// the ones a run left behind (still running, queued, or cancelled in
-	// their launch window).
-	kernels     []*Kernel
+	// kernels is the arena every kernel NewKernel ever carved comes from,
+	// and freeKernels the ones available for reuse. The device owns them
+	// all: schedulers borrow with NewKernel and return with FreeKernel,
+	// and Reset reclaims the ones a run left behind (still running,
+	// queued, or cancelled in their launch window).
+	kernels     slab.Arena[Kernel]
 	freeKernels []*Kernel
 }
 
 // deviceRNG derives the device's stochastic stream from its seed; NewDevice
 // and Reset must agree on it for a reset device to replay a fresh one.
-func deviceRNG(seed uint64) *des.RNG { return des.NewRNG(seed).Fork(0xDE71CE) }
+func deviceRNG(seed uint64) des.RNG { return *des.NewRNG(seed).Fork(0xDE71CE) }
 
 // NewDevice builds a device on the given engine with the given speedup model.
 func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, error) {
@@ -195,15 +196,17 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 
 // Reset returns the device to its just-constructed state under a (possibly
 // different) configuration, retaining its allocations — the slice
-// capacities survive, so a reused device recomputes without growing. Contexts are discarded (schedulers recreate their pool on
-// Attach), the stochastic stream is re-derived from the new seed, and all
-// accounting restarts; a run on a reset device is bit-identical to one on a
-// fresh device. Every kernel NewKernel handed out is zeroed and returned to
-// the free list, whatever state the previous run left it in. The caller must
-// Reset the driving engine first: the launch events of the kernels it
-// reclaims live in the engine's queue, and the engine reset is what drops
-// them. The completion timer is parked, and the next run's first kernel
-// start re-arms it.
+// capacities survive, so a reused device recomputes without growing.
+// Contexts are discarded (schedulers recreate their pool on Attach), but
+// their structs, streams and stream queues are kept for CreateContext and
+// AddStream to reuse. The stochastic stream is re-derived from the new
+// seed and all accounting restarts; a run on a reset device is
+// bit-identical to one on a fresh device. Every kernel NewKernel handed out
+// is zeroed (FreeKernel's rule) and returned to the free list, whatever
+// state the previous run left it in. The caller must Reset the driving
+// engine first: the launch events of the kernels it reclaims live in the
+// engine's queue, and the engine reset is what drops them. The completion
+// timer is parked, and the next run's first kernel start re-arms it.
 func (d *Device) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -231,18 +234,18 @@ func (d *Device) Reset(cfg Config) error {
 	d.recCompleted = 0
 	d.replayCounts = stats.RepeatCounts{}
 	d.freeKernels = d.freeKernels[:0]
-	for _, k := range d.kernels {
-		*k = Kernel{pooled: true}
+	d.kernels.Each(func(k *Kernel) {
+		*k = Kernel{pooled: true, scaled: k.scaled}
 		d.freeKernels = append(d.freeKernels, k)
-	}
+	})
 	return nil
 }
 
-// NewKernel returns a zeroed kernel from the device's free list, allocating
-// one only when the list is empty. The caller fills it, submits it, and hands
-// it back with FreeKernel once the device no longer holds it (in OnDone, or
-// after Abort or Stream.Flush); a kernel it never hands back is reclaimed by
-// the next Reset.
+// NewKernel returns a zeroed kernel from the device's free list, carving one
+// from the kernel arena only when the list is empty. The caller fills it,
+// submits it, and hands it back with FreeKernel once the device no longer
+// holds it (in OnDone, or after Abort or Stream.Flush); a kernel it never
+// hands back is reclaimed by the next Reset.
 func (d *Device) NewKernel() *Kernel {
 	if n := len(d.freeKernels); n > 0 {
 		k := d.freeKernels[n-1]
@@ -250,12 +253,11 @@ func (d *Device) NewKernel() *Kernel {
 		k.pooled = false
 		return k
 	}
-	k := &Kernel{}
-	d.kernels = append(d.kernels, k)
-	return k
+	return d.kernels.New()
 }
 
-// FreeKernel zeroes k and returns it to the free list. Freeing a kernel that
+// FreeKernel zeroes k, keeping only its scale buffer (ScaleShares), and
+// returns it to the free list. Freeing a kernel that
 // is still running, or freeing one twice, is a programming error and panics.
 func (d *Device) FreeKernel(k *Kernel) {
 	if k.pooled {
@@ -264,7 +266,7 @@ func (d *Device) FreeKernel(k *Kernel) {
 	if k.started {
 		panic(fmt.Sprintf("gpu: free of running kernel %q", k.Label))
 	}
-	*k = Kernel{pooled: true}
+	*k = Kernel{pooled: true, scaled: k.scaled}
 	d.freeKernels = append(d.freeKernels, k)
 }
 
@@ -340,13 +342,17 @@ func (d *Device) CreateContext(name string, sms int) (*Context, error) {
 	if sms > d.cfg.TotalSMs {
 		return nil, fmt.Errorf("gpu: context %q wants %d SMs, device has %d", name, sms, d.cfg.TotalSMs)
 	}
-	ctx := &Context{
-		device: d,
-		id:     len(d.contexts),
-		name:   name,
-		sms:    sms,
+	// A reset device keeps its previous contexts past len(d.contexts);
+	// reuse one, with its streams, rather than allocating.
+	var ctx *Context
+	d.contexts, ctx = slab.Reuse(d.contexts)
+	*ctx = Context{
+		device:  d,
+		id:      len(d.contexts) - 1,
+		name:    name,
+		sms:     sms,
+		streams: ctx.streams[:0],
 	}
-	d.contexts = append(d.contexts, ctx)
 	return ctx, nil
 }
 

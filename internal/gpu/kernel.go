@@ -76,6 +76,13 @@ type Kernel struct {
 	// schedRate is the rate the completion key was last derived under;
 	// recompute skips the reschedule when the rate is unchanged.
 	schedRate float64
+
+	// scaled backs Shares after ScaleShares. It is allocated the first
+	// time the struct is scaled and survives recycling (FreeKernel and
+	// Reset keep it), so a scaled launch on a recycled kernel allocates
+	// nothing, and a kernel that is never scaled — every kernel of a run
+	// without work variation — carries only the pointer.
+	scaled *[speedup.NumClasses]speedup.WorkShare
 }
 
 // initGain computes the closed-form gain coefficients from Shares under
@@ -112,6 +119,27 @@ func (k *Kernel) aggregateGain(n float64) float64 {
 		return 0
 	}
 	return k.aggW / (k.aggP + k.aggQ/n)
+}
+
+// ScaleShares sets Shares to shares with every class's work multiplied by
+// scale — a job's execution-demand scale (rt.Job.WorkScale) — written into a
+// buffer the kernel owns, so a launch under work variation allocates at most
+// once per kernel struct, not once per launch. Scale 1, or a scale that is
+// not positive, shares the slice untouched. shares lists each speedup class
+// at most once, as the offline phase builds it.
+func (k *Kernel) ScaleShares(shares []speedup.WorkShare, scale float64) {
+	if scale == 1 || !(scale > 0) {
+		k.Shares = shares
+		return
+	}
+	if k.scaled == nil {
+		k.scaled = new([speedup.NumClasses]speedup.WorkShare)
+	}
+	out := k.scaled[:len(shares)]
+	for i, ws := range shares {
+		out[i] = speedup.WorkShare{Class: ws.Class, Work: ws.Work * scale}
+	}
+	k.Shares = out
 }
 
 // totalWork sums the scalable work across classes.

@@ -1,10 +1,14 @@
 package gpu
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sgprs/internal/des"
+	"sgprs/internal/slab"
 	"sgprs/internal/speedup"
 )
 
@@ -200,5 +204,124 @@ func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Errorf("start/complete cycle allocates %v times, want 0", n)
+	}
+}
+
+// TestKernelsGrowInSlabs: driving a device to a peak of P live kernels takes
+// O(log P) allocations and reserves at most about 1.25·P + one minimum
+// chunk of kernels, plus the allocator's size-class rounding. The free list
+// counts only freed and reclaimed kernels: none before Reset, all P after.
+func TestKernelsGrowInSlabs(t *testing.T) {
+	cfg := quietConfig()
+	eng, dev := newTestDevice(t, cfg)
+	const peak = 5000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range peak {
+		dev.NewKernel()
+	}
+	runtime.ReadMemStats(&after)
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if limit := uint64(4 * math.Log2(peak)); mallocs > limit {
+		t.Errorf("growing to %d kernels took %d allocations, want ≤ %d (O(log P))", peak, mallocs, limit)
+	}
+	reserve := uint64((peak + peak/4 + slab.MinChunk) * unsafe.Sizeof(Kernel{}))
+	if limit := reserve + reserve/8; bytes > limit {
+		t.Errorf("growing to %d kernels took %d bytes, want ≤ %d (1.25·P + MinChunk kernels, +1/8)", peak, bytes, limit)
+	}
+	if n := len(dev.freeKernels); n != 0 {
+		t.Errorf("free list holds %d kernels before any free, want 0", n)
+	}
+	eng.Reset()
+	if err := dev.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dev.freeKernels); n != peak {
+		t.Errorf("free list holds %d kernels after Reset, want all %d", n, peak)
+	}
+}
+
+// TestResetKeepsContextsAndStreams: a reset device hands its previous
+// context and stream structs back to CreateContext and AddStream, fully
+// reinitialised, so recreating a pool of the same shape allocates nothing;
+// a larger pool allocates only the structs it adds.
+func TestResetKeepsContextsAndStreams(t *testing.T) {
+	cfg := quietConfig()
+	eng, dev := newTestDevice(t, cfg)
+	pool := func(n int) {
+		for i := range n {
+			ctx, err := dev.CreateContext("c", 20+i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx.AddStream("hi", HighPriority)
+			ctx.AddStream("lo", LowPriority)
+		}
+	}
+	pool(2)
+	old := dev.Contexts()[1]
+	k := dev.NewKernel()
+	k.Shares = []speedup.WorkShare{{Class: speedup.Conv, Work: 50}}
+	old.Streams()[1].Submit(k)
+	k2 := dev.NewKernel()
+	k2.Shares = k.Shares
+	old.Streams()[1].Submit(k2) // queued behind k
+	reset := func() {
+		eng.Reset()
+		if err := dev.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { reset(); pool(2) }); n != 0 {
+		t.Errorf("recreating a 2-context pool on a reset device allocates %v times, want 0", n)
+	}
+	if dev.Contexts()[1] != old {
+		t.Fatal("reset device did not reuse its context struct")
+	}
+	_, fresh := newTestDevice(t, cfg)
+	ctx, _ := fresh.CreateContext("c", 21)
+	ctx.AddStream("hi", HighPriority)
+	want := ctx.AddStream("lo", LowPriority)
+	got := old.Streams()[1]
+	if got.QueueLen() != 0 || got.Busy() || got.ctx != old || got.id != want.id ||
+		got.name != want.name || got.priority != want.priority || cap(got.queue) == 0 {
+		t.Errorf("reused stream not reinitialised: %+v", *got)
+	}
+	reset()
+	pool(3)
+	if n := len(dev.Contexts()); n != 3 || dev.Contexts()[2].ID() != 2 || len(dev.Contexts()[2].Streams()) != 2 {
+		t.Fatalf("3-context pool after a 2-context one: %d contexts", n)
+	}
+}
+
+// TestScaleSharesAllocsNothing: a scaled kernel's shares are the same
+// multiply written into the kernel's own buffer, which survives recycling,
+// so scaling a recycled kernel allocates nothing; scale 1 shares the slice.
+func TestScaleSharesAllocsNothing(t *testing.T) {
+	_, dev := newTestDevice(t, quietConfig())
+	base := []speedup.WorkShare{{Class: speedup.Conv, Work: 3.7}, {Class: speedup.ReLU, Work: 0.21}}
+	k := dev.NewKernel()
+	k.ScaleShares(base, 1.1)
+	dev.FreeKernel(k)
+	if n := testing.AllocsPerRun(10, func() {
+		k = dev.NewKernel()
+		k.ScaleShares(base, 1.3)
+		dev.FreeKernel(k)
+	}); n != 0 {
+		t.Errorf("scaling a recycled kernel allocates %v times, want 0", n)
+	}
+	k = dev.NewKernel()
+	k.ScaleShares(base, 1.3)
+	for i, ws := range base {
+		if want := (speedup.WorkShare{Class: ws.Class, Work: ws.Work * 1.3}); k.Shares[i] != want {
+			t.Errorf("share %d = %+v, want %+v", i, k.Shares[i], want)
+		}
+	}
+	if len(k.Shares) != len(base) || &k.Shares[0] == &base[0] {
+		t.Fatal("scaled shares alias the base slice")
+	}
+	k.ScaleShares(base, 1)
+	if &k.Shares[0] != &base[0] {
+		t.Error("scale 1 copied the shares")
 	}
 }

@@ -21,11 +21,15 @@ package naive
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"sgprs/internal/des"
+	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
+	"sgprs/internal/slab"
 	"sgprs/internal/speedup"
 )
 
@@ -57,18 +61,32 @@ type partition struct {
 	lastTask int        // task ID last executed, -1 initially
 }
 
-// Scheduler is the naive baseline. Create with New, wire with Attach.
+// Partition and stream names: the table covers the pools the paper and the
+// registry use, so naming them builds no string.
+var partNames = [...]string{"part0", "part1", "part2", "part3", "part4", "part5", "part6", "part7"}
+
+const streamName = "s0"
+
+// partName names partition i.
+func partName(i int) string {
+	if i < len(partNames) {
+		return partNames[i]
+	}
+	return "part" + strconv.Itoa(i)
+}
+
+// Scheduler is the naive baseline. Configure with Reset, wire with Attach.
 type Scheduler struct {
 	cfg   Config
 	eng   *des.Engine
 	dev   *gpu.Device
 	parts []*partition
-	homes map[int]*partition // task ID → partition
-	// baseShares caches each task's per-class work vector (task ID →
-	// Graph.WorkByClass()), computed once at Attach. Jobs without work
-	// variation submit the shared slice directly — the device only reads
-	// it — so the per-release map-and-slice rebuild is gone.
-	baseShares map[int][]speedup.WorkShare
+	homes []*partition // by task ID; nil for an unattached ID
+	// baseShares caches each task's per-class work vector (by task ID,
+	// Graph.WorkByClass()), computed at Attach once per distinct graph.
+	// Jobs submit the shared slice — the device only reads it — or, under
+	// work variation, a copy scaled into the kernel's own buffer.
+	baseShares [][]speedup.WorkShare
 
 	// Kernels are borrowed from the device's free list, exactly as the
 	// SGPRS scheduler does for stage launches: with the job carried in Arg
@@ -80,15 +98,26 @@ type Scheduler struct {
 	reconfigs uint64
 }
 
-// New validates cfg and returns an unattached scheduler.
-func New(cfg Config) (*Scheduler, error) {
+// Reset validates cfg and makes the scheduler an unattached baseline under
+// it; the zero Scheduler becomes usable this way. A scheduler reused across
+// runs keeps its partition structs and per-task slices for the next Attach.
+// Reset must not be called while a run still drives the scheduler.
+func (s *Scheduler) Reset(cfg Config) error {
 	if cfg.Name == "" {
-		return nil, fmt.Errorf("naive: config needs a name")
+		return fmt.Errorf("naive: config needs a name")
 	}
 	if len(cfg.ContextSMs) == 0 {
-		return nil, fmt.Errorf("naive: config needs at least one partition")
+		return fmt.Errorf("naive: config needs at least one partition")
 	}
-	return &Scheduler{cfg: cfg, homes: map[int]*partition{}}, nil
+	*s = Scheduler{
+		cfg:        cfg,
+		parts:      s.parts[:0],
+		homes:      s.homes[:0],
+		baseShares: s.baseShares[:0],
+		beginFn:    s.beginFn,
+		doneFn:     s.doneFn,
+	}
+	return nil
 }
 
 // Name implements sched.Scheduler.
@@ -102,24 +131,46 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 	if s.eng != nil {
 		return fmt.Errorf("naive: scheduler %q attached twice", s.cfg.Name)
 	}
+	maxID := 0
+	for _, t := range tasks {
+		if t.ID < 0 {
+			return fmt.Errorf("naive: task %s has negative ID %d", t, t.ID)
+		}
+		maxID = max(maxID, t.ID)
+	}
 	s.eng = eng
 	s.dev = dev
-	s.beginFn = s.kernelBegin
-	s.doneFn = s.kernelDone
+	if s.beginFn == nil {
+		s.beginFn = s.kernelBegin
+		s.doneFn = s.kernelDone
+	}
 	for i, sms := range s.cfg.ContextSMs {
-		ctx, err := dev.CreateContext(fmt.Sprintf("part%d", i), sms)
+		ctx, err := dev.CreateContext(partName(i), sms)
 		if err != nil {
 			return fmt.Errorf("naive: partition: %w", err)
 		}
-		s.parts = append(s.parts, &partition{
+		// A reset scheduler keeps its partitions past len(s.parts).
+		var p *partition
+		s.parts, p = slab.Reuse(s.parts)
+		clear(p.tasks)
+		*p = partition{
 			ctx:      ctx,
-			stream:   ctx.AddStream("s0", gpu.LowPriority),
+			stream:   ctx.AddStream(streamName, gpu.LowPriority),
+			tasks:    p.tasks[:0],
 			lastTask: -1,
-		})
+		}
 	}
-	s.baseShares = map[int][]speedup.WorkShare{}
+	s.homes = slices.Grow(s.homes[:0], maxID+1)[:maxID+1]
+	clear(s.homes)
+	s.baseShares = slices.Grow(s.baseShares[:0], maxID+1)[:maxID+1]
+	clear(s.baseShares)
+	var graph *dnn.Graph
+	var shares []speedup.WorkShare
 	for i, t := range tasks {
-		s.baseShares[t.ID] = t.Graph.WorkByClass()
+		if t.Graph != graph {
+			graph, shares = t.Graph, t.Graph.WorkByClass()
+		}
+		s.baseShares[t.ID] = shares
 		p := s.parts[i%len(s.parts)]
 		p.tasks = append(p.tasks, t)
 		s.homes[t.ID] = p
@@ -131,8 +182,11 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 // on the task's home partition. FIFO order on the stream — no deadlines, no
 // priorities, no partition switching.
 func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
-	p, ok := s.homes[job.Task.ID]
-	if !ok {
+	var p *partition
+	if id := job.Task.ID; id >= 0 && id < len(s.homes) {
+		p = s.homes[id]
+	}
+	if p == nil {
 		panic(fmt.Sprintf("naive: job %s from unattached task", job))
 	}
 	for _, st := range job.Stages {
@@ -147,21 +201,13 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 	}
 	p.lastTask = job.Task.ID
 
-	shares := s.baseShares[job.Task.ID]
-	if job.WorkScale != 1 && job.WorkScale > 0 {
-		scaled := make([]speedup.WorkShare, len(shares))
-		for i, ws := range shares {
-			scaled[i] = speedup.WorkShare{Class: ws.Class, Work: ws.Work * job.WorkScale}
-		}
-		shares = scaled
-	}
 	k := s.dev.NewKernel()
 	if s.dev.HasObserver() {
 		k.Label = job.Label()
 	} else {
 		k.Label = "job"
 	}
-	k.Shares = shares
+	k.ScaleShares(s.baseShares[job.Task.ID], job.WorkScale)
 	k.FixedMS = fixed
 	k.Arg = job
 	k.OnBegin = s.beginFn

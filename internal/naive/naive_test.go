@@ -268,3 +268,12 @@ func TestName(t *testing.T) {
 		t.Errorf("Name = %q", s.Name())
 	}
 }
+
+// New returns a baseline configured by cfg, or cfg's error.
+func New(cfg Config) (*Scheduler, error) {
+	s := &Scheduler{}
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sgprs/internal/des"
+	"sgprs/internal/slab"
 )
 
 // JobPool recycles Job and StageJob structs so a long simulation's live heap
@@ -24,14 +25,21 @@ import (
 // when a run ends — never completed, never discarded, never Put — are not
 // lost: Reclaim returns all of them to the free list at the start of the
 // next run (DESIGN.md §8).
+//
+// New jobs, their StageJob structs and their Stages pointer slices are
+// carved from slab arenas, so a run that drives the live set to a new peak
+// of P jobs pays O(log P) allocations, not a few per job.
 type JobPool struct {
-	free []*Job
-	all  []*Job
+	free   []*Job
+	jobs   slab.Arena[Job]
+	stages slab.Arena[StageJob]
+	ptrs   slab.Arena[*StageJob]
 }
 
 // Get returns a job initialised as instance index of the task released at the
-// given instant — from the free list when possible, freshly allocated
-// otherwise. Recycled jobs reuse their StageJob structs and Stages slice.
+// given instant — from the free list when possible, carved from the pool's
+// arenas otherwise. Recycled jobs reuse their StageJob structs and Stages
+// slice; one whose slice is too short for the task gets a new one carved.
 func (p *JobPool) Get(t *Task, index int, release des.Time) *Job {
 	var j *Job
 	if n := len(p.free); n > 0 {
@@ -39,8 +47,14 @@ func (p *JobPool) Get(t *Task, index int, release des.Time) *Job {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 	} else {
-		j = &Job{}
-		p.all = append(p.all, j)
+		j = p.jobs.New()
+	}
+	if n := len(t.Stages); cap(j.Stages) < n {
+		structs, ptrs := p.stages.Take(n), p.ptrs.Take(n)
+		for s := range ptrs {
+			ptrs[s] = &structs[s]
+		}
+		j.Stages = ptrs[:0]
 	}
 	t.initJob(j, index, release)
 	return j
@@ -69,11 +83,12 @@ func (p *JobPool) Put(j *Job) {
 // detectably stale; putting such a job again panics as a double recycle.
 func (p *JobPool) Reclaim() {
 	p.free = p.free[:0]
-	for _, j := range p.all {
+	p.jobs.Each(func(j *Job) {
 		j.pooled = true
 		p.free = append(p.free, j)
-	}
+	})
 }
 
-// Len reports the free-list size (diagnostics/tests).
+// Len reports the free-list size (diagnostics/tests): only jobs that were Put
+// or reclaimed count, not the arenas' uncarved reserve.
 func (p *JobPool) Len() int { return len(p.free) }

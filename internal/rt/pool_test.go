@@ -1,10 +1,14 @@
 package rt
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"sgprs/internal/des"
+	"sgprs/internal/slab"
 )
 
 // profiledTask builds a profiled 3-stage task for pool tests.
@@ -273,5 +277,61 @@ func TestPoolStageCountChange(t *testing.T) {
 			t.Fatal("pool did not hand back the recycled job struct")
 		}
 		assertLikeFresh(t, got, task.NewJob(i+1, release))
+	}
+}
+
+// heapDelta runs f and reports the heap allocations it made and the bytes
+// they took.
+func heapDelta(f func()) (mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestPoolGrowsInSlabs: driving the pool to a peak of P live jobs takes
+// O(log P) allocations — jobs, stage structs and stage pointer slices are
+// carved from slab chunks, not allocated one by one — and reserves at most
+// about 1.25·P + one minimum chunk of each, plus the allocator's size-class
+// rounding. Only Put jobs count in Len.
+func TestPoolGrowsInSlabs(t *testing.T) {
+	task := profiledTask(t, 0)
+	// Just past a power of two times MinChunk, where a pool that doubled
+	// its chunks would reserve nearly 2·P.
+	const peak = 4100
+	var p JobPool
+	jobs := make([]*Job, 0, peak)
+	mallocs, bytes := heapDelta(func() {
+		for i := range peak {
+			jobs = append(jobs, p.Get(task, i, 0))
+		}
+	})
+	if limit := uint64(12 * math.Log2(peak)); mallocs > limit {
+		t.Errorf("growing to %d jobs took %d allocations, want ≤ %d (O(log P))", peak, mallocs, limit)
+	}
+	n := len(task.Stages)
+	perJob := unsafe.Sizeof(Job{}) + uintptr(n)*(unsafe.Sizeof(StageJob{})+unsafe.Sizeof(&StageJob{}))
+	reserve := uint64((peak + peak/4 + slab.MinChunk) * perJob)
+	if limit := reserve + reserve/8; bytes > limit {
+		t.Errorf("growing to %d jobs took %d bytes, want ≤ %d (1.25·P + MinChunk jobs of %d bytes, +1/8)", peak, bytes, limit, perJob)
+	}
+	if p.Len() != 0 {
+		t.Errorf("pool lists %d free jobs before any Put, want 0", p.Len())
+	}
+	seen := map[*StageJob]bool{}
+	for _, j := range jobs {
+		for _, st := range j.Stages {
+			if seen[st] || st.Job != j {
+				t.Fatalf("stage %s is shared or points at another job", st)
+			}
+			seen[st] = true
+		}
+	}
+	for _, j := range jobs[:peak/2] {
+		p.Put(j)
+	}
+	if p.Len() != peak/2 {
+		t.Errorf("pool lists %d free jobs after %d Puts", p.Len(), peak/2)
 	}
 }

@@ -98,6 +98,14 @@ func (m *MultiLevelQueue) Len() int {
 	return m.levels[0].Len() + m.levels[1].Len() + m.levels[2].Len()
 }
 
+// Reset empties every level, keeping the heap arrays for the next run.
+func (m *MultiLevelQueue) Reset() {
+	for l := range m.levels {
+		clear(m.levels[l].h)
+		m.levels[l].h = m.levels[l].h[:0]
+	}
+}
+
 // Push enqueues the stage at its current level.
 func (m *MultiLevelQueue) Push(s *rt.StageJob) { m.levels[s.Level].Push(s) }
 

@@ -75,7 +75,7 @@ func runBatch(cfg RunConfig) (Result, error) {
 		}
 	}
 
-	s, err := buildScheduler(cfg)
+	s, err := (&Session{}).scheduler(0, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -84,7 +84,8 @@ func runBatch(cfg RunConfig) (Result, error) {
 	}
 
 	horizon := des.FromSeconds(cfg.HorizonSec)
-	gen := workload.NewGeneratorSeeded(eng, s, cfg.Seed+2)
+	var gen workload.Generator
+	gen.Reset(eng, s, cfg.Seed+2)
 	gen.SetArrival(cfg.Arrival)
 	var log jobLog
 	gen.SetSink(&log)

@@ -8,7 +8,6 @@ import (
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
-	"sgprs/internal/workload"
 )
 
 // runFleet is Session.Run's online phase (DESIGN.md §15): the run's devices
@@ -27,8 +26,8 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 	devs := s.devs[:max(cfg.Devices, 1)]
 	clear(s.members)
 	s.members = s.members[:0]
-	for _, d := range devs {
-		sch, err := buildScheduler(cfg)
+	for i, d := range devs {
+		sch, err := s.scheduler(i, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -90,7 +89,8 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 	}
 	s.fleet.Install(s.collector)
 
-	gen := workload.NewGeneratorSeeded(s.eng, &s.fleet, cfg.Seed+2)
+	gen := &s.gen
+	gen.Reset(s.eng, &s.fleet, cfg.Seed+2)
 	gen.SetSink(s.collector)
 	gen.UsePool(&s.pool)
 	gen.SetArrival(cfg.Arrival)

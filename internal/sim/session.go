@@ -2,12 +2,14 @@ package sim
 
 import (
 	"sgprs/internal/cluster"
+	"sgprs/internal/core"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
+	"sgprs/internal/naive"
 	"sgprs/internal/profile"
 	"sgprs/internal/rt"
 	"sgprs/internal/speedup"
@@ -17,12 +19,13 @@ import (
 
 // Session executes simulation runs over reused infrastructure: one
 // discrete-event engine (whose event free list survives across runs), the
-// fleet's devices (scratch buffers and slice capacities retained) and its
-// dispatcher, one job pool, one streaming metrics collector, a profiler, and
+// fleet's devices (scratch buffers, kernel arenas, contexts and streams
+// retained) and its dispatcher, the per-device schedulers, the release
+// generator, one job pool, one streaming metrics collector, a profiler, and
 // a cache of built task sets keyed by workload shape. A sweep that
 // previously rebuilt all of this per point now pays for it once per worker,
-// so steady-state sweep points run the online phase with almost no
-// allocation.
+// so a warm session runs a sweep point with a handful of allocations,
+// whatever its task count (DESIGN.md §8).
 //
 // Reuse is invisible in the results: des.Engine.Reset and gpu.Device.Reset
 // restore fresh-equivalent state (clock, sequence numbers, stochastic
@@ -52,6 +55,13 @@ type Session struct {
 	members []cluster.Member
 	injs    []*fault.Injector
 	fleet   cluster.Fleet
+
+	// The online set-up is kept too: the schedulers by fleet position, one
+	// of each kind (Session.scheduler), and the release generator with its
+	// chains, RNG streams and arrival processes.
+	sgprs  []*core.Scheduler
+	naives []*naive.Scheduler
+	gen    workload.Generator
 
 	tasks map[taskSetKey][]*rt.Task
 

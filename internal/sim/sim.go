@@ -343,10 +343,17 @@ func Run(cfg RunConfig) (Result, error) {
 	return NewSession(memo.Default()).Run(cfg)
 }
 
-func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {
+// scheduler returns fleet member i's scheduler for cfg, reset for a new run.
+// The session keeps one scheduler of each kind per fleet position across
+// runs, with their context states, queues and per-task slots, so a run
+// rebuilds none of them.
+func (s *Session) scheduler(i int, cfg RunConfig) (sched.Scheduler, error) {
 	switch cfg.Kind {
 	case KindSGPRS:
-		return core.New(core.Config{
+		for len(s.sgprs) <= i {
+			s.sgprs = append(s.sgprs, &core.Scheduler{})
+		}
+		return s.sgprs[i], s.sgprs[i].Reset(core.Config{
 			Name:                   cfg.Name,
 			ContextSMs:             cfg.ContextSMs,
 			DisableMediumPromotion: cfg.DisableMediumPromotion,
@@ -354,7 +361,10 @@ func buildScheduler(cfg RunConfig) (sched.Scheduler, error) {
 			FlattenPriorities:      cfg.FlattenPriorities,
 		})
 	case KindNaive:
-		return naive.New(naive.Config{Name: cfg.Name, ContextSMs: cfg.ContextSMs})
+		for len(s.naives) <= i {
+			s.naives = append(s.naives, &naive.Scheduler{})
+		}
+		return s.naives[i], s.naives[i].Reset(naive.Config{Name: cfg.Name, ContextSMs: cfg.ContextSMs})
 	default:
 		return nil, fmt.Errorf("sim: unknown scheduler kind %v", cfg.Kind)
 	}

@@ -111,9 +111,12 @@ func overloadConfig() RunConfig {
 // fresh session returns for the same configuration. This is what lets the
 // runner hand each worker one long-lived session.
 //
-// The tail of the sequence stresses the run-start reclaim: an overload run
+// The middle of the sequence stresses the run-start reclaim: an overload run
 // leaves thousands of jobs and kernels in flight, which the SGPRS, faulted,
-// and fleet runs after it then reuse.
+// and fleet runs after it then reuse. The tail stresses the kept online
+// set-up: after the fleet, single-device runs of two and three contexts,
+// SGPRS and naive, reuse its devices' context structs, its schedulers and
+// the generator's chains, under work variation and Poisson arrivals too.
 func TestSessionReuseBitIdentical(t *testing.T) {
 	cfgs := []RunConfig{
 		{Kind: KindSGPRS, Name: "a", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1},
@@ -125,6 +128,11 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		{Kind: KindSGPRS, Name: "e", ContextSMs: []int{34, 34}, NumTasks: 20, HorizonSec: 2, Seed: 4},
 		faultedConfig("f", "retry"),
 		fleetConfig("g", rt.FailoverMigrate),
+		{Kind: KindSGPRS, Name: "h", ContextSMs: []int{34, 34}, NumTasks: 12, HorizonSec: 2, Seed: 5},
+		{Kind: KindSGPRS, Name: "i", ContextSMs: []int{23, 23, 23}, NumTasks: 30, HorizonSec: 2, Seed: 6},
+		{Kind: KindNaive, Name: "j", ContextSMs: []int{23, 23, 23}, NumTasks: 12, HorizonSec: 2, WorkVariation: 0.2, Seed: 7},
+		{Kind: KindSGPRS, Name: "k", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, WorkVariation: 0.2, Arrival: workload.Poisson{}, Seed: 8},
+		{Kind: KindNaive, Name: "b", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1}, // repeat of the second
 	}
 	cache := memo.New()
 	sess := NewSession(cache)
@@ -176,14 +184,37 @@ func TestSessionMemoryStaysBounded(t *testing.T) {
 	}
 }
 
+// TestWarmSessionAllocsFlatInTasks: a warm session keeps its whole online
+// set-up — schedulers, generator chains, RNG streams, arrival processes,
+// contexts and streams — so a rerun allocates the same small number of times
+// whether it releases 8 tasks or 30.
+func TestWarmSessionAllocsFlatInTasks(t *testing.T) {
+	allocs := func(tasks int) float64 {
+		cfg := RunConfig{Kind: KindSGPRS, Name: "flat", ContextSMs: []int{23, 23, 23}, NumTasks: tasks, HorizonSec: 1, WarmUpSec: 0.2, Seed: 1}
+		sess := NewSession(memo.New())
+		if _, err := sess.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := sess.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a8, a30 := allocs(8), allocs(30); a8 != a30 {
+		t.Errorf("warm-session rerun allocates %v times at 8 tasks and %v at 30; want equal", a8, a30)
+	}
+}
+
 // TestSessionReclaimAllocs pins the run-start reclaim: once a session has run
 // the overload configuration, running it again allocates none of the jobs,
 // stage slabs, or kernels it left in flight. The bound is the whole run's
-// remaining allocation count — scheduler, generator, arrival processes, and
-// the like, about 430 at the time of writing — plus headroom. Re-allocating
-// the in-flight population alone would cost two allocations per job and one
-// per kernel: with the 2,000-plus kernels the test requires in flight, at
-// least 6,000.
+// remaining allocation count — 3 at the time of writing, since the session
+// keeps its online set-up — plus headroom. Re-allocating the in-flight
+// population would carve it anew from the job, stage and kernel arenas,
+// whose chunks grow geometrically: with the 2,000-plus kernels the test
+// requires in flight, a pool that reclaims no job costs 7 allocations per
+// rerun.
 func TestSessionReclaimAllocs(t *testing.T) {
 	cfg := overloadConfig()
 	sess := NewSession(memo.New())
@@ -192,7 +223,7 @@ func TestSessionReclaimAllocs(t *testing.T) {
 	}
 	var inFlight int
 	sess.devs[0].ForEachKernelArg(func(any) { inFlight++ })
-	const bound = 600
+	const bound = 5
 	if inFlight < 2000 {
 		t.Fatalf("only %d kernels in flight at the horizon; the pin needs thousands", inFlight)
 	}

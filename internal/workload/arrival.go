@@ -53,6 +53,28 @@ type Arrival interface {
 	Start(t ArrivalTask, rng *des.RNG) ArrivalProcess
 }
 
+// procSlot holds one release chain's arrival process in place, for the
+// arrivals that can start into it (slotArrival): the generator keeps a slot
+// in every chain, so starting a run allocates no process.
+type procSlot struct {
+	periodic periodicProcess
+	poisson  poissonProcess
+}
+
+// slotArrival is an Arrival whose process can live in a release chain's
+// procSlot. startIn is Start writing into the slot instead of the heap.
+type slotArrival interface {
+	startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess
+}
+
+// startIn starts a's process for one task, in slot when a supports it.
+func startIn(a Arrival, slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
+	if sa, ok := a.(slotArrival); ok {
+		return sa.startIn(slot, t, rng)
+	}
+	return a.Start(t, rng)
+}
+
 // finite rejects NaN and ±Inf.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -99,6 +121,10 @@ func (p Periodic) Scale(factor float64) Arrival {
 
 // Start implements Arrival.
 func (p Periodic) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
+	return p.startIn(&procSlot{}, t, rng)
+}
+
+func (p Periodic) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
 	period := t.Period
 	if p.Rate != 0 && p.Rate != 1 {
 		period = des.Time(float64(t.Period)/p.Rate + 0.5)
@@ -106,7 +132,8 @@ func (p Periodic) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
 			period = 1
 		}
 	}
-	return &periodicProcess{period: period, offset: t.Offset, jitter: t.Jitter, rng: rng}
+	slot.periodic = periodicProcess{period: period, offset: t.Offset, jitter: t.Jitter, rng: rng}
+	return &slot.periodic
 }
 
 // periodicProcess emits the k-th instant at Offset + Period·k plus a jitter
@@ -167,11 +194,20 @@ func (p Poisson) Scale(factor float64) Arrival {
 
 // Start implements Arrival.
 func (p Poisson) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	rate := p.Rate
-	if rate == 0 {
-		rate = natRate(t.Period)
+	return p.startIn(&procSlot{}, t, rng)
+}
+
+func (p Poisson) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
+	slot.poisson = poissonProcess{cur: t.Offset, meanNS: float64(des.Second) / p.rate(t), rng: rng}
+	return &slot.poisson
+}
+
+// rate is the per-task arrival rate: Rate, or the task's natural rate.
+func (p Poisson) rate(t ArrivalTask) float64 {
+	if p.Rate == 0 {
+		return natRate(t.Period)
 	}
-	return &poissonProcess{cur: t.Offset, meanNS: float64(des.Second) / rate, rng: rng}
+	return p.Rate
 }
 
 type poissonProcess struct {
@@ -536,11 +572,7 @@ func (s scaled) Scale(factor float64) Arrival {
 func (s scaled) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
 	switch b := s.base.(type) {
 	case Poisson:
-		rate := b.Rate
-		if rate == 0 {
-			rate = natRate(t.Period)
-		}
-		return Poisson{Rate: rate * s.factor}.Start(t, rng)
+		return Poisson{Rate: b.rate(t) * s.factor}.Start(t, rng)
 	case Bursty:
 		rate := b.Rate
 		if rate == 0 {
@@ -563,4 +595,13 @@ func (s scaled) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
 		// it — scale what Validate accepted as best effort.
 		return s.base.Scale(s.factor).Start(t, rng)
 	}
+}
+
+// startIn keeps a scaled Poisson process — the rate axis over natural-rate
+// Poisson arrivals — in the chain's slot, like Poisson's own.
+func (s scaled) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
+	if b, ok := s.base.(Poisson); ok {
+		return Poisson{Rate: b.rate(t) * s.factor}.startIn(slot, t, rng)
+	}
+	return s.Start(t, rng)
 }

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"sgprs/internal/des"
@@ -148,26 +149,44 @@ type JobSink interface {
 // Jobs are never retained: every released job is streamed to the JobSink
 // (SetSink), if any, and attaching an rt.JobPool (UsePool) recycles each
 // job the moment its lifecycle ends, so live memory stays O(in-flight jobs).
+//
+// A generator can drive many runs: Reset rewires it and Start reuses the
+// release chains of the previous run, RNG streams and arrival processes
+// included, so a reused generator starts a run without allocating.
 type Generator struct {
 	eng     *des.Engine
 	sched   sched.Scheduler
-	rng     *des.RNG
+	rng     des.RNG
 	sink    JobSink
 	pool    *rt.JobPool
 	arrival Arrival
 	chains  []releaseChain
+	// labels caches each task's release event label, built the first
+	// time the generator starts the task.
+	labels map[*rt.Task]string
 }
 
-// NewGenerator wires a generator to the engine and scheduler. The seed feeds
-// jitter and work-variation draws; generators for deterministic workloads
-// may pass anything.
+// NewGenerator wires a generator to the engine and scheduler with random
+// seed 1 (see Reset).
 func NewGenerator(eng *des.Engine, s sched.Scheduler) *Generator {
-	return NewGeneratorSeeded(eng, s, 1)
+	g := &Generator{}
+	g.Reset(eng, s, 1)
+	return g
 }
 
-// NewGeneratorSeeded is NewGenerator with an explicit random seed.
-func NewGeneratorSeeded(eng *des.Engine, s sched.Scheduler, seed uint64) *Generator {
-	return &Generator{eng: eng, sched: s, rng: des.NewRNG(seed).Fork(0x30B5)}
+// Reset wires the generator to the engine and scheduler for a new run, as
+// NewGenerator would with the given seed, which feeds jitter and
+// work-variation draws (generators for deterministic workloads may pass
+// anything). The sink, pool and arrival process are cleared; the release
+// chains' storage and the label cache are kept.
+func (g *Generator) Reset(eng *des.Engine, s sched.Scheduler, seed uint64) {
+	*g = Generator{
+		eng:    eng,
+		sched:  s,
+		rng:    *des.NewRNG(seed).Fork(0x30B5),
+		chains: g.chains[:0],
+		labels: g.labels,
+	}
 }
 
 // SetSink streams the job lifecycle to s. Must be called before Start.
@@ -224,24 +243,34 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 	// are detached and recycle through the engine's pool. The chains share
 	// one slab, so pending events may hold pointers into it. The chain is
 	// also the unit the fast-forward layer warps and fingerprints (see
-	// SteadyPeriod, Warp, and DESIGN.md §12).
-	g.chains = make([]releaseChain, len(tasks))
+	// SteadyPeriod, Warp, and DESIGN.md §12). The slab is kept across
+	// runs; each chain holds its RNG stream and, for the arrivals that
+	// support it, its process in place.
+	g.chains = slices.Grow(g.chains[:0], len(tasks))[:len(tasks)]
+	if g.labels == nil {
+		g.labels = map[*rt.Task]string{}
+	}
 	for i, t := range tasks {
+		label, ok := g.labels[t]
+		if !ok {
+			label = "release:" + t.Name
+			g.labels[t] = label
+		}
 		c := &g.chains[i]
 		*c = releaseChain{
 			g:       g,
 			t:       t,
-			rng:     g.rng.Fork(uint64(t.ID) + 1),
-			label:   "release:" + t.Name,
+			rng:     *g.rng.Fork(uint64(t.ID) + 1),
+			label:   label,
 			horizon: horizon,
 		}
-		c.proc = arrival.Start(ArrivalTask{
+		c.proc = startIn(arrival, &c.slot, ArrivalTask{
 			Index:  t.ID,
 			Count:  len(tasks),
 			Period: t.Period,
 			Offset: t.Offset,
 			Jitter: t.ReleaseJitter,
-		}, c.rng)
+		}, &c.rng)
 		c.scheduleNext()
 	}
 }
@@ -252,9 +281,10 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 type releaseChain struct {
 	g       *Generator
 	t       *rt.Task
-	rng     *des.RNG
+	rng     des.RNG
 	label   string
 	proc    ArrivalProcess
+	slot    procSlot
 	idx     int
 	last    des.Time
 	horizon des.Time

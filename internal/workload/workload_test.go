@@ -7,6 +7,7 @@ import (
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
 	"sgprs/internal/rt"
+	"sgprs/internal/sched"
 )
 
 func specResNet() TaskSpec {
@@ -214,7 +215,7 @@ func TestReleaseJitterShiftsReleases(t *testing.T) {
 	}
 	tasks[0].SetWCETs(wcets)
 	eng := des.NewEngine()
-	gen := NewGeneratorSeeded(eng, &genRecorder{}, 7)
+	gen := newSeeded(eng, &genRecorder{}, 7)
 	log := logJobs(gen)
 	gen.Start(tasks, des.FromSeconds(1))
 	eng.RunUntil(des.FromSeconds(1))
@@ -249,7 +250,7 @@ func TestWorkVariationStampsJobs(t *testing.T) {
 	}
 	tasks[0].SetWCETs(wcets)
 	eng := des.NewEngine()
-	gen := NewGeneratorSeeded(eng, &genRecorder{}, 7)
+	gen := newSeeded(eng, &genRecorder{}, 7)
 	log := logJobs(gen)
 	gen.Start(tasks, des.FromSeconds(1))
 	eng.RunUntil(des.FromSeconds(1))
@@ -357,4 +358,11 @@ func TestBuildRejectsBadJitter(t *testing.T) {
 	if _, err := Build([]TaskSpec{sp}); err == nil {
 		t.Error("negative variation accepted")
 	}
+}
+
+// newSeeded returns a generator wired to eng and s with the given seed.
+func newSeeded(eng *des.Engine, s sched.Scheduler, seed uint64) *Generator {
+	g := &Generator{}
+	g.Reset(eng, s, seed)
+	return g
 }

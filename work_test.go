@@ -43,43 +43,50 @@ type workSetup func(tb testing.TB) (op func() sim.Result, work func() sim.Stats)
 // workCases is the gated workload table. Budgets were recorded with
 // `go test -run TestWorkGate -v .`, which logs every case's allocs/op.
 var workCases = []workCase{
-	{name: "SingleRun/warm-offline", allocs: 575, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "SingleRun/warm-offline", allocs: 408, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, singleRunConfig(), warmCache(tb, singleRunConfig()))
 	}},
 	// The steady-state path: one Session reused across runs, as every
 	// sweep worker does. Engine, device, job pool, and task structures all
 	// survive between ops.
-	{name: "SingleRun/warm-session", allocs: 188, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "SingleRun/warm-session", allocs: 2, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return warmSession(tb, singleRunConfig())
 	}},
-	{name: "ScenarioRegeneration/cold-offline", allocs: 4330, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	// The same run with per-job work variation: every launch scales its
+	// work, which must cost no more allocations than the unscaled run.
+	{name: "SingleRun/work-variation", allocs: 2, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+		cfg := singleRunConfig()
+		cfg.WorkVariation = 0.2
+		return warmSession(tb, cfg)
+	}},
+	{name: "ScenarioRegeneration/cold-offline", allocs: 1213, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, Cache: memo.New()} })
 	}},
-	{name: "ScenarioRegeneration/warm-offline", allocs: 3785, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/warm-offline", allocs: 679, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
 		op, work := regenerate(tb, func() sgprs.SweepOptions { return warm })
 		op() // populate the cache outside the measured op
 		return op, work
 	}},
-	{name: "LongHorizon/horizon-2s", allocs: 188, setup: longHorizon(2)},
-	{name: "LongHorizon/horizon-60s", allocs: 188, setup: longHorizon(60)},
-	{name: "LongHorizon/horizon-600s", allocs: 188, setup: longHorizon(600)},
-	{name: "OverloadTail/sgprs-1.5x", allocs: 608, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "LongHorizon/horizon-2s", allocs: 7, setup: longHorizon(2)},
+	{name: "LongHorizon/horizon-60s", allocs: 7, setup: longHorizon(60)},
+	{name: "LongHorizon/horizon-600s", allocs: 7, setup: longHorizon(600)},
+	{name: "OverloadTail/sgprs-1.5x", allocs: 423, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, overloadConfig(), memo.Default())
 	}},
-	{name: "OverloadTail/naive", allocs: 7652, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "OverloadTail/naive", allocs: 475, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		cfg := overloadConfig()
 		cfg.Kind = sgprs.KindNaive
 		cfg.Name = "naive"
 		cfg.ContextSMs = sgprs.ContextPool(3, 1.0, 68)
 		return freshSessions(tb, cfg, memo.Default())
 	}},
-	{name: "SteadyState/fast-forward", allocs: 188, setup: steadyState(false)},
-	{name: "SteadyState/full-sim", allocs: 176, setup: steadyState(true)},
-	{name: "FleetFailover/clean", allocs: 754, setup: fleetFailover(sgprs.FailoverDefault, false)},
-	{name: "FleetFailover/migrate", allocs: 794, setup: fleetFailover(sgprs.FailoverMigrate, true)},
-	{name: "FleetFailover/retry", allocs: 1093, setup: fleetFailover(sgprs.FailoverRetry, true)},
-	{name: "FleetFailover/shed", allocs: 771, setup: fleetFailover(sgprs.FailoverShed, true)},
+	{name: "SteadyState/fast-forward", allocs: 7, setup: steadyState(false)},
+	{name: "SteadyState/full-sim", allocs: 2, setup: steadyState(true)},
+	{name: "FleetFailover/clean", allocs: 551, setup: fleetFailover(sgprs.FailoverDefault, false)},
+	{name: "FleetFailover/migrate", allocs: 581, setup: fleetFailover(sgprs.FailoverMigrate, true)},
+	{name: "FleetFailover/retry", allocs: 669, setup: fleetFailover(sgprs.FailoverRetry, true)},
+	{name: "FleetFailover/shed", allocs: 567, setup: fleetFailover(sgprs.FailoverShed, true)},
 }
 
 // singleRunConfig is the allocation microbenchmark's run: SGPRS 1.5x at a
