@@ -24,6 +24,8 @@ func TestPinnedOutput(t *testing.T) {
 		{"sweep-arrival.txt", "sweep -scenario 1 -tasks 2,4 -horizon 2 -arrival poisson:45 -rate 1,1.5 -slo 33.3"},
 		{"sweep-fleet.txt", "sweep -scenario 2 -tasks 2,4 -horizon 2 -devices 3 -placement context-fit " +
 			`-faults {"device_faults":[{"device":1,"start_sec":1,"restart_sec":1.5}]}`},
+		{"sweep-config.txt", "sweep -config testdata/sweep-config.json"},
+		{"sweep-config-scenario.txt", "sweep -config testdata/sweep-config-scenario.json"},
 		{"list.txt", "list"},
 		{"analyze.txt", "analyze -n 8"},
 		{"analyze-verify.txt", "analyze -n 8 -verify -jobs 1"},
