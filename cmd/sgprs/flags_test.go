@@ -160,8 +160,9 @@ func TestParseArrivalPeriod(t *testing.T) {
 // and -admit values fail with an error naming the flag instead of running as
 // if the flag were unset, and that the documented values still pass: -slo 0
 // (none), -arrival-period 0 (defaults) and -admit -1 (leave as declared).
-// With -devices 1 an explicit -placement, -failover or -admit fails too,
-// rather than being dropped with the spec's fleet settings.
+// With -devices 1 an explicit -placement, -failover, -admit or -faults
+// device_faults list fails too, rather than being dropped with the spec's
+// fleet settings.
 func TestMalformedTrafficAndFleetFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -187,6 +188,7 @@ func TestMalformedTrafficAndFleetFlags(t *testing.T) {
 		{"placement on one device", "-devices 1 -placement load-steal", "-placement"},
 		{"failover on one device", "-devices 1 -failover retry", "-failover"},
 		{"admit on one device", "-devices 1 -admit 0.8", "-admit"},
+		{"device faults on one device", `-devices 1 -faults {"device_faults":[{"device":1,"start_sec":1}]}`, "-faults"},
 		{"admit unset on one device", "-devices 1 -admit -1", ""},
 		{"one device", "-devices 1", ""},
 	}

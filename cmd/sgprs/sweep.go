@@ -13,7 +13,6 @@ import (
 	"sgprs/internal/memo"
 	"sgprs/internal/report"
 	"sgprs/internal/runner"
-	"sgprs/internal/workload"
 )
 
 // sweepCmd runs a declarative experiment: a paper scenario (-scenario, the
@@ -35,8 +34,8 @@ import (
 // rate. Fleet runs (DESIGN.md §15) layer on the same way: -devices,
 // -placement, -failover and -admit, with device failure windows in the
 // -faults block's device_faults list. These flags fill the same
-// config.Experiment fields a JSON file does, and are validated and built by
-// the same code.
+// config.Experiment fields a JSON file does, and one function,
+// config.Experiment.Overlay, writes both into the spec's runs.
 //
 //	sgprs sweep -scenario 1 [-tasks 1..30] [-horizon 10] [-seed 1] [-jobs N] [-csv] [-progress]
 //	sgprs sweep -experiment overload-tail [-rate 1,1.5,2] [-slo 33.3]
@@ -125,7 +124,8 @@ func parseSweep(args []string, stderr io.Writer) (*sweepFlags, *exp.Spec, error)
 	}
 	set := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	return f, spec, f.overlay(spec, set)
+	set["admit"] = f.admit != -1 // -1 leaves the spec's ceiling as declared
+	return f, spec, f.e.Overlay(spec, func(name string) bool { return set[name] })
 }
 
 // decode fills the experiment fields that take parsing (lists, the arrival
@@ -201,8 +201,8 @@ func arrivalFlag(s string, periodSec float64) (*config.Arrival, error) {
 	return a, nil
 }
 
-// resolve picks the spec the flags override: a JSON file, a registry
-// entry, or the paper scenario.
+// resolve picks the spec the flags override: a JSON file (with its own
+// fields already overlaid), a registry entry, or the paper scenario.
 func (f *sweepFlags) resolve() (*exp.Spec, error) {
 	switch {
 	case f.config != "":
@@ -215,107 +215,4 @@ func (f *sweepFlags) resolve() (*exp.Spec, error) {
 		return lookupExperiment(f.experiment)
 	}
 	return exp.Scenario(f.e.Scenario, f.e.TaskCounts, f.e.HorizonSec, f.e.Seed)
-}
-
-// overlay applies every flag set on the command line to the spec's
-// variants and axes, on the caller's clone. A -devices of 0 and an -admit
-// of -1 mean "as declared" and change nothing; -devices 1 collapses a fleet
-// spec to single-device runs, clearing its fleet-only settings and dropping
-// a placement axis; like sim.RunConfig.Normalize it rejects fleet options
-// on one device, here an explicit -placement, -failover or -admit. A -tasks
-// or -rate list replaces the spec's axis of that kind or adds one;
-// -horizon, -devices and -placement collapse an axis of their kind to their
-// value, which the axis would otherwise re-apply per cell.
-func (f *sweepFlags) overlay(spec *exp.Spec, set map[string]bool) error {
-	var arrival workload.Arrival
-	if f.e.Arrival != nil {
-		var err error
-		if arrival, err = f.e.Arrival.Build(); err != nil {
-			return err
-		}
-	}
-	placement, failover, err := f.e.FleetPolicies()
-	if err != nil {
-		return err
-	}
-	if f.e.Devices == 1 {
-		for _, fl := range []struct {
-			name string
-			on   bool
-		}{{"placement", set["placement"]}, {"failover", set["failover"]}, {"admit", f.admit != -1}} {
-			if fl.on {
-				return fmt.Errorf("-%s needs a fleet, but -devices 1 forces single-device runs", fl.name)
-			}
-		}
-	}
-	if set["tasks"] {
-		setAxis(spec, exp.Tasks(f.e.TaskCounts...))
-	}
-	if set["rate"] {
-		setAxis(spec, exp.Rate(f.e.RateFactors...))
-	}
-	axes := spec.Axes[:0]
-	for _, a := range spec.Axes {
-		switch {
-		case a.Kind == exp.AxisHorizonSec && set["horizon"]:
-			a = exp.HorizonSec(f.e.HorizonSec)
-		case a.Kind == exp.AxisDevices && f.e.Devices != 0:
-			a = exp.Devices(f.e.Devices)
-		case a.Kind == exp.AxisPlacement && f.e.Devices == 1:
-			continue
-		case a.Kind == exp.AxisPlacement && set["placement"]:
-			a = exp.Placements(placement)
-		}
-		axes = append(axes, a)
-	}
-	spec.Axes = axes
-	for i := range spec.Variants {
-		v := &spec.Variants[i]
-		if set["horizon"] {
-			v.HorizonSec = f.e.HorizonSec
-		}
-		if set["seed"] {
-			v.Seed = f.e.Seed
-		}
-		if arrival != nil {
-			v.Arrival = arrival
-		}
-		if set["slo"] {
-			v.SLOMS = f.e.SLOMS
-		}
-		if set["faults"] {
-			v.Faults = f.e.Faults.Clone()
-		}
-		if f.e.Devices != 0 {
-			v.Devices = f.e.Devices
-		}
-		if f.e.Devices == 1 {
-			v.Placement, v.Failover, v.AdmitCeiling = 0, 0, 0
-			if v.Faults = v.Faults.Clone(); v.Faults != nil {
-				v.Faults.DeviceFaults = nil
-			}
-			continue
-		}
-		if set["placement"] {
-			v.Placement = placement
-		}
-		if set["failover"] {
-			v.Failover = failover
-		}
-		if f.admit != -1 {
-			v.AdmitCeiling = f.e.AdmitCeiling
-		}
-	}
-	return nil
-}
-
-// setAxis replaces the spec's axis of a's kind, or appends a.
-func setAxis(spec *exp.Spec, a exp.Axis) {
-	for i := range spec.Axes {
-		if spec.Axes[i].Kind == a.Kind {
-			spec.Axes[i] = a
-			return
-		}
-	}
-	spec.Axes = append(spec.Axes, a)
 }

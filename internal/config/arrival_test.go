@@ -61,26 +61,30 @@ func TestArrivalBuildErrors(t *testing.T) {
 }
 
 // TestNormalizeArrivalRules: slo_ms must be non-negative, and rate_factors
-// are only meaningful with an arrival block to scale.
+// are only meaningful with an arrival block to scale; both fail before any
+// run starts, naming the variant.
 func TestNormalizeArrivalRules(t *testing.T) {
-	bad := []*Experiment{
-		{Scenario: 1, SLOMS: -1},
-		{Scenario: 1, RateFactors: []float64{1, 2}},
+	bad := []struct {
+		e    *Experiment
+		want string
+	}{
+		{&Experiment{Scenario: 1, SLOMS: -1}, `run "naive" SLO -1ms must be non-negative`},
+		{&Experiment{Scenario: 1, RateFactors: []float64{1, 2}}, `variant "naive@rate=1": arrival-rate axis needs an arrival process`},
 	}
-	for i, e := range bad {
-		if err := e.Normalize(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, e)
+	for i, tc := range bad {
+		if _, err := compile(tc.e); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want one containing %q", i, err, tc.want)
 		}
 	}
 	ok := &Experiment{Scenario: 1, Arrival: &Arrival{Kind: "poisson"}, RateFactors: []float64{1, 2}, SLOMS: 33.4}
-	if err := ok.Normalize(); err != nil {
+	if _, err := compile(ok); err != nil {
 		t.Errorf("valid open-loop experiment rejected: %v", err)
 	}
 }
 
-// TestRunConfigsCarryArrival: the arrival block and SLO reach every variant's
-// RunConfig, and the Spec gains a rate axis ahead of the task axis.
-func TestRunConfigsCarryArrival(t *testing.T) {
+// TestSpecCarriesArrival: the arrival block and SLO reach every variant, and
+// the Spec gains a rate axis ahead of the task axis.
+func TestSpecCarriesArrival(t *testing.T) {
 	e := &Experiment{
 		Scenario:    1,
 		TaskCounts:  []int{4, 8},
@@ -88,21 +92,20 @@ func TestRunConfigsCarryArrival(t *testing.T) {
 		SLOMS:       33.4,
 		RateFactors: []float64{1, 2},
 	}
-	cfgs, err := e.RunConfigs()
+	if err := e.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := e.Spec("json-open-loop")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range cfgs {
+	for _, cfg := range spec.Variants {
 		if cfg.Arrival == nil || cfg.Arrival.Name() != "poisson-45" {
 			t.Errorf("%s: arrival = %v", cfg.Name, cfg.Arrival)
 		}
 		if cfg.SLOMS != 33.4 {
 			t.Errorf("%s: slo = %v", cfg.Name, cfg.SLOMS)
 		}
-	}
-	spec, err := e.Spec("json-open-loop")
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(spec.Axes) != 2 || spec.Axes[0].Kind != exp.AxisRate || spec.Axes[1].Kind != exp.AxisTasks {
 		t.Fatalf("axes = %+v, want rate then tasks", spec.Axes)

@@ -3,8 +3,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -133,7 +136,10 @@ type Variant struct {
 	ContextSMs []int `json:"context_sms,omitempty"`
 }
 
-// Normalize fills defaults and validates.
+// Normalize fills the defaults only a file has (the 1..30 task ramp, seed
+// 1, the paper's four variants) and checks what only the file knows: the
+// scenario, and each variant's name and its pool or over-subscription level.
+// What a run checks, exp.Compile's dry run of sim.RunConfig.Normalize does.
 func (e *Experiment) Normalize() error {
 	if e.Scenario != 0 {
 		if _, err := sim.ScenarioContexts(e.Scenario); err != nil {
@@ -145,39 +151,15 @@ func (e *Experiment) Normalize() error {
 			e.TaskCounts = append(e.TaskCounts, n)
 		}
 	}
-	for _, n := range e.TaskCounts {
-		if n <= 0 {
-			return fmt.Errorf("config: task count %d must be positive", n)
-		}
-	}
-	if e.HorizonSec == 0 {
-		e.HorizonSec = 10
-	}
-	if e.WarmUpSec == 0 {
-		e.WarmUpSec = 1
-	}
-	if e.HorizonSec <= e.WarmUpSec {
-		return fmt.Errorf("config: horizon %vs must exceed warm-up %vs", e.HorizonSec, e.WarmUpSec)
-	}
 	if e.Seed == 0 {
 		e.Seed = 1
-	}
-	if e.FPS == 0 {
-		e.FPS = 30
-	}
-	if e.Stages == 0 {
-		e.Stages = 6
 	}
 	if len(e.Variants) == 0 {
 		for _, v := range sim.ScenarioVariants() {
 			e.Variants = append(e.Variants, Variant{Kind: v.Kind.String(), Name: v.Name, OS: v.OS})
 		}
 	}
-	for i := range e.Variants {
-		v := &e.Variants[i]
-		if _, err := sim.ParseKind(v.Kind); err != nil {
-			return fmt.Errorf("config: variant %q: %w", v.Name, err)
-		}
+	for i, v := range e.Variants {
 		if v.Name == "" {
 			return fmt.Errorf("config: variant %d needs a name", i)
 		}
@@ -189,52 +171,16 @@ func (e *Experiment) Normalize() error {
 				return fmt.Errorf("config: variant %q needs an over-subscription level", v.Name)
 			}
 		}
-		for j, sms := range v.ContextSMs {
-			if sms < 1 || sms > speedup.DeviceSMs {
-				return fmt.Errorf("config: variant %q context_sms[%d] = %d outside [1, %d], the device's SM count", v.Name, j, sms, speedup.DeviceSMs)
-			}
-		}
-	}
-	if e.SLOMS < 0 {
-		return fmt.Errorf("config: slo_ms %v must be non-negative", e.SLOMS)
-	}
-	if len(e.RateFactors) > 0 && e.Arrival == nil {
-		return fmt.Errorf("config: rate_factors need an arrival block")
-	}
-	if err := e.Faults.Validate(); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if e.Devices < 0 {
-		return fmt.Errorf("config: devices %d must be non-negative", e.Devices)
-	}
-	if _, _, err := e.FleetPolicies(); err != nil {
-		return err
-	}
-	if e.Devices <= 1 && (e.Placement != "" || e.Failover != "" || e.AdmitCeiling != 0) {
-		return fmt.Errorf("config: placement/failover/admit_ceiling need devices > 1")
 	}
 	return nil
 }
 
-// RunConfigs expands the experiment into one sim.RunConfig per variant (task
-// count left to the sweep driver).
-func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
-	if err := e.Normalize(); err != nil {
-		return nil, err
-	}
-	var arrival workload.Arrival
-	if e.Arrival != nil {
-		p, err := e.Arrival.Build()
-		if err != nil {
-			return nil, err
-		}
-		arrival = p
-	}
-	placement, failover, err := e.FleetPolicies()
-	if err != nil {
-		return nil, err
-	}
-	var out []sim.RunConfig
+// Spec compiles a normalized experiment (as Load returns it) into an
+// exp.Spec: one variant per configuration, its pool its own context_sms or
+// its scenario's at its over-subscription level, with every non-zero field
+// written over them by Overlay, the code that applies the sweep flags.
+func (e *Experiment) Spec(name string) (*exp.Spec, error) {
+	s := &exp.Spec{Name: name, Description: "JSON experiment file"}
 	for _, v := range e.Variants {
 		kind, err := sim.ParseKind(v.Kind)
 		if err != nil {
@@ -250,77 +196,170 @@ func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
 			if kind == sim.KindNaive {
 				os = 1.0 // the naive baseline tiles the device
 			}
-			pool = sim.ContextPool(np, os, 68)
+			pool = sim.ContextPool(np, os, speedup.DeviceSMs)
 		}
-		out = append(out, sim.RunConfig{
-			Kind:         kind,
-			Name:         v.Name,
-			ContextSMs:   pool,
-			NumTasks:     1,
-			FPS:          e.FPS,
-			Stages:       e.Stages,
-			Stagger:      e.Stagger,
-			HorizonSec:   e.HorizonSec,
-			WarmUpSec:    e.WarmUpSec,
-			Seed:         e.Seed,
-			Arrival:      arrival,
-			SLOMS:        e.SLOMS,
-			Faults:       e.Faults.Clone(),
-			Devices:      e.Devices,
-			Placement:    placement,
-			Failover:     failover,
-			AdmitCeiling: e.AdmitCeiling,
-		})
+		s.Variants = append(s.Variants, sim.RunConfig{Kind: kind, Name: v.Name, ContextSMs: pool, NumTasks: 1})
 	}
-	return out, nil
-}
-
-// FleetPolicies parses the placement and failover names; empty names are
-// the defaults.
-func (e *Experiment) FleetPolicies() (cluster.Placement, rt.FailoverPolicy, error) {
-	placement, err := cluster.ParsePlacement(e.Placement)
-	if err != nil {
-		return 0, 0, fmt.Errorf("config: %w", err)
+	set := map[string]bool{
+		"tasks": len(e.TaskCounts) > 0, "rate": len(e.RateFactors) > 0,
+		"horizon": e.HorizonSec != 0, "warmup": e.WarmUpSec != 0, "seed": e.Seed != 0,
+		"fps": e.FPS != 0, "stages": e.Stages != 0, "stagger": e.Stagger,
+		"slo": e.SLOMS != 0, "faults": e.Faults != nil,
+		"placement": e.Placement != "", "failover": e.Failover != "", "admit": e.AdmitCeiling != 0,
 	}
-	failover, err := rt.ParseFailoverPolicy(e.Failover)
-	if err != nil {
-		return 0, 0, fmt.Errorf("config: %w", err)
-	}
-	return placement, failover, nil
-}
-
-// Spec compiles the serialised experiment into a declarative exp.Spec (one
-// variant per configuration, the task counts as the sweep axis), so JSON
-// experiment files run through the same spec pipeline as registry entries.
-func (e *Experiment) Spec(name string) (*exp.Spec, error) {
-	bases, err := e.RunConfigs()
-	if err != nil {
+	if err := e.Overlay(s, func(field string) bool { return set[field] }); err != nil {
 		return nil, err
-	}
-	s := exp.Grid(bases, e.TaskCounts)
-	s.Name = name
-	s.Description = "JSON experiment file"
-	if len(e.RateFactors) > 0 {
-		// Prepend so the task axis stays innermost (Grid's contract).
-		s.Axes = append([]exp.Axis{exp.Rate(e.RateFactors...)}, s.Axes...)
 	}
 	return s, nil
 }
 
-// Load reads an Experiment from a JSON file.
+// Overlay writes the experiment's fields into spec's variants and axes,
+// each only if set reports it: the sweep passes the flags named on its
+// command line, Spec a file's non-zero fields. Fields go by flag name
+// (tasks, rate, horizon, warmup, seed, fps, stages, stagger, slo, faults,
+// placement, failover, admit); a non-nil arrival and non-zero devices always
+// apply. Devices 1 collapses a fleet spec to single-device runs, clearing
+// its fleet-only settings and dropping a placement axis, and rejects a set
+// placement, failover, admit or device fault. A tasks or rate list replaces
+// the spec's axis of that kind or adds one; horizon, devices and placement
+// collapse an axis of their kind to their value, which it would otherwise
+// re-apply per cell.
+func (e *Experiment) Overlay(spec *exp.Spec, set func(field string) bool) error {
+	var arrival workload.Arrival
+	if e.Arrival != nil {
+		var err error
+		if arrival, err = e.Arrival.Build(); err != nil {
+			return err
+		}
+	}
+	placement, perr := cluster.ParsePlacement(e.Placement)
+	failover, ferr := rt.ParseFailoverPolicy(e.Failover)
+	if err := errors.Join(perr, ferr); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	if e.Devices == 1 {
+		for _, field := range []string{"placement", "failover", "admit"} {
+			if set(field) {
+				return fmt.Errorf("-%s needs a fleet, but -devices 1 forces single-device runs", field)
+			}
+		}
+		if set("faults") && e.Faults != nil && len(e.Faults.DeviceFaults) > 0 {
+			return errors.New("-faults device_faults need a fleet, but -devices 1 forces single-device runs")
+		}
+	}
+	// Rate before tasks, so a spec without either gets its task axis last.
+	if set("rate") {
+		setAxis(spec, exp.Rate(e.RateFactors...))
+	}
+	if set("tasks") {
+		setAxis(spec, exp.Tasks(e.TaskCounts...))
+	}
+	axes := spec.Axes[:0]
+	for _, a := range spec.Axes {
+		switch {
+		case a.Kind == exp.AxisHorizonSec && set("horizon"):
+			a = exp.HorizonSec(e.HorizonSec)
+		case a.Kind == exp.AxisDevices && e.Devices != 0:
+			a = exp.Devices(e.Devices)
+		case a.Kind == exp.AxisPlacement && e.Devices == 1:
+			continue
+		case a.Kind == exp.AxisPlacement && set("placement"):
+			a = exp.Placements(placement)
+		}
+		axes = append(axes, a)
+	}
+	spec.Axes = axes
+	for i := range spec.Variants {
+		v := &spec.Variants[i]
+		if set("horizon") {
+			v.HorizonSec = e.HorizonSec
+		}
+		if set("warmup") {
+			v.WarmUpSec = e.WarmUpSec
+		}
+		if set("seed") {
+			v.Seed = e.Seed
+		}
+		if set("fps") {
+			v.FPS = e.FPS
+		}
+		if set("stages") {
+			v.Stages = e.Stages
+		}
+		if set("stagger") {
+			v.Stagger = e.Stagger
+		}
+		if arrival != nil {
+			v.Arrival = arrival
+		}
+		if set("slo") {
+			v.SLOMS = e.SLOMS
+		}
+		if set("faults") {
+			v.Faults = e.Faults.Clone()
+		}
+		if e.Devices != 0 {
+			v.Devices = e.Devices
+		}
+		if e.Devices == 1 {
+			v.Placement, v.Failover, v.AdmitCeiling = 0, 0, 0
+			if v.Faults = v.Faults.Clone(); v.Faults != nil {
+				v.Faults.DeviceFaults = nil
+			}
+			continue
+		}
+		if set("placement") {
+			v.Placement = placement
+		}
+		if set("failover") {
+			v.Failover = failover
+		}
+		if set("admit") {
+			v.AdmitCeiling = e.AdmitCeiling
+		}
+	}
+	return nil
+}
+
+// setAxis replaces the spec's axis of a's kind, or appends a.
+func setAxis(spec *exp.Spec, a exp.Axis) {
+	for i := range spec.Axes {
+		if spec.Axes[i].Kind == a.Kind {
+			spec.Axes[i] = a
+			return
+		}
+	}
+	spec.Axes = append(spec.Axes, a)
+}
+
+// Load reads an Experiment from a JSON file and normalizes it. A key the
+// Experiment has no field for fails, named.
 func Load(path string) (*Experiment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
 	var e Experiment
-	if err := json.Unmarshal(data, &e); err != nil {
+	if err := decodeStrict(data, &e); err != nil {
 		return nil, fmt.Errorf("config: parse %s: %w", path, err)
 	}
 	if err := e.Normalize(); err != nil {
 		return nil, err
 	}
 	return &e, nil
+}
+
+// decodeStrict decodes one JSON value into v, failing on a key v has no
+// field for (json.Unmarshal would drop it without a word) and on anything
+// after the value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil && dec.Decode(new(json.RawMessage)) != io.EOF {
+		err = errors.New("data after the JSON value")
+	}
+	return err
 }
 
 // ParseInts parses a list flag of integers in [lo, hi]: comma-separated
@@ -382,7 +421,7 @@ func ParseFaults(arg string) (*fault.Config, error) {
 		data = b
 	}
 	var fc fault.Config
-	if err := json.Unmarshal(data, &fc); err != nil {
+	if err := decodeStrict(data, &fc); err != nil {
 		return nil, fmt.Errorf("faults config: %w", err)
 	}
 	if err := fc.Validate(); err != nil {

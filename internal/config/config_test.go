@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"sgprs/internal/exp"
+	"sgprs/internal/fault"
 	"sgprs/internal/sim"
 )
 
@@ -22,6 +24,19 @@ func save(t *testing.T, e *Experiment, path string) {
 	}
 }
 
+// compile takes e where sgprs sweep -config takes a file before any run:
+// Load's Normalize, Spec, and the dry run of every cell in exp.Compile.
+func compile(e *Experiment) (*exp.Compiled, error) {
+	if err := e.Normalize(); err != nil {
+		return nil, err
+	}
+	s, err := e.Spec("test")
+	if err != nil {
+		return nil, err
+	}
+	return s.Compile()
+}
+
 func TestNormalizeDefaults(t *testing.T) {
 	e := &Experiment{Scenario: 1}
 	if err := e.Normalize(); err != nil {
@@ -30,7 +45,9 @@ func TestNormalizeDefaults(t *testing.T) {
 	if len(e.TaskCounts) != 30 || e.TaskCounts[0] != 1 || e.TaskCounts[29] != 30 {
 		t.Errorf("task counts = %v", e.TaskCounts)
 	}
-	if e.HorizonSec != 10 || e.WarmUpSec != 1 || e.Seed != 1 || e.FPS != 30 || e.Stages != 6 {
+	// The run defaults (10 s horizon, 1 s warm-up, 30 fps, 6 stages) are
+	// sim.RunConfig.Normalize's; the file leaves them unset.
+	if e.Seed != 1 || e.HorizonSec != 0 || e.WarmUpSec != 0 || e.FPS != 0 || e.Stages != 0 {
 		t.Errorf("defaults wrong: %+v", e)
 	}
 	if len(e.Variants) != 4 {
@@ -41,44 +58,57 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// TestNormalizeErrors: a malformed experiment fails before any run starts,
+// with an error naming the variant where there is one and the field —
+// whether Normalize, Spec or exp.Compile's dry run of sim.RunConfig.Normalize
+// rejects it.
 func TestNormalizeErrors(t *testing.T) {
-	cases := []*Experiment{
-		{Scenario: 3},
-		{Scenario: 1, TaskCounts: []int{0}},
-		{Scenario: 1, HorizonSec: 1, WarmUpSec: 2},
-		{Scenario: 1, Variants: []Variant{{Kind: "quantum", Name: "x", OS: 1}}},
-		{Scenario: 1, Variants: []Variant{{Kind: "sgprs", OS: 1}}},
-		{Scenario: 0, Variants: []Variant{{Kind: "sgprs", Name: "x", OS: 1}}},
-		{Scenario: 1, Variants: []Variant{{Kind: "sgprs", Name: "x"}}},
+	x := func(v Variant) []Variant {
+		v.Name = "x"
+		return []Variant{v}
 	}
-	for i, e := range cases {
-		if err := e.Normalize(); err == nil {
-			t.Errorf("case %d accepted: %+v", i, e)
-		}
-	}
-	// A context outside the device is rejected here, naming the variant's
-	// entry, not inside a pool worker.
-	for _, tc := range []struct {
-		pool []int
+	cases := []struct {
+		e    *Experiment
 		want string
 	}{
-		{[]int{0}, `variant "x" context_sms[0] = 0 outside [1, 68]`},
-		{[]int{-4, 34}, `variant "x" context_sms[0] = -4 outside [1, 68]`},
-		{[]int{34, 100000}, `variant "x" context_sms[1] = 100000 outside [1, 68]`},
-	} {
-		e := &Experiment{Variants: []Variant{{Kind: "sgprs", Name: "x", ContextSMs: tc.pool}}}
-		if err := e.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("context_sms %v: err = %v, want one containing %q", tc.pool, err, tc.want)
+		{&Experiment{Scenario: 3}, "unknown scenario 3"},
+		{&Experiment{Scenario: 1, TaskCounts: []int{0}}, "task-count axis value 0 must be an integer >= 1"},
+		{&Experiment{Scenario: 1, HorizonSec: 1, WarmUpSec: 2}, `run "naive" horizon 1s must exceed warm-up 2s`},
+		{&Experiment{Scenario: 1, Variants: x(Variant{Kind: "quantum", OS: 1})}, `variant "x": unknown scheduler "quantum"`},
+		{&Experiment{Scenario: 1, Variants: []Variant{{Kind: "sgprs", OS: 1}}}, "variant 0 needs a name"},
+		{&Experiment{Variants: x(Variant{Kind: "sgprs", OS: 1})}, `variant "x" needs context_sms when no scenario is set`},
+		{&Experiment{Scenario: 1, Variants: x(Variant{Kind: "sgprs"})}, `variant "x" needs an over-subscription level`},
+		// A context outside the device names the variant's entry.
+		{&Experiment{Variants: x(Variant{Kind: "sgprs", ContextSMs: []int{0}})}, `run "x" ContextSMs[0] = 0 outside [1, 68]`},
+		{&Experiment{Variants: x(Variant{Kind: "sgprs", ContextSMs: []int{-4, 34}})}, `run "x" ContextSMs[0] = -4 outside [1, 68]`},
+		{&Experiment{Variants: x(Variant{Kind: "sgprs", ContextSMs: []int{34, 100000}})}, `run "x" ContextSMs[1] = 100000 outside [1, 68]`},
+		{&Experiment{Scenario: 1, Devices: -1}, `run "naive" device count -1 must be non-negative`},
+		{&Experiment{Scenario: 1, Placement: "load-steal"}, `run "naive" sets fleet options`},
+		{&Experiment{Scenario: 1, Devices: 2, Failover: "panic"}, `unknown failover policy "panic"`},
+		{&Experiment{Scenario: 1, Devices: 1, AdmitCeiling: 0.5}, "-admit needs a fleet"},
+		{&Experiment{Scenario: 1, Devices: 1, Faults: &fault.Config{DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 1}}}}, "-faults device_faults need a fleet"},
+		{&Experiment{Scenario: 1, Faults: &fault.Config{DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 1}}}}, `run "naive" injects device faults on a single device`},
+		{&Experiment{Scenario: 1, Faults: &fault.Config{Transient: &fault.Transient{Prob: 2}}}, `run "naive" faults: fault: transient probability 2 outside [0, 1]`},
+	}
+	for i, tc := range cases {
+		if _, err := compile(tc.e); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want one containing %q", i, err, tc.want)
 		}
 	}
 }
 
-func TestRunConfigsScenarioPools(t *testing.T) {
+// TestSpecScenarioPools: variants without context_sms take the pool their
+// scenario and over-subscription level give.
+func TestSpecScenarioPools(t *testing.T) {
 	e := &Experiment{Scenario: 2}
-	cfgs, err := e.RunConfigs()
+	if err := e.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := e.Spec("pools")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs := spec.Variants
 	if len(cfgs) != 4 {
 		t.Fatalf("configs = %d", len(cfgs))
 	}
@@ -95,13 +125,16 @@ func TestRunConfigsScenarioPools(t *testing.T) {
 	}
 }
 
-func TestRunConfigsExplicitPool(t *testing.T) {
+func TestSpecExplicitPool(t *testing.T) {
 	e := &Experiment{Variants: []Variant{{Kind: "sgprs", Name: "custom", ContextSMs: []int{10, 20, 30}}}}
-	cfgs, err := e.RunConfigs()
+	if err := e.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := e.Spec("custom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfgs[0].ContextSMs; len(got) != 3 || got[2] != 30 {
+	if got := spec.Variants[0].ContextSMs; len(got) != 3 || got[2] != 30 {
 		t.Errorf("pool = %v", got)
 	}
 }
@@ -138,5 +171,18 @@ func TestLoadErrors(t *testing.T) {
 	os.WriteFile(invalid, []byte(`{"scenario": 7}`), 0o644)
 	if _, err := Load(invalid); err == nil {
 		t.Error("invalid scenario accepted")
+	}
+	// A misspelt key fails naming it, instead of running the default it
+	// was meant to replace; so does anything after the experiment.
+	for _, tc := range []struct{ body, want string }{
+		{`{"scenario": 1, "horizon": 3}`, `json: unknown field "horizon"`},
+		{`{"scenario": 1, "faults": {"transient": {"probability": 0.05}}}`, `json: unknown field "probability"`},
+		{`{"scenario": 1} {"seed": 2}`, "data after the JSON value"},
+		{`{"scenario": 1}}`, "data after the JSON value"},
+	} {
+		os.WriteFile(invalid, []byte(tc.body), 0o644)
+		if _, err := Load(invalid); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.body, err, tc.want)
+		}
 	}
 }

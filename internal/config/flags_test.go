@@ -119,7 +119,8 @@ func TestParseFaults(t *testing.T) {
 		{"file", good, want, ""},
 		{"unreadable-file", filepath.Join(dir, "missing.json"), nil, "faults config: open "},
 		{"invalid-inline-json", `{"transient":}`, nil, "faults config: invalid character"},
-		{"invalid-file-json", badJSON, nil, "faults config: unexpected end of JSON input"},
+		{"invalid-file-json", badJSON, nil, "faults config: unexpected EOF"},
+		{"unknown-key", `{"transient":{"probability":0.05}}`, nil, `faults config: json: unknown field "probability"`},
 		{"fails-validate", `{"transient":{"prob":1.5}}`, nil, "fault: transient probability 1.5 outside [0, 1]"},
 	}
 	for _, c := range cases {

@@ -119,7 +119,8 @@ type RunConfig struct {
 
 	Seed uint64
 
-	// GPU overrides; zero value means gpu.DefaultConfig().
+	// GPU overrides; zero value means gpu.DefaultConfig(). A non-zero value
+	// is used as given, so it must set TotalSMs.
 	GPU gpu.Config
 
 	// SGPRS options (ablations).
@@ -262,6 +263,9 @@ func (c *RunConfig) Normalize() error {
 		return fmt.Errorf("sim: run %q horizon %vs releases %.4g jobs, more than an int counts (%d)", c.Name, c.HorizonSec, n, math.MaxInt)
 	}
 	if c.GPU.TotalSMs == 0 {
+		if c.GPU != (gpu.Config{}) {
+			return fmt.Errorf("sim: run %q sets GPU fields but GPU.TotalSMs 0; set it, or leave GPU zero for the default device", c.Name)
+		}
 		g := gpu.DefaultConfig()
 		g.Seed = c.Seed + 1
 		c.GPU = g

@@ -189,6 +189,8 @@ func TestNormalizeErrors(t *testing.T) {
 		{RunConfig{Kind: KindNaive, ContextSMs: []int{-4, 34}, NumTasks: 1}, "ContextSMs[0] = -4 outside [1, 68]"},
 		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34, 100000}, NumTasks: 1}, "ContextSMs[1] = 100000 outside [1, 68]"},
 		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 1, GPU: small}, "ContextSMs[0] = 34 outside [1, 20]"},
+		// A partly set GPU is not silently replaced by the default device.
+		{RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 1, GPU: gpu.Config{AggregateGainCap: 20}}, "GPU.TotalSMs 0"},
 	}
 	for i, tc := range cases {
 		if err := tc.cfg.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {
