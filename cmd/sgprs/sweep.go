@@ -122,10 +122,12 @@ func parseSweep(args []string, stderr io.Writer) (*sweepFlags, *exp.Spec, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	set["admit"] = f.admit != -1 // -1 leaves the spec's ceiling as declared
-	return f, spec, f.e.Overlay(spec, func(name string) bool { return set[name] })
+	set := map[string]string{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = "-" + fl.Name })
+	if f.admit == -1 { // -1 leaves the spec's ceiling as declared
+		delete(set, "admit")
+	}
+	return f, spec, f.e.Overlay(spec, func(name string) string { return set[name] })
 }
 
 // decode fills the experiment fields that take parsing (lists, the arrival

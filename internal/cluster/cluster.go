@@ -116,21 +116,13 @@ type Config struct {
 // Member is one fleet device with its resident scheduler, already attached.
 type Member struct {
 	Dev *gpu.Device
-	Sch sched.Scheduler
-}
-
-// Marker receives fleet-degradation transitions — the metrics collector
-// implements it to attribute released jobs to intervals where at least one
-// device was down.
-type Marker interface {
-	SetFleetDegraded(on bool)
+	Sch sched.Member
 }
 
 // node is the dispatcher's bookkeeping for one fleet member.
 type node struct {
 	dev *gpu.Device
-	sch sched.Scheduler
-	ev  sched.Evictor
+	sch sched.Member
 	up  bool
 }
 
@@ -154,7 +146,7 @@ type Fleet struct {
 	chains  []chain    // by task ID
 	horizon des.Time
 
-	marker        Marker
+	col           *metrics.Collector
 	downCount     int
 	stats         metrics.FleetStats
 	failoverSumMS float64
@@ -166,9 +158,8 @@ type Fleet struct {
 // Reset rewires the dispatcher over the given members and homes every chain,
 // keeping the node and chain slices' capacity so a reused fleet allocates
 // nothing. Members' schedulers must already be attached to their devices
-// (placement inspects their contexts) and must implement sched.Evictor — a
-// fleet member that cannot drain on device loss is rejected. After an error
-// the fleet is unusable until a Reset succeeds.
+// (placement inspects their contexts). After an error the fleet is unusable
+// until a Reset succeeds.
 func (f *Fleet) Reset(eng *des.Engine, cfg Config, members []Member, tasks []*rt.Task, horizon des.Time) error {
 	if len(members) == 0 {
 		return fmt.Errorf("cluster: fleet needs at least one device")
@@ -186,12 +177,8 @@ func (f *Fleet) Reset(eng *des.Engine, cfg Config, members []Member, tasks []*rt
 	}
 	clear(f.nodes)
 	nodes := slices.Grow(f.nodes[:0], len(members))
-	for i, m := range members {
-		ev, ok := m.Sch.(sched.Evictor)
-		if !ok {
-			return fmt.Errorf("cluster: device %d scheduler %q implements no EvictAll", i, m.Sch.Name())
-		}
-		nodes = append(nodes, node{dev: m.Dev, sch: m.Sch, ev: ev, up: true})
+	for _, m := range members {
+		nodes = append(nodes, node{dev: m.Dev, sch: m.Sch, up: true})
 	}
 	n := 0
 	for _, t := range tasks {
@@ -220,7 +207,7 @@ func (f *Fleet) Reset(eng *des.Engine, cfg Config, members []Member, tasks []*rt
 // Sole returns the scheduler of a fleet of one's only member, and nil for a
 // larger fleet. Fast-forward fingerprints it in place of the dispatcher
 // (DESIGN.md §12).
-func (f *Fleet) Sole() sched.Scheduler {
+func (f *Fleet) Sole() sched.Member {
 	if len(f.nodes) != 1 {
 		return nil
 	}
@@ -299,9 +286,10 @@ func (f *Fleet) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) error
 }
 
 // Install schedules the configured device-fault edges and connects the
-// fleet-degradation marker (may be nil). Call once, before the run starts.
-func (f *Fleet) Install(marker Marker) {
-	f.marker = marker
+// collector (may be nil), whose fleet-degraded mark the dispatcher raises
+// while at least one device is down. Call once, before the run starts.
+func (f *Fleet) Install(col *metrics.Collector) {
+	f.col = col
 	for _, df := range f.cfg.DeviceFaults {
 		df := df
 		f.eng.ScheduleFunc(des.FromSeconds(df.StartSec), "cluster.crash", func(now des.Time) {
@@ -403,10 +391,10 @@ func (f *Fleet) crash(di int, restartSec float64, now des.Time) {
 	nd.up = false
 	f.downCount++
 	f.stats.Crashes++
-	if f.downCount == 1 && f.marker != nil {
-		f.marker.SetFleetDegraded(true)
+	if f.downCount == 1 && f.col != nil {
+		f.col.SetFleetDegraded(true)
 	}
-	nd.ev.EvictAll(now)
+	nd.sch.EvictAll(now)
 
 	policy := f.cfg.Failover
 	if policy == rt.FailoverDefault {
@@ -454,8 +442,8 @@ func (f *Fleet) restore(di int, now des.Time) {
 	nd.up = true
 	f.downCount--
 	f.stats.Restarts++
-	if f.downCount == 0 && f.marker != nil {
-		f.marker.SetFleetDegraded(false)
+	if f.downCount == 0 && f.col != nil {
+		f.col.SetFleetDegraded(false)
 	}
 	f.recomputeAdmission()
 }
@@ -508,17 +496,22 @@ func (f *Fleet) recomputeAdmission() {
 	}
 }
 
-// Stats reports the fleet accounting accumulated so far, including each
-// device's utilization at the instant of the call.
-func (f *Fleet) Stats() metrics.FleetStats {
-	s := f.stats
-	s.Devices = len(f.nodes)
-	s.PerDeviceUtilization = make([]float64, len(f.nodes))
-	for i, nd := range f.nodes {
-		s.PerDeviceUtilization[i] = nd.dev.Utilization()
+// AddStats adds the dispatcher's accounting so far to s, whose
+// fleet-degraded fields are the collector's: the size, each device's
+// utilization at the instant of the call, and the failure counters.
+func (f *Fleet) AddStats(s *metrics.FleetStats) {
+	s.Devices += len(f.nodes)
+	s.PerDeviceUtilization = slices.Grow(s.PerDeviceUtilization, len(f.nodes))
+	for _, nd := range f.nodes {
+		s.PerDeviceUtilization = append(s.PerDeviceUtilization, nd.dev.Utilization())
 	}
+	s.Crashes += f.stats.Crashes
+	s.Restarts += f.stats.Restarts
+	s.Migrations += f.stats.Migrations
+	s.MigrationCostMS += f.stats.MigrationCostMS
+	s.ShedChains += f.stats.ShedChains
+	s.ShedReleases += f.stats.ShedReleases
 	if f.failoverN > 0 {
-		s.FailoverLatencyMeanMS = f.failoverSumMS / float64(f.failoverN)
+		s.FailoverLatencyMeanMS += f.failoverSumMS / float64(f.failoverN)
 	}
-	return s
 }

@@ -8,7 +8,9 @@ import (
 	"sgprs/internal/dnn"
 	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
+	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
+	"sgprs/internal/sched"
 	"sgprs/internal/speedup"
 )
 
@@ -34,6 +36,16 @@ func (s *fakeSched) Attach(_ *des.Engine, dev *gpu.Device, _ []*rt.Task) error {
 func (s *fakeSched) OnRelease(j *rt.Job, _ des.Time) { s.released = append(s.released, j) }
 
 func (s *fakeSched) EvictAll(des.Time) { s.evictions++ }
+
+func (s *fakeSched) RecoverKernel(*gpu.Kernel, *gpu.Stream, sched.RecoveryAction, des.Time, des.Time) {
+}
+
+// stats reports the dispatcher's accounting so far.
+func stats(f *Fleet) metrics.FleetStats {
+	var s metrics.FleetStats
+	f.AddStats(&s)
+	return s
+}
 
 // newMembers builds one default device per entry of contexts, each with an
 // attached fakeSched owning that many contexts.
@@ -158,7 +170,7 @@ func TestFleetOfOnePassesReleasesThrough(t *testing.T) {
 	if n := eng.Pending(); n != 0 {
 		t.Errorf("dispatcher scheduled %d events", n)
 	}
-	if st := f.Stats(); st.ShedReleases != 0 || st.Migrations != 0 {
+	if st := stats(f); st.ShedReleases != 0 || st.Migrations != 0 {
 		t.Errorf("stats %+v, want no shed release and no migration", st)
 	}
 
@@ -233,8 +245,8 @@ func TestAdmissionCutFloors(t *testing.T) {
 	}
 	j := tasks[7].NewJob(0, eng.Now())
 	f.OnRelease(j, eng.Now())
-	if !j.Discarded || f.Stats().ShedReleases != 1 {
-		t.Errorf("unadmitted release: discarded %v, shed %d", j.Discarded, f.Stats().ShedReleases)
+	if !j.Discarded || stats(f).ShedReleases != 1 {
+		t.Errorf("unadmitted release: discarded %v, shed %d", j.Discarded, stats(f).ShedReleases)
 	}
 }
 
@@ -280,9 +292,9 @@ func TestLoadStealMigrates(t *testing.T) {
 	// Demand 30/68 ≈ 0.44 against idle survivors: within the 0.5 margin.
 	occupy(t, eng, members[0].Dev, 3)
 	release(f, task, 0, eng)
-	if f.chains[0].home != 0 || len(scheds[0].released) != 1 || f.Stats().Migrations != 0 {
+	if f.chains[0].home != 0 || len(scheds[0].released) != 1 || stats(f).Migrations != 0 {
 		t.Fatalf("within the margin: home %d, home got %d releases, %d migrations",
-			f.chains[0].home, len(scheds[0].released), f.Stats().Migrations)
+			f.chains[0].home, len(scheds[0].released), stats(f).Migrations)
 	}
 
 	// Demand 40/68 ≈ 0.59: the chain moves to the first least-loaded
@@ -290,7 +302,7 @@ func TestLoadStealMigrates(t *testing.T) {
 	occupy(t, eng, members[0].Dev, 4)
 	stolen := eng.Now()
 	j := release(f, task, 1, eng)
-	st := f.Stats()
+	st := stats(f)
 	if f.chains[0].home != 1 || st.Migrations != 1 || st.MigrationCostMS != 6 {
 		t.Fatalf("past the margin: home %d, %d migrations costing %v ms; want home 1, 1 costing 6",
 			f.chains[0].home, st.Migrations, st.MigrationCostMS)
@@ -308,14 +320,14 @@ func TestLoadStealMigrates(t *testing.T) {
 	// until the cooldown has passed, then a move to the idle device 2.
 	occupy(t, eng, members[1].Dev, 4)
 	release(f, task, 2, eng)
-	if f.chains[0].home != 1 || f.Stats().Migrations != 1 {
-		t.Fatalf("inside the cooldown: home %d after %d migrations", f.chains[0].home, f.Stats().Migrations)
+	if f.chains[0].home != 1 || stats(f).Migrations != 1 {
+		t.Fatalf("inside the cooldown: home %d after %d migrations", f.chains[0].home, stats(f).Migrations)
 	}
 	eng.RunUntil(stolen.Add(des.FromMillis(100)))
 	release(f, task, 3, eng)
-	if f.chains[0].home != 2 || f.Stats().Migrations != 2 {
+	if f.chains[0].home != 2 || stats(f).Migrations != 2 {
 		t.Fatalf("after the cooldown: home %d after %d migrations, want home 2 after 2",
-			f.chains[0].home, f.Stats().Migrations)
+			f.chains[0].home, stats(f).Migrations)
 	}
 }
 
@@ -361,8 +373,8 @@ func TestFailoverAtCrashEdge(t *testing.T) {
 			}
 			f.Install(nil)
 			eng.RunUntil(crashAt)
-			if scheds[1].evictions != 1 || f.Stats().Crashes != 1 {
-				t.Fatalf("crash edge: %d evictions, %d crashes", scheds[1].evictions, f.Stats().Crashes)
+			if scheds[1].evictions != 1 || stats(f).Crashes != 1 {
+				t.Fatalf("crash edge: %d evictions, %d crashes", scheds[1].evictions, stats(f).Crashes)
 			}
 			kept := release(f, tasks[0], 0, eng)
 			moved := release(f, tasks[1], 0, eng)
@@ -372,7 +384,7 @@ func TestFailoverAtCrashEdge(t *testing.T) {
 			if home := f.chains[1].home; home != c.home {
 				t.Errorf("crashed chain homed on %d, want %d", home, c.home)
 			}
-			st := f.Stats()
+			st := stats(f)
 			if st.FailoverLatencyMeanMS != c.latency {
 				t.Errorf("failover latency %v ms, want %v", st.FailoverLatencyMeanMS, c.latency)
 			}

@@ -4,6 +4,7 @@ package config
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -154,6 +155,9 @@ func (e *Experiment) Normalize() error {
 	if e.Seed == 0 {
 		e.Seed = 1
 	}
+	if e.Scenario == 0 && len(e.Variants) == 0 {
+		return errors.New("config: the experiment needs a scenario or variants")
+	}
 	if len(e.Variants) == 0 {
 		for _, v := range sim.ScenarioVariants() {
 			e.Variants = append(e.Variants, Variant{Kind: v.Kind.String(), Name: v.Name, OS: v.OS})
@@ -207,15 +211,26 @@ func (e *Experiment) Spec(name string) (*exp.Spec, error) {
 		"slo": e.SLOMS != 0, "faults": e.Faults != nil,
 		"placement": e.Placement != "", "failover": e.Failover != "", "admit": e.AdmitCeiling != 0,
 	}
-	if err := e.Overlay(s, func(field string) bool { return set[field] }); err != nil {
+	// JSON keys where they differ from the field's flag name.
+	keys := map[string]string{"tasks": "task_counts", "rate": "rate_factors", "horizon": "horizon_sec",
+		"warmup": "warmup_sec", "slo": "slo_ms", "admit": "admit_ceiling"}
+	typed := func(field string) string {
+		if !set[field] {
+			return ""
+		}
+		return strconv.Quote(cmp.Or(keys[field], field))
+	}
+	if err := e.Overlay(s, typed); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // Overlay writes the experiment's fields into spec's variants and axes,
-// each only if set reports it: the sweep passes the flags named on its
-// command line, Spec a file's non-zero fields. Fields go by flag name
+// each only if it is set: name returns the name the user gave a set field,
+// "" for an unset one — the sweep's flags named on its command line, Spec's
+// JSON keys of a file's non-zero fields — and errors quote that name.
+// Fields go by flag name
 // (tasks, rate, horizon, warmup, seed, fps, stages, stagger, slo, faults,
 // placement, failover, admit); a non-nil arrival and non-zero devices always
 // apply. Devices 1 collapses a fleet spec to single-device runs, clearing
@@ -224,7 +239,8 @@ func (e *Experiment) Spec(name string) (*exp.Spec, error) {
 // the spec's axis of that kind or adds one; horizon, devices and placement
 // collapse an axis of their kind to their value, which it would otherwise
 // re-apply per cell.
-func (e *Experiment) Overlay(spec *exp.Spec, set func(field string) bool) error {
+func (e *Experiment) Overlay(spec *exp.Spec, name func(field string) string) error {
+	set := func(field string) bool { return name(field) != "" }
 	var arrival workload.Arrival
 	if e.Arrival != nil {
 		var err error
@@ -239,12 +255,12 @@ func (e *Experiment) Overlay(spec *exp.Spec, set func(field string) bool) error 
 	}
 	if e.Devices == 1 {
 		for _, field := range []string{"placement", "failover", "admit"} {
-			if set(field) {
-				return fmt.Errorf("-%s needs a fleet, but -devices 1 forces single-device runs", field)
+			if n := name(field); n != "" {
+				return fmt.Errorf("config: %s needs a fleet, but devices 1 forces single-device runs", n)
 			}
 		}
-		if set("faults") && e.Faults != nil && len(e.Faults.DeviceFaults) > 0 {
-			return errors.New("-faults device_faults need a fleet, but -devices 1 forces single-device runs")
+		if n := name("faults"); n != "" && e.Faults != nil && len(e.Faults.DeviceFaults) > 0 {
+			return fmt.Errorf("config: device_faults in %s need a fleet, but devices 1 forces single-device runs", n)
 		}
 	}
 	// Rate before tasks, so a spec without either gets its task axis last.

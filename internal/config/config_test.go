@@ -77,6 +77,7 @@ func TestNormalizeErrors(t *testing.T) {
 		{&Experiment{Scenario: 1, Variants: x(Variant{Kind: "quantum", OS: 1})}, `variant "x": unknown scheduler "quantum"`},
 		{&Experiment{Scenario: 1, Variants: []Variant{{Kind: "sgprs", OS: 1}}}, "variant 0 needs a name"},
 		{&Experiment{Variants: x(Variant{Kind: "sgprs", OS: 1})}, `variant "x" needs context_sms when no scenario is set`},
+		{&Experiment{}, "config: the experiment needs a scenario or variants"},
 		{&Experiment{Scenario: 1, Variants: x(Variant{Kind: "sgprs"})}, `variant "x" needs an over-subscription level`},
 		// A context outside the device names the variant's entry.
 		{&Experiment{Variants: x(Variant{Kind: "sgprs", ContextSMs: []int{0}})}, `run "x" ContextSMs[0] = 0 outside [1, 68]`},
@@ -85,8 +86,9 @@ func TestNormalizeErrors(t *testing.T) {
 		{&Experiment{Scenario: 1, Devices: -1}, `run "naive" device count -1 must be non-negative`},
 		{&Experiment{Scenario: 1, Placement: "load-steal"}, `run "naive" sets fleet options`},
 		{&Experiment{Scenario: 1, Devices: 2, Failover: "panic"}, `unknown failover policy "panic"`},
-		{&Experiment{Scenario: 1, Devices: 1, AdmitCeiling: 0.5}, "-admit needs a fleet"},
-		{&Experiment{Scenario: 1, Devices: 1, Faults: &fault.Config{DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 1}}}}, "-faults device_faults need a fleet"},
+		{&Experiment{Scenario: 1, Devices: 1, AdmitCeiling: 0.5}, `config: "admit_ceiling" needs a fleet, but devices 1 forces single-device runs`},
+		{&Experiment{Scenario: 1, Devices: 1, Placement: "load-steal"}, `config: "placement" needs a fleet`},
+		{&Experiment{Scenario: 1, Devices: 1, Faults: &fault.Config{DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 1}}}}, `config: device_faults in "faults" need a fleet`},
 		{&Experiment{Scenario: 1, Faults: &fault.Config{DeviceFaults: []fault.DeviceFault{{Device: 1, StartSec: 1}}}}, `run "naive" injects device faults on a single device`},
 		{&Experiment{Scenario: 1, Faults: &fault.Config{Transient: &fault.Transient{Prob: 2}}}, `run "naive" faults: fault: transient probability 2 outside [0, 1]`},
 	}

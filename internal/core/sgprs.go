@@ -479,7 +479,7 @@ func (s *Scheduler) onStageDone(c *ctxState, st *rt.StageJob, now des.Time) {
 	s.dispatch(c, now)
 }
 
-// RecoverKernel implements sched.FaultHandler: the fault injector has
+// RecoverKernel implements sched.Member: the fault injector has
 // aborted one of this scheduler's stage kernels mid-flight (the device
 // already evicted it and recomputed rates) and hands back the orphaned
 // kernel with the resolved recovery decision. The launch's charges against
@@ -559,7 +559,7 @@ func (s *Scheduler) retryFire(now des.Time, arg any) {
 	s.enqueue(st, now)
 }
 
-// EvictAll implements sched.Evictor: the device hosting this scheduler was
+// EvictAll implements sched.Member: the device hosting this scheduler was
 // lost (fleet failover, DESIGN.md §15), so every resident kernel is aborted
 // or cancelled, every queue drained, and every live frame discarded. Streams
 // are flushed before their running kernel is evicted so the abort-side pump

@@ -562,7 +562,7 @@ func applyAxis(cfg *sim.RunConfig, a Axis, idx int) error {
 		cfg.HorizonSec = a.Values[idx]
 	case AxisRate:
 		if cfg.Arrival == nil {
-			return fmt.Errorf("%s axis needs an arrival process on the variant (set RunConfig.Arrival or add an arrival axis)", a.Kind)
+			return fmt.Errorf("%s axis needs an arrival process: pass sgprs sweep -arrival or -trace, or give the experiment file an \"arrival\" block", a.Kind)
 		}
 		cfg.Arrival = cfg.Arrival.Scale(a.Values[idx])
 	case AxisFaultRate:

@@ -207,20 +207,3 @@ func (c *Config) Clone() *Config {
 	}
 	return out
 }
-
-// Stats is the injector's fault accounting, merged into the run summary.
-type Stats struct {
-	// Overruns counts kernels whose work was inflated; OverrunMassMS is
-	// the total extra single-SM milliseconds injected.
-	Overruns      int
-	OverrunMassMS float64
-	// TransientFaults counts kernels aborted mid-flight. Retries,
-	// SkippedJobs, and KilledChains partition the recovery decisions
-	// taken; Recoveries counts jobs that completed despite at least one
-	// retried fault.
-	TransientFaults int
-	Retries         int
-	Recoveries      int
-	SkippedJobs     int
-	KilledChains    int
-}

@@ -6,6 +6,7 @@ import (
 
 	"sgprs/internal/des"
 	"sgprs/internal/gpu"
+	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
 )
@@ -15,22 +16,16 @@ import (
 // adding one family never shifts the other's cursor.
 const rngSalt = 0xFA017
 
-// Marker receives degradation-window transitions — the metrics collector
-// implements it to attribute released jobs to degraded intervals.
-type Marker interface {
-	SetDegraded(on bool)
-}
-
 // Injector drives all three fault families of a run. It installs itself as
 // the device's gpu.Hook, schedules degradation-window edges on the engine,
-// and hands aborted kernels to the scheduler's sched.FaultHandler. One
+// and hands aborted kernels to the scheduler's RecoverKernel. One
 // injector serves one run; build a fresh one per run.
 type Injector struct {
 	cfg     *Config
 	eng     *des.Engine
 	dev     *gpu.Device
-	handler sched.FaultHandler
-	marker  Marker
+	handler sched.Member
+	col     *metrics.Collector
 
 	// orng and trng are the overrun and transient draw streams. They are
 	// separate forks so the families' cursors are independent, and they
@@ -46,14 +41,15 @@ type Injector struct {
 	// fireTransient copies the fields out and returns the struct here.
 	freeFaults []*pendingFault
 
-	stats Stats
+	// stats holds the injection counters; the collector fills the
+	// degraded-window fields of the run's own FaultStats.
+	stats metrics.FaultStats
 }
 
-// NewInjector builds the injector for one run. handler is the scheduler's
-// recovery half; it may be nil only when no transient faults are configured.
-// seed feeds the dedicated fault RNG streams (the caller resolves Config.Seed
-// = 0 to a run-derived value).
-func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.FaultHandler, seed uint64) (*Injector, error) {
+// NewInjector builds the injector for one run. handler is the device's
+// scheduler, which recovers aborted kernels; seed feeds the dedicated fault
+// RNG streams (the caller resolves Config.Seed = 0 to a run-derived value).
+func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Member, seed uint64) (*Injector, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("fault: nil config")
 	}
@@ -69,9 +65,6 @@ func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Fa
 		defRetries: 1,
 	}
 	if t := cfg.Transient; t != nil {
-		if t.Prob > 0 && handler == nil {
-			return nil, fmt.Errorf("fault: transient faults configured but the scheduler implements no recovery")
-		}
 		pol, err := rt.ParseRecoveryPolicy(t.Policy)
 		if err != nil {
 			return nil, err
@@ -97,11 +90,11 @@ func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Fa
 }
 
 // Install hooks the injector into the device and schedules the degradation
-// window edges. marker (may be nil) is flipped at each edge so the metrics
-// collector can attribute releases to degraded intervals. Call once, before
-// the run starts.
-func (in *Injector) Install(marker Marker) {
-	in.marker = marker
+// window edges. col (may be nil) is flipped at each edge so it can
+// attribute releases to degraded intervals. Call once, before the run
+// starts.
+func (in *Injector) Install(col *metrics.Collector) {
+	in.col = col
 	in.dev.SetHook(in)
 	total := in.dev.Config().TotalSMs
 	for _, w := range in.cfg.Degradation {
@@ -112,23 +105,31 @@ func (in *Injector) Install(marker Marker) {
 			if err := in.dev.SetEffectiveSMs(w.SMs, now); err != nil {
 				panic(err)
 			}
-			if in.marker != nil {
-				in.marker.SetDegraded(true)
+			if in.col != nil {
+				in.col.SetDegraded(true)
 			}
 		})
 		in.eng.ScheduleFunc(des.FromSeconds(w.EndSec), "fault.restore", func(now des.Time) {
 			if err := in.dev.SetEffectiveSMs(total, now); err != nil {
 				panic(err)
 			}
-			if in.marker != nil {
-				in.marker.SetDegraded(false)
+			if in.col != nil {
+				in.col.SetDegraded(false)
 			}
 		})
 	}
 }
 
-// Stats returns the fault accounting accumulated so far.
-func (in *Injector) Stats() Stats { return in.stats }
+// AddStats adds the injection counters accumulated so far to s.
+func (in *Injector) AddStats(s *metrics.FaultStats) {
+	s.Overruns += in.stats.Overruns
+	s.OverrunMassMS += in.stats.OverrunMassMS
+	s.TransientFaults += in.stats.TransientFaults
+	s.Retries += in.stats.Retries
+	s.Recoveries += in.stats.Recoveries
+	s.SkippedJobs += in.stats.SkippedJobs
+	s.KilledChains += in.stats.KilledChains
+}
 
 // jobOf resolves the job a kernel executes for from its scheduler payload —
 // SGPRS stamps the stage instance, naive the whole job. Kernels with a

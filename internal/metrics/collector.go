@@ -37,23 +37,17 @@ import (
 // the monotone engine clock keeps ascending. TestCollectorMatchesEvaluate and
 // the sim streaming-equivalence tests pin all of this.
 //
-// Missed-job accounting needs no deadline timers: an in-window released job
-// has Deadline < horizon by construction, so at the horizon every such job
-// is either completed (late or not — lateness is decided at completion) or
-// missed. Summary therefore derives
-//
-//	Missed = lateCompleted + (released − completedReleased)
-//
-// which equals EvaluateSLO's per-job Missed scan.
+// Missed-job accounting needs no deadline timers: one tally per subset of
+// the in-window releases — the whole window, the releases inside an
+// SM-degradation window, those while a fleet device was down — derives its
+// misses at Summary time (see tally).
 type Collector struct {
 	warmUp, horizon des.Time
 	sloMS           float64
 
-	released          int // in-window released jobs (deadline decidable)
-	completed         int // finishes inside the window, released or not
-	completedReleased int // in-window released jobs that finished
-	lateCompleted     int // …of which after their deadline
-	dropped           int // in-window released jobs discarded
+	window    tally // in-window released jobs (deadline decidable)
+	completed int   // finishes inside the window, released or not
+	dropped   int   // in-window released jobs discarded
 
 	// resp holds one response-time slot per in-window released job, in
 	// release order; NaN marks a job that has not (yet) finished.
@@ -74,25 +68,16 @@ type Collector struct {
 	scratch []float64
 	sortBuf summaryBuf
 
-	// Degraded-window attribution (fault injection, DESIGN.md §13): the
-	// injector toggles degraded at each SM-degradation window edge, and
-	// every in-window released job records the flag in degFlags — parallel
-	// to resp — so completions can be judged against the degraded subset.
-	degraded             bool
-	degFlags             []bool
-	degReleased          int
-	degCompletedReleased int
-	degLateCompleted     int
-
-	// Fleet-degraded attribution (cluster layer, DESIGN.md §15): the
-	// dispatcher raises fleetDegraded while at least one device is down,
-	// and releases record the flag in fleetFlags — parallel to resp — so
-	// completions can be judged against the degraded-fleet subset.
-	fleetDegraded        bool
-	fleetFlags           []bool
-	fltReleased          int
-	fltCompletedReleased int
-	fltLateCompleted     int
+	// Degraded attribution: mark holds the degradations in force — the
+	// fault injector toggles markSM at each SM-degradation window edge
+	// (DESIGN.md §13), the cluster dispatcher markFleet while at least one
+	// device is down (§15) — and every in-window released job records it
+	// in marks, parallel to resp, so its completion counts toward the
+	// tallies of the subsets it was released into.
+	mark     uint8
+	marks    []uint8
+	smDeg    tally
+	fleetDeg tally
 
 	// Fast-forward measurement-cycle recording (ff.go): while recording,
 	// every lifecycle call appends an op so Replay can re-apply the cycle's
@@ -125,7 +110,7 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	}
 	c.warmUp, c.horizon = warmUp, horizon
 	c.sloMS = 0
-	c.released, c.completed, c.completedReleased, c.lateCompleted, c.dropped = 0, 0, 0, 0, 0
+	c.window, c.completed, c.dropped = tally{}, 0, 0
 	c.resp = c.resp[:0]
 	c.starts = c.starts[:0]
 	c.ends = c.ends[:0]
@@ -136,24 +121,65 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	c.recOps = c.recOps[:0]
 	c.slotBlk, c.respBlk, c.logBlk = block{}, block{}, block{}
 	c.mult, c.period, c.replayWrites = 0, 0, 0
-	c.degraded = false
-	c.degFlags = c.degFlags[:0]
-	c.degReleased, c.degCompletedReleased, c.degLateCompleted = 0, 0, 0
-	c.fleetDegraded = false
-	c.fleetFlags = c.fleetFlags[:0]
-	c.fltReleased, c.fltCompletedReleased, c.fltLateCompleted = 0, 0, 0
+	c.mark, c.marks = 0, c.marks[:0]
+	c.smDeg, c.fleetDeg = tally{}, tally{}
 }
 
-// SetDegraded flips the degraded-capacity flag; the fault injector calls it
-// at each SM-degradation window edge. Releases while the flag is on are
-// attributed to the degraded subset of the deadline accounting.
-func (c *Collector) SetDegraded(on bool) { c.degraded = on }
+// The degradation marks a release records.
+const (
+	markSM    uint8 = 1 << iota // inside an SM-degradation window
+	markFleet                   // at least one fleet device down
+)
 
-// SetFleetDegraded flips the fleet-degraded flag; the cluster dispatcher
+// SetDegraded flips the degraded-capacity mark; the fault injector calls it
+// at each SM-degradation window edge. Releases while the mark is on are
+// attributed to the degraded subset of the deadline accounting.
+func (c *Collector) SetDegraded(on bool) { c.setMark(markSM, on) }
+
+// SetFleetDegraded flips the fleet-degraded mark; the cluster dispatcher
 // calls it when the first device goes down and when the last one comes back.
-// Releases while the flag is on are attributed to the degraded-fleet subset
+// Releases while the mark is on are attributed to the degraded-fleet subset
 // of the deadline accounting.
-func (c *Collector) SetFleetDegraded(on bool) { c.fleetDegraded = on }
+func (c *Collector) SetFleetDegraded(on bool) { c.setMark(markFleet, on) }
+
+func (c *Collector) setMark(m uint8, on bool) {
+	c.mark &^= m
+	if on {
+		c.mark |= m
+	}
+}
+
+// tally is the deadline accounting of one subset of the in-window released
+// jobs. Such a job has Deadline < horizon by construction, so at the
+// horizon it has either completed (late or not — lateness is decided at
+// completion) or missed, and
+//
+//	missed = late + (released − completed)
+//
+// equals EvaluateSLO's per-job Missed scan.
+type tally struct {
+	released  int // in-window released jobs of the subset
+	completed int // …that finished
+	late      int // …of which after their deadline
+}
+
+func (t *tally) done(late bool) {
+	t.completed++
+	if late {
+		t.late++
+	}
+}
+
+func (t tally) missed() int { return t.late + (t.released - t.completed) }
+
+func (t tally) dmr() float64 { return ratio(t.missed(), t.released) }
+
+// add adds k copies of u to t (a fast-forwarded span's replayed cycles).
+func (t *tally) add(u tally, k int) {
+	t.released += k * u.released
+	t.completed += k * u.completed
+	t.late += k * u.late
+}
 
 // SetSLO configures the response-time objective, milliseconds (0 = none),
 // matching EvaluateSLO's parameter. Call after Reset, before the run.
@@ -172,15 +198,14 @@ func (c *Collector) JobReleased(j *rt.Job, now des.Time) {
 		j.MetricsSlot = -1
 	} else {
 		j.MetricsSlot = len(c.resp) + c.mult*c.respBlk.n
-		c.released++
+		c.window.released++
 		c.resp = append(c.resp, math.NaN())
-		c.degFlags = append(c.degFlags, c.degraded)
-		if c.degraded {
-			c.degReleased++
+		c.marks = append(c.marks, c.mark)
+		if c.mark&markSM != 0 {
+			c.smDeg.released++
 		}
-		c.fleetFlags = append(c.fleetFlags, c.fleetDegraded)
-		if c.fleetDegraded {
-			c.fltReleased++
+		if c.mark&markFleet != 0 {
+			c.fleetDeg.released++
 		}
 	}
 	if c.recording {
@@ -202,24 +227,19 @@ func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 		c.completed++
 	}
 	if j.MetricsSlot >= 0 {
-		c.completedReleased++
-		if now > j.Deadline {
-			c.lateCompleted++
-		}
+		late := now > j.Deadline
+		c.window.done(late)
 		c.resp[c.respBlk.phys(j.MetricsSlot, c.mult)] = j.ResponseTime().Milliseconds()
-		// Slots fast-forward Replay stands for have no degFlags entry:
-		// fault-injected runs are FF-ineligible, so a replayed slot is
-		// never degraded and treating it as false is exact.
-		if j.MetricsSlot < len(c.degFlags) && c.degFlags[j.MetricsSlot] {
-			c.degCompletedReleased++
-			if now > j.Deadline {
-				c.degLateCompleted++
+		// Slots fast-forward Replay stands for have no marks entry:
+		// degraded runs are FF-ineligible, so a replayed slot is never
+		// marked and reading it as unmarked is exact.
+		if j.MetricsSlot < len(c.marks) {
+			m := c.marks[j.MetricsSlot]
+			if m&markSM != 0 {
+				c.smDeg.done(late)
 			}
-		}
-		if j.MetricsSlot < len(c.fleetFlags) && c.fleetFlags[j.MetricsSlot] {
-			c.fltCompletedReleased++
-			if now > j.Deadline {
-				c.fltLateCompleted++
+			if m&markFleet != 0 {
+				c.fleetDeg.done(late)
 			}
 		}
 	}
@@ -252,24 +272,18 @@ func (c *Collector) Summary() Summary {
 	s := Summary{
 		WarmUp:    c.warmUp,
 		Horizon:   c.horizon,
-		Released:  c.released,
+		Released:  c.window.released,
 		Completed: c.completed,
-		Missed:    c.lateCompleted + (c.released - c.completedReleased),
+		Missed:    c.window.missed(),
 		Dropped:   c.dropped,
+		DMR:       c.window.dmr(),
 	}
-	// Degraded-subset deadline accounting, derived exactly like Missed:
-	// a degraded release either completed (lateness decided then) or not.
-	s.Faults.DegradedReleased = c.degReleased
-	s.Faults.DegradedMissed = c.degLateCompleted + (c.degReleased - c.degCompletedReleased)
-	if c.degReleased > 0 {
-		s.Faults.DegradedDMR = float64(s.Faults.DegradedMissed) / float64(c.degReleased)
-	}
-	// Fleet-degraded subset, derived identically.
-	s.Fleet.FleetDegradedReleased = c.fltReleased
-	s.Fleet.FleetDegradedMissed = c.fltLateCompleted + (c.fltReleased - c.fltCompletedReleased)
-	if c.fltReleased > 0 {
-		s.Fleet.FleetDegradedDMR = float64(s.Fleet.FleetDegradedMissed) / float64(c.fltReleased)
-	}
+	s.Faults.DegradedReleased = c.smDeg.released
+	s.Faults.DegradedMissed = c.smDeg.missed()
+	s.Faults.DegradedDMR = c.smDeg.dmr()
+	s.Fleet.FleetDegradedReleased = c.fleetDeg.released
+	s.Fleet.FleetDegradedMissed = c.fleetDeg.missed()
+	s.Fleet.FleetDegradedDMR = c.fleetDeg.dmr()
 	// Compact the slots in release order — EvaluateSLO's iteration order —
 	// and count SLO hits over the identical float comparisons. A
 	// fast-forwarded span's copies repeat its block's floats and hits.

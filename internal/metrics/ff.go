@@ -152,7 +152,8 @@ func (c *Collector) Replay(k int, D des.Time) {
 		c.endLog = append(c.endLog, c.endLog[i]+shift)
 	}
 	c.replayWrites += 2*c.slotBlk.n + c.respBlk.n + c.logBlk.n
-	var released, completed, completedReleased, late, dropped int
+	var win tally
+	var completed, dropped int
 	for i := range c.recOps {
 		op := &c.recOps[i]
 		// An op on a slot before the block is a pipelined completion of
@@ -169,7 +170,7 @@ func (c *Collector) Replay(k int, D des.Time) {
 		switch op.kind {
 		case opRelease:
 			if op.inWin {
-				released++
+				win.released++
 			}
 		case opDone:
 			c.ends[op.slot+c.slotBlk.n] = at
@@ -177,10 +178,7 @@ func (c *Collector) Replay(k int, D des.Time) {
 				completed++
 			}
 			if op.hasResp {
-				completedReleased++
-				if op.late {
-					late++
-				}
+				win.done(op.late)
 				c.resp[op.respSlot+c.respBlk.n] = op.val
 				c.replayWrites++
 			}
@@ -193,10 +191,8 @@ func (c *Collector) Replay(k int, D des.Time) {
 			c.replayWrites++
 		}
 	}
-	c.released += k * released
+	c.window.add(win, k)
 	c.completed += k * completed
-	c.completedReleased += k * completedReleased
-	c.lateCompleted += k * late
 	c.dropped += k * dropped
 	if c.mult > 0 {
 		c.checkCopies()
@@ -275,10 +271,10 @@ type CollectorSnapshot struct {
 func (c *Collector) DebugSnapshot() CollectorSnapshot {
 	never := func(t des.Time) bool { return t == des.Never }
 	return CollectorSnapshot{
-		Released:          c.released,
+		Released:          c.window.released,
 		Completed:         c.completed,
-		CompletedReleased: c.completedReleased,
-		LateCompleted:     c.lateCompleted,
+		CompletedReleased: c.window.completed,
+		LateCompleted:     c.window.late,
 		Dropped:           c.dropped,
 		Resp:              expand(c.resp, c.respBlk, c.mult, 0, func(float64) bool { return true }),
 		Starts:            expand(c.starts, c.slotBlk, c.mult, c.period, never),

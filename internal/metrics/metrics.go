@@ -182,6 +182,7 @@ func EvaluateSLO(jobs []*rt.Job, warmUp, horizon des.Time, sloMS float64) Summar
 		byStart: slices.Sorted(slices.Values(starts)),
 		byEnd:   slices.Sorted(slices.Values(ends)),
 	}
+	s.DMR = ratio(s.Missed, s.Released)
 	s.finish(repeated{all: resp}, &summaryBuf{}, b, sloMS, sloHits)
 	return s
 }
@@ -260,10 +261,7 @@ func jobEnd(j *rt.Job) des.Time {
 func (s *Summary) finish(resp repeated, buf *summaryBuf, b backlog, sloMS float64, sloHits int) {
 	window := (s.Horizon - s.WarmUp).Seconds()
 	s.TotalFPS = float64(s.Completed) / window
-	if s.Released > 0 {
-		s.DMR = float64(s.Missed) / float64(s.Released)
-		s.DropRate = float64(s.Dropped) / float64(s.Released)
-	}
+	s.DropRate = ratio(s.Dropped, s.Released)
 	if len(resp.all) > 0 {
 		s.RespMeanMS = stats.MeanRepeated(resp.all, resp.cut, resp.n, resp.mult)
 		rest := buf.sortedCopy(&buf.rest, resp.all)
@@ -281,10 +279,16 @@ func (s *Summary) finish(resp repeated, buf *summaryBuf, b backlog, sloMS float6
 	s.QueueDepthMean = float64(integral) / float64(s.Horizon-s.WarmUp)
 	if sloMS > 0 {
 		s.SLOMS = sloMS
-		if s.Released > 0 {
-			s.SLOHitRate = float64(sloHits) / float64(s.Released)
-		}
+		s.SLOHitRate = ratio(sloHits, s.Released)
 	}
+}
+
+// ratio is n/d, or 0 for an empty denominator.
+func ratio(n, d int) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
 }
 
 // queueDepth computes the admission-backlog profile over [warmUp, horizon):

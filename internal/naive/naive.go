@@ -215,7 +215,7 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 	p.stream.Submit(k)
 }
 
-// RecoverKernel implements sched.FaultHandler: the fault injector has
+// RecoverKernel implements sched.Member: the fault injector has
 // aborted one of this scheduler's whole-inference kernels mid-flight and
 // hands it back with the resolved recovery decision. A retry re-submits the
 // very same kernel — Submit re-derives the remainders from Shares and
@@ -249,7 +249,7 @@ func (s *Scheduler) RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action sche
 	}
 }
 
-// EvictAll implements sched.Evictor: the device hosting this baseline was
+// EvictAll implements sched.Member: the device hosting this baseline was
 // lost (fleet failover, DESIGN.md §15). Each partition's FIFO is flushed
 // first — so the abort-side pump finds nothing to relaunch — then the running
 // or launch-window kernel is evicted; every live job is discarded. A

@@ -7,6 +7,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"text/tabwriter"
 
@@ -89,60 +90,71 @@ type Scenario struct {
 	Order      []string
 }
 
-// metricTables lists the per-metric tables WriteText renders: the paper's
-// FPS and DMR always, the tail latency always (it is computed either way),
-// the overload pair — drop rate, SLO hit rate — only when some point
-// recorded them, and the fast-forward cycle counters only when some point
-// actually skipped cycles, so closed-loop output keeps its classic shape.
-func (s *Scenario) metricTables() []string {
-	tables := []string{"total FPS", "DMR", "p99 ms"}
-	dropped, slo, ff, faults, degraded := false, false, false, false, false
-	fleet, fleetDegraded := false, false
-	for _, name := range s.Order {
-		for _, p := range s.Series[name] {
-			dropped = dropped || p.Summary.Dropped > 0
-			slo = slo || p.Summary.SLOMS > 0
-			ff = ff || p.FastForward.CyclesSkipped > 0
-			f := p.Summary.Faults
-			faults = faults || f.Overruns > 0 || f.TransientFaults > 0
-			degraded = degraded || f.DegradedReleased > 0
-			fl := p.Summary.Fleet
-			fleet = fleet || fl.Devices > 1
-			fleetDegraded = fleetDegraded || fl.FleetDegradedReleased > 0
-		}
-	}
-	if dropped {
-		tables = append(tables, "drop rate")
-	}
-	if slo {
-		tables = append(tables, "SLO hit rate")
-	}
-	if ff {
-		tables = append(tables, "ff cycles (detected/skipped)")
-	}
-	if faults {
-		tables = append(tables, "faults (overruns/transients/recovered)")
-	}
-	if degraded {
-		tables = append(tables, "degraded DMR")
-	}
-	if fleet {
-		tables = append(tables, "fleet (crashes/migrations/shed)")
-	}
-	if fleetDegraded {
-		tables = append(tables, "fleet-degraded DMR")
-	}
-	return tables
+// textTable is one per-metric table of WriteText: its title, whether a
+// point makes it worth showing (nil: always), and one point's cell.
+type textTable struct {
+	title string
+	show  func(p metrics.Point) bool
+	cell  func(p metrics.Point) string
 }
 
-// WriteText renders FPS, DMR, and tail-latency tables (plus drop-rate and
-// SLO tables for open-loop runs) and the pivot points.
+// textTables are WriteText's tables, in print order: the paper's FPS and
+// DMR always, the tail latency always (it is computed either way), and the
+// rest only when some point recorded their figures — the overload pair
+// (drop rate, SLO hit rate), the fast-forward cycle counters, fault and
+// fleet activity — so closed-loop output keeps its classic shape.
+var textTables = []textTable{
+	{"total FPS", nil, func(p metrics.Point) string { return fmt.Sprintf("%.0f", p.Summary.TotalFPS) }},
+	{"DMR", nil, func(p metrics.Point) string { return fmt.Sprintf("%.3f", p.Summary.DMR) }},
+	{"p99 ms", nil, func(p metrics.Point) string { return fmt.Sprintf("%.1f", p.Summary.RespP99MS) }},
+	{"drop rate",
+		func(p metrics.Point) bool { return p.Summary.Dropped > 0 },
+		func(p metrics.Point) string { return fmt.Sprintf("%.3f", p.Summary.DropRate) }},
+	{"SLO hit rate",
+		func(p metrics.Point) bool { return p.Summary.SLOMS > 0 },
+		func(p metrics.Point) string { return fmt.Sprintf("%.3f", p.Summary.SLOHitRate) }},
+	{"ff cycles (detected/skipped)",
+		func(p metrics.Point) bool { return p.FastForward.CyclesSkipped > 0 },
+		func(p metrics.Point) string {
+			return fmt.Sprintf("%d/%d", p.FastForward.CyclesDetected, p.FastForward.CyclesSkipped)
+		}},
+	{"faults (overruns/transients/recovered)",
+		func(p metrics.Point) bool {
+			return p.Summary.Faults.Overruns > 0 || p.Summary.Faults.TransientFaults > 0
+		},
+		func(p metrics.Point) string {
+			f := p.Summary.Faults
+			return fmt.Sprintf("%d/%d/%d", f.Overruns, f.TransientFaults, f.Recoveries)
+		}},
+	{"degraded DMR",
+		func(p metrics.Point) bool { return p.Summary.Faults.DegradedReleased > 0 },
+		func(p metrics.Point) string { return fmt.Sprintf("%.3f", p.Summary.Faults.DegradedDMR) }},
+	{"fleet (crashes/migrations/shed)",
+		func(p metrics.Point) bool { return p.Summary.Fleet.Devices > 1 },
+		func(p metrics.Point) string {
+			fl := p.Summary.Fleet
+			return fmt.Sprintf("%d/%d/%d", fl.Crashes, fl.Migrations, fl.ShedReleases)
+		}},
+	{"fleet-degraded DMR",
+		func(p metrics.Point) bool { return p.Summary.Fleet.FleetDegradedReleased > 0 },
+		func(p metrics.Point) string { return fmt.Sprintf("%.3f", p.Summary.Fleet.FleetDegradedDMR) }},
+}
+
+// WriteText renders every table of textTables that some point makes worth
+// showing, then the pivot points.
 func (s *Scenario) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "== %s ==\n", s.Title); err != nil {
 		return err
 	}
-	for _, metric := range s.metricTables() {
-		fmt.Fprintf(w, "\n%s:\n", metric)
+	for _, table := range textTables {
+		shown := table.show == nil
+		for _, name := range s.Order {
+			shown = shown || slices.ContainsFunc(s.Series[name], table.show)
+		}
+		if !shown {
+			continue
+		}
+		fmt.Fprintf(w, "\n%s:\n", table.title)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 		// Every cell is tab-terminated (including the last): a cell
 		// without a trailing tab is outside tabwriter's alignment and
@@ -162,32 +174,10 @@ func (s *Scenario) WriteText(w io.Writer) error {
 				byTasks[p.Tasks] = p
 			}
 			for _, n := range s.TaskCounts {
-				p, ok := byTasks[n]
-				switch {
-				case !ok:
+				if p, ok := byTasks[n]; ok {
+					fmt.Fprintf(tw, "\t%s", table.cell(p))
+				} else {
 					fmt.Fprint(tw, "\t-")
-				case metric == "total FPS":
-					fmt.Fprintf(tw, "\t%.0f", p.Summary.TotalFPS)
-				case metric == "p99 ms":
-					fmt.Fprintf(tw, "\t%.1f", p.Summary.RespP99MS)
-				case metric == "drop rate":
-					fmt.Fprintf(tw, "\t%.3f", p.Summary.DropRate)
-				case metric == "SLO hit rate":
-					fmt.Fprintf(tw, "\t%.3f", p.Summary.SLOHitRate)
-				case metric == "ff cycles (detected/skipped)":
-					fmt.Fprintf(tw, "\t%d/%d", p.FastForward.CyclesDetected, p.FastForward.CyclesSkipped)
-				case metric == "faults (overruns/transients/recovered)":
-					f := p.Summary.Faults
-					fmt.Fprintf(tw, "\t%d/%d/%d", f.Overruns, f.TransientFaults, f.Recoveries)
-				case metric == "degraded DMR":
-					fmt.Fprintf(tw, "\t%.3f", p.Summary.Faults.DegradedDMR)
-				case metric == "fleet (crashes/migrations/shed)":
-					fl := p.Summary.Fleet
-					fmt.Fprintf(tw, "\t%d/%d/%d", fl.Crashes, fl.Migrations, fl.ShedReleases)
-				case metric == "fleet-degraded DMR":
-					fmt.Fprintf(tw, "\t%.3f", p.Summary.Fleet.FleetDegradedDMR)
-				default:
-					fmt.Fprintf(tw, "\t%.3f", p.Summary.DMR)
 				}
 			}
 			fmt.Fprint(tw, "\t\n")

@@ -40,25 +40,23 @@ const (
 	ActionKillChain
 )
 
-// FaultHandler is the scheduler half of transient-fault recovery. The fault
+// Member is a scheduler that can run on a fleet device under fault
+// injection: both schedulers implement it.
+//
+// RecoverKernel is the scheduler half of transient-fault recovery. The fault
 // injector aborts the kernel on the device (gpu.Device.Abort — the kernel is
 // already detached, bookkeeping unwound, rates recomputed) and then hands the
 // scheduler the orphaned kernel to reconcile its own state: queue occupancy,
 // in-flight windows, job lifecycle, and the freed stream. stream is the
-// stream the kernel was running on before the abort detached it. Schedulers
-// that support fault injection implement this; the injector refuses to run
-// against one that does not.
-type FaultHandler interface {
-	RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action RecoveryAction, backoff des.Time, now des.Time)
-}
-
-// Evictor is the device-loss drain half of fleet failover (DESIGN.md §15):
-// the whole device disappeared, so the scheduler must abandon everything —
+// stream the kernel was running on before the abort detached it.
+//
+// EvictAll is the device-loss drain half of fleet failover (DESIGN.md §15).
+// The whole device disappeared, so the scheduler must abandon everything —
 // abort running kernels, cancel launch-window kernels, flush stream queues,
 // drain its own ready queues, and Discard every live job — leaving itself
-// quiescent (able to accept releases again after a restart). Schedulers that
-// can serve as fleet members implement this; the cluster dispatcher refuses
-// devices whose scheduler does not.
-type Evictor interface {
+// quiescent (able to accept releases again after a restart).
+type Member interface {
+	Scheduler
+	RecoverKernel(k *gpu.Kernel, stream *gpu.Stream, action RecoveryAction, backoff des.Time, now des.Time)
 	EvictAll(now des.Time)
 }

@@ -7,7 +7,6 @@ import (
 	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
-	"sgprs/internal/sched"
 )
 
 // runFleet is Session.Run's online phase (DESIGN.md §15): the run's devices
@@ -65,16 +64,15 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 			base = cfg.Seed + 3
 		}
 		for i, m := range s.members {
-			handler, _ := m.Sch.(sched.FaultHandler)
-			inj, err := fault.NewInjector(cfg.Faults, s.eng, m.Dev, handler, base+uint64(i))
+			inj, err := fault.NewInjector(cfg.Faults, s.eng, m.Dev, m.Sch, base+uint64(i))
 			if err != nil {
 				return Result{}, err
 			}
-			var marker fault.Marker
+			var col *metrics.Collector
 			if i == 0 {
-				marker = s.collector
+				col = s.collector
 			}
-			inj.Install(marker)
+			inj.Install(col)
 			s.injs = append(s.injs, inj)
 		}
 	}
@@ -98,26 +96,16 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 	ff := s.runToHorizon(cfg, gen, tasks, warmUp, horizon)
 
 	sum := s.collector.Summary()
+	// The collector filled the degraded-window and fleet-degraded
+	// attribution; the injectors, in fleet order, and the dispatcher add
+	// what they counted. A fleet of one leaves Summary.Fleet zero: its
+	// dispatcher counts nothing, and the collector saw no fleet-degraded
+	// interval.
 	for _, inj := range s.injs {
-		st := inj.Stats()
-		sum.Faults.Overruns += st.Overruns
-		sum.Faults.OverrunMassMS += st.OverrunMassMS
-		sum.Faults.TransientFaults += st.TransientFaults
-		sum.Faults.Retries += st.Retries
-		sum.Faults.Recoveries += st.Recoveries
-		sum.Faults.SkippedJobs += st.SkippedJobs
-		sum.Faults.KilledChains += st.KilledChains
+		inj.AddStats(&sum.Faults)
 	}
-	// A fleet of one leaves Summary.Fleet zero: its dispatcher counts
-	// nothing, and the collector saw no fleet-degraded interval. A larger
-	// fleet's collector filled the fleet-degraded attribution; everything
-	// else in FleetStats lives in the dispatcher.
 	if len(devs) > 1 {
-		fs := s.fleet.Stats()
-		fs.FleetDegradedReleased = sum.Fleet.FleetDegradedReleased
-		fs.FleetDegradedMissed = sum.Fleet.FleetDegradedMissed
-		fs.FleetDegradedDMR = sum.Fleet.FleetDegradedDMR
-		sum.Fleet = fs
+		s.fleet.AddStats(&sum.Fleet)
 	}
 
 	pm := gpu.DefaultPowerModel()

@@ -351,7 +351,7 @@ func Run(cfg RunConfig) (Result, error) {
 // The session keeps one scheduler of each kind per fleet position across
 // runs, with their context states, queues and per-task slots, so a run
 // rebuilds none of them.
-func (s *Session) scheduler(i int, cfg RunConfig) (sched.Scheduler, error) {
+func (s *Session) scheduler(i int, cfg RunConfig) (sched.Member, error) {
 	switch cfg.Kind {
 	case KindSGPRS:
 		for len(s.sgprs) <= i {

@@ -54,23 +54,27 @@ type Arrival interface {
 }
 
 // procSlot holds one release chain's arrival process in place, for the
-// arrivals that can start into it (slotArrival): the generator keeps a slot
+// arrivals that can start into it (startIn): the generator keeps a slot
 // in every chain, so starting a run allocates no process.
 type procSlot struct {
 	periodic periodicProcess
 	poisson  poissonProcess
 }
 
-// slotArrival is an Arrival whose process can live in a release chain's
-// procSlot. startIn is Start writing into the slot instead of the heap.
-type slotArrival interface {
-	startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess
-}
-
-// startIn starts a's process for one task, in slot when a supports it.
+// startIn starts a's process for one task, in slot when a's process can
+// live there: a startIn method is Start writing into the slot instead of
+// the heap. The switch names concrete types only. An assertion to an
+// interface type goes through the runtime's type-assertion cache, which
+// the runtime rebuilds at random calls, so a run would now and then
+// allocate once more than the run before it.
 func startIn(a Arrival, slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	if sa, ok := a.(slotArrival); ok {
-		return sa.startIn(slot, t, rng)
+	switch a := a.(type) {
+	case Periodic:
+		return a.startIn(slot, t, rng)
+	case Poisson:
+		return a.startIn(slot, t, rng)
+	case scaled:
+		return a.startIn(slot, t, rng)
 	}
 	return a.Start(t, rng)
 }

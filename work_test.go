@@ -43,7 +43,7 @@ type workSetup func(tb testing.TB) (op func() sim.Result, work func() sim.Stats)
 // workCases is the gated workload table. Budgets were recorded with
 // `go test -run TestWorkGate -v .`, which logs every case's allocs/op.
 var workCases = []workCase{
-	{name: "SingleRun/warm-offline", allocs: 408, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "SingleRun/warm-offline", allocs: 400, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, singleRunConfig(), warmCache(tb, singleRunConfig()))
 	}},
 	// The steady-state path: one Session reused across runs, as every
@@ -59,10 +59,10 @@ var workCases = []workCase{
 		cfg.WorkVariation = 0.2
 		return warmSession(tb, cfg)
 	}},
-	{name: "ScenarioRegeneration/cold-offline", allocs: 1213, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/cold-offline", allocs: 1205, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, Cache: memo.New()} })
 	}},
-	{name: "ScenarioRegeneration/warm-offline", allocs: 679, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/warm-offline", allocs: 671, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
 		op, work := regenerate(tb, func() sgprs.SweepOptions { return warm })
 		op() // populate the cache outside the measured op
@@ -71,10 +71,10 @@ var workCases = []workCase{
 	{name: "LongHorizon/horizon-2s", allocs: 7, setup: longHorizon(2)},
 	{name: "LongHorizon/horizon-60s", allocs: 7, setup: longHorizon(60)},
 	{name: "LongHorizon/horizon-600s", allocs: 7, setup: longHorizon(600)},
-	{name: "OverloadTail/sgprs-1.5x", allocs: 423, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "OverloadTail/sgprs-1.5x", allocs: 412, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, overloadConfig(), memo.Default())
 	}},
-	{name: "OverloadTail/naive", allocs: 475, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "OverloadTail/naive", allocs: 464, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		cfg := overloadConfig()
 		cfg.Kind = sgprs.KindNaive
 		cfg.Name = "naive"
@@ -83,10 +83,10 @@ var workCases = []workCase{
 	}},
 	{name: "SteadyState/fast-forward", allocs: 7, setup: steadyState(false)},
 	{name: "SteadyState/full-sim", allocs: 2, setup: steadyState(true)},
-	{name: "FleetFailover/clean", allocs: 551, setup: fleetFailover(sgprs.FailoverDefault, false)},
-	{name: "FleetFailover/migrate", allocs: 581, setup: fleetFailover(sgprs.FailoverMigrate, true)},
-	{name: "FleetFailover/retry", allocs: 669, setup: fleetFailover(sgprs.FailoverRetry, true)},
-	{name: "FleetFailover/shed", allocs: 567, setup: fleetFailover(sgprs.FailoverShed, true)},
+	{name: "FleetFailover/clean", allocs: 541, setup: fleetFailover(sgprs.FailoverDefault, false)},
+	{name: "FleetFailover/migrate", allocs: 571, setup: fleetFailover(sgprs.FailoverMigrate, true)},
+	{name: "FleetFailover/retry", allocs: 659, setup: fleetFailover(sgprs.FailoverRetry, true)},
+	{name: "FleetFailover/shed", allocs: 557, setup: fleetFailover(sgprs.FailoverShed, true)},
 }
 
 // singleRunConfig is the allocation microbenchmark's run: SGPRS 1.5x at a
