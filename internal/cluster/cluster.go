@@ -153,6 +153,15 @@ type Fleet struct {
 	failoverN     int
 
 	fwdFn func(now des.Time, arg any)
+	// edges holds one record per device fault for the crash and restart
+	// events Install scheduled, which point into it.
+	edges []deviceEdge
+}
+
+// deviceEdge is a device fault's crash and restart events' argument.
+type deviceEdge struct {
+	f     *Fleet
+	fault fault.DeviceFault
 }
 
 // Reset rewires the dispatcher over the given members and homes every chain,
@@ -195,7 +204,7 @@ func (f *Fleet) Reset(eng *des.Engine, cfg Config, members []Member, tasks []*rt
 	if fwdFn == nil {
 		fwdFn = func(now des.Time, arg any) { f.OnRelease(arg.(*rt.Job), now) }
 	}
-	*f = Fleet{cfg: cfg, eng: eng, nodes: nodes, tasks: tasks, chains: chains, horizon: horizon, fwdFn: fwdFn}
+	*f = Fleet{cfg: cfg, eng: eng, nodes: nodes, tasks: tasks, chains: chains, horizon: horizon, fwdFn: fwdFn, edges: f.edges[:0]}
 	for i, t := range tasks {
 		c := &f.chains[t.ID]
 		c.admitted = true
@@ -290,17 +299,28 @@ func (f *Fleet) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) error
 // while at least one device is down. Call once, before the run starts.
 func (f *Fleet) Install(col *metrics.Collector) {
 	f.col = col
+	// Filled before anything is scheduled: the events point into the
+	// slice, which must not move under them.
 	for _, df := range f.cfg.DeviceFaults {
-		df := df
-		f.eng.ScheduleFunc(des.FromSeconds(df.StartSec), "cluster.crash", func(now des.Time) {
-			f.crash(df.Device, df.RestartSec, now)
-		})
-		if df.RestartSec > 0 {
-			f.eng.ScheduleFunc(des.FromSeconds(df.RestartSec), "cluster.restart", func(now des.Time) {
-				f.restore(df.Device, now)
-			})
+		f.edges = append(f.edges, deviceEdge{f: f, fault: df})
+	}
+	for i := range f.edges {
+		e := &f.edges[i]
+		f.eng.AfterArg(des.FromSeconds(e.fault.StartSec)-f.eng.Now(), "cluster.crash", fireCrash, e)
+		if e.fault.RestartSec > 0 {
+			f.eng.AfterArg(des.FromSeconds(e.fault.RestartSec)-f.eng.Now(), "cluster.restart", fireRestart, e)
 		}
 	}
+}
+
+func fireCrash(now des.Time, arg any) {
+	e := arg.(*deviceEdge)
+	e.f.crash(e.fault.Device, e.fault.RestartSec, now)
+}
+
+func fireRestart(now des.Time, arg any) {
+	e := arg.(*deviceEdge)
+	e.f.restore(e.fault.Device, now)
 }
 
 // OnRelease implements sched.Scheduler: it routes one released job through

@@ -1,6 +1,10 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+
+	"sgprs/internal/slab"
+)
 
 // Event is a scheduled callback.
 //
@@ -52,7 +56,9 @@ type Event struct {
 // number, comparisons never tie: dispatch fires the (time, sequence)-least
 // event across the three, so the firing order is a pure function of the
 // schedule calls, independent of which structure holds an event, of the
-// heap's internal layout, or of event reuse.
+// heap's internal layout, or of event reuse. The pool's events are carved
+// from a slab arena the engine keeps across Reset, so a fresh engine pays
+// O(log peak) allocations to reach its peak pending set, not one per event.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -78,6 +84,7 @@ type Engine struct {
 	keyed    []*Event
 	keyedBuf [8]*Event
 	free     []*Event
+	events   slab.Arena[Event]
 	fired    uint64
 	stats    HeapStats
 	// encScratch is EncodePending's reused sort buffer (see warp.go).
@@ -124,10 +131,11 @@ func (e *Engine) NextSeq() uint64 {
 	return s
 }
 
-// get pops an event from the free list (or allocates one) and stamps it with
-// the key (at, seq) and the label. The returned event carries no callback
-// yet. A pooled event is stamped, not overwritten: release already cleared
-// it to an unqueued zero event, the state a new one starts in.
+// get pops an event from the free list (or carves one from the arena) and
+// stamps it with the key (at, seq) and the label. The returned event carries
+// no callback yet. A pooled event is stamped, not overwritten: release
+// already cleared it to an unqueued event, the state a carved one is put in
+// here — a carved event is a zero value, whose index 0 would read as queued.
 func (e *Engine) get(at Time, seq uint64, label string) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -135,7 +143,8 @@ func (e *Engine) get(at Time, seq uint64, label string) *Event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{index: -1}
+		ev = e.events.New()
+		ev.index = -1
 	}
 	ev.at, ev.seq, ev.label = at, seq, label
 	return ev
@@ -295,10 +304,10 @@ func (e *Engine) RescheduleKeyed(ev *Event, at Time, seq uint64) {
 }
 
 // Reset returns the engine to the simulation epoch while keeping its event
-// free list, so a reused engine schedules without allocating from its first
-// event on. Every still-pending detached event is recycled into the pool;
-// keyed events are unqueued but stay with their owner, who re-arms them
-// with RescheduleKeyed. After Reset the engine is
+// free list and the arena behind it, so a reused engine schedules without
+// allocating from its first event on. Every still-pending detached event is
+// recycled into the pool; keyed events are unqueued but stay with their
+// owner, who re-arms them with RescheduleKeyed. After Reset the engine is
 // indistinguishable from NewEngine() — clock at zero, sequence counter and
 // heap counters at zero — so a run on a reset engine is bit-identical to
 // one on a fresh engine.

@@ -156,3 +156,61 @@ func TestHeapRemoveMiddle(t *testing.T) {
 		t.Fatalf("fired %d events, want %d", len(fired), want)
 	}
 }
+
+// TestEventArenaGrowth pins the event arena: a fresh engine reaching a peak
+// of 4,096 pending events carves them in O(log peak) allocations (20
+// chunks at the slab's 1.25 growth and two chunk lists, where one per event
+// took 4,096), a
+// reset engine reruns the same schedule without allocating, and a carved
+// event starts unqueued, so the keyed-only operations still refuse it.
+func TestEventArenaGrowth(t *testing.T) {
+	const peak = 4096
+	nop := func(Time, any) {}
+	schedule := func(e *Engine) {
+		for i := range peak {
+			e.AfterArg(Time(i+1), "x", nop, nil)
+		}
+	}
+	// The heap slice grows on its own, as any slice does; sizing it up
+	// front leaves the events as the only thing the schedule allocates.
+	var fresh []*Engine
+	for range 2 {
+		e := NewEngine()
+		e.queue = make([]*Event, 0, peak)
+		fresh = append(fresh, e)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		schedule(fresh[0])
+		fresh = fresh[1:]
+	})
+	if bound := 2 * 12.0; allocs > bound {
+		t.Errorf("fresh engine: %v allocations to reach %d pending events, want ≤ 2·log₂(%d) = %v", allocs, peak, peak, bound)
+	}
+
+	e := NewEngine()
+	schedule(e)
+	if allocs := testing.AllocsPerRun(2, func() {
+		e.Reset()
+		schedule(e)
+	}); allocs != 0 {
+		t.Errorf("reset engine: %v allocations to rerun the schedule, want 0", allocs)
+	}
+
+	ev := NewEngine().get(Millisecond, 0, "carved")
+	if queued(ev) {
+		t.Fatalf("carved event has index %d, want unqueued (-1)", ev.index)
+	}
+	for name, op := range map[string]func(){
+		"Cancel":          func() { e.Cancel(ev) },
+		"RescheduleKeyed": func() { e.RescheduleKeyed(ev, Millisecond, e.NextSeq()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a carved detached event did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
 	"sgprs/internal/sched"
+	"sgprs/internal/slab"
 )
 
 // rngSalt separates the fault streams from every other consumer of the run
@@ -18,8 +19,10 @@ const rngSalt = 0xFA017
 
 // Injector drives all three fault families of a run. It installs itself as
 // the device's gpu.Hook, schedules degradation-window edges on the engine,
-// and hands aborted kernels to the scheduler's RecoverKernel. One
-// injector serves one run; build a fresh one per run.
+// and hands aborted kernels to the scheduler's RecoverKernel. The zero
+// Injector is ready for Reset, which readies it for one run; a session keeps
+// one injector per fleet position and resets it for each faulted run, as it
+// keeps its schedulers.
 type Injector struct {
 	cfg     *Config
 	eng     *des.Engine
@@ -27,49 +30,71 @@ type Injector struct {
 	handler sched.Member
 	col     *metrics.Collector
 
-	// orng and trng are the overrun and transient draw streams. They are
-	// separate forks so the families' cursors are independent, and they
-	// exist only while faults are configured: a nil-Faults run never
-	// constructs them.
-	orng, trng *des.RNG
+	// orng and trng are the overrun and transient draw streams, held by
+	// value and re-forked from the seed by Reset. They are separate forks
+	// so the families' cursors are independent.
+	orng, trng des.RNG
+	// tail is the heavy-tail overrun draw with its per-run constants.
+	tail paretoDraw
 
 	defPolicy  rt.RecoveryPolicy
 	defRetries int
 	backoff    des.Time
 
-	// freeFaults recycles the structs armed transient faults travel in:
-	// fireTransient copies the fields out and returns the struct here.
+	// faults carves the structs armed transient faults travel in, and
+	// freeFaults recycles them: fireTransient copies the fields out and
+	// returns the struct here, and Reset returns every carved one.
+	faults     slab.Arena[pendingFault]
 	freeFaults []*pendingFault
+
+	// edges are the degradation-window edges Install scheduled, two per
+	// window; the pending edge events point into it.
+	edges []windowEdge
 
 	// stats holds the injection counters; the collector fills the
 	// degraded-window fields of the run's own FaultStats.
 	stats metrics.FaultStats
 }
 
-// NewInjector builds the injector for one run. handler is the device's
-// scheduler, which recovers aborted kernels; seed feeds the dedicated fault
-// RNG streams (the caller resolves Config.Seed = 0 to a run-derived value).
-func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Member, seed uint64) (*Injector, error) {
+// Reset readies the injector for one run, exactly as a new one would start
+// it. handler is the device's scheduler, which recovers aborted kernels;
+// seed feeds the dedicated fault RNG streams (the caller resolves
+// Config.Seed = 0 to a run-derived value). The streams are re-forked in
+// place, the counters zeroed, and every pending-fault struct the injector
+// ever carved goes back on its free list, so the engine must have dropped
+// the previous run's events first (des.Engine.Reset), as the session does
+// before it resets anything else.
+func (in *Injector) Reset(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Member, seed uint64) error {
 	if cfg == nil {
-		return nil, fmt.Errorf("fault: nil config")
+		return fmt.Errorf("fault: nil config")
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	in := &Injector{
+	for i, w := range cfg.Degradation {
+		if w.SMs > dev.Config().TotalSMs {
+			return fmt.Errorf("fault: degradation window %d wants %d SMs, device has %d",
+				i, w.SMs, dev.Config().TotalSMs)
+		}
+	}
+	*in = Injector{
 		cfg:        cfg,
 		eng:        eng,
 		dev:        dev,
 		handler:    handler,
 		defPolicy:  rt.RecoverRetry,
 		defRetries: 1,
+		faults:     in.faults,
+		freeFaults: in.freeFaults[:0],
+		edges:      in.edges[:0],
 	}
+	in.faults.Each(func(pf *pendingFault) {
+		pf.k = nil
+		in.freeFaults = append(in.freeFaults, pf)
+	})
 	if t := cfg.Transient; t != nil {
-		pol, err := rt.ParseRecoveryPolicy(t.Policy)
-		if err != nil {
-			return nil, err
-		}
-		if pol != rt.RecoverDefault {
+		// Validate parsed the policy already.
+		if pol, _ := rt.ParseRecoveryPolicy(t.Policy); pol != rt.RecoverDefault {
 			in.defPolicy = pol
 		}
 		if t.MaxRetries > 0 {
@@ -77,46 +102,59 @@ func NewInjector(cfg *Config, eng *des.Engine, dev *gpu.Device, handler sched.Me
 		}
 		in.backoff = des.Time(t.BackoffMS * float64(des.Millisecond))
 	}
-	for i, w := range cfg.Degradation {
-		if w.SMs > dev.Config().TotalSMs {
-			return nil, fmt.Errorf("fault: degradation window %d wants %d SMs, device has %d",
-				i, w.SMs, dev.Config().TotalSMs)
+	if o := cfg.Overrun; o != nil && o.Model == OverrunHeavyTail {
+		alpha := o.Alpha
+		if alpha == 0 {
+			alpha = 3
 		}
+		in.tail = newParetoDraw(o.Factor, alpha)
 	}
 	base := des.NewRNG(seed).Fork(rngSalt)
-	in.orng = base.Fork(1)
-	in.trng = base.Fork(2)
-	return in, nil
+	in.orng = *base.Fork(1)
+	in.trng = *base.Fork(2)
+	return nil
+}
+
+// windowEdge is one degradation-window edge: at its instant the device's
+// effective capacity becomes sms and the collector's degraded marker
+// degraded.
+type windowEdge struct {
+	in       *Injector
+	sms      int
+	degraded bool
 }
 
 // Install hooks the injector into the device and schedules the degradation
 // window edges. col (may be nil) is flipped at each edge so it can
-// attribute releases to degraded intervals. Call once, before the run
-// starts.
+// attribute releases to degraded intervals. Call once after Reset, before
+// the run starts.
 func (in *Injector) Install(col *metrics.Collector) {
 	in.col = col
 	in.dev.SetHook(in)
 	total := in.dev.Config().TotalSMs
+	// Filled before anything is scheduled: the events point into the
+	// slice, which must not move under them.
 	for _, w := range in.cfg.Degradation {
-		w := w
-		in.eng.ScheduleFunc(des.FromSeconds(w.StartSec), "fault.degrade", func(now des.Time) {
-			// Bounds were checked at construction; a failure here
-			// would be an engine bug, not bad input.
-			if err := in.dev.SetEffectiveSMs(w.SMs, now); err != nil {
-				panic(err)
-			}
-			if in.col != nil {
-				in.col.SetDegraded(true)
-			}
-		})
-		in.eng.ScheduleFunc(des.FromSeconds(w.EndSec), "fault.restore", func(now des.Time) {
-			if err := in.dev.SetEffectiveSMs(total, now); err != nil {
-				panic(err)
-			}
-			if in.col != nil {
-				in.col.SetDegraded(false)
-			}
-		})
+		in.edges = append(in.edges,
+			windowEdge{in: in, sms: w.SMs, degraded: true},
+			windowEdge{in: in, sms: total})
+	}
+	for i, w := range in.cfg.Degradation {
+		in.eng.AfterArg(des.FromSeconds(w.StartSec)-in.eng.Now(), "fault.degrade", fireEdge, &in.edges[2*i])
+		in.eng.AfterArg(des.FromSeconds(w.EndSec)-in.eng.Now(), "fault.restore", fireEdge, &in.edges[2*i+1])
+	}
+}
+
+// fireEdge applies one degradation-window edge.
+func fireEdge(now des.Time, arg any) {
+	e := arg.(*windowEdge)
+	// Bounds were checked by Reset; a failure here would be an engine
+	// bug, not bad input.
+	if err := e.in.dev.SetEffectiveSMs(e.sms, now); err != nil {
+		panic(err)
+	}
+	if e.in.col != nil {
+		e.in.col.SetDegraded(e.degraded)
 	}
 }
 
@@ -154,13 +192,9 @@ func (in *Injector) KernelLaunched(k *gpu.Kernel, now des.Time) {
 		case OverrunConstant:
 			factor = o.Factor
 		case OverrunHeavyTail:
-			alpha := o.Alpha
-			if alpha == 0 {
-				alpha = 3
-			}
 			// Pareto with unit minimum: most draws sit just above 1,
 			// the tail — capped at Factor — overruns badly.
-			factor = math.Min(o.Factor, math.Pow(1-float64(in.orng.Float64()), -1/alpha))
+			factor = in.tail.at(1 - float64(in.orng.Float64()))
 		case OverrunSpike:
 			every := o.Every
 			if every == 0 {
@@ -202,7 +236,7 @@ func (in *Injector) armFault(k *gpu.Kernel, frac float64) {
 		pf = in.freeFaults[n-1]
 		in.freeFaults = in.freeFaults[:n-1]
 	} else {
-		pf = &pendingFault{}
+		pf = in.faults.New()
 	}
 	*pf = pendingFault{in: in, k: k, seq: k.LaunchSeq()}
 	in.eng.AfterArg(delay, "fault.transient", fireTransient, pf)
@@ -274,4 +308,39 @@ func (in *Injector) KernelRetired(k *gpu.Kernel, now des.Time) {
 			in.stats.Recoveries++
 		}
 	}
+}
+
+// paretoDraw is the heavy-tail overrun factor min(F, x^(-1/α)) of a draw
+// x = 1-u in (0, 1], with the constants a run computes once.
+type paretoDraw struct {
+	factor, alpha float64
+	// inv is 1/α.
+	inv float64
+	// clip is F^-α shrunk by a relative 1e-12·max(1, α). Below it
+	// x^(-1/α) exceeds F by a relative 1e-12 or more, far beyond Pow's
+	// error, so the capped draw is exactly F and Pow need not run.
+	clip float64
+}
+
+func newParetoDraw(factor, alpha float64) paretoDraw {
+	return paretoDraw{
+		factor: factor,
+		alpha:  alpha,
+		inv:    1 / alpha,
+		clip:   math.Pow(factor, -alpha) * (1 - float64(1e-12*max(1, alpha))),
+	}
+}
+
+// at returns math.Min(factor, math.Pow(x, -1/alpha)) bit for bit.
+func (p *paretoDraw) at(x float64) float64 {
+	if x < p.clip {
+		return p.factor
+	}
+	if p.alpha > 2 {
+		// For 0 < |y| < 1/2 and x ≠ 1, math.Pow(x, y) takes exactly
+		// this path: Exp(|y|·Log(x)), inverted for negative y (its
+		// assembly Pow on s390x aside). x = 1 gives 1 either way.
+		return math.Min(p.factor, 1/math.Exp(p.inv*math.Log(x)))
+	}
+	return math.Min(p.factor, math.Pow(x, -1/p.alpha))
 }

@@ -27,13 +27,15 @@
 //
 // # Work per shape, not per task
 //
-// A profile lookup is keyed by the chain's ShapeFingerprint, a
+// A profile lookup is keyed by the chain's shape fingerprint (appendShape), a
 // length-prefixed binary encoding of every stage's work shares. Tasks built
 // together share one stage chain, so ProfileTasks fingerprints and looks up
 // a chain once and hands its entry to every following task on the same
-// slice; each task still counts as one hit or miss in Stats. rt.Task.SetWCETs
-// copies the table into the task and returns at once when the task already
-// holds an equal one, so a warm session's re-profiling installs nothing.
+// slice; each task still counts as one hit or miss in Stats. The fingerprint
+// is built in a stack buffer and looked up without becoming a string, so
+// only a shape's first lookup allocates its key. rt.Task.SetWCETs copies the
+// table into the task and returns at once when the task already holds an
+// equal one, so a warm session's re-profiling allocates nothing.
 //
 // # Concurrency
 //
@@ -75,19 +77,20 @@ type graphEntry struct {
 	g    *dnn.Graph
 }
 
-// profileKey identifies one WCET profile table: a task shape (the stage
-// fingerprint) measured at sms SMs under a model, device config, and WCET
-// margin. The gpu.Config inside is normalized by profileConfigKey: fields
-// that provably cannot influence an isolated single-kernel measurement
-// (Seed, ContentionJitter, ContentionPenalty, AggregateGainCap — see the
-// package comment) are zeroed so that e.g. runs that differ only in seed or
-// a gain-cap calibration grid still share one profile per shape.
+// profileKey identifies the measurement set-up of a WCET profile table: a
+// model, device config, context size and WCET margin; the table of one task
+// shape measured under it is found by the shape's fingerprint
+// (Cache.profiles). The gpu.Config inside is normalized by
+// profileConfigKey: fields that provably cannot influence an isolated
+// single-kernel measurement (Seed, ContentionJitter, ContentionPenalty,
+// AggregateGainCap — see the package comment) are zeroed so that e.g. runs
+// that differ only in seed or a gain-cap calibration grid still share one
+// profile per shape.
 type profileKey struct {
 	model  *speedup.Model
 	cfg    gpu.Config
 	sms    int
 	margin uint64 // math.Float64bits of the profiler margin
-	shape  string // collision-free stage-shape fingerprint
 }
 
 type profileEntry struct {
@@ -106,20 +109,15 @@ func profileConfigKey(cfg gpu.Config) gpu.Config {
 	return cfg
 }
 
-// ShapeFingerprint serializes a stage chain's execution-relevant shape: for
-// each stage, its per-class work shares (exact float bits). Two tasks with
-// equal fingerprints are indistinguishable to the profiler, whatever graph
-// or task objects they came from. The encoding is length-prefixed binary —
-// uvarint stage count, then per stage a uvarint share count and per share a
-// uvarint class and the 8 little-endian bytes of math.Float64bits(work) —
-// so it parses back unambiguously: distinct shapes can never collide, and
-// nothing is hashed.
-func ShapeFingerprint(stages []*dnn.Stage) string {
-	size := binary.MaxVarintLen64
-	for _, st := range stages {
-		size += binary.MaxVarintLen64 + len(st.Shares)*(binary.MaxVarintLen64+8)
-	}
-	buf := make([]byte, 0, size)
+// appendShape appends the fingerprint of a stage chain's execution-relevant
+// shape to buf: for each stage, its per-class work shares (exact float
+// bits). Two tasks with equal fingerprints are indistinguishable to the
+// profiler, whatever graph or task objects they came from. The encoding is
+// length-prefixed binary — uvarint stage count, then per stage a uvarint
+// share count and per share a uvarint class and the 8 little-endian bytes of
+// math.Float64bits(work) — so it parses back unambiguously: distinct shapes
+// can never collide, and nothing is hashed.
+func appendShape(buf []byte, stages []*dnn.Stage) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(stages)))
 	for _, st := range stages {
 		buf = binary.AppendUvarint(buf, uint64(len(st.Shares)))
@@ -128,7 +126,7 @@ func ShapeFingerprint(stages []*dnn.Stage) string {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sh.Work))
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // Stats counts cache traffic. Hits are lookups served from a completed (or
@@ -148,9 +146,10 @@ func (s Stats) String() string {
 // Cache memoizes offline-phase computations. The zero value is not usable;
 // call New. See the package comment for the safety argument.
 type Cache struct {
-	mu       sync.Mutex
-	graphs   map[GraphKey]*graphEntry
-	profiles map[profileKey]*profileEntry
+	mu     sync.Mutex
+	graphs map[GraphKey]*graphEntry
+	// profiles holds the tables by set-up, then by shape fingerprint.
+	profiles map[profileKey]map[string]*profileEntry
 
 	graphHits, graphMisses     atomic.Uint64
 	profileHits, profileMisses atomic.Uint64
@@ -160,7 +159,7 @@ type Cache struct {
 func New() *Cache {
 	return &Cache{
 		graphs:   map[GraphKey]*graphEntry{},
-		profiles: map[profileKey]*profileEntry{},
+		profiles: map[profileKey]map[string]*profileEntry{},
 	}
 }
 
@@ -212,30 +211,33 @@ func (c *Cache) Graph(key GraphKey, build func() *dnn.Graph) *dnn.Graph {
 // task's slice reuses that task's entry without fingerprinting it again. The
 // reuse still counts as a profile hit, exactly as the repeated lookup did.
 func (c *Cache) ProfileTasks(p *profile.Profiler, tasks []*rt.Task, sms int) error {
-	cfgKey := profileConfigKey(p.Config())
-	model := p.Model()
-	margin := math.Float64bits(p.Margin)
+	key := profileKey{
+		model:  p.Model(),
+		cfg:    profileConfigKey(p.Config()),
+		sms:    sms,
+		margin: math.Float64bits(p.Margin),
+	}
 	var (
 		chain []*dnn.Stage
 		e     *profileEntry
+		buf   [512]byte
 	)
 	for _, t := range tasks {
 		if sameChain(t.Stages, chain) {
 			c.profileHits.Add(1)
 		} else {
-			key := profileKey{
-				model:  model,
-				cfg:    cfgKey,
-				sms:    sms,
-				margin: margin,
-				shape:  ShapeFingerprint(t.Stages),
-			}
+			shape := appendShape(buf[:0], t.Stages)
 			c.mu.Lock()
+			shapes := c.profiles[key]
+			if shapes == nil {
+				shapes = map[string]*profileEntry{}
+				c.profiles[key] = shapes
+			}
 			var ok bool
-			e, ok = c.profiles[key]
+			e, ok = shapes[string(shape)]
 			if !ok {
 				e = &profileEntry{}
-				c.profiles[key] = e
+				shapes[string(shape)] = e
 			}
 			c.mu.Unlock()
 			if ok {

@@ -146,6 +146,9 @@ func TestProfileKeySeparation(t *testing.T) {
 	}
 }
 
+// shapeFingerprint is a chain's profile-key fingerprint as a string.
+func shapeFingerprint(stages []*dnn.Stage) string { return string(appendShape(nil, stages)) }
+
 // TestShapeFingerprintDistinguishesShapes: the fingerprint is exact — equal
 // for equal share vectors, different for different work or partitioning.
 func TestShapeFingerprintDistinguishesShapes(t *testing.T) {
@@ -153,15 +156,15 @@ func TestShapeFingerprintDistinguishesShapes(t *testing.T) {
 	s6a, _ := dnn.Partition(g, 6)
 	s6b, _ := dnn.Partition(g, 6)
 	s3, _ := dnn.Partition(g, 3)
-	if ShapeFingerprint(s6a) != ShapeFingerprint(s6b) {
+	if shapeFingerprint(s6a) != shapeFingerprint(s6b) {
 		t.Fatal("identical partitions fingerprint differently")
 	}
-	if ShapeFingerprint(s6a) == ShapeFingerprint(s3) {
+	if shapeFingerprint(s6a) == shapeFingerprint(s3) {
 		t.Fatal("different stage counts share a fingerprint")
 	}
 	scaled := dnn.ResNet18(dnn.DefaultCostModel()).Scale(1.001)
 	s6c, _ := dnn.Partition(scaled, 6)
-	if ShapeFingerprint(s6a) == ShapeFingerprint(s6c) {
+	if shapeFingerprint(s6a) == shapeFingerprint(s6c) {
 		t.Fatal("different work totals share a fingerprint")
 	}
 }

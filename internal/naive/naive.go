@@ -87,6 +87,11 @@ type Scheduler struct {
 	// Jobs submit the shared slice — the device only reads it — or, under
 	// work variation, a copy scaled into the kernel's own buffer.
 	baseShares [][]speedup.WorkShare
+	// graph and graphShares are the last graph Attach saw and its work
+	// vector, kept across Reset: graphs are immutable, so a rerun over
+	// the same graph computes nothing.
+	graph       *dnn.Graph
+	graphShares []speedup.WorkShare
 
 	// Kernels are borrowed from the device's free list, exactly as the
 	// SGPRS scheduler does for stage launches: with the job carried in Arg
@@ -110,12 +115,14 @@ func (s *Scheduler) Reset(cfg Config) error {
 		return fmt.Errorf("naive: config needs at least one partition")
 	}
 	*s = Scheduler{
-		cfg:        cfg,
-		parts:      s.parts[:0],
-		homes:      s.homes[:0],
-		baseShares: s.baseShares[:0],
-		beginFn:    s.beginFn,
-		doneFn:     s.doneFn,
+		cfg:         cfg,
+		parts:       s.parts[:0],
+		homes:       s.homes[:0],
+		baseShares:  s.baseShares[:0],
+		graph:       s.graph,
+		graphShares: s.graphShares,
+		beginFn:     s.beginFn,
+		doneFn:      s.doneFn,
 	}
 	return nil
 }
@@ -164,8 +171,7 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 	clear(s.homes)
 	s.baseShares = slices.Grow(s.baseShares[:0], maxID+1)[:maxID+1]
 	clear(s.baseShares)
-	var graph *dnn.Graph
-	var shares []speedup.WorkShare
+	graph, shares := s.graph, s.graphShares
 	for i, t := range tasks {
 		if t.Graph != graph {
 			graph, shares = t.Graph, t.Graph.WorkByClass()
@@ -175,6 +181,7 @@ func (s *Scheduler) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) e
 		p.tasks = append(p.tasks, t)
 		s.homes[t.ID] = p
 	}
+	s.graph, s.graphShares = graph, shares
 	return nil
 }
 

@@ -75,19 +75,32 @@ type Task struct {
 // NewTask builds a task over pre-partitioned stages. WCETs and virtual
 // deadlines are unset until SetWCETs is called (the offline phase).
 func NewTask(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, deadline, offset des.Time) (*Task, error) {
+	t := &Task{}
+	if err := t.Init(id, name, g, stages, period, deadline, offset, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Init sets t up in place as NewTask builds a task, so a caller can lay a
+// whole task set out in one slice. timing, when it holds 2·len(stages)
+// values, becomes the storage of the WCET and virtual-deadline tables
+// SetWCETs fills, so a task set can share one allocation for them too; nil
+// leaves SetWCETs to allocate.
+func (t *Task) Init(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, deadline, offset des.Time, timing []des.Time) error {
 	if len(stages) == 0 {
-		return nil, fmt.Errorf("rt: task %q has no stages", name)
+		return fmt.Errorf("rt: task %q has no stages", name)
 	}
 	if period <= 0 {
-		return nil, fmt.Errorf("rt: task %q period %v must be positive", name, period)
+		return fmt.Errorf("rt: task %q period %v must be positive", name, period)
 	}
 	if deadline <= 0 || deadline > period {
-		return nil, fmt.Errorf("rt: task %q deadline %v must be in (0, period %v] (constrained-deadline model)", name, deadline, period)
+		return fmt.Errorf("rt: task %q deadline %v must be in (0, period %v] (constrained-deadline model)", name, deadline, period)
 	}
 	if offset < 0 {
-		return nil, fmt.Errorf("rt: task %q offset %v must be non-negative", name, offset)
+		return fmt.Errorf("rt: task %q offset %v must be non-negative", name, offset)
 	}
-	return &Task{
+	*t = Task{
 		ID:       id,
 		Name:     name,
 		Graph:    g,
@@ -95,7 +108,11 @@ func NewTask(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, dea
 		Period:   period,
 		Deadline: deadline,
 		Offset:   offset,
-	}, nil
+	}
+	if n := len(stages); len(timing) >= 2*n {
+		t.wcet, t.virtualDls = timing[:0:n], timing[n:2*n:2*n]
+	}
+	return nil
 }
 
 // SetWCETs installs offline-measured per-stage WCETs and derives the virtual
@@ -105,7 +122,7 @@ func NewTask(id int, name string, g *dnn.Graph, stages []*dnn.Stage, period, dea
 // is free: the deadlines depend only on it and on Dᵢ, which is fixed at
 // NewTask.
 func (t *Task) SetWCETs(stageWCET []des.Time) error {
-	if t.wcet != nil && slices.Equal(t.wcet, stageWCET) {
+	if t.Profiled() && slices.Equal(t.wcet, stageWCET) {
 		return nil
 	}
 	if len(stageWCET) != len(t.Stages) {
@@ -118,12 +135,13 @@ func (t *Task) SetWCETs(stageWCET []des.Time) error {
 		}
 		total += c
 	}
-	if t.wcet == nil {
+	n := len(stageWCET)
+	if cap(t.wcet) < n {
 		// One allocation holds both tables; later installs overwrite it.
-		n := len(stageWCET)
 		buf := make([]des.Time, 2*n)
-		t.wcet, t.virtualDls = buf[:n:n], buf[n:]
+		t.wcet, t.virtualDls = buf[:0:n], buf[n:]
 	}
+	t.wcet = t.wcet[:n]
 	copy(t.wcet, stageWCET)
 	t.totalWCET = total
 
@@ -141,7 +159,7 @@ func (t *Task) SetWCETs(stageWCET []des.Time) error {
 }
 
 // Profiled reports whether the offline phase has run.
-func (t *Task) Profiled() bool { return t.wcet != nil }
+func (t *Task) Profiled() bool { return len(t.wcet) > 0 }
 
 // WCET reports the task's total worst-case execution time Cᵢ.
 func (t *Task) WCET() des.Time { return t.totalWCET }

@@ -73,8 +73,8 @@ func runRetained(t *testing.T, cfg RunConfig) (metrics.Summary, []*rt.Job) {
 			t.Fatal(err)
 		}
 		members = append(members, cluster.Member{Dev: dev, Sch: sch})
-		inj, err := fault.NewInjector(cfg.Faults, eng, dev, sch, cfg.Seed+3+uint64(i))
-		if err != nil {
+		inj := &fault.Injector{}
+		if err := inj.Reset(cfg.Faults, eng, dev, sch, cfg.Seed+3+uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {

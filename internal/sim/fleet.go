@@ -7,6 +7,7 @@ import (
 	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
+	"sgprs/internal/slab"
 )
 
 // runFleet is Session.Run's online phase (DESIGN.md §15): the run's devices
@@ -54,7 +55,6 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 	// config applies to every device — so only device 0's injector flips the
 	// collector's degraded marker: the edges coincide across devices, and one
 	// toggle per edge is the collector's contract.
-	clear(s.injs)
 	s.injs = s.injs[:0]
 	var deviceFaults []fault.DeviceFault
 	if cfg.Faults != nil {
@@ -64,8 +64,9 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 			base = cfg.Seed + 3
 		}
 		for i, m := range s.members {
-			inj, err := fault.NewInjector(cfg.Faults, s.eng, m.Dev, m.Sch, base+uint64(i))
-			if err != nil {
+			var inj *fault.Injector
+			s.injs, inj = slab.Reuse(s.injs)
+			if err := inj.Reset(cfg.Faults, s.eng, m.Dev, m.Sch, base+uint64(i)); err != nil {
 				return Result{}, err
 			}
 			var col *metrics.Collector
@@ -73,7 +74,6 @@ func (s *Session) runFleet(cfg RunConfig, tasks []*rt.Task) (Result, error) {
 				col = s.collector
 			}
 			inj.Install(col)
-			s.injs = append(s.injs, inj)
 		}
 	}
 

@@ -50,7 +50,9 @@ type Session struct {
 	// Every run is a fleet (fleet.go); a single GPU is a fleet of one. devs
 	// holds the devices by fleet position, members and injs the per-device
 	// schedulers and fault injectors, and fleet the dispatcher. All of them
-	// are kept across runs and reset per run, so a run allocates none anew.
+	// are kept across runs and reset per run, so a run allocates none anew:
+	// injs is truncated to the run's faulted devices, and slab.Reuse takes
+	// the injectors past its length back.
 	devs    []*gpu.Device
 	members []cluster.Member
 	injs    []*fault.Injector

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sgprs/internal/fault"
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/rt"
@@ -117,7 +118,23 @@ func overloadConfig() RunConfig {
 // set-up: after the fleet, single-device runs of two and three contexts,
 // SGPRS and naive, reuse its devices' context structs, its schedulers and
 // the generator's chains, under work variation and Poisson arrivals too.
+// The last four stress the kept fault injectors: a faulted 3-device fleet,
+// a clean GPU, a faulted 2-device fleet on another fault seed, and the
+// first fleet again, whose injectors must re-fork their streams, zero their
+// counters and re-arm reclaimed pending-fault structs.
 func TestSessionReuseBitIdentical(t *testing.T) {
+	faultedFleet := func(name string, devices int, seed uint64, window fault.Window) RunConfig {
+		return RunConfig{
+			Kind: KindSGPRS, Name: name, ContextSMs: []int{23, 23, 23},
+			NumTasks: 18, HorizonSec: 1.97, Seed: 3, Devices: devices, Failover: rt.FailoverRetry,
+			Faults: &fault.Config{
+				Seed:        seed,
+				Overrun:     &fault.Overrun{Model: fault.OverrunHeavyTail, Factor: 1.5},
+				Transient:   &fault.Transient{Prob: 0.5, Policy: "retry", MaxRetries: 2},
+				Degradation: []fault.Window{window},
+			},
+		}
+	}
 	cfgs := []RunConfig{
 		{Kind: KindSGPRS, Name: "a", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1},
 		{Kind: KindNaive, Name: "b", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1},
@@ -133,6 +150,10 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		{Kind: KindNaive, Name: "j", ContextSMs: []int{23, 23, 23}, NumTasks: 12, HorizonSec: 2, WorkVariation: 0.2, Seed: 7},
 		{Kind: KindSGPRS, Name: "k", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, WorkVariation: 0.2, Arrival: workload.Poisson{}, Seed: 8},
 		{Kind: KindNaive, Name: "b", ContextSMs: []int{34, 34}, NumTasks: 8, HorizonSec: 2, Seed: 1}, // repeat of the second
+		faultedFleet("l", 3, 0, fault.Window{StartSec: 0.6, EndSec: 1.3, SMs: 40}),
+		{Kind: KindSGPRS, Name: "m", ContextSMs: []int{34, 34}, NumTasks: 10, HorizonSec: 2, Seed: 2},
+		faultedFleet("n", 2, 17, fault.Window{StartSec: 1, EndSec: 1.8, SMs: 30}),
+		faultedFleet("l", 3, 0, fault.Window{StartSec: 0.6, EndSec: 1.3, SMs: 40}), // repeat of the first fleet
 	}
 	cache := memo.New()
 	sess := NewSession(cache)

@@ -12,6 +12,9 @@ package slab
 // MinChunk is the smallest chunk an Arena allocates, in values.
 const MinChunk = 32
 
+// minChunks is the capacity of an Arena's first chunk list.
+const minChunks = 16
+
 // Arena hands out values carved from chunks. Each new chunk holds a quarter
 // of everything allocated so far (at least MinChunk values, and at least the
 // request), so reaching a peak of P values takes O(log P) chunk allocations
@@ -38,6 +41,11 @@ func (a *Arena[T]) Take(n int) []T {
 	last := len(a.chunks) - 1
 	if last < 0 || len(a.chunks[last])+n > cap(a.chunks[last]) {
 		size := max(MinChunk, a.total/4, n)
+		if a.chunks == nil {
+			// Room for the chunks of a peak of ~1,800 values, so the
+			// list itself rarely grows.
+			a.chunks = make([][]T, 0, minChunks)
+		}
 		a.chunks = append(a.chunks, make([]T, 0, size))
 		a.total += size
 		last++

@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
@@ -59,9 +60,21 @@ type Options struct {
 // period corrupting the offsets here, before validation ever runs).
 func Replicate(o Options) []TaskSpec {
 	out := make([]TaskSpec, o.Count)
+	// Every copy's name is a slice of one string, "name-0name-1…".
+	var num [20]byte
+	var b strings.Builder
+	b.Grow(o.Count * (len(o.Spec.Name) + 1 + len(strconv.AppendInt(num[:0], int64(o.Count), 10))))
 	for i := range out {
+		b.WriteString(o.Spec.Name)
+		b.WriteByte('-')
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	all, lo := b.String(), 0
+	for i := range out {
+		hi := lo + len(o.Spec.Name) + 1 + len(strconv.AppendInt(num[:0], int64(i), 10))
 		out[i] = o.Spec
-		out[i].Name = o.Spec.Name + "-" + strconv.Itoa(i)
+		out[i].Name = all[lo:hi]
+		lo = hi
 	}
 	if o.Stagger && o.Spec.FPS > 0 {
 		period := des.FromSeconds(1 / o.Spec.FPS)
@@ -87,6 +100,15 @@ func Build(specs []TaskSpec) ([]*rt.Task, error) {
 		stages int
 	}
 	partitions := map[partKey][]*dnn.Stage{}
+	// The tasks sit in one slice and their WCET and virtual-deadline
+	// tables in another: Partition returns exactly the stage count asked
+	// for, so the tables' size is known up front.
+	set := make([]rt.Task, len(specs))
+	var stageCount int
+	for _, sp := range specs {
+		stageCount += max(sp.Stages, 0)
+	}
+	timing := make([]des.Time, 2*stageCount)
 	tasks := make([]*rt.Task, 0, len(specs))
 	for i, sp := range specs {
 		// NaN compares false against everything, so "fps <= 0" alone
@@ -117,10 +139,12 @@ func Build(specs []TaskSpec) ([]*rt.Task, error) {
 			return nil, fmt.Errorf("workload: task %q deadline factor %v must be in (0,1]", sp.Name, df)
 		}
 		deadline := des.Time(float64(period) * df)
-		t, err := rt.NewTask(i, sp.Name, sp.Graph, stages, period, deadline, sp.Offset)
-		if err != nil {
+		t := &set[i]
+		n := min(2*len(stages), len(timing))
+		if err := t.Init(i, sp.Name, sp.Graph, stages, period, deadline, sp.Offset, timing[:n:n]); err != nil {
 			return nil, fmt.Errorf("workload: %w", err)
 		}
+		timing = timing[n:]
 		if sp.ReleaseJitter < 0 || !(sp.WorkVariation >= 0) || math.IsInf(sp.WorkVariation, 0) {
 			return nil, fmt.Errorf("workload: task %q jitter/variation must be non-negative and finite", sp.Name)
 		}
@@ -247,21 +271,14 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 	// runs; each chain holds its RNG stream and, for the arrivals that
 	// support it, its process in place.
 	g.chains = slices.Grow(g.chains[:0], len(tasks))[:len(tasks)]
-	if g.labels == nil {
-		g.labels = map[*rt.Task]string{}
-	}
+	g.cacheLabels(tasks)
 	for i, t := range tasks {
-		label, ok := g.labels[t]
-		if !ok {
-			label = "release:" + t.Name
-			g.labels[t] = label
-		}
 		c := &g.chains[i]
 		*c = releaseChain{
 			g:       g,
 			t:       t,
 			rng:     *g.rng.Fork(uint64(t.ID) + 1),
-			label:   label,
+			label:   g.labels[t],
 			horizon: horizon,
 		}
 		c.proc = startIn(arrival, &c.slot, ArrivalTask{
@@ -272,6 +289,41 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 			Jitter: t.ReleaseJitter,
 		}, &c.rng)
 		c.scheduleNext()
+	}
+}
+
+// cacheLabels builds the release labels, "release:" plus the task name, of
+// the tasks the generator has not started before, all cut from one string.
+func (g *Generator) cacheLabels(tasks []*rt.Task) {
+	const prefix = "release:"
+	size := 0
+	for _, t := range tasks {
+		if _, ok := g.labels[t]; !ok {
+			size += len(prefix) + len(t.Name)
+		}
+	}
+	if size == 0 {
+		return
+	}
+	if g.labels == nil {
+		g.labels = map[*rt.Task]string{}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, t := range tasks {
+		if _, ok := g.labels[t]; !ok {
+			g.labels[t] = "" // claimed: a repeated task is written once
+			b.WriteString(prefix)
+			b.WriteString(t.Name)
+		}
+	}
+	all, lo := b.String(), 0
+	for _, t := range tasks {
+		if g.labels[t] == "" {
+			hi := lo + len(prefix) + len(t.Name)
+			g.labels[t] = all[lo:hi]
+			lo = hi
+		}
 	}
 }
 
