@@ -18,6 +18,11 @@ func arrTask(index, count int) ArrivalTask {
 	}
 }
 
+// startArrival starts a's process for one task.
+func startArrival(a Arrival, t ArrivalTask, rng *des.RNG) ArrivalProcess {
+	return a.Start(t, rng)
+}
+
 // drain collects up to n instants from a process.
 func drain(p ArrivalProcess, n int) []des.Time {
 	var out []des.Time
@@ -53,7 +58,7 @@ func TestArrivalMonotone(t *testing.T) {
 			continue
 		}
 		rng := des.NewRNG(11).Fork(1)
-		p := a.Start(arrTask(0, 3), rng)
+		p := startArrival(a, arrTask(0, 3), rng)
 		times := drain(p, 500)
 		if len(times) == 0 {
 			t.Errorf("%s: no arrivals", a.Name())
@@ -105,30 +110,66 @@ func TestArrivalValidateRejects(t *testing.T) {
 }
 
 // TestArrivalScale: explicit rates scale in place (stable names); natural-
-// rate anchors defer to Start and then produce the identical stream an
-// explicitly scaled process would.
+// rate anchors defer to the start of the process and then produce the
+// identical stream an explicitly scaled process would, for each of the
+// three natural-rate kinds, and scaling composes.
 func TestArrivalScale(t *testing.T) {
-	if name := (Poisson{Rate: 2}).Scale(2).Name(); name != "poisson-4" {
-		t.Errorf("explicit scale name = %q", name)
-	}
-	if name := (Poisson{}).Scale(2).Name(); name != "poisson-2x" {
-		t.Errorf("deferred scale name = %q", name)
+	trace := SyntheticTrace("x", 1, 10, 1, 1)
+	for _, c := range []struct {
+		a    Arrival
+		name string
+	}{
+		{Periodic{}, "periodic"},
+		{Periodic{Rate: 2}, "periodic-2x"},
+		{Periodic{}.Scale(2), "periodic-2x"},
+		{Poisson{}, "poisson"},
+		{Poisson{Rate: 2}, "poisson-2"},
+		{Poisson{Rate: 2}.Scale(2), "poisson-4"},
+		{Poisson{}.Scale(2), "poisson-2x"},
+		{Poisson{}.Scale(1), "poisson"},
+		{Bursty{OnSec: 0.5, OffSec: 1.5}, "bursty-0.5/1.5"},
+		{Bursty{OnSec: 0.5, OffSec: 1.5, Rate: 3}.Scale(2), "bursty-0.5/1.5"},
+		{Bursty{OnSec: 0.5, OffSec: 1.5}.Scale(2), "bursty-0.5/1.5-2x"},
+		{MMPP{RatesPerSec: []float64{0, 9}, MeanSojournSec: []float64{1, 1}}, "mmpp-2"},
+		{MMPP{RatesPerSec: []float64{0, 9}, MeanSojournSec: []float64{1, 1}}.Scale(2), "mmpp-2"},
+		{Diurnal{PeriodSec: 2}, "diurnal-2s"},
+		{Diurnal{PeriodSec: 2, MaxRate: 5}.Scale(2), "diurnal-2s"},
+		{Diurnal{PeriodSec: 2}.Scale(2), "diurnal-2s-2x"},
+		{Diurnal{PeriodSec: 2}.Scale(4).Scale(0.5), "diurnal-2s-2x"},
+		{Trace{Data: trace}, "trace:x"},
+		{Trace{Data: trace}.Scale(2), "trace:x-2x"},
+	} {
+		if got := c.a.Name(); got != c.name {
+			t.Errorf("%#v: name = %q, want %q", c.a, got, c.name)
+		}
 	}
 
-	// A 0.5 s period keeps the natural rate (2/s) exact in float64, so the
-	// deferred-scale stream must equal the explicit-rate stream bit for bit.
+	// A 0.5 s period keeps the natural rate (2/s) exact in float64, so a
+	// deferred-scale stream must equal its explicit-rate twin bit for bit.
 	task := ArrivalTask{Index: 0, Count: 1, Period: des.FromSeconds(0.5)}
-	want := drain(Poisson{Rate: 4}.Start(task, des.NewRNG(5).Fork(1)), 100)
-	got := drain(Poisson{}.Scale(2).Start(task, des.NewRNG(5).Fork(1)), 100)
-	if !reflect.DeepEqual(want, got) {
-		t.Error("scaled natural-rate Poisson differs from explicit double rate")
-	}
-
-	// Scale composes: 4x then 2x = 8x.
-	want = drain(Poisson{Rate: 16}.Start(task, des.NewRNG(5).Fork(1)), 100)
-	got = drain(Poisson{}.Scale(4).Scale(2).Start(task, des.NewRNG(5).Fork(1)), 100)
-	if !reflect.DeepEqual(want, got) {
-		t.Error("composed scale differs from direct 8x rate")
+	for _, c := range []struct {
+		name            string
+		natural         Arrival
+		explicit        func(f float64) Arrival
+		factor, compose float64
+	}{
+		{"poisson", Poisson{}, func(f float64) Arrival { return Poisson{Rate: 2 * f} }, 2, 4},
+		{"bursty", Bursty{OnSec: 0.5, OffSec: 1.5},
+			func(f float64) Arrival { return Bursty{OnSec: 0.5, OffSec: 1.5, Rate: 2 * f} }, 2, 4},
+		{"diurnal", Diurnal{PeriodSec: 2, MinRate: 1},
+			func(f float64) Arrival { return Diurnal{PeriodSec: 2, MinRate: f, MaxRate: 4 * f} }, 2, 4},
+	} {
+		want := drain(startArrival(c.explicit(c.factor), task, des.NewRNG(5).Fork(1)), 100)
+		got := drain(startArrival(c.natural.Scale(c.factor), task, des.NewRNG(5).Fork(1)), 100)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: scaled natural rate differs from its explicit twin", c.name)
+		}
+		// Scale composes: compose·factor is one scale by the product.
+		want = drain(startArrival(c.explicit(c.compose*c.factor), task, des.NewRNG(5).Fork(1)), 100)
+		got = drain(startArrival(c.natural.Scale(c.compose).Scale(c.factor), task, des.NewRNG(5).Fork(1)), 100)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: composed scale differs from one scale by the product", c.name)
+		}
 	}
 }
 
@@ -136,9 +177,9 @@ func TestArrivalScale(t *testing.T) {
 // gap while Rate 0 and 1 keep the task period.
 func TestPeriodicRateSpeedsReleases(t *testing.T) {
 	task := arrTask(0, 1)
-	base := drain(Periodic{}.Start(task, des.NewRNG(1).Fork(1)), 10)
-	one := drain(Periodic{Rate: 1}.Start(task, des.NewRNG(1).Fork(1)), 10)
-	fast := drain(Periodic{Rate: 2}.Start(task, des.NewRNG(1).Fork(1)), 10)
+	base := drain(startArrival(Periodic{}, task, des.NewRNG(1).Fork(1)), 10)
+	one := drain(startArrival(Periodic{Rate: 1}, task, des.NewRNG(1).Fork(1)), 10)
+	fast := drain(startArrival(Periodic{Rate: 2}, task, des.NewRNG(1).Fork(1)), 10)
 	if !reflect.DeepEqual(base, one) {
 		t.Error("Rate 1 differs from Rate 0")
 	}
@@ -162,8 +203,8 @@ func TestTraceDemux(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count 2: task 0 owns even recorded ids (0, 0, 2), task 1 odd (1, 3, 5).
-	got0 := drain(a.Start(ArrivalTask{Index: 0, Count: 2}, nil), 10)
-	got1 := drain(a.Start(ArrivalTask{Index: 1, Count: 2}, nil), 10)
+	got0 := drain(startArrival(a, ArrivalTask{Index: 0, Count: 2}, nil), 10)
+	got1 := drain(startArrival(a, ArrivalTask{Index: 1, Count: 2}, nil), 10)
 	if want := []des.Time{10, 30, 50}; !reflect.DeepEqual(got0, want) {
 		t.Errorf("task 0 rows = %v, want %v", got0, want)
 	}
@@ -173,12 +214,12 @@ func TestTraceDemux(t *testing.T) {
 
 	// No ids: round-robin by row index.
 	rr := Trace{Data: &TraceData{Name: "rr", Times: []des.Time{10, 20, 30, 40}}}
-	if got := drain(rr.Start(ArrivalTask{Index: 1, Count: 2}, nil), 10); !reflect.DeepEqual(got, []des.Time{20, 40}) {
+	if got := drain(startArrival(rr, ArrivalTask{Index: 1, Count: 2}, nil), 10); !reflect.DeepEqual(got, []des.Time{20, 40}) {
 		t.Errorf("round-robin rows = %v", got)
 	}
 
 	// Speed 2 halves the replay timestamps.
-	fast := drain(Trace{Data: data, Speed: 2}.Start(ArrivalTask{Index: 0, Count: 1}, nil), 10)
+	fast := drain(startArrival(Trace{Data: data, Speed: 2}, ArrivalTask{Index: 0, Count: 1}, nil), 10)
 	if fast[0] != 5 || fast[len(fast)-1] != 30 {
 		t.Errorf("speed-2 rows = %v", fast)
 	}
