@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"sgprs/internal/memo"
@@ -150,5 +151,41 @@ func TestOpenLoopExercisesOverloadMetrics(t *testing.T) {
 	}
 	if s.RespP999MS < s.RespP99MS || s.RespP99MS < s.RespP50MS {
 		t.Errorf("quantiles out of order: p50=%v p99=%v p999=%v", s.RespP50MS, s.RespP99MS, s.RespP999MS)
+	}
+}
+
+// TestWarmSessionArrivalsAllocateNothing: every arrival process starts in
+// its release chain's slot, so a rerun on a warm session allocates nothing
+// under any of the six kinds, nor under the rate-scaled natural-rate ones.
+// The garbage collector is off while counting, so a GC cycle overlapping
+// the run cannot add the runtime's own allocations.
+func TestWarmSessionArrivalsAllocateNothing(t *testing.T) {
+	arrivals := []workload.Arrival{
+		workload.Periodic{},
+		workload.Poisson{},
+		workload.Bursty{OnSec: 0.2, OffSec: 0.1},
+		workload.MMPP{RatesPerSec: []float64{10, 60}, MeanSojournSec: []float64{0.2, 0.1}},
+		workload.Diurnal{PeriodSec: 0.5},
+		workload.Trace{Data: workload.SyntheticTrace("warm", 3, 60, 1, 8)},
+		workload.Poisson{}.Scale(1.5),
+		workload.Bursty{OnSec: 0.2, OffSec: 0.1}.Scale(1.5),
+		workload.Diurnal{PeriodSec: 0.5}.Scale(1.5),
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, a := range arrivals {
+		cfg := RunConfig{Kind: KindSGPRS, Name: "warm", ContextSMs: []int{34, 34}, NumTasks: 8,
+			Arrival: a, HorizonSec: 1, WarmUpSec: 0.2, Seed: 1}
+		sess := NewSession(memo.New())
+		if _, err := sess.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := sess.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm-session rerun allocates %v times, want 0", a.Name(), allocs)
+		}
 	}
 }

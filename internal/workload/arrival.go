@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sgprs/internal/des"
 )
@@ -22,23 +23,25 @@ type ArrivalTask struct {
 	Period, Offset, Jitter des.Time
 }
 
-// ArrivalProcess emits one task's release instants, in non-decreasing
+// arrivalProcess emits one task's release instants, in non-decreasing
 // order. Next returns ok=false when the process is exhausted (only finite
-// processes such as trace replay ever are); the generator additionally
-// stops at the first instant at or past the horizon.
-type ArrivalProcess interface {
+// processes such as trace replay ever are); an instant beyond the clock
+// is des.Never. The generator stops at the first instant at or past the
+// horizon.
+type arrivalProcess interface {
 	Next() (at des.Time, ok bool)
 }
 
-// Arrival is a pluggable release-time model: the generator starts one
-// process per task, handing it the task's parameters and a deterministic
-// RNG forked from the generator's seed by task ID (the house fork pattern,
-// so processes never perturb each other and parallel sweeps stay
-// bit-identical to sequential ones).
+// Arrival is a release-time model, one of Periodic, Poisson, Bursty, MMPP,
+// Diurnal and Trace (or a Scale of one): the generator starts one process
+// per task, handing it the task's parameters and a deterministic RNG forked
+// from the generator's seed by task ID (the house fork pattern, so
+// processes never perturb each other and parallel sweeps stay bit-identical
+// to sequential ones).
 //
 // Implementations are immutable values: Scale returns a derived process
 // with the arrival intensity multiplied by factor (the exp.Rate axis), and
-// Start may be called many times concurrently from different runs.
+// start may be called many times concurrently from different runs.
 type Arrival interface {
 	// Name is a short stable identifier ("poisson", "trace:azure") used
 	// in expanded experiment labels and -list output.
@@ -49,38 +52,35 @@ type Arrival interface {
 	// Scale returns a copy with the arrival intensity multiplied by
 	// factor (>1 = more load). Used by the exp arrival-rate axis.
 	Scale(factor float64) Arrival
-	// Start instantiates the process for one task.
-	Start(t ArrivalTask, rng *des.RNG) ArrivalProcess
+	// start writes the process for one task into slot and returns it.
+	start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess
 }
 
-// procSlot holds one release chain's arrival process in place, for the
-// arrivals that can start into it (startIn): the generator keeps a slot
-// in every chain, so starting a run allocates no process.
+// procSlot holds one release chain's arrival process in place: the
+// generator keeps a slot in every chain, so starting a run allocates no
+// process.
 type procSlot struct {
 	periodic periodicProcess
 	poisson  poissonProcess
-}
-
-// startIn starts a's process for one task, in slot when a's process can
-// live there: a startIn method is Start writing into the slot instead of
-// the heap. The switch names concrete types only. An assertion to an
-// interface type goes through the runtime's type-assertion cache, which
-// the runtime rebuilds at random calls, so a run would now and then
-// allocate once more than the run before it.
-func startIn(a Arrival, slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	switch a := a.(type) {
-	case Periodic:
-		return a.startIn(slot, t, rng)
-	case Poisson:
-		return a.startIn(slot, t, rng)
-	case scaled:
-		return a.startIn(slot, t, rng)
-	}
-	return a.Start(t, rng)
+	bursty   burstyProcess
+	mmpp     mmppProcess
+	diurnal  diurnalProcess
+	trace    traceProcess
 }
 
 // finite rejects NaN and ±Inf.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// clockNS rounds float nanoseconds to the nearest instant. Beyond the
+// clock, and for NaN, it returns des.Never: a bare conversion of such a
+// value is platform-defined (it wraps to the int64 minimum on amd64).
+func clockNS(ns float64) des.Time {
+	ns += 0.5
+	if !(ns < float64(des.Never)) {
+		return des.Never
+	}
+	return des.Time(ns)
+}
 
 // natRate converts a task period into its closed-loop arrival rate
 // (arrivals per second) — the anchor processes use when Rate is zero.
@@ -123,38 +123,38 @@ func (p Periodic) Scale(factor float64) Arrival {
 	return Periodic{Rate: r * factor}
 }
 
-// Start implements Arrival.
-func (p Periodic) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	return p.startIn(&procSlot{}, t, rng)
-}
-
-func (p Periodic) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
+func (p Periodic) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
 	period := t.Period
 	if p.Rate != 0 && p.Rate != 1 {
-		period = des.Time(float64(t.Period)/p.Rate + 0.5)
-		if period < 1 {
-			period = 1
-		}
+		period = max(clockNS(float64(t.Period)/p.Rate), 1)
 	}
 	slot.periodic = periodicProcess{period: period, offset: t.Offset, jitter: t.Jitter, rng: rng}
 	return &slot.periodic
 }
 
 // periodicProcess emits the k-th instant at Offset + Period·k plus a jitter
-// draw. The draw happens on every Next — including the final beyond-horizon
-// one — and interleaves on the task's RNG stream with the generator's
-// work-variation draws; the golden digests pin that order.
+// draw, des.Never once Period·k is beyond the clock. The draw happens on
+// every Next — including the final beyond-horizon one — and interleaves on
+// the task's RNG stream with the generator's work-variation draws; the
+// golden digests pin that order. A rate-scaled period can be shorter than
+// the jitter, so an instant is clamped to the one before it.
 type periodicProcess struct {
 	period, offset, jitter des.Time
 	rng                    *des.RNG
 	idx                    int
+	last                   des.Time
 }
 
 func (p *periodicProcess) Next() (des.Time, bool) {
-	at := p.offset.Add(des.Time(int64(p.period) * int64(p.idx)))
+	at := des.Never
+	if hi, lo := bits.Mul64(uint64(p.period), uint64(p.idx)); hi == 0 && lo < uint64(des.Never) {
+		at = p.offset.Add(des.Time(lo))
+	}
 	if p.jitter > 0 {
 		at = at.Add(des.Time(p.rng.Float64() * float64(p.jitter)))
 	}
+	at = max(at, p.last)
+	p.last = at
 	p.idx++
 	return at, true
 }
@@ -184,7 +184,7 @@ func (p Poisson) Validate() error {
 }
 
 // Scale implements Arrival. A zero Rate scales the natural rate, which is
-// only known per task — so that case carries the factor for Start to
+// only known per task — so that case carries the factor for start to
 // resolve. Factor 1 (the baseline cell of a rate sweep) is the identity.
 func (p Poisson) Scale(factor float64) Arrival {
 	if factor == 1 {
@@ -196,22 +196,19 @@ func (p Poisson) Scale(factor float64) Arrival {
 	return scaled{base: p, factor: factor}
 }
 
-// Start implements Arrival.
-func (p Poisson) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	return p.startIn(&procSlot{}, t, rng)
+func (p Poisson) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	return p.startScaled(slot, t, rng, 1)
 }
 
-func (p Poisson) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	slot.poisson = poissonProcess{cur: t.Offset, meanNS: float64(des.Second) / p.rate(t), rng: rng}
-	return &slot.poisson
-}
-
-// rate is the per-task arrival rate: Rate, or the task's natural rate.
-func (p Poisson) rate(t ArrivalTask) float64 {
-	if p.Rate == 0 {
-		return natRate(t.Period)
+// startScaled starts the process at Rate, or the task's natural rate,
+// times factor.
+func (p Poisson) startScaled(slot *procSlot, t ArrivalTask, rng *des.RNG, factor float64) arrivalProcess {
+	rate := p.Rate
+	if rate == 0 {
+		rate = natRate(t.Period)
 	}
-	return p.Rate
+	slot.poisson = poissonProcess{cur: t.Offset, meanNS: float64(des.Second) / (rate * factor), rng: rng}
+	return &slot.poisson
 }
 
 type poissonProcess struct {
@@ -221,7 +218,7 @@ type poissonProcess struct {
 }
 
 func (p *poissonProcess) Next() (des.Time, bool) {
-	p.cur = p.cur.Add(des.Time(p.rng.Exp(p.meanNS) + 0.5))
+	p.cur = p.cur.Add(clockNS(p.rng.Exp(p.meanNS)))
 	return p.cur, true
 }
 
@@ -268,19 +265,25 @@ func (b Bursty) Scale(factor float64) Arrival {
 	return scaled{base: b, factor: factor}
 }
 
-// Start implements Arrival.
-func (b Bursty) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
+func (b Bursty) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	return b.startScaled(slot, t, rng, 1)
+}
+
+// startScaled starts the process with an ON-window rate of Rate, or the
+// task's natural rate, times factor.
+func (b Bursty) startScaled(slot *procSlot, t ArrivalTask, rng *des.RNG, factor float64) arrivalProcess {
 	rate := b.Rate
 	if rate == 0 {
 		rate = natRate(t.Period)
 	}
-	return &burstyProcess{
+	slot.bursty = burstyProcess{
 		offset: t.Offset,
 		onNS:   b.OnSec * float64(des.Second),
 		cycNS:  (b.OnSec + b.OffSec) * float64(des.Second),
-		meanNS: float64(des.Second) / rate,
+		meanNS: float64(des.Second) / (rate * factor),
 		rng:    rng,
 	}
+	return &slot.bursty
 }
 
 // burstyProcess draws a Poisson stream in "busy time" (cumulative ON time)
@@ -299,7 +302,7 @@ func (p *burstyProcess) Next() (des.Time, bool) {
 	p.busyNS += p.rng.Exp(p.meanNS)
 	cycles := math.Floor(p.busyNS / p.onNS)
 	wall := float64(cycles*p.cycNS) + (p.busyNS - float64(cycles*p.onNS))
-	return p.offset.Add(des.Time(wall + 0.5)), true
+	return p.offset.Add(clockNS(wall)), true
 }
 
 // MMPP is a Markov-modulated Poisson process: the source cycles through
@@ -351,17 +354,18 @@ func (m MMPP) Scale(factor float64) Arrival {
 	return MMPP{RatesPerSec: rates, MeanSojournSec: append([]float64(nil), m.MeanSojournSec...)}
 }
 
-// Start implements Arrival.
-func (m MMPP) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	p := &mmppProcess{m: m, cur: t.Offset, rng: rng}
-	p.phaseEnd = p.cur.Add(des.Time(rng.Exp(m.MeanSojournSec[0]*float64(des.Second)) + 0.5))
+func (m MMPP) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	p := &slot.mmpp
+	*p = mmppProcess{m: m, cur: t.Offset, rng: rng}
+	p.phaseEnd = p.cur.Add(clockNS(rng.Exp(m.MeanSojournSec[0] * float64(des.Second))))
 	return p
 }
 
 // mmppProcess exploits memorylessness: at a state boundary the pending
 // exponential inter-arrival is simply redrawn at the new state's rate,
 // which has the same distribution as the textbook competing-clocks
-// construction and needs no thinning.
+// construction and needs no thinning. Once a boundary is beyond the
+// clock, so is every later arrival.
 type mmppProcess struct {
 	m        MMPP
 	state    int
@@ -371,9 +375,9 @@ type mmppProcess struct {
 }
 
 func (p *mmppProcess) Next() (des.Time, bool) {
-	for {
+	for p.cur != des.Never {
 		if rate := p.m.RatesPerSec[p.state]; rate > 0 {
-			at := p.cur.Add(des.Time(p.rng.Exp(float64(des.Second)/rate) + 0.5))
+			at := p.cur.Add(clockNS(p.rng.Exp(float64(des.Second) / rate)))
 			if at < p.phaseEnd {
 				p.cur = at
 				return at, true
@@ -383,8 +387,9 @@ func (p *mmppProcess) Next() (des.Time, bool) {
 		// next state and redraw there.
 		p.cur = p.phaseEnd
 		p.state = (p.state + 1) % len(p.m.RatesPerSec)
-		p.phaseEnd = p.cur.Add(des.Time(p.rng.Exp(p.m.MeanSojournSec[p.state]*float64(des.Second)) + 0.5))
+		p.phaseEnd = p.cur.Add(clockNS(p.rng.Exp(p.m.MeanSojournSec[p.state] * float64(des.Second))))
 	}
+	return des.Never, true
 }
 
 // Diurnal is a smoothly varying open-loop source: a sinusoidal rate curve
@@ -433,19 +438,25 @@ func (d Diurnal) Scale(factor float64) Arrival {
 	return scaled{base: d, factor: factor}
 }
 
-// Start implements Arrival.
-func (d Diurnal) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
+func (d Diurnal) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	return d.startScaled(slot, t, rng, 1)
+}
+
+// startScaled starts the process with both bounds of the rate curve times
+// factor, MaxRate 0 reading twice the task's natural rate.
+func (d Diurnal) startScaled(slot *procSlot, t ArrivalTask, rng *des.RNG, factor float64) arrivalProcess {
 	maxRate := d.MaxRate
 	if maxRate == 0 {
 		maxRate = 2 * natRate(t.Period)
 	}
-	return &diurnalProcess{
+	slot.diurnal = diurnalProcess{
 		offset:   t.Offset,
 		periodNS: d.PeriodSec * float64(des.Second),
-		min:      d.MinRate,
-		max:      maxRate,
+		min:      d.MinRate * factor,
+		max:      maxRate * factor,
 		rng:      rng,
 	}
+	return &slot.diurnal
 }
 
 type diurnalProcess struct {
@@ -460,10 +471,13 @@ func (p *diurnalProcess) Next() (des.Time, bool) {
 	meanNS := float64(des.Second) / p.max
 	for {
 		p.curNS += p.rng.Exp(meanNS)
+		if !(p.curNS < float64(des.Never)) {
+			return des.Never, true
+		}
 		phase := 2 * math.Pi * (p.curNS / p.periodNS)
 		rate := p.min + float64((p.max-p.min)*0.5*(1-math.Cos(phase)))
 		if p.rng.Float64()*p.max < rate {
-			return p.offset.Add(des.Time(p.curNS + 0.5)), true
+			return p.offset.Add(clockNS(p.curNS)), true
 		}
 	}
 }
@@ -511,13 +525,13 @@ func (t Trace) Scale(factor float64) Arrival {
 	return Trace{Data: t.Data, Speed: s * factor}
 }
 
-// Start implements Arrival.
-func (t Trace) Start(task ArrivalTask, rng *des.RNG) ArrivalProcess {
+func (t Trace) start(slot *procSlot, task ArrivalTask, _ *des.RNG) arrivalProcess {
 	speed := t.Speed
 	if speed == 0 {
 		speed = 1
 	}
-	return &traceProcess{data: t.Data, speed: speed, task: task}
+	slot.trace = traceProcess{data: t.Data, speed: speed, task: task}
+	return &slot.trace
 }
 
 type traceProcess struct {
@@ -538,7 +552,7 @@ func (p *traceProcess) Next() (des.Time, bool) {
 		}
 		at := p.data.Times[p.row]
 		if p.speed != 1 {
-			at = des.Time(float64(at)/p.speed + 0.5)
+			at = clockNS(float64(at) / p.speed)
 		}
 		p.row++
 		return at, true
@@ -546,11 +560,21 @@ func (p *traceProcess) Next() (des.Time, bool) {
 	return 0, false
 }
 
-// scaled wraps an Arrival whose intensity anchor (the task's natural rate)
-// is only known at Start time, deferring the multiplication until then. It
-// keeps Scale closed under composition for every process type.
+// anchored is an arrival kind whose intensity anchors on the task's
+// natural rate when its own rate is zero: Poisson, Bursty and Diurnal.
+// startScaled resolves the anchor and multiplies the intensity by factor;
+// the kind's own start calls it with factor 1, which is exact.
+type anchored interface {
+	Arrival
+	startScaled(slot *procSlot, t ArrivalTask, rng *des.RNG, factor float64) arrivalProcess
+}
+
+// scaled wraps a natural-rate arrival whose intensity anchor (the task's
+// natural rate) is only known when the process starts, deferring the
+// multiplication until then. It keeps Scale closed under composition for
+// every process type.
 type scaled struct {
-	base   Arrival
+	base   anchored
 	factor float64
 }
 
@@ -570,42 +594,6 @@ func (s scaled) Scale(factor float64) Arrival {
 	return scaled{base: s.base, factor: s.factor * factor}
 }
 
-// Start implements Arrival: the wrapped process runs with a virtually
-// shortened period, which multiplies every natural-rate anchor by the
-// factor without touching deadlines (those derive from the real task).
-func (s scaled) Start(t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	switch b := s.base.(type) {
-	case Poisson:
-		return Poisson{Rate: b.rate(t) * s.factor}.Start(t, rng)
-	case Bursty:
-		rate := b.Rate
-		if rate == 0 {
-			rate = natRate(t.Period)
-		}
-		c := b
-		c.Rate = rate * s.factor
-		return c.Start(t, rng)
-	case Diurnal:
-		c := b
-		if c.MaxRate == 0 {
-			c.MaxRate = 2 * natRate(t.Period)
-		}
-		c.MinRate *= s.factor
-		c.MaxRate *= s.factor
-		return c.Start(t, rng)
-	default:
-		// Processes with absolute rates already resolved their own
-		// Scale; reaching here means a new Arrival forgot to implement
-		// it — scale what Validate accepted as best effort.
-		return s.base.Scale(s.factor).Start(t, rng)
-	}
-}
-
-// startIn keeps a scaled Poisson process — the rate axis over natural-rate
-// Poisson arrivals — in the chain's slot, like Poisson's own.
-func (s scaled) startIn(slot *procSlot, t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	if b, ok := s.base.(Poisson); ok {
-		return Poisson{Rate: b.rate(t) * s.factor}.startIn(slot, t, rng)
-	}
-	return s.Start(t, rng)
+func (s scaled) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	return s.base.startScaled(slot, t, rng, s.factor)
 }

@@ -18,13 +18,13 @@ func arrTask(index, count int) ArrivalTask {
 	}
 }
 
-// startArrival starts a's process for one task.
-func startArrival(a Arrival, t ArrivalTask, rng *des.RNG) ArrivalProcess {
-	return a.Start(t, rng)
+// startArrival starts a's process for one task in a slot of its own.
+func startArrival(a Arrival, t ArrivalTask, rng *des.RNG) arrivalProcess {
+	return a.start(&procSlot{}, t, rng)
 }
 
 // drain collects up to n instants from a process.
-func drain(p ArrivalProcess, n int) []des.Time {
+func drain(p arrivalProcess, n int) []des.Time {
 	var out []des.Time
 	for len(out) < n {
 		at, ok := p.Next()
@@ -316,6 +316,40 @@ func TestBuildRejectsNonFinite(t *testing.T) {
 		mutate(&sp)
 		if _, err := Build([]TaskSpec{sp}); err == nil {
 			t.Errorf("non-finite spec accepted: %+v", sp)
+		}
+	}
+}
+
+// TestArrivalTinyRateSaturates: at a rate Validate accepts but whose gaps
+// overflow the nanosecond clock, every kind saturates at des.Never instead
+// of wrapping to a negative instant, so the generator's horizon check ends
+// the chain; no draw goes backwards, and none loops forever.
+func TestArrivalTinyRateSaturates(t *testing.T) {
+	const tiny = 1e-12
+	for _, a := range []Arrival{
+		Periodic{Rate: tiny},
+		Poisson{Rate: tiny},
+		Poisson{}.Scale(tiny),
+		Bursty{OnSec: 1, OffSec: 1, Rate: tiny},
+		Bursty{OnSec: 1, OffSec: 1}.Scale(tiny),
+		MMPP{RatesPerSec: []float64{tiny}, MeanSojournSec: []float64{3600}},
+		Diurnal{PeriodSec: 1, MaxRate: tiny},
+		Diurnal{PeriodSec: 1}.Scale(tiny),
+		Trace{Data: SyntheticTrace("tiny", 1, 10, 1, 1), Speed: tiny},
+	} {
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		times := drain(startArrival(a, arrTask(0, 1), des.NewRNG(3).Fork(1)), 4)
+		prev := des.Time(0)
+		for i, at := range times {
+			if at < prev {
+				t.Errorf("%s: instant %d (%v) before %v", a.Name(), i, at, prev)
+			}
+			prev = at
+		}
+		if len(times) == 0 || times[len(times)-1] != des.Never {
+			t.Errorf("%s: instants %v do not reach des.Never", a.Name(), times)
 		}
 	}
 }

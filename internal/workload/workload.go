@@ -268,8 +268,7 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 	// one slab, so pending events may hold pointers into it. The chain is
 	// also the unit the fast-forward layer warps and fingerprints (see
 	// SteadyPeriod, Warp, and DESIGN.md §12). The slab is kept across
-	// runs; each chain holds its RNG stream and, for the arrivals that
-	// support it, its process in place.
+	// runs; each chain holds its RNG stream and its process in place.
 	g.chains = slices.Grow(g.chains[:0], len(tasks))[:len(tasks)]
 	g.cacheLabels(tasks)
 	for i, t := range tasks {
@@ -281,7 +280,7 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 			label:   g.labels[t],
 			horizon: horizon,
 		}
-		c.proc = startIn(arrival, &c.slot, ArrivalTask{
+		c.proc = arrival.start(&c.slot, ArrivalTask{
 			Index:  t.ID,
 			Count:  len(tasks),
 			Period: t.Period,
@@ -335,11 +334,11 @@ type releaseChain struct {
 	t       *rt.Task
 	rng     des.RNG
 	label   string
-	proc    ArrivalProcess
-	slot    procSlot
+	proc    arrivalProcess
 	idx     int
 	last    des.Time
 	horizon des.Time
+	slot    procSlot
 }
 
 // fireChain releases one job and schedules the task's next release. The
@@ -434,7 +433,9 @@ func (g *Generator) Warp(delta des.Time, frames int) {
 		c := &g.chains[i]
 		c.idx += frames
 		c.last += delta
-		c.proc.(*periodicProcess).idx += frames
+		pp := c.proc.(*periodicProcess)
+		pp.idx += frames
+		pp.last += delta
 	}
 }
 
