@@ -35,7 +35,7 @@ bench-long:
 	$(GO) test -run '^$$' -bench BenchmarkLongHorizon -benchmem -benchtime 1x .
 
 ## bench-ff: the steady-state fast-forward benchmarks — the eligible 60 s
-## run with the detector on versus DisableFastForward, plus the long-horizon
+## run fast-forwarded versus simulated in full, plus the long-horizon
 ## sweep it shortens (see DESIGN.md §12) — and the two layer micro-benches
 ## under them: stats.RepeatedSum against the naive replay loop, and
 ## metrics.Collector.Summary over a 300 s cell's backlog, streamed and

@@ -353,9 +353,9 @@ func BenchmarkLongHorizon(b *testing.B) {
 	benchWork(b, "LongHorizon", func(b *testing.B, _ sim.Result, st sim.Stats) { reportReplay(b, st) })
 }
 
-// BenchmarkSteadyState is the fast-forward headline: the identical eligible
-// 60 s run with the detector on versus DisableFastForward. The reference
-// simulates every one of the ~1800 release cycles; fast-forward simulates a
+// BenchmarkSteadyState is the fast-forward headline: the eligible 60 s run
+// fast-forwarded versus simulated in full as its ineligible twin (the same
+// config with an empty fault.Config). The reference simulates every one of the ~1800 release cycles; fast-forward simulates a
 // few dozen boundaries, extrapolates the rest analytically, and the results
 // stay bit-identical (TestFastForwardBitIdenticalScenarios pins this).
 // cycles_skipped reports how much of the horizon was never simulated, and

@@ -175,9 +175,7 @@ var knobStructs = []string{
 
 // testOnlyKnobs names the fields of knobStructs that no shipped path writes
 // but that stay, each with its reason. Keys are "pkg.Type.Field".
-var testOnlyKnobs = map[string]string{
-	"sim.RunConfig.DisableFastForward": "the full-simulation reference the fast-forward bit-identity tests compare against (ROADMAP items 4/16)",
-}
+var testOnlyKnobs = map[string]string{}
 
 // TestNoTestOnlyKnobs keeps configuration to what shipped paths set: it fails
 // when a field of a knobStructs type is written by no non-test code outside

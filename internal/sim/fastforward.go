@@ -20,8 +20,8 @@ import (
 // boundary, measures one cycle's metric deltas, extrapolates them over the
 // remaining whole cycles analytically, warps the clock past them, and
 // simulates only the horizon tail — producing results bit-identical to full
-// simulation (the DisableFastForward reference mode and the equivalence
-// tests pin this).
+// simulation (the equivalence tests pin this against each run's ineligible
+// twin, the same config with an empty fault.Config).
 //
 // Eligibility is strict: any stochastic draw that reaches the dynamics
 // (release jitter, work variation, non-periodic arrivals, contention jitter)
@@ -82,7 +82,6 @@ func (s *Session) runToHorizon(cfg RunConfig, gen *workload.Generator, tasks []*
 	period, steady := gen.SteadyPeriod()
 	r.period = period
 	eligible := steady &&
-		!cfg.DisableFastForward &&
 		cfg.Observer == nil &&
 		cfg.Faults == nil &&
 		cfg.GPU.ContentionJitter == 0

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sgprs/internal/des"
+	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
 	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
@@ -24,10 +25,27 @@ func eligibleGPU(seed uint64) gpu.Config {
 	return g
 }
 
+// fullSim returns cfg's ineligible twin: an empty fault.Config injects
+// nothing (TestNilFaultsBitIdenticalScenarios pins it bit-identical to nil
+// Faults) but keeps the run off the fast-forward path, so the twin
+// simulates every cycle and is the reference fast-forward must reproduce.
+func fullSim(cfg RunConfig) RunConfig {
+	cfg.Faults = &fault.Config{}
+	return cfg
+}
+
+// mustNotFastForward fails t when a reference run engaged fast-forward.
+func mustNotFastForward(t *testing.T, name string, res Result) {
+	t.Helper()
+	if res.FastForward != (metrics.FFStats{}) {
+		t.Fatalf("%s: the full-simulation reference fast-forwarded: %+v", name, res.FastForward)
+	}
+}
+
 // TestFastForwardBitIdenticalScenarios is the fast-forward acceptance test:
 // across both paper scenario grids — every variant, three task counts from
 // linear ramp to deep overload — an eligible run with fast-forward enabled
-// must reproduce the DisableFastForward reference byte for byte: every
+// must reproduce its full-simulation twin byte for byte: every
 // Summary float, quantile, counter, and device integral. Only the FFStats
 // may differ (the reference never engages), so they are excluded explicitly.
 func TestFastForwardBitIdenticalScenarios(t *testing.T) {
@@ -51,12 +69,12 @@ func TestFastForwardBitIdenticalScenarios(t *testing.T) {
 					NumTasks:   n,
 					GPU:        eligibleGPU(1),
 				}
-				ref := cfg
-				ref.DisableFastForward = true
+				ref := fullSim(cfg)
 				want, err := NewSession(cache).Run(ref)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d reference: %v", scenario, v.Name, n, err)
 				}
+				mustNotFastForward(t, v.Name, want)
 				got, err := NewSession(cache).Run(cfg)
 				if err != nil {
 					t.Fatalf("scenario %d %s n=%d fast-forward: %v", scenario, v.Name, n, err)
@@ -128,9 +146,9 @@ func TestFastForwardLockstepCollectorState(t *testing.T) {
 			}
 			return snaps, res
 		}
-		ref := cfg
-		ref.DisableFastForward = true
-		wantSnaps, _ := snapshots(ref)
+		ref := fullSim(cfg)
+		wantSnaps, refRes := snapshots(ref)
+		mustNotFastForward(t, ref.Name, refRes)
 		gotSnaps, res := snapshots(cfg)
 		if res.FastForward.CyclesSkipped == 0 {
 			t.Fatalf("kind=%v: fast-forward never engaged; lockstep test exercises nothing", kind)
@@ -199,13 +217,13 @@ func TestFastForwardLongHorizon(t *testing.T) {
 		if kind == KindNaive {
 			cfg.ContextSMs = ContextPool(2, 1.0, speedup.DeviceSMs)
 		}
-		ref := cfg
-		ref.DisableFastForward = true
+		ref := fullSim(cfg)
 		refSess, sess := NewSession(cache), NewSession(cache)
 		want, err := refSess.Run(ref)
 		if err != nil {
 			t.Fatalf("kind=%v reference: %v", kind, err)
 		}
+		mustNotFastForward(t, ref.Name, want)
 		got, err := sess.Run(cfg)
 		if err != nil {
 			t.Fatalf("kind=%v fast-forward: %v", kind, err)
@@ -243,12 +261,12 @@ func TestFastForwardCollisionSafety(t *testing.T) {
 		Kind: KindSGPRS, Name: "collide", ContextSMs: ContextPool(2, 1.5, speedup.DeviceSMs),
 		NumTasks: 4, HorizonSec: 8, Seed: 1, GPU: eligibleGPU(1),
 	}
-	ref := cfg
-	ref.DisableFastForward = true
+	ref := fullSim(cfg)
 	want, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustNotFastForward(t, ref.Name, want)
 	hashes := map[string]func([]byte) uint64{
 		"2-bit":    func(b []byte) uint64 { return ffHashDefault(b) & 3 },
 		"constant": func([]byte) uint64 { return 0 },
@@ -321,12 +339,12 @@ func TestFastForwardReplaysDrops(t *testing.T) {
 			Kind: KindSGPRS, Name: "drops", ContextSMs: ContextPool(2, 1.0, speedup.DeviceSMs),
 			NumTasks: 30, HorizonSec: 20, Seed: 1, GPU: eligibleGPU(1), Devices: devices,
 		}
-		ref := cfg
-		ref.DisableFastForward = true
+		ref := fullSim(cfg)
 		want, err := NewSession(cache).Run(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
+		mustNotFastForward(t, ref.Name, want)
 		got, err := NewSession(cache).Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -16,9 +16,9 @@ import (
 // must reproduce the nil-Faults run byte for byte across both paper scenario
 // grids, every variant, every task count. Any perturbation from the hook call
 // sites, the effective-SM indirection, or the degraded-flag bookkeeping shows
-// up here. Fast-forward is disabled on both sides because eligibility itself
-// differs (fault runs never warp); that interaction is pinned separately by
-// TestFaultRunsIneligibleForFastForward.
+// up here. Neither side fast-forwards: the default device's contention
+// jitter keeps both off that path, so only the fault plumbing differs
+// (fault runs never warp; TestFaultRunsIneligibleForFastForward pins that).
 func TestNilFaultsBitIdenticalScenarios(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
@@ -31,13 +31,12 @@ func TestNilFaultsBitIdenticalScenarios(t *testing.T) {
 		for _, v := range ScenarioVariants() {
 			for _, n := range counts {
 				cfg := RunConfig{
-					Kind:               v.Kind,
-					Name:               v.Name,
-					ContextSMs:         ContextPool(np, v.OS, speedup.DeviceSMs),
-					HorizonSec:         horizon,
-					Seed:               1,
-					NumTasks:           n,
-					DisableFastForward: true,
+					Kind:       v.Kind,
+					Name:       v.Name,
+					ContextSMs: ContextPool(np, v.OS, speedup.DeviceSMs),
+					HorizonSec: horizon,
+					Seed:       1,
+					NumTasks:   n,
 				}
 				want, err := NewSession(cache).Run(cfg)
 				if err != nil {

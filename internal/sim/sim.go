@@ -131,13 +131,6 @@ type RunConfig struct {
 	// Observer, when non-nil, receives every kernel start/finish (e.g. a
 	// trace.Recorder).
 	Observer gpu.Observer
-
-	// DisableFastForward forces full simulation of every cycle instead of
-	// the steady-state fast-forward (DESIGN.md §12). Results are
-	// bit-identical either way — the equivalence tests run both modes
-	// against each other — so this exists as the retained reference those
-	// tests compare to.
-	DisableFastForward bool
 }
 
 // Normalize fills defaults and validates. Zero values default; negative
@@ -310,7 +303,7 @@ type Result struct {
 	// FPSPerWatt is the run's efficiency: total FPS over average power.
 	FPSPerWatt float64
 	// FastForward reports the steady-state fast-forward layer's activity
-	// (all-zero when it never engaged: ineligible workload or disabled).
+	// (all-zero when it never engaged: an ineligible run).
 	FastForward metrics.FFStats
 }
 

@@ -13,6 +13,7 @@ import (
 	"sgprs"
 	"sgprs/internal/fault"
 	"sgprs/internal/memo"
+	"sgprs/internal/metrics"
 	"sgprs/internal/sim"
 )
 
@@ -210,14 +211,22 @@ func longHorizon(sec float64) workSetup {
 	}
 }
 
-// steadyState is the eligible 60 s run on a warm session, with the
-// fast-forward detector on or (disable) off.
-func steadyState(disable bool) workSetup {
+// steadyState is the eligible 60 s run on a warm session, fast-forwarded
+// or (full) simulated in full as its ineligible twin: an empty fault.Config
+// injects nothing, bit-identical to nil Faults, but keeps the run off the
+// fast-forward path.
+func steadyState(full bool) workSetup {
 	return func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		cfg := ffEligible(ablationBase())
 		cfg.HorizonSec = 60
-		cfg.DisableFastForward = disable
-		return warmSession(tb, cfg)
+		if full {
+			cfg.Faults = &fault.Config{}
+		}
+		sess := sim.NewSession(memo.New())
+		if ff := mustRun(tb, sess, cfg).FastForward; full && ff != (metrics.FFStats{}) {
+			tb.Fatalf("the full-simulation twin fast-forwarded: %+v", ff)
+		}
+		return func() sim.Result { return mustRun(tb, sess, cfg) }, sess.Stats
 	}
 }
 
