@@ -135,9 +135,9 @@ type chain struct {
 	nextOK   des.Time // earliest next load-steal (cooldown)
 }
 
-// Fleet is the dispatcher. It implements sched.Scheduler so the workload
-// generator drives it exactly like a single-device scheduler; it is wired by
-// New or Reset, so Attach always errors.
+// Fleet is the dispatcher. The workload generator hands it every release
+// (OnRelease) exactly as it would a single-device scheduler; it is wired by
+// New or Reset.
 type Fleet struct {
 	cfg     Config
 	eng     *des.Engine
@@ -284,16 +284,6 @@ func (f *Fleet) homedCount(di int) int {
 	return n
 }
 
-// Name implements sched.Scheduler, delegating to the member schedulers (all
-// members share one configuration, so reports keep the familiar label).
-func (f *Fleet) Name() string { return f.nodes[0].sch.Name() }
-
-// Attach implements sched.Scheduler by rejecting the call: the fleet is
-// wired by New or Reset — members attach to their own devices before.
-func (f *Fleet) Attach(eng *des.Engine, dev *gpu.Device, tasks []*rt.Task) error {
-	return fmt.Errorf("cluster: fleet is wired at construction, not via Attach")
-}
-
 // Install schedules the configured device-fault edges and connects the
 // collector (may be nil), whose fleet-degraded mark the dispatcher raises
 // while at least one device is down. Call once, before the run starts.
@@ -323,7 +313,7 @@ func fireRestart(now des.Time, arg any) {
 	e.f.restore(e.fault.Device, now)
 }
 
-// OnRelease implements sched.Scheduler: it routes one released job through
+// OnRelease implements workload.ReleaseHandler: it routes one released job through
 // shedding, admission, stealing, and blackout to its home device's
 // scheduler. Releases that cannot be served — shed or unadmitted chains,
 // blackouts outlasting the horizon, homes that are down with no plan — are

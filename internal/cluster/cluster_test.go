@@ -22,8 +22,6 @@ type fakeSched struct {
 	evictions int
 }
 
-func (s *fakeSched) Name() string { return "fake" }
-
 func (s *fakeSched) Attach(_ *des.Engine, dev *gpu.Device, _ []*rt.Task) error {
 	for i := range s.contexts {
 		if _, err := dev.CreateContext(fmt.Sprintf("ctx%d", i), 10); err != nil {

@@ -191,9 +191,6 @@ func (s *Scheduler) Reset(cfg Config) error {
 	return nil
 }
 
-// Name implements sched.Scheduler.
-func (s *Scheduler) Name() string { return s.cfg.Name }
-
 // Promotions reports how many stages were promoted to the medium level.
 func (s *Scheduler) Promotions() uint64 { return s.promotions }
 

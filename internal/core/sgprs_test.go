@@ -301,13 +301,6 @@ func TestSustainedThroughputUnderOverload(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	s, _ := New(Config{Name: "sgprs-1.5x", ContextSMs: []int{34}})
-	if s.Name() != "sgprs-1.5x" {
-		t.Errorf("Name = %q", s.Name())
-	}
-}
-
 func TestZeroMissesAtLightLoad(t *testing.T) {
 	cfg := Config{Name: "sgprs", ContextSMs: []int{34, 34}}
 	r := newRig(t, cfg, 8)

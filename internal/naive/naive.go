@@ -127,9 +127,6 @@ func (s *Scheduler) Reset(cfg Config) error {
 	return nil
 }
 
-// Name implements sched.Scheduler.
-func (s *Scheduler) Name() string { return s.cfg.Name }
-
 // Reconfigurations reports how many partition switches were paid.
 func (s *Scheduler) Reconfigurations() uint64 { return s.reconfigs }
 

@@ -262,13 +262,6 @@ func TestOnReleaseUnknownTaskPanics(t *testing.T) {
 	s.OnRelease(alien.NewJob(0, 0), 0)
 }
 
-func TestName(t *testing.T) {
-	s, _ := New(Config{Name: "naive", ContextSMs: []int{34}})
-	if s.Name() != "naive" {
-		t.Errorf("Name = %q", s.Name())
-	}
-}
-
 // New returns a baseline configured by cfg, or cfg's error.
 func New(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{}

@@ -13,8 +13,6 @@ import (
 // to a device and task set, then feeds it released jobs; everything else —
 // stage chaining, context/stream selection, queueing — is the scheduler's.
 type Scheduler interface {
-	// Name identifies the scheduler in reports ("sgprs-1.5x", "naive").
-	Name() string
 	// Attach binds the scheduler to the simulation before any release.
 	// The scheduler creates its contexts and streams here; tasks must be
 	// profiled (WCETs set) before Attach.

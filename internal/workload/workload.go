@@ -15,7 +15,6 @@ import (
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/rt"
-	"sgprs/internal/sched"
 )
 
 // TaskSpec describes one periodic task to generate.
@@ -166,6 +165,12 @@ type JobSink interface {
 	rt.JobWatcher
 }
 
+// ReleaseHandler receives every released job: a scheduler, or the fleet
+// dispatching to one per device.
+type ReleaseHandler interface {
+	OnRelease(job *rt.Job, now des.Time)
+}
+
 // Generator schedules periodic releases on an engine. Release jitter and
 // per-job work variation draw from a seeded stream forked per task, so
 // adding a task never perturbs another task's draws.
@@ -179,7 +184,7 @@ type JobSink interface {
 // included, so a reused generator starts a run without allocating.
 type Generator struct {
 	eng     *des.Engine
-	sched   sched.Scheduler
+	sched   ReleaseHandler
 	rng     des.RNG
 	sink    JobSink
 	pool    *rt.JobPool
@@ -192,7 +197,7 @@ type Generator struct {
 
 // NewGenerator wires a generator to the engine and scheduler with random
 // seed 1 (see Reset).
-func NewGenerator(eng *des.Engine, s sched.Scheduler) *Generator {
+func NewGenerator(eng *des.Engine, s ReleaseHandler) *Generator {
 	g := &Generator{}
 	g.Reset(eng, s, 1)
 	return g
@@ -203,7 +208,7 @@ func NewGenerator(eng *des.Engine, s sched.Scheduler) *Generator {
 // work-variation draws (generators for deterministic workloads may pass
 // anything). The sink, pool and arrival process are cleared; the release
 // chains' storage and the label cache are kept.
-func (g *Generator) Reset(eng *des.Engine, s sched.Scheduler, seed uint64) {
+func (g *Generator) Reset(eng *des.Engine, s ReleaseHandler, seed uint64) {
 	*g = Generator{
 		eng:    eng,
 		sched:  s,

@@ -5,9 +5,7 @@ import (
 
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
-	"sgprs/internal/gpu"
 	"sgprs/internal/rt"
-	"sgprs/internal/sched"
 )
 
 func specResNet() TaskSpec {
@@ -113,9 +111,7 @@ func TestBuildErrors(t *testing.T) {
 // genRecorder counts releases without doing any scheduling.
 type genRecorder struct{ n int }
 
-func (g *genRecorder) Name() string                                      { return "recorder" }
-func (g *genRecorder) Attach(*des.Engine, *gpu.Device, []*rt.Task) error { return nil }
-func (g *genRecorder) OnRelease(*rt.Job, des.Time)                       { g.n++ }
+func (g *genRecorder) OnRelease(*rt.Job, des.Time) { g.n++ }
 
 // jobLog is a JobSink that keeps every released job, in release order. With
 // no pool attached the generator never recycles them, so the log can be
@@ -303,8 +299,6 @@ func (s *sinkRecorder) JobDiscarded(j *rt.Job, now des.Time) {
 // simplest scheduler that drives the full streamed lifecycle.
 type completingSched struct{}
 
-func (completingSched) Name() string                                      { return "completing" }
-func (completingSched) Attach(*des.Engine, *gpu.Device, []*rt.Task) error { return nil }
 func (completingSched) OnRelease(j *rt.Job, now des.Time) {
 	for _, st := range j.Stages {
 		st.MarkFinished(now)
@@ -361,7 +355,7 @@ func TestBuildRejectsBadJitter(t *testing.T) {
 }
 
 // newSeeded returns a generator wired to eng and s with the given seed.
-func newSeeded(eng *des.Engine, s sched.Scheduler, seed uint64) *Generator {
+func newSeeded(eng *des.Engine, s ReleaseHandler, seed uint64) *Generator {
 	g := &Generator{}
 	g.Reset(eng, s, seed)
 	return g
