@@ -236,10 +236,12 @@ func ArrivalAxis(procs ...Arrival) ExperimentAxis  { return exp.Arrivals(procs..
 func DevicesAxis(counts ...int) ExperimentAxis           { return exp.Devices(counts...) }
 func PlacementAxis(policies ...Placement) ExperimentAxis { return exp.Placements(policies...) }
 
-// Arrival is a pluggable release-time model: set RunConfig.Arrival to drive
-// a run open-loop (nil keeps the classic closed-loop periodic releases,
+// Arrival is a release-time model, made by one of the six constructors
+// below (PeriodicArrival, PoissonArrival, BurstyArrival, MMPPArrival,
+// DiurnalArrival, TraceArrival): set RunConfig.Arrival to drive a run
+// open-loop (nil keeps the classic closed-loop periodic releases,
 // bit-identical to earlier versions), or sweep processes with ArrivalAxis
-// and intensities with RateAxis. See internal/workload for the contract.
+// and intensities with RateAxis.
 type Arrival = workload.Arrival
 
 // TraceData is a parsed arrival trace: sorted release timestamps plus an
