@@ -313,8 +313,8 @@ func fireRestart(now des.Time, arg any) {
 	e.f.restore(e.fault.Device, now)
 }
 
-// OnRelease implements workload.ReleaseHandler: it routes one released job through
-// shedding, admission, stealing, and blackout to its home device's
+// OnRelease implements workload.ReleaseHandler: it routes one released job
+// through shedding, admission, stealing, and blackout to its home device's
 // scheduler. Releases that cannot be served — shed or unadmitted chains,
 // blackouts outlasting the horizon, homes that are down with no plan — are
 // discarded immediately and counted as shed.
