@@ -47,12 +47,21 @@ func TestPinnedOutput(t *testing.T) {
 }
 
 // TestPinnedTrace: run -o writes the kernel trace the separate sgprs-trace
-// command wrote, as CSV and as Chrome trace JSON.
+// command wrote, as CSV and as Chrome trace JSON, and labels naive's
+// whole-inference kernels by job as it labels SGPRS stages.
 func TestPinnedTrace(t *testing.T) {
-	for _, pin := range []string{"trace.csv", "trace.json"} {
-		path := filepath.Join(t.TempDir(), pin)
+	for _, pin := range []struct {
+		name  string
+		sched []string
+	}{
+		{"trace.csv", nil},
+		{"trace.json", nil},
+		{"trace-naive.csv", []string{"-sched", "naive"}},
+	} {
+		path := filepath.Join(t.TempDir(), pin.name)
 		var stdout, stderr bytes.Buffer
-		args := []string{"run", "-n", "4", "-horizon", "0.3", "-warmup", "0.03", "-o", path}
+		args := append([]string{"run"}, pin.sched...)
+		args = append(args, "-n", "4", "-horizon", "0.3", "-warmup", "0.03", "-o", path)
 		if code := dispatch(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("sgprs %v: exit %d: %s", args, code, stderr.String())
 		}
@@ -60,7 +69,7 @@ func TestPinnedTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comparePin(t, pin, got)
+		comparePin(t, pin.name, got)
 	}
 }
 
