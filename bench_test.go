@@ -441,7 +441,7 @@ func BenchmarkDenseContention(b *testing.B) {
 						stream := ctx.AddStream("s", p)
 						for k := 0; k < perStream; k++ {
 							stream.Submit(&gpu.Kernel{
-								Label:  "dc",
+								Arg:    "dc",
 								Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: kernelMS}},
 							})
 						}

@@ -255,7 +255,7 @@ func occupy(t *testing.T, eng *des.Engine, dev *gpu.Device, n int) {
 	t.Helper()
 	for _, ctx := range dev.Contexts()[:n] {
 		ctx.AddStream("busy", gpu.HighPriority).Submit(&gpu.Kernel{
-			Label:  "busy",
+			Arg:    "busy",
 			Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: 1e6}},
 		})
 	}

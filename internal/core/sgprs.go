@@ -411,18 +411,12 @@ func (s *Scheduler) dispatch(c *ctxState, now des.Time) {
 // launch submits one stage kernel. Stage executions carry no fixed
 // reconfiguration cost: the context pool is pre-created (seamless switch).
 // Kernels come from the device's free list and carry the shared
-// completion callback, so a launch performs no kernel or closure allocation;
-// the per-stage label string is only built when an observer will read it.
+// completion callback, so a launch performs no kernel or closure allocation.
 func (s *Scheduler) launch(c *ctxState, stream *gpu.Stream, st *rt.StageJob, now des.Time) {
 	st.MarkStarted(now)
 	c.inFlight++
 	task := st.Job.Task
 	k := s.dev.NewKernel()
-	if s.dev.HasObserver() {
-		k.Label = st.Label()
-	} else {
-		k.Label = "stage"
-	}
 	k.ScaleShares(task.Stages[st.Index].Shares, st.Job.WorkScale)
 	k.Arg = st
 	k.OnDone = s.doneFn

@@ -65,11 +65,11 @@ func newRig(t *testing.T, cfg Config, n int) *rig {
 	return &rig{eng: eng, dev: dev, sched: s, tasks: tasks}
 }
 
-// kernelCount is a gpu.Observer counting finished kernels.
+// kernelCount is a gpu.Hook counting retired kernels.
 type kernelCount int
 
-func (c *kernelCount) KernelStarted(*gpu.Kernel, des.Time)  {}
-func (c *kernelCount) KernelFinished(*gpu.Kernel, des.Time) { *c++ }
+func (c *kernelCount) KernelLaunched(*gpu.Kernel, des.Time) {}
+func (c *kernelCount) KernelRetired(*gpu.Kernel, des.Time)  { *c++ }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ContextSMs: []int{34}}); err == nil {
@@ -206,8 +206,6 @@ func TestMediumPromotionHappens(t *testing.T) {
 	// Overload a tiny context pool so predecessors run late.
 	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	r := newRig(t, cfg, 22)
-	var finished kernelCount
-	r.dev.SetObserver(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
@@ -221,8 +219,6 @@ func TestMediumPromotionCanBeDisabled(t *testing.T) {
 	cfg := Config{Name: "sgprs", ContextSMs: []int{10}}
 	cfg.DisableMediumPromotion = true
 	r := newRig(t, cfg, 22)
-	var finished kernelCount
-	r.dev.SetObserver(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
@@ -335,7 +331,7 @@ func TestFlattenPrioritiesPureEDF(t *testing.T) {
 	cfg.FlattenPriorities = true
 	r := newRig(t, cfg, 22)
 	var finished kernelCount
-	r.dev.SetObserver(&finished)
+	r.dev.AddHook(&finished)
 	for _, task := range r.tasks {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}

@@ -18,7 +18,7 @@ import (
 const rngSalt = 0xFA017
 
 // Injector drives all three fault families of a run. It installs itself as
-// the device's gpu.Hook, schedules degradation-window edges on the engine,
+// one of the device's gpu.Hooks, schedules degradation-window edges on the engine,
 // and hands aborted kernels to the scheduler's RecoverKernel. The zero
 // Injector is ready for Reset, which readies it for one run; a session keeps
 // one injector per fleet position and resets it for each faulted run, as it
@@ -130,7 +130,7 @@ type windowEdge struct {
 // the run starts.
 func (in *Injector) Install(col *metrics.Collector) {
 	in.col = col
-	in.dev.SetHook(in)
+	in.dev.AddHook(in)
 	total := in.dev.Config().TotalSMs
 	// Filled before anything is scheduled: the events point into the
 	// slice, which must not move under them.

@@ -113,8 +113,12 @@ type Device struct {
 	// experiment runner relies on (DESIGN.md §6).
 	running    []*Kernel
 	lastUpdate des.Time
-	observer   Observer
-	hook       Hook
+
+	// hooks run at every kernel launch and retirement, in installation
+	// order. hookBuf backs the list, so a run's trace recorder and fault
+	// injector install without allocating.
+	hooks   []Hook
+	hookBuf [2]Hook
 
 	// timer is the device's one completion event, a keyed engine event
 	// held at the least (finAt, finSeq) key among the running kernels, so
@@ -190,6 +194,7 @@ func NewDevice(eng *des.Engine, model *speedup.Model, cfg Config) (*Device, erro
 		rng:    deviceRNG(cfg.Seed),
 		effSMs: cfg.TotalSMs,
 	}
+	d.hooks = d.hookBuf[:0]
 	d.timer.InitKeyed("gpu.finish", timerFire, d)
 	return d, nil
 }
@@ -216,8 +221,8 @@ func (d *Device) Reset(cfg Config) error {
 	d.contexts = d.contexts[:0]
 	d.running = d.running[:0]
 	d.lastUpdate = 0
-	d.observer = nil
-	d.hook = nil
+	d.hookBuf = [2]Hook{}
+	d.hooks = d.hookBuf[:0]
 	d.eng.Cancel(&d.timer)
 	d.next = nil
 	d.effSMs = cfg.TotalSMs
@@ -261,54 +266,35 @@ func (d *Device) NewKernel() *Kernel {
 // is still running, or freeing one twice, is a programming error and panics.
 func (d *Device) FreeKernel(k *Kernel) {
 	if k.pooled {
-		panic(fmt.Sprintf("gpu: kernel %q freed twice", k.Label))
+		panic(fmt.Sprintf("gpu: kernel %v freed twice", k.Arg))
 	}
 	if k.started {
-		panic(fmt.Sprintf("gpu: free of running kernel %q", k.Label))
+		panic(fmt.Sprintf("gpu: free of running kernel %v", k.Arg))
 	}
 	*k = Kernel{pooled: true, scaled: k.scaled}
 	d.freeKernels = append(d.freeKernels, k)
 }
 
-// Observer receives kernel lifecycle callbacks, e.g. for execution tracing.
-// Callbacks run synchronously on the simulation goroutine; observers must not
-// mutate device state.
-type Observer interface {
-	// KernelStarted fires when a kernel begins executing on its stream.
-	KernelStarted(k *Kernel, now des.Time)
-	// KernelFinished fires when a kernel completes.
-	KernelFinished(k *Kernel, now des.Time)
-}
-
-// SetObserver installs the lifecycle observer (nil to remove).
-func (d *Device) SetObserver(o Observer) { d.observer = o }
-
-// Hook intercepts kernel lifecycle transitions for fault injection. Unlike
-// Observer it runs at precisely placed points and is allowed to mutate the
-// kernel it receives:
+// Hook watches kernel lifecycle transitions: trace recording, test
+// invariant checks and fault injection. Hooks run synchronously on the
+// simulation goroutine at two precisely placed points:
 //
-//   - KernelLaunched fires after the launch's admission bookkeeping but
-//     before the device recomputes rates, so work inflated there
-//     (Kernel.InflateWork) flows into the very first rate assignment,
-//     the waterfill, and the aggregate ceiling;
+//   - KernelLaunched fires after the launch's admission bookkeeping and
+//     OnBegin but before the device recomputes rates, so work inflated
+//     there (Kernel.InflateWork) flows into the very first rate
+//     assignment, the waterfill, and the aggregate ceiling;
 //   - KernelRetired fires after a completion's bookkeeping and recompute,
 //     before OnDone (which may free and reuse the kernel).
 //
-// A Hook is deliberately a separate interface from Observer: HasObserver
-// gates diagnostic label formatting, and installing a fault hook must not
-// flip that gate.
+// Only fault injection may mutate the kernel or the device; any other
+// hook must leave the run exactly as it would be without it.
 type Hook interface {
 	KernelLaunched(k *Kernel, now des.Time)
 	KernelRetired(k *Kernel, now des.Time)
 }
 
-// SetHook installs the fault-injection hook (nil to remove).
-func (d *Device) SetHook(h Hook) { d.hook = h }
-
-// HasObserver reports whether a lifecycle observer is installed. Schedulers
-// use it to skip building per-kernel label strings nobody will read — label
-// formatting is pure diagnostics, so eliding it never changes results.
-func (d *Device) HasObserver() bool { return d.observer != nil }
+// AddHook appends h to the device's hooks until the next Reset.
+func (d *Device) AddHook(h Hook) { d.hooks = append(d.hooks, h) }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }

@@ -52,8 +52,8 @@ func (d *Device) pump(s *Stream) {
 }
 
 // start admits k into the running set, updates the incrementally maintained
-// per-context aggregates, and recomputes rates. The lifecycle callbacks and
-// the fault hook run before the sweep banks the other kernels' progress:
+// per-context aggregates, and recomputes rates. OnBegin and the hooks run
+// before the sweep banks the other kernels' progress:
 // none of them reads another kernel's remainders or the device's accounting
 // totals (DESIGN.md §10).
 func (d *Device) start(k *Kernel, now des.Time) {
@@ -69,16 +69,14 @@ func (d *Device) start(k *Kernel, now des.Time) {
 	ctx.activeKernels++
 	ctx.weightSum += k.stream.priority.weight()
 	d.running = append(d.running, k)
-	if d.observer != nil {
-		d.observer.KernelStarted(k, now)
-	}
 	if k.OnBegin != nil {
 		k.OnBegin(k, now)
 	}
-	// The fault hook runs last before rates are derived: work it inflates
-	// (WCET overruns) flows into this launch's very first rate assignment.
-	if d.hook != nil {
-		d.hook.KernelLaunched(k, now)
+	// The hooks run last before rates are derived: work a fault hook
+	// inflates (WCET overruns) flows into this launch's very first rate
+	// assignment.
+	for _, h := range d.hooks {
+		h.KernelLaunched(k, now)
 	}
 	k.initGain(d.model)
 	d.recompute(now, k, nil)
@@ -156,7 +154,7 @@ func (d *Device) recompute(now des.Time, fresh, gone *Kernel) {
 		k.effSMs = share
 		gain := k.aggregateGain(share)
 		if k.remainingWork > workEpsilon && gain <= 0 {
-			panic(fmt.Sprintf("gpu: kernel %q has work but zero gain at %.2f SMs", k.Label, k.effSMs))
+			panic(fmt.Sprintf("gpu: kernel %v has work but zero gain at %.2f SMs", k.Arg, k.effSMs))
 		}
 		k.rate = gain
 		gainSum += gain
@@ -347,18 +345,15 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 	// numerically; anything beyond that is an engine bug.
 	slack := 1e-5 * (1 + k.rate)
 	if k.remainingWork > slack || k.remainingFixed > slack {
-		panic(fmt.Sprintf("gpu: kernel %q completed with %.3g ms work and %.3g ms fixed left",
-			k.Label, k.remainingWork, k.remainingFixed))
+		panic(fmt.Sprintf("gpu: kernel %v completed with %.3g ms work and %.3g ms fixed left",
+			k.Arg, k.remainingWork, k.remainingFixed))
 	}
 	s := k.stream
 	s.running = nil
 	d.completedKernels++
-	if d.observer != nil {
-		d.observer.KernelFinished(k, now)
-	}
-	// The fault hook must see the kernel before OnDone can free it.
-	if d.hook != nil {
-		d.hook.KernelRetired(k, now)
+	// The hooks must see the kernel before OnDone can free it.
+	for _, h := range d.hooks {
+		h.KernelRetired(k, now)
 	}
 	// OnDone runs last and hands ownership back to the scheduler: the
 	// kernel may be reset and reused before it returns, so no field of k
@@ -382,7 +377,7 @@ func (d *Device) complete(k *Kernel, now des.Time) {
 // running is a programming error and panics.
 func (d *Device) Abort(k *Kernel, now des.Time) {
 	if !k.started {
-		panic(fmt.Sprintf("gpu: abort of non-running kernel %q", k.Label))
+		panic(fmt.Sprintf("gpu: abort of non-running kernel %v", k.Arg))
 	}
 	ctx := k.stream.ctx
 	k.started = false
@@ -413,10 +408,10 @@ func (d *Device) Abort(k *Kernel, now des.Time) {
 // Abort) or not dispatched is a programming error.
 func (d *Device) CancelLaunch(k *Kernel) {
 	if k.started {
-		panic(fmt.Sprintf("gpu: cancel of running kernel %q (use Abort)", k.Label))
+		panic(fmt.Sprintf("gpu: cancel of running kernel %v (use Abort)", k.Arg))
 	}
 	if k.stream == nil || k.stream.running != k {
-		panic(fmt.Sprintf("gpu: cancel of undispatched kernel %q", k.Label))
+		panic(fmt.Sprintf("gpu: cancel of undispatched kernel %v", k.Arg))
 	}
 	s := k.stream
 	s.running = nil

@@ -120,12 +120,12 @@ func buildRun(t *testing.T, sc devScenario) (*des.Engine, *Device, *[]string) {
 	for i, sub := range sc.submits {
 		i, sub := i, sub
 		k := &Kernel{
-			Label:   fmt.Sprintf("k%d", i),
+			Arg:     fmt.Sprintf("k%d", i),
 			Shares:  sub.shares,
 			FixedMS: sub.fixedMS,
 		}
 		k.OnDone = func(_ *Kernel, now des.Time) {
-			*log = append(*log, fmt.Sprintf("%s@%d", k.Label, int64(now)))
+			*log = append(*log, fmt.Sprintf("%v@%d", k.Arg, int64(now)))
 		}
 		eng.ScheduleFunc(sub.at, "submit", func(des.Time) {
 			streams[sub.ctx][sub.stream].Submit(k)

@@ -33,7 +33,7 @@ func newTestDevice(t testing.TB, cfg Config) (*des.Engine, *Device) {
 
 func convKernel(label string, workMS float64) *Kernel {
 	return &Kernel{
-		Label:  label,
+		Arg:    label,
 		Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: workMS}},
 	}
 }
@@ -127,7 +127,7 @@ func TestFixedOnlyKernel(t *testing.T) {
 	ctx, _ := dev.CreateContext("c0", 34)
 	s := ctx.AddStream("s0", LowPriority)
 	var done des.Time
-	k := &Kernel{Label: "fixed", FixedMS: 2.5, OnDone: func(_ *Kernel, n des.Time) { done = n }}
+	k := &Kernel{Arg: "fixed", FixedMS: 2.5, OnDone: func(_ *Kernel, n des.Time) { done = n }}
 	s.Submit(k)
 	eng.Run()
 	if math.Abs(done.Milliseconds()-2.5) > 1e-4 {
@@ -449,7 +449,7 @@ func TestEmptyKernelPanics(t *testing.T) {
 			t.Fatal("empty kernel did not panic")
 		}
 	}()
-	s.Submit(&Kernel{Label: "empty"})
+	s.Submit(&Kernel{Arg: "empty"})
 }
 
 // TestAddStreamRejectsUnknownPriority: the rate sweep indexes per-priority
@@ -507,7 +507,7 @@ func TestIsolatedLatencyMS(t *testing.T) {
 	if got := k.IsolatedLatencyMS(m, 68); math.Abs(got-want) > 1e-12 {
 		t.Errorf("IsolatedLatencyMS = %v, want %v", got, want)
 	}
-	fixedOnly := &Kernel{Label: "f", FixedMS: 3}
+	fixedOnly := &Kernel{Arg: "f", FixedMS: 3}
 	if got := fixedOnly.IsolatedLatencyMS(m, 68); got != 3 {
 		t.Errorf("fixed-only = %v, want 3", got)
 	}

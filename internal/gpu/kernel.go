@@ -15,7 +15,6 @@ import (
 // and partition reconfiguration — which no SM count shrinks. It is consumed
 // at wall-clock rate before the scalable work begins.
 type Kernel struct {
-	Label string
 	// Shares is the scalable work by speedup class, in single-SM ms.
 	Shares []speedup.WorkShare
 	// FixedMS is non-scalable time in milliseconds.
@@ -28,7 +27,8 @@ type Kernel struct {
 	// may free and reuse it immediately.
 	OnBegin func(k *Kernel, now des.Time)
 	OnDone  func(k *Kernel, now des.Time)
-	// Arg is an opaque scheduler payload carried to the callbacks.
+	// Arg is an opaque scheduler payload carried to the callbacks. Traces
+	// and panics name the kernel by it (fmt's %v).
 	Arg any
 
 	stream *Stream
@@ -97,7 +97,7 @@ func (k *Kernel) initGain(m *speedup.Model) {
 	}
 	for _, p := range k.Shares {
 		if p.Work < 0 {
-			panic(fmt.Sprintf("gpu: kernel %q has negative work", k.Label))
+			panic(fmt.Sprintf("gpu: kernel %v has negative work", k.Arg))
 		}
 		if p.Work == 0 {
 			continue
@@ -147,7 +147,7 @@ func (k *Kernel) totalWork() float64 {
 	var w float64
 	for _, s := range k.Shares {
 		if s.Work < 0 {
-			panic(fmt.Sprintf("gpu: kernel %q has negative work", k.Label))
+			panic(fmt.Sprintf("gpu: kernel %v has negative work", k.Arg))
 		}
 		w += s.Work
 	}
@@ -241,11 +241,11 @@ func (s *Stream) String() string {
 // foreign device is a programming error and panics.
 func (s *Stream) Submit(k *Kernel) {
 	if k.stream != nil {
-		panic(fmt.Sprintf("gpu: kernel %q submitted twice", k.Label))
+		panic(fmt.Sprintf("gpu: kernel %v submitted twice", k.Arg))
 	}
 	work := k.totalWork()
 	if work == 0 && k.FixedMS <= 0 {
-		panic(fmt.Sprintf("gpu: kernel %q has no work", k.Label))
+		panic(fmt.Sprintf("gpu: kernel %v has no work", k.Arg))
 	}
 	k.stream = s
 	k.remainingFixed = k.FixedMS

@@ -1,9 +1,11 @@
 package gpu
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -95,7 +97,7 @@ func TestDeviceResetReclaimsKernels(t *testing.T) {
 	s2 := ctx.AddStream("s1", LowPriority)
 	fill := func(label string) *Kernel {
 		k := dev.NewKernel()
-		k.Label = label
+		k.Arg = label
 		k.Shares = []speedup.WorkShare{{Class: speedup.Conv, Work: 50}}
 		k.OnDone = func(*Kernel, des.Time) {}
 		return k
@@ -138,10 +140,58 @@ func TestKernelFreeListAllocsNothing(t *testing.T) {
 	_, dev := newTestDevice(t, quietConfig())
 	if n := testing.AllocsPerRun(100, func() {
 		k := dev.NewKernel()
-		k.Label = "k"
+		k.Arg = "k"
 		dev.FreeKernel(k)
 	}); n != 0 {
 		t.Errorf("NewKernel/FreeKernel cycle allocates %v times, want 0", n)
+	}
+}
+
+// hookLog is a Hook appending "<name>+<arg>" at launch and "<name>-<arg>"
+// at retirement to a shared log.
+type hookLog struct {
+	name string
+	log  *[]string
+}
+
+func (h hookLog) KernelLaunched(k *Kernel, _ des.Time) {
+	*h.log = append(*h.log, fmt.Sprintf("%s+%v", h.name, k.Arg))
+}
+
+func (h hookLog) KernelRetired(k *Kernel, _ des.Time) {
+	*h.log = append(*h.log, fmt.Sprintf("%s-%v", h.name, k.Arg))
+}
+
+// TestHooksRunInOrderAndResetDropsThem: hooks run in installation order at
+// launch and retirement, installing two allocates nothing, and Reset
+// forgets them — the list and its backing array alike.
+func TestHooksRunInOrderAndResetDropsThem(t *testing.T) {
+	eng, dev := newTestDevice(t, quietConfig())
+	var log []string
+	a, b := Hook(hookLog{"a", &log}), Hook(hookLog{"b", &log})
+	if n := testing.AllocsPerRun(100, func() {
+		if err := dev.Reset(quietConfig()); err != nil {
+			t.Fatal(err)
+		}
+		dev.AddHook(a)
+		dev.AddHook(b)
+	}); n != 0 {
+		t.Errorf("Reset and two AddHooks allocate %v times, want 0", n)
+	}
+	ctx, err := dev.CreateContext("c0", 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.AddStream("s0", LowPriority).Submit(convKernel("k", 5))
+	eng.Run()
+	if got, want := strings.Join(log, " "), "a+k b+k a-k b-k"; got != want {
+		t.Errorf("hook calls = %q, want %q", got, want)
+	}
+	if err := dev.Reset(quietConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if len(dev.hooks) != 0 || dev.hookBuf != [2]Hook{} {
+		t.Errorf("after Reset: hooks %v, backing array %v; want both empty", dev.hooks, dev.hookBuf)
 	}
 }
 
@@ -193,7 +243,7 @@ func TestResetDeviceRearmsTimerWithoutAllocating(t *testing.T) {
 	shares := []speedup.WorkShare{{Class: speedup.Conv, Work: 3}}
 	cycle := func() {
 		k := dev.NewKernel()
-		k.Label, k.Shares = "k", shares
+		k.Arg, k.Shares = "k", shares
 		s.Submit(k)
 		eng.Run()
 		dev.FreeKernel(k)

@@ -14,7 +14,7 @@ import (
 // sums whose rounding depends on how many times each share is added.
 func mixedKernel(label string) *Kernel {
 	return &Kernel{
-		Label: label,
+		Arg: label,
 		Shares: []speedup.WorkShare{
 			{Class: speedup.Conv, Work: 0.7},
 			{Class: speedup.Linear, Work: 0.1},
@@ -30,7 +30,7 @@ func runningLabels(dev *Device) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(k.Label)
+		fmt.Fprint(&b, k.Arg)
 	}
 	return b.String()
 }
@@ -192,7 +192,7 @@ func TestEarlyCompletePanics(t *testing.T) {
 	ctx.AddStream("s", LowPriority).Submit(k)
 	eng.AfterFunc(des.FromMillis(1), "complete", func(now des.Time) { dev.complete(k, now) })
 	msg := mustPanic(t, func() { eng.Run() })
-	if !strings.Contains(msg, `"early" completed with`) {
+	if !strings.Contains(msg, `kernel early completed with`) {
 		t.Errorf("panic = %q, want the completed-with-work-left report", msg)
 	}
 }
@@ -208,7 +208,7 @@ func TestNegativeWorkPanicsAtStart(t *testing.T) {
 	ctx.AddStream("s", LowPriority).Submit(k)
 	k.Shares[1].Work = -1
 	msg := mustPanic(t, func() { eng.Run() })
-	if !strings.Contains(msg, `"neg" has negative work`) {
+	if !strings.Contains(msg, `kernel neg has negative work`) {
 		t.Errorf("panic = %q, want the negative-work report", msg)
 	}
 	if eng.Now() != cfg.LaunchOverhead {
@@ -238,7 +238,7 @@ func TestUncontendedRateIsAggregateGain(t *testing.T) {
 		for _, k := range dev.running {
 			samples++
 			if want := k.aggregateGain(k.effSMs); math.Float64bits(k.rate) != math.Float64bits(want) {
-				t.Errorf("%v: %s rate = %v, want aggregateGain(%v) = %v", now, k.Label, k.rate, k.effSMs, want)
+				t.Errorf("%v: %v rate = %v, want aggregateGain(%v) = %v", now, k.Arg, k.rate, k.effSMs, want)
 			}
 		}
 	}

@@ -206,11 +206,6 @@ func (s *Scheduler) OnRelease(job *rt.Job, now des.Time) {
 	p.lastTask = job.Task.ID
 
 	k := s.dev.NewKernel()
-	if s.dev.HasObserver() {
-		k.Label = job.Label()
-	} else {
-		k.Label = "job"
-	}
 	k.ScaleShares(s.baseShares[job.Task.ID], job.WorkScale)
 	k.FixedMS = fixed
 	k.Arg = job

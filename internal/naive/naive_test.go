@@ -81,16 +81,16 @@ func TestStaticPinningRoundRobin(t *testing.T) {
 	}
 }
 
-// kernelCount is a gpu.Observer counting finished kernels.
+// kernelCount is a gpu.Hook counting retired kernels.
 type kernelCount int
 
-func (c *kernelCount) KernelStarted(*gpu.Kernel, des.Time)  {}
-func (c *kernelCount) KernelFinished(*gpu.Kernel, des.Time) { *c++ }
+func (c *kernelCount) KernelLaunched(*gpu.Kernel, des.Time) {}
+func (c *kernelCount) KernelRetired(*gpu.Kernel, des.Time)  { *c++ }
 
 func TestWholeNetworkExecution(t *testing.T) {
 	eng, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{34, 34}}, 1)
 	var finished kernelCount
-	dev.SetObserver(&finished)
+	dev.AddHook(&finished)
 	job := tasks[0].NewJob(0, 0)
 	s.OnRelease(job, 0)
 	eng.Run()
@@ -109,11 +109,11 @@ func TestWholeNetworkExecution(t *testing.T) {
 	}
 }
 
-// fixedLog is a gpu.Observer recording each started kernel's fixed cost.
+// fixedLog is a gpu.Hook recording each launched kernel's fixed cost.
 type fixedLog []float64
 
-func (l *fixedLog) KernelStarted(k *gpu.Kernel, _ des.Time) { *l = append(*l, k.FixedMS) }
-func (l *fixedLog) KernelFinished(*gpu.Kernel, des.Time)    {}
+func (l *fixedLog) KernelLaunched(k *gpu.Kernel, _ des.Time) { *l = append(*l, k.FixedMS) }
+func (l *fixedLog) KernelRetired(*gpu.Kernel, des.Time)      {}
 
 // TestSequentialExecutionOverheadSlowsInference: a whole-network job finishes
 // later than the same work launched with no fixed cost by exactly its fixed
@@ -122,7 +122,7 @@ func (l *fixedLog) KernelFinished(*gpu.Kernel, des.Time)    {}
 func TestSequentialExecutionOverheadSlowsInference(t *testing.T) {
 	eng, dev, s, tasks := newRig(t, Config{Name: "naive", ContextSMs: []int{68}}, 1)
 	var fixed fixedLog
-	dev.SetObserver(&fixed)
+	dev.AddHook(&fixed)
 	job := tasks[0].NewJob(0, 0)
 	s.OnRelease(job, 0)
 	eng.Run()
@@ -144,7 +144,6 @@ func TestSequentialExecutionOverheadSlowsInference(t *testing.T) {
 	}
 	var refDone des.Time
 	k := refDev.NewKernel()
-	k.Label = "ref"
 	k.Shares = tasks[0].Graph.WorkByClass()
 	k.OnDone = func(_ *gpu.Kernel, now des.Time) { refDone = now }
 	ctx.AddStream("s0", gpu.LowPriority).Submit(k)
@@ -162,7 +161,7 @@ func TestReconfigurationCostOnTaskSwitch(t *testing.T) {
 	cfg := Config{Name: "naive", ContextSMs: []int{68}}
 	eng, dev, s, tasks := newRig(t, cfg, 2) // both tasks share one partition
 	var fixed fixedLog
-	dev.SetObserver(&fixed)
+	dev.AddHook(&fixed)
 	// Alternate releases: every job switches the resident model.
 	j0 := tasks[0].NewJob(0, 0)
 	j1 := tasks[1].NewJob(0, 0)
@@ -180,7 +179,7 @@ func TestReconfigurationCostOnTaskSwitch(t *testing.T) {
 	// Same task twice: only the first pays.
 	eng2, dev2, s2, tasks2 := newRig(t, cfg, 2)
 	fixed = nil
-	dev2.SetObserver(&fixed)
+	dev2.AddHook(&fixed)
 	s2.OnRelease(tasks2[0].NewJob(0, 0), 0)
 	s2.OnRelease(tasks2[0].NewJob(1, 0), 0)
 	eng2.Run()

@@ -41,9 +41,10 @@ func (p *Profiler) Model() *speedup.Model { return p.model }
 // Config returns the device configuration measurements run against.
 func (p *Profiler) Config() gpu.Config { return p.cfg }
 
-// measure runs a single kernel alone on a fresh device with a context of sms
-// SMs and returns its wall latency (including launch overhead).
-func (p *Profiler) measure(k *gpu.Kernel, sms int) (des.Time, error) {
+// measure runs one kernel of the given shares, named name in errors, alone
+// on a fresh device with a context of sms SMs and returns its wall latency
+// (including launch overhead).
+func (p *Profiler) measure(name string, shares []speedup.WorkShare, sms int) (des.Time, error) {
 	eng := des.NewEngine()
 	cfg := p.cfg
 	// Isolation: no contention is possible, but zero the stochastic terms
@@ -59,11 +60,11 @@ func (p *Profiler) measure(k *gpu.Kernel, sms int) (des.Time, error) {
 		return 0, err
 	}
 	var done des.Time
-	k.OnDone = func(_ *gpu.Kernel, now des.Time) { done = now }
+	k := &gpu.Kernel{Shares: shares, OnDone: func(_ *gpu.Kernel, now des.Time) { done = now }}
 	ctx.AddStream("s0", gpu.LowPriority).Submit(k)
 	eng.Run()
 	if done == 0 {
-		return 0, fmt.Errorf("profile: kernel %q never completed", k.Label)
+		return 0, fmt.Errorf("profile: kernel %q never completed", name)
 	}
 	return done, nil
 }
@@ -84,8 +85,7 @@ func (p *Profiler) pad(t des.Time) des.Time {
 // StageWCET measures stage st in isolation on a context of sms SMs. It
 // fails with ErrWCETOverflow when the margin pads it past the clock.
 func (p *Profiler) StageWCET(st *dnn.Stage, sms int) (des.Time, error) {
-	k := &gpu.Kernel{Label: st.Name(), Shares: st.Shares}
-	t, err := p.measure(k, sms)
+	t, err := p.measure(st.Name(), st.Shares, sms)
 	if err != nil {
 		return 0, err
 	}
@@ -119,17 +119,12 @@ func (p *Profiler) ProfileTask(task *rt.Task, sms int) error {
 // OperationGain measures the speedup gain of workMS single-SM milliseconds of
 // class cl at sms SMs relative to one SM — one point of Figure 1.
 func (p *Profiler) OperationGain(cl speedup.Class, workMS float64, sms int) (float64, error) {
-	mk := func() *gpu.Kernel {
-		return &gpu.Kernel{
-			Label:  cl.String(),
-			Shares: []speedup.WorkShare{{Class: cl, Work: workMS}},
-		}
-	}
-	t1, err := p.measure(mk(), 1)
+	shares := []speedup.WorkShare{{Class: cl, Work: workMS}}
+	t1, err := p.measure(cl.String(), shares, 1)
 	if err != nil {
 		return 0, err
 	}
-	tn, err := p.measure(mk(), sms)
+	tn, err := p.measure(cl.String(), shares, sms)
 	if err != nil {
 		return 0, err
 	}
@@ -142,14 +137,12 @@ func (p *Profiler) OperationGain(cl speedup.Class, workMS float64, sms int) (flo
 // NetworkGain measures the composed speedup of a whole network at sms SMs
 // relative to one SM — the "ResNet18" series of Figure 1.
 func (p *Profiler) NetworkGain(g *dnn.Graph, sms int) (float64, error) {
-	mk := func() *gpu.Kernel {
-		return &gpu.Kernel{Label: g.Name, Shares: g.WorkByClass()}
-	}
-	t1, err := p.measure(mk(), 1)
+	shares := g.WorkByClass()
+	t1, err := p.measure(g.Name, shares, 1)
 	if err != nil {
 		return 0, err
 	}
-	tn, err := p.measure(mk(), sms)
+	tn, err := p.measure(g.Name, shares, sms)
 	if err != nil {
 		return 0, err
 	}

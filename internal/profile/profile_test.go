@@ -142,7 +142,7 @@ func TestNetworkGainNearPaper(t *testing.T) {
 // NetworkLatency measures the isolated inference latency of a whole network
 // at sms SMs (no WCET margin — this is a raw measurement).
 func (p *Profiler) NetworkLatency(g *dnn.Graph, sms int) (des.Time, error) {
-	return p.measure(&gpu.Kernel{Label: g.Name, Shares: g.WorkByClass()}, sms)
+	return p.measure(g.Name, g.WorkByClass(), sms)
 }
 
 func TestNetworkLatencyScalesWithSMs(t *testing.T) {

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"strconv"
 
 	"sgprs/internal/des"
 )
@@ -222,28 +221,8 @@ func (j *Job) ResponseTime() des.Time {
 	return j.FinishedAt - j.Release
 }
 
-// Label renders "τ2#17". It is String without the fmt machinery: schedulers
-// stamp every launched kernel with a label, which makes this a hot path.
-func (j *Job) Label() string { return string(j.appendLabel(make([]byte, 0, 16))) }
-
-func (j *Job) appendLabel(b []byte) []byte {
-	b = append(b, "τ"...)
-	b = strconv.AppendInt(b, int64(j.Task.ID), 10)
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(j.Index), 10)
-	return b
-}
-
 // String renders "τ2#17".
-func (j *Job) String() string { return j.Label() }
-
-// Label renders "τ2#17.s3" (see Job.Label).
-func (s *StageJob) Label() string {
-	b := s.Job.appendLabel(make([]byte, 0, 20))
-	b = append(b, ".s"...)
-	b = strconv.AppendInt(b, int64(s.Index), 10)
-	return string(b)
-}
+func (j *Job) String() string { return fmt.Sprintf("τ%d#%d", j.Task.ID, j.Index) }
 
 // String renders "τ2#17.s3".
-func (s *StageJob) String() string { return s.Label() }
+func (s *StageJob) String() string { return fmt.Sprintf("%v.s%d", s.Job, s.Index) }

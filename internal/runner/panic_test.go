@@ -10,12 +10,12 @@ import (
 	"sgprs/internal/gpu"
 )
 
-// panicObserver blows up on the first kernel start — a stand-in for any
+// panicObserver blows up on the first kernel launch — a stand-in for any
 // buggy user-supplied observer.
 type panicObserver struct{}
 
-func (panicObserver) KernelStarted(k *gpu.Kernel, now des.Time)  { panic("observer exploded") }
-func (panicObserver) KernelFinished(k *gpu.Kernel, now des.Time) {}
+func (panicObserver) KernelLaunched(k *gpu.Kernel, now des.Time) { panic("observer exploded") }
+func (panicObserver) KernelRetired(k *gpu.Kernel, now des.Time)  {}
 
 // TestRunRecoversPanickingJob pins the pool's fault isolation: a job that
 // panics mid-simulation is finalized with a JobError carrying the panic and

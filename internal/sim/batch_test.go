@@ -39,7 +39,7 @@ func runBatch(cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	if cfg.Observer != nil {
-		dev.SetObserver(cfg.Observer)
+		dev.AddHook(cfg.Observer)
 	}
 
 	graph := ReferenceGraph(model)

@@ -7,7 +7,7 @@ import (
 	"sgprs/internal/gpu"
 )
 
-// invariantChecker is a gpu.Observer that asserts execution invariants
+// invariantChecker is a gpu.Hook that asserts execution invariants
 // online: stream exclusivity (one kernel per stream at a time), causality
 // (finish after start), and bounded per-context concurrency.
 type invariantChecker struct {
@@ -29,10 +29,10 @@ func newInvariantChecker(t *testing.T, maxPerCtx int) *invariantChecker {
 	}
 }
 
-func (c *invariantChecker) KernelStarted(k *gpu.Kernel, now des.Time) {
+func (c *invariantChecker) KernelLaunched(k *gpu.Kernel, now des.Time) {
 	st := k.Stream()
 	if prev := c.running[st]; prev != nil {
-		c.t.Errorf("stream %v started %q while %q still running", st, k.Label, prev.Label)
+		c.t.Errorf("stream %v started %v while %v still running", st, k.Arg, prev.Arg)
 	}
 	c.running[st] = k
 	ctx := st.Context()
@@ -46,10 +46,10 @@ func (c *invariantChecker) KernelStarted(k *gpu.Kernel, now des.Time) {
 	c.started++
 }
 
-func (c *invariantChecker) KernelFinished(k *gpu.Kernel, now des.Time) {
+func (c *invariantChecker) KernelRetired(k *gpu.Kernel, now des.Time) {
 	st := k.Stream()
 	if c.running[st] != k {
-		c.t.Errorf("stream %v finished %q it was not running", st, k.Label)
+		c.t.Errorf("stream %v finished %v it was not running", st, k.Arg)
 	}
 	delete(c.running, st)
 	c.perContext[st.Context()]--

@@ -141,7 +141,7 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 			s.devs = append(s.devs, d)
 		}
 		if cfg.Observer != nil {
-			s.devs[i].SetObserver(cfg.Observer)
+			s.devs[i].AddHook(cfg.Observer)
 		}
 	}
 

@@ -128,9 +128,10 @@ type RunConfig struct {
 	DisableLateDrop        bool
 	FlattenPriorities      bool
 
-	// Observer, when non-nil, receives every kernel start/finish (e.g. a
-	// trace.Recorder).
-	Observer gpu.Observer
+	// Observer, when non-nil, is a hook on every device, installed ahead
+	// of any fault injector (e.g. a trace.Recorder). It must not change the
+	// run.
+	Observer gpu.Hook
 }
 
 // Normalize fills defaults and validates. Zero values default; negative

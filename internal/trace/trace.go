@@ -1,8 +1,11 @@
 // Package trace records GPU execution timelines and exports them as Chrome
 // trace JSON (load in chrome://tracing or https://ui.perfetto.dev) or CSV.
 //
-// A Recorder implements gpu.Observer: install it with Device.SetObserver
-// before the run, then export after the engine drains.
+// A Recorder is a gpu.Hook: install it with Device.AddHook (or as
+// sim.RunConfig.Observer) before the run, then export after the engine
+// drains. It records a span when a kernel retires, from the kernel's latest
+// start to now, labelled with the kernel's Arg; it only reads the kernels
+// it is shown, so a traced run is the run it would have been untraced.
 package trace
 
 import (
@@ -28,35 +31,27 @@ type Span struct {
 // Duration reports the span length.
 func (s Span) Duration() des.Time { return s.End - s.Start }
 
-// Recorder collects kernel spans. It implements gpu.Observer.
+// Recorder collects kernel spans. It implements gpu.Hook.
 type Recorder struct {
-	open  map[*gpu.Kernel]des.Time
 	spans []Span
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{open: map[*gpu.Kernel]des.Time{}}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// KernelStarted implements gpu.Observer.
-func (r *Recorder) KernelStarted(k *gpu.Kernel, now des.Time) {
-	r.open[k] = now
-}
+// KernelLaunched implements gpu.Hook; a span is recorded when its kernel
+// retires.
+func (r *Recorder) KernelLaunched(*gpu.Kernel, des.Time) {}
 
-// KernelFinished implements gpu.Observer.
-func (r *Recorder) KernelFinished(k *gpu.Kernel, now des.Time) {
-	start, ok := r.open[k]
-	if !ok {
-		return // started before recording began
-	}
-	delete(r.open, k)
+// KernelRetired implements gpu.Hook: it records the span of k's latest
+// launch, which ends now.
+func (r *Recorder) KernelRetired(k *gpu.Kernel, now des.Time) {
 	st := k.Stream()
 	r.spans = append(r.spans, Span{
-		Label:   k.Label,
+		Label:   fmt.Sprint(k.Arg),
 		Context: st.Context().Name(),
 		Stream:  st.String(),
-		Start:   start,
+		Start:   k.StartedAt(),
 		End:     now,
 	})
 }

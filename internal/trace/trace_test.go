@@ -20,17 +20,17 @@ func runTraced(t *testing.T) *Recorder {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
-	dev.SetObserver(rec)
+	dev.AddHook(rec)
 	ctx, _ := dev.CreateContext("cp0", 34)
 	s1 := ctx.AddStream("hi0", gpu.HighPriority)
 	s2 := ctx.AddStream("lo0", gpu.LowPriority)
 	for i := 0; i < 3; i++ {
 		s1.Submit(&gpu.Kernel{
-			Label:  "k-hi",
+			Arg:    "k-hi",
 			Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: 2}},
 		})
 		s2.Submit(&gpu.Kernel{
-			Label:  "k-lo",
+			Arg:    "k-lo",
 			Shares: []speedup.WorkShare{{Class: speedup.ReLU, Work: 1}},
 		})
 	}
@@ -105,13 +105,33 @@ func TestCSVExport(t *testing.T) {
 	}
 }
 
-func TestFinishWithoutStartIgnored(t *testing.T) {
+// TestAbortedKernelSpansItsLastLaunch: a kernel aborted mid-flight and
+// resubmitted retires once, and its one span starts at its relaunch.
+func TestAbortedKernelSpansItsLastLaunch(t *testing.T) {
+	eng := des.NewEngine()
+	dev, err := gpu.NewDevice(eng, speedup.DefaultModel(), gpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := NewRecorder()
-	// Simulate a kernel that was started before recording began.
-	k := &gpu.Kernel{Label: "ghost"}
-	rec.KernelFinished(k, des.Second)
-	if len(rec.Spans()) != 0 {
-		t.Error("ghost span recorded")
+	dev.AddHook(rec)
+	ctx, _ := dev.CreateContext("cp0", 34)
+	s := ctx.AddStream("lo0", gpu.LowPriority)
+	k := &gpu.Kernel{Arg: "retried", Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: 200}}}
+	s.Submit(k)
+	var relaunch des.Time
+	eng.AfterFunc(des.Millisecond, "abort", func(now des.Time) {
+		dev.Abort(k, now)
+		s.Submit(k)
+		relaunch = now + gpu.DefaultConfig().LaunchOverhead
+	})
+	eng.Run()
+	spans := rec.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(spans))
+	}
+	if sp := spans[0]; sp.Label != "retried" || sp.Start != relaunch || sp.End != eng.Now() {
+		t.Errorf("span = %+v, want retried from %v to %v", sp, relaunch, eng.Now())
 	}
 }
 
