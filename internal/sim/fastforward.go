@@ -127,9 +127,14 @@ func (s *Session) runToHorizon(cfg RunConfig, gen *workload.Generator, tasks []*
 	}
 
 	// First boundary: the smallest period multiple at or past the warm-up —
-	// never extrapolate into the warm-up window.
-	b := des.Time((int64(warmUp) + int64(period) - 1) / int64(period) * int64(period))
-	for ; b < horizon; b += period {
+	// never extrapolate into the warm-up window. Rounding up and stepping
+	// saturate at Never, so a period near it ends the loop instead of
+	// wrapping the boundary back towards 0.
+	b := warmUp / period * period
+	if b < warmUp {
+		b = b.Add(period)
+	}
+	for ; b < horizon; b = b.Add(period) {
 		s.eng.RunUntil(b)
 		if s.ffTrace != nil {
 			s.ffTrace(b)
@@ -222,10 +227,10 @@ func (s *Session) runToHorizon(cfg RunConfig, gen *workload.Generator, tasks []*
 // lockstep trace at each one. Chunked RunUntil is equivalent to one call: the
 // engine fires the same events in the same order either way.
 func (r *ffRun) chunkUntil(horizon des.Time) {
-	p := int64(r.period)
+	p := r.period
 	for {
-		now := int64(r.s.eng.Now())
-		next := des.Time((now/p + 1) * p)
+		now := r.s.eng.Now()
+		next := (now / p * p).Add(p)
 		if next >= horizon {
 			return
 		}

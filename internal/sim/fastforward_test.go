@@ -122,6 +122,30 @@ func TestFastForwardIneligibleZeroOverhead(t *testing.T) {
 	}
 }
 
+// TestFastForwardNearNeverPeriod: an eligible run whose release period
+// saturates at des.Never fingerprints no boundary — the first period
+// multiple past the warm-up lies beyond the horizon, and rounding up to it
+// must not wrap to time 0 — and equals its full-simulation twin.
+func TestFastForwardNearNeverPeriod(t *testing.T) {
+	cfg := RunConfig{Kind: KindSGPRS, Name: "rate-1e-12", ContextSMs: []int{34, 34}, NumTasks: 4,
+		Arrival: workload.Periodic{Rate: 1e-12}, HorizonSec: 2, Seed: 1, GPU: eligibleGPU(1)}
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FastForward.BoundariesHashed != 0 {
+		t.Errorf("hashed %d boundaries, want 0", got.FastForward.BoundariesHashed)
+	}
+	want, err := Run(fullSim(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustNotFastForward(t, "full-sim twin", want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fast-forward path differs from full simulation:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestFastForwardLockstepCollectorState is the strongest equivalence check:
 // it snapshots the collector's complete accumulated state — every counter,
 // every response-time float, every backlog interval — at every release
