@@ -21,6 +21,10 @@ type ArrivalTask struct {
 	// parameters (Jitter is consumed only by Periodic — open-loop
 	// processes have their own randomness).
 	Period, Offset, Jitter des.Time
+	// Horizon is the run's end. The generator uses no release at or past
+	// it, so a process may return des.Never for any instant it would
+	// place there; MMPP does, which bounds its walk over state changes.
+	Horizon des.Time
 }
 
 // arrivalProcess emits one task's release instants, in non-decreasing
@@ -356,7 +360,7 @@ func (m MMPP) Scale(factor float64) Arrival {
 
 func (m MMPP) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess {
 	p := &slot.mmpp
-	*p = mmppProcess{m: m, cur: t.Offset, rng: rng}
+	*p = mmppProcess{m: m, cur: t.Offset, horizon: t.Horizon, rng: rng}
 	p.phaseEnd = p.cur.Add(clockNS(rng.Exp(m.MeanSojournSec[0] * float64(des.Second))))
 	return p
 }
@@ -364,18 +368,20 @@ func (m MMPP) start(slot *procSlot, t ArrivalTask, rng *des.RNG) arrivalProcess 
 // mmppProcess exploits memorylessness: at a state boundary the pending
 // exponential inter-arrival is simply redrawn at the new state's rate,
 // which has the same distribution as the textbook competing-clocks
-// construction and needs no thinning. Once a boundary is beyond the
-// clock, so is every later arrival.
+// construction and needs no thinning. Once a boundary is at or past the
+// horizon, so is every later arrival: the walk stops there and returns
+// des.Never without drawing again.
 type mmppProcess struct {
 	m        MMPP
 	state    int
 	cur      des.Time
 	phaseEnd des.Time
+	horizon  des.Time
 	rng      *des.RNG
 }
 
 func (p *mmppProcess) Next() (des.Time, bool) {
-	for p.cur != des.Never {
+	for p.cur < p.horizon {
 		if rate := p.m.RatesPerSec[p.state]; rate > 0 {
 			at := p.cur.Add(clockNS(p.rng.Exp(float64(des.Second) / rate)))
 			if at < p.phaseEnd {

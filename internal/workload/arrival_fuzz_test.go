@@ -14,22 +14,27 @@ func within(v, lo, hi float64) bool { return v >= lo && v <= hi }
 func rateOK(r float64) bool { return r == 0 || within(r, 1e-12, 1e6) }
 
 // FuzzArrival starts one of the six arrival kinds, optionally scaled, for
-// one task and draws up to 256 instants: no panic, and no instant before
-// the previous one (nor before time 0). Parameters are bounded so every
-// input finishes quickly: Validate accepts them, and the two kinds whose
-// Next loops are held to inputs where a draw needs few iterations — an
-// MMPP state expects at least 0.01 arrivals per visit (below that Next
-// walks ~1/(rate·sojourn) state changes per arrival), and a diurnal cycle
-// spans at most 1e6 candidate arrivals (thinning from a rate of ~0 at the
-// cycle start takes ~(cycle·peak rate)^⅔ candidates).
+// one task of a run with a 1 s horizon and draws up to 256 instants: no
+// panic, and no instant before the previous one (nor before time 0).
+// Parameters are bounded so every input finishes quickly: Validate accepts
+// them, an MMPP sojourn of at least 1 µs means at most ~1e6 state changes
+// before the horizon ends its walk, and a diurnal cycle spans at most 1e6
+// candidate arrivals (thinning from a rate of ~0 at the cycle start takes
+// ~(cycle·peak rate)^⅔ candidates).
 func FuzzArrival(f *testing.F) {
 	const tiny = 1e-12
+	horizon := des.Second
 	period := int64(des.FromSeconds(1.0 / 30))
 	f.Add(uint8(0), 0.0, 0.0, 0.0, 0.0, period, int64(0), int64(0), uint64(1))
 	f.Add(uint8(0), 2.0, 0.0, 0.0, 0.0, period, period/2, int64(0), uint64(1))
 	f.Add(uint8(1), 0.0, 0.0, 0.0, 1.5, period, int64(0), int64(0), uint64(2))
 	f.Add(uint8(2), 0.5, 1.5, 0.0, 2.0, period, int64(0), int64(7), uint64(3))
 	f.Add(uint8(3), 0.0, 200.0, 0.2, 0.0, period, int64(0), int64(0), uint64(4))
+	// A low-intensity MMPP: an arrival every ~1e6 s, so the walk crosses
+	// every state change up to the horizon.
+	f.Add(uint8(3), 0.0, 200.0, 0.2, 1e-8, period, int64(0), int64(0), uint64(4))
+	// 1 µs sojourns: the most state changes a walk to the horizon crosses.
+	f.Add(uint8(3), tiny, tiny, 1e-6, 0.0, period, int64(0), int64(0), uint64(4))
 	f.Add(uint8(4), 2.0, 0.0, 0.0, 2.0, period, int64(0), int64(0), uint64(5))
 	f.Add(uint8(5), 0.0, 0.0, 0.0, 0.5, period, int64(0), int64(0), uint64(6))
 	// Rates whose gaps overflow the nanosecond clock.
@@ -71,8 +76,7 @@ func FuzzArrival(f *testing.F) {
 			}
 			a = Bursty{OnSec: x, OffSec: y, Rate: z}
 		case 3:
-			if !(rateOK(x) && rateOK(y) && within(z, 1e-6, 1e12)) ||
-				max(x, y)*scale*z < 0.01 {
+			if !(rateOK(x) && rateOK(y) && within(z, 1e-6, 1e12)) {
 				t.Skip()
 			}
 			a = MMPP{RatesPerSec: []float64{x, y}, MeanSojournSec: []float64{z, z}}
@@ -97,7 +101,7 @@ func FuzzArrival(f *testing.F) {
 		if err := a.Validate(); err != nil {
 			t.Skip(err)
 		}
-		task := ArrivalTask{Index: 0, Count: 1, Period: des.Time(period), Offset: des.Time(offset), Jitter: des.Time(jitter)}
+		task := ArrivalTask{Index: 0, Count: 1, Period: des.Time(period), Offset: des.Time(offset), Jitter: des.Time(jitter), Horizon: horizon}
 		p := a.start(&procSlot{}, task, des.NewRNG(seed).Fork(1))
 		prev := des.Time(0)
 		for i := 0; i < 256; i++ {

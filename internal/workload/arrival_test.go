@@ -9,12 +9,14 @@ import (
 	"sgprs/internal/des"
 )
 
-// arrTask is the canonical 30 fps task view the arrival tests use.
+// arrTask is the canonical 30 fps task view the arrival tests use, with no
+// horizon before the clock's end.
 func arrTask(index, count int) ArrivalTask {
 	return ArrivalTask{
-		Index:  index,
-		Count:  count,
-		Period: des.FromSeconds(1.0 / 30),
+		Index:   index,
+		Count:   count,
+		Period:  des.FromSeconds(1.0 / 30),
+		Horizon: des.Never,
 	}
 }
 
@@ -317,6 +319,70 @@ func TestBuildRejectsNonFinite(t *testing.T) {
 		if _, err := Build([]TaskSpec{sp}); err == nil {
 			t.Errorf("non-finite spec accepted: %+v", sp)
 		}
+	}
+}
+
+// TestMMPPWalkStopsAtHorizon: a low-intensity MMPP whose next arrival lies
+// far past the horizon stops at the first state boundary at or past the
+// horizon and returns des.Never. A twin stepped one boundary at a time (each
+// Next given a horizon just past its clock) ends at the same boundary, in
+// the same state, with the same RNG cursor, so the walk drew nothing past
+// that boundary.
+func TestMMPPWalkStopsAtHorizon(t *testing.T) {
+	a := MMPP{RatesPerSec: []float64{0, 200}, MeanSojournSec: []float64{0.2, 0.1}}.Scale(1e-8)
+	horizon := des.FromSeconds(10)
+	task := arrTask(0, 1)
+	task.Horizon = horizon
+	p := startArrival(a, task, des.NewRNG(5).Fork(1)).(*mmppProcess)
+	if at, ok := p.Next(); at != des.Never || !ok {
+		t.Fatalf("Next = %v, %v; want des.Never, true", at, ok)
+	}
+	q := startArrival(a, task, des.NewRNG(5).Fork(1)).(*mmppProcess)
+	steps := 0
+	for q.cur < horizon {
+		q.horizon = q.cur + 1
+		if at, _ := q.Next(); at != des.Never {
+			t.Fatalf("stepped walk released at %v", at)
+		}
+		steps++
+	}
+	if p.cur != q.cur || p.state != q.state || p.phaseEnd != q.phaseEnd || *p.rng != *q.rng {
+		t.Errorf("walk stopped at %v (state %d, phase end %v), stepped walk's first boundary past %v is %v (state %d, phase end %v)",
+			p.cur, p.state, p.phaseEnd, horizon, q.cur, q.state, q.phaseEnd)
+	}
+	if steps < 20 {
+		t.Errorf("only %d boundaries before the horizon; the walk is barely exercised", steps)
+	}
+}
+
+// TestMMPPHorizonKeepsInstants: a horizon changes no instant before it. A
+// bounded and an unbounded MMPP on the same stream emit the same instants up
+// to the horizon; past it the bounded one emits the same instant or
+// des.Never.
+func TestMMPPHorizonKeepsInstants(t *testing.T) {
+	a := MMPP{RatesPerSec: []float64{0, 200}, MeanSojournSec: []float64{0.2, 0.1}}
+	horizon := des.FromSeconds(2)
+	task := arrTask(0, 1)
+	free := startArrival(a, task, des.NewRNG(9).Fork(1))
+	task.Horizon = horizon
+	bounded := startArrival(a, task, des.NewRNG(9).Fork(1))
+	n := 0
+	for {
+		want, _ := free.Next()
+		got, _ := bounded.Next()
+		if want >= horizon {
+			if got != want && got != des.Never {
+				t.Errorf("first instant past the horizon = %v, want %v or des.Never", got, want)
+			}
+			break
+		}
+		if got != want {
+			t.Fatalf("instant %d = %v, want %v", n, got, want)
+		}
+		n++
+	}
+	if n < 50 {
+		t.Errorf("only %d instants before the horizon", n)
 	}
 }
 

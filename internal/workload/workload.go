@@ -286,11 +286,12 @@ func (g *Generator) Start(tasks []*rt.Task, horizon des.Time) {
 			horizon: horizon,
 		}
 		c.proc = arrival.start(&c.slot, ArrivalTask{
-			Index:  t.ID,
-			Count:  len(tasks),
-			Period: t.Period,
-			Offset: t.Offset,
-			Jitter: t.ReleaseJitter,
+			Index:   t.ID,
+			Count:   len(tasks),
+			Period:  t.Period,
+			Offset:  t.Offset,
+			Jitter:  t.ReleaseJitter,
+			Horizon: horizon,
 		}, &c.rng)
 		c.scheduleNext()
 	}
