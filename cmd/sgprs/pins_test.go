@@ -11,7 +11,8 @@ import (
 // TestPinnedOutput: the subcommands reproduce byte for byte what the
 // separate sgprs-sim, -sweep, -analyze, -calibrate, -profile and -speedup
 // commands printed before they were merged into this one (testdata/, one
-// file per invocation).
+// file per invocation), and the registry builtins the README points to in
+// place of example programs print at a small scale.
 func TestPinnedOutput(t *testing.T) {
 	cases := []struct {
 		pin  string
@@ -26,6 +27,9 @@ func TestPinnedOutput(t *testing.T) {
 			`-faults {"device_faults":[{"device":1,"start_sec":1,"restart_sec":1.5}]}`},
 		{"sweep-config.txt", "sweep -config testdata/sweep-config.json"},
 		{"sweep-config-scenario.txt", "sweep -config testdata/sweep-config-scenario.json"},
+		{"sweep-fault-resilience.txt", "sweep -experiment fault-resilience -tasks 8 -horizon 2"},
+		{"sweep-fleet-failover.txt", "sweep -experiment fleet-failover -tasks 12 -horizon 6"},
+		{"sweep-oversubscription.txt", "sweep -experiment oversubscription -tasks 26 -horizon 2"},
 		{"list.txt", "list"},
 		{"analyze.txt", "analyze -n 8"},
 		{"analyze-verify.txt", "analyze -n 8 -verify -jobs 1"},
