@@ -187,8 +187,11 @@ func (s *Scenario) WriteText(w io.Writer) error {
 		}
 	}
 	fmt.Fprintln(w, "\npivot points (largest task count with zero misses):")
+	// Labels pad to at least 12 columns and always keep a space before the
+	// count, however long the longest one is.
+	tw := tabwriter.NewWriter(w, len("  ")+12+1, 0, 1, ' ', 0)
 	for _, name := range s.Order {
-		fmt.Fprintf(w, "  %-12s %d tasks (saturation %.0f fps, final %.0f fps)",
+		fmt.Fprintf(tw, "  %s\t%d tasks (saturation %.0f fps, final %.0f fps)",
 			name,
 			metrics.PivotPoint(s.Series[name]),
 			metrics.SaturationFPS(s.Series[name]),
@@ -196,11 +199,11 @@ func (s *Scenario) WriteText(w io.Writer) error {
 		// Derived numbers over a gapped series (failed sweep points)
 		// would otherwise read as trustworthy.
 		if missing := len(s.TaskCounts) - len(s.Series[name]); missing > 0 {
-			fmt.Fprintf(w, " [incomplete: %d/%d points]", len(s.Series[name]), len(s.TaskCounts))
+			fmt.Fprintf(tw, " [incomplete: %d/%d points]", len(s.Series[name]), len(s.TaskCounts))
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(tw)
 	}
-	return nil
+	return tw.Flush()
 }
 
 // WriteCSV renders the dataset as long-form CSV: variant,tasks,fps,dmr,

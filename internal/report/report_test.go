@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +106,40 @@ func TestScenarioText(t *testing.T) {
 	// Pivot of naive is 10, of sgprs is 20.
 	if !strings.Contains(out, "10 tasks") || !strings.Contains(out, "20 tasks") {
 		t.Errorf("pivots missing:\n%s", out)
+	}
+}
+
+// TestPivotLinesAlign: every pivot line starts its count in the same
+// column, at least 15 characters in, and a label longer than 12 characters
+// still keeps a space before the count.
+func TestPivotLinesAlign(t *testing.T) {
+	point := []metrics.Point{{Tasks: 4, Summary: metrics.Summary{TotalFPS: 120}}}
+	s := &Scenario{
+		Title:      "align",
+		TaskCounts: []int{4},
+		Series:     map[string][]metrics.Point{"naive": point, "sgprs-1.5x@rate=1.5": point},
+		Order:      []string{"naive", "sgprs-1.5x@rate=1.5"},
+	}
+	var buf bytes.Buffer
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, pivots, _ := strings.Cut(buf.String(), "pivot points")
+	want := []string{
+		"  naive               4 tasks (saturation 120 fps, final 120 fps)",
+		"  sgprs-1.5x@rate=1.5 4 tasks (saturation 120 fps, final 120 fps)",
+	}
+	if got := strings.Split(strings.TrimSpace(pivots), "\n")[1:]; !slices.Equal(got, want) {
+		t.Errorf("pivot lines:\n%q\nwant:\n%q", got, want)
+	}
+
+	s.Order = []string{"naive"}
+	buf.Reset()
+	if err := s.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if line := "\n  naive        4 tasks (saturation"; !strings.Contains(buf.String(), line) {
+		t.Errorf("short label lost its 12-column pad: want %q in\n%s", line, buf.String())
 	}
 }
 
