@@ -20,6 +20,7 @@ func TestPinnedOutput(t *testing.T) {
 	}{
 		{"run-default.txt", "run -horizon 2"},
 		{"run-naive-stagger.txt", "run -sched naive -stagger -horizon 2"},
+		{"run-short-window.txt", "run -n 2 -horizon 0.3 -warmup 0.03"},
 		{"sweep.txt", "sweep -scenario 1 -tasks 2,4 -horizon 2"},
 		{"sweep-csv.txt", "sweep -scenario 1 -tasks 2,4 -horizon 2 -csv"},
 		{"sweep-arrival.txt", "sweep -scenario 1 -tasks 2,4 -horizon 2 -arrival poisson:45 -rate 1,1.5 -slo 33.3"},

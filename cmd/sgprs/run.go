@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"sgprs/internal/config"
@@ -65,7 +66,7 @@ func runCmd(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "scheduler        %s\n", res.Name)
 	fmt.Fprintf(stdout, "contexts         %v SMs\n", cfg.ContextSMs)
 	fmt.Fprintf(stdout, "tasks            %d x ResNet18 @ %.0f fps, %d stages\n", res.Tasks, cfg.FPS, cfg.Stages)
-	fmt.Fprintf(stdout, "window           [%.1fs, %.1fs)\n", cfg.WarmUpSec, cfg.HorizonSec)
+	fmt.Fprintf(stdout, "window           [%ss, %ss)\n", seconds(cfg.WarmUpSec), seconds(cfg.HorizonSec))
 	fmt.Fprintf(stdout, "total FPS        %.1f\n", s.TotalFPS)
 	fmt.Fprintf(stdout, "deadline misses  %d / %d (DMR %.4f)\n", s.Missed, s.Released, s.DMR)
 	fmt.Fprintf(stdout, "completed        %d\n", s.Completed)
@@ -112,4 +113,14 @@ func writeTrace(rec *trace.Recorder, path string) error {
 		err = cerr
 	}
 	return err
+}
+
+// seconds formats v with as many decimals as it needs, and at least one, so
+// a 0.03 s warm-up does not print as 0.0 s.
+func seconds(v float64) string {
+	s := strconv.FormatFloat(v, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
 }
