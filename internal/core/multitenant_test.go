@@ -1,19 +1,12 @@
-// Multitenant: the paper's motivating scenario — co-located DNN services of
-// different sizes and rates sharing one GPU. Three tenant classes (a 30 fps
-// ResNet18 vision pipeline, a 10 fps VGG11 analytics pass, and a 60 fps
-// TinyCNN gesture detector) run under SGPRS on a three-context pool.
-//
-// This example wires the lower-level API directly — device, profiler,
-// scheduler, generator, streaming metrics collectors — instead of going
-// through the sim front end, to show how heterogeneous task sets are
-// assembled.
-//
-//	go run ./examples/multitenant
-package main
+package core_test
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
-	"log"
+	"os"
+	"path/filepath"
+	"testing"
 
 	"sgprs/internal/core"
 	"sgprs/internal/des"
@@ -27,8 +20,18 @@ import (
 	"sgprs/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
+var update = flag.Bool("update", false, "rewrite testdata/multitenant.txt from the current code")
+
+// TestMultiTenantGolden runs the paper's motivating scenario — co-located
+// DNN services of different sizes and rates sharing one GPU — and pins its
+// report byte for byte against testdata/multitenant.txt. Three tenant
+// classes (a 30 fps ResNet18 vision pipeline, a 10 fps VGG11 analytics pass
+// and a 60 fps TinyCNN gesture detector) run under SGPRS on a three-context
+// pool, wired from device, profiler, scheduler, generator and one streaming
+// collector per tenant. It is the only end-to-end run that mixes networks:
+// the sim front end builds identical ResNet18 task sets. For an intended
+// change, rewrite the file with -update.
+func TestMultiTenantGolden(t *testing.T) {
 	model := speedup.DefaultModel()
 	cm := dnn.DefaultCostModel()
 	vgg := dnn.VGG11(cm)
@@ -54,52 +57,69 @@ func main() {
 	for i := range tenants {
 		tenants[i] = metrics.NewCollector(des.Second, horizon)
 	}
-	tasks, _, _ := simulate(model, specs, pool, horizon, tenants)
+	tasks, _, _ := simulateTenants(t, model, specs, pool, horizon, tenants)
 	total := metrics.NewCollector(des.Second, horizon)
-	_, dev, sched := simulate(model, specs, pool, horizon, total)
+	_, dev, sched := simulateTenants(t, model, specs, pool, horizon, total)
 
-	fmt.Printf("multi-tenant inference under SGPRS: %v SMs, 6 s simulated\n\n", pool)
-	fmt.Printf("%-20s %6s %8s %8s %10s\n", "tenant", "rate", "fps", "dmr", "p99(ms)")
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "multi-tenant inference under SGPRS: %v SMs, 6 s simulated\n\n", pool)
+	fmt.Fprintf(&out, "%-20s %6s %8s %8s %10s\n", "tenant", "rate", "fps", "dmr", "p99(ms)")
 	for _, task := range tasks {
 		sum := tenants[task.ID].Summary()
-		fmt.Printf("%-20s %6.0f %8.1f %8.4f %10.2f\n",
+		fmt.Fprintf(&out, "%-20s %6.0f %8.1f %8.4f %10.2f\n",
 			task.Name, 1/task.Period.Seconds(), sum.TotalFPS, sum.DMR, sum.RespP99MS)
 	}
-	fmt.Printf("\ntotal: %s\n", total.Summary())
-	fmt.Printf("device utilisation %.1f%%, medium promotions %d\n",
-		dev.Utilization()*100, sched.Promotions())
+	fmt.Fprintf(&out, "\ntotal: %s\n", total.Summary())
+	fmt.Fprintf(&out, "device utilisation %.1f%%, medium promotions %d\n",
+		dev.Utilization()*100, core.Promotions(sched))
+
+	path := filepath.Join("testdata", "multitenant.txt")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("report differs from %s:\n got:\n%s\nwant:\n%s", path, out.Bytes(), want)
+	}
 }
 
-// simulate runs the tenant mix under SGPRS on a fresh engine and device
-// until the horizon, streaming every job's lifecycle to sink.
-func simulate(model *speedup.Model, specs []workload.TaskSpec, pool []int, horizon des.Time, sink workload.JobSink) ([]*rt.Task, *gpu.Device, *core.Scheduler) {
+// simulateTenants runs the tenant mix under SGPRS on a fresh engine and
+// device until the horizon, streaming every job's lifecycle to sink.
+func simulateTenants(t *testing.T, model *speedup.Model, specs []workload.TaskSpec, pool []int, horizon des.Time, sink workload.JobSink) ([]*rt.Task, *gpu.Device, *core.Scheduler) {
+	t.Helper()
 	eng := des.NewEngine()
 	dev, err := gpu.NewDevice(eng, model, gpu.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 	tasks, err := workload.Build(specs)
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 
 	// Offline phase: profile WCETs on the smallest pool context.
 	prof := profile.New(model, dev.Config())
-	for _, t := range tasks {
-		if err := prof.ProfileTask(t, pool[0]); err != nil {
-			log.Fatal(err)
+	for _, task := range tasks {
+		if err := prof.ProfileTask(task, pool[0]); err != nil {
+			t.Fatal(err)
 		}
 	}
 
 	sched, err := core.New(core.Config{Name: "sgprs-multitenant", ContextSMs: pool})
 	if err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 	if err := sched.Attach(eng, dev, tasks); err != nil {
-		log.Fatal(err)
+		t.Fatal(err)
 	}
 
-	gen := workload.NewGenerator(eng, sched)
+	var gen workload.Generator
+	gen.Reset(eng, sched, 1)
 	gen.SetSink(sink)
 	gen.Start(tasks, horizon)
 	eng.RunUntil(horizon)

@@ -96,7 +96,8 @@ func (c *ctxState) estFinish(now des.Time) des.Time { return now.Add(c.pendingWC
 // queueLen is the paper's "queue length": stages waiting or running here.
 func (c *ctxState) queueLen() int { return c.queue.Len() + c.inFlight }
 
-// Scheduler is an online SGPRS instance. Create with New, wire with Attach.
+// Scheduler is an online SGPRS instance. Configure the zero value with
+// Reset, wire it with Attach.
 type Scheduler struct {
 	cfg   Config
 	eng   *des.Engine
@@ -154,21 +155,12 @@ type taskFlow struct {
 	wasActive, wasHeld bool
 }
 
-// New validates cfg and returns an unattached scheduler.
-func New(cfg Config) (*Scheduler, error) {
-	s := &Scheduler{}
-	if err := s.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset validates cfg and returns the scheduler to the unattached state New
-// leaves it in, keeping its allocations — context states with their queue
-// arrays, the per-task flow slots, the retry tokens and the encoding
-// scratch — so a session that reuses it across runs attaches without
-// allocating them again. It must not be called while a run still drives the
-// scheduler.
+// Reset validates cfg and makes the scheduler an unattached SGPRS instance
+// under it; the zero Scheduler becomes usable this way. It keeps its
+// allocations — context states with their queue arrays, the per-task flow
+// slots, the retry tokens and the encoding scratch — so a session that
+// reuses it across runs attaches without allocating them again. It must not
+// be called while a run still drives the scheduler.
 func (s *Scheduler) Reset(cfg Config) error {
 	if cfg.Name == "" {
 		return fmt.Errorf("core: config needs a name")
@@ -190,9 +182,6 @@ func (s *Scheduler) Reset(cfg Config) error {
 	}
 	return nil
 }
-
-// Promotions reports how many stages were promoted to the medium level.
-func (s *Scheduler) Promotions() uint64 { return s.promotions }
 
 // Dropped reports how many stages were shed because their job's final
 // deadline had already passed at dispatch time.

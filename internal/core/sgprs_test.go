@@ -210,7 +210,7 @@ func TestMediumPromotionHappens(t *testing.T) {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
 	r.eng.RunUntil(des.FromSeconds(1))
-	if r.sched.Promotions() == 0 {
+	if r.sched.promotions == 0 {
 		t.Error("no medium promotions under overload")
 	}
 }
@@ -223,8 +223,8 @@ func TestMediumPromotionCanBeDisabled(t *testing.T) {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
 	r.eng.RunUntil(des.FromSeconds(1))
-	if r.sched.Promotions() != 0 {
-		t.Errorf("promotions = %d with promotion disabled", r.sched.Promotions())
+	if r.sched.promotions != 0 {
+		t.Errorf("promotions = %d with promotion disabled", r.sched.promotions)
 	}
 }
 
@@ -336,8 +336,8 @@ func TestFlattenPrioritiesPureEDF(t *testing.T) {
 		r.sched.OnRelease(task.NewJob(0, 0), 0)
 	}
 	r.eng.RunUntil(des.FromSeconds(1))
-	if r.sched.Promotions() != 0 {
-		t.Errorf("flattened scheduler promoted %d stages", r.sched.Promotions())
+	if r.sched.promotions != 0 {
+		t.Errorf("flattened scheduler promoted %d stages", r.sched.promotions)
 	}
 	// Work still flows: kernels completed despite the flat queue.
 	if finished == 0 {

@@ -195,19 +195,11 @@ type Generator struct {
 	labels map[*rt.Task]string
 }
 
-// NewGenerator wires a generator to the engine and scheduler with random
-// seed 1 (see Reset).
-func NewGenerator(eng *des.Engine, s ReleaseHandler) *Generator {
-	g := &Generator{}
-	g.Reset(eng, s, 1)
-	return g
-}
-
-// Reset wires the generator to the engine and scheduler for a new run, as
-// NewGenerator would with the given seed, which feeds jitter and
-// work-variation draws (generators for deterministic workloads may pass
-// anything). The sink, pool and arrival process are cleared; the release
-// chains' storage and the label cache are kept.
+// Reset wires the generator to the engine and scheduler for a new run with
+// the given seed, which feeds jitter and work-variation draws (generators
+// for deterministic workloads may pass anything); the zero Generator becomes
+// usable this way. The sink, pool and arrival process are cleared; the
+// release chains' storage and the label cache are kept.
 func (g *Generator) Reset(eng *des.Engine, s ReleaseHandler, seed uint64) {
 	*g = Generator{
 		eng:    eng,

@@ -360,3 +360,11 @@ func newSeeded(eng *des.Engine, s ReleaseHandler, seed uint64) *Generator {
 	g.Reset(eng, s, seed)
 	return g
 }
+
+// NewGenerator wires a generator to the engine and scheduler with random
+// seed 1 (see Reset).
+func NewGenerator(eng *des.Engine, s ReleaseHandler) *Generator {
+	g := &Generator{}
+	g.Reset(eng, s, 1)
+	return g
+}
