@@ -11,8 +11,7 @@ import (
 // TestPinnedOutput: the subcommands reproduce byte for byte what the
 // separate sgprs-sim, -sweep, -analyze, -calibrate, -profile and -speedup
 // commands printed before they were merged into this one (testdata/, one
-// file per invocation), and the registry builtins the README points to in
-// place of example programs print at a small scale.
+// file per invocation), plus three registry builtins at a small scale.
 func TestPinnedOutput(t *testing.T) {
 	cases := []struct {
 		pin  string
