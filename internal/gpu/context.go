@@ -98,6 +98,9 @@ func (c *Context) ID() int { return c.id }
 // Name reports the diagnostic name.
 func (c *Context) Name() string { return c.name }
 
+// Device reports the device the context belongs to.
+func (c *Context) Device() *Device { return c.device }
+
 // SMs reports the context's SM allocation.
 func (c *Context) SMs() int { return c.sms }
 

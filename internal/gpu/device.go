@@ -173,6 +173,9 @@ type Device struct {
 	// queued, or cancelled in their launch window).
 	kernels     slab.Arena[Kernel]
 	freeKernels []*Kernel
+
+	// id is the device's position in its fleet (SetID); Reset keeps it.
+	id int
 }
 
 // deviceRNG derives the device's stochastic stream from its seed; NewDevice
@@ -295,6 +298,13 @@ type Hook interface {
 
 // AddHook appends h to the device's hooks until the next Reset.
 func (d *Device) AddHook(h Hook) { d.hooks = append(d.hooks, h) }
+
+// SetID sets the device's position in its fleet, which names it in traces;
+// a device is 0 until set.
+func (d *Device) SetID(id int) { d.id = id }
+
+// ID reports the device's position in its fleet.
+func (d *Device) ID() int { return d.id }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }

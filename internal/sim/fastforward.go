@@ -65,11 +65,10 @@ type ffRun struct {
 	period   des.Time
 	horizon  des.Time
 	// now is the boundary being encoded; job instants and frame indices are
-	// encoded relative to it (and to nextIdx) so that recurring states match
-	// bytewise.
-	now     des.Time
-	nextIdx map[int]int
-	stats   metrics.FFStats
+	// encoded relative to it (and to Session.ffNext) so that recurring
+	// states match bytewise.
+	now   des.Time
+	stats metrics.FFStats
 }
 
 // runToHorizon drives the online phase from the post-Start state to the
@@ -115,8 +114,8 @@ func (s *Session) runToHorizon(cfg RunConfig, gen *workload.Generator, tasks []*
 	if hash == nil {
 		hash = ffHashDefault
 	}
-	if r.nextIdx == nil {
-		r.nextIdx = map[int]int{}
+	if s.ffNext == nil {
+		s.ffNext = map[int]int{}
 	}
 	s.ffArena = s.ffArena[:0]
 	s.ffEnts = s.ffEnts[:0]
@@ -246,10 +245,10 @@ func (r *ffRun) chunkUntil(horizon des.Time) {
 // apart encode identically.
 func (r *ffRun) fingerprint(now des.Time) []byte {
 	r.now = now
-	clear(r.nextIdx)
+	clear(r.s.ffNext)
 	buf := r.s.ffBuf[:0]
 	r.gen.ForEachChain(func(taskID, nextIdx int, last des.Time) {
-		r.nextIdx[taskID] = nextIdx
+		r.s.ffNext[taskID] = nextIdx
 		buf = des.AppendU64(buf, uint64(taskID))
 		buf = des.AppendI64(buf, int64(last-now))
 	})
@@ -299,7 +298,7 @@ func (r *ffRun) argEnc(buf []byte, arg any) []byte {
 // arrays and never influence dynamics.
 func (r *ffRun) jobEnc(buf []byte, j *rt.Job) []byte {
 	buf = des.AppendU64(buf, uint64(j.Task.ID))
-	buf = des.AppendI64(buf, int64(j.Index-r.nextIdx[j.Task.ID]))
+	buf = des.AppendI64(buf, int64(j.Index-r.s.ffNext[j.Task.ID]))
 	buf = des.AppendI64(buf, int64(j.Release-r.now))
 	buf = des.AppendI64(buf, int64(j.Deadline-r.now))
 	buf = des.AppendF64(buf, j.WorkScale)

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"sgprs/internal/dnn"
 	"sgprs/internal/memo"
+	"sgprs/internal/workload"
 )
 
 // TestCachedScenarioBitIdentical is the offline-cache acceptance test: a
@@ -71,6 +73,71 @@ func TestCachedRunBitIdentical(t *testing.T) {
 	// profile hit (seed is excluded from the profile key by design).
 	if st := cache.Stats(); st.ProfileMisses != 1 {
 		t.Errorf("expected exactly one profile miss across seeds, got %v", st)
+	}
+}
+
+// runChain runs cfg on sess and returns the stage chain its task set holds,
+// failing t unless every task holds that one chain.
+func runChain(t *testing.T, sess *Session, cfg RunConfig) []*dnn.Stage {
+	t.Helper()
+	if _, err := sess.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(sess.tasks) != 1 {
+		t.Fatalf("session built %d task sets, want 1", len(sess.tasks))
+	}
+	var chain []*dnn.Stage
+	for _, tasks := range sess.tasks {
+		chain = tasks[0].Stages
+		for _, task := range tasks {
+			if &task.Stages[0] != &chain[0] {
+				t.Fatalf("task %s holds a chain of its own", task.Name)
+			}
+		}
+	}
+	return chain
+}
+
+// TestFreshSessionsShareOneChain: a fresh session on a warm cache builds its
+// task set on the chain the first session's run partitioned, so the cache
+// cuts the reference graph once however many sessions use it.
+func TestFreshSessionsShareOneChain(t *testing.T) {
+	cfg := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34, 34}, NumTasks: 4, HorizonSec: 0.5, WarmUpSec: 0.1}
+	cache := memo.New()
+	a := runChain(t, NewSession(cache), cfg)
+	if st := cache.Stats(); st.PartitionMisses != 1 {
+		t.Fatalf("first session: %v, want 1 partition miss", st)
+	}
+	b := runChain(t, NewSession(cache), cfg)
+	if &a[0] != &b[0] {
+		t.Fatal("the second session partitioned the graph again")
+	}
+	if st := cache.Stats(); st.PartitionMisses != 1 || st.PartitionHits != 1 {
+		t.Fatalf("second session: %v, want 1 partition miss / 1 hit", st)
+	}
+}
+
+// TestUncuttableStagesError: a stage count above the reference graph's cut
+// points fails with the error workload.Build reports for the same specs,
+// and the cache serves that error to a fresh session without partitioning
+// again.
+func TestUncuttableStagesError(t *testing.T) {
+	cfg := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 2, Stages: 1000, HorizonSec: 0.5, WarmUpSec: 0.1}
+	_, want := workload.Build(workload.Replicate(workload.Options{
+		Count: 2,
+		Spec:  workload.TaskSpec{Name: "resnet18", Graph: ReferenceGraph(defaultModel()), Stages: 1000, FPS: 30},
+	}))
+	if want == nil {
+		t.Fatal("workload.Build accepted 1000 stages")
+	}
+	cache := memo.New()
+	for range 2 {
+		if _, err := NewSession(cache).Run(cfg); err == nil || err.Error() != want.Error() {
+			t.Fatalf("err = %v, want %v", err, want)
+		}
+	}
+	if st := cache.Stats(); st.PartitionMisses != 1 || st.PartitionHits != 1 {
+		t.Fatalf("stats = %v, want 1 partition miss / 1 hit", st)
 	}
 }
 

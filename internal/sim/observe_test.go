@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -57,5 +60,53 @@ func TestObservingNeverChangesResult(t *testing.T) {
 				t.Errorf("%s: no device crashed", cfg.Name)
 			}
 		}
+	}
+}
+
+// TestFleetTraceTrackPerDevice: a recorder on a 2-device fleet, whose
+// devices name their contexts alike, exports one track per (device,
+// context) — as Chrome trace processes and as the CSV's context column —
+// not one per context name.
+func TestFleetTraceTrackPerDevice(t *testing.T) {
+	cfg := fleetConfig("traced-pair", rt.FailoverMigrate)
+	cfg.Devices = 2
+	cfg.Faults = nil
+	rec := trace.NewRecorder()
+	cfg.Observer = rec
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.Devices * len(cfg.ContextSMs)
+
+	var js bytes.Buffer
+	if err := rec.WriteChromeTrace(&js); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Pid string }
+	if err := json.Unmarshal(js.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	pids := map[string]bool{}
+	for _, e := range events {
+		pids[e.Pid] = true
+	}
+	if len(pids) != want {
+		t.Errorf("chrome trace has %d processes %v, want %d: one per device and context", len(pids), pids, want)
+	}
+
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracks := map[string]bool{}
+	for _, row := range rows[1:] {
+		tracks[row[1]] = true
+	}
+	if len(tracks) != want {
+		t.Errorf("csv has %d context tracks %v, want %d: one per device and context", len(tracks), tracks, want)
 	}
 }

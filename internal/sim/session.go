@@ -69,7 +69,8 @@ type Session struct {
 
 	// Fast-forward state (fastforward.go), reused across runs: the
 	// fingerprint build buffer, the arena of stored boundary fingerprints
-	// with their hash index, and the live-job warp dedup set. ffHash and
+	// with their hash index, each task's next frame index at the boundary
+	// being fingerprinted, and the live-job warp dedup set. ffHash and
 	// ffTrace are test hooks: ffHash overrides the fingerprint hash (the
 	// collision-safety tests truncate it to force collisions) and ffTrace,
 	// when set, fires at every release boundary — on the fast-forward and
@@ -79,6 +80,7 @@ type Session struct {
 	ffArena  []byte
 	ffEnts   []ffEntry
 	ffHashes map[uint64]int
+	ffNext   map[int]int
 	ffJobs   map[*rt.Job]bool
 	ffHash   func([]byte) uint64
 	ffTrace  func(now des.Time)
@@ -99,10 +101,11 @@ type taskSetKey struct {
 }
 
 // NewSession builds a session around the given offline-phase cache, which
-// must not be nil. The cache serves the reference graph and every WCET
-// profile; results are bit-identical to rebuilding and re-profiling from
-// scratch (memo's package comment has the argument; the tests in this
-// package pin it against the uncached batch reference).
+// must not be nil. The cache serves the reference graph, its stage chains
+// and every WCET profile; results are bit-identical to rebuilding,
+// re-partitioning and re-profiling from scratch (memo's package comment has
+// the argument; the tests in this package pin it against the uncached batch
+// reference).
 func NewSession(cache *memo.Cache) *Session {
 	return &Session{
 		cache: cache,
@@ -138,6 +141,7 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
+			d.SetID(i)
 			s.devs = append(s.devs, d)
 		}
 		if cfg.Observer != nil {
@@ -253,7 +257,7 @@ func (s *Session) taskSet(graph *dnn.Graph, cfg RunConfig) ([]*rt.Task, error) {
 		},
 		Stagger: cfg.Stagger,
 	})
-	tasks, err := workload.Build(specs)
+	tasks, err := workload.BuildWith(specs, s.cache.Partition)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,5 +151,49 @@ func TestEmptyExports(t *testing.T) {
 	}
 	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 1 {
 		t.Errorf("empty csv lines = %d", len(lines))
+	}
+}
+
+// TestTracksNameTheirDevice: two devices on one engine, both with a context
+// "cp0", export as two tracks named by device.
+func TestTracksNameTheirDevice(t *testing.T) {
+	eng := des.NewEngine()
+	rec := NewRecorder()
+	for id := range 2 {
+		dev, err := gpu.NewDevice(eng, speedup.DefaultModel(), gpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetID(id)
+		dev.AddHook(rec)
+		ctx, _ := dev.CreateContext("cp0", 34)
+		ctx.AddStream("hi0", gpu.HighPriority).Submit(&gpu.Kernel{
+			Arg:    "k",
+			Shares: []speedup.WorkShare{{Class: speedup.Conv, Work: 1}},
+		})
+	}
+	eng.Run()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Pid, Tid string }
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	pids := map[string]string{}
+	for _, e := range events {
+		pids[e.Pid] = e.Tid
+	}
+	want := map[string]string{"gpu0/cp0": "gpu0/cp0/s0(high)", "gpu1/cp0": "gpu1/cp0/s0(high)"}
+	if !reflect.DeepEqual(pids, want) {
+		t.Errorf("tracks = %v, want %v", pids, want)
+	}
+	buf.Reset()
+	if err := rec.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), ",gpu1/cp0,gpu1/cp0/s0(high),") {
+		t.Errorf("csv names no device:\n%s", buf.String())
 	}
 }

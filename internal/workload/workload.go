@@ -94,6 +94,14 @@ func Replicate(o Options) []TaskSpec {
 // task. Stages are immutable after Partition (schedulers only read Shares
 // and WorkMS), so the sharing is invisible to results.
 func Build(specs []TaskSpec) ([]*rt.Task, error) {
+	return BuildWith(specs, dnn.Partition)
+}
+
+// BuildWith is Build drawing each distinct (graph, stages) pair's chain from
+// partition, which must return what dnn.Partition returns for the same
+// arguments: memo.Cache.Partition does, once per cache rather than once
+// per call, so task sets built on one cache share their chains.
+func BuildWith(specs []TaskSpec, partition func(*dnn.Graph, int) ([]*dnn.Stage, error)) ([]*rt.Task, error) {
 	type partKey struct {
 		graph  *dnn.Graph
 		stages int
@@ -123,7 +131,7 @@ func Build(specs []TaskSpec) ([]*rt.Task, error) {
 		stages, ok := partitions[key]
 		if !ok {
 			var err error
-			stages, err = dnn.Partition(sp.Graph, sp.Stages)
+			stages, err = partition(sp.Graph, sp.Stages)
 			if err != nil {
 				return nil, fmt.Errorf("workload: task %q: %w", sp.Name, err)
 			}

@@ -45,7 +45,7 @@ type workSetup func(tb testing.TB) (op func() sim.Result, work func() sim.Stats)
 // workCases is the gated workload table. Budgets were recorded with
 // `go test -run TestWorkGate -v .`, which logs every case's allocs/op.
 var workCases = []workCase{
-	{name: "SingleRun/warm-offline", allocs: 257, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "SingleRun/warm-offline", allocs: 230, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, singleRunConfig(), warmCache(tb, singleRunConfig()))
 	}},
 	// The steady-state path: one Session reused across runs, as every
@@ -61,22 +61,22 @@ var workCases = []workCase{
 		cfg.WorkVariation = 0.2
 		return warmSession(tb, cfg)
 	}},
-	{name: "ScenarioRegeneration/cold-offline", allocs: 973, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/cold-offline", allocs: 924, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, Cache: memo.New()} })
 	}},
-	{name: "ScenarioRegeneration/warm-offline", allocs: 419, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/warm-offline", allocs: 338, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
 		op, work := regenerate(tb, func() sgprs.SweepOptions { return warm })
 		op() // populate the cache outside the measured op
 		return op, work
 	}},
-	{name: "LongHorizon/horizon-2s", allocs: 5, setup: longHorizon(2)},
-	{name: "LongHorizon/horizon-60s", allocs: 5, setup: longHorizon(60)},
-	{name: "LongHorizon/horizon-600s", allocs: 5, setup: longHorizon(600)},
-	{name: "OverloadTail/sgprs-1.5x", allocs: 276, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "LongHorizon/horizon-2s", allocs: 0, setup: longHorizon(2)},
+	{name: "LongHorizon/horizon-60s", allocs: 0, setup: longHorizon(60)},
+	{name: "LongHorizon/horizon-600s", allocs: 0, setup: longHorizon(600)},
+	{name: "OverloadTail/sgprs-1.5x", allocs: 249, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, overloadConfig(), memo.Default())
 	}},
-	{name: "OverloadTail/naive", allocs: 320, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "OverloadTail/naive", allocs: 293, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return freshSessions(tb, overloadNaiveConfig(), memo.Default())
 	}},
 	// The naive overload rerun on one session: its backlog leaves
@@ -84,12 +84,12 @@ var workCases = []workCase{
 	{name: "OverloadTail/naive-warm", allocs: 0, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return warmSession(tb, overloadNaiveConfig())
 	}},
-	{name: "SteadyState/fast-forward", allocs: 5, setup: steadyState(false)},
+	{name: "SteadyState/fast-forward", allocs: 0, setup: steadyState(false)},
 	{name: "SteadyState/full-sim", allocs: 0, setup: steadyState(true)},
-	{name: "FleetFailover/clean", allocs: 384, setup: fleetFailover(sgprs.FailoverDefault, false, false)},
-	{name: "FleetFailover/migrate", allocs: 405, setup: fleetFailover(sgprs.FailoverMigrate, true, false)},
-	{name: "FleetFailover/retry", allocs: 417, setup: fleetFailover(sgprs.FailoverRetry, true, false)},
-	{name: "FleetFailover/shed", allocs: 391, setup: fleetFailover(sgprs.FailoverShed, true, false)},
+	{name: "FleetFailover/clean", allocs: 357, setup: fleetFailover(sgprs.FailoverDefault, false, false)},
+	{name: "FleetFailover/migrate", allocs: 378, setup: fleetFailover(sgprs.FailoverMigrate, true, false)},
+	{name: "FleetFailover/retry", allocs: 390, setup: fleetFailover(sgprs.FailoverRetry, true, false)},
+	{name: "FleetFailover/shed", allocs: 364, setup: fleetFailover(sgprs.FailoverShed, true, false)},
 	// The crashed retry fleet rerun on one session, its fault injectors
 	// kept; the one allocation left is the result's per-device
 	// utilization slice.
