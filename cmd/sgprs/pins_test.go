@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,6 +75,28 @@ func TestPinnedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		comparePin(t, pin.name, got)
+	}
+}
+
+// TestOfflineStatsLine: sweep -offline-stats reports the offline cache's
+// graph and profile traffic on stderr, line for line. The counts are the
+// process's, so the sweep runs in a fresh child process (this test binary,
+// re-run on this test alone) that no other test has warmed.
+func TestOfflineStatsLine(t *testing.T) {
+	args := strings.Fields("sweep -scenario 1 -tasks 4,8 -horizon 2 -offline-stats")
+	if os.Getenv("SGPRS_OFFLINE_STATS_CHILD") == "1" {
+		os.Exit(dispatch(args, os.Stdout, os.Stderr))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestOfflineStatsLine$")
+	cmd.Env = append(os.Environ(), "SGPRS_OFFLINE_STATS_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("sgprs %s: %v: %s", strings.Join(args, " "), err, stderr.String())
+	}
+	const want = "offline cache: graphs 1 misses / 7 hits, profiles 3 misses / 45 hits\n"
+	if got := stderr.String(); got != want {
+		t.Errorf("stderr = %q, want %q", got, want)
 	}
 }
 

@@ -11,6 +11,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync"
 
 	"sgprs/internal/speedup"
 )
@@ -41,10 +42,16 @@ type Op struct {
 	Inputs []int
 }
 
-// Graph is a validated DAG of operations for one network.
+// Graph is a validated DAG of operations for one network. Once Partition
+// has cut a graph, its Ops must not change except through Scale.
 type Graph struct {
 	Name string
 	Ops  []*Op
+
+	// mu guards chains, Partition's memo: the stage chain, or the error,
+	// per stage count.
+	mu     sync.Mutex
+	chains map[int]chain
 }
 
 // Validate checks the DAG invariants: non-empty, inputs strictly precede
@@ -146,11 +153,15 @@ func (g *Graph) CutPoints() []int {
 
 // Scale multiplies every op's work by factor, returning g for chaining. It is
 // the calibration hook that pins a network's absolute latency to a measured
-// target without disturbing relative op costs.
+// target without disturbing relative op costs. It drops Partition's memo, so
+// later chains carry the new work; chains cut before keep the old totals.
 func (g *Graph) Scale(factor float64) *Graph {
 	if factor <= 0 {
 		panic(fmt.Sprintf("dnn: scale factor %v must be positive", factor))
 	}
+	g.mu.Lock()
+	g.chains = nil
+	g.mu.Unlock()
 	for _, op := range g.Ops {
 		op.WorkMS *= factor
 	}

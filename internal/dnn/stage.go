@@ -49,7 +49,34 @@ func (s *Stage) Name() string {
 //
 // It returns an error when k exceeds the number of cuttable segments: the
 // caller asked for more pipeline stages than the DAG structure admits.
+//
+// The chain, or the error, is computed once per stage count on g, however
+// many goroutines ask, and every later call returns the same one: callers
+// must treat a chain as read-only (schedulers and jobs only read a stage's
+// Shares and WorkMS), and g's Ops must not change once g is partitioned,
+// except through Scale, which drops the memo.
 func Partition(g *Graph, k int) ([]*Stage, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, ok := g.chains[k]
+	if !ok {
+		c.stages, c.err = partition(g, k)
+		if g.chains == nil {
+			g.chains = map[int]chain{}
+		}
+		g.chains[k] = c
+	}
+	return c.stages, c.err
+}
+
+// chain is one memoized Partition result.
+type chain struct {
+	stages []*Stage
+	err    error
+}
+
+// partition is Partition's uncached computation.
+func partition(g *Graph, k int) ([]*Stage, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

@@ -67,8 +67,9 @@ func offlinePhase(tb testing.TB, cache *memo.Cache, jobs []runner.Job) {
 }
 
 // BenchmarkOfflinePhase times one op of the paper grid's offline phase on a
-// warm cache: every cell's Build and ProfileTasks, with every profile a hit,
-// so it measures the per-task cost the cache does not remove. Report-only.
+// warm cache: every cell's Build and ProfileTasks, with every graph and
+// profile a hit and every chain already cut on the cached graph, so it
+// measures the per-task cost the memos do not remove. Report-only.
 func BenchmarkOfflinePhase(b *testing.B) {
 	jobs := paperGrid(b)
 	cache := memo.New()

@@ -1,27 +1,19 @@
-// Package memo is the cross-run offline-phase cache: it memoizes the three
+// Package memo is the cross-run offline-phase cache: it memoizes the two
 // deterministic, purely-functional computations every simulation run repeats
-// — building + calibrating the reference DNN graph, cutting that graph into
-// its pipeline stage chain, and profiling a task shape's per-stage WCETs in
-// isolation — so a sweep that executes hundreds of runs, on any number of
-// fresh sessions, performs each distinct offline computation exactly once.
+// — building + calibrating the reference DNN graph, and profiling a task
+// shape's per-stage WCETs in isolation — so a sweep that executes hundreds
+// of runs, on any number of fresh sessions, performs each distinct offline
+// computation exactly once. The third, cutting the graph into its pipeline
+// stage chain, is memoized by dnn.Partition on the graph itself, so every
+// session built on one cached graph shares its chains.
 //
 // # Why cache hits cannot change results
 //
-// All three cached computations are pure functions of their cache key:
+// Both cached computations are pure functions of their cache key:
 //
 //   - The calibrated graph depends only on the speedup model and the
 //     calibration target (SM count, target latency). Graph construction and
 //     dnn.Calibrate draw no randomness.
-//   - The stage chain is dnn.Partition of one cached graph at one stage
-//     count: a deterministic dynamic program over the graph's op costs.
-//     Only graphs the cache built itself are memoized (Cache.Graph's
-//     contract makes them immutable), so the key (GraphKey, stage count)
-//     determines the input exactly; a graph a caller built is partitioned
-//     anew on every call. Sharing one chain between task sets, runs and
-//     goroutines is already what sharing it between the tasks of one set
-//     does: schedulers and jobs only read a stage's Shares and WorkMS, and
-//     gpu.Kernel.ScaleShares writes only into the kernel's own buffer, so
-//     nothing writes through a shared chain.
 //   - A WCET profile runs each stage kernel alone on a private device
 //     (profile.Profiler.measure). Isolation makes every stochastic device
 //     input dead: the profiler zeroes ContentionJitter and
@@ -53,9 +45,9 @@
 // A Cache is safe for concurrent use by the parallel experiment runner's
 // workers. Each entry carries its own sync.Once (keyed singleflight): the
 // first worker to need a key computes it while later workers block on that
-// entry only, then share the result. Shared values (graphs, stage chains,
-// WCET tables) are immutable after construction — rt.Task.SetWCETs copies —
-// so handing one instance to many concurrent runs is safe.
+// entry only, then share the result. Shared values (graphs, WCET tables)
+// are immutable after construction — rt.Task.SetWCETs copies — so handing
+// one instance to many concurrent runs is safe.
 package memo
 
 import (
@@ -86,16 +78,6 @@ type GraphKey struct {
 type graphEntry struct {
 	once sync.Once
 	g    *dnn.Graph
-	// chains holds the graph's stage chains by stage count, guarded by
-	// Cache.mu.
-	chains map[int]*chainEntry
-}
-
-// chainEntry is one memoized dnn.Partition result.
-type chainEntry struct {
-	once   sync.Once
-	stages []*dnn.Stage
-	err    error
 }
 
 // profileKey identifies the measurement set-up of a WCET profile table: a
@@ -154,16 +136,15 @@ func appendShape(buf []byte, stages []*dnn.Stage) []byte {
 // in-flight) entry; misses are lookups that created the entry and ran the
 // computation.
 type Stats struct {
-	GraphHits, GraphMisses         uint64
-	PartitionHits, PartitionMisses uint64
-	ProfileHits, ProfileMisses     uint64
+	GraphHits, GraphMisses     uint64
+	ProfileHits, ProfileMisses uint64
 }
 
-// String renders "offline cache: graphs 1 misses / 47 hits, partitions 2
-// misses / 46 hits, profiles 4 misses / 380 hits".
+// String renders "offline cache: graphs 1 misses / 47 hits, profiles 4
+// misses / 380 hits".
 func (s Stats) String() string {
-	return fmt.Sprintf("offline cache: graphs %d misses / %d hits, partitions %d misses / %d hits, profiles %d misses / %d hits",
-		s.GraphMisses, s.GraphHits, s.PartitionMisses, s.PartitionHits, s.ProfileMisses, s.ProfileHits)
+	return fmt.Sprintf("offline cache: graphs %d misses / %d hits, profiles %d misses / %d hits",
+		s.GraphMisses, s.GraphHits, s.ProfileMisses, s.ProfileHits)
 }
 
 // Cache memoizes offline-phase computations. The zero value is not usable;
@@ -171,22 +152,17 @@ func (s Stats) String() string {
 type Cache struct {
 	mu     sync.Mutex
 	graphs map[GraphKey]*graphEntry
-	// owned finds a built graph's entry, and with it the graph's stage
-	// chains, from the graph itself.
-	owned map[*dnn.Graph]*graphEntry
 	// profiles holds the tables by set-up, then by shape fingerprint.
 	profiles map[profileKey]map[string]*profileEntry
 
-	graphHits, graphMisses         atomic.Uint64
-	partitionHits, partitionMisses atomic.Uint64
-	profileHits, profileMisses     atomic.Uint64
+	graphHits, graphMisses     atomic.Uint64
+	profileHits, profileMisses atomic.Uint64
 }
 
 // New returns an empty cache.
 func New() *Cache {
 	return &Cache{
 		graphs:   map[GraphKey]*graphEntry{},
-		owned:    map[*dnn.Graph]*graphEntry{},
 		profiles: map[profileKey]map[string]*profileEntry{},
 	}
 }
@@ -200,12 +176,10 @@ func Default() *Cache { return defaultCache }
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		GraphHits:       c.graphHits.Load(),
-		GraphMisses:     c.graphMisses.Load(),
-		PartitionHits:   c.partitionHits.Load(),
-		PartitionMisses: c.partitionMisses.Load(),
-		ProfileHits:     c.profileHits.Load(),
-		ProfileMisses:   c.profileMisses.Load(),
+		GraphHits:     c.graphHits.Load(),
+		GraphMisses:   c.graphMisses.Load(),
+		ProfileHits:   c.profileHits.Load(),
+		ProfileMisses: c.profileMisses.Load(),
 	}
 }
 
@@ -225,44 +199,8 @@ func (c *Cache) Graph(key GraphKey, build func() *dnn.Graph) *dnn.Graph {
 	} else {
 		c.graphMisses.Add(1)
 	}
-	e.once.Do(func() {
-		e.g = build()
-		c.mu.Lock()
-		c.owned[e.g] = e
-		c.mu.Unlock()
-	})
+	e.once.Do(func() { e.g = build() })
 	return e.g
-}
-
-// Partition returns dnn.Partition(g, stages). When g is a graph the cache
-// built (Graph), the chain — or the error — is computed exactly once per
-// (GraphKey, stage count) across all goroutines and shared: callers must
-// treat it as immutable, as they already must every chain workload.Build
-// hands to the tasks of a set. Any other graph is partitioned anew on every
-// call and counts neither as a hit nor as a miss.
-func (c *Cache) Partition(g *dnn.Graph, stages int) ([]*dnn.Stage, error) {
-	c.mu.Lock()
-	ge := c.owned[g]
-	if ge == nil {
-		c.mu.Unlock()
-		return dnn.Partition(g, stages)
-	}
-	e, ok := ge.chains[stages]
-	if !ok {
-		if ge.chains == nil {
-			ge.chains = map[int]*chainEntry{}
-		}
-		e = &chainEntry{}
-		ge.chains[stages] = e
-	}
-	c.mu.Unlock()
-	if ok {
-		c.partitionHits.Add(1)
-	} else {
-		c.partitionMisses.Add(1)
-	}
-	e.once.Do(func() { e.stages, e.err = dnn.Partition(g, stages) })
-	return e.stages, e.err
 }
 
 // ProfileTasks installs per-stage WCETs on every task, measuring each
@@ -272,8 +210,8 @@ func (c *Cache) Partition(g *dnn.Graph, stages int) ([]*dnn.Stage, error) {
 // installed through rt.Task.SetWCETs, which copies, so tasks never alias
 // cache memory.
 //
-// Tasks built together share one stage chain (workload.Build partitions
-// once per graph and stage count, and Partition once per cache), so a task
+// Tasks built on one graph and stage count share one stage chain
+// (dnn.Partition memoizes it on the graph), so a task
 // whose chain is the previous task's slice reuses that task's entry without
 // fingerprinting it again. The reuse still counts as a profile hit, exactly
 // as the repeated lookup did.

@@ -154,7 +154,7 @@ func shapeFingerprint(stages []*dnn.Stage) string { return string(appendShape(ni
 func TestShapeFingerprintDistinguishesShapes(t *testing.T) {
 	g := dnn.ResNet18(dnn.DefaultCostModel())
 	s6a, _ := dnn.Partition(g, 6)
-	s6b, _ := dnn.Partition(g, 6)
+	s6b, _ := dnn.Partition(dnn.ResNet18(dnn.DefaultCostModel()), 6)
 	s3, _ := dnn.Partition(g, 3)
 	if shapeFingerprint(s6a) != shapeFingerprint(s6b) {
 		t.Fatal("identical partitions fingerprint differently")
@@ -260,96 +260,5 @@ func TestProfileTasksInterleavedChains(t *testing.T) {
 					task.StageWCET(j), task.VirtualDeadline(j), ref.StageWCET(j), ref.VirtualDeadline(j))
 			}
 		}
-	}
-}
-
-// TestPartitionSingleflight: concurrent Partition calls on one cached graph
-// and stage count cut the graph once and share the chain, which equals
-// dnn.Partition's; another stage count is another entry.
-func TestPartitionSingleflight(t *testing.T) {
-	c := New()
-	key := GraphKey{Model: speedup.DefaultModel(), Name: "ref", SMs: 68, TargetMS: 1.4}
-	g := c.Graph(key, func() *dnn.Graph { return dnn.ResNet18(dnn.DefaultCostModel()) })
-	const workers = 8
-	got := make([][]*dnn.Stage, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], errs[i] = c.Partition(g, 6)
-		}()
-	}
-	wg.Wait()
-	for i := range got {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if &got[i][0] != &got[0][0] {
-			t.Fatalf("worker %d received a chain of its own", i)
-		}
-	}
-	if st := c.Stats(); st.PartitionMisses != 1 || st.PartitionHits != workers-1 {
-		t.Fatalf("stats = %v, want 1 partition miss / %d hits", st, workers-1)
-	}
-	want, err := dnn.Partition(dnn.ResNet18(dnn.DefaultCostModel()), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], want) {
-		t.Fatal("memoized chain differs from dnn.Partition's")
-	}
-
-	four, err := c.Partition(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(four) != 4 {
-		t.Fatalf("4-stage lookup returned %d stages", len(four))
-	}
-	if st := c.Stats(); st.PartitionMisses != 2 {
-		t.Fatalf("stats = %v, want a second partition miss for 4 stages", st)
-	}
-}
-
-// TestPartitionErrorMemoized: a stage count the graph cannot be cut into
-// returns dnn.Partition's error, once computed and then served as a hit.
-func TestPartitionErrorMemoized(t *testing.T) {
-	c := New()
-	key := GraphKey{Model: speedup.DefaultModel(), Name: "ref", SMs: 68, TargetMS: 1.4}
-	g := c.Graph(key, func() *dnn.Graph { return dnn.ResNet18(dnn.DefaultCostModel()) })
-	_, want := dnn.Partition(g, 1000)
-	if want == nil {
-		t.Fatal("dnn.Partition accepted 1000 stages")
-	}
-	for range 2 {
-		if _, err := c.Partition(g, 1000); err == nil || err.Error() != want.Error() {
-			t.Fatalf("err = %v, want %v", err, want)
-		}
-	}
-	if st := c.Stats(); st.PartitionMisses != 1 || st.PartitionHits != 1 {
-		t.Fatalf("stats = %v, want 1 partition miss / 1 hit", st)
-	}
-}
-
-// TestPartitionForeignGraph: a graph the cache did not build is cut anew on
-// every call and never counted.
-func TestPartitionForeignGraph(t *testing.T) {
-	c := New()
-	g := dnn.ResNet18(dnn.DefaultCostModel())
-	a, err := c.Partition(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Partition(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] == &b[0] {
-		t.Fatal("a caller's own graph was memoized")
-	}
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("stats = %v, want no traffic", st)
 	}
 }

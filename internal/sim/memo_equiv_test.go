@@ -99,28 +99,21 @@ func runChain(t *testing.T, sess *Session, cfg RunConfig) []*dnn.Stage {
 }
 
 // TestFreshSessionsShareOneChain: a fresh session on a warm cache builds its
-// task set on the chain the first session's run partitioned, so the cache
-// cuts the reference graph once however many sessions use it.
+// task set on the chain the first session's run partitioned, so the
+// reference graph is cut once however many sessions use it.
 func TestFreshSessionsShareOneChain(t *testing.T) {
 	cfg := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34, 34}, NumTasks: 4, HorizonSec: 0.5, WarmUpSec: 0.1}
 	cache := memo.New()
 	a := runChain(t, NewSession(cache), cfg)
-	if st := cache.Stats(); st.PartitionMisses != 1 {
-		t.Fatalf("first session: %v, want 1 partition miss", st)
-	}
 	b := runChain(t, NewSession(cache), cfg)
 	if &a[0] != &b[0] {
 		t.Fatal("the second session partitioned the graph again")
-	}
-	if st := cache.Stats(); st.PartitionMisses != 1 || st.PartitionHits != 1 {
-		t.Fatalf("second session: %v, want 1 partition miss / 1 hit", st)
 	}
 }
 
 // TestUncuttableStagesError: a stage count above the reference graph's cut
 // points fails with the error workload.Build reports for the same specs,
-// and the cache serves that error to a fresh session without partitioning
-// again.
+// on a fresh session and again on a second one over the same cache.
 func TestUncuttableStagesError(t *testing.T) {
 	cfg := RunConfig{Kind: KindSGPRS, ContextSMs: []int{34}, NumTasks: 2, Stages: 1000, HorizonSec: 0.5, WarmUpSec: 0.1}
 	_, want := workload.Build(workload.Replicate(workload.Options{
@@ -135,9 +128,6 @@ func TestUncuttableStagesError(t *testing.T) {
 		if _, err := NewSession(cache).Run(cfg); err == nil || err.Error() != want.Error() {
 			t.Fatalf("err = %v, want %v", err, want)
 		}
-	}
-	if st := cache.Stats(); st.PartitionMisses != 1 || st.PartitionHits != 1 {
-		t.Fatalf("stats = %v, want 1 partition miss / 1 hit", st)
 	}
 }
 

@@ -101,11 +101,11 @@ type taskSetKey struct {
 }
 
 // NewSession builds a session around the given offline-phase cache, which
-// must not be nil. The cache serves the reference graph, its stage chains
-// and every WCET profile; results are bit-identical to rebuilding,
-// re-partitioning and re-profiling from scratch (memo's package comment has
-// the argument; the tests in this package pin it against the uncached batch
-// reference).
+// must not be nil. The cache serves the reference graph and every WCET
+// profile, and dnn.Partition's memo on that graph its stage chains;
+// results are bit-identical to rebuilding, re-partitioning and re-profiling
+// from scratch (memo's package comment has the argument; the tests in this
+// package pin it against the uncached batch reference).
 func NewSession(cache *memo.Cache) *Session {
 	return &Session{
 		cache: cache,
@@ -257,7 +257,7 @@ func (s *Session) taskSet(graph *dnn.Graph, cfg RunConfig) ([]*rt.Task, error) {
 		},
 		Stagger: cfg.Stagger,
 	})
-	tasks, err := workload.BuildWith(specs, s.cache.Partition)
+	tasks, err := workload.Build(specs)
 	if err != nil {
 		return nil, err
 	}

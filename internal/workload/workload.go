@@ -89,24 +89,12 @@ func Replicate(o Options) []TaskSpec {
 // run the profiler before attaching a scheduler.
 //
 // Specs sharing a graph and stage count — the common Replicate case —
-// share one partition: the balanced-partition DP runs once per distinct
-// (graph, stages) pair and the resulting stage chain is handed to every
-// task. Stages are immutable after Partition (schedulers only read Shares
-// and WorkMS), so the sharing is invisible to results.
+// share one chain: dnn.Partition memoizes it on the graph, so the
+// balanced-partition DP runs once per distinct (graph, stages) pair in the
+// process and every task set built on that graph holds the same chain.
+// Stages are read-only after Partition (schedulers only read Shares and
+// WorkMS), so the sharing is invisible to results.
 func Build(specs []TaskSpec) ([]*rt.Task, error) {
-	return BuildWith(specs, dnn.Partition)
-}
-
-// BuildWith is Build drawing each distinct (graph, stages) pair's chain from
-// partition, which must return what dnn.Partition returns for the same
-// arguments: memo.Cache.Partition does, once per cache rather than once
-// per call, so task sets built on one cache share their chains.
-func BuildWith(specs []TaskSpec, partition func(*dnn.Graph, int) ([]*dnn.Stage, error)) ([]*rt.Task, error) {
-	type partKey struct {
-		graph  *dnn.Graph
-		stages int
-	}
-	partitions := map[partKey][]*dnn.Stage{}
 	// The tasks sit in one slice and their WCET and virtual-deadline
 	// tables in another: Partition returns exactly the stage count asked
 	// for, so the tables' size is known up front.
@@ -127,15 +115,9 @@ func BuildWith(specs []TaskSpec, partition func(*dnn.Graph, int) ([]*dnn.Stage, 
 		if sp.Graph == nil {
 			return nil, fmt.Errorf("workload: task %q has no graph", sp.Name)
 		}
-		key := partKey{graph: sp.Graph, stages: sp.Stages}
-		stages, ok := partitions[key]
-		if !ok {
-			var err error
-			stages, err = partition(sp.Graph, sp.Stages)
-			if err != nil {
-				return nil, fmt.Errorf("workload: task %q: %w", sp.Name, err)
-			}
-			partitions[key] = stages
+		stages, err := dnn.Partition(sp.Graph, sp.Stages)
+		if err != nil {
+			return nil, fmt.Errorf("workload: task %q: %w", sp.Name, err)
 		}
 		period := des.FromSeconds(1 / sp.FPS)
 		df := sp.DeadlineFactor

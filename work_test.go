@@ -61,7 +61,7 @@ var workCases = []workCase{
 		cfg.WorkVariation = 0.2
 		return warmSession(tb, cfg)
 	}},
-	{name: "ScenarioRegeneration/cold-offline", allocs: 924, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
+	{name: "ScenarioRegeneration/cold-offline", allocs: 921, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
 		return regenerate(tb, func() sgprs.SweepOptions { return sgprs.SweepOptions{Jobs: 1, Cache: memo.New()} })
 	}},
 	{name: "ScenarioRegeneration/warm-offline", allocs: 338, setup: func(tb testing.TB) (func() sim.Result, func() sim.Stats) {
